@@ -79,9 +79,6 @@ pub struct Config {
     pub lock_scope_modules: Vec<String>,
     /// Receiver → class mapping for R2.
     pub lock_classes: Vec<LockClass>,
-    /// Modules whose `*_traced` functions must delegate to their
-    /// untraced twins (R3).
-    pub trace_parity_modules: Vec<String>,
     /// Modules exempt from the float-discipline rule (R4) — the
     /// approved home of raw float comparisons.
     pub float_exempt_modules: Vec<String>,
@@ -163,7 +160,6 @@ impl Config {
                 LockClass::ranked("exemplars", "SPAN_EXEMPLARS", 56),
                 LockClass::ranked("events", "TRACE_SUBSCRIBER", 60),
             ],
-            trace_parity_modules: vec!["costing".into()],
             float_exempt_modules: vec!["mathkit".into()],
             entropy_exempt_modules: vec![
                 "bench".into(),

@@ -3,14 +3,13 @@
 //! This crate is a deliberately dependency-free lint pass over the
 //! workspace's own source: a lightweight Rust lexer ([`lexer`]), a
 //! per-file structural model ([`source`]), a workspace-wide call graph
-//! with hot-path reachability ([`graph`]), and eight rules ([`rules`])
+//! with hot-path reachability ([`graph`]), and seven rules ([`rules`])
 //! that enforce the invariants the estimation pipeline relies on but
 //! `rustc`/`clippy` cannot see:
 //!
 //! * panic-freedom on the hot path (`panic-freedom`),
 //! * a rank-ordered, acyclic lock graph (`lock-order` — the static
 //!   half of the `parking_lot` shim's `lock-order-check` feature),
-//! * traced/untraced twin parity (`trace-parity`),
 //! * NaN-safe float handling (`float-discipline`),
 //! * replayable estimation — no ambient time/entropy
 //!   (`nondeterminism`),

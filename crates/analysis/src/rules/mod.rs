@@ -1,10 +1,9 @@
-//! The rule engine: one trait, eight domain rules.
+//! The rule engine: one trait, seven domain rules.
 //!
 //! | id                 | enforces                                                  |
 //! |--------------------|-----------------------------------------------------------|
 //! | `panic-freedom`    | no `unwrap`/`expect`/panic macros/arithmetic indexing in the estimation hot path |
 //! | `lock-order`       | guard-scope acquisition graph is acyclic and rank-ordered |
-//! | `trace-parity`     | every `*_traced` fn delegates to its untraced twin        |
 //! | `float-discipline` | no `==`/`!=` against float literals, no NaN-unsafe sorts  |
 //! | `nondeterminism`   | no ambient time/entropy outside approved modules          |
 //! | `hot-path-write-lock` | read-path modules never lock the model store — they pin epoch snapshots |
@@ -30,7 +29,6 @@ mod hot_path_write_lock;
 mod lock_order;
 mod nondeterminism;
 mod panic_freedom;
-mod trace_parity;
 
 pub use alloc_freedom::AllocFreedom;
 pub use blocking_freedom::BlockingFreedom;
@@ -39,7 +37,6 @@ pub use hot_path_write_lock::HotPathWriteLock;
 pub use lock_order::LockOrder;
 pub use nondeterminism::Nondeterminism;
 pub use panic_freedom::PanicFreedom;
-pub use trace_parity::TraceParity;
 
 /// One analysis rule. Rules see every scanned file once (with the full
 /// [`Context`] — sources, config, call graph, reachability), then get a
@@ -61,7 +58,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(PanicFreedom),
         Box::new(LockOrder::default()),
-        Box::new(TraceParity),
         Box::new(FloatDiscipline),
         Box::new(Nondeterminism),
         Box::new(HotPathWriteLock),

@@ -348,13 +348,13 @@ fn find_functions(tokens: &[Token], comments: &[Comment]) -> Vec<Function> {
         let name = name_tok.text.clone();
         let line = tokens[i].line;
         let mut j = i + 2;
-        // Skip generics.
+        // Skip generics (the `>` of a `Fn() -> T` bound closes nothing).
         if tokens.get(j).is_some_and(|t| t.is_punct('<')) {
             let mut depth = 0i32;
             while let Some(t) = tokens.get(j) {
                 if t.is_punct('<') {
                     depth += 1;
-                } else if t.is_punct('>') {
+                } else if t.is_punct('>') && !tokens[j - 1].is_punct('-') {
                     depth -= 1;
                     if depth == 0 {
                         j += 1;
@@ -629,16 +629,21 @@ impl Thing {
     fn resolve_traced(&self, costs: &CostMap, ctx: &TraceCtx) -> Choice {
         self.resolve(costs)
     }
+    fn emit<F: FnOnce() -> Event>(&self, f: F) {
+        self.sink(f())
+    }
 }
 ";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
         let names: Vec<&str> = f.functions.iter().map(|x| x.name.as_str()).collect();
-        assert_eq!(names, vec!["scale", "resolve", "resolve_traced"]);
+        assert_eq!(names, vec!["scale", "resolve", "resolve_traced", "emit"]);
         assert!(f.functions[0].documents_panics());
         assert!(!f.functions[1].documents_panics());
         assert_eq!(f.functions[1].params, vec!["self", "&CostMap"]);
         assert_eq!(f.functions[2].params, vec!["self", "&CostMap", "&TraceCtx"]);
         assert_eq!(f.functions[1].ret, "Choice");
+        // The `->` inside a generic bound does not end the generics.
+        assert_eq!(f.functions[3].params, vec!["self", "F"]);
         // Bodies are real token ranges.
         assert!(f.functions[2].body.len() > 3);
     }

@@ -10,8 +10,6 @@ use analysis::{check_str, report::Report};
 const PANIC_PATH: &str = "crates/costing/src/service/fixture.rs";
 /// Lock-scope module for R2 fixtures.
 const LOCK_PATH: &str = "crates/costing/src/service/locks.rs";
-/// Costing (trace-parity) but non-hot-path module for R3 fixtures.
-const TRACE_PATH: &str = "crates/costing/src/trace_fixture.rs";
 /// Any non-exempt module for R4/R5 fixtures.
 const PLAIN_PATH: &str = "crates/costing/src/plain_fixture.rs";
 
@@ -150,23 +148,6 @@ fn lock_cycle_across_files_is_detected() {
         "{}",
         report.render_text()
     );
-}
-
-#[test]
-fn bad_trace_parity_fixture_fires_on_every_class() {
-    let report = check(TRACE_PATH, include_str!("fixtures/bad_trace_parity.rs"));
-    // fork (no delegation), missing twin, return-type divergence.
-    assert_fires(&report, "trace-parity", 3);
-    let text = report.render_text();
-    assert!(text.contains("never calls"), "{text}");
-    assert!(text.contains("no untraced twin"), "{text}");
-    assert!(text.contains("must agree"), "{text}");
-}
-
-#[test]
-fn good_trace_parity_fixture_is_clean() {
-    let report = check(TRACE_PATH, include_str!("fixtures/good_trace_parity.rs"));
-    assert!(report.is_clean(), "{}", report.render_text());
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! The live workspace must pass its own lint pass, the allow budget
-//! must stay small, and the static rank table must match the runtime
-//! checker's.
+//! must stay small, every function name in the policy must still exist,
+//! and the static rank table must match the runtime checker's.
 
 use analysis::config::Config;
 use std::path::{Path, PathBuf};
@@ -44,6 +44,31 @@ fn allow_budget_stays_small() {
         report.allows.len(),
         report.allows
     );
+}
+
+#[test]
+fn every_function_the_policy_names_exists_on_the_live_tree() {
+    // `Config` matches functions by *name*. A renamed entry point is
+    // only a CLI warning and a renamed boundary is ignored outright, so
+    // either would silently shrink (or widen) what the rules cover.
+    let config = Config::workspace_default();
+    let files = analysis::load_workspace(&workspace_root()).expect("scanning the workspace");
+    let graph = analysis::graph::CallGraph::build(&files);
+    let (.., unresolved) = analysis::graph::resolve_entries(&graph, &config);
+    assert!(
+        unresolved.is_empty(),
+        "entry points matching no function: {unresolved:?}"
+    );
+    for name in config
+        .cold_boundary_functions
+        .iter()
+        .chain(&config.zero_alloc_boundary_functions)
+    {
+        assert!(
+            graph.nodes.iter().any(|n| &n.name == name),
+            "boundary function `{name}` matches no function in the workspace"
+        );
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! budget. This experiment pins that cost as a standing number: it
 //! loads the live tree once, then times the parse phase (lexing +
 //! structural model) and the analyze phase (call-graph construction,
-//! the three reachability closures, all eight rules, allow filtering)
+//! the three reachability closures, all seven rules, allow filtering)
 //! separately over several iterations, reporting medians alongside the
 //! graph's size and the closure populations.
 //!

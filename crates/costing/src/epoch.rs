@@ -38,7 +38,6 @@ use catalog::SystemId;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use telemetry::{Event, Tracer};
 
 /// A monotonically increasing model-state version number.
 ///
@@ -532,22 +531,6 @@ impl TuningPipeline {
             reports,
             entries_drained,
         }
-    }
-
-    /// [`TuningPipeline::run_once`] with the decision trail: emits one
-    /// [`Event::TuningPass`] per retrained model.
-    pub fn run_once_traced(&self, store: &EpochStore, tracer: &Tracer) -> PipelineReport {
-        let report = self.run_once(store);
-        for (key, tune) in &report.reports {
-            tracer.emit(|| Event::TuningPass {
-                system: key.0.to_string(),
-                operator: key.1.to_string(),
-                entries_used: tune.entries_used,
-                dims_expanded: tune.dims_expanded.len(),
-                rmse_pct_after: tune.rmse_pct_after,
-            });
-        }
-        report
     }
 }
 

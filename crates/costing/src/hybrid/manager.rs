@@ -3,7 +3,6 @@
 
 use crate::{
     estimator::OperatorKind,
-    features::{agg_features, join_features},
     hybrid::profile::{CostingError, CostingProfile, QueryCost},
     logical_op::{model::FitConfig, tuning::TuneReport},
     observability::ModelKey,
@@ -12,7 +11,7 @@ use catalog::{Catalog, SystemId};
 use remote_sim::analyze::{analyze, QueryAnalysis};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use telemetry::{DriftMonitor, Event, Tracer};
+use telemetry::DriftMonitor;
 
 /// Routes cost estimates to per-system costing profiles.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -86,38 +85,6 @@ impl HybridCostManager {
         let analysis =
             analyze(catalog, &plan).map_err(|_| CostingError::NoOperator(OperatorKind::Scan))?;
         self.estimate(system, &analysis)
-    }
-
-    /// [`HybridCostManager::estimate`] with the decision trail: emits one
-    /// [`Event::EstimateServed`] per costed operator, carrying the feature
-    /// vector the logical-op path would see and the estimate's provenance.
-    pub fn estimate_traced(
-        &mut self,
-        system: &SystemId,
-        analysis: &QueryAnalysis,
-        tracer: &Tracer,
-    ) -> Result<QueryCost, CostingError> {
-        let cost = self.estimate(system, analysis)?;
-        if tracer.is_enabled() {
-            for (op, est) in &cost.operators {
-                let features = match op {
-                    OperatorKind::Join => join_features(analysis).map(|f| f.to_vec()),
-                    OperatorKind::Aggregation => agg_features(analysis).map(|f| f.to_vec()),
-                    _ => None,
-                }
-                .unwrap_or_default();
-                tracer.emit(|| Event::EstimateServed {
-                    system: system.to_string(),
-                    operator: op.to_string(),
-                    features,
-                    secs: est.secs,
-                    source: format!("{:?}", est.source),
-                    cache_hit: false,
-                    epoch: Some(self.version),
-                });
-            }
-        }
-        Ok(cost)
     }
 
     /// Replays every profile's pending execution-log entries into a drift
@@ -224,46 +191,6 @@ mod tests {
             .unwrap();
         assert!(cost.total_secs > 0.0);
         assert_eq!(mgr.systems().len(), 1);
-    }
-
-    #[test]
-    fn traced_estimate_serves_one_event_per_operator() {
-        use std::sync::Arc;
-        use telemetry::VecSubscriber;
-
-        let mut e = hive_with_tables();
-        let mut mgr = HybridCostManager::new();
-        mgr.register(subop_profile(&mut e, "hive-a"));
-        let plan = sqlkit::sql_to_plan(
-            "SELECT r.a5, SUM(s.a1) AS s FROM T1000000_250 r \
-             JOIN T100000_100 s ON r.a1 = s.a1 GROUP BY r.a5",
-        )
-        .unwrap();
-        let analysis = analyze(e.catalog(), &plan).unwrap();
-        let sub = Arc::new(VecSubscriber::new());
-        let tracer = Tracer::new(sub.clone());
-        let cost = mgr
-            .estimate_traced(&SystemId::new("hive-a"), &analysis, &tracer)
-            .unwrap();
-        let events = sub.snapshot();
-        assert_eq!(events.len(), cost.operators.len());
-        for ((op, est), ev) in cost.operators.iter().zip(&events) {
-            match ev {
-                Event::EstimateServed {
-                    system,
-                    operator,
-                    secs,
-                    cache_hit,
-                    ..
-                } => {
-                    assert_eq!(system, "hive-a");
-                    assert_eq!(operator, &op.to_string());
-                    assert_eq!(*secs, est.secs);
-                    assert!(!cache_hit);
-                }
-                other => panic!("unexpected event {other:?}"),
-            }
-        }
     }
 
     #[test]

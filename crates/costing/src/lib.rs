@@ -21,10 +21,11 @@
 //!   selects the approach (per system, per operator, or switched over
 //!   time, Fig. 9).
 //!
-//! Every estimation path is observable: traced method variants accept a
-//! [`TraceCtx`] and emit typed decision-trail events ([`observability`]),
-//! the [`service`] keeps registry-backed metrics, and the execution logs
-//! feed a drift monitor keyed by [`ModelKey`].
+//! The served estimation path is observable: each costing decision has
+//! one body, which emits typed decision-trail events when handed a
+//! [`TraceCtx`] ([`observability`]); the [`service`] keeps
+//! registry-backed metrics, and the execution logs feed a drift monitor
+//! keyed by [`ModelKey`].
 //!
 //! The crate interacts with remote systems *only* through the
 //! [`remote_sim::RemoteSystem`] trait — submit a query or probe, observe

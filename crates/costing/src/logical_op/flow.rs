@@ -15,15 +15,13 @@ use crate::{
     logical_op::{
         model::{FitConfig, LogicalOpModel},
         remedy::{
-            remedy_estimate, remedy_estimate_scratch, remedy_estimate_scratch_traced,
-            remedy_estimate_traced, AlphaTuner, RemedyConfig, RemedyScratch,
+            remedy_estimate, remedy_estimate_scratch, AlphaTuner, RemedyConfig, RemedyScratch,
         },
-        tuning::{offline_tune, ExecutionLog, TuneReport},
+        tuning::{offline_tune, ExecutionLog, TuneReport, DEFAULT_LOG_CAPACITY},
     },
     observability::TraceCtx,
 };
 use serde::{Deserialize, Serialize};
-use telemetry::Event;
 
 /// A complete logical-operator costing unit for one operator on one
 /// remote system: model + remedy machinery + execution log.
@@ -38,7 +36,9 @@ pub struct LogicalOpCosting {
     /// The offline-tuning execution log.
     pub log: ExecutionLog,
     /// Pending remedy components (nn, regression) for α adjustment, keyed
-    /// by the feature vector of the estimate they came from.
+    /// by the feature vector of the estimate they came from. Bounded at
+    /// [`DEFAULT_LOG_CAPACITY`], oldest evicted first, so estimates that
+    /// are never observed cannot grow it without limit.
     pending_remedies: Vec<(Vec<f64>, f64, f64)>,
 }
 
@@ -54,125 +54,72 @@ impl LogicalOpCosting {
         }
     }
 
-    /// Estimates the cost of an operator with features `x` — the top half
-    /// of the Fig. 3 flowchart.
-    pub fn estimate(&mut self, x: &[f64]) -> CostEstimate {
+    /// The top half of the Fig. 3 flowchart, once: range check, then the
+    /// NN alone or the online remedy. Remedy estimates also return their
+    /// `(nn, regression)` components, which [`LogicalOpCosting::estimate`]
+    /// keeps for α adjustment.
+    fn estimate_core(
+        &self,
+        x: &[f64],
+        scratch: &mut RemedyScratch,
+        trace: Option<&TraceCtx<'_>>,
+    ) -> (CostEstimate, Option<(f64, f64)>) {
         if self.model.meta.all_in_range(x, self.remedy.beta) {
-            CostEstimate::new(self.model.predict_nn(x), EstimateSource::NeuralNetwork)
-        } else {
-            let out = remedy_estimate(&self.model, x, &self.remedy, self.tuner.alpha());
-            self.pending_remedies
-                .push((x.to_vec(), out.nn_estimate, out.regression_estimate));
-            CostEstimate::new(
-                out.estimate,
-                EstimateSource::OnlineRemedy {
-                    alpha: out.alpha,
-                    pivots: out.pivots,
-                },
-            )
+            let nn = CostEstimate::new(self.model.predict_nn(x), EstimateSource::NeuralNetwork);
+            return (nn, None);
         }
+        let out = remedy_estimate_scratch(
+            &self.model,
+            x,
+            &self.remedy,
+            self.tuner.alpha(),
+            scratch,
+            trace,
+        );
+        let blended = CostEstimate::new(
+            out.estimate,
+            EstimateSource::OnlineRemedy {
+                alpha: out.alpha,
+                pivots: out.pivots,
+            },
+        );
+        (blended, Some((out.nn_estimate, out.regression_estimate)))
+    }
+
+    /// Estimates the cost of an operator with features `x`, remembering a
+    /// remedy estimate's components until the operator's actual cost is
+    /// observed ([`LogicalOpCosting::observe_actual`]).
+    pub fn estimate(&mut self, x: &[f64]) -> CostEstimate {
+        let (estimate, remedy) = self.estimate_core(x, &mut RemedyScratch::new(), None);
+        if let Some((nn, regression)) = remedy {
+            if self.pending_remedies.len() >= DEFAULT_LOG_CAPACITY {
+                let excess = self.pending_remedies.len() + 1 - DEFAULT_LOG_CAPACITY;
+                self.pending_remedies.drain(..excess);
+            }
+            self.pending_remedies.push((x.to_vec(), nn, regression));
+        }
+        estimate
     }
 
     /// Read-only estimate that does not track remedy components (for
     /// what-if probing).
     pub fn estimate_readonly(&self, x: &[f64]) -> CostEstimate {
-        if self.model.meta.all_in_range(x, self.remedy.beta) {
-            CostEstimate::new(self.model.predict_nn(x), EstimateSource::NeuralNetwork)
-        } else {
-            let out = remedy_estimate(&self.model, x, &self.remedy, self.tuner.alpha());
-            CostEstimate::new(
-                out.estimate,
-                EstimateSource::OnlineRemedy {
-                    alpha: out.alpha,
-                    pivots: out.pivots,
-                },
-            )
-        }
+        self.estimate_readonly_scratch(x, &mut RemedyScratch::new(), None)
     }
 
     /// [`LogicalOpCosting::estimate_readonly`] with a caller-provided
-    /// remedy workspace: identical result, but an out-of-range estimate
-    /// reuses `remedy`'s buffers instead of allocating its own.
-    pub fn estimate_readonly_scratch(&self, x: &[f64], remedy: &mut RemedyScratch) -> CostEstimate {
-        if self.model.meta.all_in_range(x, self.remedy.beta) {
-            CostEstimate::new(self.model.predict_nn(x), EstimateSource::NeuralNetwork)
-        } else {
-            let out =
-                remedy_estimate_scratch(&self.model, x, &self.remedy, self.tuner.alpha(), remedy);
-            CostEstimate::new(
-                out.estimate,
-                EstimateSource::OnlineRemedy {
-                    alpha: out.alpha,
-                    pivots: out.pivots,
-                },
-            )
-        }
-    }
-
-    /// [`LogicalOpCosting::estimate`] with the decision trail: remedy-path
-    /// estimates emit [`Event::PivotsDetected`] and [`Event::RemedyBlend`]
-    /// through `ctx`. Returns exactly what the untraced call returns.
-    pub fn estimate_traced(&mut self, x: &[f64], ctx: &TraceCtx<'_>) -> CostEstimate {
-        if self.model.meta.all_in_range(x, self.remedy.beta) {
-            CostEstimate::new(self.model.predict_nn(x), EstimateSource::NeuralNetwork)
-        } else {
-            let out = remedy_estimate_traced(&self.model, x, &self.remedy, self.tuner.alpha(), ctx);
-            self.pending_remedies
-                .push((x.to_vec(), out.nn_estimate, out.regression_estimate));
-            CostEstimate::new(
-                out.estimate,
-                EstimateSource::OnlineRemedy {
-                    alpha: out.alpha,
-                    pivots: out.pivots,
-                },
-            )
-        }
-    }
-
-    /// [`LogicalOpCosting::estimate_readonly`] with the decision trail
-    /// (see [`LogicalOpCosting::estimate_traced`]).
-    pub fn estimate_readonly_traced(&self, x: &[f64], ctx: &TraceCtx<'_>) -> CostEstimate {
-        if self.model.meta.all_in_range(x, self.remedy.beta) {
-            CostEstimate::new(self.model.predict_nn(x), EstimateSource::NeuralNetwork)
-        } else {
-            let out = remedy_estimate_traced(&self.model, x, &self.remedy, self.tuner.alpha(), ctx);
-            CostEstimate::new(
-                out.estimate,
-                EstimateSource::OnlineRemedy {
-                    alpha: out.alpha,
-                    pivots: out.pivots,
-                },
-            )
-        }
-    }
-
-    /// [`LogicalOpCosting::estimate_readonly_scratch`] with the decision
-    /// trail (see [`LogicalOpCosting::estimate_traced`]).
-    pub fn estimate_readonly_scratch_traced(
+    /// remedy workspace and an optional decision-trail context: identical
+    /// result, but an out-of-range estimate reuses `remedy`'s buffers
+    /// instead of allocating its own and, given `trace`, emits the remedy
+    /// event pair (see [`remedy_estimate_scratch`]). In-range estimates
+    /// emit nothing.
+    pub fn estimate_readonly_scratch(
         &self,
         x: &[f64],
-        ctx: &TraceCtx<'_>,
         remedy: &mut RemedyScratch,
+        trace: Option<&TraceCtx<'_>>,
     ) -> CostEstimate {
-        if self.model.meta.all_in_range(x, self.remedy.beta) {
-            CostEstimate::new(self.model.predict_nn(x), EstimateSource::NeuralNetwork)
-        } else {
-            let out = remedy_estimate_scratch_traced(
-                &self.model,
-                x,
-                &self.remedy,
-                self.tuner.alpha(),
-                ctx,
-                remedy,
-            );
-            CostEstimate::new(
-                out.estimate,
-                EstimateSource::OnlineRemedy {
-                    alpha: out.alpha,
-                    pivots: out.pivots,
-                },
-            )
-        }
+        self.estimate_core(x, remedy, trace).0
     }
 
     /// The bottom half of Fig. 3: the operator actually ran remotely —
@@ -201,62 +148,15 @@ impl LogicalOpCosting {
         self.log.push(x.to_vec(), actual_secs);
     }
 
-    /// [`LogicalOpCosting::observe_detached`] with the decision trail:
-    /// emits [`Event::ActualObserved`] carrying the model's *current*
-    /// prediction next to the reported actual — the raw material of drift
-    /// monitoring. The prediction is only computed when tracing is
-    /// enabled.
-    pub fn observe_detached_traced(&mut self, x: &[f64], actual_secs: f64, ctx: &TraceCtx<'_>) {
-        if ctx.tracer.is_enabled() {
-            let predicted = self.estimate_readonly(x).secs;
-            ctx.tracer.emit(|| Event::ActualObserved {
-                system: ctx.system.to_string(),
-                operator: self.model.op.to_string(),
-                predicted,
-                actual: actual_secs,
-            });
-        }
-        self.observe_detached(x, actual_secs);
-    }
-
     /// Re-fits α from everything recorded so far (the paper adjusts after
     /// each batch — Table 1).
     pub fn adjust_alpha(&mut self) -> f64 {
         self.tuner.retune()
     }
 
-    /// [`LogicalOpCosting::adjust_alpha`] with the decision trail: emits
-    /// [`Event::AlphaAdjusted`] with the weight before and after retuning.
-    pub fn adjust_alpha_traced(&mut self, ctx: &TraceCtx<'_>) -> f64 {
-        let old_alpha = self.tuner.alpha();
-        let new_alpha = self.adjust_alpha();
-        ctx.tracer.emit(|| Event::AlphaAdjusted {
-            system: ctx.system.to_string(),
-            operator: self.model.op.to_string(),
-            old_alpha,
-            new_alpha,
-        });
-        new_alpha
-    }
-
     /// Runs the offline tuning phase over the accumulated log.
     pub fn offline_tune(&mut self, config: &FitConfig) -> TuneReport {
         offline_tune(&mut self.model, &mut self.log, self.remedy.beta, config)
-    }
-
-    /// [`LogicalOpCosting::offline_tune`] with the decision trail: emits
-    /// [`Event::TuningPass`] summarising what the pass consumed and
-    /// achieved.
-    pub fn offline_tune_traced(&mut self, config: &FitConfig, ctx: &TraceCtx<'_>) -> TuneReport {
-        let report = self.offline_tune(config);
-        ctx.tracer.emit(|| Event::TuningPass {
-            system: ctx.system.to_string(),
-            operator: self.model.op.to_string(),
-            entries_used: report.entries_used,
-            dims_expanded: report.dims_expanded.len(),
-            rmse_pct_after: report.rmse_pct_after,
-        });
-        report
     }
 }
 
@@ -384,12 +284,18 @@ mod tests {
         let system = SystemId::new("hive-a");
         let ctx = TraceCtx::new(&tracer, &system);
         // In-range estimates leave no remedy trail.
-        let e = c.estimate_traced(&[5e5, 200.0], &ctx);
+        let mut scratch = RemedyScratch::new();
+        let e = c.estimate_readonly_scratch(&[5e5, 200.0], &mut scratch, Some(&ctx));
         assert_eq!(e.source, EstimateSource::NeuralNetwork);
         assert!(sub.is_empty());
         // Out-of-range: the emitted pivots and α must agree with the
         // source the estimate itself reports.
-        let e = c.estimate_traced(&[2e7, 200.0], &ctx);
+        let e = c.estimate_readonly_scratch(&[2e7, 200.0], &mut scratch, Some(&ctx));
+        assert_eq!(
+            e,
+            c.estimate(&[2e7, 200.0]),
+            "the context never changes the estimate"
+        );
         let (src_alpha, src_pivots) = match &e.source {
             EstimateSource::OnlineRemedy { alpha, pivots } => (*alpha, pivots.clone()),
             other => panic!("expected remedy, got {other:?}"),
@@ -416,18 +322,26 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // Observation, α adjustment, and tuning each add to the trail.
-        c.observe_detached_traced(&[2e7, 200.0], 60.0, &ctx);
-        let _ = c.adjust_alpha_traced(&ctx);
-        let _ = c.offline_tune_traced(&FitConfig::fast(), &ctx);
-        let kinds: Vec<&str> = sub.snapshot().iter().map(|e| e.kind()).collect();
-        assert_eq!(
-            kinds,
-            // observe_detached on an out-of-range point recomputes the
-            // remedy, which traces nothing here (untraced internal call);
-            // only the three explicit stations emit.
-            vec!["actual_observed", "alpha_adjusted", "tuning_pass"]
-        );
+    }
+
+    #[test]
+    fn unobserved_remedy_estimates_stay_bounded_and_pairing_still_feeds_alpha() {
+        let mut c = costing();
+        let probe = |i: usize| [2e7 + i as f64, 200.0];
+        for i in 0..DEFAULT_LOG_CAPACITY + 3 {
+            let _ = c.estimate(&probe(i));
+            assert!(c.pending_remedies.len() <= DEFAULT_LOG_CAPACITY);
+        }
+        // Oldest first: the three earliest records made room.
+        assert_eq!(c.pending_remedies.len(), DEFAULT_LOG_CAPACITY);
+        assert_eq!(c.pending_remedies[0].0, probe(3));
+        // An evicted estimate's actual only lands in the log; a paired
+        // estimate → observation still reaches the α tuner.
+        c.observe_actual(&probe(0), 55.0);
+        assert_eq!(c.tuner.observations(), 0);
+        c.observe_actual(&probe(DEFAULT_LOG_CAPACITY + 2), 55.0);
+        assert_eq!(c.tuner.observations(), 1);
+        assert_eq!(c.pending_remedies.len(), DEFAULT_LOG_CAPACITY - 1);
     }
 
     #[test]

@@ -103,25 +103,30 @@ pub struct RemedyOutcome {
 }
 
 /// Runs the `QueryTime-Remedy()` procedure for input `x` (which must have
-/// at least one pivot dimension under `cfg.beta`).
+/// at least one pivot dimension under `cfg.beta`) with a throwaway
+/// workspace and no decision trail.
 pub fn remedy_estimate(
     model: &LogicalOpModel,
     x: &[f64],
     cfg: &RemedyConfig,
     alpha: f64,
 ) -> RemedyOutcome {
-    remedy_estimate_scratch(model, x, cfg, alpha, &mut RemedyScratch::new())
+    remedy_estimate_scratch(model, x, cfg, alpha, &mut RemedyScratch::new(), None)
 }
 
-/// [`remedy_estimate`] with a caller-provided workspace: identical
-/// result, but the pivot-regression buffers come from (and return to)
-/// `scratch` instead of being allocated per call.
+/// The one body of the remedy procedure: the pivot-regression buffers
+/// come from (and return to) `scratch`, and with a `trace` context the
+/// outcome is described by an [`Event::PivotsDetected`] /
+/// [`Event::RemedyBlend`] pair — the pivot set, the α weight, and both
+/// blend components. The context never changes the result, and on a
+/// disabled tracer the event closures never run.
 pub fn remedy_estimate_scratch(
     model: &LogicalOpModel,
     x: &[f64],
     cfg: &RemedyConfig,
     alpha: f64,
     scratch: &mut RemedyScratch,
+    trace: Option<&TraceCtx<'_>>,
 ) -> RemedyOutcome {
     let pivots = model.meta.pivots(x, cfg.beta);
     assert!(
@@ -131,6 +136,21 @@ pub fn remedy_estimate_scratch(
     let nn_estimate = model.predict_nn(x);
     let regression_estimate = pivot_regression(model, x, &pivots, cfg.k_neighbors, scratch);
     let estimate = (alpha * nn_estimate + (1.0 - alpha) * regression_estimate).max(0.0);
+    if let Some(ctx) = trace {
+        ctx.tracer.emit(|| Event::PivotsDetected {
+            system: ctx.system.to_string(),
+            operator: model.op.to_string(),
+            pivots: pivots.clone(),
+        });
+        ctx.tracer.emit(|| Event::RemedyBlend {
+            system: ctx.system.to_string(),
+            operator: model.op.to_string(),
+            alpha,
+            nn_estimate,
+            regression_estimate,
+            blended: estimate,
+        });
+    }
     RemedyOutcome {
         estimate,
         nn_estimate,
@@ -138,63 +158,6 @@ pub fn remedy_estimate_scratch(
         pivots,
         alpha,
     }
-}
-
-/// [`remedy_estimate`] plus the decision trail: emits
-/// [`Event::PivotsDetected`] and [`Event::RemedyBlend`] describing the
-/// pivot set, the α weight, and both blend components. With a disabled
-/// tracer this is exactly [`remedy_estimate`] — the event closures never
-/// run.
-pub fn remedy_estimate_traced(
-    model: &LogicalOpModel,
-    x: &[f64],
-    cfg: &RemedyConfig,
-    alpha: f64,
-    ctx: &TraceCtx<'_>,
-) -> RemedyOutcome {
-    let out = remedy_estimate(model, x, cfg, alpha);
-    ctx.tracer.emit(|| Event::PivotsDetected {
-        system: ctx.system.to_string(),
-        operator: model.op.to_string(),
-        pivots: out.pivots.clone(),
-    });
-    ctx.tracer.emit(|| Event::RemedyBlend {
-        system: ctx.system.to_string(),
-        operator: model.op.to_string(),
-        alpha: out.alpha,
-        nn_estimate: out.nn_estimate,
-        regression_estimate: out.regression_estimate,
-        blended: out.estimate,
-    });
-    out
-}
-
-/// [`remedy_estimate_scratch`] plus the decision trail — the workspace
-/// counterpart of [`remedy_estimate_traced`], emitting the identical
-/// event pair.
-pub fn remedy_estimate_scratch_traced(
-    model: &LogicalOpModel,
-    x: &[f64],
-    cfg: &RemedyConfig,
-    alpha: f64,
-    ctx: &TraceCtx<'_>,
-    scratch: &mut RemedyScratch,
-) -> RemedyOutcome {
-    let out = remedy_estimate_scratch(model, x, cfg, alpha, scratch);
-    ctx.tracer.emit(|| Event::PivotsDetected {
-        system: ctx.system.to_string(),
-        operator: model.op.to_string(),
-        pivots: out.pivots.clone(),
-    });
-    ctx.tracer.emit(|| Event::RemedyBlend {
-        system: ctx.system.to_string(),
-        operator: model.op.to_string(),
-        alpha: out.alpha,
-        nn_estimate: out.nn_estimate,
-        regression_estimate: out.regression_estimate,
-        blended: out.estimate,
-    });
-    out
 }
 
 /// Builds the on-the-fly regression over the pivot dimension(s) from the
@@ -492,8 +455,9 @@ mod tests {
         let tracer = Tracer::new(sub.clone());
         let system = SystemId::new("hive-a");
         let ctx = TraceCtx::new(&tracer, &system);
-        let out = remedy_estimate_traced(&model, &x, &cfg, 0.4, &ctx);
-        // Exactly equal to the untraced call.
+        let out =
+            remedy_estimate_scratch(&model, &x, &cfg, 0.4, &mut RemedyScratch::new(), Some(&ctx));
+        // The trace context never changes the outcome.
         assert_eq!(out, remedy_estimate(&model, &x, &cfg, 0.4));
         let events = sub.snapshot();
         assert_eq!(events.len(), 2);
@@ -541,7 +505,7 @@ mod tests {
         ];
         for x in &probes {
             let fresh = remedy_estimate(&model, x, &cfg, 0.3);
-            let reused = remedy_estimate_scratch(&model, x, &cfg, 0.3, &mut scratch);
+            let reused = remedy_estimate_scratch(&model, x, &cfg, 0.3, &mut scratch, None);
             assert_eq!(fresh, reused);
             assert_eq!(fresh.estimate.to_bits(), reused.estimate.to_bits());
             assert_eq!(

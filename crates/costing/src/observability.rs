@@ -3,10 +3,13 @@
 //! The costing structs that persist ([`LogicalOpCosting`],
 //! [`crate::hybrid::CostingProfile`], …) are serializable models and
 //! cannot carry runtime handles, so instrumentation is threaded in as
-//! *context*: traced method variants take a [`TraceCtx`] naming the
-//! system being costed and the [`Tracer`] to emit on, while components
-//! with runtime state of their own (the estimation service, the
-//! simulated engines) hold a [`telemetry::Telemetry`] directly.
+//! *context*: a costing decision with something to report has one body
+//! taking an optional [`TraceCtx`] — the system being costed and the
+//! [`Tracer`] to emit on — and there are no traced twins to keep in
+//! step. Components with runtime state of their own (the estimation
+//! service, the simulated engines) hold a [`telemetry::Telemetry`]
+//! directly, and the service emits the observe / α / tuning events
+//! itself from what those calls return.
 //!
 //! This module also defines the drift-monitoring glue: the model key
 //! used across the workspace and [`publish_drift`], which turns a

@@ -22,10 +22,11 @@
 //!   the same pinned `Arc`, so a cached estimate can never be served
 //!   against a model state it was not computed from (the old
 //!   generation-counter scheme allowed exactly that interleaving);
-//! * a **batched path** ([`EstimatorService::estimate_batch`]) that runs
-//!   all in-range rows through one amortised
-//!   [`neuro::Network::predict_batch`] forward pass against a single
-//!   pinned snapshot;
+//! * **one estimate body**: a batch
+//!   ([`EstimatorService::estimate_batch`]) runs all in-range rows
+//!   through one fused packed-kernel pass against a single pinned
+//!   snapshot, and a single estimate is a batch of one row — so results
+//!   and decision trails cannot differ by entry point;
 //! * cheap **cloneable handles**: the service is an `Arc` internally, so
 //!   `service.clone()` hands a planner thread its own handle.
 //!
@@ -163,13 +164,14 @@ struct Shard {
 ///
 /// Every buffer the pinned estimate paths need — quantized cache
 /// probes, batch result staging, the packed-kernel scratch — lives
-/// here, so a warm scratch makes [`EstimatorService::estimate_pinned_scratch`]
+/// here, so a warm scratch makes the pinned estimate paths
 /// allocation-free steady-state (cache hits, and cache-disabled
 /// in-range computes; the out-of-range remedy runs a per-row
 /// regression and is excluded from the zero-alloc claim). The service
 /// keeps one per thread for the plain `estimate*` entry points;
 /// callers that own their threading (the serving frontend's batch
-/// leader) hold their own and pass it to the `*_scratch` variants.
+/// leader) hold their own and pass it to
+/// [`EstimatorService::estimate_batch_flat_pinned_scratch`].
 #[derive(Debug, Default)]
 pub struct EstimateScratch {
     /// Quantized features for one cache probe.
@@ -360,7 +362,11 @@ impl EstimatorService {
     /// execution log, retrains, and publishes all results as a single
     /// epoch bump (with one [`Event::TuningPass`] per retrained model).
     pub fn run_tuning(&self, pipeline: &TuningPipeline) -> PipelineReport {
-        pipeline.run_once_traced(&self.inner.store, &self.inner.telemetry.tracer)
+        let report = pipeline.run_once(&self.inner.store);
+        for ((system, op), tune) in &report.reports {
+            self.emit_tuning_pass(system, *op, tune);
+        }
+        report
     }
 
     /// Registers (or replaces) the costing flow for one operator on one
@@ -394,8 +400,16 @@ impl EstimatorService {
     /// [`EstimatorService::estimate`] against a caller-pinned snapshot.
     /// Cached values are tagged with the snapshot's epoch, so replaying
     /// an estimate from an older pinned snapshot can never pollute the
-    /// cache for readers of a newer one. Uses the calling thread's
-    /// [`EstimateScratch`].
+    /// cache for readers of a newer one.
+    ///
+    /// This is a one-row batch through the same core as
+    /// [`EstimatorService::estimate_batch_flat_pinned_scratch`], over the
+    /// calling thread's [`EstimateScratch`]: same cache probe, same
+    /// packed kernel, same remedy, same decision trail. A cache hit and
+    /// an in-range compute with the cache disabled perform zero heap
+    /// allocations once the scratch is warm (tracing disabled; the
+    /// insert after a cache-enabled miss and the out-of-range remedy
+    /// still allocate).
     pub fn estimate_pinned(
         &self,
         snapshot: &ModelSnapshot,
@@ -403,103 +417,21 @@ impl EstimatorService {
         op: OperatorKind,
         features: &[f64],
     ) -> Result<CostEstimate, ServiceError> {
+        if features.is_empty() {
+            // A zero-width row has no flat layout; answer with the typed
+            // error the model lookup and arity check give.
+            check_arity(model_or_unknown(snapshot, system, op)?, features)?;
+            return Err(ServiceError::Internal("model of arity zero"));
+        }
         TLS_SCRATCH.with(|s| {
-            self.estimate_pinned_scratch(snapshot, system, op, features, &mut s.borrow_mut())
-        })
-    }
-
-    /// [`EstimatorService::estimate_pinned`] with a caller-owned
-    /// workspace: the allocation-free steady-state form of the hot
-    /// path. A cache hit probes with a borrowed key (no `SystemId`
-    /// clone, no `Vec<u64>` collect) and returns the cached value; an
-    /// in-range miss runs the snapshot's fused packed kernel
-    /// ([`crate::logical_op::packed::PackedOpModel`]) through the
-    /// scratch's warm buffers. Both perform zero heap allocations once
-    /// the scratch is warm (tracing disabled; the insert after a
-    /// cache-enabled miss and the out-of-range remedy still allocate).
-    /// Results are bit-identical to the legacy flow path.
-    pub fn estimate_pinned_scratch(
-        &self,
-        snapshot: &ModelSnapshot,
-        system: &SystemId,
-        op: OperatorKind,
-        features: &[f64],
-        scratch: &mut EstimateScratch,
-    ) -> Result<CostEstimate, ServiceError> {
-        let epoch = snapshot.epoch().get();
-        let tracer = &self.inner.telemetry.tracer;
-        let shard = self.shard(system, op);
-        if self.inner.cache_enabled {
-            let _probe = stage_time(Stage::CacheProbe);
-            scratch.qbuf.clear();
+            let scratch = &mut *s.borrow_mut();
+            self.estimate_rows(snapshot, system, op, features, features.len(), scratch)?;
             scratch
-                .qbuf
-                .extend(features.iter().map(|&v| quantize(v, self.inner.sig_digits)));
-            let probe = CacheKeyRef {
-                system,
-                op,
-                qfeatures: &scratch.qbuf,
-            };
-            if let Some(hit) = shard.cache.lock().get(&probe, epoch) {
-                self.inner.hits.inc();
-                tracer.emit(|| Event::EstimateServed {
-                    system: system.to_string(),
-                    operator: op.to_string(),
-                    features: features.to_vec(),
-                    secs: hit.secs,
-                    source: format!("{:?}", hit.source),
-                    cache_hit: true,
-                    epoch: Some(epoch),
-                });
-                return Ok(hit);
-            }
-        }
-        let flow = snapshot
-            .model(system, op)
-            .ok_or_else(|| ServiceError::UnknownModel {
-                system: system.clone(),
-                op,
-            })?;
-        check_arity(flow, features)?;
-        // In-range rows take the fused packed kernel (bit-identical to
-        // `predict_nn`, allocation-free); out-of-range rows need the
-        // per-row remedy regression either way. The traced flow call
-        // emits nothing for in-range estimates, so skipping it here
-        // preserves the decision trail exactly.
-        let est = match snapshot.packed(system, op) {
-            Some(packed) if flow.model.meta.all_in_range(features, flow.remedy.beta) => {
-                let _kernel = stage_time(Stage::Kernel);
-                CostEstimate::new(
-                    packed.predict_one(features, &mut scratch.packed),
-                    crate::estimator::EstimateSource::NeuralNetwork,
-                )
-            }
-            _ => {
-                let _remedy = stage_time(Stage::Remedy);
-                flow.estimate_readonly_scratch_traced(
-                    features,
-                    &TraceCtx::new(tracer, system),
-                    &mut scratch.remedy,
-                )
-            }
-        };
-        self.inner.misses.inc();
-        self.inner.estimate_secs.observe(est.secs);
-        tracer.emit(|| Event::EstimateServed {
-            system: system.to_string(),
-            operator: op.to_string(),
-            features: features.to_vec(),
-            secs: est.secs,
-            source: format!("{:?}", est.source),
-            cache_hit: false,
-            epoch: Some(epoch),
-        });
-        if self.inner.cache_enabled {
-            let _probe = stage_time(Stage::CacheProbe);
-            let key = CacheKey::from_quantized(system, op, &scratch.qbuf);
-            shard.cache.lock().insert(key, est.clone(), epoch);
-        }
-        Ok(est)
+                .results
+                .pop()
+                .flatten()
+                .ok_or(ServiceError::Internal("batch slot left unfilled"))
+        })
     }
 
     /// Estimates a whole batch of feature vectors for one `(system, op)`
@@ -540,12 +472,7 @@ impl EstimatorService {
         if rows.iter().any(|r| r.len() != width) {
             // A mixed-width batch cannot be flattened; surface the
             // per-row arity error the flat path would have raised.
-            let flow = snapshot
-                .model(system, op)
-                .ok_or_else(|| ServiceError::UnknownModel {
-                    system: system.clone(),
-                    op,
-                })?;
+            let flow = model_or_unknown(snapshot, system, op)?;
             for r in rows {
                 check_arity(flow, r)?;
             }
@@ -625,7 +552,7 @@ impl EstimatorService {
         Ok(out)
     }
 
-    /// The flat, allocation-disciplined core of the batched estimate
+    /// The flat, allocation-disciplined form of the batched estimate
     /// path: `rows.len() / width` feature rows in one contiguous
     /// row-major buffer, results written into `out` (cleared first).
     ///
@@ -653,13 +580,39 @@ impl EstimatorService {
         if rows.is_empty() {
             return Ok(());
         }
-        if width == 0 || rows.len() % width.max(1) != 0 {
+        if width == 0 || rows.len() % width != 0 {
             return Err(ServiceError::Internal(
                 "flat batch length is not a multiple of its width",
             ));
         }
-        let n = rows.len() / width.max(1);
+        self.estimate_rows(snapshot, system, op, rows, width, scratch)?;
+        out.reserve(scratch.results.len());
+        for r in scratch.results.drain(..) {
+            out.push(r.ok_or(ServiceError::Internal("batch slot left unfilled"))?);
+        }
+        Ok(())
+    }
+
+    /// The one cache-probe → kernel | remedy → insert body behind every
+    /// estimate entry point. `rows` holds `rows.len() / width` rows
+    /// (callers guarantee `width > 0` divides the length); on success
+    /// `scratch.results` holds one filled slot per row, in row order.
+    ///
+    /// Emits, per out-of-range miss, the remedy's
+    /// `PivotsDetected`/`RemedyBlend` pair as it is computed, then one
+    /// `EstimateServed` per row.
+    fn estimate_rows(
+        &self,
+        snapshot: &ModelSnapshot,
+        system: &SystemId,
+        op: OperatorKind,
+        rows: &[f64],
+        width: usize,
+        scratch: &mut EstimateScratch,
+    ) -> Result<(), ServiceError> {
+        let n = rows.len() / width;
         let epoch = snapshot.epoch().get();
+        let tracer = &self.inner.telemetry.tracer;
         let shard = self.shard(system, op);
         let EstimateScratch {
             qbuf,
@@ -699,17 +652,13 @@ impl EstimatorService {
         self.inner.hits.add((n - miss_idx.len()) as u64);
 
         if !miss_idx.is_empty() {
-            let flow = snapshot
-                .model(system, op)
-                .ok_or_else(|| ServiceError::UnknownModel {
-                    system: system.clone(),
-                    op,
-                })?;
+            let flow = model_or_unknown(snapshot, system, op)?;
             check_arity_width(flow, width)?;
             // Stage in-range misses for the fused batch kernel;
             // out-of-range misses need per-row pivot regressions anyway.
             in_range.clear();
             nn_rows.clear();
+            let trace = TraceCtx::new(tracer, system);
             for (i, row) in rows.chunks_exact(width).enumerate() {
                 if results[i].is_some() {
                     continue; // cache hit
@@ -719,10 +668,10 @@ impl EstimatorService {
                     nn_rows.extend_from_slice(row);
                 } else {
                     let _remedy = stage_time(Stage::Remedy);
-                    results[i] = Some(flow.estimate_readonly_scratch(row, remedy));
+                    results[i] = Some(flow.estimate_readonly_scratch(row, remedy, Some(&trace)));
                 }
             }
-            {
+            if !in_range.is_empty() {
                 let _kernel = stage_time(Stage::Kernel);
                 match snapshot.packed(system, op) {
                     Some(packed) => {
@@ -731,7 +680,7 @@ impl EstimatorService {
                     None => {
                         // Unreachable by construction (a snapshot carries a
                         // packed form for every model), but fall back to the
-                        // legacy per-row path rather than fail the batch.
+                        // scalar per-row network rather than fail the batch.
                         nn_out.clear();
                         nn_out.extend(
                             nn_rows
@@ -740,12 +689,12 @@ impl EstimatorService {
                         );
                     }
                 }
-            }
-            for (&i, &secs) in in_range.iter().zip(nn_out.iter()) {
-                results[i] = Some(CostEstimate::new(
-                    secs,
-                    crate::estimator::EstimateSource::NeuralNetwork,
-                ));
+                for (&i, &secs) in in_range.iter().zip(nn_out.iter()) {
+                    results[i] = Some(CostEstimate::new(
+                        secs,
+                        crate::estimator::EstimateSource::NeuralNetwork,
+                    ));
+                }
             }
             self.inner.misses.add(miss_idx.len() as u64);
             for &i in miss_idx.iter() {
@@ -756,7 +705,7 @@ impl EstimatorService {
             }
         }
 
-        if self.inner.telemetry.tracer.is_enabled() {
+        if tracer.is_enabled() {
             self.emit_batch_events_flat(system, op, rows, width, results, miss_idx, epoch);
         }
 
@@ -781,11 +730,6 @@ impl EstimatorService {
                     epoch,
                 );
             }
-        }
-
-        out.reserve(n);
-        for r in results.drain(..) {
-            out.push(r.ok_or(ServiceError::Internal("batch slot left unfilled"))?);
         }
         Ok(())
     }
@@ -833,10 +777,18 @@ impl EstimatorService {
     ) -> Result<(), ServiceError> {
         let tracer = &self.inner.telemetry.tracer;
         let (dropped, _) = self.inner.store.try_transaction("observe", |tx| {
-            let ctx = TraceCtx::new(tracer, system);
             tx.update_model(system, op, |flow| {
                 check_arity(flow, features)?;
-                flow.observe_detached_traced(features, actual_secs, &ctx);
+                // The model's *current* prediction next to the reported
+                // actual — the raw material of drift monitoring. Only
+                // computed when a subscriber is attached.
+                tracer.emit(|| Event::ActualObserved {
+                    system: system.to_string(),
+                    operator: op.to_string(),
+                    predicted: flow.estimate_readonly(features).secs,
+                    actual: actual_secs,
+                });
+                flow.observe_detached(features, actual_secs);
                 Ok(flow.log.dropped())
             })
             .ok_or_else(|| ServiceError::UnknownModel {
@@ -866,12 +818,21 @@ impl EstimatorService {
     pub fn adjust_alpha(&self, system: &SystemId, op: OperatorKind) -> Result<f64, ServiceError> {
         let tracer = &self.inner.telemetry.tracer;
         let (alpha, _) = self.inner.store.try_transaction("adjust-alpha", |tx| {
-            let ctx = TraceCtx::new(tracer, system);
-            tx.update_model(system, op, |flow| flow.adjust_alpha_traced(&ctx))
-                .ok_or_else(|| ServiceError::UnknownModel {
-                    system: system.clone(),
-                    op,
-                })
+            tx.update_model(system, op, |flow| {
+                let old_alpha = flow.tuner.alpha();
+                let new_alpha = flow.adjust_alpha();
+                tracer.emit(|| Event::AlphaAdjusted {
+                    system: system.to_string(),
+                    operator: op.to_string(),
+                    old_alpha,
+                    new_alpha,
+                });
+                new_alpha
+            })
+            .ok_or_else(|| ServiceError::UnknownModel {
+                system: system.clone(),
+                op,
+            })
         })?;
         Ok(alpha)
     }
@@ -886,11 +847,9 @@ impl EstimatorService {
         op: OperatorKind,
         config: &FitConfig,
     ) -> Result<TuneReport, ServiceError> {
-        let tracer = &self.inner.telemetry.tracer;
         let (report, _) = self.inner.store.try_transaction("offline-tune", |tx| {
-            let ctx = TraceCtx::new(tracer, system);
             let report = tx
-                .update_model(system, op, |flow| flow.offline_tune_traced(config, &ctx))
+                .update_model(system, op, |flow| flow.offline_tune(config))
                 .ok_or_else(|| ServiceError::UnknownModel {
                     system: system.clone(),
                     op,
@@ -900,7 +859,20 @@ impl EstimatorService {
             }
             Ok(report)
         })?;
+        self.emit_tuning_pass(system, op, &report);
         Ok(report)
+    }
+
+    /// One [`Event::TuningPass`] summarising what a retrain consumed and
+    /// achieved.
+    fn emit_tuning_pass(&self, system: &SystemId, op: OperatorKind, report: &TuneReport) {
+        self.inner.telemetry.tracer.emit(|| Event::TuningPass {
+            system: system.to_string(),
+            operator: op.to_string(),
+            entries_used: report.entries_used,
+            dims_expanded: report.dims_expanded.len(),
+            rmse_pct_after: report.rmse_pct_after,
+        });
     }
 
     /// Replays every registered flow's pending execution-log entries into
@@ -932,13 +904,7 @@ impl EstimatorService {
         f: impl FnOnce(&LogicalOpCosting) -> T,
     ) -> Result<T, ServiceError> {
         let snapshot = self.inner.store.load();
-        let flow = snapshot
-            .model(system, op)
-            .ok_or_else(|| ServiceError::UnknownModel {
-                system: system.clone(),
-                op,
-            })?;
-        Ok(f(flow))
+        Ok(f(model_or_unknown(&snapshot, system, op)?))
     }
 
     /// Current hit/miss counters (reads the registry-backed handles).
@@ -961,6 +927,20 @@ impl EstimatorService {
             shard.cache.lock().clear();
         }
     }
+}
+
+fn model_or_unknown<'s>(
+    snapshot: &'s ModelSnapshot,
+    system: &SystemId,
+    op: OperatorKind,
+) -> Result<&'s LogicalOpCosting, ServiceError> {
+    snapshot
+        .model(system, op)
+        .map(Arc::as_ref)
+        .ok_or_else(|| ServiceError::UnknownModel {
+            system: system.clone(),
+            op,
+        })
 }
 
 fn check_arity(flow: &LogicalOpCosting, features: &[f64]) -> Result<(), ServiceError> {
@@ -1040,6 +1020,10 @@ mod tests {
             svc.estimate(&sys, OperatorKind::Join, &[1.0, 2.0]),
             Err(ServiceError::UnknownModel { .. })
         ));
+        assert!(matches!(
+            svc.estimate(&sys, OperatorKind::Join, &[]),
+            Err(ServiceError::UnknownModel { .. })
+        ));
     }
 
     #[test]
@@ -1059,6 +1043,16 @@ mod tests {
             err.to_string(),
             "feature arity mismatch: model expects 2, got 1"
         );
+        // An empty row is an arity error too — never `Internal`, never
+        // `Ok` — and a rejected request moves no counter.
+        assert_eq!(
+            svc.estimate(&sys, OperatorKind::Aggregation, &[]),
+            Err(ServiceError::ArityMismatch {
+                expected: 2,
+                got: 0
+            })
+        );
+        assert_eq!(svc.stats().requests(), 0);
     }
 
     #[test]

@@ -8,10 +8,7 @@
 //! the remote system will pick the algorithm that Teradata would have
 //! picked were the data in-house" — i.e. the cost-minimal one.
 
-use crate::estimator::OperatorKind;
-use crate::observability::TraceCtx;
 use serde::{Deserialize, Serialize};
-use telemetry::Event;
 
 /// How to resolve multiple applicable algorithm costs into one estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,21 +34,6 @@ impl ChoicePolicy {
             ChoicePolicy::Average => costs.iter().sum::<f64>() / costs.len() as f64,
             ChoicePolicy::InHouseComparable => costs.iter().copied().fold(f64::INFINITY, f64::min),
         }
-    }
-
-    /// [`ChoicePolicy::resolve`] with the decision trail: emits
-    /// [`Event::SubOpAlgorithmChosen`] carrying the candidate costs and
-    /// the resolved estimate.
-    pub fn resolve_traced(self, costs: &[f64], op: OperatorKind, ctx: &TraceCtx<'_>) -> f64 {
-        let resolved = self.resolve(costs);
-        ctx.tracer.emit(|| Event::SubOpAlgorithmChosen {
-            system: ctx.system.to_string(),
-            operator: op.to_string(),
-            policy: self.name().to_string(),
-            candidates: costs.to_vec(),
-            resolved,
-        });
-        resolved
     }
 
     /// Short name for reports.
@@ -100,35 +82,5 @@ mod tests {
     #[should_panic(expected = "no candidates")]
     fn empty_candidates_panic() {
         ChoicePolicy::Worst.resolve(&[]);
-    }
-
-    #[test]
-    fn traced_resolution_reports_candidates_and_result() {
-        use catalog::SystemId;
-        use std::sync::Arc;
-        use telemetry::{Tracer, VecSubscriber};
-
-        let sub = Arc::new(VecSubscriber::new());
-        let tracer = Tracer::new(sub.clone());
-        let system = SystemId::new("hive-a");
-        let ctx = TraceCtx::new(&tracer, &system);
-        let resolved = ChoicePolicy::Average.resolve_traced(&COSTS, OperatorKind::Join, &ctx);
-        assert_eq!(resolved, 30.0);
-        match &sub.snapshot()[0] {
-            Event::SubOpAlgorithmChosen {
-                system,
-                operator,
-                policy,
-                candidates,
-                resolved,
-            } => {
-                assert_eq!(system, "hive-a");
-                assert_eq!(operator, "join");
-                assert_eq!(policy, "average");
-                assert_eq!(candidates, &COSTS.to_vec());
-                assert_eq!(*resolved, 30.0);
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
     }
 }

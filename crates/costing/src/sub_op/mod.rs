@@ -19,8 +19,7 @@ pub use models::{SubOpModelError, SubOpModels};
 pub use rules::{applicable_algorithms, ApplicabilityRule, RuleInputs};
 pub use subop::{SubOp, SubOpCategory};
 
-use crate::estimator::{CostEstimate, EstimateSource, OperatorKind};
-use crate::observability::TraceCtx;
+use crate::estimator::{CostEstimate, EstimateSource};
 use catalog::SystemKind;
 use remote_sim::exec::{AggInfo, JoinInfo};
 use remote_sim::physical::JoinAlgorithm;
@@ -118,40 +117,6 @@ impl SubOpCosting {
         } else {
             CostEstimate::new(
                 self.policy.resolve(&costs),
-                EstimateSource::SubOpPolicy {
-                    policy: self.policy.name().to_string(),
-                    candidates: surviving.len(),
-                },
-            )
-        }
-    }
-
-    /// [`SubOpCosting::estimate_join`] with the decision trail: when
-    /// several algorithms survive the rules, the policy resolution is
-    /// routed through [`ChoicePolicy::resolve_traced`] so the candidate
-    /// costs and the chosen value land on the tracer.
-    pub fn estimate_join_traced(
-        &self,
-        j: &JoinInfo,
-        inputs: &RuleInputs,
-        ctx: &TraceCtx<'_>,
-    ) -> CostEstimate {
-        let menu = algorithms::algorithms_for(self.kind);
-        let surviving = applicable_algorithms(&menu, &self.rules, inputs);
-        let costs: Vec<f64> = surviving
-            .iter()
-            .map(|&a| self.estimate_join_with(a, j))
-            .collect();
-        if surviving.len() == 1 {
-            CostEstimate::new(
-                costs[0],
-                EstimateSource::SubOpFormula {
-                    algorithm: surviving[0],
-                },
-            )
-        } else {
-            CostEstimate::new(
-                self.policy.resolve_traced(&costs, OperatorKind::Join, ctx),
                 EstimateSource::SubOpPolicy {
                     policy: self.policy.name().to_string(),
                     candidates: surviving.len(),
@@ -346,43 +311,6 @@ mod tests {
         let e = c.estimate_scan(1e6, 250.0, 1e5, 8.0);
         assert!(e.secs > 0.0);
         assert_eq!(e.source, EstimateSource::SubOpScan);
-    }
-
-    #[test]
-    fn traced_join_estimate_matches_untraced_and_reports_choice() {
-        use catalog::SystemId;
-        use std::sync::Arc;
-        use telemetry::{Event, Tracer, VecSubscriber};
-
-        let c = costing();
-        let j = join_info();
-        let inputs = rule_inputs(&j);
-        let sub = Arc::new(VecSubscriber::new());
-        let tracer = Tracer::new(sub.clone());
-        let system = SystemId::new("hive");
-        let ctx = TraceCtx::new(&tracer, &system);
-        let traced = c.estimate_join_traced(&j, &inputs, &ctx);
-        let plain = c.estimate_join(&j, &inputs);
-        assert_eq!(traced.secs, plain.secs);
-        assert_eq!(traced.source, plain.source);
-        let events = sub.snapshot();
-        match &plain.source {
-            EstimateSource::SubOpPolicy { candidates, .. } => {
-                assert_eq!(events.len(), 1);
-                match &events[0] {
-                    Event::SubOpAlgorithmChosen {
-                        candidates: costs,
-                        resolved,
-                        ..
-                    } => {
-                        assert_eq!(costs.len(), *candidates);
-                        assert_eq!(*resolved, traced.secs);
-                    }
-                    other => panic!("unexpected event {other:?}"),
-                }
-            }
-            _ => assert!(events.is_empty()),
-        }
     }
 
     #[test]

@@ -29,22 +29,10 @@ use costing::{agg_features, join_features, ModelSnapshot, OperatorKind};
 use remote_sim::analyze::QueryAnalysis;
 use sqlkit::logical::LogicalPlan;
 
-/// Estimates a query's execution time on one system via the service: the
-/// join and/or aggregation operators the analysis found, summed.
-///
-/// Pins the current snapshot for the duration of the call; see
-/// [`service_execution_secs_pinned`].
-pub fn service_execution_secs(
-    service: &EstimatorService,
-    system: &catalog::SystemId,
-    analysis: &QueryAnalysis,
-) -> Result<f64, ServiceError> {
-    let snapshot = service.snapshot();
-    service_execution_secs_pinned(service, &snapshot, system, analysis)
-}
-
-/// [`service_execution_secs`] against a caller-pinned snapshot: both
-/// operator estimates come from the same model state.
+/// Estimates a query's execution time on one system via the service —
+/// the join and/or aggregation operators the analysis found, summed —
+/// against a caller-pinned snapshot, so both operator estimates come
+/// from the same model state.
 ///
 /// Returns `Err` when the snapshot has no model for a required operator
 /// on that system — the caller skips the placement, mirroring how the

@@ -94,21 +94,21 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// The one manager-backed planning implementation, parameterized by an
-/// optional tracer — [`plan_query`] and [`plan_query_traced`] are thin
-/// fronts over this, so the traced twin can never drift from the
-/// untraced one (the R3 trace-parity property, by construction).
+/// Costs every placement candidate and ranks them — the manager-backed
+/// planner.
 ///
+/// The analysis is computed once against the global catalog (cardinalities
+/// do not depend on placement); execution estimates come from each
+/// candidate system's costing profile, transfers from the QueryGrid model.
 /// Candidate costing and ranking go through the federation's shared
 /// core ([`crate::ir::cost_candidates`]): the same transfer arithmetic,
 /// skip semantics, and deterministic `SystemId` tie-break the workload
 /// layer uses.
-fn plan_query_impl(
+pub fn plan_query(
     catalog: &Catalog,
     manager: &mut HybridCostManager,
     transfer_model: &TransferCostModel,
     plan: &LogicalPlan,
-    tracer: Option<&Tracer>,
 ) -> Result<PlanReport, PlanError> {
     let options =
         enumerate_placements(catalog, plan).map_err(|e| PlanError::Catalog(e.to_string()))?;
@@ -116,52 +116,17 @@ fn plan_query_impl(
 
     let (candidates, _skipped, last_err) =
         crate::ir::cost_candidates(options, transfer_model, |option| {
-            match tracer {
-                Some(t) => manager.estimate_traced(&option.system, &analysis, t),
-                None => manager.estimate(&option.system, &analysis),
-            }
-            .map(|cost| cost.total_secs)
+            manager
+                .estimate(&option.system, &analysis)
+                .map(|cost| cost.total_secs)
         });
     if candidates.is_empty() {
         return Err(last_err.map_or(PlanError::NoViablePlacement, PlanError::Costing));
     }
-    let report = PlanReport {
+    Ok(PlanReport {
         candidates,
         epoch: Some(manager.version()),
-    };
-    if let Some(t) = tracer {
-        report.emit_ranking(t);
-    }
-    Ok(report)
-}
-
-/// Costs every placement candidate and ranks them.
-///
-/// The analysis is computed once against the global catalog (cardinalities
-/// do not depend on placement); execution estimates come from each
-/// candidate system's costing profile, transfers from the QueryGrid model.
-pub fn plan_query(
-    catalog: &Catalog,
-    manager: &mut HybridCostManager,
-    transfer_model: &TransferCostModel,
-    plan: &LogicalPlan,
-) -> Result<PlanReport, PlanError> {
-    plan_query_impl(catalog, manager, transfer_model, plan, None)
-}
-
-/// [`plan_query`] with the decision trail: routes every candidate's
-/// operator estimates through [`HybridCostManager::estimate_traced`] (so
-/// per-operator [`Event::EstimateServed`] events appear) and emits one
-/// [`Event::PlanRanked`] with the final ranking. Delegates to the same
-/// implementation as [`plan_query`].
-pub fn plan_query_traced(
-    catalog: &Catalog,
-    manager: &mut HybridCostManager,
-    transfer_model: &TransferCostModel,
-    plan: &LogicalPlan,
-    tracer: &Tracer,
-) -> Result<PlanReport, PlanError> {
-    plan_query_impl(catalog, manager, transfer_model, plan, Some(tracer))
+    })
 }
 
 /// Returns the winning system for a query (convenience).
@@ -317,7 +282,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_planning_matches_untraced_and_emits_the_ranking() {
+    fn emit_ranking_reports_the_full_order_and_the_winner() {
         use std::sync::Arc;
         use telemetry::VecSubscriber;
 
@@ -325,30 +290,21 @@ mod tests {
         let transfer = TransferCostModel::default();
         let plan =
             sqlkit::sql_to_plan("SELECT r.a1, s.a1 FROM t_r r JOIN t_s s ON r.a1 = s.a1").unwrap();
-        let untraced = plan_query(&catalog, &mut manager, &transfer, &plan).unwrap();
+        let report = plan_query(&catalog, &mut manager, &transfer, &plan).unwrap();
         let sub = Arc::new(VecSubscriber::new());
-        let tracer = Tracer::new(sub.clone());
-        let traced = plan_query_traced(&catalog, &mut manager, &transfer, &plan, &tracer).unwrap();
-        assert_eq!(traced, untraced);
-        let events = sub.snapshot();
-        // One EstimateServed per (candidate, operator) then one PlanRanked.
-        let served = events
-            .iter()
-            .filter(|e| matches!(e, Event::EstimateServed { .. }))
-            .count();
-        assert_eq!(served, traced.candidates.len());
-        match events.last().unwrap() {
-            Event::PlanRanked {
+        report.emit_ranking(&Tracer::new(sub.clone()));
+        match sub.snapshot().as_slice() {
+            [Event::PlanRanked {
                 ranking,
                 chosen,
                 total_secs,
-            } => {
-                assert_eq!(ranking.len(), traced.candidates.len());
-                assert_eq!(chosen, &traced.best().option.system.to_string());
+            }] => {
+                assert_eq!(ranking.len(), report.candidates.len());
+                assert_eq!(chosen, &report.best().option.system.to_string());
                 assert_eq!(&ranking[0], chosen);
-                assert_eq!(*total_secs, traced.best().total_secs());
+                assert_eq!(*total_secs, report.best().total_secs());
             }
-            other => panic!("unexpected event {other:?}"),
+            other => panic!("unexpected trail {other:?}"),
         }
     }
 

@@ -2,10 +2,10 @@
 //!
 //! Instead of log lines, instrumented code emits typed [`Event`]s — each
 //! estimate's full decision trail (features, pivots, blend weights,
-//! cache outcome, chosen sub-operator algorithm) is inspectable data.
-//! Events flow through a pluggable [`Subscriber`]; the crate ships two
-//! collectors, [`VecSubscriber`] (unbounded, for tests) and
-//! [`RingSubscriber`] (bounded, keep-latest, for long-running services).
+//! cache outcome) is inspectable data. Events flow through a pluggable
+//! [`Subscriber`]; the crate ships two collectors, [`VecSubscriber`]
+//! (unbounded, for tests) and [`RingSubscriber`] (bounded, keep-latest,
+//! for long-running services).
 //!
 //! The hot-path contract: [`Tracer::emit`] takes a *closure* that builds
 //! the event. With no subscriber attached the closure is never invoked,
@@ -20,8 +20,8 @@ use std::sync::Arc;
 ///
 /// Variants mirror the stations of the paper's estimation pipeline:
 /// service-level cache handling, the logical-operator remedy path
-/// (§4.2), sub-operator algorithm choice (§4.1), observation/tuning
-/// feedback (§4.3), remote execution, and federation planning.
+/// (§4.2), observation/tuning feedback (§4.3), remote execution, and
+/// federation planning.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// The service answered an estimate request.
@@ -67,19 +67,6 @@ pub enum Event {
         regression_estimate: f64,
         /// The blended result, seconds.
         blended: f64,
-    },
-    /// A sub-operator costing policy chose among surviving algorithms.
-    SubOpAlgorithmChosen {
-        /// Target system.
-        system: String,
-        /// Operator kind.
-        operator: String,
-        /// Resolution policy name (e.g. `"worst"`).
-        policy: String,
-        /// Candidate algorithm costs the policy resolved over.
-        candidates: Vec<f64>,
-        /// The resolved cost, seconds.
-        resolved: f64,
     },
     /// An actual execution time was fed back to a model.
     ActualObserved {
@@ -189,7 +176,6 @@ impl Event {
             Event::EstimateServed { .. } => "estimate_served",
             Event::PivotsDetected { .. } => "pivots_detected",
             Event::RemedyBlend { .. } => "remedy_blend",
-            Event::SubOpAlgorithmChosen { .. } => "sub_op_algorithm_chosen",
             Event::ActualObserved { .. } => "actual_observed",
             Event::AlphaAdjusted { .. } => "alpha_adjusted",
             Event::TuningPass { .. } => "tuning_pass",

@@ -238,3 +238,85 @@ fn full_cycle_traces_decisions_and_flags_the_degraded_model() {
         );
     }
 }
+
+/// The single-row and the batch entry points are one body, so the same
+/// out-of-range row leaves the same decision trail through either, and
+/// every out-of-range row of a batch gets its remedy pair.
+#[test]
+fn batch_and_single_row_estimates_leave_the_same_remedy_trail() {
+    let mut inputs = vec![];
+    let mut targets = vec![];
+    for r in 1..=15 {
+        for s in 1..=4 {
+            let (rows, size) = (r as f64 * 1e5, s as f64 * 100.0);
+            inputs.push(vec![rows, size]);
+            targets.push(1.0 + 2e-6 * rows + 0.01 * size);
+        }
+    }
+    let (model, _) = LogicalOpModel::fit(
+        OperatorKind::Aggregation,
+        &["rows", "size"],
+        &neuro::Dataset::new(inputs, targets),
+        &FitConfig::fast(),
+    );
+    let subscriber = Arc::new(VecSubscriber::new());
+    let service = EstimatorService::with_telemetry(
+        ServiceConfig::default(),
+        Telemetry::with_subscriber(subscriber.clone()),
+    );
+    let sys = SystemId::new("hive-live");
+    service.register(sys.clone(), LogicalOpCosting::new(model));
+    let op = OperatorKind::Aggregation;
+    let kinds = |trail: &[Event]| trail.iter().map(Event::kind).collect::<Vec<_>>();
+
+    let oor = vec![2e7, 200.0];
+    let single_est = service.estimate(&sys, op, &oor).unwrap();
+    let single = subscriber.take();
+    assert_eq!(
+        kinds(&single),
+        ["pivots_detected", "remedy_blend", "estimate_served"]
+    );
+    service.clear_cache();
+    let snapshot = service.snapshot();
+    let batch_est = service
+        .estimate_batch_pinned(&snapshot, &sys, op, std::slice::from_ref(&oor))
+        .unwrap();
+    assert_eq!(batch_est, [single_est]);
+    // Same kinds, same order, equal pivots / α / blended payloads.
+    assert_eq!(subscriber.take(), single);
+
+    service.clear_cache();
+    let rows = vec![
+        vec![5e5, 200.0],
+        vec![3e7, 300.0],
+        vec![7e5, 100.0],
+        vec![2e7, 5_000.0],
+    ];
+    let ests = service
+        .estimate_batch_pinned(&snapshot, &sys, op, &rows)
+        .unwrap();
+    let trail = subscriber.take();
+    assert_eq!(
+        kinds(&trail),
+        [
+            "pivots_detected",
+            "remedy_blend",
+            "pivots_detected",
+            "remedy_blend",
+            "estimate_served",
+            "estimate_served",
+            "estimate_served",
+            "estimate_served",
+        ]
+    );
+    for (pair, est) in trail[..4].chunks(2).zip([&ests[1], &ests[3]]) {
+        let EstimateSource::OnlineRemedy { alpha, pivots } = &est.source else {
+            panic!("expected the remedy path, got {:?}", est.source);
+        };
+        assert!(matches!(&pair[0], Event::PivotsDetected { pivots: p, .. } if p == pivots));
+        assert!(matches!(
+            &pair[1],
+            Event::RemedyBlend { alpha: a, blended, .. } if a == alpha && *blended == est.secs
+        ));
+    }
+}
