@@ -1,38 +1,11 @@
 //! Regenerates the drift-monitoring model-health table and
-//! `BENCH_drift.json`. Pass `--quick` for a reduced run, or
-//! `--validate` to schema-check an existing `BENCH_drift.json` —
-//! including the flagged-set/drifted-row agreement — without running
-//! anything (the CI smoke job does both).
+//! `BENCH_drift.json`. `--quick` runs the reduced scenario;
+//! `--validate` re-checks the existing document — the
+//! flagged-set/drifted-row agreement included — without running
+//! anything.
 
 use bench::experiments::drift;
 
 fn main() {
-    if std::env::args().any(|a| a == "--validate") {
-        let path = drift::bench_json_path();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        match drift::validate_doc(&text) {
-            Ok(doc) => {
-                println!(
-                    "{} is valid: {} model rows, {} flagged, quick = {}",
-                    path.display(),
-                    doc.rows.len(),
-                    doc.flagged.len(),
-                    doc.quick
-                );
-            }
-            Err(e) => {
-                eprintln!("error: {} failed validation: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let cfg = bench::ExpConfig::from_env();
-    let _ = drift::run(&cfg);
+    bench::harness::main::<drift::DriftDoc, _>(drift::run);
 }

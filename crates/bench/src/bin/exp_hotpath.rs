@@ -1,39 +1,11 @@
 //! Runs the standing estimate-hot-path matrix (packed vs legacy
 //! kernels across batch size × concurrency × republisher churn) and
-//! writes `BENCH_hotpath.json` to the repo root. Pass `--quick` for a
-//! reduced run, or `--validate` to schema-check an existing
-//! `BENCH_hotpath.json` — including the kernel-scope speedup bar at
-//! batch ≥ 64 — without running anything (the CI smoke job does both).
+//! writes `BENCH_hotpath.json`. `--quick` runs the reduced matrix;
+//! `--validate` re-checks the existing document — the kernel-scope
+//! speedup bar at batch ≥ 64 included — without running anything.
 
 use bench::experiments::hotpath;
 
 fn main() {
-    if std::env::args().any(|a| a == "--validate") {
-        let path = hotpath::bench_json_path();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        match hotpath::validate_doc(&text) {
-            Ok(doc) => {
-                println!(
-                    "{} is valid: {} matrix rows, speedup bar {}x at batch >= 64, quick = {}",
-                    path.display(),
-                    doc.rows.len(),
-                    doc.min_speedup_at_64,
-                    doc.quick
-                );
-            }
-            Err(e) => {
-                eprintln!("error: {} failed validation: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let cfg = bench::ExpConfig::from_env();
-    let _ = hotpath::run(&cfg);
+    bench::harness::main::<hotpath::HotpathDoc, _>(hotpath::run);
 }

@@ -1,40 +1,11 @@
 //! Regenerates the observability-overhead matrix and
-//! `BENCH_observability.json`. Pass `--quick` for a reduced run, or
-//! `--validate` to schema-check an existing `BENCH_observability.json`
-//! — including the sampled-off overhead bar and per-cell checksum
-//! bit-identity — without running anything (the CI smoke job does
-//! both).
+//! `BENCH_observability.json`. `--quick` runs the reduced matrix;
+//! `--validate` re-checks the existing document — the sampled-off
+//! overhead bar and per-cell checksum bit-identity included — without
+//! running anything.
 
 use bench::experiments::observability;
 
 fn main() {
-    if std::env::args().any(|a| a == "--validate") {
-        let path = observability::bench_json_path();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        match observability::validate_doc(&text) {
-            Ok(doc) => {
-                println!(
-                    "{} is valid: {} matrix rows, {} spans sampled, {} slo alerts, quick = {}",
-                    path.display(),
-                    doc.rows.len(),
-                    doc.ops.sampled_total,
-                    doc.ops.slo_alerts,
-                    doc.quick
-                );
-            }
-            Err(e) => {
-                eprintln!("error: {} failed validation: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let cfg = bench::ExpConfig::from_env();
-    let _ = observability::run(&cfg);
+    bench::harness::main::<observability::ObservabilityDoc, _>(observability::run);
 }

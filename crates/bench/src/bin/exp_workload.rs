@@ -1,44 +1,11 @@
 //! Regenerates the workload-optimizer matrix and `BENCH_workload.json`.
-//! Pass `--quick` for a reduced run, or `--validate` to schema-check an
-//! existing `BENCH_workload.json` — including the reuse-heavy makespan
-//! bar and the never-worse-than-greedy noise floor — without running
-//! anything (the CI smoke job does both).
+//! `--quick` runs the reduced matrix; `--validate` re-checks the
+//! existing document — the reuse-heavy makespan bar and the
+//! never-worse-than-greedy noise floor included — without running
+//! anything.
 
 use bench::experiments::workload;
 
 fn main() {
-    if std::env::args().any(|a| a == "--validate") {
-        let path = workload::bench_json_path();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        match workload::validate_doc(&text) {
-            Ok(doc) => {
-                let worst = doc
-                    .rows
-                    .iter()
-                    .filter(|r| r.reuse >= 0.5)
-                    .map(|r| r.reduction_pct)
-                    .fold(f64::INFINITY, f64::min);
-                println!(
-                    "{} is valid: {} matrix rows, worst reuse-heavy reduction {:.1}%, quick = {}",
-                    path.display(),
-                    doc.rows.len(),
-                    worst,
-                    doc.quick
-                );
-            }
-            Err(e) => {
-                eprintln!("error: {} failed validation: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let cfg = bench::ExpConfig::from_env();
-    let _ = workload::run(&cfg);
+    bench::harness::main::<workload::WorkloadDoc, _>(workload::run);
 }

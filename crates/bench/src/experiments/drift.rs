@@ -18,16 +18,13 @@
 //! the same numbers are published as registry gauges via
 //! [`costing::publish_drift`].
 
+use crate::harness::{self, BenchDoc, Envelope, Host};
 use crate::report::{heading, kv, write_csv, write_text_table, ExpConfig, Series};
 use catalog::SystemId;
-use costing::logical_op::flow::LogicalOpCosting;
-use costing::logical_op::model::{FitConfig, LogicalOpModel};
 use costing::service::EstimatorService;
 use costing::{publish_drift, ModelKey, OperatorKind};
-use neuro::Dataset;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 use telemetry::{DriftConfig, DriftMonitor, ModelHealth};
 
 /// One row of the model-health table.
@@ -74,91 +71,99 @@ pub struct DriftDoc {
     pub quick: bool,
     /// Master seed the scenario's jitter was generated from.
     pub seed: u64,
+    /// The measuring host, stamped by the harness writer.
+    #[serde(default)]
+    pub host: Option<Host>,
     /// One row per monitored model.
     pub rows: Vec<DriftJsonRow>,
     /// `system/operator` labels of the models flagged for retraining.
     pub flagged: Vec<String>,
 }
 
-/// Where `BENCH_drift.json` lives: the workspace root.
-pub fn bench_json_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_drift.json")
-}
+impl BenchDoc for DriftDoc {
+    const NAME: &'static str = "drift";
 
-/// Validates a `BENCH_drift.json` payload: schema, health-number sanity,
-/// and the scenario's acceptance bar — the flagged set is exactly the
-/// rows marked drifted, and the controlled regime change must have
-/// flagged at least one model.
-pub fn validate_doc(text: &str) -> Result<DriftDoc, String> {
-    let doc: DriftDoc =
-        serde_json::from_str(text).map_err(|e| format!("not valid drift JSON: {e}"))?;
-    if doc.experiment != "drift" {
-        return Err(format!("unexpected experiment {:?}", doc.experiment));
+    fn envelope(&mut self) -> Envelope<'_> {
+        Envelope {
+            experiment: &self.experiment,
+            quick: self.quick,
+            rows: self.rows.len(),
+            host: &mut self.host,
+        }
     }
-    if doc.rows.is_empty() {
-        return Err("no model rows".to_string());
-    }
-    let mut drifted_models = Vec::new();
-    for (i, r) in doc.rows.iter().enumerate() {
-        if r.model.is_empty() || !r.model.contains('/') {
-            return Err(format!("row {i}: malformed model key {:?}", r.model));
+
+    /// Health-number sanity and the scenario's acceptance bar — the
+    /// flagged set is exactly the rows marked drifted, and the
+    /// controlled regime change must have flagged at least one model.
+    fn check(&self) -> Result<(), String> {
+        let mut drifted_models = Vec::new();
+        for (i, r) in self.rows.iter().enumerate() {
+            if r.model.is_empty() || !r.model.contains('/') {
+                return Err(format!("row {i}: malformed model key {:?}", r.model));
+            }
+            if r.samples == 0 {
+                return Err(format!("row {i}: no samples in the window"));
+            }
+            if !r.rmse_pct.is_finite() || r.rmse_pct < 0.0 {
+                return Err(format!("row {i}: bad rmse_pct {}", r.rmse_pct));
+            }
+            if !r.mean_q_error.is_finite() || r.mean_q_error < 1.0 {
+                return Err(format!("row {i}: bad mean_q_error {}", r.mean_q_error));
+            }
+            if !r.max_q_error.is_finite() || r.max_q_error < r.mean_q_error {
+                return Err(format!(
+                    "row {i}: max_q_error {} below mean {}",
+                    r.max_q_error, r.mean_q_error
+                ));
+            }
+            if r.drifted {
+                drifted_models.push(r.model.clone());
+            }
         }
-        if r.samples == 0 {
-            return Err(format!("row {i}: no samples in the window"));
-        }
-        if !r.rmse_pct.is_finite() || r.rmse_pct < 0.0 {
-            return Err(format!("row {i}: bad rmse_pct {}", r.rmse_pct));
-        }
-        if !r.mean_q_error.is_finite() || r.mean_q_error < 1.0 {
-            return Err(format!("row {i}: bad mean_q_error {}", r.mean_q_error));
-        }
-        if !r.max_q_error.is_finite() || r.max_q_error < r.mean_q_error {
+        let mut flagged = self.flagged.clone();
+        flagged.sort();
+        drifted_models.sort();
+        if flagged != drifted_models {
             return Err(format!(
-                "row {i}: max_q_error {} below mean {}",
-                r.max_q_error, r.mean_q_error
+                "flagged set {flagged:?} disagrees with drifted rows {drifted_models:?}"
             ));
         }
-        if r.drifted {
-            drifted_models.push(r.model.clone());
+        if flagged.is_empty() {
+            return Err("the controlled regime change flagged no model".to_string());
         }
+        Ok(())
     }
-    let mut flagged = doc.flagged.clone();
-    flagged.sort();
-    drifted_models.sort();
-    if flagged != drifted_models {
-        return Err(format!(
-            "flagged set {flagged:?} disagrees with drifted rows {drifted_models:?}"
-        ));
+
+    fn summary(&self) -> String {
+        format!(
+            "{} model rows, {} flagged",
+            self.rows.len(),
+            self.flagged.len()
+        )
     }
-    if flagged.is_empty() {
-        return Err("the controlled regime change flagged no model".to_string());
-    }
-    Ok(doc)
 }
 
-/// The ground truth both systems were trained against.
-fn truth(rows: f64, size: f64) -> f64 {
-    1.0 + 2e-6 * rows + 0.01 * size
-}
-
-fn trained_flow() -> LogicalOpCosting {
-    let mut inputs = vec![];
-    let mut targets = vec![];
-    for r in 1..=15 {
-        for s in 1..=4 {
-            let rows = r as f64 * 1e5;
-            let size = s as f64 * 100.0;
-            inputs.push(vec![rows, size]);
-            targets.push(truth(rows, size));
+impl DriftDoc {
+    fn new(cfg: &ExpConfig, rows: &[DriftRow], flagged: &[ModelKey]) -> Self {
+        DriftDoc {
+            experiment: DriftDoc::NAME.to_string(),
+            quick: cfg.quick,
+            seed: cfg.seed,
+            host: None,
+            rows: rows
+                .iter()
+                .map(|r| DriftJsonRow {
+                    model: r.model.clone(),
+                    samples: r.health.samples as u64,
+                    rmse_pct: r.health.rmse_pct,
+                    mean_q_error: r.health.mean_q_error,
+                    max_q_error: r.health.max_q_error,
+                    drifted: r.health.drifted,
+                })
+                .collect(),
+            flagged: flagged.iter().map(|k| format!("{}/{}", k.0, k.1)).collect(),
         }
     }
-    let (model, _) = LogicalOpModel::fit(
-        OperatorKind::Aggregation,
-        &["rows", "size"],
-        &Dataset::new(inputs, targets),
-        &FitConfig::fast(),
-    );
-    LogicalOpCosting::new(model)
 }
 
 /// Runs the drift scenario and returns the health table.
@@ -168,8 +173,8 @@ pub fn run(cfg: &ExpConfig) -> DriftExpResult {
     let service = EstimatorService::default();
     let stable = SystemId::new("hive-stable");
     let degraded = SystemId::new("hive-degraded");
-    service.register(stable.clone(), trained_flow());
-    service.register(degraded.clone(), trained_flow());
+    service.register(stable.clone(), harness::trained_flow(1.0));
+    service.register(degraded.clone(), harness::trained_flow(1.0));
 
     let drift_cfg = DriftConfig::default();
     let n = if cfg.quick {
@@ -181,7 +186,7 @@ pub fn run(cfg: &ExpConfig) -> DriftExpResult {
     for i in 0..n {
         let rows = rng.gen_range(1e5..1.5e6);
         let size = 100.0 * rng.gen_range(1..=4) as f64;
-        let base = truth(rows, size);
+        let base = harness::agg_truth(rows, size);
         // Stable system: a few percent of execution jitter.
         let jitter = 1.0 + rng.gen_range(-0.03..0.03);
         service
@@ -231,44 +236,9 @@ pub fn run(cfg: &ExpConfig) -> DriftExpResult {
         },
     );
 
-    let doc = DriftDoc {
-        experiment: "drift".to_string(),
-        quick: cfg.quick,
-        seed: cfg.seed,
-        rows: rows
-            .iter()
-            .map(|r| DriftJsonRow {
-                model: r.model.clone(),
-                samples: r.health.samples as u64,
-                rmse_pct: r.health.rmse_pct,
-                mean_q_error: r.health.mean_q_error,
-                max_q_error: r.health.max_q_error,
-                drifted: r.health.drifted,
-            })
-            .collect(),
-        flagged: flagged.iter().map(|k| format!("{}/{}", k.0, k.1)).collect(),
-    };
-    if cfg.out_dir.is_some() {
-        write_bench_json(&doc);
-    }
+    harness::write(cfg, &mut DriftDoc::new(cfg, &rows, &flagged));
 
     DriftExpResult { rows, flagged }
-}
-
-/// Writes the machine-readable document to the repo root.
-fn write_bench_json(doc: &DriftDoc) {
-    let path = bench_json_path();
-    match serde_json::to_string_pretty(doc) {
-        Ok(mut text) => {
-            text.push('\n');
-            if let Err(e) = std::fs::write(&path, text) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("  [json] {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialise drift doc: {e}"),
-    }
 }
 
 fn print_health_table(cfg: &ExpConfig, rows: &[DriftRow]) {
@@ -324,11 +294,16 @@ fn print_health_table(cfg: &ExpConfig, rows: &[DriftRow]) {
 mod tests {
     use super::*;
 
+    fn validate_doc(text: &str) -> Result<DriftDoc, String> {
+        harness::parse(text)
+    }
+
     fn sample_doc() -> DriftDoc {
         DriftDoc {
             experiment: "drift".to_string(),
             quick: true,
             seed: 1,
+            host: None,
             rows: vec![
                 DriftJsonRow {
                     model: "hive-stable/aggregation".to_string(),
@@ -361,14 +336,6 @@ mod tests {
 
     #[test]
     fn drift_validation_rejects_broken_payloads() {
-        assert!(validate_doc("{}").is_err(), "missing fields");
-        assert!(validate_doc("not json").is_err());
-
-        let mut doc = sample_doc();
-        doc.experiment = "hotpath".to_string();
-        let text = serde_json::to_string_pretty(&doc).unwrap();
-        assert!(validate_doc(&text).is_err(), "wrong experiment name");
-
         // Flagged set must be exactly the drifted rows.
         let mut doc = sample_doc();
         doc.flagged.clear();
@@ -392,29 +359,9 @@ mod tests {
 
     #[test]
     fn run_produces_a_doc_that_would_validate() {
-        let r = run(&ExpConfig::quick_silent());
-        let doc = DriftDoc {
-            experiment: "drift".to_string(),
-            quick: true,
-            seed: ExpConfig::quick_silent().seed,
-            rows: r
-                .rows
-                .iter()
-                .map(|row| DriftJsonRow {
-                    model: row.model.clone(),
-                    samples: row.health.samples as u64,
-                    rmse_pct: row.health.rmse_pct,
-                    mean_q_error: row.health.mean_q_error,
-                    max_q_error: row.health.max_q_error,
-                    drifted: row.health.drifted,
-                })
-                .collect(),
-            flagged: r
-                .flagged
-                .iter()
-                .map(|k| format!("{}/{}", k.0, k.1))
-                .collect(),
-        };
+        let cfg = ExpConfig::quick_silent();
+        let r = run(&cfg);
+        let doc = DriftDoc::new(&cfg, &r.rows, &r.flagged);
         let text = serde_json::to_string_pretty(&doc).unwrap();
         validate_doc(&text).expect("live run validates");
     }

@@ -16,18 +16,18 @@
 //!
 //! Results land in `results/epoch_churn.{txt,json}`.
 
+use crate::harness;
 use crate::report::{heading, kv, write_text_table, ExpConfig};
 use catalog::SystemId;
 use costing::logical_op::flow::LogicalOpCosting;
-use costing::logical_op::model::{FitConfig, LogicalOpModel};
 use costing::service::EstimatorService;
 use costing::OperatorKind;
-use neuro::Dataset;
+use serde::Serialize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// One measured configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ChurnRow {
     /// Number of concurrent republisher threads.
     pub republishers: usize,
@@ -48,26 +48,6 @@ pub struct EpochChurnResult {
     pub rows: Vec<ChurnRow>,
     /// p99 at the highest churn level over p99 uncontended.
     pub p99_ratio: f64,
-}
-
-fn variant(scale: f64) -> LogicalOpCosting {
-    let mut inputs = vec![];
-    let mut targets = vec![];
-    for r in 1..=15 {
-        for s in 1..=4 {
-            let rows = r as f64 * 1e5;
-            let size = s as f64 * 100.0;
-            inputs.push(vec![rows, size]);
-            targets.push(scale * (1.0 + 2e-6 * rows + 0.01 * size));
-        }
-    }
-    let (model, _) = LogicalOpModel::fit(
-        OperatorKind::Aggregation,
-        &["rows", "size"],
-        &Dataset::new(inputs, targets),
-        &FitConfig::fast(),
-    );
-    LogicalOpCosting::new(model)
 }
 
 /// Times `reads` estimate calls with `republishers` writer threads
@@ -124,13 +104,13 @@ fn measure(
         done.store(true, Ordering::Relaxed);
         samples
     });
-    latencies_us.sort_by(mathkit::total_cmp_f64);
+    let (p50_us, p99_us, _) = harness::summarize(&mut latencies_us);
     ChurnRow {
         republishers,
         reads,
         epochs_published: service.epoch().get() - epoch_before,
-        p50_us: mathkit::nearest_rank(&latencies_us, 0.50),
-        p99_us: mathkit::nearest_rank(&latencies_us, 0.99),
+        p50_us,
+        p99_us,
     }
 }
 
@@ -140,8 +120,8 @@ pub fn run(cfg: &ExpConfig) -> EpochChurnResult {
 
     let service = EstimatorService::default();
     let sys = SystemId::new("hive-churn");
-    let a = variant(1.0);
-    let b = variant(1.5);
+    let a = harness::trained_flow(1.0);
+    let b = harness::trained_flow(1.5);
     service.register(sys.clone(), a.clone());
 
     // Long enough that the measured window spans many scheduler quanta;
@@ -196,36 +176,25 @@ pub fn run(cfg: &ExpConfig) -> EpochChurnResult {
     EpochChurnResult { rows, p99_ratio }
 }
 
+/// The document written to `results/epoch_churn.json`.
+#[derive(Serialize)]
+struct ChurnDoc {
+    experiment: String,
+    rows: Vec<ChurnRow>,
+    p99_ratio_max_vs_uncontended: f64,
+}
+
 /// Writes `results/epoch_churn.json` (skipped when output is disabled).
 fn write_json(cfg: &ExpConfig, rows: &[ChurnRow], p99_ratio: f64) {
     let Some(dir) = &cfg.out_dir else {
         return;
     };
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let row_objs: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"republishers\": {}, \"reads\": {}, \"epochs_published\": {}, \
-                 \"p50_us\": {:.3}, \"p99_us\": {:.3}}}",
-                r.republishers, r.reads, r.epochs_published, r.p50_us, r.p99_us
-            )
-        })
-        .collect();
-    let text = format!(
-        "{{\n  \"experiment\": \"epoch_churn\",\n  \"rows\": [\n{}\n  ],\n  \
-         \"p99_ratio_max_vs_uncontended\": {:.3}\n}}\n",
-        row_objs.join(",\n"),
-        p99_ratio
-    );
-    let path = dir.join("epoch_churn.json");
-    if let Err(e) = std::fs::write(&path, text) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("  [json] {}", path.display());
-    }
+    let doc = ChurnDoc {
+        experiment: "epoch_churn".to_string(),
+        rows: rows.to_vec(),
+        p99_ratio_max_vs_uncontended: p99_ratio,
+    };
+    harness::write_json(&dir.join("epoch_churn.json"), &doc);
 }
 
 #[cfg(test)]

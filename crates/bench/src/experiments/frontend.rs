@@ -27,16 +27,14 @@
 //! Results land in `results/frontend.txt` and — machine-readable, for
 //! the CI smoke job — in `BENCH_frontend.json` at the repo root.
 
+use crate::harness::{self, BenchDoc, Envelope, Host};
 use crate::report::{heading, kv, write_text_table, ExpConfig};
 use catalog::SystemId;
 use costing::logical_op::flow::LogicalOpCosting;
-use costing::logical_op::model::{FitConfig, LogicalOpModel};
 use costing::service::EstimatorService;
 use costing::OperatorKind;
-use neuro::Dataset;
 use serde::{Deserialize, Serialize};
 use serving::{EstimateRequest, Frontend, FrontendConfig, RateLimitConfig, Rejection, Ticket};
-use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -100,65 +98,62 @@ pub struct FrontendDoc {
     pub quick: bool,
     /// Master seed the traffic generators ran with.
     pub seed: u64,
+    /// The measuring host, stamped by the harness writer.
+    #[serde(default)]
+    pub host: Option<Host>,
     /// The SLO the rows are judged against, microseconds.
     pub slo_us: f64,
     /// One row per sweep point.
     pub rows: Vec<FrontendRow>,
 }
 
-/// Where `BENCH_frontend.json` lives: the workspace root.
-pub fn bench_json_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_frontend.json")
-}
+impl BenchDoc for FrontendDoc {
+    const NAME: &'static str = "frontend";
 
-/// Validates a `BENCH_frontend.json` payload: schema, per-row quantile
-/// ordering, and the submitted-vs-resolved ledger.
-pub fn validate_doc(text: &str) -> Result<FrontendDoc, String> {
-    let doc: FrontendDoc =
-        serde_json::from_str(text).map_err(|e| format!("not valid frontend JSON: {e}"))?;
-    if doc.experiment != "frontend" {
-        return Err(format!("unexpected experiment {:?}", doc.experiment));
-    }
-    if doc.rows.is_empty() {
-        return Err("no sweep rows".to_string());
-    }
-    if !(doc.slo_us.is_finite() && doc.slo_us > 0.0) {
-        return Err(format!("bad slo_us {}", doc.slo_us));
-    }
-    for (i, r) in doc.rows.iter().enumerate() {
-        if r.loop_kind != "open" && r.loop_kind != "closed" {
-            return Err(format!("row {i}: unknown loop_kind {:?}", r.loop_kind));
+    fn envelope(&mut self) -> Envelope<'_> {
+        Envelope {
+            experiment: &self.experiment,
+            quick: self.quick,
+            rows: self.rows.len(),
+            host: &mut self.host,
         }
-        for (name, v) in [
-            ("p50_us", r.p50_us),
-            ("p99_us", r.p99_us),
-            ("p999_us", r.p999_us),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("row {i}: {name} = {v} is not a latency"));
+    }
+
+    /// Per-row quantile ordering and the submitted-vs-resolved ledger.
+    fn check(&self) -> Result<(), String> {
+        if !(self.slo_us.is_finite() && self.slo_us > 0.0) {
+            return Err(format!("bad slo_us {}", self.slo_us));
+        }
+        for (i, r) in self.rows.iter().enumerate() {
+            if r.loop_kind != "open" && r.loop_kind != "closed" {
+                return Err(format!("row {i}: unknown loop_kind {:?}", r.loop_kind));
+            }
+            let q = [
+                ("p50_us", r.p50_us),
+                ("p99_us", r.p99_us),
+                ("p999_us", r.p999_us),
+            ];
+            harness::check_latencies(i, &q, true)?;
+            let resolved = r.completed + r.shed_queue_full + r.shed_rate_limited + r.rejected_other;
+            if resolved != r.submitted {
+                return Err(format!(
+                    "row {i}: ledger mismatch — {} submitted but {} resolved",
+                    r.submitted, resolved
+                ));
+            }
+            if r.completed > 0 && (!r.mean_batch.is_finite() || r.mean_batch < 1.0) {
+                return Err(format!("row {i}: mean_batch {} below 1", r.mean_batch));
+            }
+            if !(0.0..=1.0).contains(&r.slo_attainment) {
+                return Err(format!("row {i}: slo_attainment {}", r.slo_attainment));
             }
         }
-        if r.p50_us > r.p99_us || r.p99_us > r.p999_us {
-            return Err(format!(
-                "row {i}: quantiles out of order ({} / {} / {})",
-                r.p50_us, r.p99_us, r.p999_us
-            ));
-        }
-        let resolved = r.completed + r.shed_queue_full + r.shed_rate_limited + r.rejected_other;
-        if resolved != r.submitted {
-            return Err(format!(
-                "row {i}: ledger mismatch — {} submitted but {} resolved",
-                r.submitted, resolved
-            ));
-        }
-        if r.completed > 0 && (!r.mean_batch.is_finite() || r.mean_batch < 1.0) {
-            return Err(format!("row {i}: mean_batch {} below 1", r.mean_batch));
-        }
-        if !(0.0..=1.0).contains(&r.slo_attainment) {
-            return Err(format!("row {i}: slo_attainment {}", r.slo_attainment));
-        }
+        Ok(())
     }
-    Ok(doc)
+
+    fn summary(&self) -> String {
+        format!("{} sweep rows, slo {} us", self.rows.len(), self.slo_us)
+    }
 }
 
 /// The registered model slots traffic is sampled over: a few remote
@@ -166,27 +161,11 @@ pub fn validate_doc(text: &str) -> Result<FrontendDoc, String> {
 /// trained once (the expensive part) and registered under every
 /// system — the sweep measures the serving layer, not the optimiser.
 fn trained_slots() -> (LogicalOpCosting, Vec<SystemId>) {
-    let mut inputs = vec![];
-    let mut targets = vec![];
-    for r in 1..=15 {
-        for s in 1..=4 {
-            let rows = r as f64 * 1e5;
-            let size = s as f64 * 100.0;
-            inputs.push(vec![rows, size]);
-            targets.push(1.0 + 2e-6 * rows + 0.01 * size);
-        }
-    }
-    let (model, _) = LogicalOpModel::fit(
-        OperatorKind::Aggregation,
-        &["rows", "size"],
-        &Dataset::new(inputs, targets),
-        &FitConfig::fast(),
-    );
     let systems = ["hive-fe", "presto-fe", "spark-fe", "aster-fe"]
         .iter()
         .map(|n| SystemId::new(n))
         .collect();
-    (LogicalOpCosting::new(model), systems)
+    (harness::trained_flow(1.0), systems)
 }
 
 fn fresh_frontend(
@@ -684,39 +663,26 @@ pub fn run(cfg: &ExpConfig) -> FrontendDoc {
         &table,
     );
 
-    let doc = FrontendDoc {
-        experiment: "frontend".to_string(),
+    let mut doc = FrontendDoc {
+        experiment: FrontendDoc::NAME.to_string(),
         quick: cfg.quick,
         seed: cfg.seed,
+        host: None,
         slo_us: SLO_US,
         rows,
     };
-    if cfg.out_dir.is_some() {
-        write_bench_json(&doc);
-    }
+    harness::write(cfg, &mut doc);
     kv("sweep points", doc.rows.len());
     doc
-}
-
-/// Writes the machine-readable document to the repo root.
-fn write_bench_json(doc: &FrontendDoc) {
-    let path = bench_json_path();
-    match serde_json::to_string_pretty(doc) {
-        Ok(mut text) => {
-            text.push('\n');
-            if let Err(e) = std::fs::write(&path, text) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("  [json] {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialise frontend doc: {e}"),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn validate_doc(text: &str) -> Result<FrontendDoc, String> {
+        harness::parse(text)
+    }
 
     fn sample_row() -> FrontendRow {
         FrontendRow {
@@ -747,6 +713,7 @@ mod tests {
             experiment: "frontend".to_string(),
             quick: true,
             seed: 1,
+            host: None,
             slo_us: SLO_US,
             rows: vec![sample_row()],
         }
@@ -762,14 +729,6 @@ mod tests {
 
     #[test]
     fn validation_rejects_broken_payloads() {
-        assert!(validate_doc("{}").is_err(), "missing fields");
-        assert!(validate_doc("not json").is_err());
-
-        let mut doc = sample_doc();
-        doc.experiment = "epoch_churn".to_string();
-        let text = serde_json::to_string_pretty(&doc).unwrap();
-        assert!(validate_doc(&text).is_err(), "wrong experiment name");
-
         let mut doc = sample_doc();
         doc.rows[0].completed += 1; // breaks the ledger
         let text = serde_json::to_string_pretty(&doc).unwrap();
@@ -779,11 +738,6 @@ mod tests {
         doc.rows[0].p50_us = 5_000.0; // above p99
         let text = serde_json::to_string_pretty(&doc).unwrap();
         assert!(validate_doc(&text).unwrap_err().contains("quantiles"));
-
-        let mut doc = sample_doc();
-        doc.rows.clear();
-        let text = serde_json::to_string_pretty(&doc).unwrap();
-        assert!(validate_doc(&text).is_err(), "empty sweep");
     }
 
     #[test]

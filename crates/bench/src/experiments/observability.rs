@@ -37,20 +37,17 @@
 //! document's `ops` section proves spans were sampled, exemplars
 //! retained, SLO burn alerts fired, and trace-ring drops counted.
 
+use crate::harness::{self, BenchDoc, Envelope, Host, Slice};
 use crate::report::{heading, kv, write_text_table, ExpConfig};
 use catalog::SystemId;
 use costing::logical_op::flow::LogicalOpCosting;
-use costing::logical_op::model::{FitConfig, LogicalOpModel};
 use costing::service::{EstimatorService, ServiceConfig};
 use costing::{CostEstimate, EstimateScratch, EstimateSource, ModelSnapshot, OperatorKind};
-use neuro::Dataset;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use serving::{Clock, EstimateRequest, Frontend, FrontendConfig};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use telemetry::span::{SpanConfig, SpanLayer};
 use telemetry::{
     Counter, Histogram, MetricsRegistry, RingSubscriber, SloConfig, Stage, Telemetry, Tracer,
@@ -118,6 +115,9 @@ pub struct ObservabilityDoc {
     pub quick: bool,
     /// Master seed inputs were generated from.
     pub seed: u64,
+    /// The measuring host, stamped by the harness writer.
+    #[serde(default)]
+    pub host: Option<Host>,
     /// The overhead bar validation enforces on sampled-off cells.
     pub max_overhead_pct: f64,
     /// One row per matrix cell and mode.
@@ -126,148 +126,100 @@ pub struct ObservabilityDoc {
     pub ops: OpsSummary,
 }
 
-/// Where `BENCH_observability.json` lives: the workspace root.
-pub fn bench_json_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_observability.json")
-}
+impl BenchDoc for ObservabilityDoc {
+    const NAME: &'static str = "observability";
 
-/// Validates a `BENCH_observability.json` payload: schema, quantile
-/// ordering, per-cell checksum bit-identity, the sampled-off overhead
-/// bar, and the end-to-end ops proof.
-pub fn validate_doc(text: &str) -> Result<ObservabilityDoc, String> {
-    let doc: ObservabilityDoc =
-        serde_json::from_str(text).map_err(|e| format!("not valid observability JSON: {e}"))?;
-    if doc.experiment != "observability" {
-        return Err(format!("unexpected experiment {:?}", doc.experiment));
-    }
-    if doc.rows.is_empty() {
-        return Err("no matrix rows".to_string());
-    }
-    if !(doc.max_overhead_pct.is_finite() && doc.max_overhead_pct > 0.0) {
-        return Err(format!("bad max_overhead_pct {}", doc.max_overhead_pct));
-    }
-    for (i, r) in doc.rows.iter().enumerate() {
-        if r.mode != "baseline" && r.mode != "service" {
-            return Err(format!("row {i}: unknown mode {:?}", r.mode));
+    fn envelope(&mut self) -> Envelope<'_> {
+        Envelope {
+            experiment: &self.experiment,
+            quick: self.quick,
+            rows: self.rows.len(),
+            host: &mut self.host,
         }
-        if r.mode == "baseline" && r.sample_every != 0 {
-            return Err(format!("row {i}: baseline rows cannot sample"));
+    }
+
+    /// Quantile ordering, per-cell checksum bit-identity, the
+    /// sampled-off overhead bar, and the end-to-end ops proof.
+    fn check(&self) -> Result<(), String> {
+        if !(self.max_overhead_pct.is_finite() && self.max_overhead_pct > 0.0) {
+            return Err(format!("bad max_overhead_pct {}", self.max_overhead_pct));
         }
-        if r.batch == 0 || r.iters == 0 || r.concurrency == 0 {
-            return Err(format!("row {i}: empty measurement"));
-        }
-        for (name, v) in [
-            ("p50_us", r.p50_us),
-            ("p99_us", r.p99_us),
-            ("mean_us", r.mean_us),
-        ] {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(format!("row {i}: {name} = {v} is not a latency"));
+        for (i, r) in self.rows.iter().enumerate() {
+            if r.mode != "baseline" && r.mode != "service" {
+                return Err(format!("row {i}: unknown mode {:?}", r.mode));
+            }
+            if r.mode == "baseline" && r.sample_every != 0 {
+                return Err(format!("row {i}: baseline rows cannot sample"));
+            }
+            if r.batch == 0 || r.iters == 0 || r.concurrency == 0 {
+                return Err(format!("row {i}: empty measurement"));
+            }
+            harness::check_latencies(i, &[("p50_us", r.p50_us), ("p99_us", r.p99_us)], false)?;
+            harness::check_latencies(i, &[("mean_us", r.mean_us)], false)?;
+            if !r.checksum.is_finite() {
+                return Err(format!("row {i}: non-finite checksum"));
             }
         }
-        if r.p50_us > r.p99_us {
+        // Group the modes of one matrix point and hold the sampled-off
+        // service row against the baseline.
+        let cell_key = |r: &ObservabilityRow| (r.batch, r.concurrency, r.republishers);
+        let mut cells: std::collections::HashMap<_, (Option<f64>, Option<f64>, Vec<u64>)> =
+            std::collections::HashMap::new();
+        for r in &self.rows {
+            let entry = cells.entry(cell_key(r)).or_default();
+            if r.mode == "baseline" {
+                entry.0 = Some(r.p50_us);
+            } else if r.sample_every == 0 {
+                entry.1 = Some(r.p50_us);
+            }
+            entry.2.push(r.checksum.to_bits());
+        }
+        for (key, (baseline, service_off, checksums)) in &cells {
+            let (Some(baseline), Some(service_off)) = (baseline, service_off) else {
+                return Err(format!(
+                    "cell {key:?}: missing its baseline/sampled-off pair"
+                ));
+            };
+            if checksums.windows(2).any(|w| w[0] != w[1]) {
+                return Err(format!(
+                    "cell {key:?}: checksums differ across modes — instrumentation changed answers"
+                ));
+            }
+            let bar = baseline * (1.0 + self.max_overhead_pct / 100.0) + ABS_GRACE_US;
+            if *service_off > bar {
+                return Err(format!(
+                    "cell {key:?}: sampled-off p50 {service_off:.3} us exceeds baseline \
+                     {baseline:.3} us by more than {}% (+{ABS_GRACE_US} us grace)",
+                    self.max_overhead_pct
+                ));
+            }
+        }
+        if self.ops.sampled_total == 0 || self.ops.requests_seen < self.ops.sampled_total {
             return Err(format!(
-                "row {i}: quantiles out of order ({} / {})",
-                r.p50_us, r.p99_us
+                "ops: sampling counters broken ({} sampled of {} seen)",
+                self.ops.sampled_total, self.ops.requests_seen
             ));
         }
-        if !r.checksum.is_finite() {
-            return Err(format!("row {i}: non-finite checksum"));
+        if self.ops.exemplars_retained == 0 {
+            return Err("ops: no exemplars retained".to_string());
         }
-    }
-    // Group the modes of one matrix point and hold the sampled-off
-    // service row against the baseline.
-    let cell_key = |r: &ObservabilityRow| (r.batch, r.concurrency, r.republishers);
-    let mut cells: std::collections::HashMap<_, (Option<f64>, Option<f64>, Vec<u64>)> =
-        std::collections::HashMap::new();
-    for r in &doc.rows {
-        let entry = cells.entry(cell_key(r)).or_default();
-        if r.mode == "baseline" {
-            entry.0 = Some(r.p50_us);
-        } else if r.sample_every == 0 {
-            entry.1 = Some(r.p50_us);
+        if self.ops.slo_alerts == 0 {
+            return Err("ops: the induced SLO breach fired no alert".to_string());
         }
-        entry.2.push(r.checksum.to_bits());
-    }
-    for (key, (baseline, service_off, checksums)) in &cells {
-        let (Some(baseline), Some(service_off)) = (baseline, service_off) else {
-            return Err(format!(
-                "cell {key:?}: missing its baseline/sampled-off pair"
-            ));
-        };
-        if checksums.windows(2).any(|w| w[0] != w[1]) {
-            return Err(format!(
-                "cell {key:?}: checksums differ across modes — instrumentation changed answers"
-            ));
+        if self.ops.trace_dropped_events == 0 {
+            return Err("ops: the bounded trace ring recorded no drops".to_string());
         }
-        let bar = baseline * (1.0 + doc.max_overhead_pct / 100.0) + ABS_GRACE_US;
-        if *service_off > bar {
-            return Err(format!(
-                "cell {key:?}: sampled-off p50 {service_off:.3} us exceeds baseline \
-                 {baseline:.3} us by more than {}% (+{ABS_GRACE_US} us grace)",
-                doc.max_overhead_pct
-            ));
-        }
+        Ok(())
     }
-    if doc.ops.sampled_total == 0 || doc.ops.requests_seen < doc.ops.sampled_total {
-        return Err(format!(
-            "ops: sampling counters broken ({} sampled of {} seen)",
-            doc.ops.sampled_total, doc.ops.requests_seen
-        ));
-    }
-    if doc.ops.exemplars_retained == 0 {
-        return Err("ops: no exemplars retained".to_string());
-    }
-    if doc.ops.slo_alerts == 0 {
-        return Err("ops: the induced SLO breach fired no alert".to_string());
-    }
-    if doc.ops.trace_dropped_events == 0 {
-        return Err("ops: the bounded trace ring recorded no drops".to_string());
-    }
-    Ok(doc)
-}
 
-/// Exact p50/p99/mean over one cell's per-call latencies (microseconds).
-fn summarize(lat_us: &mut [f64]) -> (f64, f64, f64) {
-    lat_us.sort_by(mathkit::total_cmp_f64);
-    let p50 = mathkit::nearest_rank(lat_us, 0.50);
-    let p99 = mathkit::nearest_rank(lat_us, 0.99);
-    let mean = lat_us.iter().sum::<f64>() / lat_us.len().max(1) as f64;
-    (p50, p99, mean)
-}
-
-/// The trained model every cell runs against (the hotpath matrix's
-/// service model, for comparable numbers).
-fn trained_flow() -> LogicalOpCosting {
-    let mut inputs = vec![];
-    let mut targets = vec![];
-    for r in 1..=15 {
-        for s in 1..=4 {
-            let rows = r as f64 * 1e5;
-            let size = s as f64 * 100.0;
-            inputs.push(vec![rows, size]);
-            targets.push(1.0 + 2e-6 * rows + 0.01 * size);
-        }
+    fn summary(&self) -> String {
+        format!(
+            "{} matrix rows, {} spans sampled, {} slo alerts",
+            self.rows.len(),
+            self.ops.sampled_total,
+            self.ops.slo_alerts
+        )
     }
-    let (model, _) = LogicalOpModel::fit(
-        OperatorKind::Aggregation,
-        &["rows", "size"],
-        &Dataset::new(inputs, targets),
-        &FitConfig::fast(),
-    );
-    LogicalOpCosting::new(model)
-}
-
-/// In-range feature rows (the matrix measures the packed kernel, not
-/// the remedy).
-fn in_range_flat(seed: u64, batch: usize) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut v = Vec::with_capacity(batch * 2);
-    for _ in 0..batch {
-        v.push(rng.gen_range(1.0e5..1.5e6));
-        v.push(rng.gen_range(100.0..400.0));
-    }
-    v
 }
 
 /// Reusable buffers for the baseline replay, mirroring the service's
@@ -352,7 +304,6 @@ fn baseline_batch(
 
 /// One interleaved measurement slice of one mode: `concurrency` reader
 /// threads hammering the batch path while `republishers` churn epochs.
-/// Returns the pooled latencies, the cell checksum, and elapsed seconds.
 #[allow(clippy::too_many_arguments)]
 fn measure_slice(
     service: &EstimatorService,
@@ -366,100 +317,58 @@ fn measure_slice(
     concurrency: usize,
     republishers: usize,
     slice: Duration,
-) -> (Vec<f64>, f64, f64) {
+) -> Slice {
     spans.set_sampling(if mode == "service" { sample_every } else { 0 });
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let repub_handles: Vec<_> = (0..republishers)
-            .map(|_| {
-                let service = &service;
-                let stop = &stop;
-                scope.spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        let _ = service.republish();
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                })
-            })
-            .collect();
-        let started = Instant::now();
-        let readers: Vec<_> = (0..concurrency)
-            .map(|_| {
-                let service = &service;
-                let spans = &spans;
-                let (system, flat) = (&system, &flat);
-                scope.spawn(move || {
-                    let mut scratch = EstimateScratch::new();
-                    let mut baseline_scratch = BaselineScratch::new();
-                    let mut out = Vec::new();
-                    let mut lat_us = Vec::new();
-                    let mut checksum = 0.0;
-                    let reg = &service.telemetry().metrics;
-                    let hits = reg.counter("baseline_hits_total", &[]);
-                    let misses = reg.counter("baseline_misses_total", &[]);
-                    let secs_hist = reg.histogram(
-                        "baseline_estimate_secs",
-                        &[],
-                        &[0.001, 0.01, 0.1, 1.0, 10.0, 60.0, 600.0],
-                    );
-                    while started.elapsed() < slice {
-                        let t0 = Instant::now();
-                        let snapshot = service.snapshot();
-                        if mode == "baseline" {
-                            baseline_batch(
-                                &snapshot,
-                                system,
-                                op,
-                                flat,
-                                width,
-                                &mut out,
-                                &mut baseline_scratch,
-                                &hits,
-                                &misses,
-                                &secs_hist,
-                            );
-                        } else {
-                            // The per-request sampling gate the serving
-                            // front-end runs: this is what the
-                            // sampled-off path's "one relaxed load"
-                            // claim is measured against.
-                            let mut guard = spans.start_request(0);
-                            if guard.is_sampled() {
-                                guard.set_epoch(snapshot.epoch().get());
-                            }
-                            service
-                                .estimate_batch_flat_pinned_scratch(
-                                    &snapshot,
-                                    system,
-                                    op,
-                                    flat,
-                                    width,
-                                    &mut out,
-                                    &mut scratch,
-                                )
-                                .expect("batch estimates");
-                        }
-                        checksum = out.iter().map(|e| e.secs).sum::<f64>();
-                        std::hint::black_box(out.len());
-                        lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
-                    }
-                    (lat_us, checksum)
-                })
-            })
-            .collect();
-        let mut pool = Vec::new();
-        let mut checksum = 0.0;
-        for r in readers {
-            let (lat, sum) = r.join().expect("reader thread");
-            pool.extend(lat);
-            checksum = sum;
+    harness::measure_under_churn(service, concurrency, republishers, slice, || {
+        let mut scratch = EstimateScratch::new();
+        let mut baseline_scratch = BaselineScratch::new();
+        let mut out = Vec::new();
+        let reg = &service.telemetry().metrics;
+        let hits = reg.counter("baseline_hits_total", &[]);
+        let misses = reg.counter("baseline_misses_total", &[]);
+        let secs_hist = reg.histogram(
+            "baseline_estimate_secs",
+            &[],
+            &[0.001, 0.01, 0.1, 1.0, 10.0, 60.0, 600.0],
+        );
+        move || {
+            let snapshot = service.snapshot();
+            if mode == "baseline" {
+                baseline_batch(
+                    &snapshot,
+                    system,
+                    op,
+                    flat,
+                    width,
+                    &mut out,
+                    &mut baseline_scratch,
+                    &hits,
+                    &misses,
+                    &secs_hist,
+                );
+            } else {
+                // The per-request sampling gate the serving
+                // front-end runs: this is what the sampled-off
+                // path's "one relaxed load" claim is measured
+                // against.
+                let mut guard = spans.start_request(0);
+                if guard.is_sampled() {
+                    guard.set_epoch(snapshot.epoch().get());
+                }
+                service
+                    .estimate_batch_flat_pinned_scratch(
+                        &snapshot,
+                        system,
+                        op,
+                        flat,
+                        width,
+                        &mut out,
+                        &mut scratch,
+                    )
+                    .expect("batch estimates");
+            }
+            out.iter().map(|e| e.secs).sum::<f64>()
         }
-        let elapsed_s = started.elapsed().as_secs_f64().max(1e-9);
-        stop.store(true, Ordering::Release);
-        for h in repub_handles {
-            let _ = h.join();
-        }
-        (pool, checksum, elapsed_s)
     })
 }
 
@@ -482,7 +391,7 @@ fn bench_cell(
     service.register(system.clone(), flow.clone());
     let spans = service.telemetry().spans.clone();
     let width = flow.model.arity();
-    let flat = in_range_flat(seed ^ batch as u64, batch);
+    let flat = harness::in_range_flat(seed ^ batch as u64, batch);
 
     let modes: [(&str, u64); 4] = [
         ("baseline", 0),
@@ -494,7 +403,7 @@ fn bench_cell(
         modes.iter().map(|_| (Vec::new(), 0.0, 0.0)).collect();
     for _ in 0..rounds {
         for (slot, &(mode, every)) in pooled.iter_mut().zip(modes.iter()) {
-            let (lat, checksum, elapsed) = measure_slice(
+            let measured = measure_slice(
                 &service,
                 &spans,
                 &system,
@@ -507,9 +416,9 @@ fn bench_cell(
                 republishers,
                 slice,
             );
-            slot.0.extend(lat);
-            slot.1 = checksum;
-            slot.2 += elapsed;
+            slot.0.extend(measured.lat_us);
+            slot.1 = measured.checksum;
+            slot.2 += measured.elapsed_s;
         }
     }
     spans.set_sampling(0);
@@ -519,7 +428,7 @@ fn bench_cell(
         .zip(modes.iter())
         .map(|((mut lat_us, checksum, elapsed_s), &(mode, every))| {
             let iters = lat_us.len() as u64;
-            let (p50, p99, mean) = summarize(&mut lat_us);
+            let (p50, p99, mean) = harness::summarize(&mut lat_us);
             ObservabilityRow {
                 mode: mode.to_string(),
                 sample_every: every,
@@ -556,7 +465,7 @@ fn ops_scenario(cfg: &ExpConfig) -> OpsSummary {
     };
     let service = EstimatorService::with_telemetry(ServiceConfig::default(), telemetry.clone());
     let system = SystemId::new("obs-ops");
-    service.register(system.clone(), trained_flow());
+    service.register(system.clone(), harness::trained_flow(1.0));
 
     let clock = Clock::manual(0);
     let frontend = Frontend::with_clock(
@@ -663,7 +572,7 @@ pub fn run(cfg: &ExpConfig) -> ObservabilityDoc {
     } else {
         (4, Duration::from_millis(100))
     };
-    let flow = trained_flow();
+    let flow = harness::trained_flow(1.0);
     let batches: &[usize] = if cfg.quick { &[64] } else { &[64, 256] };
     let concurrencies: &[usize] = if cfg.quick { &[1, 2] } else { &[1, 4] };
     let republisher_counts: &[usize] = if cfg.quick { &[0, 1] } else { &[0, 2] };
@@ -706,40 +615,27 @@ pub fn run(cfg: &ExpConfig) -> ObservabilityDoc {
 
     let ops = ops_scenario(cfg);
 
-    let doc = ObservabilityDoc {
-        experiment: "observability".to_string(),
+    let mut doc = ObservabilityDoc {
+        experiment: ObservabilityDoc::NAME.to_string(),
         quick: cfg.quick,
         seed: cfg.seed,
+        host: None,
         max_overhead_pct: MAX_OVERHEAD_PCT,
         rows,
         ops,
     };
-    if cfg.out_dir.is_some() {
-        write_bench_json(&doc);
-    }
+    harness::write(cfg, &mut doc);
     kv("matrix cells", doc.rows.len());
     doc
-}
-
-/// Writes the machine-readable document to the repo root.
-fn write_bench_json(doc: &ObservabilityDoc) {
-    let path = bench_json_path();
-    match serde_json::to_string_pretty(doc) {
-        Ok(mut text) => {
-            text.push('\n');
-            if let Err(e) = std::fs::write(&path, text) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("  [json] {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialise observability doc: {e}"),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn validate_doc(text: &str) -> Result<ObservabilityDoc, String> {
+        harness::parse(text)
+    }
 
     fn sample_rows(baseline_p50: f64, service_off_p50: f64) -> Vec<ObservabilityRow> {
         [
@@ -768,6 +664,7 @@ mod tests {
             experiment: "observability".to_string(),
             quick: true,
             seed: 1,
+            host: None,
             max_overhead_pct: MAX_OVERHEAD_PCT,
             rows: sample_rows(40.0, 40.5),
             ops: OpsSummary {
@@ -804,14 +701,6 @@ mod tests {
 
     #[test]
     fn validation_rejects_broken_payloads() {
-        assert!(validate_doc("{}").is_err(), "missing fields");
-        assert!(validate_doc("not json").is_err());
-
-        let mut doc = sample_doc();
-        doc.experiment = "hotpath".to_string();
-        let text = serde_json::to_string_pretty(&doc).unwrap();
-        assert!(validate_doc(&text).is_err(), "wrong experiment name");
-
         let mut doc = sample_doc();
         doc.rows[0].checksum = 43.0; // instrumentation changed answers
         let text = serde_json::to_string_pretty(&doc).unwrap();
@@ -835,7 +724,7 @@ mod tests {
 
     #[test]
     fn cell_modes_measure_with_identical_checksums() {
-        let flow = trained_flow();
+        let flow = harness::trained_flow(1.0);
         let rows = bench_cell(&flow, 7, 16, 1, 0, 1, Duration::from_millis(15));
         assert_eq!(rows.len(), 4);
         let bits: Vec<u64> = rows.iter().map(|r| r.checksum.to_bits()).collect();

@@ -23,6 +23,7 @@
 //!   guarantees by construction, so a violation means the acceptance
 //!   predicate itself regressed.
 
+use crate::harness::{self, BenchDoc, Envelope, Host};
 use crate::report::{heading, kv, write_text_table, ExpConfig};
 use catalog::{Capability, Catalog, RemoteSystemProfile, SystemId, SystemKind};
 use costing::features::{agg_dim_names, join_dim_names};
@@ -36,7 +37,6 @@ use federation::transfer::TransferCostModel;
 use federation::WorkloadSpec;
 use neuro::Dataset;
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 use workload::{build_table, dag_base_tables, dag_workload, DagConfig};
 
 /// Reuse-heavy cells (reuse ≥ 0.5) must cut predicted makespan by at
@@ -85,94 +85,118 @@ pub struct WorkloadDoc {
     pub quick: bool,
     /// Master seed the DAGs were generated from.
     pub seed: u64,
+    /// The measuring host, stamped by the harness writer.
+    #[serde(default)]
+    pub host: Option<Host>,
     /// The reuse-heavy acceptance bar validation enforces.
     pub min_reuse_heavy_reduction_pct: f64,
     /// One row per matrix cell.
     pub rows: Vec<WorkloadRow>,
 }
 
-/// Where `BENCH_workload.json` lives: the workspace root.
-pub fn bench_json_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_workload.json")
+impl WorkloadDoc {
+    /// The smallest makespan reduction over the reuse-heavy cells.
+    fn worst_reuse_heavy_reduction_pct(&self) -> f64 {
+        self.rows
+            .iter()
+            .filter(|r| r.reuse >= 0.5)
+            .map(|r| r.reduction_pct)
+            .fold(f64::INFINITY, f64::min)
+    }
 }
 
-/// Validates a `BENCH_workload.json` payload: schema, number sanity,
-/// the reuse-heavy reduction bar, and the never-worse noise floor.
-pub fn validate_doc(text: &str) -> Result<WorkloadDoc, String> {
-    let doc: WorkloadDoc =
-        serde_json::from_str(text).map_err(|e| format!("not valid workload JSON: {e}"))?;
-    if doc.experiment != "workload" {
-        return Err(format!("unexpected experiment {:?}", doc.experiment));
-    }
-    if doc.rows.is_empty() {
-        return Err("no matrix rows".to_string());
-    }
-    if !(doc.min_reuse_heavy_reduction_pct.is_finite() && doc.min_reuse_heavy_reduction_pct > 0.0) {
-        return Err(format!(
-            "bad min_reuse_heavy_reduction_pct {}",
-            doc.min_reuse_heavy_reduction_pct
-        ));
-    }
-    let mut reuse_heavy_cells = 0usize;
-    for (i, r) in doc.rows.iter().enumerate() {
-        if r.queries == 0 || r.engines < 2 {
-            return Err(format!("row {i}: degenerate cell"));
+impl BenchDoc for WorkloadDoc {
+    const NAME: &'static str = "workload";
+
+    fn envelope(&mut self) -> Envelope<'_> {
+        Envelope {
+            experiment: &self.experiment,
+            quick: self.quick,
+            rows: self.rows.len(),
+            host: &mut self.host,
         }
-        if !(0.0..1.0).contains(&r.reuse) {
-            return Err(format!("row {i}: reuse {} out of range", r.reuse));
-        }
-        if r.distinct_shapes == 0 || r.distinct_shapes > r.queries {
+    }
+
+    /// Number sanity, the reuse-heavy reduction bar, and the
+    /// never-worse noise floor.
+    fn check(&self) -> Result<(), String> {
+        if !(self.min_reuse_heavy_reduction_pct.is_finite()
+            && self.min_reuse_heavy_reduction_pct > 0.0)
+        {
             return Err(format!(
-                "row {i}: distinct_shapes {} vs {} queries",
-                r.distinct_shapes, r.queries
+                "bad min_reuse_heavy_reduction_pct {}",
+                self.min_reuse_heavy_reduction_pct
             ));
         }
-        for (name, v) in [
-            ("greedy_makespan_secs", r.greedy_makespan_secs),
-            ("optimized_makespan_secs", r.optimized_makespan_secs),
-        ] {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(format!("row {i}: {name} = {v} is not a duration"));
+        let mut reuse_heavy_cells = 0usize;
+        for (i, r) in self.rows.iter().enumerate() {
+            if r.queries == 0 || r.engines < 2 {
+                return Err(format!("row {i}: degenerate cell"));
             }
-        }
-        if !r.reduction_pct.is_finite() || !r.reuse_savings_secs.is_finite() {
-            return Err(format!("row {i}: non-finite derived numbers"));
-        }
-        if r.reuse_savings_secs < 0.0 {
-            return Err(format!("row {i}: negative savings"));
-        }
-        if r.waves == 0 {
-            return Err(format!("row {i}: a planned workload has waves"));
-        }
-        if r.reduction_pct < NOISE_FLOOR_PCT {
-            return Err(format!(
-                "row {i}: optimized plan is {:.2}% WORSE than greedy — the rule driver's \
-                 never-worse contract is broken",
-                -r.reduction_pct
-            ));
-        }
-        if r.reuse >= 0.5 {
-            reuse_heavy_cells += 1;
-            if r.reduction_pct < doc.min_reuse_heavy_reduction_pct {
+            if !(0.0..1.0).contains(&r.reuse) {
+                return Err(format!("row {i}: reuse {} out of range", r.reuse));
+            }
+            if r.distinct_shapes == 0 || r.distinct_shapes > r.queries {
                 return Err(format!(
-                    "row {i}: reuse-heavy cell ({} queries, {} engines, reuse {}) reduced \
-                     makespan only {:.2}% (bar: {:.1}%)",
-                    r.queries,
-                    r.engines,
-                    r.reuse,
-                    r.reduction_pct,
-                    doc.min_reuse_heavy_reduction_pct
+                    "row {i}: distinct_shapes {} vs {} queries",
+                    r.distinct_shapes, r.queries
                 ));
             }
-            if r.merged == 0 {
-                return Err(format!("row {i}: reuse-heavy cell merged nothing"));
+            for (name, v) in [
+                ("greedy_makespan_secs", r.greedy_makespan_secs),
+                ("optimized_makespan_secs", r.optimized_makespan_secs),
+            ] {
+                if !v.is_finite() || v <= 0.0 {
+                    return Err(format!("row {i}: {name} = {v} is not a duration"));
+                }
+            }
+            if !r.reduction_pct.is_finite() || !r.reuse_savings_secs.is_finite() {
+                return Err(format!("row {i}: non-finite derived numbers"));
+            }
+            if r.reuse_savings_secs < 0.0 {
+                return Err(format!("row {i}: negative savings"));
+            }
+            if r.waves == 0 {
+                return Err(format!("row {i}: a planned workload has waves"));
+            }
+            if r.reduction_pct < NOISE_FLOOR_PCT {
+                return Err(format!(
+                    "row {i}: optimized plan is {:.2}% WORSE than greedy — the rule driver's \
+                     never-worse contract is broken",
+                    -r.reduction_pct
+                ));
+            }
+            if r.reuse >= 0.5 {
+                reuse_heavy_cells += 1;
+                if r.reduction_pct < self.min_reuse_heavy_reduction_pct {
+                    return Err(format!(
+                        "row {i}: reuse-heavy cell ({} queries, {} engines, reuse {}) reduced \
+                         makespan only {:.2}% (bar: {:.1}%)",
+                        r.queries,
+                        r.engines,
+                        r.reuse,
+                        r.reduction_pct,
+                        self.min_reuse_heavy_reduction_pct
+                    ));
+                }
+                if r.merged == 0 {
+                    return Err(format!("row {i}: reuse-heavy cell merged nothing"));
+                }
             }
         }
+        if reuse_heavy_cells == 0 {
+            return Err("matrix has no reuse-heavy cells to hold the bar against".to_string());
+        }
+        Ok(())
     }
-    if reuse_heavy_cells == 0 {
-        return Err("matrix has no reuse-heavy cells to hold the bar against".to_string());
+
+    fn summary(&self) -> String {
+        format!(
+            "{} matrix rows, worst reuse-heavy reduction {:.1}%",
+            self.rows.len(),
+            self.worst_reuse_heavy_reduction_pct()
+        )
     }
-    Ok(doc)
 }
 
 /// Trains tiny join + aggregation models with a per-system cost scale
@@ -367,42 +391,32 @@ pub fn run(cfg: &ExpConfig) -> WorkloadDoc {
         ],
         &table,
     );
-    let worst_heavy = rows
-        .iter()
-        .filter(|r| r.reuse >= 0.5)
-        .map(|r| r.reduction_pct)
-        .fold(f64::INFINITY, f64::min);
-    kv(
-        "worst reuse-heavy makespan reduction",
-        format!("{worst_heavy:.1}% (bar: {REUSE_HEAVY_MIN_REDUCTION_PCT}%)"),
-    );
-
-    let doc = WorkloadDoc {
-        experiment: "workload".to_string(),
+    let mut doc = WorkloadDoc {
+        experiment: WorkloadDoc::NAME.to_string(),
         quick: cfg.quick,
         seed: cfg.seed,
+        host: None,
         min_reuse_heavy_reduction_pct: REUSE_HEAVY_MIN_REDUCTION_PCT,
         rows,
     };
-    if cfg.out_dir.is_some() {
-        let path = bench_json_path();
-        match serde_json::to_string_pretty(&doc) {
-            Ok(text) => {
-                if let Err(e) = std::fs::write(&path, text + "\n") {
-                    eprintln!("warning: could not write {}: {e}", path.display());
-                } else {
-                    println!("  [json] {}", path.display());
-                }
-            }
-            Err(e) => eprintln!("warning: could not serialize workload doc: {e}"),
-        }
-    }
+    kv(
+        "worst reuse-heavy makespan reduction",
+        format!(
+            "{:.1}% (bar: {REUSE_HEAVY_MIN_REDUCTION_PCT}%)",
+            doc.worst_reuse_heavy_reduction_pct()
+        ),
+    );
+    harness::write(cfg, &mut doc);
     doc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn validate_doc(text: &str) -> Result<WorkloadDoc, String> {
+        harness::parse(text)
+    }
 
     #[test]
     fn quick_matrix_meets_both_acceptance_bars() {
@@ -444,11 +458,6 @@ mod tests {
         }
         let text = serde_json::to_string(&weak).unwrap();
         assert!(validate_doc(&text).unwrap_err().contains("reuse-heavy"));
-
-        let mut wrong = doc.clone();
-        wrong.experiment = "nope".to_string();
-        let text = serde_json::to_string(&wrong).unwrap();
-        assert!(validate_doc(&text).is_err());
 
         assert!(validate_doc(&good).is_ok());
     }

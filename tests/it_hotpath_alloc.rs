@@ -15,10 +15,8 @@
 //! during thread teardown — safe to call from inside the allocator.
 
 use catalog::SystemId;
-use costing::logical_op::flow::LogicalOpCosting;
-use costing::logical_op::model::{FitConfig, LogicalOpModel};
 use costing::{EstimateScratch, EstimatorService, OperatorKind, ServiceConfig};
-use neuro::Dataset;
+use integration_tests::trained_flow;
 use serving::{EstimateRequest, Frontend, FrontendConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -64,28 +62,6 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOC_COUNT.with(Cell::get);
     f();
     ALLOC_COUNT.with(Cell::get) - before
-}
-
-/// A trained aggregation flow over a 2-dim grid (rows ∈ [1e5, 1.5e6],
-/// size ∈ [100, 400]).
-fn trained_flow() -> LogicalOpCosting {
-    let mut inputs = vec![];
-    let mut targets = vec![];
-    for r in 1..=15 {
-        for s in 1..=4 {
-            let rows = r as f64 * 1e5;
-            let size = s as f64 * 100.0;
-            inputs.push(vec![rows, size]);
-            targets.push(1.0 + 2e-6 * rows + 0.01 * size);
-        }
-    }
-    let (model, _) = LogicalOpModel::fit(
-        OperatorKind::Aggregation,
-        &["rows", "size"],
-        &Dataset::new(inputs, targets),
-        &FitConfig::fast(),
-    );
-    LogicalOpCosting::new(model)
 }
 
 fn service_with(config: ServiceConfig) -> (EstimatorService, SystemId) {

@@ -14,39 +14,13 @@ use catalog::{
     Capability, Catalog, ColumnDef, ColumnStats, RemoteSystemProfile, SystemId, SystemKind,
     TableDef, TableStats,
 };
-use costing::features::{agg_dim_names, join_dim_names};
-use costing::logical_op::flow::LogicalOpCosting;
-use costing::logical_op::model::{FitConfig, LogicalOpModel};
-use costing::{
-    DriftRetuner, EstimatorService, OperatorKind, ServiceConfig, TuningPipeline, AGG_DIMS,
-    JOIN_DIMS,
-};
+use costing::logical_op::model::FitConfig;
+use costing::{DriftRetuner, EstimatorService, OperatorKind, ServiceConfig, TuningPipeline};
 use federation::{plan_query_with_service_pinned, TransferCostModel};
-use neuro::Dataset;
+use integration_tests::{federation_flows, trained_flow};
 use serving::{Clock, EstimateRequest, Frontend, FrontendConfig};
 use std::sync::Arc;
 use telemetry::{AlertEvent, DriftConfig, Event, SloConfig, Stage, Telemetry, VecSubscriber};
-
-/// A trained aggregation flow over a 2-dim grid (rows, size).
-fn trained_flow() -> LogicalOpCosting {
-    let mut inputs = vec![];
-    let mut targets = vec![];
-    for r in 1..=15 {
-        for s in 1..=4 {
-            let rows = r as f64 * 1e5;
-            let size = s as f64 * 100.0;
-            inputs.push(vec![rows, size]);
-            targets.push(1.0 + 2e-6 * rows + 0.01 * size);
-        }
-    }
-    let (model, _) = LogicalOpModel::fit(
-        OperatorKind::Aggregation,
-        &["rows", "size"],
-        &Dataset::new(inputs, targets),
-        &FitConfig::fast(),
-    );
-    LogicalOpCosting::new(model)
-}
 
 /// A drained front-end batch produces one leader span whose stage tree
 /// reflects the injected clock (queue-wait, coalesce) and the monotonic
@@ -133,39 +107,6 @@ fn frontend_span_tree_attributes_stages_and_bounds_the_gap() {
     fe.shutdown();
 }
 
-/// Trains tiny join + aggregation models with a per-system cost scale.
-fn flows(scale: f64, seed_shift: f64) -> (LogicalOpCosting, LogicalOpCosting) {
-    let mut jin = vec![];
-    let mut jt = vec![];
-    let mut ain = vec![];
-    let mut at = vec![];
-    for i in 0..80 {
-        let r = 1e5 + (i % 10) as f64 * 1e6;
-        let s = 1e4 + (i % 8) as f64 * 1e5;
-        let jf = vec![250.0, r, 100.0, s, 16.0, 16.0, s + seed_shift];
-        assert_eq!(jf.len(), JOIN_DIMS);
-        jin.push(jf);
-        jt.push(scale * (2.0 + r * 4e-7 + s * 2e-7));
-        let af = vec![r, 250.0, r / 10.0, 12.0];
-        assert_eq!(af.len(), AGG_DIMS);
-        ain.push(af);
-        at.push(scale * (1.0 + r * 3e-7));
-    }
-    let (jm, _) = LogicalOpModel::fit(
-        OperatorKind::Join,
-        &join_dim_names(),
-        &Dataset::new(jin, jt),
-        &FitConfig::fast(),
-    );
-    let (am, _) = LogicalOpModel::fit(
-        OperatorKind::Aggregation,
-        &agg_dim_names(),
-        &Dataset::new(ain, at),
-        &FitConfig::fast(),
-    );
-    (LogicalOpCosting::new(jm), LogicalOpCosting::new(am))
-}
-
 /// Two-system catalog + service, mirroring the federation fanout tests.
 fn federation_setup() -> (Catalog, EstimatorService) {
     let mut catalog = Catalog::new();
@@ -208,10 +149,10 @@ fn federation_setup() -> (Catalog, EstimatorService) {
             .unwrap();
     }
     let service = EstimatorService::default();
-    let (j, a) = flows(1.0, 0.0);
+    let (j, a) = federation_flows(1.0);
     service.register(SystemId::new("hive-a"), j);
     service.register(SystemId::new("hive-a"), a);
-    let (j, a) = flows(3.0, 0.0);
+    let (j, a) = federation_flows(3.0);
     service.register(SystemId::master(), j);
     service.register(SystemId::master(), a);
     (catalog, service)

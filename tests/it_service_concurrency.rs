@@ -5,44 +5,8 @@
 
 use catalog::SystemId;
 use costing::estimator::{CostEstimate, OperatorKind};
-use costing::features::{agg_dim_names, join_dim_names};
-use costing::logical_op::{
-    flow::LogicalOpCosting,
-    model::{FitConfig, LogicalOpModel},
-};
 use costing::service::{EstimatorService, ServiceConfig};
-use neuro::Dataset;
-
-/// Trains small join + aggregation models for one simulated system. The
-/// `scale` knob makes each registered system answer differently, so a
-/// cross-system mix-up would show up as a wrong estimate.
-fn flows(scale: f64) -> (LogicalOpCosting, LogicalOpCosting) {
-    let mut j_in = vec![];
-    let mut j_out = vec![];
-    let mut a_in = vec![];
-    let mut a_out = vec![];
-    for i in 1..=20 {
-        let r = i as f64 * 1e5;
-        let s = r / 4.0;
-        j_in.push(vec![250.0, r, 100.0, s, 16.0, 16.0, s]);
-        j_out.push(scale * (3.0 + r * 4e-7 + s * 2e-7));
-        a_in.push(vec![r, 250.0, r / 10.0, 12.0]);
-        a_out.push(scale * (2.0 + r * 3e-7));
-    }
-    let (join, _) = LogicalOpModel::fit(
-        OperatorKind::Join,
-        &join_dim_names(),
-        &Dataset::new(j_in, j_out),
-        &FitConfig::fast(),
-    );
-    let (agg, _) = LogicalOpModel::fit(
-        OperatorKind::Aggregation,
-        &agg_dim_names(),
-        &Dataset::new(a_in, a_out),
-        &FitConfig::fast(),
-    );
-    (LogicalOpCosting::new(join), LogicalOpCosting::new(agg))
-}
+use integration_tests::flows;
 
 fn service_with_two_systems() -> (EstimatorService, SystemId, SystemId) {
     let service = EstimatorService::new(ServiceConfig::default());

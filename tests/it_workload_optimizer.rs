@@ -16,11 +16,9 @@ use catalog::{
     Capability, Catalog, ColumnDef, ColumnStats, RemoteSystemProfile, SystemId, SystemKind,
     TableDef, TableStats,
 };
-use costing::features::{agg_dim_names, join_dim_names};
 use costing::logical_op::flow::LogicalOpCosting;
-use costing::logical_op::model::{FitConfig, LogicalOpModel};
 use costing::service::EstimatorService;
-use costing::{ModelSnapshot, OperatorKind, AGG_DIMS, JOIN_DIMS};
+use costing::ModelSnapshot;
 use federation::fanout::{plan_query_with_service_pinned, service_execution_secs_pinned};
 use federation::ir::synthetic_table_def;
 use federation::planner::PlacementCost;
@@ -28,7 +26,7 @@ use federation::{
     build_workload_pinned, enumerate_placements, plan_workload, QueryId, ScheduleConfig, SlotMap,
     TransferCostModel, WorkloadSpec,
 };
-use neuro::Dataset;
+use integration_tests::federation_flows;
 use proptest::prelude::*;
 use remote_sim::analyze::analyze;
 use sqlkit::logical::LogicalPlan;
@@ -39,45 +37,10 @@ use workload::{build_table, dag_base_tables, dag_workload, DagConfig};
 /// scales keep rankings non-trivial without ties.
 const SCALES: [f64; 3] = [2.0, 1.0, 1.4];
 
-/// Trains tiny join + aggregation models with a cost scale — the same
-/// fixture the federation unit tests use. Training is slow enough that
-/// the property tests share one fitted set per scale via [`OnceLock`].
-fn flows(scale: f64) -> (LogicalOpCosting, LogicalOpCosting) {
-    let mut jin = vec![];
-    let mut jt = vec![];
-    let mut ain = vec![];
-    let mut at = vec![];
-    for i in 0..80 {
-        let r = 1e5 + (i % 10) as f64 * 1e6;
-        let s = 1e4 + (i % 8) as f64 * 1e5;
-        let jf = vec![250.0, r, 100.0, s, 16.0, 16.0, s];
-        assert_eq!(jf.len(), JOIN_DIMS);
-        jin.push(jf);
-        jt.push(scale * (2.0 + r * 4e-7 + s * 2e-7));
-        let af = vec![r, 250.0, r / 10.0, 12.0];
-        assert_eq!(af.len(), AGG_DIMS);
-        ain.push(af);
-        at.push(scale * (1.0 + r * 3e-7));
-    }
-    let (jm, _) = LogicalOpModel::fit(
-        OperatorKind::Join,
-        &join_dim_names(),
-        &Dataset::new(jin, jt),
-        &FitConfig::fast(),
-    );
-    let (am, _) = LogicalOpModel::fit(
-        OperatorKind::Aggregation,
-        &agg_dim_names(),
-        &Dataset::new(ain, at),
-        &FitConfig::fast(),
-    );
-    (LogicalOpCosting::new(jm), LogicalOpCosting::new(am))
-}
-
 /// The shared fitted models, one `(join, agg)` pair per [`SCALES`] entry.
 fn trained(scale_idx: usize) -> (LogicalOpCosting, LogicalOpCosting) {
     static FLOWS: OnceLock<Vec<(LogicalOpCosting, LogicalOpCosting)>> = OnceLock::new();
-    FLOWS.get_or_init(|| SCALES.iter().map(|s| flows(*s)).collect())[scale_idx].clone()
+    FLOWS.get_or_init(|| SCALES.iter().map(|s| federation_flows(*s)).collect())[scale_idx].clone()
 }
 
 /// A fresh service with the shared models registered for the master and
