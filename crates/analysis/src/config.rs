@@ -127,7 +127,6 @@ impl Config {
                 "costing::logical_op".into(),
                 "costing::sub_op".into(),
                 "costing::hybrid".into(),
-                "federation::fanout".into(),
                 "federation::planner".into(),
                 "federation::ir".into(),
                 "federation::rules".into(),
@@ -169,7 +168,6 @@ impl Config {
             ],
             snapshot_read_modules: vec![
                 "costing::service".into(),
-                "federation::fanout".into(),
                 "federation::planner".into(),
                 "federation::ir".into(),
                 "federation::schedule".into(),
@@ -201,10 +199,10 @@ impl Config {
                     true,
                     true,
                 ),
-                // Fanout placement reads pinned snapshots; it stages
+                // Single-query placement reads pinned snapshots; it stages
                 // result vectors, so nonblocking but not zero-alloc.
                 EntryPoint::new(
-                    "federation::fanout",
+                    "federation::ir",
                     "plan_query_with_service_pinned",
                     false,
                     true,

@@ -396,7 +396,7 @@ fn f(x: Option<u32>) -> Option<u32> {
         let bad = "fn f(x: Option<u32>) { x.unwrap(); panic!(\"no\"); }\n";
         let report = check_str(
             &[
-                ("crates/federation/src/fanout.rs", bad),
+                ("crates/federation/src/ir.rs", bad),
                 ("crates/costing/src/service/mod.rs", bad),
             ],
             &config,

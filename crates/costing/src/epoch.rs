@@ -627,7 +627,7 @@ mod tests {
             .map(|m| m.log.len());
         store.transaction("observe", |tx| {
             let touched = tx.update_model(&hive(), OperatorKind::Aggregation, |flow| {
-                flow.observe_detached(&[5e5, 200.0], 2.0);
+                flow.observe_actual(&[5e5, 200.0], 2.0);
             });
             assert!(touched.is_some());
         });
@@ -692,7 +692,7 @@ mod tests {
         // the mutated model and stays bit-consistent with it.
         store.transaction("observe", |tx| {
             tx.update_model(&hive(), OperatorKind::Aggregation, |flow| {
-                flow.observe_detached(&[5e5, 200.0], 2.0);
+                flow.observe_actual(&[5e5, 200.0], 2.0);
             });
         });
         let after = store.load();
@@ -732,7 +732,7 @@ mod tests {
             let mut flow = agg_flow();
             let mut rows = 1.6e6;
             while rows <= 2.6e6 {
-                flow.observe_detached(&[rows, 200.0], 1.0 + 2e-6 * rows + 2.0);
+                flow.observe_actual(&[rows, 200.0], 1.0 + 2e-6 * rows + 2.0);
                 rows += 1e5;
             }
             tx.insert_model(hive(), OperatorKind::Aggregation, flow);

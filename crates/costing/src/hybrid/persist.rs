@@ -7,6 +7,11 @@
 //! human-inspectable representation — JSON on disk — so a trained
 //! ecosystem survives restarts without re-running multi-hour training
 //! campaigns.
+//!
+//! Deserialisation ignores fields it does not know, so documents written
+//! by earlier versions keep loading: a flow saved while it still carried
+//! its table of pending remedy components reads back as the same model,
+//! tuner and log.
 
 use crate::epoch::{Epoch, ModelSnapshot, SnapshotLineage};
 use crate::estimator::OperatorKind;
@@ -68,40 +73,6 @@ pub fn save_profile(profile: &CostingProfile, path: &Path) -> Result<(), Persist
 pub fn load_profile(path: &Path) -> Result<CostingProfile, PersistError> {
     let json = fs::read_to_string(path)?;
     Ok(serde_json::from_str(&json)?)
-}
-
-/// Writes every profile of a manager under `dir` as
-/// `<system-id>.profile.json`.
-pub fn save_manager(
-    manager: &crate::hybrid::manager::HybridCostManager,
-    dir: &Path,
-) -> Result<usize, PersistError> {
-    let mut n = 0;
-    for id in manager.systems() {
-        // `systems()` and `profile()` read the same map, so the lookup
-        // cannot miss; skipping a hypothetical miss beats panicking.
-        if let Some(profile) = manager.profile(id) {
-            save_profile(profile, &dir.join(format!("{id}.profile.json")))?;
-            n += 1;
-        }
-    }
-    Ok(n)
-}
-
-/// Rebuilds a manager from every `*.profile.json` under `dir`.
-pub fn load_manager(dir: &Path) -> Result<crate::hybrid::manager::HybridCostManager, PersistError> {
-    let mut manager = crate::hybrid::manager::HybridCostManager::new();
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.ends_with(".profile.json"))
-        {
-            manager.register(load_profile(&path)?);
-        }
-    }
-    Ok(manager)
 }
 
 /// Serialized form of one registered model in a snapshot.
@@ -249,15 +220,14 @@ mod tests {
         let profile = sample_profile();
         let path = tmp_path("roundtrip.json");
         save_profile(&profile, &path).unwrap();
-        let mut restored = load_profile(&path).unwrap();
-        let mut original = profile.clone();
+        let restored = load_profile(&path).unwrap();
 
         // Compare estimates through the logical model directly.
         let x = vec![2e6, 100.0, 4e5, 12.0];
-        let (a, b) = match (&mut original.approach, &mut restored.approach) {
+        let (a, b) = match (&profile.approach, &restored.approach) {
             (CostingApproach::LogicalOp(s1), CostingApproach::LogicalOp(s2)) => (
-                s1.aggregation.as_mut().unwrap().estimate(&x).secs,
-                s2.aggregation.as_mut().unwrap().estimate(&x).secs,
+                s1.aggregation.as_ref().unwrap().estimate(&x).secs,
+                s2.aggregation.as_ref().unwrap().estimate(&x).secs,
             ),
             _ => unreachable!(),
         };
@@ -288,26 +258,6 @@ mod tests {
         let err = load_profile(&path).unwrap_err();
         assert!(matches!(err, PersistError::Serde(_)));
         fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn manager_directory_roundtrip() {
-        let mut manager = crate::hybrid::manager::HybridCostManager::new();
-        let mut p1 = sample_profile();
-        p1.system = SystemId::new("hive-a");
-        let mut p2 = sample_profile();
-        p2.system = SystemId::new("spark-b");
-        manager.register(p1);
-        manager.register(p2);
-
-        let dir = tmp_path("manager-dir");
-        let n = save_manager(&manager, &dir).unwrap();
-        assert_eq!(n, 2);
-        let restored = load_manager(&dir).unwrap();
-        assert_eq!(restored.systems().len(), 2);
-        assert!(restored.profile(&SystemId::new("hive-a")).is_some());
-        assert!(restored.profile(&SystemId::new("spark-b")).is_some());
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

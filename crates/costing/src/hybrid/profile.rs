@@ -18,7 +18,7 @@
 use crate::{
     estimator::{CostEstimate, OperatorKind},
     features::{agg_features, join_features},
-    logical_op::{flow::LogicalOpCosting, model::FitConfig, tuning::TuneReport},
+    logical_op::flow::LogicalOpCosting,
     sub_op::{RuleInputs, SubOpCosting},
 };
 use catalog::{SystemId, SystemKind};
@@ -170,40 +170,8 @@ impl CostingProfile {
         analysis: &QueryAnalysis,
     ) -> Result<CostEstimate, CostingError> {
         self.estimates_made += 1;
-        let n = self.estimates_made;
-        // Work around the borrow: overrides and approach are disjoint.
-        if let Some(mut chosen) = self.overrides.remove(&op) {
-            let result = estimate_with(&mut chosen, op, analysis, n);
-            self.overrides.insert(op, chosen);
-            result
-        } else {
-            estimate_with(&mut self.approach, op, analysis, n)
-        }
-    }
-
-    /// The currently-active logical-op flows, keyed by operator
-    /// (overrides shadow the base approach; timed approaches resolve at
-    /// the current estimate count, matching where observations land).
-    /// Drift monitoring walks these to reach every execution log.
-    pub fn logical_flows(&self) -> Vec<(OperatorKind, &LogicalOpCosting)> {
-        let mut out = Vec::new();
-        for op in [OperatorKind::Join, OperatorKind::Aggregation] {
-            let approach = active_ref(
-                self.overrides.get(&op).unwrap_or(&self.approach),
-                self.estimates_made,
-            );
-            if let CostingApproach::LogicalOp(suite) = approach {
-                let flow = match op {
-                    OperatorKind::Join => suite.join.as_ref(),
-                    OperatorKind::Aggregation => suite.aggregation.as_ref(),
-                    _ => None,
-                };
-                if let Some(f) = flow {
-                    out.push((op, f));
-                }
-            }
-        }
-        out
+        let approach = self.overrides.get(&op).unwrap_or(&self.approach);
+        estimate_with(approach, op, analysis, self.estimates_made)
     }
 
     /// Routes an observed actual execution back into the logical-op
@@ -212,33 +180,11 @@ impl CostingProfile {
     /// straightforward", Fig. 8).
     pub fn observe_actual(&mut self, op: OperatorKind, analysis: &QueryAnalysis, actual_secs: f64) {
         let n = self.estimates_made;
-        if let Some(mut chosen) = self.overrides.remove(&op) {
-            observe_with(&mut chosen, op, analysis, actual_secs, n);
-            self.overrides.insert(op, chosen);
-        } else {
-            observe_with(&mut self.approach, op, analysis, actual_secs, n);
-        }
-    }
-
-    /// Runs the offline tuning phase over every active logical-op flow
-    /// that has pending log entries, returning one report per retrained
-    /// operator. Sub-op approaches have nothing to tune.
-    pub fn offline_tune(&mut self, config: &FitConfig) -> Vec<(OperatorKind, TuneReport)> {
-        let n = self.estimates_made;
-        let mut reports = Vec::new();
-        for op in [OperatorKind::Join, OperatorKind::Aggregation] {
-            let report = if let Some(mut chosen) = self.overrides.remove(&op) {
-                let r = tune_with(&mut chosen, op, config, n);
-                self.overrides.insert(op, chosen);
-                r
-            } else {
-                tune_with(&mut self.approach, op, config, n)
-            };
-            if let Some(r) = report {
-                reports.push((op, r));
-            }
-        }
-        reports
+        let approach = match self.overrides.get_mut(&op) {
+            Some(a) => a,
+            None => &mut self.approach,
+        };
+        observe_with(approach, op, analysis, actual_secs, n);
     }
 }
 
@@ -277,12 +223,12 @@ fn active(approach: &mut CostingApproach, estimates_made: u64) -> &mut CostingAp
 }
 
 fn estimate_with(
-    approach: &mut CostingApproach,
+    approach: &CostingApproach,
     op: OperatorKind,
     analysis: &QueryAnalysis,
     estimates_made: u64,
 ) -> Result<CostEstimate, CostingError> {
-    match active(approach, estimates_made) {
+    match active_ref(approach, estimates_made) {
         CostingApproach::SubOp(sub) => match op {
             OperatorKind::Join => {
                 let (info, ctx) = analysis.join.as_ref().ok_or(CostingError::NoOperator(op))?;
@@ -310,42 +256,22 @@ fn estimate_with(
         CostingApproach::LogicalOp(suite) => match op {
             OperatorKind::Join => {
                 let features = join_features(analysis).ok_or(CostingError::NoOperator(op))?;
-                let flow = suite.join.as_mut().ok_or(CostingError::ModelMissing(op))?;
+                let flow = suite.join.as_ref().ok_or(CostingError::ModelMissing(op))?;
                 Ok(flow.estimate(&features))
             }
             OperatorKind::Aggregation => {
                 let features = agg_features(analysis).ok_or(CostingError::NoOperator(op))?;
                 let flow = suite
                     .aggregation
-                    .as_mut()
+                    .as_ref()
                     .ok_or(CostingError::ModelMissing(op))?;
                 Ok(flow.estimate(&features))
             }
             OperatorKind::Scan | OperatorKind::Sort => Err(CostingError::ModelMissing(op)),
         },
-        // analysis:allow(panic-freedom): active() recursively unwraps Timed, so this arm is unreachable by construction
-        CostingApproach::Timed { .. } => unreachable!("active() resolves Timed"),
+        // analysis:allow(panic-freedom): active_ref() recursively unwraps Timed, so this arm is unreachable by construction
+        CostingApproach::Timed { .. } => unreachable!("active_ref() resolves Timed"),
     }
-}
-
-fn tune_with(
-    approach: &mut CostingApproach,
-    op: OperatorKind,
-    config: &FitConfig,
-    estimates_made: u64,
-) -> Option<TuneReport> {
-    if let CostingApproach::LogicalOp(suite) = active(approach, estimates_made) {
-        let flow = match op {
-            OperatorKind::Join => suite.join.as_mut(),
-            OperatorKind::Aggregation => suite.aggregation.as_mut(),
-            _ => None,
-        }?;
-        if flow.log.is_empty() {
-            return None;
-        }
-        return Some(flow.offline_tune(config));
-    }
-    None
 }
 
 fn observe_with(
@@ -613,50 +539,6 @@ mod tests {
         assert_eq!(sorted_cost.operators.len(), 2);
         assert_eq!(sorted_cost.operators[1].0, OperatorKind::Sort);
         assert!(sorted_cost.total_secs > plain_cost.total_secs);
-    }
-
-    #[test]
-    fn logical_flows_follow_overrides_and_timed_switching() {
-        let mut e = engine();
-        // Pure sub-op profile exposes no flows.
-        let sub = CostingProfile::new(
-            SystemId::new("hive"),
-            SystemKind::Hive,
-            subop_approach(&mut e),
-        );
-        assert!(sub.logical_flows().is_empty());
-
-        // Logical profile exposes exactly the trained operators.
-        let logical =
-            CostingProfile::new(SystemId::new("hive"), SystemKind::Hive, logical_approach());
-        let flows = logical.logical_flows();
-        assert_eq!(flows.len(), 1);
-        assert_eq!(flows[0].0, OperatorKind::Aggregation);
-
-        // Timed: only the active side is visible.
-        let mut timed = CostingProfile::new(
-            SystemId::new("hive"),
-            SystemKind::Hive,
-            CostingApproach::Timed {
-                before: Box::new(subop_approach(&mut e)),
-                after: Box::new(logical_approach()),
-                switch_after_estimates: 2,
-            },
-        );
-        assert!(timed.logical_flows().is_empty());
-        timed.estimates_made = 3;
-        assert_eq!(timed.logical_flows().len(), 1);
-
-        // Overrides shadow the base approach for their operator.
-        let overridden = CostingProfile::new(
-            SystemId::new("hive"),
-            SystemKind::Hive,
-            subop_approach(&mut e),
-        )
-        .with_override(OperatorKind::Aggregation, logical_approach());
-        let flows = overridden.logical_flows();
-        assert_eq!(flows.len(), 1);
-        assert_eq!(flows[0].0, OperatorKind::Aggregation);
     }
 
     #[test]

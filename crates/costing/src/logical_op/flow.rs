@@ -9,6 +9,13 @@
 //!        └─ yes → logging phase: collect actual cost, dump a record
 //!                 into the batch (offline tuning + α adjustment)
 //! ```
+//!
+//! The two halves are two calls. The top one is a read —
+//! [`LogicalOpCosting::estimate`] takes `&self` — because a cross-engine
+//! optimizer costs every candidate engine and executes one. The bottom
+//! one, [`LogicalOpCosting::observe_actual`], is the only write: the
+//! logged executions, not a memory of past estimates, are what α
+//! adjustment and offline tuning learn from.
 
 use crate::{
     estimator::{CostEstimate, EstimateSource},
@@ -17,7 +24,7 @@ use crate::{
         remedy::{
             remedy_estimate, remedy_estimate_scratch, AlphaTuner, RemedyConfig, RemedyScratch,
         },
-        tuning::{offline_tune, ExecutionLog, TuneReport, DEFAULT_LOG_CAPACITY},
+        tuning::{offline_tune, ExecutionLog, TuneReport},
     },
     observability::TraceCtx,
 };
@@ -25,6 +32,10 @@ use serde::{Deserialize, Serialize};
 
 /// A complete logical-operator costing unit for one operator on one
 /// remote system: model + remedy machinery + execution log.
+///
+/// Estimating is a read and [`LogicalOpCosting::observe_actual`] is the
+/// only write: the flow keeps no memory of what it once predicted, so a
+/// planner may cost any number of placements and execute one of them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LogicalOpCosting {
     /// The trained model.
@@ -35,11 +46,6 @@ pub struct LogicalOpCosting {
     pub tuner: AlphaTuner,
     /// The offline-tuning execution log.
     pub log: ExecutionLog,
-    /// Pending remedy components (nn, regression) for α adjustment, keyed
-    /// by the feature vector of the estimate they came from. Bounded at
-    /// [`DEFAULT_LOG_CAPACITY`], oldest evicted first, so estimates that
-    /// are never observed cannot grow it without limit.
-    pending_remedies: Vec<(Vec<f64>, f64, f64)>,
 }
 
 impl LogicalOpCosting {
@@ -50,96 +56,53 @@ impl LogicalOpCosting {
             remedy: RemedyConfig::default(),
             tuner: AlphaTuner::default(),
             log: ExecutionLog::new(),
-            pending_remedies: Vec::new(),
         }
     }
 
+    /// Estimates the cost of an operator with features `x` (the top half
+    /// of Fig. 3) with a throwaway remedy workspace and no decision
+    /// trail.
+    pub fn estimate(&self, x: &[f64]) -> CostEstimate {
+        self.estimate_scratch(x, &mut RemedyScratch::new(), None)
+    }
+
     /// The top half of the Fig. 3 flowchart, once: range check, then the
-    /// NN alone or the online remedy. Remedy estimates also return their
-    /// `(nn, regression)` components, which [`LogicalOpCosting::estimate`]
-    /// keeps for α adjustment.
-    fn estimate_core(
+    /// NN alone or the online remedy. An out-of-range estimate reuses
+    /// `remedy`'s buffers instead of allocating its own and, given
+    /// `trace`, emits the remedy event pair (see
+    /// [`remedy_estimate_scratch`]). In-range estimates emit nothing.
+    pub fn estimate_scratch(
         &self,
         x: &[f64],
-        scratch: &mut RemedyScratch,
+        remedy: &mut RemedyScratch,
         trace: Option<&TraceCtx<'_>>,
-    ) -> (CostEstimate, Option<(f64, f64)>) {
+    ) -> CostEstimate {
         if self.model.meta.all_in_range(x, self.remedy.beta) {
-            let nn = CostEstimate::new(self.model.predict_nn(x), EstimateSource::NeuralNetwork);
-            return (nn, None);
+            return CostEstimate::new(self.model.predict_nn(x), EstimateSource::NeuralNetwork);
         }
         let out = remedy_estimate_scratch(
             &self.model,
             x,
             &self.remedy,
             self.tuner.alpha(),
-            scratch,
+            remedy,
             trace,
         );
-        let blended = CostEstimate::new(
+        CostEstimate::new(
             out.estimate,
             EstimateSource::OnlineRemedy {
                 alpha: out.alpha,
                 pivots: out.pivots,
             },
-        );
-        (blended, Some((out.nn_estimate, out.regression_estimate)))
-    }
-
-    /// Estimates the cost of an operator with features `x`, remembering a
-    /// remedy estimate's components until the operator's actual cost is
-    /// observed ([`LogicalOpCosting::observe_actual`]).
-    pub fn estimate(&mut self, x: &[f64]) -> CostEstimate {
-        let (estimate, remedy) = self.estimate_core(x, &mut RemedyScratch::new(), None);
-        if let Some((nn, regression)) = remedy {
-            if self.pending_remedies.len() >= DEFAULT_LOG_CAPACITY {
-                let excess = self.pending_remedies.len() + 1 - DEFAULT_LOG_CAPACITY;
-                self.pending_remedies.drain(..excess);
-            }
-            self.pending_remedies.push((x.to_vec(), nn, regression));
-        }
-        estimate
-    }
-
-    /// Read-only estimate that does not track remedy components (for
-    /// what-if probing).
-    pub fn estimate_readonly(&self, x: &[f64]) -> CostEstimate {
-        self.estimate_readonly_scratch(x, &mut RemedyScratch::new(), None)
-    }
-
-    /// [`LogicalOpCosting::estimate_readonly`] with a caller-provided
-    /// remedy workspace and an optional decision-trail context: identical
-    /// result, but an out-of-range estimate reuses `remedy`'s buffers
-    /// instead of allocating its own and, given `trace`, emits the remedy
-    /// event pair (see [`remedy_estimate_scratch`]). In-range estimates
-    /// emit nothing.
-    pub fn estimate_readonly_scratch(
-        &self,
-        x: &[f64],
-        remedy: &mut RemedyScratch,
-        trace: Option<&TraceCtx<'_>>,
-    ) -> CostEstimate {
-        self.estimate_core(x, remedy, trace).0
+        )
     }
 
     /// The bottom half of Fig. 3: the operator actually ran remotely —
-    /// log the actual cost, and if it had gone through the remedy path,
-    /// feed the α tuner.
+    /// log the actual cost, and if `x` is out of the trained range feed
+    /// the α tuner. The remedy's `(nn, regression)` components depend on
+    /// the model and `x` only, never on α, so they are recomputed here
+    /// rather than remembered from the estimate.
     pub fn observe_actual(&mut self, x: &[f64], actual_secs: f64) {
-        self.log.push(x.to_vec(), actual_secs);
-        if let Some(pos) = self.pending_remedies.iter().position(|(fx, _, _)| fx == x) {
-            let (_, nn, reg) = self.pending_remedies.remove(pos);
-            self.tuner.record(nn, reg, actual_secs);
-        }
-    }
-
-    /// Observes an actual execution whose estimate was served through a
-    /// read-only path (e.g. a shared estimation service) and therefore left
-    /// no pending remedy record. If the features were out of the trained
-    /// range the remedy components are recomputed here so the α tuner is
-    /// still fed; either way the observation lands in the offline-tuning
-    /// log.
-    pub fn observe_detached(&mut self, x: &[f64], actual_secs: f64) {
         if !self.model.meta.all_in_range(x, self.remedy.beta) {
             let out = remedy_estimate(&self.model, x, &self.remedy, self.tuner.alpha());
             self.tuner
@@ -188,14 +151,14 @@ mod tests {
 
     #[test]
     fn in_range_inputs_use_the_network() {
-        let mut c = costing();
+        let c = costing();
         let e = c.estimate(&[5e5, 200.0]);
         assert_eq!(e.source, EstimateSource::NeuralNetwork);
     }
 
     #[test]
     fn out_of_range_inputs_trigger_the_remedy() {
-        let mut c = costing();
+        let c = costing();
         let e = c.estimate(&[2e7, 200.0]);
         match e.source {
             EstimateSource::OnlineRemedy { alpha, ref pivots } => {
@@ -228,7 +191,7 @@ mod tests {
         let mut c = costing();
         let probe = vec![2.5e6, 200.0];
         let truth = 1.0 + 2e-6 * probe[0] + 0.01 * probe[1];
-        let before = (c.estimate_readonly(&probe).secs - truth).abs();
+        let before = (c.estimate(&probe).secs - truth).abs();
         // Observe a contiguous ladder past the trained max (1.5M).
         let mut rows = 1.6e6;
         while rows <= 2.6e6 {
@@ -239,7 +202,7 @@ mod tests {
         // observed system, not our original formula.
         let report = c.offline_tune(&FitConfig::fast());
         assert!(report.entries_used > 0);
-        let after_estimate = c.estimate_readonly(&probe).secs;
+        let after_estimate = c.estimate(&probe).secs;
         let shifted_truth = 1.0 + 2e-6 * probe[0] + 2.0;
         let after = (after_estimate - shifted_truth).abs();
         assert!(
@@ -251,25 +214,32 @@ mod tests {
     }
 
     #[test]
-    fn detached_observation_feeds_tuner_and_log() {
-        let mut c = costing();
-        // Out of range: the tuner must be fed even though no estimate()
-        // call recorded pending remedy components.
-        c.observe_detached(&[2e7, 200.0], 60.0);
-        assert_eq!(c.tuner.observations(), 1);
-        assert_eq!(c.log.len(), 1);
-        // In range: log only.
-        c.observe_detached(&[5e5, 200.0], 2.0);
-        assert_eq!(c.tuner.observations(), 1);
-        assert_eq!(c.log.len(), 2);
-    }
+    fn estimating_is_a_read_and_every_remedy_actual_feeds_alpha() {
+        use crate::logical_op::tuning::DEFAULT_LOG_CAPACITY;
 
-    #[test]
-    fn readonly_estimate_does_not_accumulate_state() {
-        let c = costing();
-        let before_len = c.pending_remedies.len();
-        let _ = c.estimate_readonly(&[2e7, 200.0]);
-        assert_eq!(c.pending_remedies.len(), before_len);
+        let mut c = costing();
+        let probe = |i: usize| [2e7 + i as f64, 200.0];
+        // A planner costs many placements and runs few: estimates that
+        // are never observed leave nothing behind.
+        let before = serde_json::to_string(&c).unwrap();
+        for i in 0..DEFAULT_LOG_CAPACITY + 3 {
+            let _ = c.estimate(&probe(i));
+        }
+        assert_eq!(serde_json::to_string(&c).unwrap(), before);
+        // Out of range: the tuner is fed once per actual, whether the
+        // estimate was the first of thousands, the last, or never made.
+        for (n, x) in [probe(0), probe(DEFAULT_LOG_CAPACITY + 2), [3e7, 200.0]]
+            .iter()
+            .enumerate()
+        {
+            c.observe_actual(x, 55.0);
+            assert_eq!(c.tuner.observations(), n + 1);
+            assert_eq!(c.log.len(), n + 1);
+        }
+        // In range: log only.
+        c.observe_actual(&[5e5, 200.0], 2.0);
+        assert_eq!(c.tuner.observations(), 3);
+        assert_eq!(c.log.len(), 4);
     }
 
     #[test]
@@ -278,19 +248,19 @@ mod tests {
         use std::sync::Arc;
         use telemetry::{Event, Tracer, VecSubscriber};
 
-        let mut c = costing();
+        let c = costing();
         let sub = Arc::new(VecSubscriber::new());
         let tracer = Tracer::new(sub.clone());
         let system = SystemId::new("hive-a");
         let ctx = TraceCtx::new(&tracer, &system);
         // In-range estimates leave no remedy trail.
         let mut scratch = RemedyScratch::new();
-        let e = c.estimate_readonly_scratch(&[5e5, 200.0], &mut scratch, Some(&ctx));
+        let e = c.estimate_scratch(&[5e5, 200.0], &mut scratch, Some(&ctx));
         assert_eq!(e.source, EstimateSource::NeuralNetwork);
         assert!(sub.is_empty());
         // Out-of-range: the emitted pivots and α must agree with the
         // source the estimate itself reports.
-        let e = c.estimate_readonly_scratch(&[2e7, 200.0], &mut scratch, Some(&ctx));
+        let e = c.estimate_scratch(&[2e7, 200.0], &mut scratch, Some(&ctx));
         assert_eq!(
             e,
             c.estimate(&[2e7, 200.0]),
@@ -325,26 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn unobserved_remedy_estimates_stay_bounded_and_pairing_still_feeds_alpha() {
-        let mut c = costing();
-        let probe = |i: usize| [2e7 + i as f64, 200.0];
-        for i in 0..DEFAULT_LOG_CAPACITY + 3 {
-            let _ = c.estimate(&probe(i));
-            assert!(c.pending_remedies.len() <= DEFAULT_LOG_CAPACITY);
-        }
-        // Oldest first: the three earliest records made room.
-        assert_eq!(c.pending_remedies.len(), DEFAULT_LOG_CAPACITY);
-        assert_eq!(c.pending_remedies[0].0, probe(3));
-        // An evicted estimate's actual only lands in the log; a paired
-        // estimate → observation still reaches the α tuner.
-        c.observe_actual(&probe(0), 55.0);
-        assert_eq!(c.tuner.observations(), 0);
-        c.observe_actual(&probe(DEFAULT_LOG_CAPACITY + 2), 55.0);
-        assert_eq!(c.tuner.observations(), 1);
-        assert_eq!(c.pending_remedies.len(), DEFAULT_LOG_CAPACITY - 1);
-    }
-
-    #[test]
     fn serde_roundtrip() {
         let mut c = costing();
         let _ = c.estimate(&[2e7, 200.0]);
@@ -353,5 +303,53 @@ mod tests {
         let back: LogicalOpCosting = serde_json::from_str(&json).unwrap();
         assert_eq!(back.log.len(), c.log.len());
         assert_eq!(back.tuner.alpha(), c.tuner.alpha());
+    }
+
+    mod properties {
+        use super::*;
+        use catalog::SystemId;
+        use proptest::prelude::*;
+        use std::sync::{Arc, OnceLock};
+        use telemetry::{Event, Tracer, VecSubscriber};
+
+        /// One trained flow, cloned per case (training dominates).
+        fn shared_flow() -> &'static LogicalOpCosting {
+            static FLOW: OnceLock<LogicalOpCosting> = OnceLock::new();
+            FLOW.get_or_init(costing)
+        }
+
+        proptest! {
+            /// The `(nn, regression)` pair an out-of-range estimate
+            /// reports on its `RemedyBlend` event and the pair
+            /// `observe_actual` later feeds the tuner are the same bits:
+            /// nothing is lost by not remembering the estimate.
+            #[test]
+            fn prop_observe_feeds_the_pair_the_estimate_reported(
+                rows in 5.0e6f64..5.0e7,
+                size in 50.0f64..5_000.0,
+                actual in 1.0f64..500.0,
+            ) {
+                let mut flow = shared_flow().clone();
+                let x = [rows, size];
+                prop_assume!(!flow.model.meta.all_in_range(&x, flow.remedy.beta));
+                let sub = Arc::new(VecSubscriber::new());
+                let tracer = Tracer::new(sub.clone());
+                let system = SystemId::new("hive-a");
+                let ctx = TraceCtx::new(&tracer, &system);
+                let _ = flow.estimate_scratch(&x, &mut RemedyScratch::new(), Some(&ctx));
+                let mut by_hand = flow.tuner.clone();
+                for event in sub.take() {
+                    if let Event::RemedyBlend { nn_estimate, regression_estimate, .. } = event {
+                        by_hand.record(nn_estimate, regression_estimate, actual);
+                    }
+                }
+                flow.observe_actual(&x, actual);
+                prop_assert_eq!(by_hand.observations(), 1);
+                prop_assert_eq!(
+                    serde_json::to_string(&by_hand).unwrap(),
+                    serde_json::to_string(&flow.tuner).unwrap()
+                );
+            }
+        }
     }
 }

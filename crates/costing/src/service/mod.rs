@@ -23,15 +23,15 @@
 //!   against a model state it was not computed from (the old
 //!   generation-counter scheme allowed exactly that interleaving);
 //! * **one estimate body**: a batch
-//!   ([`EstimatorService::estimate_batch`]) runs all in-range rows
+//!   ([`EstimatorService::estimate_batch_pinned`]) runs all in-range rows
 //!   through one fused packed-kernel pass against a single pinned
 //!   snapshot, and a single estimate is a batch of one row — so results
 //!   and decision trails cannot differ by entry point;
 //! * cheap **cloneable handles**: the service is an `Arc` internally, so
 //!   `service.clone()` hands a planner thread its own handle.
 //!
-//! Estimates served through the service use the *read-only* flow
-//! ([`crate::logical_op::flow::LogicalOpCosting::estimate_readonly`]),
+//! Estimates served through the service use the flow's estimate
+//! ([`crate::logical_op::flow::LogicalOpCosting::estimate_scratch`]),
 //! which is a pure function of the pinned snapshot — two threads asking
 //! the same question against the same epoch always get bit-identical
 //! answers, and a concurrent fan-out returns exactly what a serial loop
@@ -435,29 +435,17 @@ impl EstimatorService {
     }
 
     /// Estimates a whole batch of feature vectors for one `(system, op)`
-    /// against one pinned snapshot.
+    /// against one caller-pinned snapshot (see
+    /// [`EstimatorService::estimate_pinned`]).
     ///
     /// Cached rows are answered from the cache; the remaining in-range
-    /// rows share a single batched NN forward pass
-    /// ([`crate::logical_op::model::LogicalOpModel::predict_nn_batch`]),
-    /// and out-of-range rows go through the remedy individually. Results
-    /// are identical, bit for bit, to calling
-    /// [`EstimatorService::estimate`] per row at the same epoch, and the
-    /// whole batch is internally consistent even mid-retrain.
-    pub fn estimate_batch(
-        &self,
-        system: &SystemId,
-        op: OperatorKind,
-        rows: &[Vec<f64>],
-    ) -> Result<Vec<CostEstimate>, ServiceError> {
-        let snapshot = self.inner.store.load();
-        self.estimate_batch_pinned(&snapshot, system, op, rows)
-    }
-
-    /// [`EstimatorService::estimate_batch`] against a caller-pinned
-    /// snapshot (see [`EstimatorService::estimate_pinned`]). Flattens
-    /// the nested rows into the calling thread's scratch and delegates
-    /// to [`EstimatorService::estimate_batch_flat_pinned_scratch`].
+    /// rows share a single packed-kernel pass, and out-of-range rows go
+    /// through the remedy individually. Results are identical, bit for
+    /// bit, to calling [`EstimatorService::estimate_pinned`] per row
+    /// against the same snapshot, and the whole batch is internally
+    /// consistent even mid-retrain. Flattens the nested rows into the
+    /// calling thread's scratch and delegates to
+    /// [`EstimatorService::estimate_batch_flat_pinned_scratch`].
     pub fn estimate_batch_pinned(
         &self,
         snapshot: &ModelSnapshot,
@@ -668,7 +656,7 @@ impl EstimatorService {
                     nn_rows.extend_from_slice(row);
                 } else {
                     let _remedy = stage_time(Stage::Remedy);
-                    results[i] = Some(flow.estimate_readonly_scratch(row, remedy, Some(&trace)));
+                    results[i] = Some(flow.estimate_scratch(row, remedy, Some(&trace)));
                 }
             }
             if !in_range.is_empty() {
@@ -785,10 +773,10 @@ impl EstimatorService {
                 tracer.emit(|| Event::ActualObserved {
                     system: system.to_string(),
                     operator: op.to_string(),
-                    predicted: flow.estimate_readonly(features).secs,
+                    predicted: flow.estimate(features).secs,
                     actual: actual_secs,
                 });
-                flow.observe_detached(features, actual_secs);
+                flow.observe_actual(features, actual_secs);
                 Ok(flow.log.dropped())
             })
             .ok_or_else(|| ServiceError::UnknownModel {
@@ -887,7 +875,7 @@ impl EstimatorService {
         let mut fed = 0;
         for (key, flow) in snapshot.models() {
             for entry in flow.log.entries() {
-                let predicted = flow.estimate_readonly(&entry.features).secs;
+                let predicted = flow.estimate(&entry.features).secs;
                 monitor.record_versioned(key.clone(), predicted, entry.actual_secs, Some(epoch));
                 fed += 1;
             }
@@ -1060,7 +1048,7 @@ mod tests {
         let (svc, sys) = service_with_model();
         let x = [7e5, 300.0];
         let direct = svc
-            .with_flow(&sys, OperatorKind::Aggregation, |f| f.estimate_readonly(&x))
+            .with_flow(&sys, OperatorKind::Aggregation, |f| f.estimate(&x))
             .unwrap();
         let via_service = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         let via_cache = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
@@ -1076,7 +1064,7 @@ mod tests {
             .map(|i| vec![1e5 + i as f64 * 2.5e6, 100.0 + (i % 4) as f64 * 100.0])
             .collect();
         let batched = svc
-            .estimate_batch(&sys, OperatorKind::Aggregation, &rows)
+            .estimate_batch_pinned(&svc.snapshot(), &sys, OperatorKind::Aggregation, &rows)
             .unwrap();
         let stats = svc.stats();
         assert_eq!((stats.hits, stats.misses), (0, 20));
@@ -1089,7 +1077,7 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (20, 20));
         // A second batch over the same rows is all hits.
         let again = svc
-            .estimate_batch(&sys, OperatorKind::Aggregation, &rows)
+            .estimate_batch_pinned(&svc.snapshot(), &sys, OperatorKind::Aggregation, &rows)
             .unwrap();
         assert_eq!(again, batched);
         assert_eq!(
@@ -1125,10 +1113,10 @@ mod tests {
             assert_eq!(a, b, "row {row:?}");
         }
         let batch_a = cached
-            .estimate_batch(&sys, OperatorKind::Aggregation, &rows)
+            .estimate_batch_pinned(&cached.snapshot(), &sys, OperatorKind::Aggregation, &rows)
             .unwrap();
         let batch_b = uncached
-            .estimate_batch(&sys, OperatorKind::Aggregation, &rows)
+            .estimate_batch_pinned(&uncached.snapshot(), &sys, OperatorKind::Aggregation, &rows)
             .unwrap();
         assert_eq!(batch_a, batch_b);
         // The uncached service never records a hit, even on repeats.
@@ -1146,7 +1134,7 @@ mod tests {
             .collect();
         let flat: Vec<f64> = rows.iter().flatten().copied().collect();
         let nested = svc
-            .estimate_batch(&sys, OperatorKind::Aggregation, &rows)
+            .estimate_batch_pinned(&svc.snapshot(), &sys, OperatorKind::Aggregation, &rows)
             .unwrap();
         svc.clear_cache();
         let snapshot = svc.snapshot();
@@ -1306,7 +1294,7 @@ mod tests {
         // The batch path reports per-row hit/miss too.
         let rows = vec![x.to_vec(), vec![6e5, 300.0]];
         let _ = svc
-            .estimate_batch(&sys, OperatorKind::Aggregation, &rows)
+            .estimate_batch_pinned(&svc.snapshot(), &sys, OperatorKind::Aggregation, &rows)
             .unwrap();
         let batch_served: Vec<bool> = sub
             .snapshot()
@@ -1408,7 +1396,7 @@ mod tests {
         let fresh = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         assert_ne!(fresh.secs, stale.secs, "stale value must not be served");
         let direct = svc
-            .with_flow(&sys, OperatorKind::Aggregation, |f| f.estimate_readonly(&x))
+            .with_flow(&sys, OperatorKind::Aggregation, |f| f.estimate(&x))
             .unwrap();
         assert_eq!(fresh, direct, "fresh estimate reflects the new model");
         // The cache keeps one entry per key, tagged with the epoch that

@@ -27,8 +27,9 @@
 //! routes every execution estimate through the service's deduplicating
 //! batch path ([`EstimatorService::estimate_batch_dedup_pinned`]), which
 //! is bit-identical to the per-row pinned path — the property that lets
-//! the single-query entry points in [`crate::fanout`] run as degenerate
-//! single-node workloads without changing a single ranking.
+//! the single-query entry points ([`plan_query_with_service`] and its
+//! pinned form) run as degenerate single-node workloads without changing
+//! a single ranking.
 
 use crate::placement::{enumerate_placements, PlacementOption};
 use crate::planner::{PlacementCost, PlanError, PlanReport};
@@ -744,4 +745,204 @@ pub fn build_workload_pinned(
         transfer: *transfer_model,
         epoch: snapshot.epoch().get(),
     })
+}
+
+/// Costs every placement of one query through the service and ranks them —
+/// the service-backed analogue of [`crate::planner::plan_query`].
+///
+/// Planning activity lands on the service's telemetry: the
+/// `federation_plans_total`, `federation_placements_costed_total`, and
+/// `federation_placements_skipped_total` counters, plus one
+/// [`telemetry::Event::PlanRanked`] per successful plan when a tracing
+/// subscriber is attached.
+pub fn plan_query_with_service(
+    catalog: &Catalog,
+    service: &EstimatorService,
+    transfer_model: &TransferCostModel,
+    plan: &LogicalPlan,
+) -> Result<PlanReport, PlanError> {
+    let snapshot = service.snapshot();
+    plan_query_with_service_pinned(catalog, service, &snapshot, transfer_model, plan)
+}
+
+/// [`plan_query_with_service`] against a caller-pinned snapshot: every
+/// candidate's execution estimate comes from the same model state, and
+/// the report records its epoch.
+///
+/// This is a *degenerate single-node workload*: the statement becomes a
+/// [`WorkloadSpec::singleton`], [`build_workload_pinned`] costs its
+/// candidates through the service's deduplicating batch path (bit-
+/// identical to a per-candidate loop of pinned estimates —
+/// proptest-enforced in `tests/it_workload_optimizer.rs`), and the
+/// node's per-query greedy report is returned unchanged. One costing
+/// path serves both single statements and whole workloads.
+pub fn plan_query_with_service_pinned(
+    catalog: &Catalog,
+    service: &EstimatorService,
+    snapshot: &ModelSnapshot,
+    transfer_model: &TransferCostModel,
+    plan: &LogicalPlan,
+) -> Result<PlanReport, PlanError> {
+    let spec = WorkloadSpec::singleton(plan.clone());
+    let workload = build_workload_pinned(
+        catalog,
+        service,
+        snapshot,
+        transfer_model,
+        &spec,
+        &SlotMap::default(),
+    )?;
+    workload
+        .node_report(QueryId(0))
+        .ok_or(PlanError::Internal("singleton workload produced no node"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use catalog::{ColumnDef, ColumnStats, RemoteSystemProfile, SystemId, TableDef, TableStats};
+    use costing::features::{agg_dim_names, join_dim_names};
+    use costing::logical_op::flow::LogicalOpCosting;
+    use costing::logical_op::model::{FitConfig, LogicalOpModel};
+    use costing::{AGG_DIMS, JOIN_DIMS};
+    use neuro::Dataset;
+
+    /// Trains tiny join + aggregation models with a per-system cost scale,
+    /// so different systems rank differently.
+    fn flows(scale: f64) -> (LogicalOpCosting, LogicalOpCosting) {
+        let mut jin = vec![];
+        let mut jt = vec![];
+        let mut ain = vec![];
+        let mut at = vec![];
+        for i in 0..80 {
+            let r = 1e5 + (i % 10) as f64 * 1e6;
+            let s = 1e4 + (i % 8) as f64 * 1e5;
+            // JOIN_DIMS arity feature vector: fill plausibly.
+            // Fig. 2 order: row_size_r, num_rows_r, row_size_s, num_rows_s,
+            // projected sizes, output rows.
+            let jf = vec![250.0, r, 100.0, s, 16.0, 16.0, s];
+            assert_eq!(jf.len(), JOIN_DIMS);
+            jin.push(jf);
+            jt.push(scale * (2.0 + r * 4e-7 + s * 2e-7));
+            let af = vec![r, 250.0, r / 10.0, 12.0];
+            assert_eq!(af.len(), AGG_DIMS);
+            ain.push(af);
+            at.push(scale * (1.0 + r * 3e-7));
+        }
+        let (jm, _) = LogicalOpModel::fit(
+            OperatorKind::Join,
+            &join_dim_names(),
+            &Dataset::new(jin, jt),
+            &FitConfig::fast(),
+        );
+        let (am, _) = LogicalOpModel::fit(
+            OperatorKind::Aggregation,
+            &agg_dim_names(),
+            &Dataset::new(ain, at),
+            &FitConfig::fast(),
+        );
+        (LogicalOpCosting::new(jm), LogicalOpCosting::new(am))
+    }
+
+    fn setup() -> (Catalog, EstimatorService) {
+        let mut catalog = Catalog::new();
+        catalog
+            .register_system(RemoteSystemProfile::paper_hive_cluster("hive-a"))
+            .unwrap();
+        catalog
+            .register_system(RemoteSystemProfile::new(
+                SystemId::master(),
+                catalog::SystemKind::Teradata,
+                1,
+                32,
+                1 << 38,
+                vec![
+                    catalog::Capability::Filter,
+                    catalog::Capability::Project,
+                    catalog::Capability::Join,
+                    catalog::Capability::Aggregate,
+                ],
+            ))
+            .unwrap();
+        for (name, sys, rows) in [
+            ("t_r", "hive-a", 4_000_000u64),
+            ("t_s", "teradata", 400_000),
+        ] {
+            let stats = TableStats::new(rows, 250)
+                .with_column("a1", ColumnStats::duplicated_range(rows, 1))
+                .with_column("a5", ColumnStats::duplicated_range(rows / 10, 10));
+            catalog
+                .register_table(TableDef::new(
+                    name,
+                    vec![
+                        ColumnDef::int("a1"),
+                        ColumnDef::int("a5"),
+                        ColumnDef::chars("d", 242),
+                    ],
+                    stats,
+                    SystemId::new(sys),
+                ))
+                .unwrap();
+        }
+        let service = EstimatorService::default();
+        let (j, a) = flows(1.0);
+        service.register(SystemId::new("hive-a"), j);
+        service.register(SystemId::new("hive-a"), a);
+        let (j, a) = flows(3.0);
+        service.register(SystemId::master(), j);
+        service.register(SystemId::master(), a);
+        (catalog, service)
+    }
+
+    fn join_plan() -> LogicalPlan {
+        sqlkit::sql_to_plan("SELECT r.a1, s.a1 FROM t_r r JOIN t_s s ON r.a1 = s.a1").unwrap()
+    }
+
+    #[test]
+    fn service_backed_planning_ranks_candidates() {
+        let (catalog, service) = setup();
+        let transfer = TransferCostModel::default();
+        let report = plan_query_with_service(&catalog, &service, &transfer, &join_plan()).unwrap();
+        assert_eq!(report.candidates.len(), 2);
+        assert!(report.candidates[0].total_secs() <= report.candidates[1].total_secs());
+        // The report names the epoch it pinned; a publication in between
+        // shows up as the next epoch and, models unchanged, the same ranking.
+        let epoch = service.epoch().get();
+        assert_eq!(report.epoch, Some(epoch));
+        service.republish();
+        let again = plan_query_with_service(&catalog, &service, &transfer, &join_plan()).unwrap();
+        assert_eq!(again.epoch, Some(epoch + 1));
+        assert_eq!(again.candidates, report.candidates);
+    }
+
+    #[test]
+    fn fanout_planning_counts_plans_and_placements() {
+        let (catalog, service) = setup();
+        let transfer = TransferCostModel::default();
+        for _ in 0..6 {
+            plan_query_with_service(&catalog, &service, &transfer, &join_plan()).unwrap();
+        }
+        let snap = service.telemetry().metrics.snapshot();
+        assert_eq!(snap.counter("federation_plans_total", &[]), Some(6));
+        assert_eq!(
+            snap.counter("federation_placements_costed_total", &[]),
+            Some(12),
+            "two candidate systems per plan"
+        );
+        assert_eq!(
+            snap.counter("federation_placements_skipped_total", &[]),
+            Some(0)
+        );
+    }
+
+    #[test]
+    fn scan_only_queries_have_no_service_model() {
+        let (catalog, service) = setup();
+        let transfer = TransferCostModel::default();
+        let plan = sqlkit::sql_to_plan("SELECT a1 FROM t_r").unwrap();
+        assert_eq!(
+            plan_query_with_service(&catalog, &service, &transfer, &plan),
+            Err(PlanError::NoViablePlacement)
+        );
+    }
 }

@@ -31,7 +31,8 @@
 //!   the tables they read and the intermediate results they publish, and
 //!   edges are data dependencies. [`ir::build_workload_pinned`] costs
 //!   every node's placement candidates against **one pinned model
-//!   epoch** through the batched estimator API.
+//!   epoch** through the batched estimator API, and
+//!   [`ir::plan_query_with_service`] is the one-statement front over it.
 //! * [`rules`] — pure rewrite rules over [`ir::WorkloadPlan`] applied to
 //!   fixpoint: shared-scan dedup, materialized-intermediate reuse, and
 //!   placement pinning. Every accepted rewrite strictly improves the
@@ -43,12 +44,11 @@
 //!   makespan, reuse savings, pinned epoch).
 //!
 //! Single-query entry points ([`planner::plan_query`],
-//! [`fanout::plan_query_with_service_pinned`], the facade's
+//! [`ir::plan_query_with_service_pinned`], the facade's
 //! `plan`/`execute`) are degenerate single-node workloads — there is one
 //! costing path, and singleton results are bit-identical to workload
 //! results by construction.
 
-pub mod fanout;
 pub mod intellisphere;
 pub mod ir;
 pub mod placement;
@@ -57,13 +57,10 @@ pub mod rules;
 pub mod schedule;
 pub mod transfer;
 
-pub use fanout::{
-    plan_queries_concurrent, plan_query_with_service, plan_query_with_service_pinned,
-};
 pub use intellisphere::{ExecutionReport, IntelliSphere};
 pub use ir::{
-    build_workload_pinned, InputRef, Objective, QueryId, SlotMap, WorkloadNode, WorkloadPlan,
-    WorkloadQuery, WorkloadSpec,
+    build_workload_pinned, plan_query_with_service, plan_query_with_service_pinned, InputRef,
+    Objective, QueryId, SlotMap, WorkloadNode, WorkloadPlan, WorkloadQuery, WorkloadSpec,
 };
 pub use placement::{enumerate_placements, PlacementOption, Transfer};
 pub use planner::{PlacementCost, PlanReport};

@@ -4,7 +4,7 @@ use crate::{
     placement::{enumerate_placements, PlacementOption},
     transfer::TransferCostModel,
 };
-use catalog::{Catalog, SystemId};
+use catalog::Catalog;
 use costing::hybrid::{CostingError, HybridCostManager};
 use remote_sim::analyze::analyze;
 use sqlkit::logical::LogicalPlan;
@@ -129,29 +129,12 @@ pub fn plan_query(
     })
 }
 
-/// Returns the winning system for a query (convenience).
-///
-/// Fully deterministic: equal-cost candidates are ordered by
-/// [`SystemId`] (the shared costing core's tie-break), not by registry
-/// enumeration order, so repeated planning of the same statement can
-/// never flap between cost-tied systems.
-pub fn choose_system(
-    catalog: &Catalog,
-    manager: &mut HybridCostManager,
-    transfer_model: &TransferCostModel,
-    plan: &LogicalPlan,
-) -> Result<SystemId, PlanError> {
-    Ok(plan_query(catalog, manager, transfer_model, plan)?
-        .best()
-        .option
-        .system
-        .clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use catalog::{ColumnDef, ColumnStats, RemoteSystemProfile, SystemKind, TableDef, TableStats};
+    use catalog::{
+        ColumnDef, ColumnStats, RemoteSystemProfile, SystemId, SystemKind, TableDef, TableStats,
+    };
     use costing::hybrid::{CostingApproach, CostingProfile};
     use costing::sub_op::{SubOpCosting, SubOpMeasurement, SubOpModels};
     use remote_sim::ClusterEngine;
@@ -268,17 +251,6 @@ mod tests {
             // them (the other is local to the host).
             assert_eq!(cand.option.transfers.len(), 1);
         }
-    }
-
-    #[test]
-    fn choose_system_returns_the_winner() {
-        let (catalog, mut manager) = setup();
-        let transfer = TransferCostModel::default();
-        let plan =
-            sqlkit::sql_to_plan("SELECT r.a1, s.a1 FROM t_r r JOIN t_s s ON r.a1 = s.a1").unwrap();
-        let winner = choose_system(&catalog, &mut manager, &transfer, &plan).unwrap();
-        let report = plan_query(&catalog, &mut manager, &transfer, &plan).unwrap();
-        assert_eq!(winner, report.best().option.system);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The logical layer ([`crate::ir`], [`crate::rules`]) decides *what*
 //! runs *where*; this module turns an optimized [`WorkloadPlan`] into a
 //! dispatch: executing nodes grouped into topological waves, each wave
-//! fanned out over [`crate::fanout`]'s scoped-thread strips, engine
+//! fanned out over scoped-thread strips, engine
 //! concurrency bounded by per-engine capacity slots, and the outcome
 //! summarized as a [`WorkloadReport`] (per-query placement, predicted
 //! makespan, reuse savings, and the pinned model epoch).
@@ -22,7 +22,6 @@
 //! reported improvement is exactly what the rule driver accepted —
 //! the optimized makespan is never worse than greedy by construction.
 
-use crate::fanout::run_strips;
 use crate::ir::{build_workload_pinned, QueryId, SimTask, SlotMap, WorkloadPlan, WorkloadSpec};
 use crate::planner::PlanError;
 use crate::rules::{optimize, RuleTrace};
@@ -124,9 +123,51 @@ impl WorkloadOutcome {
     }
 }
 
+/// The wave fan-out's thread pool in function form: runs `f(0..n)`
+/// on up to `threads` scoped OS threads in round-robin strips (thread
+/// `t` takes items `t`, `t+threads`, `t+2·threads`, …), writing each
+/// result into its input-order slot without locks. With one thread (or
+/// one item) everything runs inline on the caller's thread.
+///
+/// A `None` in the output means a worker died before filling its slot;
+/// [`dispatch`] drops such entries rather than panicking.
+fn run_strips<T, F>(n: usize, threads: usize, f: F) -> Vec<Option<T>>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let threads = threads.max(1).min(n.max(1));
+    let mut results: Vec<Option<T>> = Vec::new();
+    results.resize_with(n, || None);
+    if threads == 1 {
+        for (i, slot) in results.iter_mut().enumerate() {
+            *slot = Some(f(i));
+        }
+        return results;
+    }
+    let slots: Vec<_> = results.iter_mut().collect();
+    std::thread::scope(|scope| {
+        let mut strips: Vec<Vec<(usize, &mut Option<T>)>> =
+            (0..threads).map(|_| Vec::new()).collect();
+        for (i, slot) in slots.into_iter().enumerate() {
+            if let Some(strip) = strips.get_mut(i % threads) {
+                strip.push((i, slot));
+            }
+        }
+        for strip in strips {
+            let f = &f;
+            scope.spawn(move || {
+                for (i, slot) in strip {
+                    *slot = Some(f(i));
+                }
+            });
+        }
+    });
+    results
+}
+
 /// Dispatches one plan state: simulates it, then assembles the
-/// per-query report wave by wave on `run_strips` threads (the same
-/// strip fan-out the concurrent per-query planner uses).
+/// per-query report wave by wave on `run_strips` threads.
 pub fn dispatch(plan: &WorkloadPlan, config: &ScheduleConfig) -> WorkloadReport {
     let sim = plan.simulate();
     let by_node: BTreeMap<usize, &SimTask> = sim.tasks.iter().map(|t| (t.query.0, t)).collect();

@@ -109,7 +109,7 @@ fn main() {
         "offline tuning consumed {} log entries; expanded dims {:?}; RMSE% now {:.1}",
         report.entries_used, report.dims_expanded, report.rmse_pct_after
     );
-    let after = flow.estimate_readonly(&features.values);
+    let after = flow.estimate(&features.values);
     println!(
         "the same query now estimates {:.1} s via {:?}",
         after.secs, after.source

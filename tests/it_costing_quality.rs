@@ -54,7 +54,7 @@ fn both_approaches_track_in_range_joins() {
         &fast_fit(),
     );
     assert!(report.test_r2 > 0.7, "join NN R² {}", report.test_r2);
-    let mut flow = LogicalOpCosting::new(model);
+    let flow = LogicalOpCosting::new(model);
 
     // Sub-op training through the probe pipeline.
     let sub = trained_subop(&mut engine);
@@ -158,7 +158,7 @@ fn remedy_recovers_from_extrapolation_on_this_pipeline() {
         &training.dataset(),
         &fast_fit(),
     );
-    let mut flow = LogicalOpCosting::new(model);
+    let flow = LogicalOpCosting::new(model);
 
     engine
         .register_table(workload::build_table(&TableSpec::new(24_000_000, 250)))

@@ -62,14 +62,8 @@ fn reads_under_republish_churn_always_see_a_complete_model_state() {
     // Ground truth per variant, computed outside the service. The
     // service's read path delegates to the same pure function, so any
     // value that matches neither variant exposes a torn or stale read.
-    let truth_a: Vec<u64> = rows
-        .iter()
-        .map(|r| a.estimate_readonly(r).secs.to_bits())
-        .collect();
-    let truth_b: Vec<u64> = rows
-        .iter()
-        .map(|r| b.estimate_readonly(r).secs.to_bits())
-        .collect();
+    let truth_a: Vec<u64> = rows.iter().map(|r| a.estimate(r).secs.to_bits()).collect();
+    let truth_b: Vec<u64> = rows.iter().map(|r| b.estimate(r).secs.to_bits()).collect();
     assert!(
         truth_a.iter().zip(&truth_b).all(|(x, y)| x != y),
         "variants must be distinguishable on every probe row"
@@ -111,7 +105,12 @@ fn reads_under_republish_churn_always_see_a_complete_model_state() {
                 for i in 0..300 {
                     if (i + t) % 3 == 0 {
                         let batch = service
-                            .estimate_batch(&sys, OperatorKind::Aggregation, rows)
+                            .estimate_batch_pinned(
+                                &service.snapshot(),
+                                &sys,
+                                OperatorKind::Aggregation,
+                                rows,
+                            )
                             .unwrap();
                         let bits: Vec<u64> = batch.iter().map(|e| e.secs.to_bits()).collect();
                         assert!(
@@ -160,7 +159,7 @@ fn reads_under_republish_churn_always_see_a_complete_model_state() {
         .expect("model registered");
     let expect_bits: Vec<u64> = rows
         .iter()
-        .map(|r| expect.estimate_readonly(r).secs.to_bits())
+        .map(|r| expect.estimate(r).secs.to_bits())
         .collect();
     assert_eq!(final_bits, expect_bits);
 }
@@ -186,14 +185,8 @@ fn packed_reads_under_republish_churn_stay_bit_consistent() {
     let width = rows.first().map(Vec::len).unwrap_or(0);
     let flat: Vec<f64> = rows.iter().flatten().copied().collect();
 
-    let truth_a: Vec<u64> = rows
-        .iter()
-        .map(|r| a.estimate_readonly(r).secs.to_bits())
-        .collect();
-    let truth_b: Vec<u64> = rows
-        .iter()
-        .map(|r| b.estimate_readonly(r).secs.to_bits())
-        .collect();
+    let truth_a: Vec<u64> = rows.iter().map(|r| a.estimate(r).secs.to_bits()).collect();
+    let truth_b: Vec<u64> = rows.iter().map(|r| b.estimate(r).secs.to_bits()).collect();
 
     service.register(sys.clone(), a.clone());
     let done = AtomicBool::new(false);

@@ -112,8 +112,8 @@ fn estimation_hot_path_holds_ranked_order_under_contention() {
 
     // Batched path exercises cache → models → cache re-acquisition.
     let batch = service
-        .estimate_batch(&sys, OperatorKind::Aggregation, &rows)
-        .expect("estimate_batch");
+        .estimate_batch_pinned(&service.snapshot(), &sys, OperatorKind::Aggregation, &rows)
+        .expect("estimate_batch_pinned");
     assert_eq!(batch.len(), rows.len());
 
     // Registry exposition holds metrics → help.

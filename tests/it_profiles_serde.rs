@@ -223,26 +223,49 @@ fn golden_fixture_matches_freshly_trained_profile() {
     );
 }
 
-/// Loading the fixture from disk must produce the same estimates as the
-/// in-memory profile it was saved from.
-#[test]
-fn golden_fixture_estimates_identically_to_fresh_fit() {
-    let from_disk = load_profile(Path::new(GOLDEN_PATH)).unwrap();
-    let fresh = golden_profile();
+/// Both profiles answer the golden probes (in range and out of range)
+/// with the same estimate and provenance.
+fn assert_same_estimates(a: &CostingProfile, b: &CostingProfile) {
     let probes = [
         vec![5e5, 100.0, 1e5, 12.0],
         vec![2e6, 100.0, 4e5, 12.0],
         vec![3.9e6, 100.0, 7.8e5, 12.0],
+        vec![2e7, 100.0, 4e6, 12.0],
     ];
     for x in &probes {
-        let (a, b) = match (&from_disk.approach, &fresh.approach) {
+        let (a, b) = match (&a.approach, &b.approach) {
             (CostingApproach::LogicalOp(s1), CostingApproach::LogicalOp(s2)) => (
-                s1.aggregation.as_ref().unwrap().estimate_readonly(x),
-                s2.aggregation.as_ref().unwrap().estimate_readonly(x),
+                s1.aggregation.as_ref().unwrap().estimate(x),
+                s2.aggregation.as_ref().unwrap().estimate(x),
             ),
             _ => panic!("golden profile is a LogicalOp profile"),
         };
         assert_eq!(a.secs, b.secs, "estimate diverged for {x:?}");
         assert_eq!(a.source, b.source);
     }
+}
+
+/// Loading the fixture from disk must produce the same estimates as the
+/// in-memory profile it was saved from.
+#[test]
+fn golden_fixture_estimates_identically_to_fresh_fit() {
+    let from_disk = load_profile(Path::new(GOLDEN_PATH)).unwrap();
+    assert_same_estimates(&from_disk, &golden_profile());
+}
+
+/// Profiles written while flows still remembered their remedy estimates
+/// carry an array of pending components; such a document still loads
+/// (the unknown field is ignored) and estimates exactly like the fixture.
+#[test]
+fn profile_written_with_pending_remedy_records_still_loads() {
+    let current = std::fs::read_to_string(GOLDEN_PATH).unwrap();
+    let old_format = current.replacen(
+        "\"remedy\": {",
+        "\"pending_remedies\": [[[20000000.0, 100.0, 4000000.0, 12.0], 41.5, 38.25]],\n        \"remedy\": {",
+        1,
+    );
+    assert_ne!(old_format, current, "the flow's remedy field was found");
+    let old: CostingProfile = serde_json::from_str(&old_format).unwrap();
+    let from_disk = load_profile(Path::new(GOLDEN_PATH)).unwrap();
+    assert_same_estimates(&old, &from_disk);
 }

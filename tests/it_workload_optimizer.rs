@@ -17,18 +17,17 @@ use catalog::{
     TableDef, TableStats,
 };
 use costing::logical_op::flow::LogicalOpCosting;
-use costing::service::EstimatorService;
-use costing::ModelSnapshot;
-use federation::fanout::{plan_query_with_service_pinned, service_execution_secs_pinned};
+use costing::service::{EstimatorService, ServiceError};
+use costing::{agg_features, join_features, ModelSnapshot, OperatorKind};
 use federation::ir::synthetic_table_def;
 use federation::planner::PlacementCost;
 use federation::{
-    build_workload_pinned, enumerate_placements, plan_workload, QueryId, ScheduleConfig, SlotMap,
-    TransferCostModel, WorkloadSpec,
+    build_workload_pinned, enumerate_placements, plan_query_with_service_pinned, plan_workload,
+    QueryId, ScheduleConfig, SlotMap, TransferCostModel, WorkloadSpec,
 };
 use integration_tests::federation_flows;
 use proptest::prelude::*;
-use remote_sim::analyze::analyze;
+use remote_sim::analyze::{analyze, QueryAnalysis};
 use sqlkit::logical::LogicalPlan;
 use std::sync::OnceLock;
 use workload::{build_table, dag_base_tables, dag_workload, DagConfig};
@@ -97,6 +96,44 @@ fn catalog_with(tables: &[(&str, &str, u64)]) -> Catalog {
             .expect("unique table names");
     }
     catalog
+}
+
+/// A query's execution time on one system, one pinned estimate per
+/// operator the analysis found (join and/or aggregation), summed — the
+/// per-candidate half of the oracle below. `Err` when the snapshot has
+/// no model for a required operator on that system, or the query is
+/// scan-only.
+fn service_execution_secs_pinned(
+    service: &EstimatorService,
+    snapshot: &ModelSnapshot,
+    system: &SystemId,
+    analysis: &QueryAnalysis,
+) -> Result<f64, ServiceError> {
+    let mut total = 0.0;
+    let mut costed = false;
+    if analysis.join.is_some() {
+        if let Some(f) = join_features(analysis) {
+            total += service
+                .estimate_pinned(snapshot, system, OperatorKind::Join, &f)?
+                .secs;
+            costed = true;
+        }
+    }
+    if analysis.agg.is_some() {
+        if let Some(f) = agg_features(analysis) {
+            total += service
+                .estimate_pinned(snapshot, system, OperatorKind::Aggregation, &f)?
+                .secs;
+            costed = true;
+        }
+    }
+    if !costed {
+        return Err(ServiceError::UnknownModel {
+            system: system.clone(),
+            op: OperatorKind::Scan,
+        });
+    }
+    Ok(total)
 }
 
 /// The pre-refactor per-query planner loop, replayed inline: enumerate
