@@ -11,239 +11,42 @@
 //! findings gate; warnings (unused allows) are handled by
 //! `--strict-allows`.
 //!
-//! The crate is dependency-free by design, so this module carries a
-//! small recursive-descent JSON parser sufficient for the report
-//! format (objects, arrays, strings with escapes, numbers, booleans,
-//! null).
+//! The baseline is read with the workspace's own `serde`/`serde_json`
+//! shims; fields of the report this gate does not key on are ignored.
 
 use crate::report::{Report, Severity};
+use serde::Deserialize;
 use std::collections::BTreeSet;
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (stored as f64 — report fields are small ints).
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object, insertion-ordered.
-    Obj(Vec<(String, Value)>),
+/// What the gate reads of one finding in a baseline report.
+#[derive(Deserialize)]
+struct BaselineFinding {
+    rule: String,
+    file: String,
+    message: String,
+    /// Absent in baselines that predate the field; those count as errors.
+    #[serde(default)]
+    severity: Option<String>,
 }
 
-impl Value {
-    /// Member lookup on objects.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The array items, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a JSON document (trailing whitespace allowed, nothing else).
-pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes: Vec<char> = text.chars().collect();
-    let mut pos = 0usize;
-    let value = parse_value(&bytes, &mut pos)?;
-    skip_ws(&bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at offset {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(chars: &[char], pos: &mut usize) {
-    while chars
-        .get(*pos)
-        .is_some_and(|c| matches!(c, ' ' | '\t' | '\n' | '\r'))
-    {
-        *pos += 1;
-    }
-}
-
-fn parse_value(chars: &[char], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(chars, pos);
-    match chars.get(*pos) {
-        Some('{') => parse_obj(chars, pos),
-        Some('[') => parse_arr(chars, pos),
-        Some('"') => Ok(Value::Str(parse_string(chars, pos)?)),
-        Some('t') => parse_lit(chars, pos, "true", Value::Bool(true)),
-        Some('f') => parse_lit(chars, pos, "false", Value::Bool(false)),
-        Some('n') => parse_lit(chars, pos, "null", Value::Null),
-        Some(c) if *c == '-' || c.is_ascii_digit() => parse_num(chars, pos),
-        Some(c) => Err(format!("unexpected `{c}` at offset {pos}")),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_lit(chars: &[char], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
-    for expected in lit.chars() {
-        if chars.get(*pos) != Some(&expected) {
-            return Err(format!("bad literal at offset {pos}"));
-        }
-        *pos += 1;
-    }
-    Ok(value)
-}
-
-fn parse_num(chars: &[char], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    while chars
-        .get(*pos)
-        .is_some_and(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-    {
-        *pos += 1;
-    }
-    let text: String = chars[start..*pos].iter().collect();
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| format!("bad number `{text}` at offset {start}"))
-}
-
-fn parse_string(chars: &[char], pos: &mut usize) -> Result<String, String> {
-    if chars.get(*pos) != Some(&'"') {
-        return Err(format!("expected string at offset {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match chars.get(*pos) {
-            Some('"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some('\\') => {
-                *pos += 1;
-                match chars.get(*pos) {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('b') => out.push('\u{0008}'),
-                    Some('f') => out.push('\u{000c}'),
-                    Some('u') => {
-                        let hex: String = chars
-                            .get(*pos + 1..*pos + 5)
-                            .unwrap_or(&[])
-                            .iter()
-                            .collect();
-                        let code = u32::from_str_radix(&hex, 16)
-                            .map_err(|_| format!("bad \\u escape at offset {pos}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at offset {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(c) => {
-                out.push(*c);
-                *pos += 1;
-            }
-            None => return Err("unterminated string".to_string()),
-        }
-    }
-}
-
-fn parse_arr(chars: &[char], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // [
-    let mut items = Vec::new();
-    skip_ws(chars, pos);
-    if chars.get(*pos) == Some(&']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(chars, pos)?);
-        skip_ws(chars, pos);
-        match chars.get(*pos) {
-            Some(',') => *pos += 1,
-            Some(']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            _ => return Err(format!("expected , or ] at offset {pos}")),
-        }
-    }
-}
-
-fn parse_obj(chars: &[char], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // {
-    let mut members = Vec::new();
-    skip_ws(chars, pos);
-    if chars.get(*pos) == Some(&'}') {
-        *pos += 1;
-        return Ok(Value::Obj(members));
-    }
-    loop {
-        skip_ws(chars, pos);
-        let key = parse_string(chars, pos)?;
-        skip_ws(chars, pos);
-        if chars.get(*pos) != Some(&':') {
-            return Err(format!("expected : at offset {pos}"));
-        }
-        *pos += 1;
-        members.push((key, parse_value(chars, pos)?));
-        skip_ws(chars, pos);
-        match chars.get(*pos) {
-            Some(',') => *pos += 1,
-            Some('}') => {
-                *pos += 1;
-                return Ok(Value::Obj(members));
-            }
-            _ => return Err(format!("expected , or }} at offset {pos}")),
-        }
-    }
+/// What the gate reads of a baseline report.
+#[derive(Deserialize)]
+struct BaselineReport {
+    findings: Vec<BaselineFinding>,
 }
 
 /// The `(rule, file, message)` keys of error-severity findings in a
 /// baseline report JSON. Entries without a `severity` field count as
 /// errors (older baselines predate the field).
 pub fn baseline_keys(text: &str) -> Result<BTreeSet<(String, String, String)>, String> {
-    let doc = parse(text)?;
-    let findings = doc
-        .get("findings")
-        .and_then(Value::as_arr)
-        .ok_or("baseline has no `findings` array")?;
-    let mut keys = BTreeSet::new();
-    for f in findings {
-        let severity = f.get("severity").and_then(Value::as_str).unwrap_or("error");
-        if severity != "error" {
-            continue;
-        }
-        let field = |k: &str| {
-            f.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("baseline finding missing `{k}`"))
-        };
-        keys.insert((field("rule")?, field("file")?, field("message")?));
-    }
-    Ok(keys)
+    let report: BaselineReport =
+        serde_json::from_str(text).map_err(|e| format!("bad baseline: {e}"))?;
+    Ok(report
+        .findings
+        .into_iter()
+        .filter(|f| f.severity.as_deref().unwrap_or("error") == "error")
+        .map(|f| (f.rule, f.file, f.message))
+        .collect())
 }
 
 /// Error findings in `report` that are not in the baseline keyed set.
@@ -266,16 +69,19 @@ mod tests {
 
     #[test]
     fn parses_report_shaped_json() {
-        let doc = parse(
+        // Fields the gate does not key on are ignored; a finding without
+        // a severity counts as an error.
+        let keys = baseline_keys(
             r#"{"clean": false, "n": 2, "findings": [
                 {"rule": "panic-freedom", "file": "a.rs", "line": 3,
-                 "severity": "error", "message": "x \"q\" y"}
+                 "severity": "error", "message": "x \"q\" y"},
+                {"rule": "lock-order", "file": "b.rs", "message": "old"}
             ]}"#,
         )
         .unwrap();
-        let f = &doc.get("findings").unwrap().as_arr().unwrap()[0];
-        assert_eq!(f.get("rule").unwrap().as_str(), Some("panic-freedom"));
-        assert_eq!(f.get("message").unwrap().as_str(), Some("x \"q\" y"));
+        assert_eq!(keys.len(), 2);
+        assert!(keys.contains(&("panic-freedom".into(), "a.rs".into(), "x \"q\" y".into())));
+        assert!(keys.contains(&("lock-order".into(), "b.rs".into(), "old".into())));
     }
 
     #[test]
@@ -339,8 +145,9 @@ mod tests {
 
     #[test]
     fn rejects_malformed_json() {
-        assert!(parse("{\"a\": ").is_err());
-        assert!(parse("[1, 2,,]").is_err());
+        assert!(baseline_keys("{\"findings\": ").is_err());
+        assert!(baseline_keys("{\"findings\": [1, 2,,]}").is_err());
         assert!(baseline_keys("{}").is_err());
+        assert!(baseline_keys("{\"findings\": [{\"rule\": \"r\", \"file\": \"f\"}]}").is_err());
     }
 }

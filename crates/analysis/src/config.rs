@@ -222,9 +222,6 @@ impl Config {
                 // The out-of-range remedy fits a pivot regression on the
                 // fly; the service docs declare that branch allocating.
                 "remedy_estimate_scratch".into(),
-                // Scalar NN fallback when no packed kernel is staged —
-                // "unreachable by construction" on the flat batch path.
-                "predict_nn".into(),
             ],
             heap_clone_types: vec![
                 "String".into(),

@@ -1,7 +1,8 @@
 //! Workspace-specific static analysis for the cost-estimation hot path.
 //!
-//! This crate is a deliberately dependency-free lint pass over the
-//! workspace's own source: a lightweight Rust lexer ([`lexer`]), a
+//! This crate is a lint pass over the workspace's own source that
+//! depends on nothing outside the workspace (only the in-tree
+//! `serde`/`serde_json` shims, to read its baseline): a lightweight Rust lexer ([`lexer`]), a
 //! per-file structural model ([`source`]), a workspace-wide call graph
 //! with hot-path reachability ([`graph`]), and seven rules ([`rules`])
 //! that enforce the invariants the estimation pipeline relies on but

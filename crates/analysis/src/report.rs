@@ -150,8 +150,8 @@ impl Report {
         out
     }
 
-    /// The report as a JSON object (hand-rolled: the crate is
-    /// dependency-free by design).
+    /// The report as a JSON object (hand-rolled: fields stay in reading
+    /// order, where the serde shim would sort them by key).
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"clean\": {},\n", self.is_clean()));

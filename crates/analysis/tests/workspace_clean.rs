@@ -73,8 +73,8 @@ fn every_function_the_policy_names_exists_on_the_live_tree() {
 
 #[test]
 fn static_ranks_mirror_the_runtime_checker() {
-    // The analysis crate is dependency-free, so it duplicates the rank
-    // numbers instead of importing `parking_lot::rank`. This test pins
+    // The analysis crate does not link the `parking_lot` shim, so it
+    // duplicates the rank numbers instead of importing `parking_lot::rank`. This test pins
     // the two tables together by parsing the shim source.
     let shim = workspace_root().join("shims/parking_lot/src/lib.rs");
     let text = std::fs::read_to_string(&shim).expect("reading the parking_lot shim");

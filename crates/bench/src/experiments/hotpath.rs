@@ -12,10 +12,11 @@
 //! Two scopes share the document:
 //!
 //! * **kernel** — the inference chain. `legacy` is the per-row
-//!   allocating chain the hot path used to run
-//!   (`LogicalOpModel::predict_nn` per row: a domain-conversion clone,
-//!   a scaler-transform allocation, and one vector per layer inside
-//!   `Network::predict`); `packed` is
+//!   allocating reference chain the hot path used to run
+//!   (`LogicalOpModel::predict_nn_reference` per row: a
+//!   domain-conversion clone, a scaler-transform allocation, and one
+//!   vector per layer inside `Network::predict`), kept in the tree as
+//!   the bit-identity oracle and on no production path; `packed` is
 //!   [`costing::PackedOpModel::predict_batch_into`] over the same rows
 //!   staged flat, writing into warm caller scratch. Both kernels
 //!   produce bit-identical outputs (the pair's checksums in the JSON
@@ -24,14 +25,15 @@
 //!   and epoch churn. `legacy` replays what
 //!   [`costing::EstimatorService::estimate_batch_pinned`] used to do
 //!   before the raw-speed pass: clone the batch into a `Vec<Vec<f64>>`
-//!   and run the allocating `predict_nn_batch` chain per snapshot.
+//!   and run the allocating `predict_nn_batch_reference` chain per
+//!   snapshot.
 //!   `packed` is today's flat scratch entry point
 //!   ([`costing::EstimatorService::estimate_batch_flat_pinned_scratch`]).
 //!   The cache is disabled (`cache_capacity_per_shard: 0`) so every
 //!   iteration measures the compute path, and `republishers`
 //!   background threads hammer [`costing::EstimatorService::republish`]
-//!   to exercise the copy-on-write packed-form reuse while readers
-//!   measure.
+//!   to exercise snapshot republication (models, and the packed forms
+//!   they own, are shared across epochs) while readers measure.
 //!
 //! Validation (`--validate`, run by the CI smoke job) enforces the
 //! acceptance bar: on every `kernel`-scope pair with `batch >= 64`, the
@@ -232,22 +234,21 @@ fn kernel_model(width: usize, hidden: &[usize], act: Activation, seed: u64) -> L
     }
     let dims: Vec<String> = (0..width).map(|d| format!("d{d}")).collect();
     let dim_refs: Vec<&str> = dims.iter().map(String::as_str).collect();
-    let (mut model, _) = LogicalOpModel::fit(
+    let (model, _) = LogicalOpModel::fit(
         OperatorKind::Aggregation,
         &dim_refs,
         &Dataset::new(inputs, targets),
         &FitConfig::fast(),
     );
-    model.network = Network::with_activation(width, hidden, act, seed);
-    model
+    model.with_network(Network::with_activation(width, hidden, act, seed))
 }
 
 /// Measures one kernel-scope legacy/packed pair over `flat` rows:
-/// `legacy` is the pre-refactor per-row estimate chain
-/// (`LogicalOpModel::predict_nn` — domain conversion, scaler transform,
-/// and `Network::predict`, each allocating per row); `packed` is the
-/// fused [`costing::PackedOpModel::predict_batch_into`] that replaced
-/// it on the service hot path.
+/// `legacy` is the per-row reference chain
+/// (`LogicalOpModel::predict_nn_reference` — domain conversion, scaler
+/// transform, and `Network::predict`, each allocating per row); `packed`
+/// is the fused [`costing::PackedOpModel::predict_batch_into`] that
+/// replaced it on every estimate path.
 fn bench_kernel_pair(
     model: &LogicalOpModel,
     label: (&str, &str),
@@ -257,7 +258,7 @@ fn bench_kernel_pair(
     duration: Duration,
 ) -> Vec<HotpathRow> {
     let (topology, activation) = label;
-    let packed = model.pack();
+    let packed = model.packed();
     let nested: Vec<Vec<f64>> = flat.chunks_exact(width).map(|r| r.to_vec()).collect();
 
     // One untimed evaluation per kernel fixes that kernel's checksum;
@@ -267,7 +268,7 @@ fn bench_kernel_pair(
     let mut out = Vec::new();
     packed.predict_batch_into(flat, width, &mut out, &mut scratch);
     let packed_checksum: f64 = out.iter().sum();
-    let legacy_checksum: f64 = nested.iter().map(|r| model.predict_nn(r)).sum();
+    let legacy_checksum: f64 = nested.iter().map(|r| model.predict_nn_reference(r)).sum();
 
     let template = HotpathRow {
         scope: "kernel".to_string(),
@@ -293,12 +294,12 @@ fn bench_kernel_pair(
             let t0 = Instant::now();
             match kernel {
                 "legacy" => {
-                    // The pre-refactor chain: per-row predict_nn, which
-                    // allocates for the domain conversion, the scaler
-                    // transform, and every layer of Network::predict.
+                    // The reference chain, per row: it allocates for the
+                    // domain conversion, the scaler transform, and every
+                    // layer of Network::predict.
                     let mut sum = 0.0;
                     for r in &nested {
-                        sum += model.predict_nn(r);
+                        sum += model.predict_nn_reference(r);
                     }
                     std::hint::black_box(sum);
                 }
@@ -321,11 +322,12 @@ fn bench_kernel_pair(
 }
 
 /// Replays the pre-refactor batch compute against a pinned snapshot:
-/// nested staging clones plus the allocating `predict_nn_batch` chain.
+/// nested staging clones plus the allocating
+/// `predict_nn_batch_reference` chain.
 fn legacy_batch_compute(model: &LogicalOpModel, flat: &[f64], width: usize) -> Vec<CostEstimate> {
     let rows: Vec<Vec<f64>> = flat.chunks_exact(width).map(|r| r.to_vec()).collect();
     model
-        .predict_nn_batch(&rows)
+        .predict_nn_batch_reference(&rows)
         .into_iter()
         .map(|secs| CostEstimate::new(secs, EstimateSource::NeuralNetwork))
         .collect()
@@ -343,7 +345,6 @@ fn bench_service_pair(
 ) -> Vec<HotpathRow> {
     let service = EstimatorService::new(ServiceConfig {
         cache_capacity_per_shard: 0, // measure the compute path, not the cache
-        ..ServiceConfig::default()
     });
     let system = SystemId::new("hotpath-svc");
     let op = flow.model.op;
@@ -351,7 +352,7 @@ fn bench_service_pair(
     let width = flow.model.arity();
     let flat = harness::in_range_flat(0x407b47, batch);
     let topology = {
-        let widths = flow.model.network.hidden_widths();
+        let widths = flow.model.network().hidden_widths();
         let dims: Vec<String> = widths.iter().map(|w| w.to_string()).collect();
         format!("{}->{}", width, dims.join("x"))
     };
@@ -622,7 +623,7 @@ mod tests {
         assert_eq!(
             rows[0].checksum.to_bits(),
             rows[1].checksum.to_bits(),
-            "per-row predict_nn and the fused packed kernel must agree bit for bit"
+            "the per-row reference chain and the fused packed kernel must agree bit for bit"
         );
         for r in &rows {
             assert!(r.iters > 0, "{r:?}");

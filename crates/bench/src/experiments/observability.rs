@@ -280,7 +280,7 @@ fn baseline_batch(
             s.nn_rows.extend_from_slice(row);
         } else {
             s.results[i] = Some(CostEstimate::new(
-                flow.model.predict_nn(row),
+                flow.model.predict_nn_reference(row),
                 EstimateSource::NeuralNetwork,
             ));
         }
@@ -384,7 +384,6 @@ fn bench_cell(
 ) -> Vec<ObservabilityRow> {
     let service = EstimatorService::new(ServiceConfig {
         cache_capacity_per_shard: 0, // measure the compute path, not the cache
-        ..ServiceConfig::default()
     });
     let system = SystemId::new("obs-svc");
     let op = flow.model.op;

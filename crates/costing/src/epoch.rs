@@ -11,7 +11,9 @@
 //!   `(SystemId, OperatorKind) → LogicalOpCosting` plus hybrid costing
 //!   profiles, stamped with the [`Epoch`] that produced it and a
 //!   [`SnapshotLineage`] (parent epoch + tuning stats) for provenance
-//!   and rollback.
+//!   and rollback. The snapshot holds models and nothing derived from
+//!   them: each model owns its fused inference form, so there is no
+//!   second map to keep in step.
 //! * [`EpochStore`] — the publication point: readers call
 //!   [`EpochStore::load`] (an `arc-swap` pointer load, no locks) and
 //!   writers run [`EpochStore::transaction`], which serialises
@@ -118,11 +120,6 @@ pub struct ModelSnapshot {
     epoch: Epoch,
     lineage: SnapshotLineage,
     models: HashMap<ModelKey, Arc<LogicalOpCosting>>,
-    /// Fused-inference forms of `models`, derived deterministically at
-    /// publication time (same key set, always). Pinned reads serve NN
-    /// predictions through these; training/mutation only ever touches
-    /// the legacy layout in `models`.
-    packed: HashMap<ModelKey, Arc<PackedOpModel>>,
     profiles: BTreeMap<SystemId, Arc<CostingProfile>>,
 }
 
@@ -133,33 +130,25 @@ impl ModelSnapshot {
             epoch: Epoch::ZERO,
             lineage: SnapshotLineage::genesis(),
             models: HashMap::new(),
-            packed: HashMap::new(),
             profiles: BTreeMap::new(),
         }
     }
 
     /// Reassembles a snapshot from persisted parts (see
-    /// [`crate::hybrid::persist`]). The packed inference forms are
-    /// re-derived from the models — they are never persisted.
+    /// [`crate::hybrid::persist`]).
     pub fn from_parts(
         epoch: Epoch,
         lineage: SnapshotLineage,
         models: Vec<(ModelKey, LogicalOpCosting)>,
         profiles: Vec<CostingProfile>,
     ) -> Self {
-        let models: HashMap<ModelKey, Arc<LogicalOpCosting>> = models
-            .into_iter()
-            .map(|(k, flow)| (k, Arc::new(flow)))
-            .collect();
-        let packed = models
-            .iter()
-            .map(|(k, flow)| (k.clone(), Arc::new(flow.model.pack())))
-            .collect();
         ModelSnapshot {
             epoch,
             lineage,
-            models,
-            packed,
+            models: models
+                .into_iter()
+                .map(|(k, flow)| (k, Arc::new(flow)))
+                .collect(),
             profiles: profiles
                 .into_iter()
                 .map(|p| (p.system.clone(), Arc::new(p)))
@@ -185,12 +174,10 @@ impl ModelSnapshot {
             .get(&ModelKeyRef { system, op } as &dyn ModelKeyQuery)
     }
 
-    /// The fused packed-inference form of the model for
-    /// `(system, operator)` — present exactly when
-    /// [`ModelSnapshot::model`] is. Allocation-free borrowed-key lookup.
-    pub fn packed(&self, system: &SystemId, op: OperatorKind) -> Option<&Arc<PackedOpModel>> {
-        self.packed
-            .get(&ModelKeyRef { system, op } as &dyn ModelKeyQuery)
+    /// The fused packed-inference form the model for `(system, operator)`
+    /// owns (for benches that want the bare kernel).
+    pub fn packed(&self, system: &SystemId, op: OperatorKind) -> Option<&PackedOpModel> {
+        self.model(system, op).map(|flow| flow.model.packed())
     }
 
     /// All registered models, in unspecified order.
@@ -234,12 +221,6 @@ impl ModelSnapshot {
 /// the transaction publishes.
 pub struct SnapshotBuilder {
     models: HashMap<ModelKey, Arc<LogicalOpCosting>>,
-    /// Packed forms inherited from the base snapshot. Mutation helpers
-    /// evict the entries they touch; [`SnapshotBuilder::build`] repacks
-    /// whatever is missing, so untouched models share their parent's
-    /// `Arc<PackedOpModel>` and only dirty keys pay the repack — all of
-    /// it off the estimate hot path, inside the commit lock.
-    packed: HashMap<ModelKey, Arc<PackedOpModel>>,
     profiles: BTreeMap<SystemId, Arc<CostingProfile>>,
     lineage: SnapshotLineage,
 }
@@ -248,7 +229,6 @@ impl SnapshotBuilder {
     fn from_snapshot(base: &ModelSnapshot, label: &str) -> Self {
         SnapshotBuilder {
             models: base.models.clone(),
-            packed: base.packed.clone(),
             profiles: base.profiles.clone(),
             lineage: SnapshotLineage {
                 parent: Some(base.epoch.get()),
@@ -261,39 +241,25 @@ impl SnapshotBuilder {
         }
     }
 
-    fn build(mut self, epoch: Epoch) -> ModelSnapshot {
-        // Re-derive packed forms for every key the transaction dirtied
-        // (or newly inserted); drop any stragglers whose model was
-        // removed. Publication-time invariant: same key set, and each
-        // packed entry derived from exactly the model it sits next to.
-        let models = &self.models;
-        self.packed.retain(|k, _| models.contains_key(k));
-        for (key, flow) in &self.models {
-            if !self.packed.contains_key(key) {
-                self.packed.insert(key.clone(), Arc::new(flow.model.pack()));
-            }
-        }
+    fn build(self, epoch: Epoch) -> ModelSnapshot {
         ModelSnapshot {
             epoch,
             lineage: self.lineage,
             models: self.models,
-            packed: self.packed,
             profiles: self.profiles,
         }
     }
 
     /// Inserts (or replaces) the model for `(system, op)`.
     pub fn insert_model(&mut self, system: SystemId, op: OperatorKind, flow: LogicalOpCosting) {
-        let key = (system, op);
-        self.packed.remove(&key);
-        self.models.insert(key, Arc::new(flow));
+        self.models.insert((system, op), Arc::new(flow));
     }
 
     /// Removes the model for `(system, op)`; true when one was present.
     pub fn remove_model(&mut self, system: &SystemId, op: OperatorKind) -> bool {
-        let q = ModelKeyRef { system, op };
-        self.packed.remove(&q as &dyn ModelKeyQuery);
-        self.models.remove(&q as &dyn ModelKeyQuery).is_some()
+        self.models
+            .remove(&ModelKeyRef { system, op } as &dyn ModelKeyQuery)
+            .is_some()
     }
 
     /// Read access to a staged model.
@@ -303,18 +269,18 @@ impl SnapshotBuilder {
     }
 
     /// Copy-on-write update of one staged model: the entry is cloned
-    /// out of the shared snapshot (if still shared), mutated in place,
-    /// and re-staged. Returns `None` when the model is not registered.
-    /// The key's packed form is evicted and re-derived at build time.
+    /// out of the shared snapshot (if still shared) — flow, training
+    /// data, log and the model's fused-inference arenas — mutated in place, and
+    /// re-staged. Returns `None` when the model is not registered.
     pub fn update_model<R>(
         &mut self,
         system: &SystemId,
         op: OperatorKind,
         f: impl FnOnce(&mut LogicalOpCosting) -> R,
     ) -> Option<R> {
-        let q = ModelKeyRef { system, op };
-        let entry = self.models.get_mut(&q as &dyn ModelKeyQuery)?;
-        self.packed.remove(&q as &dyn ModelKeyQuery);
+        let entry = self
+            .models
+            .get_mut(&ModelKeyRef { system, op } as &dyn ModelKeyQuery)?;
         Some(f(Arc::make_mut(entry)))
     }
 
@@ -335,11 +301,9 @@ impl SnapshotBuilder {
     }
 
     /// Replaces the staged content wholesale with `snapshot`'s,
-    /// recording the restored epoch in the lineage (rollback). The
-    /// restored snapshot's packed forms are reused as-is.
+    /// recording the restored epoch in the lineage (rollback).
     pub fn restore_from(&mut self, snapshot: &ModelSnapshot) {
         self.models = snapshot.models.clone();
-        self.packed = snapshot.packed.clone();
         self.profiles = snapshot.profiles.clone();
         self.lineage.restores = Some(snapshot.epoch.get());
     }
@@ -495,12 +459,18 @@ impl TuningPipeline {
     /// a single transaction and the results are swapped in as one epoch
     /// bump. Readers keep serving the previous snapshot throughout.
     pub fn run_once(&self, store: &EpochStore) -> PipelineReport {
-        let (reports, published) = store.transaction("tuning-pipeline", |tx| {
-            let mut due: Vec<ModelKey> = Vec::new();
-            for (key, flow) in tx.models.iter() {
-                if flow.log.len() >= self.min_entries {
-                    due.push(key.clone());
-                }
+        // An idle pass aborts its transaction: publishing a
+        // content-identical epoch would orphan every epoch-keyed cache
+        // entry for nothing.
+        let published = store.try_transaction("tuning-pipeline", |tx| {
+            let mut due: Vec<ModelKey> = tx
+                .models
+                .iter()
+                .filter(|(_, flow)| flow.log.len() >= self.min_entries)
+                .map(|(key, _)| key.clone())
+                .collect();
+            if due.is_empty() {
+                return Err(());
             }
             due.sort();
             let mut reports: Vec<(ModelKey, TuneReport)> = Vec::new();
@@ -513,23 +483,19 @@ impl TuningPipeline {
                 tx.note_training(report.entries_used, report.rmse_pct_after);
                 reports.push((key, report));
             }
-            reports
+            Ok(reports)
         });
-        if reports.is_empty() {
-            // The no-op transaction above still published an epoch; that
-            // is harmless (content-identical republish) but we report
-            // `None` so callers can tell nothing was retrained.
-            return PipelineReport {
-                epoch: None,
+        match published {
+            Ok((reports, snapshot)) => PipelineReport {
+                epoch: Some(snapshot.epoch()),
+                entries_drained: reports.iter().map(|(_, r)| r.entries_used).sum(),
                 reports,
+            },
+            Err(()) => PipelineReport {
+                epoch: None,
+                reports: Vec::new(),
                 entries_drained: 0,
-            };
-        }
-        let entries_drained = reports.iter().map(|(_, r)| r.entries_used).sum();
-        PipelineReport {
-            epoch: Some(published.epoch()),
-            reports,
-            entries_drained,
+            },
         }
     }
 }
@@ -659,7 +625,7 @@ mod tests {
         let mut scratch = crate::logical_op::packed::PackedOpScratch::new();
         let x = [7e5, 250.0];
         assert_eq!(
-            flow.model.predict_nn(&x).to_bits(),
+            flow.model.predict_nn_reference(&x).to_bits(),
             packed.predict_one(&x, &mut scratch).to_bits()
         );
         // Removed models lose their packed form with them.
@@ -680,16 +646,16 @@ mod tests {
         });
         let before = store.load();
         let republished = store.republish("republish");
-        // Content-identical republish: the packed Arc is shared, not
-        // re-derived.
-        assert!(Arc::ptr_eq(
+        // Content-identical republish: the model, and with it the packed
+        // form, is shared, not copied.
+        assert!(std::ptr::eq(
             before.packed(&hive(), OperatorKind::Aggregation).unwrap(),
             republished
                 .packed(&hive(), OperatorKind::Aggregation)
                 .unwrap()
         ));
-        // A COW update dirties the key: the new snapshot repacks from
-        // the mutated model and stays bit-consistent with it.
+        // A COW update copies the model: the new snapshot's packed form
+        // is its own and stays bit-consistent with the reference chain.
         store.transaction("observe", |tx| {
             tx.update_model(&hive(), OperatorKind::Aggregation, |flow| {
                 flow.observe_actual(&[5e5, 200.0], 2.0);
@@ -698,10 +664,14 @@ mod tests {
         let after = store.load();
         let flow = after.model(&hive(), OperatorKind::Aggregation).unwrap();
         let packed = after.packed(&hive(), OperatorKind::Aggregation).unwrap();
+        assert!(!std::ptr::eq(
+            packed,
+            before.packed(&hive(), OperatorKind::Aggregation).unwrap()
+        ));
         let mut scratch = crate::logical_op::packed::PackedOpScratch::new();
         let x = [9e5, 150.0];
         assert_eq!(
-            flow.model.predict_nn(&x).to_bits(),
+            flow.model.predict_nn_reference(&x).to_bits(),
             packed.predict_one(&x, &mut scratch).to_bits()
         );
     }
@@ -766,10 +736,12 @@ mod tests {
         store.transaction("register", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
         });
+        let before = store.epoch();
         let pipeline = TuningPipeline::new(FitConfig::fast()).with_min_entries(4);
         let report = pipeline.run_once(&store);
         assert_eq!(report.epoch, None);
         assert!(report.reports.is_empty());
         assert_eq!(report.entries_drained, 0);
+        assert_eq!(store.epoch(), before, "an idle pass publishes nothing");
     }
 }

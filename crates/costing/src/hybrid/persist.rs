@@ -12,6 +12,12 @@
 //! by earlier versions keep loading: a flow saved while it still carried
 //! its table of pending remedy components reads back as the same model,
 //! tuner and log.
+//!
+//! A model's packed inference form is never part of a document: it is
+//! derived from the scalers and the network when the model is
+//! deserialised ([`crate::logical_op::LogicalOpModel`]), so a loaded
+//! profile or snapshot is ready to serve and files stay what they were
+//! before models carried one.
 
 use crate::epoch::{Epoch, ModelSnapshot, SnapshotLineage};
 use crate::estimator::OperatorKind;

@@ -47,8 +47,8 @@ pub use estimator::{CostEstimate, EstimateSource, OperatorKind};
 pub use features::{agg_features, join_features, QueryFeatures, AGG_DIMS, JOIN_DIMS};
 pub use hybrid::{CostingApproach, CostingProfile, HybridCostManager};
 pub use logical_op::{
-    flow::LogicalOpCosting, model::FitConfig, model::LogicalOpModel, packed::PackedOpModel,
-    packed::PackedOpScratch, remedy::RemedyConfig, remedy::RemedyScratch,
+    flow::FlowScratch, flow::LogicalOpCosting, model::FitConfig, model::LogicalOpModel,
+    packed::PackedOpModel, packed::PackedOpScratch, remedy::RemedyConfig, remedy::RemedyScratch,
 };
 pub use observability::{
     publish_drift, DriftRetuner, ModelKey, ModelKeyQuery, ModelKeyRef, RetuneOutcome, TraceCtx,

@@ -16,11 +16,19 @@
 //! one, [`LogicalOpCosting::observe_actual`], is the only write: the
 //! logged executions, not a memory of past estimates, are what α
 //! adjustment and offline tuning learn from.
+//!
+//! The top half has one body, [`LogicalOpCosting::estimate_rows`], over a
+//! flat batch of rows: which rows go to the NN, which to the remedy, and
+//! which kernel computes the NN are decided here and nowhere else. Both
+//! costing stacks bottom out in it — the manager stack through
+//! [`LogicalOpCosting::estimate`] (a batch of one), the estimation
+//! service by handing it the rows its cache could not answer.
 
 use crate::{
     estimator::{CostEstimate, EstimateSource},
     logical_op::{
         model::{FitConfig, LogicalOpModel},
+        packed::PackedOpScratch,
         remedy::{
             remedy_estimate, remedy_estimate_scratch, AlphaTuner, RemedyConfig, RemedyScratch,
         },
@@ -29,6 +37,7 @@ use crate::{
     observability::TraceCtx,
 };
 use serde::{Deserialize, Serialize};
+use telemetry::span::{time as stage_time, Stage};
 
 /// A complete logical-operator costing unit for one operator on one
 /// remote system: model + remedy machinery + execution log.
@@ -48,6 +57,40 @@ pub struct LogicalOpCosting {
     pub log: ExecutionLog,
 }
 
+/// Reusable workspace for [`LogicalOpCosting::estimate_rows`]: the
+/// in-range rows staged flat for the packed kernel, its outputs and
+/// scratch, and the remedy's own workspace. With a warm scratch an
+/// in-range batch costs zero heap allocations.
+///
+/// All buffers start empty, so `new` is `const` and a scratch embedded in
+/// a const-initialised thread-local allocates nothing until first use.
+#[derive(Debug, Default)]
+pub struct FlowScratch {
+    /// Slot indices of the in-range rows (order matches `nn_rows`).
+    in_range: Vec<usize>,
+    /// Flat `(rows × width)` staging for the batched NN forward pass.
+    nn_rows: Vec<f64>,
+    /// Batched NN outputs.
+    nn_out: Vec<f64>,
+    /// Fused packed-kernel workspace.
+    kernel: PackedOpScratch,
+    /// Workspace for out-of-range remedy estimates.
+    remedy: RemedyScratch,
+}
+
+impl FlowScratch {
+    /// An empty scratch; every buffer grows on first use and is retained.
+    pub const fn new() -> Self {
+        FlowScratch {
+            in_range: Vec::new(),
+            nn_rows: Vec::new(),
+            nn_out: Vec::new(),
+            kernel: PackedOpScratch::new(),
+            remedy: RemedyScratch::new(),
+        }
+    }
+}
+
 impl LogicalOpCosting {
     /// Wraps a trained model with default remedy settings.
     pub fn new(model: LogicalOpModel) -> Self {
@@ -60,41 +103,103 @@ impl LogicalOpCosting {
     }
 
     /// Estimates the cost of an operator with features `x` (the top half
-    /// of Fig. 3) with a throwaway remedy workspace and no decision
-    /// trail.
+    /// of Fig. 3) with a throwaway workspace and no decision trail.
     pub fn estimate(&self, x: &[f64]) -> CostEstimate {
-        self.estimate_scratch(x, &mut RemedyScratch::new(), None)
+        self.estimate_scratch(x, &mut FlowScratch::new(), None)
     }
 
-    /// The top half of the Fig. 3 flowchart, once: range check, then the
-    /// NN alone or the online remedy. An out-of-range estimate reuses
-    /// `remedy`'s buffers instead of allocating its own and, given
-    /// `trace`, emits the remedy event pair (see
-    /// [`remedy_estimate_scratch`]). In-range estimates emit nothing.
+    /// [`LogicalOpCosting::estimate_rows`] for the one row `x`.
     pub fn estimate_scratch(
         &self,
         x: &[f64],
-        remedy: &mut RemedyScratch,
+        scratch: &mut FlowScratch,
         trace: Option<&TraceCtx<'_>>,
     ) -> CostEstimate {
-        if self.model.meta.all_in_range(x, self.remedy.beta) {
-            return CostEstimate::new(self.model.predict_nn(x), EstimateSource::NeuralNetwork);
-        }
-        let out = remedy_estimate_scratch(
-            &self.model,
-            x,
-            &self.remedy,
-            self.tuner.alpha(),
-            remedy,
-            trace,
+        let mut slot = [None];
+        self.estimate_rows(x, x.len(), &mut slot, scratch, trace);
+        let [est] = slot;
+        // analysis:allow(panic-freedom): estimate_rows fills every slot that arrives empty, and this one did
+        est.expect("estimate_rows fills every empty slot")
+    }
+
+    /// The top half of the Fig. 3 flowchart, once, over the row-major
+    /// flat batch `rows` (`slots.len()` rows of `width` features): every
+    /// row whose slot is still `None` is range-checked; the in-range ones
+    /// share one [`crate::logical_op::packed::PackedOpModel::predict_batch_into`]
+    /// pass, the others go through the online remedy one by one. Slots
+    /// that arrive filled (a cache answered them) are left alone.
+    ///
+    /// Given `trace`, each out-of-range row emits the remedy event pair as
+    /// it is computed (see [`remedy_estimate_scratch`]); in-range rows
+    /// emit nothing. The kernel pass and each remedy run under their
+    /// [`Stage`] timers.
+    ///
+    /// # Panics
+    /// Panics when `width` differs from the model's arity or `rows` is not
+    /// `slots.len()` rows of it.
+    pub fn estimate_rows(
+        &self,
+        rows: &[f64],
+        width: usize,
+        slots: &mut [Option<CostEstimate>],
+        scratch: &mut FlowScratch,
+        trace: Option<&TraceCtx<'_>>,
+    ) {
+        assert_eq!(
+            width,
+            self.model.arity(),
+            "LogicalOpCosting::estimate_rows: arity mismatch"
         );
-        CostEstimate::new(
-            out.estimate,
-            EstimateSource::OnlineRemedy {
-                alpha: out.alpha,
-                pivots: out.pivots,
-            },
-        )
+        assert_eq!(
+            rows.len(),
+            slots.len() * width,
+            "LogicalOpCosting::estimate_rows: one slot per row"
+        );
+        let FlowScratch {
+            in_range,
+            nn_rows,
+            nn_out,
+            kernel,
+            remedy,
+        } = scratch;
+        in_range.clear();
+        nn_rows.clear();
+        for (i, (row, slot)) in rows.chunks_exact(width).zip(slots.iter_mut()).enumerate() {
+            if slot.is_some() {
+                continue;
+            }
+            if self.model.meta.all_in_range(row, self.remedy.beta) {
+                in_range.push(i);
+                nn_rows.extend_from_slice(row);
+                continue;
+            }
+            let _remedy = stage_time(Stage::Remedy);
+            let out = remedy_estimate_scratch(
+                &self.model,
+                row,
+                &self.remedy,
+                self.tuner.alpha(),
+                remedy,
+                trace,
+            );
+            *slot = Some(CostEstimate::new(
+                out.estimate,
+                EstimateSource::OnlineRemedy {
+                    alpha: out.alpha,
+                    pivots: out.pivots,
+                },
+            ));
+        }
+        if in_range.is_empty() {
+            return;
+        }
+        let _kernel = stage_time(Stage::Kernel);
+        self.model
+            .packed()
+            .predict_batch_into(nn_rows, width, nn_out, kernel);
+        for (&i, &secs) in in_range.iter().zip(nn_out.iter()) {
+            slots[i] = Some(CostEstimate::new(secs, EstimateSource::NeuralNetwork));
+        }
     }
 
     /// The bottom half of Fig. 3: the operator actually ran remotely —
@@ -254,7 +359,7 @@ mod tests {
         let system = SystemId::new("hive-a");
         let ctx = TraceCtx::new(&tracer, &system);
         // In-range estimates leave no remedy trail.
-        let mut scratch = RemedyScratch::new();
+        let mut scratch = FlowScratch::new();
         let e = c.estimate_scratch(&[5e5, 200.0], &mut scratch, Some(&ctx));
         assert_eq!(e.source, EstimateSource::NeuralNetwork);
         assert!(sub.is_empty());
@@ -336,7 +441,7 @@ mod tests {
                 let tracer = Tracer::new(sub.clone());
                 let system = SystemId::new("hive-a");
                 let ctx = TraceCtx::new(&tracer, &system);
-                let _ = flow.estimate_scratch(&x, &mut RemedyScratch::new(), Some(&ctx));
+                let _ = flow.estimate_scratch(&x, &mut FlowScratch::new(), Some(&ctx));
                 let mut by_hand = flow.tuner.clone();
                 for event in sub.take() {
                     if let Event::RemedyBlend { nn_estimate, regression_estimate, .. } = event {

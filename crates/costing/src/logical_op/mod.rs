@@ -7,9 +7,11 @@
 //! 2. [`dims`] — record per-dimension metadata (min, max, stepSize) for
 //!    the trained ranges;
 //! 3. [`model`] — fit a two-hidden-layer neural network (topology via the
-//!    paper's cross-validation search);
-//! 4. [`flow`] — the Fig. 3 query-time flow: inside the trained range →
-//!    use the NN; way off → trigger the online remedy;
+//!    paper's cross-validation search); the model owns its fused
+//!    inference form ([`packed`]), through which every prediction runs;
+//! 4. [`flow`] — the Fig. 3 query-time flow, one body for every caller:
+//!    inside the trained range → use the NN; way off → trigger the
+//!    online remedy;
 //! 5. [`remedy`] — the Fig. 4 online remedy: an on-the-fly regression on
 //!    the pivot dimension(s), blended as `α·c_nn + (1−α)·c_reg`, with α
 //!    auto-adjusted batch by batch (Table 1);
@@ -25,7 +27,7 @@ pub mod training;
 pub mod tuning;
 
 pub use dims::{DimensionMeta, TrainingMeta};
-pub use flow::LogicalOpCosting;
+pub use flow::{FlowScratch, LogicalOpCosting};
 pub use model::{FitConfig, FitReport, LogicalOpModel, TopologyChoice};
 pub use packed::{PackedOpModel, PackedOpScratch};
 pub use remedy::{AlphaTuner, RemedyConfig, RemedyOutcome, RemedyScratch};

@@ -6,14 +6,27 @@
 //! of that number, and vary the number of nodes in the 2nd layer between
 //! three and half the number of the 1st layer's nodes"), training 70 % /
 //! testing 30 %, selecting the least-RMSE topology.
+//!
+//! A [`LogicalOpModel`] owns its fused inference form
+//! ([`PackedOpModel`]): it is derived once, wherever a model value comes
+//! into being — [`LogicalOpModel::fit`] (hence
+//! [`LogicalOpModel::retrain`]), [`LogicalOpModel::with_network`] and
+//! deserialisation all go through one private constructor — never on a
+//! read, and never written to disk. [`LogicalOpModel::predict_nn`] *is*
+//! that packed kernel. The layer-by-layer chain the packed form was
+//! derived from ([`neuro::Network::predict`] behind the scalers) stays
+//! as [`LogicalOpModel::predict_nn_reference`] /
+//! [`LogicalOpModel::predict_nn_batch_reference`]: the oracle of the
+//! bit-identity tests and the `legacy` cells of `exp_hotpath`, on no
+//! production path.
 
 use crate::estimator::OperatorKind;
 use crate::logical_op::dims::TrainingMeta;
-use crate::logical_op::packed::PackedOpModel;
+use crate::logical_op::packed::{PackedOpModel, PackedOpScratch};
 use mathkit::scale::{MinMaxScaler, ScalarScaler};
 use mathkit::{r2_score, rmse, rmse_pct};
 use neuro::{search_topology, train, Adam, Dataset, Network, Topology, TrainConfig, TrainTrace};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// How model inputs and targets are normalised before training.
 ///
@@ -125,14 +138,18 @@ pub struct FitReport {
 
 /// A trained logical-operator model: scalers + network + range metadata +
 /// the raw training data (kept because the online remedy regresses over
-/// the nearest training points, §3).
+/// the nearest training points, §3), plus the fused inference form
+/// derived from the scalers and the network.
 ///
 /// Inputs are normalised in the log domain (`log1p` then min–max): the
 /// Fig. 10 training grids are log-spaced over three decades, and raw
 /// min–max would crush most of the grid into a corner of the unit cube.
 /// The range metadata and the online remedy still operate on raw feature
 /// values.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Scalers and network are private and never reassigned after
+/// construction, so the packed form cannot go stale.
+#[derive(Debug, Clone)]
 pub struct LogicalOpModel {
     /// The operator this model covers.
     pub op: OperatorKind,
@@ -141,17 +158,85 @@ pub struct LogicalOpModel {
     /// Target scaler (same domain).
     scaler_y: ScalarScaler,
     /// The normalisation domain used at fit time.
-    #[serde(default)]
     scaling: ScalingMode,
     /// The trained network.
-    pub network: Network,
+    network: Network,
     /// Trained-range metadata per dimension.
     pub meta: TrainingMeta,
     /// The raw (unscaled) training data.
     training: Dataset,
+    /// Fused inference form of `scaling`, the scalers and `network`.
+    packed: PackedOpModel,
+}
+
+/// What a model is made of and what it looks like on disk: everything
+/// but the packed form, which [`LogicalOpModel::from_parts`] derives.
+#[derive(Serialize, Deserialize)]
+struct ModelParts {
+    op: OperatorKind,
+    scaler_x: MinMaxScaler,
+    scaler_y: ScalarScaler,
+    #[serde(default)]
+    scaling: ScalingMode,
+    network: Network,
+    meta: TrainingMeta,
+    training: Dataset,
+}
+
+impl Serialize for LogicalOpModel {
+    fn to_value(&self) -> Value {
+        ModelParts {
+            op: self.op,
+            scaler_x: self.scaler_x.clone(),
+            scaler_y: self.scaler_y.clone(),
+            scaling: self.scaling,
+            network: self.network.clone(),
+            meta: self.meta.clone(),
+            training: self.training.clone(),
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for LogicalOpModel {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        ModelParts::from_value(v).map(LogicalOpModel::from_parts)
+    }
 }
 
 impl LogicalOpModel {
+    /// The one place a model value is assembled, and so the one place
+    /// its packed form is derived.
+    fn from_parts(parts: ModelParts) -> Self {
+        let ModelParts {
+            op,
+            scaler_x,
+            scaler_y,
+            scaling,
+            network,
+            meta,
+            training,
+        } = parts;
+        let packed = PackedOpModel::from_parts(
+            scaling,
+            scaler_x.mins.clone(),
+            scaler_x.maxs.clone(),
+            scaler_y.min,
+            scaler_y.max,
+            &network,
+        );
+        LogicalOpModel {
+            op,
+            scaler_x,
+            scaler_y,
+            scaling,
+            network,
+            meta,
+            training,
+            packed,
+        }
+    }
+
     /// Fits a model on a raw dataset (features → elapsed seconds).
     pub fn fit(
         op: OperatorKind,
@@ -231,7 +316,7 @@ impl LogicalOpModel {
         // targets — a pure convergence curve (the shape of Figs. 11b/12b).
         // Original-unit accuracy is reported separately in the FitReport.
 
-        let model = LogicalOpModel {
+        let model = LogicalOpModel::from_parts(ModelParts {
             op,
             scaler_x,
             scaler_y,
@@ -239,14 +324,15 @@ impl LogicalOpModel {
             network,
             meta,
             training: data.clone(),
-        };
+        });
 
         // Held-out evaluation in original units.
         let mut scatter = Vec::with_capacity(test_set.len());
+        let mut scratch = PackedOpScratch::new();
         for (x, &y) in test_set.inputs.iter().zip(&test_set.targets) {
             let raw_x = from_domain(scaling, &model.scaler_x.inverse(x));
             let actual = from_domain_scalar(scaling, model.scaler_y.inverse(y));
-            scatter.push((actual, model.predict_nn(&raw_x)));
+            scatter.push((actual, model.packed.predict_one(&raw_x, &mut scratch)));
         }
         let (actuals, preds): (Vec<f64>, Vec<f64>) = scatter.iter().copied().unzip();
         let report = FitReport {
@@ -260,19 +346,64 @@ impl LogicalOpModel {
         (model, report)
     }
 
+    /// This model with its network replaced by `network` (same scalers,
+    /// metadata and training data), repacked. For benches that measure
+    /// inference over a chosen topology rather than a fitted one.
+    ///
+    /// # Panics
+    /// Panics when `network`'s input width differs from the model's arity.
+    pub fn with_network(self, network: Network) -> Self {
+        assert_eq!(
+            network.input_dim(),
+            self.arity(),
+            "LogicalOpModel::with_network: arity mismatch"
+        );
+        LogicalOpModel::from_parts(ModelParts {
+            op: self.op,
+            scaler_x: self.scaler_x,
+            scaler_y: self.scaler_y,
+            scaling: self.scaling,
+            network,
+            meta: self.meta,
+            training: self.training,
+        })
+    }
+
     /// Raw NN prediction (seconds), for inputs inside or outside the
-    /// trained range. Negative outputs are clamped to zero.
+    /// trained range, through the packed kernel with a throwaway
+    /// scratch. Negative outputs are clamped to zero. Callers with a
+    /// scratch to reuse go through [`LogicalOpModel::packed`].
     pub fn predict_nn(&self, x: &[f64]) -> f64 {
+        self.packed.predict_one(x, &mut PackedOpScratch::new())
+    }
+
+    /// The fused inference form: allocation-free kernels over a
+    /// caller-owned [`PackedOpScratch`], bit-identical to the reference
+    /// chain.
+    pub fn packed(&self) -> &PackedOpModel {
+        &self.packed
+    }
+
+    /// The trained network the packed form was derived from.
+    pub fn network(&self) -> &Network {
+        &self.network
+    }
+
+    /// Reference for [`LogicalOpModel::predict_nn`]: the layer-by-layer
+    /// chain (domain map, scaler transform, [`Network::predict`], inverse
+    /// scale, clamp), allocating at every step. Differential tests and
+    /// `exp_hotpath`'s `legacy` cells compare the packed kernel against
+    /// it; nothing serves estimates from it.
+    pub fn predict_nn_reference(&self, x: &[f64]) -> f64 {
         let scaled = self.scaler_x.transform(&to_domain(self.scaling, x));
         let y = self.network.predict(&scaled);
         from_domain_scalar(self.scaling, self.scaler_y.inverse(y)).max(0.0)
     }
 
-    /// Raw NN predictions for a batch of rows — one scaling pass and one
-    /// [`neuro::Network::predict_batch`] call, so per-row allocations are
-    /// amortised. Produces exactly the values [`LogicalOpModel::predict_nn`]
-    /// would, row by row.
-    pub fn predict_nn_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+    /// Batch form of [`LogicalOpModel::predict_nn_reference`] — one
+    /// scaling pass and one [`Network::predict_batch`] call, producing
+    /// exactly the values the single-row reference would, row by row.
+    pub fn predict_nn_batch_reference(&self, rows: &[Vec<f64>]) -> Vec<f64> {
         let scaled: Vec<Vec<f64>> = rows
             .iter()
             .map(|x| self.scaler_x.transform(&to_domain(self.scaling, x)))
@@ -282,23 +413,6 @@ impl LogicalOpModel {
             .into_iter()
             .map(|y| from_domain_scalar(self.scaling, self.scaler_y.inverse(y)).max(0.0))
             .collect()
-    }
-
-    /// Derives the read-only fused-inference form of this model: the
-    /// scaling parameters flattened next to a struct-of-arrays copy of
-    /// the network ([`PackedOpModel`]). Derivation is deterministic —
-    /// packing the same model twice yields identical arenas — and the
-    /// packed form predicts bit-identically to
-    /// [`LogicalOpModel::predict_nn`] / [`LogicalOpModel::predict_nn_batch`].
-    pub fn pack(&self) -> PackedOpModel {
-        PackedOpModel::from_parts(
-            self.scaling,
-            self.scaler_x.mins.clone(),
-            self.scaler_x.maxs.clone(),
-            self.scaler_y.min,
-            self.scaler_y.max,
-            &self.network,
-        )
     }
 
     /// The raw training data (used by the online remedy).
@@ -468,9 +582,10 @@ mod tests {
         let data = synth_dataset(120);
         let (model, _) =
             LogicalOpModel::fit(OperatorKind::Aggregation, &NAMES, &data, &FitConfig::fast());
-        let batched = model.predict_nn_batch(&data.inputs);
+        let batched = model.predict_nn_batch_reference(&data.inputs);
         for (x, &b) in data.inputs.iter().zip(&batched) {
-            assert_eq!(model.predict_nn(x), b);
+            assert_eq!(model.predict_nn_reference(x).to_bits(), b.to_bits());
+            assert_eq!(model.predict_nn(x).to_bits(), b.to_bits());
         }
     }
 

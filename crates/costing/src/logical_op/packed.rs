@@ -1,24 +1,25 @@
 //! Fused packed inference for one logical-operator model.
 //!
-//! [`crate::logical_op::LogicalOpModel::predict_nn`] walks three heap
+//! The layer-by-layer chain a model is trained through walks three heap
 //! allocations per call (domain mapping, scaler output, per-layer
 //! activations) before a single multiply runs. [`PackedOpModel`] fuses
 //! the whole chain — domain map, min–max scale, [`neuro::PackedNetwork`]
 //! forward pass, inverse scale, clamp — into one read-only object with
 //! contiguous parameter arenas and a caller-owned [`PackedOpScratch`],
-//! so a warm estimate performs **zero** heap allocations.
+//! so a warm estimate performs **zero** heap allocations. Every
+//! [`crate::logical_op::LogicalOpModel`] owns one, derived when the
+//! model is constructed, and serves every NN prediction through it.
 //!
 //! # Bit-identity contract
 //!
-//! Every value produced here is bit-identical to the legacy
-//! `predict_nn` / `predict_nn_batch` path: the per-column scaling
-//! replays `MinMaxScaler::transform` exactly (`span == 0.0 → 0.0`, else
-//! `(d − min) / span`), the domain maps replay `to_domain` /
-//! `from_domain_scalar`, and the network kernel carries
-//! [`neuro::PackedNetwork`]'s own bit-identity guarantee. The packed
-//! form is derived deterministically from the model by
-//! [`crate::logical_op::LogicalOpModel::pack`]; differential tests
-//! enforce the contract.
+//! Every value produced here is bit-identical to the reference chain
+//! ([`crate::logical_op::LogicalOpModel::predict_nn_reference`] and its
+//! batch form): the per-column scaling replays `MinMaxScaler::transform`
+//! exactly (`span == 0.0 → 0.0`, else `(d − min) / span`), the domain
+//! maps replay `to_domain` / `from_domain_scalar`, and the network kernel
+//! carries [`neuro::PackedNetwork`]'s own bit-identity guarantee.
+//! Derivation is deterministic — the same scalers and network always
+//! pack to identical arenas; differential tests enforce the contract.
 
 use crate::logical_op::model::ScalingMode;
 use neuro::{Network, PackedNetwork, PackedScratch};
@@ -45,11 +46,11 @@ impl PackedOpScratch {
     }
 }
 
-/// A read-only fused-inference copy of a [`crate::logical_op::LogicalOpModel`]:
+/// The read-only fused-inference form of a [`crate::logical_op::LogicalOpModel`]:
 /// the scaling parameters flattened next to a [`PackedNetwork`], with the
 /// scale → forward → inverse chain fused into allocation-free kernels.
-/// Training and mutation stay on the legacy model; pinned reads go
-/// through the packed form carried by [`crate::epoch::ModelSnapshot`].
+/// Training works on the model's scalers and network; the model packs
+/// them once at construction and every prediction reads this form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedOpModel {
     scaling: ScalingMode,
@@ -66,8 +67,8 @@ pub struct PackedOpModel {
 
 impl PackedOpModel {
     /// Assembles a packed model from its scaling parameters and a trained
-    /// network. Called by [`crate::logical_op::LogicalOpModel::pack`],
-    /// which owns the private scaler state.
+    /// network. Called by the model's one constructor, which owns the
+    /// private scaler state.
     pub(crate) fn from_parts(
         scaling: ScalingMode,
         mins: Vec<f64>,
@@ -119,7 +120,7 @@ impl PackedOpModel {
     }
 
     /// Inverse target scaling + domain unmap + clamp-to-zero — the exact
-    /// tail of the legacy `predict_nn`.
+    /// tail of the reference chain.
     fn unscale(&self, y: f64) -> f64 {
         let y = self.y_min + y * (self.y_max - self.y_min);
         let y = match self.scaling {
@@ -130,7 +131,8 @@ impl PackedOpModel {
     }
 
     /// Fused raw-NN prediction (seconds) for one raw feature row.
-    /// Bit-identical to [`crate::logical_op::LogicalOpModel::predict_nn`];
+    /// Bit-identical to
+    /// [`crate::logical_op::LogicalOpModel::predict_nn_reference`];
     /// allocation-free once `scratch` is warm.
     ///
     /// # Panics
@@ -148,7 +150,7 @@ impl PackedOpModel {
     /// Fused raw-NN predictions for a row-major flat batch
     /// (`rows.len() / width` rows of `width` raw features), written into
     /// `out` (cleared first). Bit-identical, row for row, to
-    /// [`crate::logical_op::LogicalOpModel::predict_nn_batch`];
+    /// [`crate::logical_op::LogicalOpModel::predict_nn_batch_reference`];
     /// allocation-free once `out` and `scratch` are warm.
     ///
     /// # Panics
@@ -228,16 +230,21 @@ mod tests {
     fn packed_matches_predict_nn_bit_for_bit() {
         for scaling in [ScalingMode::Linear, ScalingMode::Log] {
             let model = synth_model(scaling);
-            let packed = model.pack();
+            let packed = model.packed();
             let mut scratch = PackedOpScratch::new();
             for i in 0..40 {
                 let f = i as f64;
                 // Mix in-range, out-of-range, and negative probes.
                 let x = vec![f * 17.0 - 30.0, f * 5.0, 60.0 - f, f * 0.4];
                 assert_eq!(
-                    model.predict_nn(&x).to_bits(),
+                    model.predict_nn_reference(&x).to_bits(),
                     packed.predict_one(&x, &mut scratch).to_bits(),
                     "probe {i} under {scaling:?}"
+                );
+                assert_eq!(
+                    model.predict_nn(&x).to_bits(),
+                    packed.predict_one(&x, &mut scratch).to_bits(),
+                    "predict_nn is the packed kernel"
                 );
             }
         }
@@ -246,7 +253,7 @@ mod tests {
     #[test]
     fn packed_batch_matches_predict_nn_batch_bit_for_bit() {
         let model = synth_model(ScalingMode::Log);
-        let packed = model.pack();
+        let packed = model.packed();
         let rows: Vec<Vec<f64>> = (0..25)
             .map(|i| {
                 let f = i as f64;
@@ -254,7 +261,7 @@ mod tests {
             })
             .collect();
         let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let legacy = model.predict_nn_batch(&rows);
+        let legacy = model.predict_nn_batch_reference(&rows);
         let mut out = Vec::new();
         let mut scratch = PackedOpScratch::new();
         packed.predict_batch_into(&flat, 4, &mut out, &mut scratch);
@@ -266,8 +273,11 @@ mod tests {
 
     #[test]
     fn packing_is_deterministic() {
+        // Deserialisation packs again from the same scalers and network.
         let model = synth_model(ScalingMode::Log);
-        assert_eq!(model.pack(), model.pack());
+        let json = serde_json::to_string(&model).unwrap();
+        let reloaded: LogicalOpModel = serde_json::from_str(&json).unwrap();
+        assert_eq!(model.packed(), reloaded.packed());
     }
 
     #[test]
@@ -275,7 +285,7 @@ mod tests {
     fn predict_one_checks_arity() {
         let model = synth_model(ScalingMode::Linear);
         model
-            .pack()
+            .packed()
             .predict_one(&[1.0], &mut PackedOpScratch::new());
     }
 }

@@ -15,6 +15,7 @@
 //!    estimated and actual execution times" ([`AlphaTuner`], Table 1).
 
 use crate::logical_op::model::LogicalOpModel;
+use crate::logical_op::packed::PackedOpScratch;
 use crate::observability::TraceCtx;
 use mathkit::{LinearModel, SimpleLinearModel};
 use serde::{Deserialize, Serialize};
@@ -40,12 +41,13 @@ impl Default for RemedyConfig {
     }
 }
 
-/// Reusable workspace for the pivot regression.
+/// Reusable workspace for one remedy invocation: the packed kernel's
+/// scratch for the NN term and the pivot regression's buffers.
 ///
 /// The pivot regression scores every training record, sorts a candidate
 /// pool, and assembles regression inputs — each a heap buffer. Callers
-/// on the estimate hot path (the service's [`EstimateScratch`]) hold one
-/// `RemedyScratch` so those buffers are allocated once and reused across
+/// on the estimate hot path hold one `RemedyScratch` (inside the flow's
+/// [`FlowScratch`]) so those buffers are allocated once and reused across
 /// out-of-range estimates instead of per call. The remedy path is still
 /// not strictly allocation-free (the outcome carries an owned pivot
 /// list, and the multi-pivot branch builds its regression rows fresh),
@@ -55,9 +57,11 @@ impl Default for RemedyConfig {
 /// in a const-initialised thread-local allocates nothing until first
 /// use.
 ///
-/// [`EstimateScratch`]: crate::service::EstimateScratch
+/// [`FlowScratch`]: crate::logical_op::flow::FlowScratch
 #[derive(Debug, Default)]
 pub struct RemedyScratch {
+    /// Packed-kernel workspace for the NN term.
+    nn: PackedOpScratch,
     /// Per-dimension trained spans (distance normalisers).
     spans: Vec<f64>,
     /// (distance, index) pairs over the whole training set.
@@ -77,6 +81,7 @@ impl RemedyScratch {
     /// afterwards.
     pub const fn new() -> Self {
         RemedyScratch {
+            nn: PackedOpScratch::new(),
             spans: Vec::new(),
             scored: Vec::new(),
             candidates: Vec::new(),
@@ -133,7 +138,7 @@ pub fn remedy_estimate_scratch(
         !pivots.is_empty(),
         "remedy_estimate called with all dimensions in range"
     );
-    let nn_estimate = model.predict_nn(x);
+    let nn_estimate = model.packed().predict_one(x, &mut scratch.nn);
     let regression_estimate = pivot_regression(model, x, &pivots, cfg.k_neighbors, scratch);
     let estimate = (alpha * nn_estimate + (1.0 - alpha) * regression_estimate).max(0.0);
     if let Some(ctx) = trace {
@@ -181,6 +186,7 @@ fn pivot_regression(
         xs,
         ys,
         probe,
+        ..
     } = scratch;
 
     // Distance in the in-range dimensions only, normalised by each

@@ -296,6 +296,6 @@ mod tests {
         let mut log = ExecutionLog::new();
         let report = offline_tune(&mut model, &mut log, 2.0, &FitConfig::fast());
         assert_eq!(report.entries_used, 0);
-        assert_eq!(model.network, before.network);
+        assert_eq!(model.network(), before.network());
     }
 }

@@ -22,20 +22,21 @@
 //!   the same pinned `Arc`, so a cached estimate can never be served
 //!   against a model state it was not computed from (the old
 //!   generation-counter scheme allowed exactly that interleaving);
-//! * **one estimate body**: a batch
-//!   ([`EstimatorService::estimate_batch_pinned`]) runs all in-range rows
-//!   through one fused packed-kernel pass against a single pinned
-//!   snapshot, and a single estimate is a batch of one row — so results
-//!   and decision trails cannot differ by entry point;
+//! * **one estimate body**: every entry is cache probe → the flow's
+//!   Fig. 3 body on the misses
+//!   ([`crate::logical_op::flow::LogicalOpCosting::estimate_rows`]: one
+//!   fused packed-kernel pass for the in-range rows, the remedy for the
+//!   rest) → cache insert, against a single pinned snapshot, and a single
+//!   estimate is a batch of one row — so results and decision trails
+//!   cannot differ by entry point, nor from the manager stack, which
+//!   calls the same body;
 //! * cheap **cloneable handles**: the service is an `Arc` internally, so
 //!   `service.clone()` hands a planner thread its own handle.
 //!
-//! Estimates served through the service use the flow's estimate
-//! ([`crate::logical_op::flow::LogicalOpCosting::estimate_scratch`]),
-//! which is a pure function of the pinned snapshot — two threads asking
-//! the same question against the same epoch always get bit-identical
-//! answers, and a concurrent fan-out returns exactly what a serial loop
-//! would. Callers that need several estimates to be internally
+//! The flow's body is a pure function of the pinned snapshot — two
+//! threads asking the same question against the same epoch always get
+//! bit-identical answers, and a concurrent fan-out returns exactly what
+//! a serial loop would. Callers that need several estimates to be internally
 //! consistent mid-retrain pin one snapshot ([`EstimatorService::snapshot`])
 //! and use the `*_pinned` variants.
 
@@ -45,7 +46,8 @@ use crate::{
     epoch::{Epoch, EpochStore, ModelSnapshot, PipelineReport, TuningPipeline},
     estimator::{CostEstimate, OperatorKind},
     logical_op::{
-        flow::LogicalOpCosting, model::FitConfig, packed::PackedOpScratch, remedy::RemedyScratch,
+        flow::{FlowScratch, LogicalOpCosting},
+        model::FitConfig,
         tuning::TuneReport,
     },
     observability::{ModelKey, TraceCtx},
@@ -65,26 +67,27 @@ use telemetry::{Counter, DriftMonitor, Event, Histogram, Telemetry};
 /// sub-second scans up to the ~10-minute heavy joins.
 const ESTIMATE_SECS_BOUNDS: [f64; 7] = [0.001, 0.01, 0.1, 1.0, 10.0, 60.0, 600.0];
 
+/// Number of estimate-cache shards; a `(system, operator)` pair hashes
+/// to one of them.
+const SHARDS: usize = 8;
+
+/// Significant decimal digits kept when quantizing cache keys.
+const SIG_DIGITS: i32 = 9;
+
 /// Service tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
-    /// Number of cache shards (rounded up to at least 1).
-    pub shards: usize,
     /// LRU capacity per shard. `0` disables the estimate cache entirely:
     /// no shard lock is ever taken and every estimate recomputes through
     /// the packed kernels — the right trade for latency-critical
     /// deployments whose feature vectors rarely repeat.
     pub cache_capacity_per_shard: usize,
-    /// Significant decimal digits kept when quantizing cache keys.
-    pub sig_digits: i32,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            shards: 8,
             cache_capacity_per_shard: 1024,
-            sig_digits: 9,
         }
     }
 }
@@ -163,7 +166,7 @@ struct Shard {
 /// Reusable workspace for the estimate hot path.
 ///
 /// Every buffer the pinned estimate paths need — quantized cache
-/// probes, batch result staging, the packed-kernel scratch — lives
+/// probes, batch result staging, the flow body's [`FlowScratch`] — lives
 /// here, so a warm scratch makes the pinned estimate paths
 /// allocation-free steady-state (cache hits, and cache-disabled
 /// in-range computes; the out-of-range remedy runs a per-row
@@ -180,16 +183,8 @@ pub struct EstimateScratch {
     results: Vec<Option<CostEstimate>>,
     /// Indices of rows the cache could not answer.
     miss_idx: Vec<usize>,
-    /// Indices of in-range miss rows (order matches `nn_rows`).
-    in_range: Vec<usize>,
-    /// Flat `(rows × width)` staging for the batched NN forward pass.
-    nn_rows: Vec<f64>,
-    /// Batched NN outputs.
-    nn_out: Vec<f64>,
-    /// Fused packed-kernel workspace.
-    packed: PackedOpScratch,
-    /// Pivot-regression workspace for out-of-range remedy estimates.
-    remedy: RemedyScratch,
+    /// Kernel and remedy workspace of the flow's Fig. 3 body.
+    flow: FlowScratch,
     /// Flat staging used when flattening a nested `&[Vec<f64>]` batch.
     staging: Vec<f64>,
 }
@@ -203,11 +198,7 @@ impl EstimateScratch {
             qbuf: Vec::new(),
             results: Vec::new(),
             miss_idx: Vec::new(),
-            in_range: Vec::new(),
-            nn_rows: Vec::new(),
-            nn_out: Vec::new(),
-            packed: PackedOpScratch::new(),
-            remedy: RemedyScratch::new(),
+            flow: FlowScratch::new(),
             staging: Vec::new(),
         }
     }
@@ -230,7 +221,6 @@ struct Inner {
     misses: Counter,
     /// Distribution of served estimates, seconds.
     estimate_secs: Histogram,
-    sig_digits: i32,
     /// False when `cache_capacity_per_shard` was 0: the hot path skips
     /// the shard lock and every probe entirely.
     cache_enabled: bool,
@@ -271,8 +261,7 @@ impl EstimatorService {
     /// handle: cache counters and the estimate histogram live in its
     /// metrics registry, and decision-trail events go to its tracer.
     pub fn with_telemetry(config: ServiceConfig, telemetry: Telemetry) -> Self {
-        let n = config.shards.max(1);
-        let shards = (0..n)
+        let shards = (0..SHARDS)
             .map(|_| {
                 let shard = Shard {
                     cache: Mutex::new(LruCache::new(config.cache_capacity_per_shard)),
@@ -313,7 +302,6 @@ impl EstimatorService {
                 hits,
                 misses,
                 estimate_secs,
-                sig_digits: config.sig_digits,
                 cache_enabled: config.cache_capacity_per_shard > 0,
             }),
         }
@@ -405,8 +393,8 @@ impl EstimatorService {
     /// This is a one-row batch through the same core as
     /// [`EstimatorService::estimate_batch_flat_pinned_scratch`], over the
     /// calling thread's [`EstimateScratch`]: same cache probe, same
-    /// packed kernel, same remedy, same decision trail. A cache hit and
-    /// an in-range compute with the cache disabled perform zero heap
+    /// Fig. 3 body, same decision trail. A cache hit and an in-range
+    /// compute with the cache disabled perform zero heap
     /// allocations once the scratch is warm (tracing disabled; the
     /// insert after a cache-enabled miss and the out-of-range remedy
     /// still allocate).
@@ -438,9 +426,10 @@ impl EstimatorService {
     /// against one caller-pinned snapshot (see
     /// [`EstimatorService::estimate_pinned`]).
     ///
-    /// Cached rows are answered from the cache; the remaining in-range
-    /// rows share a single packed-kernel pass, and out-of-range rows go
-    /// through the remedy individually. Results are identical, bit for
+    /// Cached rows are answered from the cache; the flow's Fig. 3 body
+    /// costs the rest (in-range rows share a single packed-kernel pass,
+    /// out-of-range rows go through the remedy individually). Results
+    /// are identical, bit for
     /// bit, to calling [`EstimatorService::estimate_pinned`] per row
     /// against the same snapshot, and the whole batch is internally
     /// consistent even mid-retrain. Flattens the nested rows into the
@@ -545,11 +534,11 @@ impl EstimatorService {
     /// row-major buffer, results written into `out` (cleared first).
     ///
     /// One cache pass under a single shard lock answers what it can
-    /// (borrowed probes — no per-row key allocation); remaining
-    /// in-range rows are staged into the scratch's flat buffer and
-    /// share one fused [`crate::logical_op::packed::PackedOpModel`]
-    /// batch kernel; out-of-range rows go through the remedy
-    /// individually. Results are identical, bit for bit, to calling
+    /// (borrowed probes — no per-row key allocation); the misses go to
+    /// [`LogicalOpCosting::estimate_rows`], which stages the in-range
+    /// ones into the scratch's flat buffer for one fused packed-kernel
+    /// pass and sends the others through the remedy individually.
+    /// Results are identical, bit for bit, to calling
     /// [`EstimatorService::estimate`] per row at the same epoch.
     /// With the cache disabled and tracing off, a warm scratch and warm
     /// `out` make the whole call allocation-free for in-range batches.
@@ -581,14 +570,14 @@ impl EstimatorService {
         Ok(())
     }
 
-    /// The one cache-probe → kernel | remedy → insert body behind every
+    /// The one cache-probe → Fig. 3 body → insert sequence behind every
     /// estimate entry point. `rows` holds `rows.len() / width` rows
     /// (callers guarantee `width > 0` divides the length); on success
     /// `scratch.results` holds one filled slot per row, in row order.
     ///
-    /// Emits, per out-of-range miss, the remedy's
-    /// `PivotsDetected`/`RemedyBlend` pair as it is computed, then one
-    /// `EstimateServed` per row.
+    /// The flow's body emits, per out-of-range miss, the remedy's
+    /// `PivotsDetected`/`RemedyBlend` pair as it is computed; one
+    /// `EstimateServed` per row follows.
     fn estimate_rows(
         &self,
         snapshot: &ModelSnapshot,
@@ -606,11 +595,7 @@ impl EstimatorService {
             qbuf,
             results,
             miss_idx,
-            in_range,
-            nn_rows,
-            nn_out,
-            packed: packed_scratch,
-            remedy,
+            flow: flow_scratch,
             ..
         } = scratch;
         results.clear();
@@ -619,11 +604,10 @@ impl EstimatorService {
 
         if self.inner.cache_enabled {
             let _probe = stage_time(Stage::CacheProbe);
-            let sig = self.inner.sig_digits;
             let mut cache = shard.cache.lock();
             for (i, row) in rows.chunks_exact(width).enumerate() {
                 qbuf.clear();
-                qbuf.extend(row.iter().map(|&v| quantize(v, sig)));
+                qbuf.extend(row.iter().map(|&v| quantize(v, SIG_DIGITS)));
                 let probe = CacheKeyRef {
                     system,
                     op,
@@ -642,48 +626,8 @@ impl EstimatorService {
         if !miss_idx.is_empty() {
             let flow = model_or_unknown(snapshot, system, op)?;
             check_arity_width(flow, width)?;
-            // Stage in-range misses for the fused batch kernel;
-            // out-of-range misses need per-row pivot regressions anyway.
-            in_range.clear();
-            nn_rows.clear();
             let trace = TraceCtx::new(tracer, system);
-            for (i, row) in rows.chunks_exact(width).enumerate() {
-                if results[i].is_some() {
-                    continue; // cache hit
-                }
-                if flow.model.meta.all_in_range(row, flow.remedy.beta) {
-                    in_range.push(i);
-                    nn_rows.extend_from_slice(row);
-                } else {
-                    let _remedy = stage_time(Stage::Remedy);
-                    results[i] = Some(flow.estimate_scratch(row, remedy, Some(&trace)));
-                }
-            }
-            if !in_range.is_empty() {
-                let _kernel = stage_time(Stage::Kernel);
-                match snapshot.packed(system, op) {
-                    Some(packed) => {
-                        packed.predict_batch_into(nn_rows, width, nn_out, packed_scratch);
-                    }
-                    None => {
-                        // Unreachable by construction (a snapshot carries a
-                        // packed form for every model), but fall back to the
-                        // scalar per-row network rather than fail the batch.
-                        nn_out.clear();
-                        nn_out.extend(
-                            nn_rows
-                                .chunks_exact(width)
-                                .map(|row| flow.model.predict_nn(row)),
-                        );
-                    }
-                }
-                for (&i, &secs) in in_range.iter().zip(nn_out.iter()) {
-                    results[i] = Some(CostEstimate::new(
-                        secs,
-                        crate::estimator::EstimateSource::NeuralNetwork,
-                    ));
-                }
-            }
+            flow.estimate_rows(rows, width, results, flow_scratch, Some(&trace));
             self.inner.misses.add(miss_idx.len() as u64);
             for &i in miss_idx.iter() {
                 let est = results[i]
@@ -699,7 +643,6 @@ impl EstimatorService {
 
         if self.inner.cache_enabled && !miss_idx.is_empty() {
             let _probe = stage_time(Stage::CacheProbe);
-            let sig = self.inner.sig_digits;
             let mut misses = miss_idx.iter().copied().peekable();
             let mut cache = shard.cache.lock();
             for (i, row) in rows.chunks_exact(width).enumerate() {
@@ -711,7 +654,7 @@ impl EstimatorService {
                     continue;
                 };
                 qbuf.clear();
-                qbuf.extend(row.iter().map(|&v| quantize(v, sig)));
+                qbuf.extend(row.iter().map(|&v| quantize(v, SIG_DIGITS)));
                 cache.insert(
                     CacheKey::from_quantized(system, op, qbuf),
                     est.clone(),
@@ -873,9 +816,12 @@ impl EstimatorService {
         let snapshot = self.inner.store.load();
         let epoch = snapshot.epoch().get();
         let mut fed = 0;
+        let mut scratch = FlowScratch::new();
         for (key, flow) in snapshot.models() {
             for entry in flow.log.entries() {
-                let predicted = flow.estimate(&entry.features).secs;
+                let predicted = flow
+                    .estimate_scratch(&entry.features, &mut scratch, None)
+                    .secs;
                 monitor.record_versioned(key.clone(), predicted, entry.actual_secs, Some(epoch));
                 fed += 1;
             }
@@ -1094,7 +1040,6 @@ mod tests {
         let cached = EstimatorService::default();
         let uncached = EstimatorService::new(ServiceConfig {
             cache_capacity_per_shard: 0,
-            ..ServiceConfig::default()
         });
         let sys = SystemId::new("hive-a");
         let flow = trained_flow(2e-6);
@@ -1481,6 +1426,21 @@ mod tests {
                 .any(|e| matches!(e, Event::TuningPass { .. })),
             "the pipeline pass must leave a tuning_pass trail"
         );
+    }
+
+    #[test]
+    fn idle_tuning_pass_keeps_the_cache_warm() {
+        let (svc, sys) = service_with_model();
+        let x = [5e5, 200.0];
+        let _ = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
+        let epoch = svc.epoch();
+        // No flow has a logged actual: nothing is due, nothing publishes,
+        // and the epoch-keyed cache entry is still the current one.
+        let report = svc.run_tuning(&TuningPipeline::new(FitConfig::fast()));
+        assert_eq!(report.epoch, None);
+        assert_eq!(svc.epoch(), epoch);
+        let _ = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
+        assert_eq!(svc.stats(), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]

@@ -168,7 +168,8 @@ fn reads_under_republish_churn_always_see_a_complete_model_state() {
 /// read runs the snapshot's fused [`costing::PackedOpModel`] kernel
 /// through caller scratch. Readers using the flat batch entry point
 /// must still only ever observe complete model states, and each pinned
-/// snapshot's packed form must agree bit for bit with its legacy model.
+/// snapshot's packed form must agree bit for bit with the reference
+/// chain over its model.
 #[test]
 fn packed_reads_under_republish_churn_stay_bit_consistent() {
     use costing::logical_op::packed::PackedOpScratch;
@@ -176,7 +177,6 @@ fn packed_reads_under_republish_churn_stay_bit_consistent() {
 
     let service = EstimatorService::new(ServiceConfig {
         cache_capacity_per_shard: 0, // force the packed compute path
-        ..ServiceConfig::default()
     });
     let sys = SystemId::new("churn-packed");
     let a = variant(1.0);
@@ -235,9 +235,9 @@ fn packed_reads_under_republish_churn_stay_bit_consistent() {
                         bits == *truth_a || bits == *truth_b,
                         "iteration {i}: packed flat batch mixed two model states"
                     );
-                    // The pinned snapshot's packed form and legacy model
-                    // must be the same generation: identical bits on an
-                    // in-range probe row.
+                    // The pinned snapshot's packed form and the reference
+                    // chain over the same model must be the same
+                    // generation: identical bits on an in-range probe row.
                     let flow = snapshot
                         .model(&sys, OperatorKind::Aggregation)
                         .expect("model registered");
@@ -246,7 +246,7 @@ fn packed_reads_under_republish_churn_stay_bit_consistent() {
                         .expect("snapshot carries a packed form");
                     let probe = &flat[..width];
                     assert_eq!(
-                        flow.model.predict_nn(probe).to_bits(),
+                        flow.model.predict_nn_reference(probe).to_bits(),
                         packed.predict_one(probe, &mut packed_scratch).to_bits(),
                         "iteration {i}: snapshot's packed form diverged from its model"
                     );

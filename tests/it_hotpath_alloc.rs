@@ -106,7 +106,6 @@ fn estimate_pinned_cache_hit_is_allocation_free() {
 fn estimate_pinned_compute_is_allocation_free_with_cache_disabled() {
     let (service, system) = service_with(ServiceConfig {
         cache_capacity_per_shard: 0,
-        ..ServiceConfig::default()
     });
     let snapshot = service.snapshot();
     for _ in 0..3 {
@@ -133,7 +132,6 @@ fn estimate_pinned_compute_is_allocation_free_with_cache_disabled() {
 fn flat_batch_is_allocation_free_with_warm_scratch() {
     let (service, system) = service_with(ServiceConfig {
         cache_capacity_per_shard: 0,
-        ..ServiceConfig::default()
     });
     let snapshot = service.snapshot();
     let width = 2;
@@ -187,7 +185,6 @@ fn flat_batch_is_allocation_free_with_warm_scratch() {
 fn estimate_pinned_is_allocation_free_with_spans_sampling_every_request() {
     let (service, system) = service_with(ServiceConfig {
         cache_capacity_per_shard: 0,
-        ..ServiceConfig::default()
     });
     let spans = service.telemetry().spans.clone();
     spans.set_sampling(1);
@@ -228,7 +225,6 @@ fn estimate_pinned_is_allocation_free_with_spans_sampling_every_request() {
 fn flat_batch_is_allocation_free_with_spans_enabled() {
     let (service, system) = service_with(ServiceConfig {
         cache_capacity_per_shard: 0,
-        ..ServiceConfig::default()
     });
     let spans = service.telemetry().spans.clone();
     spans.set_sampling(1);
@@ -286,7 +282,6 @@ fn flat_batch_is_allocation_free_with_spans_enabled() {
 fn frontend_drain_allocations_stay_bounded_per_batch() {
     let (service, system) = service_with(ServiceConfig {
         cache_capacity_per_shard: 0,
-        ..ServiceConfig::default()
     });
     let fe = Frontend::new(
         service,

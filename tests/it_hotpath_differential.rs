@@ -2,8 +2,8 @@
 //!
 //! The raw-speed refactor only holds together because of one contract:
 //! [`neuro::PackedNetwork`] and [`costing::PackedOpModel`] are
-//! **bit-identical** to the legacy [`neuro::Network::predict`] /
-//! `LogicalOpModel::predict_nn` chain — every ULP, every row, every
+//! **bit-identical** to the reference [`neuro::Network::predict`] /
+//! `LogicalOpModel::predict_nn_reference` chain — every ULP, every row, every
 //! topology, including the lane-blocked batch kernel whose blocks must
 //! never reorder a row's arithmetic. Two layers of enforcement:
 //!
@@ -243,4 +243,136 @@ fn golden_fixture_bits_are_reproduced_exactly() {
         committed, current,
         "packed inference bits diverged from the golden fixture"
     );
+}
+
+/// Both costing stacks and every entry width bottom out in one Fig. 3
+/// body and one kernel (`LogicalOpCosting::estimate_rows`): whichever
+/// way a row reaches the flow, the seconds agree to the bit and so does
+/// the provenance — and in range they are the reference chain's bits.
+mod one_fig3_body {
+    use catalog::SystemId;
+    use costing::logical_op::flow::{FlowScratch, LogicalOpCosting};
+    use costing::{
+        CostEstimate, CostingApproach, CostingProfile, EstimateScratch, EstimateSource,
+        EstimatorService, OperatorKind,
+    };
+    use proptest::prelude::*;
+    use remote_sim::analyze::{CoreKind, QueryAnalysis};
+    use remote_sim::cardinality::NodeEstimate;
+    use remote_sim::exec::AggInfo;
+    use std::path::Path;
+    use std::sync::OnceLock;
+
+    /// The golden profile's trained aggregation flow (no fit per case),
+    /// behind the manager stack's profile and behind a service.
+    fn stacks() -> &'static (CostingProfile, EstimatorService, SystemId) {
+        static STACKS: OnceLock<(CostingProfile, EstimatorService, SystemId)> = OnceLock::new();
+        STACKS.get_or_init(|| {
+            let path = concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/fixtures/logical_agg.profile.json"
+            );
+            let profile = costing::hybrid::load_profile(Path::new(path)).expect("golden profile");
+            let service = EstimatorService::default();
+            let system = profile.system.clone();
+            service.register(system.clone(), flow_of(&profile).clone());
+            (profile, service, system)
+        })
+    }
+
+    fn flow_of(profile: &CostingProfile) -> &LogicalOpCosting {
+        match &profile.approach {
+            CostingApproach::LogicalOp(suite) => suite.aggregation.as_ref().expect("agg flow"),
+            other => panic!("golden profile is a LogicalOp profile, got {other:?}"),
+        }
+    }
+
+    /// A query analysis whose aggregation features are exactly `x`.
+    fn analysis_with(x: &[f64]) -> QueryAnalysis {
+        let node = NodeEstimate {
+            rows: x[2],
+            row_bytes: x[3],
+        };
+        QueryAnalysis {
+            root: node,
+            core: CoreKind::Scan,
+            core_out: node,
+            join: None,
+            agg: Some(AggInfo {
+                in_rows: x[0],
+                in_bytes: x[1],
+                groups: x[2],
+                out_bytes: x[3],
+                n_aggs: 1,
+            }),
+            scan_in: None,
+            nested_join: false,
+            sort_in: None,
+            limit: None,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_every_path_to_the_flow_agrees_to_the_bit(
+            picks in proptest::collection::vec((4.0f64..7.8, 0usize..4), 1..12),
+        ) {
+            let (profile, service, system) = stacks();
+            let flow = flow_of(profile);
+            // 1e4 … 6e7 input rows, log-uniform. The golden grid holds
+            // size 100 and width 12 fixed and trains rows up to 4e6:
+            // shapes 0–1 stay on it (in range below ~4e6 rows, one pivot
+            // above), shape 2 leaves it on a second dimension, shape 3
+            // on the group count.
+            let rows: Vec<[f64; 4]> = picks
+                .iter()
+                .map(|&(exp, shape)| {
+                    let n = 10f64.powf(exp);
+                    match shape {
+                        2 => [n, 900.0, n / 5.0, 12.0],
+                        3 => [n, 100.0, n * 40.0, 12.0],
+                        _ => [n, 100.0, n / 5.0, 12.0],
+                    }
+                })
+                .collect();
+            let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+            let snapshot = service.snapshot();
+            let op = OperatorKind::Aggregation;
+
+            let mut slots: Vec<Option<CostEstimate>> = vec![None; rows.len()];
+            flow.estimate_rows(&flat, 4, &mut slots, &mut FlowScratch::new(), None);
+            let mut served = Vec::new();
+            service
+                .estimate_batch_flat_pinned_scratch(
+                    &snapshot, system, op, &flat, 4, &mut served, &mut EstimateScratch::new(),
+                )
+                .unwrap();
+            let mut manager = profile.clone();
+
+            for (i, x) in rows.iter().enumerate() {
+                let direct = flow.estimate(x);
+                let others = [
+                    manager.estimate_operator(op, &analysis_with(x)).unwrap(),
+                    service.estimate_pinned(&snapshot, system, op, x).unwrap(),
+                    slots[i].clone().expect("every empty slot is filled"),
+                    served[i].clone(),
+                ];
+                for (path, other) in others.iter().enumerate() {
+                    prop_assert_eq!(
+                        direct.secs.to_bits(), other.secs.to_bits(),
+                        "row {:?}, path {}", x, path
+                    );
+                    prop_assert_eq!(&direct.source, &other.source);
+                }
+                let in_range = flow.model.meta.all_in_range(x, flow.remedy.beta);
+                prop_assert_eq!(in_range, direct.source == EstimateSource::NeuralNetwork);
+                if in_range {
+                    prop_assert_eq!(
+                        direct.secs.to_bits(),
+                        flow.model.predict_nn_reference(x).to_bits()
+                    );
+                }
+            }
+        }
+    }
 }

@@ -269,3 +269,29 @@ fn profile_written_with_pending_remedy_records_still_loads() {
     let from_disk = load_profile(Path::new(GOLDEN_PATH)).unwrap();
     assert_same_estimates(&old, &from_disk);
 }
+
+/// A model's packed form is derived when the model is read, never
+/// stored: the fixture's model predicts to the bit like a copy packed
+/// afresh from the same scalers and network (and like the reference
+/// chain), and writing the profile back yields the fixture's exact bytes.
+#[test]
+fn loaded_model_packs_like_a_fresh_one_and_reserializes_byte_for_byte() {
+    let on_disk = std::fs::read_to_string(GOLDEN_PATH).unwrap();
+    let profile: CostingProfile = serde_json::from_str(&on_disk).unwrap();
+    let model = match &profile.approach {
+        CostingApproach::LogicalOp(suite) => &suite.aggregation.as_ref().unwrap().model,
+        other => panic!("golden profile is a LogicalOp profile, got {other:?}"),
+    };
+    let repacked = model.clone().with_network(model.network().clone());
+    assert_eq!(model.packed(), repacked.packed());
+    for x in [
+        [5e5, 100.0, 1e5, 12.0],
+        [3.9e6, 100.0, 7.8e5, 12.0],
+        [2e7, 100.0, 4e6, 12.0],
+    ] {
+        let bits = model.predict_nn(&x).to_bits();
+        assert_eq!(bits, repacked.predict_nn(&x).to_bits());
+        assert_eq!(bits, model.predict_nn_reference(&x).to_bits());
+    }
+    assert_eq!(serde_json::to_string_pretty(&profile).unwrap(), on_disk);
+}
