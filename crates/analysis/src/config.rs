@@ -1,44 +1,10 @@
 //! The shipped rule configuration.
 //!
 //! Everything the rules treat as policy lives here: which modules form
-//! the estimation hot path, which lock receivers map to which ranks,
-//! and which modules are exempt from the float/entropy rules. Tests
-//! build ad-hoc `Config`s; the binary uses
+//! the estimation hot path, which functions seed and bound the
+//! reachability closures, and which modules are exempt from the
+//! float/entropy rules. Tests build ad-hoc `Config`s; the binary uses
 //! [`Config::workspace_default`].
-
-/// One named lock class for the lock-order rule: acquisitions are
-/// classified by the receiver field they are called on (the identifier
-/// directly before `.lock()` / `.read()` / `.write()`).
-#[derive(Debug, Clone)]
-pub struct LockClass {
-    /// Receiver identifier, e.g. `cache` for `shard.cache.lock()`.
-    pub receiver: String,
-    /// Display name used in diagnostics, e.g. `SERVICE_CACHE`.
-    pub name: String,
-    /// Acquisition rank (higher = must be taken later). `None` means
-    /// the class participates in cycle detection but has no rank.
-    pub rank: Option<u32>,
-}
-
-impl LockClass {
-    /// A ranked class.
-    pub fn ranked(receiver: &str, name: &str, rank: u32) -> Self {
-        LockClass {
-            receiver: receiver.to_string(),
-            name: name.to_string(),
-            rank: Some(rank),
-        }
-    }
-
-    /// An unranked class (cycle detection only).
-    pub fn unranked(receiver: &str, name: &str) -> Self {
-        LockClass {
-            receiver: receiver.to_string(),
-            name: name.to_string(),
-            rank: None,
-        }
-    }
-}
 
 /// A declared hot-path entry point: the root of a reachability
 /// closure over the workspace call graph.
@@ -75,21 +41,11 @@ pub struct Config {
     /// `unwrap`/`expect`/`panic!`-family macros and arithmetic slice
     /// indexing.
     pub hot_path_modules: Vec<String>,
-    /// Modules the lock-order rule (R2) scans for guard scopes.
-    pub lock_scope_modules: Vec<String>,
-    /// Receiver → class mapping for R2.
-    pub lock_classes: Vec<LockClass>,
     /// Modules exempt from the float-discipline rule (R4) — the
     /// approved home of raw float comparisons.
     pub float_exempt_modules: Vec<String>,
     /// Modules allowed ambient time/entropy (R5).
     pub entropy_exempt_modules: Vec<String>,
-    /// Modules on the estimation *read* path (R6): they must serve from
-    /// pinned epoch snapshots, never by locking the model store.
-    pub snapshot_read_modules: Vec<String>,
-    /// Receiver identifiers naming the model store for R6 (e.g.
-    /// `store` in `self.inner.store.write()`).
-    pub model_store_receivers: Vec<String>,
     /// Hot-path entry points seeding the interprocedural closures.
     /// `hot_path_modules` &co become seeds plus an explicit allowlist:
     /// any function reachable from an entry is covered even when its
@@ -114,12 +70,6 @@ pub struct Config {
 
 impl Config {
     /// The policy shipped for this workspace.
-    ///
-    /// Lock ranks MUST mirror `parking_lot::rank` in
-    /// `shims/parking_lot/src/lib.rs` — the static pass and the runtime
-    /// checker enforce the same order. A test in
-    /// `crates/analysis/tests/workspace_clean.rs` parses the shim
-    /// source and fails on divergence.
     pub fn workspace_default() -> Config {
         Config {
             hot_path_modules: vec![
@@ -137,28 +87,6 @@ impl Config {
                 "serving::limiter".into(),
                 "neuro::packed".into(),
             ],
-            lock_scope_modules: vec![
-                "costing::service".into(),
-                "costing::epoch".into(),
-                "telemetry".into(),
-                "serving".into(),
-                // The layered planner holds no locks of its own; scoping
-                // it in keeps the lock-order pass watching that stays
-                // true as the scheduler grows.
-                "federation".into(),
-            ],
-            lock_classes: vec![
-                LockClass::ranked("buckets", "FRONTEND_LIMITER", 3),
-                LockClass::ranked("queue_rx", "FRONTEND_QUEUE", 5),
-                LockClass::ranked("commit", "EPOCH_COMMIT", 10),
-                LockClass::ranked("retired", "EPOCH_RETIRED", 20),
-                LockClass::ranked("cache", "SERVICE_CACHE", 30),
-                LockClass::ranked("metrics", "REGISTRY_METRICS", 50),
-                LockClass::ranked("help", "REGISTRY_HELP", 51),
-                LockClass::ranked("slo_state", "SLO_STATE", 55),
-                LockClass::ranked("exemplars", "SPAN_EXEMPLARS", 56),
-                LockClass::ranked("events", "TRACE_SUBSCRIBER", 60),
-            ],
             float_exempt_modules: vec!["mathkit".into()],
             entropy_exempt_modules: vec![
                 "bench".into(),
@@ -166,14 +94,6 @@ impl Config {
                 "telemetry::span".into(),
                 "serving::clock".into(),
             ],
-            snapshot_read_modules: vec![
-                "costing::service".into(),
-                "federation::planner".into(),
-                "federation::ir".into(),
-                "federation::schedule".into(),
-                "serving::frontend".into(),
-            ],
-            model_store_receivers: vec!["models".into(), "store".into()],
             entry_points: vec![
                 // The front-end leader drain: allowed to block on its
                 // request channel and to stage (≤4 allocations per
@@ -235,10 +155,5 @@ impl Config {
             ],
             blocking_exempt_receivers: vec!["cache".into()],
         }
-    }
-
-    /// Looks a receiver identifier up in the lock classes.
-    pub fn lock_class(&self, receiver: &str) -> Option<&LockClass> {
-        self.lock_classes.iter().find(|c| c.receiver == receiver)
     }
 }

@@ -33,8 +33,8 @@
 //!
 //! Known, documented gaps: implicit calls (`Drop::drop`, operator
 //! traits, `?` conversions) and macro-generated code are not modeled —
-//! the runtime halves of the rules (`lock-order-check`, the counting
-//! allocator in `it_hotpath_alloc`) cover those.
+//! the counting allocator in `it_hotpath_alloc` is the runtime check
+//! that sees those.
 //!
 //! [`Reach`] is a breadth-first closure from declared entry points
 //! ([`crate::config::EntryPoint`]); each reached node keeps its BFS
@@ -210,60 +210,6 @@ impl CallGraph {
             .iter()
             .position(|n| n.module == module && n.name == name)
     }
-
-    /// The graph as deterministic JSON: nodes (with reach flags from
-    /// `marks`, if provided) then edges, both in index order.
-    pub fn render_json(&self, files: &[SourceFile], marks: Option<&ReachMarks<'_>>) -> String {
-        let mut out = String::from("{\n  \"nodes\": [");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let mut flags = String::new();
-            if let Some(m) = marks {
-                flags = format!(
-                    ", \"hot\": {}, \"zero_alloc\": {}, \"nonblocking\": {}, \"entry\": {}",
-                    m.hot.flag[i], m.zero_alloc.flag[i], m.nonblocking.flag[i], m.hot.entry[i]
-                );
-            }
-            out.push_str(&format!(
-                "\n    {{\"id\": {}, \"name\": {}, \"file\": {}, \"line\": {}{}}}",
-                i,
-                crate::report::json_str(&n.qualified()),
-                crate::report::json_str(&files[n.file].path),
-                n.line,
-                flags
-            ));
-        }
-        out.push_str("\n  ],\n  \"edges\": [");
-        let mut first = true;
-        for (from, outs) in self.edges.iter().enumerate() {
-            for e in outs {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(
-                    "\n    {{\"from\": {}, \"to\": {}, \"line\": {}}}",
-                    from, e.to, e.line
-                ));
-            }
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-}
-
-/// Reachability flag sets computed for one analysis run, bundled for
-/// graph rendering.
-pub struct ReachMarks<'a> {
-    /// Union closure from every entry point (seeds panic-freedom &co).
-    pub hot: &'a Reach,
-    /// Closure from `zero_alloc` entry points (seeds `alloc-freedom`).
-    pub zero_alloc: &'a Reach,
-    /// Closure from `nonblocking` entry points (seeds
-    /// `blocking-freedom` and `hot-path-write-lock`).
-    pub nonblocking: &'a Reach,
 }
 
 /// A breadth-first reachability closure with BFS-parent witnesses.
@@ -314,17 +260,6 @@ impl Reach {
             }
         }
         reach
-    }
-
-    /// An all-false closure sized for `graph` (used when no entry
-    /// points are configured).
-    pub fn empty(graph: &CallGraph) -> Reach {
-        let n = graph.nodes.len();
-        Reach {
-            flag: vec![false; n],
-            entry: vec![false; n],
-            parent: vec![None; n],
-        }
     }
 
     /// The witness chain for a reached node: qualified names from the
@@ -1405,13 +1340,12 @@ fn collect_field_types(files: &[SourceFile]) -> HashMap<(String, String), String
 mod tests {
     use super::*;
 
-    fn graph_of(sources: &[(&str, &str)]) -> (Vec<SourceFile>, CallGraph) {
+    fn graph_of(sources: &[(&str, &str)]) -> CallGraph {
         let files: Vec<SourceFile> = sources
             .iter()
             .map(|(p, s)| SourceFile::parse(p, s))
             .collect();
-        let graph = CallGraph::build(&files);
-        (files, graph)
+        CallGraph::build(&files)
     }
 
     fn edge_names(graph: &CallGraph, from: &str) -> Vec<String> {
@@ -1440,7 +1374,7 @@ pub fn shadowed(xs: &mut [f64]) {
 }
 pub fn callback(xs: &mut [f64]) { xs.sort_by(col); }
 ";
-        let (_, graph) = graph_of(&[("crates/a/src/lib.rs", src)]);
+        let graph = graph_of(&[("crates/a/src/lib.rs", src)]);
         assert!(edge_names(&graph, "a::shadowed").is_empty());
         assert_eq!(
             edge_names(&graph, "a::callback"),
@@ -1450,7 +1384,7 @@ pub fn callback(xs: &mut [f64]) { xs.sort_by(col); }
 
     #[test]
     fn direct_and_cross_crate_calls_resolve() {
-        let (_, graph) = graph_of(&[
+        let graph = graph_of(&[
             (
                 "crates/a/src/lib.rs",
                 "pub fn entry() { helper(); b_helper(3.0); }\nfn helper() {}\n",
@@ -1479,7 +1413,7 @@ impl T {
 }
 fn boom() {}
 ";
-        let (_, graph) = graph_of(&[("crates/a/src/lib.rs", src)]);
+        let graph = graph_of(&[("crates/a/src/lib.rs", src)]);
         let out = edge_names(&graph, "S::outer");
         assert_eq!(
             out,
@@ -1500,7 +1434,7 @@ fn with_let() { let t: T = make(); t.m(); }
 fn make() -> T { T }
 fn untyped(x) { x.m(); }
 ";
-        let (_, graph) = graph_of(&[("crates/a/src/lib.rs", src)]);
+        let graph = graph_of(&[("crates/a/src/lib.rs", src)]);
         assert_eq!(
             edge_names(&graph, "a::with_param"),
             vec!["a::S::m".to_string()]
@@ -1522,7 +1456,7 @@ impl Sink for A { fn on_event(&self) {} }
 impl Sink for B { fn on_event(&self) {} }
 fn fire(s: &dyn Sink) { s.on_event(); }
 ";
-        let (_, graph) = graph_of(&[("crates/a/src/lib.rs", src)]);
+        let graph = graph_of(&[("crates/a/src/lib.rs", src)]);
         let out = edge_names(&graph, "a::fire");
         assert!(
             out.contains(&"a::A::on_event".to_string())
@@ -1534,7 +1468,7 @@ fn fire(s: &dyn Sink) { s.on_event(); }
     #[test]
     fn recursion_and_cycles_are_tolerated() {
         let src = "fn ping() { pong(); }\nfn pong() { ping(); }\nfn looper() { looper(); }\n";
-        let (_, graph) = graph_of(&[("crates/a/src/lib.rs", src)]);
+        let graph = graph_of(&[("crates/a/src/lib.rs", src)]);
         let ping = graph.find("a", "ping").unwrap();
         let reach = Reach::compute(&graph, &[ping], &|_| false);
         assert!(reach.flag.iter().filter(|&&f| f).count() >= 2);
@@ -1550,7 +1484,7 @@ fn cmp(a: &f64, b: &f64) -> Ordering { total(a, b) }
 fn total(a: &f64, b: &f64) -> Ordering { a.total_cmp(b) }
 fn sorter(xs: &mut [f64]) { xs.sort_by(cmp); }
 ";
-        let (_, graph) = graph_of(&[("crates/a/src/lib.rs", src)]);
+        let graph = graph_of(&[("crates/a/src/lib.rs", src)]);
         let out = edge_names(&graph, "a::sorter");
         assert!(out.contains(&"a::cmp".to_string()), "{out:?}");
     }
@@ -1561,7 +1495,7 @@ fn sorter(xs: &mut [f64]) { xs.sort_by(cmp); }
 fn outer(xs: &[f64]) -> f64 { xs.iter().map(|x| helper(*x)).sum() }
 fn helper(x: f64) -> f64 { x }
 ";
-        let (_, graph) = graph_of(&[("crates/a/src/lib.rs", src)]);
+        let graph = graph_of(&[("crates/a/src/lib.rs", src)]);
         assert!(edge_names(&graph, "a::outer").contains(&"a::helper".to_string()));
     }
 
@@ -1571,7 +1505,7 @@ fn helper(x: f64) -> f64 { x }
 fn outer() { fn nested() { deep(); } nested(); }
 fn deep() {}
 ";
-        let (_, graph) = graph_of(&[("crates/a/src/lib.rs", src)]);
+        let graph = graph_of(&[("crates/a/src/lib.rs", src)]);
         let outer = edge_names(&graph, "a::outer");
         assert!(outer.contains(&"a::nested".to_string()), "{outer:?}");
         assert!(!outer.contains(&"a::deep".to_string()), "{outer:?}");
@@ -1587,7 +1521,7 @@ mod tests {
     fn helper() { super::live(); }
 }
 ";
-        let (_, graph) = graph_of(&[("crates/a/src/lib.rs", src)]);
+        let graph = graph_of(&[("crates/a/src/lib.rs", src)]);
         assert!(graph.nodes.iter().all(|n| n.name != "helper"));
     }
 
@@ -1598,7 +1532,7 @@ fn entry() { boundary(); }
 fn boundary() { beyond(); }
 fn beyond() {}
 ";
-        let (_, graph) = graph_of(&[("crates/a/src/lib.rs", src)]);
+        let graph = graph_of(&[("crates/a/src/lib.rs", src)]);
         let e = graph.find("a", "entry").unwrap();
         let reach = Reach::compute(&graph, &[e], &|n| n.name == "boundary");
         let b = graph.find("a", "boundary").unwrap();
@@ -1619,14 +1553,16 @@ fn beyond() {}
                 "pub fn other() { helper_b(); }\nfn helper_b() {}\n",
             ),
         ];
-        let (files1, graph1) = graph_of(&sources);
-        let (files2, graph2) = graph_of(&sources);
-        assert_eq!(
-            graph1.render_json(&files1, None),
-            graph2.render_json(&files2, None)
-        );
-        assert!(graph1
-            .render_json(&files1, None)
-            .contains("\"name\": \"a::entry\""));
+        // Two builds agree node for node and edge for edge: witnesses
+        // (BFS in index order) are stable across runs.
+        let shape = |graph: &CallGraph| -> (Vec<(String, usize)>, Vec<Vec<Edge>>) {
+            let nodes = graph.nodes.iter().map(|n| (n.qualified(), n.line));
+            (nodes.collect(), graph.edges.clone())
+        };
+        let graph1 = graph_of(&sources);
+        let graph2 = graph_of(&sources);
+        assert_eq!(shape(&graph1), shape(&graph2));
+        assert_eq!(graph1.nodes[0].qualified(), "a::entry");
+        assert_eq!(edge_names(&graph1, "entry"), ["a::helper"]);
     }
 }

@@ -1,38 +1,40 @@
 //! Workspace-specific static analysis for the cost-estimation hot path.
 //!
 //! This crate is a lint pass over the workspace's own source that
-//! depends on nothing outside the workspace (only the in-tree
-//! `serde`/`serde_json` shims, to read its baseline): a lightweight Rust lexer ([`lexer`]), a
+//! depends on nothing at all: a lightweight Rust lexer ([`lexer`]), a
 //! per-file structural model ([`source`]), a workspace-wide call graph
-//! with hot-path reachability ([`graph`]), and seven rules ([`rules`])
+//! with hot-path reachability ([`graph`]), and five rules ([`rules`])
 //! that enforce the invariants the estimation pipeline relies on but
-//! `rustc`/`clippy` cannot see:
+//! `rustc`/`clippy` cannot see, and that no other check in the
+//! workspace enforces:
 //!
 //! * panic-freedom on the hot path (`panic-freedom`),
-//! * a rank-ordered, acyclic lock graph (`lock-order` — the static
-//!   half of the `parking_lot` shim's `lock-order-check` feature),
 //! * NaN-safe float handling (`float-discipline`),
 //! * replayable estimation — no ambient time/entropy
 //!   (`nondeterminism`),
-//! * lock-free snapshot reads (`hot-path-write-lock`),
 //! * static zero-allocation on steady-state paths (`alloc-freedom`),
 //! * no blocking on snapshot-read paths (`blocking-freedom`).
+//!
+//! Lock *ordering* is not here: the `parking_lot` shim's
+//! `lock-order-check` feature validates every acquisition on every
+//! thread at runtime, and one enforcer per invariant is the rule
+//! (DESIGN.md §10 keeps the per-rule ledger).
 //!
 //! The scope of the hot-path rules is *interprocedural*: the module
 //! lists in [`config::Config`] are seeds, and anything reachable from
 //! the declared entry points over the call graph is covered too, with
 //! findings carrying an entry-point→…→violation call-path witness.
 //!
-//! Run it with `cargo run -p analysis -- check` (add `--format json`
-//! for machine-readable output, `--graph` to dump the call graph,
-//! `--baseline <file>` for no-new-findings diffing). Violations can be
-//! suppressed inline with `// analysis:allow(rule-id): reason` — the
-//! reason is mandatory; a bare allow is itself a finding, and an allow
-//! that no longer suppresses anything is a warning (`unused-allow`).
+//! Run it with `cargo run -p analysis -- check`; the exit code and the
+//! tier-1 `workspace_clean` test gate on the same predicate,
+//! [`report::Report::is_clean`]. Violations can be suppressed inline
+//! with `// analysis:allow(rule-id): reason` — the reason is mandatory;
+//! a bare allow is itself a finding, and so is an allow that no longer
+//! suppresses anything (`unused-allow`) or a policy name in
+//! [`config::Config`] that matches no function.
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod config;
 pub mod graph;
 pub mod lexer;
@@ -60,11 +62,11 @@ pub struct Context<'a> {
     pub hot: Reach,
     /// Closure from `zero_alloc` entries (the `alloc-freedom` scope).
     pub zero_alloc: Reach,
-    /// Closure from `nonblocking` entries (the `blocking-freedom` and
-    /// extended `hot-path-write-lock` scope).
+    /// Closure from `nonblocking` entries (the `blocking-freedom`
+    /// scope).
     pub nonblocking: Reach,
     /// Entry points declared in the config that matched no function —
-    /// the CLI reports these as warnings so the seed list cannot rot.
+    /// [`check_sources`] reports these so the seed list cannot rot.
     pub unresolved_entries: Vec<String>,
 }
 
@@ -118,44 +120,18 @@ impl<'a> Context<'a> {
     }
 }
 
-/// Runs every rule over pre-parsed sources and applies the
-/// `analysis:allow` filter. This is the engine the CLI, the fixture
-/// tests, and the live-workspace test all share.
+/// Runs every rule over pre-parsed sources, applies the
+/// `analysis:allow` filter, and audits the policy itself (stale allows,
+/// policy names matching no function). This is the engine the CLI, the
+/// fixture tests, and the live-workspace test all share.
 pub fn check_sources(files: &[SourceFile], config: &Config) -> Report {
-    analyze_sources(files, config).report
-}
-
-/// The full outcome of one analysis run: the report plus the graph
-/// facts the CLI (`--graph`) and the bench experiment surface.
-pub struct AnalysisOutcome {
-    /// The findings/allows report.
-    pub report: Report,
-    /// Declared entry points that resolved to no function.
-    pub unresolved_entries: Vec<String>,
-    /// Call-graph node count (non-test functions).
-    pub graph_nodes: usize,
-    /// Call-graph edge count (deduplicated call sites).
-    pub graph_edges: usize,
-    /// Functions in the hot closure / the zero-alloc closure / the
-    /// nonblocking closure.
-    pub reach_counts: (usize, usize, usize),
-    /// The call graph as deterministic JSON (nodes with reach flags,
-    /// then edges).
-    pub graph_json: String,
-}
-
-/// [`check_sources`], returning the graph facts alongside the report.
-pub fn analyze_sources(files: &[SourceFile], config: &Config) -> AnalysisOutcome {
     let ctx = Context::build(files, config);
-    let mut rules = rules::all_rules();
+    let rules = rules::all_rules();
     let mut findings = Vec::new();
     for file_idx in 0..files.len() {
-        for rule in &mut rules {
+        for rule in &rules {
             rule.check_file(&ctx, file_idx, &mut findings);
         }
-    }
-    for rule in &mut rules {
-        rule.finish(&ctx, &mut findings);
     }
 
     let mut report = Report {
@@ -210,8 +186,7 @@ pub fn analyze_sources(files: &[SourceFile], config: &Config) -> AnalysisOutcome
                     ),
                 ));
             } else if !used[fi][ai] {
-                // A stale allow is advisory by default (`--strict-allows`
-                // gates it): the escape-hatch inventory must not rot.
+                // The escape-hatch inventory must not rot.
                 report.findings.push(report::Finding::warning(
                     "unused-allow",
                     &file.path,
@@ -225,32 +200,41 @@ pub fn analyze_sources(files: &[SourceFile], config: &Config) -> AnalysisOutcome
             }
         }
     }
+    // `Config` matches functions by *name*: a renamed entry point or
+    // boundary would silently shrink (or widen) what the rules cover.
+    for entry in &ctx.unresolved_entries {
+        report.findings.push(report::Finding::warning(
+            "unresolved-entry-point",
+            POLICY_FILE,
+            1,
+            format!("declared hot-path entry point `{entry}` matches no function"),
+        ));
+    }
+    for name in config
+        .cold_boundary_functions
+        .iter()
+        .chain(&config.zero_alloc_boundary_functions)
+    {
+        if !ctx.graph.nodes.iter().any(|n| &n.name == name) {
+            report.findings.push(report::Finding::warning(
+                "unresolved-boundary",
+                POLICY_FILE,
+                1,
+                format!("declared closure boundary `{name}` matches no function"),
+            ));
+        }
+    }
     report.sort();
     // Deduplicate allow uses: one annotation may suppress findings on
     // its own line and the next.
     report
         .allows
         .dedup_by(|a, b| a.file == b.file && a.line == b.line && a.rule == b.rule);
-
-    let marks = graph::ReachMarks {
-        hot: &ctx.hot,
-        zero_alloc: &ctx.zero_alloc,
-        nonblocking: &ctx.nonblocking,
-    };
-    let count = |r: &Reach| r.flag.iter().filter(|&&f| f).count();
-    AnalysisOutcome {
-        graph_json: ctx.graph.render_json(files, Some(&marks)),
-        graph_nodes: ctx.graph.nodes.len(),
-        graph_edges: ctx.graph.edges.iter().map(|e| e.len()).sum(),
-        reach_counts: (
-            count(&ctx.hot),
-            count(&ctx.zero_alloc),
-            count(&ctx.nonblocking),
-        ),
-        unresolved_entries: ctx.unresolved_entries,
-        report,
-    }
+    report
 }
+
+/// Where findings about the policy itself point.
+const POLICY_FILE: &str = "crates/analysis/src/config.rs";
 
 /// Parses a set of `(path, source)` pairs and runs the rules. Test
 /// convenience over [`check_sources`].
@@ -267,16 +251,7 @@ pub fn check_str(sources: &[(&str, &str)], config: &Config) -> Report {
 /// separators. I/O errors surface as `Err`; unreadable trees should
 /// fail the build, not pass silently.
 pub fn check_workspace(root: &std::path::Path, config: &Config) -> std::io::Result<Report> {
-    Ok(analyze_workspace(root, config)?.report)
-}
-
-/// [`check_workspace`], returning graph facts alongside the report.
-pub fn analyze_workspace(
-    root: &std::path::Path,
-    config: &Config,
-) -> std::io::Result<AnalysisOutcome> {
-    let files = load_workspace(root)?;
-    Ok(analyze_sources(&files, config))
+    Ok(check_sources(&load_workspace(root)?, config))
 }
 
 /// Parses every `crates/*/src/**/*.rs` file under `root`, sorted by
@@ -322,10 +297,65 @@ fn collect_rs_files(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use config::EntryPoint;
+
+    /// The shipped module lists and exemptions without the entry points
+    /// and boundaries, which name functions of the live tree.
+    fn module_policy() -> Config {
+        Config {
+            entry_points: Vec::new(),
+            cold_boundary_functions: Vec::new(),
+            zero_alloc_boundary_functions: Vec::new(),
+            ..Config::workspace_default()
+        }
+    }
+
+    #[test]
+    fn policy_names_matching_no_function_are_findings() {
+        let src =
+            "pub fn estimate_pinned(x: f64) -> f64 { emit(x) }\nfn emit(x: f64) -> f64 { x }\n";
+        let sources = [("crates/costing/src/service/mod.rs", src)];
+        let resolved = Config {
+            entry_points: vec![EntryPoint::new(
+                "costing::service",
+                "estimate_pinned",
+                true,
+                true,
+            )],
+            cold_boundary_functions: vec!["emit".into()],
+            ..module_policy()
+        };
+        let report = check_str(&sources, &resolved);
+        assert!(report.is_clean(), "{}", report.render_text());
+
+        // Rename either and the rules would silently cover less (or
+        // more); the report says so instead.
+        let rotten = Config {
+            entry_points: vec![EntryPoint::new("costing::service", "estimate", true, true)],
+            cold_boundary_functions: vec!["emit_event".into()],
+            zero_alloc_boundary_functions: vec!["remedy".into()],
+            ..module_policy()
+        };
+        let report = check_str(&sources, &rotten);
+        let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
+        assert_eq!(
+            rules,
+            [
+                "unresolved-boundary",
+                "unresolved-boundary",
+                "unresolved-entry-point"
+            ],
+            "{}",
+            report.render_text()
+        );
+        assert!(report.findings[2]
+            .message
+            .contains("`costing::service::estimate`"));
+    }
 
     #[test]
     fn allow_with_reason_suppresses_and_is_reported() {
-        let config = Config::workspace_default();
+        let config = module_policy();
         let src = "\
 fn f(x: Option<u32>) -> u32 {
     // analysis:allow(panic-freedom): fixture exercises the escape hatch
@@ -340,7 +370,7 @@ fn f(x: Option<u32>) -> u32 {
 
     #[test]
     fn allow_without_reason_is_a_finding() {
-        let config = Config::workspace_default();
+        let config = module_policy();
         let src = "\
 fn f(x: Option<u32>) -> u32 {
     // analysis:allow(panic-freedom)
@@ -358,7 +388,7 @@ fn f(x: Option<u32>) -> u32 {
 
     #[test]
     fn allow_for_other_rule_does_not_suppress() {
-        let config = Config::workspace_default();
+        let config = module_policy();
         let src = "\
 fn f(x: Option<u32>) -> u32 {
     // analysis:allow(float-discipline): wrong rule on purpose
@@ -369,14 +399,13 @@ fn f(x: Option<u32>) -> u32 {
         // The unwrap fires, and the mismatched allow is itself flagged
         // as unused (warning severity).
         assert_eq!(report.findings.len(), 2, "{}", report.render_text());
-        assert_eq!(report.error_count(), 1);
         assert!(report.findings.iter().any(|f| f.rule == "panic-freedom"));
         assert!(report.findings.iter().any(|f| f.rule == "unused-allow"));
     }
 
     #[test]
     fn unused_allow_is_a_warning() {
-        let config = Config::workspace_default();
+        let config = module_policy();
         let src = "\
 fn f(x: Option<u32>) -> Option<u32> {
     // analysis:allow(panic-freedom): nothing here panics any more
@@ -388,7 +417,6 @@ fn f(x: Option<u32>) -> Option<u32> {
         let f = &report.findings[0];
         assert_eq!(f.rule, "unused-allow");
         assert_eq!(f.severity, report::Severity::Warning);
-        assert_eq!(report.error_count(), 0);
     }
 
     #[test]

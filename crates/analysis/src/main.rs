@@ -1,21 +1,12 @@
 //! CLI for the workspace lint pass.
 //!
 //! ```text
-//! cargo run -p analysis -- check [--root DIR] [--format text|json]
-//!                                [--graph FILE] [--baseline FILE]
-//!                                [--strict-allows]
+//! cargo run -p analysis -- check [--root DIR]
 //! ```
 //!
-//! * `--graph FILE` — also write the workspace call graph (nodes with
-//!   hot/zero-alloc/nonblocking reach flags, edges) as deterministic
-//!   JSON to `FILE` (`-` for stdout instead of the report).
-//! * `--baseline FILE` — no-new-findings mode: exit 1 only for
-//!   error findings whose `(rule, file, message)` key is absent from
-//!   the baseline report JSON.
-//! * `--strict-allows` — warnings (unused `analysis:allow`
-//!   annotations) gate the exit code like errors.
-//!
-//! Exit codes: `0` clean, `1` findings, `2` usage error.
+//! Prints the text report. Exit codes: `0` clean, `1` findings (the
+//! predicate is `Report::is_clean`, the one the tier-1
+//! `workspace_clean` test asserts), `2` usage error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -26,10 +17,7 @@ fn main() -> ExitCode {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("analysis: {msg}");
-            eprintln!(
-                "usage: analysis check [--root DIR] [--format text|json] \
-                 [--graph FILE] [--baseline FILE] [--strict-allows]"
-            );
+            eprintln!("usage: analysis check [--root DIR]");
             ExitCode::from(2)
         }
     }
@@ -44,44 +32,16 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     }
 
     let mut root: Option<PathBuf> = None;
-    let mut format = "text".to_string();
-    let mut graph_out: Option<String> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut strict_allows = false;
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--root" => {
                 root = Some(PathBuf::from(it.next().ok_or("--root needs a directory")?));
             }
-            "--format" => {
-                format = it.next().ok_or("--format needs text|json")?.clone();
-            }
-            "--graph" => {
-                graph_out = Some(it.next().ok_or("--graph needs a file (or -)")?.clone());
-            }
-            "--baseline" => {
-                baseline_path = Some(PathBuf::from(
-                    it.next().ok_or("--baseline needs a report JSON file")?,
-                ));
-            }
-            "--strict-allows" => strict_allows = true,
-            other if other.starts_with("--format=") => {
-                format = other["--format=".len()..].to_string();
-            }
             other if other.starts_with("--root=") => {
                 root = Some(PathBuf::from(&other["--root=".len()..]));
             }
-            other if other.starts_with("--graph=") => {
-                graph_out = Some(other["--graph=".len()..].to_string());
-            }
-            other if other.starts_with("--baseline=") => {
-                baseline_path = Some(PathBuf::from(&other["--baseline=".len()..]));
-            }
             other => return Err(format!("unknown flag `{other}`")),
         }
-    }
-    if format != "text" && format != "json" {
-        return Err(format!("unknown format `{format}`"));
     }
 
     let root = match root {
@@ -89,67 +49,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         None => discover_workspace_root()?,
     };
     let config = analysis::config::Config::workspace_default();
-    let mut outcome = analysis::analyze_workspace(&root, &config)
+    let report = analysis::check_workspace(&root, &config)
         .map_err(|e| format!("scanning {}: {e}", root.display()))?;
-
-    // Entry points that resolved to no function are a policy bug: the
-    // seed list has rotted. Reported as warnings (they gate under
-    // `--strict-allows` like other warnings).
-    for entry in &outcome.unresolved_entries {
-        outcome
-            .report
-            .findings
-            .push(analysis::report::Finding::warning(
-                "unresolved-entry-point",
-                "crates/analysis/src/config.rs",
-                1,
-                format!("declared hot-path entry point `{entry}` matches no function"),
-            ));
-    }
-    outcome.report.sort();
-    let report = &outcome.report;
-
-    if let Some(graph_path) = &graph_out {
-        if graph_path == "-" {
-            print!("{}", outcome.graph_json);
-            return Ok(ExitCode::SUCCESS);
-        }
-        std::fs::write(graph_path, &outcome.graph_json)
-            .map_err(|e| format!("writing {graph_path}: {e}"))?;
-    }
-
-    if format == "json" {
-        print!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
-
-    let gate_errors = match &baseline_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("reading baseline {}: {e}", path.display()))?;
-            let keys = analysis::baseline::baseline_keys(&text)
-                .map_err(|e| format!("parsing baseline {}: {e}", path.display()))?;
-            let new = analysis::baseline::new_findings(report, &keys);
-            if !new.is_empty() {
-                eprintln!(
-                    "{} finding(s) not in baseline {}:",
-                    new.len(),
-                    path.display()
-                );
-                for f in &new {
-                    eprintln!("  {}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
-                }
-            }
-            !new.is_empty()
-        }
-        None => report.error_count() > 0,
-    };
-    let gate_warnings = strict_allows && report.warning_count() > 0;
-    Ok(if gate_errors || gate_warnings {
-        ExitCode::from(1)
-    } else {
+    print!("{}", report.render_text());
+    Ok(if report.is_clean() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     })
 }
 

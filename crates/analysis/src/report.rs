@@ -1,24 +1,15 @@
-//! Findings and report rendering (human-readable text and JSON).
+//! Findings and report rendering.
 
-/// How serious a finding is: errors gate CI, warnings are advisory
-/// unless `--strict-allows` (or a caller policy) promotes them.
+/// What a finding is about. Both kinds fail the run — the split only
+/// tells the reader whether to fix code or to fix the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Severity {
-    /// A rule violation; fails the run.
+    /// A rule violation in the scanned code.
     #[default]
     Error,
-    /// Advisory (unused allows, unresolved entry points).
+    /// Rot in the policy itself: an unused allow, a `Config` name that
+    /// matches no function.
     Warning,
-}
-
-impl Severity {
-    /// Lowercase label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        }
-    }
 }
 
 /// One rule violation at a source location.
@@ -93,23 +84,11 @@ pub struct Report {
 }
 
 impl Report {
-    /// True when no rule fired (warnings included — the live tree is
-    /// held to zero warnings too).
+    /// True when nothing fired, warnings included. This is the one
+    /// gate: the CLI's exit code and the tier-1 live-workspace test
+    /// both assert it.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
-    }
-
-    /// Error-severity findings only (the CI gate).
-    pub fn error_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Error)
-            .count()
-    }
-
-    /// Warning-severity findings (advisory unless `--strict-allows`).
-    pub fn warning_count(&self) -> usize {
-        self.findings.len() - self.error_count()
     }
 
     /// Orders findings by (file, line, rule) for stable output.
@@ -149,58 +128,6 @@ impl Report {
         ));
         out
     }
-
-    /// The report as a JSON object (hand-rolled: fields stay in reading
-    /// order, where the serde shim would sort them by key).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"clean\": {},\n", self.is_clean()));
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!("  \"allow_count\": {},\n", self.allows.len()));
-        out.push_str("  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let witness = if f.witness.is_empty() {
-                String::new()
-            } else {
-                let parts: Vec<String> = f.witness.iter().map(|w| json_str(w)).collect();
-                format!(", \"witness\": [{}]", parts.join(", "))
-            };
-            out.push_str(&format!(
-                "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"severity\": {}, \
-                 \"message\": {}{}}}",
-                json_str(f.rule),
-                json_str(&f.file),
-                f.line,
-                json_str(f.severity.label()),
-                json_str(&f.message),
-                witness
-            ));
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"allows\": [");
-        for (i, a) in self.allows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"reason\": {}}}",
-                json_str(&a.rule),
-                json_str(&a.file),
-                a.line,
-                json_str(&a.reason)
-            ));
-        }
-        if !self.allows.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
 }
 
 fn plural(n: usize) -> &'static str {
@@ -209,25 +136,6 @@ fn plural(n: usize) -> &'static str {
     } else {
         "s"
     }
-}
-
-/// Escapes a string as a JSON string literal.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -273,31 +181,16 @@ mod tests {
             "stale".into(),
         ));
         r.sort();
-        assert_eq!(r.error_count(), 1);
-        assert_eq!(r.warning_count(), 1);
-        assert!(r
-            .render_text()
-            .contains("crates/x/src/lib.rs:9: warning: [unused-allow]"));
-        assert!(r.render_json().contains("\"severity\": \"warning\""));
-    }
-
-    #[test]
-    fn json_is_escaped_and_structured() {
-        let json = sample().render_json();
-        assert!(json.contains("\"clean\": false"));
-        assert!(json.contains("\"files_scanned\": 2"));
-        assert!(json.contains("\"line\": 7"));
-        assert!(json.contains(r#"a \"hot\" path"#));
-        assert!(json.contains("\"allow_count\": 1"));
-        assert!(json.contains("\"severity\": \"error\""));
-        assert!(json.contains("\"witness\": [\"a::entry\", \"a::helper\"]"));
+        assert!(!r.is_clean());
+        let text = r.render_text();
+        assert!(text.contains("crates/x/src/lib.rs:9: warning: [unused-allow]"));
+        assert!(text.contains("2 findings in 2 files"), "{text}");
     }
 
     #[test]
     fn empty_report_is_clean() {
         let r = Report::default();
         assert!(r.is_clean());
-        assert!(r.render_json().contains("\"clean\": true"));
         assert!(r.render_text().contains("0 findings"));
     }
 }

@@ -72,7 +72,7 @@ impl Rule for AllocFreedom {
         "alloc-freedom"
     }
 
-    fn check_file(&mut self, ctx: &Context<'_>, file_idx: usize, out: &mut Vec<Finding>) {
+    fn check_file(&self, ctx: &Context<'_>, file_idx: usize, out: &mut Vec<Finding>) {
         let file = &ctx.files[file_idx];
         // Cheap pre-filter: any zero-alloc-reachable node in this file?
         let owners = &ctx.graph.token_owner[file_idx];

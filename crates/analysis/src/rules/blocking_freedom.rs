@@ -53,7 +53,7 @@ impl Rule for BlockingFreedom {
         "blocking-freedom"
     }
 
-    fn check_file(&mut self, ctx: &Context<'_>, file_idx: usize, out: &mut Vec<Finding>) {
+    fn check_file(&self, ctx: &Context<'_>, file_idx: usize, out: &mut Vec<Finding>) {
         let file = &ctx.files[file_idx];
         let owners = &ctx.graph.token_owner[file_idx];
         if !owners

@@ -37,7 +37,7 @@ impl Rule for FloatDiscipline {
         "float-discipline"
     }
 
-    fn check_file(&mut self, ctx: &Context<'_>, file_idx: usize, out: &mut Vec<Finding>) {
+    fn check_file(&self, ctx: &Context<'_>, file_idx: usize, out: &mut Vec<Finding>) {
         let file = &ctx.files[file_idx];
         let exempt_module = file.module_in(&ctx.config.float_exempt_modules);
         // Exempt modules are only scanned where the hot closure reaches

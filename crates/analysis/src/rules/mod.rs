@@ -1,21 +1,21 @@
-//! The rule engine: one trait, seven domain rules.
+//! The rule engine: one trait, five domain rules (R1, R4, R5, R7, R8 —
+//! ids are not renumbered when a rule leaves; DESIGN.md §10 keeps the
+//! ledger of what each rule has caught and why R2/R3/R6 are gone).
 //!
 //! | id                 | enforces                                                  |
 //! |--------------------|-----------------------------------------------------------|
 //! | `panic-freedom`    | no `unwrap`/`expect`/panic macros/arithmetic indexing in the estimation hot path |
-//! | `lock-order`       | guard-scope acquisition graph is acyclic and rank-ordered |
 //! | `float-discipline` | no `==`/`!=` against float literals, no NaN-unsafe sorts  |
 //! | `nondeterminism`   | no ambient time/entropy outside approved modules          |
-//! | `hot-path-write-lock` | read-path modules never lock the model store — they pin epoch snapshots |
 //! | `alloc-freedom`    | nothing reachable from a zero-alloc entry point allocates |
 //! | `blocking-freedom` | nothing reachable from a snapshot-read entry point blocks |
 //!
 //! The hot-path rules (`panic-freedom`, `float-discipline`,
-//! `hot-path-write-lock`, `alloc-freedom`, `blocking-freedom`) are
-//! *interprocedural*: their scope is the union of the configured module
-//! lists and the call-graph closure from the declared entry points, so
-//! a helper in an unlisted module is covered the moment the hot path
-//! calls it. Reachability-seeded findings carry a call-path witness.
+//! `alloc-freedom`, `blocking-freedom`) are *interprocedural*: their
+//! scope is the union of the configured module lists and the call-graph
+//! closure from the declared entry points, so a helper in an unlisted
+//! module is covered the moment the hot path calls it.
+//! Reachability-seeded findings carry a call-path witness.
 
 use crate::lexer::TokenKind;
 use crate::report::Finding;
@@ -25,42 +25,32 @@ use crate::Context;
 mod alloc_freedom;
 mod blocking_freedom;
 mod float_discipline;
-mod hot_path_write_lock;
-mod lock_order;
 mod nondeterminism;
 mod panic_freedom;
 
 pub use alloc_freedom::AllocFreedom;
 pub use blocking_freedom::BlockingFreedom;
 pub use float_discipline::FloatDiscipline;
-pub use hot_path_write_lock::HotPathWriteLock;
-pub use lock_order::LockOrder;
 pub use nondeterminism::Nondeterminism;
 pub use panic_freedom::PanicFreedom;
 
-/// One analysis rule. Rules see every scanned file once (with the full
-/// [`Context`] — sources, config, call graph, reachability), then get a
-/// [`Rule::finish`] call for whole-workspace checks (e.g. cycle
-/// detection over the merged lock graph).
+/// One analysis rule. Rules are stateless: each sees every scanned
+/// file once, with the full [`Context`] — sources, config, call graph,
+/// reachability.
 pub trait Rule {
     /// Stable rule id used in diagnostics and `analysis:allow`.
     fn id(&self) -> &'static str;
 
     /// Scans `ctx.files[file_idx]`, appending findings.
-    fn check_file(&mut self, ctx: &Context<'_>, file_idx: usize, out: &mut Vec<Finding>);
-
-    /// Called once after every file has been scanned.
-    fn finish(&mut self, _ctx: &Context<'_>, _out: &mut Vec<Finding>) {}
+    fn check_file(&self, ctx: &Context<'_>, file_idx: usize, out: &mut Vec<Finding>);
 }
 
-/// A fresh instance of every shipped rule.
+/// Every shipped rule.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(PanicFreedom),
-        Box::new(LockOrder::default()),
         Box::new(FloatDiscipline),
         Box::new(Nondeterminism),
-        Box::new(HotPathWriteLock),
         Box::new(AllocFreedom),
         Box::new(BlockingFreedom),
     ]

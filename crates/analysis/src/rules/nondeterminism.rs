@@ -22,7 +22,7 @@ impl Rule for Nondeterminism {
         "nondeterminism"
     }
 
-    fn check_file(&mut self, ctx: &Context<'_>, file_idx: usize, out: &mut Vec<Finding>) {
+    fn check_file(&self, ctx: &Context<'_>, file_idx: usize, out: &mut Vec<Finding>) {
         let file = &ctx.files[file_idx];
         if file.module_in(&ctx.config.entropy_exempt_modules) {
             return;

@@ -33,7 +33,7 @@ impl Rule for PanicFreedom {
         "panic-freedom"
     }
 
-    fn check_file(&mut self, ctx: &Context<'_>, file_idx: usize, out: &mut Vec<Finding>) {
+    fn check_file(&self, ctx: &Context<'_>, file_idx: usize, out: &mut Vec<Finding>) {
         let file = &ctx.files[file_idx];
         let config = ctx.config;
         let listed = file.module_in(&config.hot_path_modules);

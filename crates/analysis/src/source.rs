@@ -111,14 +111,6 @@ impl SourceFile {
             .iter()
             .any(|p| self.module == *p || self.module.starts_with(&format!("{p}::")))
     }
-
-    /// The innermost function whose body spans `token_index`, if any.
-    pub fn enclosing_function(&self, token_index: usize) -> Option<&Function> {
-        self.functions
-            .iter()
-            .filter(|f| f.body.contains(&token_index))
-            .min_by_key(|f| f.body.end - f.body.start)
-    }
 }
 
 /// Derives a module path from a workspace-relative file path.

@@ -1,6 +1,7 @@
-//! The live workspace must pass its own lint pass, the allow budget
-//! must stay small, every function name in the policy must still exist,
-//! and the static rank table must match the runtime checker's.
+//! The one gate: the live workspace must pass its own lint pass under
+//! `Report::is_clean()` — the predicate the CLI's exit code uses — and
+//! the allow budget must stay small. A failure prints the CLI's text
+//! report.
 
 use analysis::config::Config;
 use std::path::{Path, PathBuf};
@@ -33,8 +34,8 @@ fn allow_budget_stays_small() {
     // (`mathkit::matrix`, loop-bounded flat indexing) and the cache
     // miss-path key materialisation into coverage, which accounts for
     // most of the current inventory — each annotation states the
-    // invariant that makes it safe, and `--strict-allows` keeps the
-    // set exercised.
+    // invariant that makes it safe, and an allow that suppresses
+    // nothing is a finding, which keeps the set exercised.
     let config = Config::workspace_default();
     let report =
         analysis::check_workspace(&workspace_root(), &config).expect("scanning the workspace");
@@ -48,9 +49,9 @@ fn allow_budget_stays_small() {
 
 #[test]
 fn every_function_the_policy_names_exists_on_the_live_tree() {
-    // `Config` matches functions by *name*. A renamed entry point is
-    // only a CLI warning and a renamed boundary is ignored outright, so
-    // either would silently shrink (or widen) what the rules cover.
+    // `Config` matches functions by *name*, so a renamed entry point or
+    // boundary would silently shrink (or widen) what the rules cover.
+    // `check_sources` reports both; this names the culprit directly.
     let config = Config::workspace_default();
     let files = analysis::load_workspace(&workspace_root()).expect("scanning the workspace");
     let graph = analysis::graph::CallGraph::build(&files);
@@ -67,48 +68,6 @@ fn every_function_the_policy_names_exists_on_the_live_tree() {
         assert!(
             graph.nodes.iter().any(|n| &n.name == name),
             "boundary function `{name}` matches no function in the workspace"
-        );
-    }
-}
-
-#[test]
-fn static_ranks_mirror_the_runtime_checker() {
-    // The analysis crate does not link the `parking_lot` shim, so it
-    // duplicates the rank numbers instead of importing `parking_lot::rank`. This test pins
-    // the two tables together by parsing the shim source.
-    let shim = workspace_root().join("shims/parking_lot/src/lib.rs");
-    let text = std::fs::read_to_string(&shim).expect("reading the parking_lot shim");
-
-    let shim_rank = |name: &str| -> u32 {
-        let needle = format!("pub const {name}: u32 = ");
-        let at = text
-            .find(&needle)
-            .unwrap_or_else(|| panic!("`{name}` not found in {}", shim.display()));
-        text[at + needle.len()..]
-            .split(';')
-            .next()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or_else(|| panic!("`{name}` has a non-literal value"))
-    };
-
-    let config = Config::workspace_default();
-    assert!(!config.lock_classes.is_empty());
-    // The epoch store's cells must be in the shared table (the commit
-    // mutex below every other rank, reclamation just above it).
-    for expected in ["EPOCH_COMMIT", "EPOCH_RETIRED"] {
-        assert!(
-            config.lock_classes.iter().any(|c| c.name == expected),
-            "lock class {expected} missing from the shipped config"
-        );
-    }
-    for class in &config.lock_classes {
-        let Some(rank) = class.rank else { continue };
-        assert_eq!(
-            rank,
-            shim_rank(&class.name),
-            "rank table divergence for {}: analysis says {rank}, shim says {}",
-            class.name,
-            shim_rank(&class.name)
         );
     }
 }

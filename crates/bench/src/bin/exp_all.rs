@@ -15,5 +15,4 @@ fn main() {
     let _ = bench::experiments::drift::run(&cfg);
     let _ = bench::experiments::epoch_churn::run(&cfg);
     let _ = bench::experiments::workload::run(&cfg);
-    let _ = bench::experiments::analysis::run(&cfg);
 }

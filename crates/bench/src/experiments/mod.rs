@@ -1,7 +1,6 @@
 //! The experiment implementations, one module per paper artefact.
 
 pub mod ablations;
-pub mod analysis;
 pub mod drift;
 pub mod epoch_churn;
 pub mod fig10;

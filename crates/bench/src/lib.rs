@@ -18,7 +18,6 @@
 //! | Serving front-end (DESIGN.md §12) | [`experiments::frontend`] | `exp_frontend` † |
 //! | Estimate hot path (DESIGN.md §13) | [`experiments::hotpath`] | `exp_hotpath` † |
 //! | Observability overhead (DESIGN.md §14) | [`experiments::observability`] | `exp_observability` † |
-//! | Lint-pass timing (DESIGN.md §16) | [`experiments::analysis`] | `exp_analysis` |
 //! | Workload optimizer (DESIGN.md §17) | [`experiments::workload`] | `exp_workload` † |
 //!
 //! Each experiment prints the same rows/series the paper reports and

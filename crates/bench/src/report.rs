@@ -87,19 +87,6 @@ pub fn kv(key: &str, value: impl std::fmt::Display) {
     println!("  {key:<46} {value}");
 }
 
-/// Prints a series as an aligned two-column table (sampled to at most
-/// `max_rows` rows so wide sweeps stay readable).
-pub fn print_series(s: &Series, x_label: &str, y_label: &str, max_rows: usize) {
-    println!("  -- {} --", s.name);
-    println!("  {x_label:>16}  {y_label:>16}");
-    let stride = (s.points.len() / max_rows.max(1)).max(1);
-    for (i, (x, y)) in s.points.iter().enumerate() {
-        if i % stride == 0 || i + 1 == s.points.len() {
-            println!("  {x:>16.3}  {y:>16.3}");
-        }
-    }
-}
-
 /// Prints an aligned text table (and writes it to `<out_dir>/<file>.txt`
 /// when file output is enabled). Every row must have one cell per header.
 pub fn write_text_table(cfg: &ExpConfig, file: &str, headers: &[&str], rows: &[Vec<String>]) {

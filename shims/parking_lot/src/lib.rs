@@ -1,46 +1,43 @@
 //! Offline stand-in for `parking_lot`.
 //!
-//! Wraps `std::sync` primitives behind parking_lot's non-poisoning API:
-//! `lock()` / `read()` / `write()` return guards directly instead of
-//! `Result`s. Poisoning is collapsed by taking the inner value anyway —
-//! parking_lot's actual semantics (a panicking thread simply releases
-//! the lock).
+//! Wraps `std::sync::Mutex` — the one lock type this workspace uses —
+//! behind parking_lot's non-poisoning API: `lock()` returns the guard
+//! directly instead of a `Result`. Poisoning is collapsed by taking the
+//! inner value anyway — parking_lot's actual semantics (a panicking
+//! thread simply releases the lock).
 //!
 //! # Lock-order checking (`lock-order-check` feature)
 //!
-//! With the `lock-order-check` feature enabled, every lock can be given
-//! a **rank** ([`Mutex::set_rank`] / [`RwLock::set_rank`], constants in
-//! [`rank`]) and every blocking acquisition is validated against a
-//! thread-local stack of locks the current thread already holds:
+//! This is the workspace's one lock-order enforcer. With the
+//! `lock-order-check` feature enabled, every lock can be given a
+//! **rank** ([`Mutex::set_rank`], constants in [`rank`]) and every
+//! blocking acquisition is validated against a thread-local stack of
+//! locks the current thread already holds:
 //!
 //! * acquiring a *ranked* lock while holding a ranked lock of an equal
-//!   or higher rank panics (**rank inversion** — the static lock-order
-//!   graph in `crates/analysis` assigns ranks so that every legal
-//!   nesting is strictly increasing);
-//! * re-acquiring a lock this thread already holds panics when either
-//!   acquisition is exclusive (**self-deadlock** / read→write upgrade);
-//!   shared re-reads of the same `RwLock` stay legal;
+//!   or higher rank panics (**rank inversion** — every legal nesting is
+//!   strictly increasing, so the acquisition graph admits no cycle);
+//! * re-acquiring a lock this thread already holds panics
+//!   (**self-deadlock**);
 //! * unranked locks ([`rank::UNRANKED`]) skip the rank check but still
 //!   participate in self-deadlock detection;
-//! * `try_lock` / `try_read` / `try_write` only *record* — a
-//!   non-blocking attempt cannot deadlock, so it never panics.
+//! * `try_lock` only *records* — a non-blocking attempt cannot
+//!   deadlock, so it never panics.
 //!
-//! Without the feature every check compiles away: guards are the plain
-//! `std::sync` guard types and [`Mutex::set_rank`] is a no-op, so
+//! Without the feature every check compiles away: the guard is the
+//! plain `std::sync` guard type and [`Mutex::set_rank`] is a no-op, so
 //! instrumented crates call it unconditionally.
 
 use std::sync::{self, PoisonError};
 
 #[cfg(not(feature = "lock-order-check"))]
-pub use sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+pub use sync::MutexGuard;
 
-/// Workspace-wide lock ranks, in required acquisition order.
+/// Workspace-wide lock ranks, in required acquisition order — the one
+/// rank table.
 ///
 /// A thread may only acquire a ranked lock whose rank is **strictly
-/// greater** than every ranked lock it already holds. The assignments
-/// mirror the static lock-order graph enforced by `crates/analysis`
-/// (rule R2); keep the two in sync — `analysis` has a test comparing
-/// its copy against this module's source.
+/// greater** than every ranked lock it already holds.
 pub mod rank {
     /// Rank of a lock that opted out of ordering (the default).
     pub const UNRANKED: u32 = 0;
@@ -80,7 +77,6 @@ mod order {
     struct Held {
         addr: usize,
         rank: u32,
-        exclusive: bool,
     }
 
     thread_local! {
@@ -90,18 +86,13 @@ mod order {
     /// Releases its stack entry when the owning guard drops.
     pub(crate) struct Token {
         addr: usize,
-        exclusive: bool,
     }
 
     impl Drop for Token {
         fn drop(&mut self) {
-            let (addr, exclusive) = (self.addr, self.exclusive);
             HELD.with(|held| {
                 let mut held = held.borrow_mut();
-                if let Some(pos) = held
-                    .iter()
-                    .rposition(|h| h.addr == addr && h.exclusive == exclusive)
-                {
+                if let Some(pos) = held.iter().rposition(|h| h.addr == self.addr) {
                     held.remove(pos);
                 }
             });
@@ -110,25 +101,16 @@ mod order {
 
     /// Records (and, for blocking acquisitions, validates) one lock
     /// acquisition by the current thread.
-    pub(crate) fn acquire(addr: usize, rank: u32, exclusive: bool, blocking: bool) -> Token {
+    pub(crate) fn acquire(addr: usize, rank: u32, blocking: bool) -> Token {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
-            let mut shared_reentry = false;
-            for h in held.iter() {
-                if h.addr != addr {
-                    continue;
-                }
-                if blocking && (exclusive || h.exclusive) {
-                    panic!(
-                        "lock-order-check: thread re-acquires lock {addr:#x} (rank {rank}) it \
-                         already holds ({} then {}) — guaranteed self-deadlock",
-                        kind(h.exclusive),
-                        kind(exclusive),
-                    );
-                }
-                shared_reentry = true;
+            if blocking && held.iter().any(|h| h.addr == addr) {
+                panic!(
+                    "lock-order-check: thread re-acquires lock {addr:#x} (rank {rank}) it \
+                     already holds — guaranteed self-deadlock",
+                );
             }
-            if blocking && !shared_reentry && rank != super::rank::UNRANKED {
+            if blocking && rank != super::rank::UNRANKED {
                 let max_held = held
                     .iter()
                     .filter(|h| h.rank != super::rank::UNRANKED)
@@ -144,21 +126,9 @@ mod order {
                     }
                 }
             }
-            held.push(Held {
-                addr,
-                rank,
-                exclusive,
-            });
+            held.push(Held { addr, rank });
         });
-        Token { addr, exclusive }
-    }
-
-    fn kind(exclusive: bool) -> &'static str {
-        if exclusive {
-            "exclusive"
-        } else {
-            "shared"
-        }
+        Token { addr }
     }
 }
 
@@ -170,63 +140,51 @@ mod guards {
 
     use super::order::Token;
 
-    macro_rules! tracked_guard {
-        ($name:ident, $inner:ident, mutable: $mutable:tt) => {
-            /// A guard that pops the lock-order stack when dropped.
-            pub struct $name<'a, T: ?Sized> {
-                // Declared first so the order entry is released before
-                // the underlying lock itself.
-                _token: Token,
-                inner: sync::$inner<'a, T>,
-            }
-
-            impl<'a, T: ?Sized> $name<'a, T> {
-                pub(crate) fn new(token: Token, inner: sync::$inner<'a, T>) -> Self {
-                    $name {
-                        _token: token,
-                        inner,
-                    }
-                }
-            }
-
-            impl<T: ?Sized> Deref for $name<'_, T> {
-                type Target = T;
-                fn deref(&self) -> &T {
-                    &self.inner
-                }
-            }
-
-            tracked_guard!(@mut $mutable, $name);
-
-            impl<T: ?Sized + fmt::Debug> fmt::Debug for $name<'_, T> {
-                fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                    fmt::Debug::fmt(&**self, f)
-                }
-            }
-
-            impl<T: ?Sized + fmt::Display> fmt::Display for $name<'_, T> {
-                fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                    fmt::Display::fmt(&**self, f)
-                }
-            }
-        };
-        (@mut true, $name:ident) => {
-            impl<T: ?Sized> DerefMut for $name<'_, T> {
-                fn deref_mut(&mut self) -> &mut T {
-                    &mut self.inner
-                }
-            }
-        };
-        (@mut false, $name:ident) => {};
+    /// A guard that pops the lock-order stack when dropped.
+    pub struct MutexGuard<'a, T: ?Sized> {
+        // Declared first so the order entry is released before the
+        // underlying lock itself.
+        _token: Token,
+        inner: sync::MutexGuard<'a, T>,
     }
 
-    tracked_guard!(MutexGuard, MutexGuard, mutable: true);
-    tracked_guard!(RwLockReadGuard, RwLockReadGuard, mutable: false);
-    tracked_guard!(RwLockWriteGuard, RwLockWriteGuard, mutable: true);
+    impl<'a, T: ?Sized> MutexGuard<'a, T> {
+        pub(crate) fn new(token: Token, inner: sync::MutexGuard<'a, T>) -> Self {
+            MutexGuard {
+                _token: token,
+                inner,
+            }
+        }
+    }
+
+    impl<T: ?Sized> Deref for MutexGuard<'_, T> {
+        type Target = T;
+        fn deref(&self) -> &T {
+            &self.inner
+        }
+    }
+
+    impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
+        fn deref_mut(&mut self) -> &mut T {
+            &mut self.inner
+        }
+    }
+
+    impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            fmt::Debug::fmt(&**self, f)
+        }
+    }
+
+    impl<T: ?Sized + fmt::Display> fmt::Display for MutexGuard<'_, T> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            fmt::Display::fmt(&**self, f)
+        }
+    }
 }
 
 #[cfg(feature = "lock-order-check")]
-pub use guards::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+pub use guards::MutexGuard;
 
 #[cfg(feature = "lock-order-check")]
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -276,7 +234,7 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         #[cfg(feature = "lock-order-check")]
         {
-            let token = order::acquire(self.addr(), self.rank.load(Ordering::Relaxed), true, true);
+            let token = order::acquire(self.addr(), self.rank.load(Ordering::Relaxed), true);
             MutexGuard::new(
                 token,
                 self.inner.lock().unwrap_or_else(PoisonError::into_inner),
@@ -296,122 +254,8 @@ impl<T: ?Sized> Mutex<T> {
         #[cfg(feature = "lock-order-check")]
         {
             guard.map(|g| {
-                let token =
-                    order::acquire(self.addr(), self.rank.load(Ordering::Relaxed), true, false);
+                let token = order::acquire(self.addr(), self.rank.load(Ordering::Relaxed), false);
                 MutexGuard::new(token, g)
-            })
-        }
-        #[cfg(not(feature = "lock-order-check"))]
-        guard
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Non-poisoning readers-writer lock.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    #[cfg(feature = "lock-order-check")]
-    rank: AtomicU32,
-    inner: sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Wrap a value.
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            #[cfg(feature = "lock-order-check")]
-            rank: AtomicU32::new(rank::UNRANKED),
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Assigns this lock's rank for `lock-order-check` builds (see
-    /// [`rank`]). Without the feature this is a no-op, so callers need
-    /// no `cfg` of their own.
-    #[cfg_attr(not(feature = "lock-order-check"), allow(unused_variables))]
-    pub fn set_rank(&self, rank: u32) {
-        #[cfg(feature = "lock-order-check")]
-        self.rank.store(rank, Ordering::Relaxed);
-    }
-
-    #[cfg(feature = "lock-order-check")]
-    fn addr(&self) -> usize {
-        &self.rank as *const AtomicU32 as usize
-    }
-
-    /// Acquire a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        #[cfg(feature = "lock-order-check")]
-        {
-            let token = order::acquire(self.addr(), self.rank.load(Ordering::Relaxed), false, true);
-            RwLockReadGuard::new(
-                token,
-                self.inner.read().unwrap_or_else(PoisonError::into_inner),
-            )
-        }
-        #[cfg(not(feature = "lock-order-check"))]
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Acquire an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        #[cfg(feature = "lock-order-check")]
-        {
-            let token = order::acquire(self.addr(), self.rank.load(Ordering::Relaxed), true, true);
-            RwLockWriteGuard::new(
-                token,
-                self.inner.write().unwrap_or_else(PoisonError::into_inner),
-            )
-        }
-        #[cfg(not(feature = "lock-order-check"))]
-        self.inner.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Try to acquire a read guard without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        let guard = match self.inner.try_read() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        };
-        #[cfg(feature = "lock-order-check")]
-        {
-            guard.map(|g| {
-                let token =
-                    order::acquire(self.addr(), self.rank.load(Ordering::Relaxed), false, false);
-                RwLockReadGuard::new(token, g)
-            })
-        }
-        #[cfg(not(feature = "lock-order-check"))]
-        guard
-    }
-
-    /// Try to acquire a write guard without blocking.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        let guard = match self.inner.try_write() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        };
-        #[cfg(feature = "lock-order-check")]
-        {
-            guard.map(|g| {
-                let token =
-                    order::acquire(self.addr(), self.rank.load(Ordering::Relaxed), true, false);
-                RwLockWriteGuard::new(token, g)
             })
         }
         #[cfg(not(feature = "lock-order-check"))]
@@ -434,18 +278,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_shared_and_exclusive() {
-        let l = RwLock::new(vec![1, 2]);
-        {
-            let r1 = l.read();
-            let r2 = l.read();
-            assert_eq!(r1.len() + r2.len(), 4);
-        }
-        l.write().push(3);
-        assert_eq!(l.read().len(), 3);
     }
 
     #[test]
@@ -505,22 +337,6 @@ mod tests {
             let m = Mutex::new(());
             let _a = m.lock();
             let _b = m.lock();
-        }
-
-        #[test]
-        #[should_panic(expected = "self-deadlock")]
-        fn read_to_write_upgrade_panics() {
-            let l = RwLock::new(());
-            let _r = l.read();
-            let _w = l.write();
-        }
-
-        #[test]
-        fn shared_reread_is_legal() {
-            let l = RwLock::new(());
-            l.set_rank(10);
-            let _r1 = l.read();
-            let _r2 = l.read();
         }
 
         #[test]

@@ -1,12 +1,20 @@
 //! Dynamic validation of the workspace lock-order discipline.
 //!
 //! These tests only exist with the `lock-order-check` feature, which
-//! arms the `parking_lot` shim's thread-local acquisition checker:
-//! every ranked lock taken out of order panics on the spot. Driving the
-//! estimation hot path under this checker validates, at runtime, the
-//! same acquisition graph that `cargo run -p analysis -- check`
-//! extracts statically (rule R2) — cache → models → subscriber inside
-//! the service, metrics → help inside the registry.
+//! arms the `parking_lot` shim's thread-local acquisition checker — the
+//! workspace's one lock-order enforcer: every ranked lock taken out of
+//! order, on any thread and across any number of calls, panics on the
+//! spot. Estimates read an atomically loaded snapshot and take one lock
+//! at a time (`SERVICE_CACHE` to probe, released before the kernel
+//! runs; `TRACE_SUBSCRIBER` per emitted event; `SERVICE_CACHE` again to
+//! insert). The nestings that do occur are on the write and exposition
+//! sides, and this suite drives each of them:
+//!
+//! * `EPOCH_COMMIT` → `EPOCH_RETIRED`: publishing a snapshot retires
+//!   the previous one inside the commit critical section;
+//! * `EPOCH_COMMIT` → `TRACE_SUBSCRIBER`: `observe_actual` and
+//!   `adjust_alpha` emit their trail events inside the transaction;
+//! * `REGISTRY_METRICS` → `REGISTRY_HELP`: Prometheus exposition.
 //!
 //! Run with: `cargo test -q --features lock-order-check -p tests`.
 #![cfg(feature = "lock-order-check")]
@@ -63,8 +71,8 @@ fn checker_is_armed() {
 
 /// The full estimation hot path — cache hits, NN misses, remedy rows,
 /// observes, α adjustment, tracing enabled — under 8 threads with the
-/// checker armed. Any cache/models/subscriber acquisition that violates
-/// the ranked order panics the worker and fails the test.
+/// checker armed. Any cache/commit/retired/subscriber acquisition that
+/// violates the ranked order panics the worker and fails the test.
 #[test]
 fn estimation_hot_path_holds_ranked_order_under_contention() {
     let subscriber = Arc::new(VecSubscriber::new());
@@ -75,8 +83,8 @@ fn estimation_hot_path_holds_ranked_order_under_contention() {
 
     let rows: Vec<Vec<f64>> = (0..240)
         .map(|i| {
-            // Every 7th probe is far out of range: the remedy path takes
-            // the models read lock for longer and emits more events.
+            // Every 7th probe is far out of range: the remedy path emits
+            // more events (more subscriber acquisitions) per estimate.
             let r = if i % 7 == 0 {
                 9.0e7
             } else {
@@ -110,13 +118,14 @@ fn estimation_hot_path_holds_ranked_order_under_contention() {
         }
     });
 
-    // Batched path exercises cache → models → cache re-acquisition.
+    // Batched path: one cache acquisition to probe, released, a second
+    // to insert the misses — re-acquisition, never re-entry.
     let batch = service
         .estimate_batch_pinned(&service.snapshot(), &sys, OperatorKind::Aggregation, &rows)
         .expect("estimate_batch_pinned");
     assert_eq!(batch.len(), rows.len());
 
-    // Registry exposition holds metrics → help.
+    // Registry exposition holds REGISTRY_METRICS → REGISTRY_HELP.
     let text = service.telemetry().metrics.render_prometheus();
     assert!(text.contains("estimator_cache_hits_total"));
     assert!(subscriber.len() > 0, "tracing was live during the run");
