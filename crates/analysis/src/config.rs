@@ -24,7 +24,7 @@ pub struct EntryPoint {
 
 impl EntryPoint {
     /// A convenience constructor.
-    pub fn new(module: &str, function: &str, zero_alloc: bool, nonblocking: bool) -> Self {
+    pub(crate) fn new(module: &str, function: &str, zero_alloc: bool, nonblocking: bool) -> Self {
         EntryPoint {
             module: module.to_string(),
             function: function.to_string(),

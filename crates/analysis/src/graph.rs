@@ -68,7 +68,7 @@ pub struct Node {
 
 impl Node {
     /// `module::Owner::name` (owner omitted for free functions).
-    pub fn qualified(&self) -> String {
+    pub(crate) fn qualified(&self) -> String {
         match &self.owner {
             Some(owner) => format!("{}::{}::{}", self.module, owner, self.name),
             None => format!("{}::{}", self.module, self.name),
@@ -205,7 +205,8 @@ impl CallGraph {
 
     /// Node index of `module`-level function `name`, if unique-enough:
     /// the first node matching (module, name) in node order.
-    pub fn find(&self, module: &str, name: &str) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn find(&self, module: &str, name: &str) -> Option<usize> {
         self.nodes
             .iter()
             .position(|n| n.module == module && n.name == name)
@@ -228,7 +229,7 @@ impl Reach {
     /// (deterministic witnesses). Nodes matching `boundary` are *in*
     /// the closure but their out-edges are not followed — the escape
     /// for observability layers that are disabled in steady state.
-    pub fn compute(
+    pub(crate) fn compute(
         graph: &CallGraph,
         entries: &[usize],
         boundary: &dyn Fn(&Node) -> bool,
@@ -264,7 +265,7 @@ impl Reach {
 
     /// The witness chain for a reached node: qualified names from the
     /// entry point down to (and including) `node`.
-    pub fn witness(&self, graph: &CallGraph, node: usize) -> Vec<String> {
+    pub(crate) fn witness(&self, graph: &CallGraph, node: usize) -> Vec<String> {
         let mut chain = vec![graph.nodes[node].qualified()];
         let mut at = node;
         let mut hops = 0usize;
@@ -1366,13 +1367,13 @@ mod tests {
         // variable argument shadow it — only the genuine
         // function-as-value use (`sort_by(col)`) gets an edge.
         let src = "\
-pub fn col(a: &f64, b: &f64) -> std::cmp::Ordering { a.total_cmp(b) }
-pub fn shadowed(xs: &mut [f64]) {
+pub(crate) fn col(a: &f64, b: &f64) -> std::cmp::Ordering { a.total_cmp(b) }
+pub(crate) fn shadowed(xs: &mut [f64]) {
     for (i, col) in xs.iter().enumerate() { let _ = (i, col); }
     let (lo, col) = (1usize, 2usize);
     xs.swap(lo, col);
 }
-pub fn callback(xs: &mut [f64]) { xs.sort_by(col); }
+pub(crate) fn callback(xs: &mut [f64]) { xs.sort_by(col); }
 ";
         let graph = graph_of(&[("crates/a/src/lib.rs", src)]);
         assert!(edge_names(&graph, "a::shadowed").is_empty());
@@ -1404,7 +1405,7 @@ pub fn callback(xs: &mut [f64]) { xs.sort_by(col); }
         let src = "\
 struct S;
 impl S {
-    pub fn outer(&self) { self.inner(); }
+    pub(crate) fn outer(&self) { self.inner(); }
     fn inner(&self) {}
 }
 struct T;

@@ -40,12 +40,12 @@ pub struct Token {
 
 impl Token {
     /// True when this is the identifier `name`.
-    pub fn is_ident(&self, name: &str) -> bool {
+    pub(crate) fn is_ident(&self, name: &str) -> bool {
         self.kind == TokenKind::Ident && self.text == name
     }
 
     /// True when this is the punctuation character `c`.
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct(c)
     }
 }
@@ -63,7 +63,7 @@ pub struct Comment {
 
 /// Lexes `source`, returning the token stream and the comment side
 /// channel. Never fails: unrecognized bytes become punctuation tokens.
-pub fn lex(source: &str) -> (Vec<Token>, Vec<Comment>) {
+pub(crate) fn lex(source: &str) -> (Vec<Token>, Vec<Comment>) {
     Lexer {
         chars: source.chars().collect(),
         pos: 0,

@@ -49,7 +49,7 @@ use source::SourceFile;
 
 /// Everything a rule can see: the parsed sources, the policy, the
 /// workspace call graph, and the reachability closures seeded from the
-/// configured entry points. Built once per run by [`Context::build`].
+/// configured entry points. Built once per run by `Context::build`.
 pub struct Context<'a> {
     /// The active policy.
     pub config: &'a Config,
@@ -66,13 +66,13 @@ pub struct Context<'a> {
     /// scope).
     pub nonblocking: Reach,
     /// Entry points declared in the config that matched no function —
-    /// [`check_sources`] reports these so the seed list cannot rot.
+    /// `check_sources` reports these so the seed list cannot rot.
     pub unresolved_entries: Vec<String>,
 }
 
 impl<'a> Context<'a> {
     /// Builds the graph and the three closures for one run.
-    pub fn build(files: &'a [SourceFile], config: &'a Config) -> Context<'a> {
+    pub(crate) fn build(files: &'a [SourceFile], config: &'a Config) -> Context<'a> {
         let graph = CallGraph::build(files);
         let (hot_seeds, za_seeds, nb_seeds, unresolved) = graph::resolve_entries(&graph, config);
         let cold = |node: &graph::Node| {
@@ -103,19 +103,19 @@ impl<'a> Context<'a> {
     }
 
     /// The innermost function node owning `token` of `files[file]`.
-    pub fn node_at(&self, file: usize, token: usize) -> Option<usize> {
+    pub(crate) fn node_at(&self, file: usize, token: usize) -> Option<usize> {
         *self.graph.token_owner.get(file)?.get(token)?
     }
 
     /// Is the token inside a function reachable in `reach`? Returns the
     /// node when so.
-    pub fn reachable_node(&self, reach: &Reach, file: usize, token: usize) -> Option<usize> {
+    pub(crate) fn reachable_node(&self, reach: &Reach, file: usize, token: usize) -> Option<usize> {
         let node = self.node_at(file, token)?;
         reach.flag[node].then_some(node)
     }
 
     /// The call-path witness for a node under `reach`.
-    pub fn witness(&self, reach: &Reach, node: usize) -> Vec<String> {
+    pub(crate) fn witness(&self, reach: &Reach, node: usize) -> Vec<String> {
         reach.witness(&self.graph, node)
     }
 }
@@ -124,7 +124,7 @@ impl<'a> Context<'a> {
 /// `analysis:allow` filter, and audits the policy itself (stale allows,
 /// policy names matching no function). This is the engine the CLI, the
 /// fixture tests, and the live-workspace test all share.
-pub fn check_sources(files: &[SourceFile], config: &Config) -> Report {
+pub(crate) fn check_sources(files: &[SourceFile], config: &Config) -> Report {
     let ctx = Context::build(files, config);
     let rules = rules::all_rules();
     let mut findings = Vec::new();
@@ -237,7 +237,7 @@ pub fn check_sources(files: &[SourceFile], config: &Config) -> Report {
 const POLICY_FILE: &str = "crates/analysis/src/config.rs";
 
 /// Parses a set of `(path, source)` pairs and runs the rules. Test
-/// convenience over [`check_sources`].
+/// convenience over `check_sources`.
 pub fn check_str(sources: &[(&str, &str)], config: &Config) -> Report {
     let files: Vec<SourceFile> = sources
         .iter()

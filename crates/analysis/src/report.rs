@@ -33,7 +33,7 @@ pub struct Finding {
 
 impl Finding {
     /// An error-severity finding with no witness.
-    pub fn error(rule: &'static str, file: &str, line: usize, message: String) -> Finding {
+    pub(crate) fn error(rule: &'static str, file: &str, line: usize, message: String) -> Finding {
         Finding {
             rule,
             file: file.to_string(),
@@ -45,7 +45,7 @@ impl Finding {
     }
 
     /// A warning-severity finding with no witness.
-    pub fn warning(rule: &'static str, file: &str, line: usize, message: String) -> Finding {
+    pub(crate) fn warning(rule: &'static str, file: &str, line: usize, message: String) -> Finding {
         Finding {
             severity: Severity::Warning,
             ..Finding::error(rule, file, line, message)
@@ -53,7 +53,7 @@ impl Finding {
     }
 
     /// Attaches a call-path witness.
-    pub fn with_witness(mut self, witness: Vec<String>) -> Finding {
+    pub(crate) fn with_witness(mut self, witness: Vec<String>) -> Finding {
         self.witness = witness;
         self
     }
@@ -92,7 +92,7 @@ impl Report {
     }
 
     /// Orders findings by (file, line, rule) for stable output.
-    pub fn sort(&mut self) {
+    pub(crate) fn sort(&mut self) {
         self.findings
             .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
         self.allows

@@ -44,7 +44,7 @@ use crate::rules::{lazy_cold_spans, Rule};
 use crate::Context;
 
 /// See the module docs.
-pub struct AllocFreedom;
+pub(crate) struct AllocFreedom;
 
 /// Allocating zero-or-more-arg method calls (`.to_vec()`).
 const ALLOC_METHODS: &[&str] = &[

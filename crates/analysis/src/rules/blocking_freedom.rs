@@ -30,7 +30,7 @@ use crate::rules::{lazy_cold_spans, matching_paren, Rule};
 use crate::Context;
 
 /// See the module docs.
-pub struct BlockingFreedom;
+pub(crate) struct BlockingFreedom;
 
 /// Zero-argument lock acquisitions that block.
 const LOCK_METHODS: &[&str] = &["lock", "read", "write"];

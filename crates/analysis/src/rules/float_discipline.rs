@@ -25,7 +25,7 @@ use crate::rules::Rule;
 use crate::Context;
 
 /// See the module docs.
-pub struct FloatDiscipline;
+pub(crate) struct FloatDiscipline;
 
 /// How far ahead of `partial_cmp` we look for the `unwrap` that makes
 /// it NaN-unsafe (covers `.partial_cmp(&b.0).unwrap()` and

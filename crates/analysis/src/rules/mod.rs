@@ -28,11 +28,11 @@ mod float_discipline;
 mod nondeterminism;
 mod panic_freedom;
 
-pub use alloc_freedom::AllocFreedom;
-pub use blocking_freedom::BlockingFreedom;
-pub use float_discipline::FloatDiscipline;
-pub use nondeterminism::Nondeterminism;
-pub use panic_freedom::PanicFreedom;
+pub(crate) use alloc_freedom::AllocFreedom;
+pub(crate) use blocking_freedom::BlockingFreedom;
+pub(crate) use float_discipline::FloatDiscipline;
+pub(crate) use nondeterminism::Nondeterminism;
+pub(crate) use panic_freedom::PanicFreedom;
 
 /// One analysis rule. Rules are stateless: each sees every scanned
 /// file once, with the full [`Context`] — sources, config, call graph,
@@ -46,7 +46,7 @@ pub trait Rule {
 }
 
 /// Every shipped rule.
-pub fn all_rules() -> Vec<Box<dyn Rule>> {
+pub(crate) fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(PanicFreedom),
         Box::new(FloatDiscipline),

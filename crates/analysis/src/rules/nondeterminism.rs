@@ -15,7 +15,7 @@ use crate::rules::Rule;
 use crate::Context;
 
 /// See the module docs.
-pub struct Nondeterminism;
+pub(crate) struct Nondeterminism;
 
 impl Rule for Nondeterminism {
     fn id(&self) -> &'static str {

@@ -24,7 +24,7 @@ use crate::rules::Rule;
 use crate::Context;
 
 /// See the module docs.
-pub struct PanicFreedom;
+pub(crate) struct PanicFreedom;
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 

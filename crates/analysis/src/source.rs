@@ -54,7 +54,7 @@ pub struct Function {
 impl Function {
     /// True when the doc comment declares a `# Panics` section — the
     /// documented-contract escape for the panic-freedom rule.
-    pub fn documents_panics(&self) -> bool {
+    pub(crate) fn documents_panics(&self) -> bool {
         self.doc.contains("# Panics")
     }
 }
@@ -82,7 +82,7 @@ pub struct SourceFile {
 impl SourceFile {
     /// Lexes and indexes one file. `path` is workspace-relative; the
     /// module path is derived from it (see [`module_path_of`]).
-    pub fn parse(path: &str, text: &str) -> SourceFile {
+    pub(crate) fn parse(path: &str, text: &str) -> SourceFile {
         let (tokens, comments) = lex(text);
         let allows = parse_allows(&comments);
         let test_spans = find_test_spans(&tokens);
@@ -100,13 +100,13 @@ impl SourceFile {
 
     /// True when `line` falls inside a `#[cfg(test)]` module or a
     /// `#[test]` function.
-    pub fn in_test_code(&self, line: usize) -> bool {
+    pub(crate) fn in_test_code(&self, line: usize) -> bool {
         self.test_spans.iter().any(|&(a, b)| line >= a && line <= b)
     }
 
     /// True when this file's module path is, or sits under, one of
     /// `prefixes` (matching on `::` boundaries).
-    pub fn module_in(&self, prefixes: &[String]) -> bool {
+    pub(crate) fn module_in(&self, prefixes: &[String]) -> bool {
         prefixes
             .iter()
             .any(|p| self.module == *p || self.module.starts_with(&format!("{p}::")))
@@ -119,7 +119,7 @@ impl SourceFile {
 /// `crates/remote-sim/src/lib.rs` → `remote_sim`; paths outside the
 /// `crates/*/src` shape fall back to the `/`-to-`::` mapping of the
 /// whole path minus the extension.
-pub fn module_path_of(path: &str) -> String {
+pub(crate) fn module_path_of(path: &str) -> String {
     let parts: Vec<&str> = path.split('/').collect();
     let (crate_name, rest) = match parts.as_slice() {
         ["crates", krate, "src", rest @ ..] => (krate.replace('-', "_"), rest),
@@ -219,7 +219,7 @@ fn body_end_from(tokens: &[Token], start: usize) -> Option<usize> {
 }
 
 /// Index of the `}` matching the `{` at `open`.
-pub fn matching_brace(tokens: &[Token], open: usize) -> Option<usize> {
+pub(crate) fn matching_brace(tokens: &[Token], open: usize) -> Option<usize> {
     let mut depth = 0usize;
     for (i, t) in tokens.iter().enumerate().skip(open) {
         if t.is_punct('{') {
@@ -610,7 +610,7 @@ mod tests {
 ///
 /// # Panics
 /// Panics when empty.
-pub fn scale(xs: &[f64], k: f64) -> Vec<f64> {
+pub(crate) fn scale(xs: &[f64], k: f64) -> Vec<f64> {
     xs.iter().map(|x| x * k).collect()
 }
 
@@ -643,7 +643,7 @@ impl Thing {
     #[test]
     fn impl_owner_attribution_and_param_names() {
         let src = "\
-pub fn free(x: f64, mut ys: &[f64]) -> f64 { x }
+pub(crate) fn free(x: f64, mut ys: &[f64]) -> f64 { x }
 
 impl Thing {
     fn method(&self, count: usize) -> usize { count }

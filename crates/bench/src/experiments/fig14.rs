@@ -61,7 +61,7 @@ pub struct Fig14Result {
 }
 
 /// The training tables: merge-join-sized relations up to 8 M rows.
-pub fn training_specs(quick: bool) -> Vec<TableSpec> {
+pub(crate) fn training_specs(quick: bool) -> Vec<TableSpec> {
     let sizes: &[u64] = if quick {
         &[250, 1000]
     } else {

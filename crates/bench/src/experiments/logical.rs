@@ -42,7 +42,7 @@ pub struct LogicalExpResult {
 
 /// Executes `queries` on `engine`, fits NN + LR, and evaluates both on
 /// the held-out 30 %.
-pub fn run_logical_experiment(
+pub(crate) fn run_logical_experiment(
     cfg: &ExpConfig,
     engine: &mut ClusterEngine,
     op: OperatorKind,
@@ -89,7 +89,10 @@ pub fn run_logical_experiment(
 }
 
 /// Fits the paper's linear-regression comparison model and evaluates it.
-pub fn linear_baseline(train_set: &Dataset, test_set: &Dataset) -> (Vec<(f64, f64)>, f64, f64) {
+pub(crate) fn linear_baseline(
+    train_set: &Dataset,
+    test_set: &Dataset,
+) -> (Vec<(f64, f64)>, f64, f64) {
     let lr = LinearModel::fit(&train_set.inputs, &train_set.targets).expect("linear baseline fit");
     let scatter: Vec<(f64, f64)> = test_set
         .inputs
@@ -106,7 +109,7 @@ pub fn linear_baseline(train_set: &Dataset, test_set: &Dataset) -> (Vec<(f64, f6
 }
 
 /// Prints the four panels of a Fig. 11/12-style result.
-pub fn print_logical_result(title: &str, r: &LogicalExpResult, paper: &PaperNumbers) {
+pub(crate) fn print_logical_result(title: &str, r: &LogicalExpResult, paper: &PaperNumbers) {
     use crate::report::{heading, kv};
     heading(title);
     kv("(a) training queries executed", r.n_queries);
@@ -161,7 +164,7 @@ pub fn print_logical_result(title: &str, r: &LogicalExpResult, paper: &PaperNumb
 }
 
 /// The paper's reported numbers, for side-by-side printing.
-pub struct PaperNumbers {
+pub(crate) struct PaperNumbers {
     /// Training time as reported.
     pub training_time: &'static str,
     /// NN fit time as reported.
@@ -173,7 +176,7 @@ pub struct PaperNumbers {
 }
 
 /// Writes the four panels as CSV files.
-pub fn print_logical_experiment_csv(
+pub(crate) fn print_logical_experiment_csv(
     cfg: &crate::report::ExpConfig,
     stem: &str,
     r: &LogicalExpResult,

@@ -25,7 +25,7 @@ use remote_sim::{ClusterConfig, ClusterEngine};
 use ::workload::{register_tables, TableSpec};
 
 /// A fresh paper-cluster Hive engine with the given tables registered.
-pub fn hive_with(cfg: &ExpConfig, specs: &[TableSpec]) -> ClusterEngine {
+pub(crate) fn hive_with(cfg: &ExpConfig, specs: &[TableSpec]) -> ClusterEngine {
     let mut e = ClusterEngine::new(
         "hive-exp",
         remote_sim::personas::hive_persona(),
@@ -39,7 +39,7 @@ pub fn hive_with(cfg: &ExpConfig, specs: &[TableSpec]) -> ClusterEngine {
 /// The model-fitting configuration for an experiment run: the paper's
 /// setup in full mode (cross-validated topology, 20 000 iterations), a
 /// fixed-topology short run in quick mode.
-pub fn fit_config(cfg: &ExpConfig) -> FitConfig {
+pub(crate) fn fit_config(cfg: &ExpConfig) -> FitConfig {
     if cfg.quick {
         FitConfig {
             topology: TopologyChoice::Fixed {

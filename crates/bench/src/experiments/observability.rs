@@ -26,7 +26,7 @@
 //! service variant, repeated) so thermal and scheduler drift cancels
 //! instead of biasing one side. Validation (`--validate`, run by the CI
 //! smoke job) enforces the acceptance bar: in every cell, the
-//! sampled-off service p50 must be within [`MAX_OVERHEAD_PCT`] percent
+//! sampled-off service p50 must be within `MAX_OVERHEAD_PCT` percent
 //! (plus a one-microsecond absolute grace) of the baseline p50, and all
 //! of a cell's checksums must agree bit for bit — instrumentation must
 //! not change a single answer.
@@ -56,10 +56,10 @@ use telemetry::{
 /// The acceptance bar: the sampled-off service p50 may exceed the
 /// uninstrumented baseline p50 by at most this percentage (plus
 /// [`ABS_GRACE_US`] of absolute grace for sub-microsecond cells).
-pub const MAX_OVERHEAD_PCT: f64 = 5.0;
+pub(crate) const MAX_OVERHEAD_PCT: f64 = 5.0;
 
 /// Absolute grace on the overhead bar, in microseconds.
-pub const ABS_GRACE_US: f64 = 1.0;
+pub(crate) const ABS_GRACE_US: f64 = 1.0;
 
 /// One measured matrix cell, as written to `BENCH_observability.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]

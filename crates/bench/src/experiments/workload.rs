@@ -16,10 +16,10 @@
 //! acceptance bars:
 //!
 //! * on reuse-heavy cells (reuse ≥ 0.5) the optimized makespan is at
-//!   least [`REUSE_HEAVY_MIN_REDUCTION_PCT`] percent below greedy and
+//!   least `REUSE_HEAVY_MIN_REDUCTION_PCT` percent below greedy and
 //!   at least one duplicate was actually merged;
 //! * on *every* cell the optimized plan is never worse than greedy
-//!   beyond noise ([`NOISE_FLOOR_PCT`]) — which the rule driver
+//!   beyond noise (`NOISE_FLOOR_PCT`) — which the rule driver
 //!   guarantees by construction, so a violation means the acceptance
 //!   predicate itself regressed.
 
@@ -41,11 +41,11 @@ use workload::{build_table, dag_base_tables, dag_workload, DagConfig};
 
 /// Reuse-heavy cells (reuse ≥ 0.5) must cut predicted makespan by at
 /// least this many percent vs the greedy per-query baseline.
-pub const REUSE_HEAVY_MIN_REDUCTION_PCT: f64 = 15.0;
+pub(crate) const REUSE_HEAVY_MIN_REDUCTION_PCT: f64 = 15.0;
 
 /// No cell may regress beyond this (negative) reduction — "never worse
 /// than greedy beyond noise".
-pub const NOISE_FLOOR_PCT: f64 = -0.5;
+pub(crate) const NOISE_FLOOR_PCT: f64 = -0.5;
 
 /// One measured matrix cell, as written to `BENCH_workload.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]

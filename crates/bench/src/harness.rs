@@ -3,13 +3,13 @@
 //! `hotpath`, `observability`, `frontend`, `drift` and `workload` differ
 //! only in *what* they measure and which thresholds they hold the
 //! numbers to. Everything else lives here, once: where a document goes
-//! ([`bench_path`]), how it becomes a file ([`write()`], [`write_json`]),
-//! how a file becomes a checked document again ([`read`], [`parse`]),
+//! (`bench_path`), how it becomes a file (`write()`, `write_json`),
+//! how a file becomes a checked document again (`read`, `parse`),
 //! the `--validate` entry point every gated binary shares ([`main()`]),
-//! the percentile summary ([`summarize`]), the latency sanity check
-//! ([`check_latencies`]), the readers × republishers measurement scope
-//! ([`measure_under_churn`]) and the aggregation model the serving-side
-//! experiments cost against ([`trained_flow`]). An experiment is a cell
+//! the percentile summary (`summarize`), the latency sanity check
+//! (`check_latencies`), the readers × republishers measurement scope
+//! (`measure_under_churn`) and the aggregation model the serving-side
+//! experiments cost against (`trained_flow`). An experiment is a cell
 //! definition plus a [`BenchDoc::check`].
 //!
 //! File policy: a full run writes the tracked trajectory file
@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-/// The machine a document was measured on. Stamped by [`write()`];
+/// The machine a document was measured on. Stamped by `write()`;
 /// optional on read so documents written before the stamp existed
 /// still validate.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -44,7 +44,7 @@ pub struct Host {
 
 impl Host {
     /// The host this process runs on.
-    pub fn current() -> Self {
+    pub(crate) fn current() -> Self {
         Host {
             logical_cores: std::thread::available_parallelism().map_or(0, |n| n.get() as u64),
             profile: if cfg!(debug_assertions) {
@@ -66,7 +66,7 @@ pub struct Envelope<'a> {
     pub quick: bool,
     /// How many rows the document holds; must be non-zero.
     pub rows: usize,
-    /// The host stamp slot [`write()`] fills.
+    /// The host stamp slot `write()` fills.
     pub host: &'a mut Option<Host>,
 }
 
@@ -88,7 +88,7 @@ pub trait BenchDoc: Serialize + Deserialize {
 
 /// Where the `name` experiment's document lives under `cfg` — see the
 /// module docs for the policy. `None` when file output is disabled.
-pub fn bench_path(name: &str, cfg: &ExpConfig) -> Option<PathBuf> {
+pub(crate) fn bench_path(name: &str, cfg: &ExpConfig) -> Option<PathBuf> {
     let out_dir = cfg.out_dir.as_ref()?;
     let dir = if cfg.quick {
         out_dir.clone()
@@ -100,7 +100,7 @@ pub fn bench_path(name: &str, cfg: &ExpConfig) -> Option<PathBuf> {
 
 /// Serialises `doc` to `path` (creating its directory), reporting like
 /// the CSV/text writers do: a warning on failure, the path on success.
-pub fn write_json(path: &Path, doc: &impl Serialize) {
+pub(crate) fn write_json(path: &Path, doc: &impl Serialize) {
     let written = serde_json::to_string_pretty(doc)
         .map_err(|e| e.to_string())
         .and_then(|text| {
@@ -117,7 +117,7 @@ pub fn write_json(path: &Path, doc: &impl Serialize) {
 
 /// Stamps the host into `doc` and writes it where [`bench_path`] says
 /// (nowhere, unstamped, when output is disabled).
-pub fn write<D: BenchDoc>(cfg: &ExpConfig, doc: &mut D) {
+pub(crate) fn write<D: BenchDoc>(cfg: &ExpConfig, doc: &mut D) {
     if let Some(path) = bench_path(D::NAME, cfg) {
         *doc.envelope().host = Some(Host::current());
         write_json(&path, doc);
@@ -126,7 +126,7 @@ pub fn write<D: BenchDoc>(cfg: &ExpConfig, doc: &mut D) {
 
 /// Parses a document and validates it: JSON shape, experiment name,
 /// non-empty rows, then the experiment's own [`BenchDoc::check`].
-pub fn parse<D: BenchDoc>(text: &str) -> Result<D, String> {
+pub(crate) fn parse<D: BenchDoc>(text: &str) -> Result<D, String> {
     let mut doc: D =
         serde_json::from_str(text).map_err(|e| format!("not valid {} JSON: {e}", D::NAME))?;
     let envelope = doc.envelope();
@@ -141,7 +141,7 @@ pub fn parse<D: BenchDoc>(text: &str) -> Result<D, String> {
 }
 
 /// Reads and validates the document at `path`.
-pub fn read<D: BenchDoc>(path: &Path) -> Result<D, String> {
+pub(crate) fn read<D: BenchDoc>(path: &Path) -> Result<D, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     parse(&text).map_err(|e| format!("{} failed validation: {e}", path.display()))
@@ -173,7 +173,7 @@ pub fn main<D: BenchDoc, R>(run: impl FnOnce(&ExpConfig) -> R) {
 }
 
 /// Exact p50/p99/mean over one cell's per-call latencies (microseconds).
-pub fn summarize(lat_us: &mut [f64]) -> (f64, f64, f64) {
+pub(crate) fn summarize(lat_us: &mut [f64]) -> (f64, f64, f64) {
     lat_us.sort_by(mathkit::total_cmp_f64);
     let p50 = mathkit::nearest_rank(lat_us, 0.50);
     let p99 = mathkit::nearest_rank(lat_us, 0.99);
@@ -184,7 +184,11 @@ pub fn summarize(lat_us: &mut [f64]) -> (f64, f64, f64) {
 /// The latency sanity every timed row passes: each named value finite
 /// and positive (or zero when `zero_ok` — a sweep point may complete
 /// nothing), and the values ascending in the order given.
-pub fn check_latencies(row: usize, quantiles: &[(&str, f64)], zero_ok: bool) -> Result<(), String> {
+pub(crate) fn check_latencies(
+    row: usize,
+    quantiles: &[(&str, f64)],
+    zero_ok: bool,
+) -> Result<(), String> {
     for &(name, v) in quantiles {
         if !v.is_finite() || v < 0.0 || (v == 0.0 && !zero_ok) {
             return Err(format!("row {row}: {name} = {v} is not a latency"));
@@ -201,7 +205,7 @@ pub fn check_latencies(row: usize, quantiles: &[(&str, f64)], zero_ok: bool) -> 
 }
 
 /// What one [`measure_under_churn`] slice observed.
-pub struct Slice {
+pub(crate) struct Slice {
     /// Per-call latencies pooled over every reader, microseconds.
     pub lat_us: Vec<f64>,
     /// The last call's checksum (every call of a slice computes the same
@@ -216,7 +220,7 @@ pub struct Slice {
 /// calls of it (one call = one batch, returning that batch's checksum)
 /// for `duration`, while `republishers` background threads churn
 /// `service`'s epochs.
-pub fn measure_under_churn<R: FnMut() -> f64>(
+pub(crate) fn measure_under_churn<R: FnMut() -> f64>(
     service: &EstimatorService,
     concurrency: usize,
     republishers: usize,
@@ -272,7 +276,7 @@ pub fn measure_under_churn<R: FnMut() -> f64>(
 }
 
 /// The ground truth [`trained_flow`] is trained against.
-pub fn agg_truth(rows: f64, size: f64) -> f64 {
+pub(crate) fn agg_truth(rows: f64, size: f64) -> f64 {
     1.0 + 2e-6 * rows + 0.01 * size
 }
 
@@ -280,7 +284,7 @@ pub fn agg_truth(rows: f64, size: f64) -> f64 {
 /// a two-feature `(rows, size)` flow fitted on a 15×4 grid of
 /// `scale * agg_truth`. `scale` 1.0 is the model as trained; the epoch
 /// churn writers flip between two scales.
-pub fn trained_flow(scale: f64) -> LogicalOpCosting {
+pub(crate) fn trained_flow(scale: f64) -> LogicalOpCosting {
     let mut inputs = vec![];
     let mut targets = vec![];
     for r in 1..=15 {
@@ -302,7 +306,7 @@ pub fn trained_flow(scale: f64) -> LogicalOpCosting {
 
 /// `batch` row-major feature rows inside [`trained_flow`]'s trained
 /// range, so a matrix measures the packed kernel and not the remedy.
-pub fn in_range_flat(seed: u64, batch: usize) -> Vec<f64> {
+pub(crate) fn in_range_flat(seed: u64, batch: usize) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut v = Vec::with_capacity(batch * 2);
     for _ in 0..batch {

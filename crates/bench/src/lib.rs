@@ -39,4 +39,4 @@ pub mod experiments;
 pub mod harness;
 pub mod report;
 
-pub use report::{ExpConfig, Series};
+pub use report::ExpConfig;

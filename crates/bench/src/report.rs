@@ -51,7 +51,7 @@ impl ExpConfig {
 
 /// A named (x, y) series destined for one figure panel.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Series {
+pub(crate) struct Series {
     /// Series name (legend label).
     pub name: String,
     /// The points.
@@ -60,7 +60,7 @@ pub struct Series {
 
 impl Series {
     /// Creates a series.
-    pub fn new(name: &str, points: Vec<(f64, f64)>) -> Self {
+    pub(crate) fn new(name: &str, points: Vec<(f64, f64)>) -> Self {
         Series {
             name: name.to_string(),
             points,
@@ -69,7 +69,7 @@ impl Series {
 
     /// Fits a line and returns `(slope, intercept, r2)` — the annotations
     /// the paper prints on its panels.
-    pub fn line_fit(&self) -> Option<(f64, f64, f64)> {
+    pub(crate) fn line_fit(&self) -> Option<(f64, f64, f64)> {
         let (xs, ys): (Vec<f64>, Vec<f64>) = self.points.iter().copied().unzip();
         mathkit::SimpleLinearModel::fit(&xs, &ys)
             .ok()
@@ -78,18 +78,23 @@ impl Series {
 }
 
 /// Prints a section header.
-pub fn heading(title: &str) {
+pub(crate) fn heading(title: &str) {
     println!("\n=== {title} ===");
 }
 
 /// Prints a key/value result row.
-pub fn kv(key: &str, value: impl std::fmt::Display) {
+pub(crate) fn kv(key: &str, value: impl std::fmt::Display) {
     println!("  {key:<46} {value}");
 }
 
 /// Prints an aligned text table (and writes it to `<out_dir>/<file>.txt`
 /// when file output is enabled). Every row must have one cell per header.
-pub fn write_text_table(cfg: &ExpConfig, file: &str, headers: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn write_text_table(
+    cfg: &ExpConfig,
+    file: &str,
+    headers: &[&str],
+    rows: &[Vec<String>],
+) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         assert_eq!(row.len(), headers.len(), "table row arity");
@@ -128,7 +133,7 @@ pub fn write_text_table(cfg: &ExpConfig, file: &str, headers: &[&str], rows: &[V
 
 /// Writes series to `<out_dir>/<file>.csv` with one `series,x,y` row per
 /// point. Silently skips when `out_dir` is `None`.
-pub fn write_csv(cfg: &ExpConfig, file: &str, series: &[Series]) {
+pub(crate) fn write_csv(cfg: &ExpConfig, file: &str, series: &[Series]) {
     let Some(dir) = &cfg.out_dir else {
         return;
     };

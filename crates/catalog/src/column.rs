@@ -62,41 +62,6 @@ pub struct Histogram {
     pub counts: Vec<u64>,
 }
 
-impl Histogram {
-    /// Builds a histogram; requires at least one bucket and `hi > lo`.
-    pub fn new(lo: f64, hi: f64, counts: Vec<u64>) -> Self {
-        assert!(!counts.is_empty(), "histogram needs at least one bucket");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram { lo, hi, counts }
-    }
-
-    /// Total rows covered.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Fraction of rows with value `< x`, interpolating linearly inside
-    /// the bucket containing `x`.
-    pub fn selectivity_lt(&self, x: f64) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        if x <= self.lo {
-            return 0.0;
-        }
-        if x >= self.hi {
-            return 1.0;
-        }
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        let idx = ((x - self.lo) / width).floor() as usize;
-        let idx = idx.min(self.counts.len() - 1);
-        let below: u64 = self.counts[..idx].iter().sum();
-        let within_frac = (x - (self.lo + idx as f64 * width)) / width;
-        (below as f64 + within_frac * self.counts[idx] as f64) / total as f64
-    }
-}
-
 /// Per-column statistics, as Teradata would collect them on a foreign
 /// table (§2: "the number of distinct values in each column").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -143,29 +108,6 @@ impl ColumnStats {
         }
     }
 
-    /// Stats for an opaque (character) column.
-    pub fn opaque(distinct: u64) -> Self {
-        ColumnStats {
-            distinct_values: distinct.max(1),
-            min: None,
-            max: None,
-            heavy_hitter_rows: None,
-            histogram: None,
-        }
-    }
-
-    /// Declares a heavy hitter (builder style).
-    pub fn with_heavy_hitter(mut self, rows: u64) -> Self {
-        self.heavy_hitter_rows = Some(rows);
-        self
-    }
-
-    /// Attaches a histogram (builder style).
-    pub fn with_histogram(mut self, h: Histogram) -> Self {
-        self.histogram = Some(h);
-        self
-    }
-
     /// Rows carried by the most frequent value: the declared heavy hitter
     /// when known, otherwise the uniform average.
     pub fn heavy_rows(&self, table_rows: u64) -> f64 {
@@ -175,30 +117,8 @@ impl ColumnStats {
     }
 
     /// Average number of rows sharing one value, given the table row count.
-    pub fn rows_per_value(&self, rows: u64) -> f64 {
+    pub(crate) fn rows_per_value(&self, rows: u64) -> f64 {
         rows as f64 / self.distinct_values as f64
-    }
-
-    /// Estimated selectivity of `column < literal`: histogram-based when a
-    /// histogram is attached, uniform otherwise; falls back to 1/3 (a
-    /// classic default) without min/max.
-    pub fn lt_selectivity(&self, literal: f64) -> f64 {
-        if let Some(h) = &self.histogram {
-            return h.selectivity_lt(literal);
-        }
-        match (self.min, self.max) {
-            (Some(lo), Some(hi)) if hi > lo => {
-                ((literal - lo as f64) / (hi - lo) as f64).clamp(0.0, 1.0)
-            }
-            (Some(lo), Some(_)) => {
-                if literal > lo as f64 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            _ => 1.0 / 3.0,
-        }
     }
 
     /// Estimated selectivity of `column = literal` (1/distinct when the
@@ -252,34 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn lt_selectivity_uniform() {
-        let s = ColumnStats {
-            distinct_values: 100,
-            min: Some(1),
-            max: Some(101),
-            heavy_hitter_rows: None,
-            histogram: None,
-        };
-        assert!((s.lt_selectivity(51.0) - 0.5).abs() < 1e-12);
-        assert_eq!(s.lt_selectivity(-5.0), 0.0);
-        assert_eq!(s.lt_selectivity(1000.0), 1.0);
-    }
-
-    #[test]
-    fn lt_selectivity_degenerate_range() {
-        let s = ColumnStats::constant(7);
-        assert_eq!(s.lt_selectivity(8.0), 1.0);
-        assert_eq!(s.lt_selectivity(7.0), 0.0);
-    }
-
-    #[test]
-    fn opaque_has_no_range() {
-        let s = ColumnStats::opaque(10);
-        assert_eq!(s.min, None);
-        assert!((s.lt_selectivity(5.0) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "duplication factor")]
     fn zero_duplication_panics() {
         ColumnStats::duplicated_range(10, 0);
@@ -289,64 +181,10 @@ mod tests {
     fn heavy_rows_defaults_to_uniform_average() {
         let s = ColumnStats::duplicated_range(1000, 5);
         assert_eq!(s.heavy_rows(1000), 5.0);
-        let skewed = s.with_heavy_hitter(400);
-        assert_eq!(skewed.heavy_rows(1000), 400.0);
-    }
-
-    #[test]
-    fn histogram_selectivity_interpolates() {
-        // 100 rows in [0,100): three buckets 10/80/10.
-        let h = Histogram::new(0.0, 100.0, vec![10, 80, 10]);
-        assert_eq!(h.selectivity_lt(-1.0), 0.0);
-        assert_eq!(h.selectivity_lt(200.0), 1.0);
-        // End of first bucket: 10% of rows.
-        assert!((h.selectivity_lt(100.0 / 3.0) - 0.10).abs() < 1e-9);
-        // Middle of second bucket: 10% + 40% = 50%.
-        assert!((h.selectivity_lt(50.0) - 0.50).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_overrides_uniform_lt_selectivity() {
-        // All the mass in the top bucket: uniform would say 50% below the
-        // midpoint; the histogram knows better.
-        let s = ColumnStats {
-            distinct_values: 100,
-            min: Some(0),
-            max: Some(100),
-            heavy_hitter_rows: None,
-            histogram: Some(Histogram::new(0.0, 100.0, vec![0, 0, 0, 100])),
+        let skewed = ColumnStats {
+            heavy_hitter_rows: Some(400),
+            ..s
         };
-        assert!(s.lt_selectivity(50.0) < 1e-9);
-        assert!((s.lt_selectivity(100.0) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket")]
-    fn histogram_rejects_empty() {
-        Histogram::new(0.0, 1.0, vec![]);
-    }
-
-    mod histogram_properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Selectivity is monotone in x and bounded by [0, 1].
-            #[test]
-            fn prop_histogram_monotone(
-                counts in proptest::collection::vec(0u64..1000, 1..12),
-                a in -50.0f64..150.0,
-                b in -50.0f64..150.0,
-            ) {
-                prop_assume!(counts.iter().sum::<u64>() > 0);
-                let h = Histogram::new(0.0, 100.0, counts);
-                let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                let sa = h.selectivity_lt(lo);
-                let sb = h.selectivity_lt(hi);
-                prop_assert!((0.0..=1.0).contains(&sa));
-                prop_assert!((0.0..=1.0).contains(&sb));
-                prop_assert!(sa <= sb + 1e-12);
-            }
-        }
+        assert_eq!(skewed.heavy_rows(1000), 400.0);
     }
 }

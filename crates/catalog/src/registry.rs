@@ -105,11 +105,6 @@ impl Catalog {
         self.systems.values()
     }
 
-    /// All tables stored on a given system.
-    pub fn tables_on(&self, id: &SystemId) -> Vec<&TableDef> {
-        self.tables.values().filter(|t| &t.location == id).collect()
-    }
-
     /// Number of registered tables.
     pub fn table_count(&self) -> usize {
         self.tables.len()
@@ -126,7 +121,7 @@ mod tests {
     use super::*;
     use crate::{
         column::{ColumnDef, ColumnStats},
-        remote::{Capability, SystemKind},
+        remote::SystemKind,
         stats::TableStats,
     };
 
@@ -196,27 +191,5 @@ mod tests {
             c.system(&SystemId::new("nope")),
             Err(CatalogError::UnknownSystem(_))
         ));
-    }
-
-    #[test]
-    fn tables_on_filters_by_location() {
-        let mut c = Catalog::new();
-        c.register_system(hive_profile()).unwrap();
-        c.register_system(RemoteSystemProfile::new(
-            SystemId::new("pg"),
-            SystemKind::Rdbms,
-            1,
-            8,
-            1 << 30,
-            vec![Capability::Join],
-        ))
-        .unwrap();
-        c.register_table(table_on("t1", "hive-a")).unwrap();
-        c.register_table(table_on("t2", "pg")).unwrap();
-        c.register_table(table_on("t3", "hive-a")).unwrap();
-        let on_hive = c.tables_on(&SystemId::new("hive-a"));
-        assert_eq!(on_hive.len(), 2);
-        assert_eq!(c.table_count(), 3);
-        assert_eq!(c.system_count(), 2);
     }
 }

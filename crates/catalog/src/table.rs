@@ -1,10 +1,6 @@
 //! Table definitions (schema + stats + location).
 
-use crate::{
-    column::{ColumnDef, ColumnType},
-    remote::SystemId,
-    stats::TableStats,
-};
+use crate::{column::ColumnDef, remote::SystemId, stats::TableStats};
 use serde::{Deserialize, Serialize};
 
 /// A table registered in the IntelliSphere catalog. Tables stored on a
@@ -49,16 +45,6 @@ impl TableDef {
         self.schema.iter().find(|c| c.name == name)
     }
 
-    /// The width in bytes of the named columns (used to compute the
-    /// "projected size" training dimensions of the join model, Fig. 2).
-    pub fn projected_width(&self, columns: &[&str]) -> u64 {
-        columns
-            .iter()
-            .filter_map(|n| self.column(n))
-            .map(|c| c.ty.width())
-            .sum()
-    }
-
     /// Declared row width from the schema (sum of column widths).
     pub fn schema_row_width(&self) -> u64 {
         self.schema.iter().map(|c| c.ty.width()).sum()
@@ -72,19 +58,6 @@ impl TableDef {
     /// Average row size shortcut.
     pub fn row_bytes(&self) -> u64 {
         self.stats.avg_row_bytes
-    }
-}
-
-/// Width of an integer column — re-exported for workload construction.
-pub const INTEGER_WIDTH: u64 = ColumnType::Integer.width_const();
-
-impl ColumnType {
-    /// `width` usable in const contexts.
-    pub const fn width_const(self) -> u64 {
-        match self {
-            ColumnType::Integer => 4,
-            ColumnType::Character(n) => n as u64,
-        }
     }
 }
 
@@ -113,13 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn projected_width_counts_only_named_columns() {
-        let t = sample_table();
-        assert_eq!(t.projected_width(&["a1", "a5"]), 8);
-        assert_eq!(t.projected_width(&["a1", "missing"]), 4);
-    }
-
-    #[test]
     fn partitioning_builder() {
         let t = sample_table().partitioned_by("a1");
         assert_eq!(t.partitioned_by.as_deref(), Some("a1"));
@@ -130,10 +96,5 @@ mod tests {
         let t = sample_table();
         assert!(t.column("z").is_some());
         assert!(t.column("q").is_none());
-    }
-
-    #[test]
-    fn const_width_matches_runtime_width() {
-        assert_eq!(INTEGER_WIDTH, ColumnType::Integer.width());
     }
 }

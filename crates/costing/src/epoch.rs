@@ -14,9 +14,9 @@
 //!   and rollback. The snapshot holds models and nothing derived from
 //!   them: each model owns its fused inference form, so there is no
 //!   second map to keep in step.
-//! * [`EpochStore`] — the publication point: readers call
-//!   [`EpochStore::load`] (an `arc-swap` pointer load, no locks) and
-//!   writers run [`EpochStore::transaction`], which serialises
+//! * `EpochStore` — the publication point: readers call
+//!   `EpochStore::load` (an `arc-swap` pointer load, no locks) and
+//!   writers run `EpochStore::transaction`, which serialises
 //!   clone-modify-publish cycles on a commit mutex held entirely off
 //!   the estimate hot path.
 //! * [`TuningPipeline`] — the offline-tuning worker: drains execution
@@ -54,7 +54,7 @@ impl Epoch {
 
     /// Wraps a raw epoch number (used when reloading persisted
     /// snapshots).
-    pub fn new(raw: u64) -> Self {
+    pub(crate) fn new(raw: u64) -> Self {
         Epoch(raw)
     }
 
@@ -136,7 +136,7 @@ impl ModelSnapshot {
 
     /// Reassembles a snapshot from persisted parts (see
     /// [`crate::hybrid::persist`]).
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         epoch: Epoch,
         lineage: SnapshotLineage,
         models: Vec<(ModelKey, LogicalOpCosting)>,
@@ -168,7 +168,7 @@ impl ModelSnapshot {
 
     /// The costing flow for one `(system, operator)` pair. The lookup
     /// borrows `system` (no `SystemId` clone — see
-    /// [`crate::observability::ModelKeyQuery`]).
+    /// `crate::observability::ModelKeyQuery`).
     pub fn model(&self, system: &SystemId, op: OperatorKind) -> Option<&Arc<LogicalOpCosting>> {
         self.models
             .get(&ModelKeyRef { system, op } as &dyn ModelKeyQuery)
@@ -181,35 +181,20 @@ impl ModelSnapshot {
     }
 
     /// All registered models, in unspecified order.
-    pub fn models(&self) -> impl Iterator<Item = (&ModelKey, &Arc<LogicalOpCosting>)> {
+    pub(crate) fn models(&self) -> impl Iterator<Item = (&ModelKey, &Arc<LogicalOpCosting>)> {
         self.models.iter()
     }
 
-    /// The hybrid costing profile for `system`, when one is attached.
-    pub fn profile(&self, system: &SystemId) -> Option<&Arc<CostingProfile>> {
-        self.profiles.get(system)
-    }
-
     /// All attached costing profiles, ordered by system.
-    pub fn profiles(&self) -> impl Iterator<Item = (&SystemId, &Arc<CostingProfile>)> {
+    pub(crate) fn profiles(&self) -> impl Iterator<Item = (&SystemId, &Arc<CostingProfile>)> {
         self.profiles.iter()
     }
 
     /// Sorted list of registered model keys.
-    pub fn keys(&self) -> Vec<ModelKey> {
+    pub(crate) fn keys(&self) -> Vec<ModelKey> {
         let mut keys: Vec<ModelKey> = self.models.keys().cloned().collect();
         keys.sort();
         keys
-    }
-
-    /// Number of registered models.
-    pub fn len(&self) -> usize {
-        self.models.len()
-    }
-
-    /// True when no models are registered.
-    pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
     }
 }
 
@@ -219,7 +204,7 @@ impl ModelSnapshot {
 /// maps clone `Arc`s, not models); mutation helpers copy-on-write the
 /// individual entries they touch. Nothing is visible to readers until
 /// the transaction publishes.
-pub struct SnapshotBuilder {
+pub(crate) struct SnapshotBuilder {
     models: HashMap<ModelKey, Arc<LogicalOpCosting>>,
     profiles: BTreeMap<SystemId, Arc<CostingProfile>>,
     lineage: SnapshotLineage,
@@ -251,28 +236,20 @@ impl SnapshotBuilder {
     }
 
     /// Inserts (or replaces) the model for `(system, op)`.
-    pub fn insert_model(&mut self, system: SystemId, op: OperatorKind, flow: LogicalOpCosting) {
+    pub(crate) fn insert_model(
+        &mut self,
+        system: SystemId,
+        op: OperatorKind,
+        flow: LogicalOpCosting,
+    ) {
         self.models.insert((system, op), Arc::new(flow));
-    }
-
-    /// Removes the model for `(system, op)`; true when one was present.
-    pub fn remove_model(&mut self, system: &SystemId, op: OperatorKind) -> bool {
-        self.models
-            .remove(&ModelKeyRef { system, op } as &dyn ModelKeyQuery)
-            .is_some()
-    }
-
-    /// Read access to a staged model.
-    pub fn model(&self, system: &SystemId, op: OperatorKind) -> Option<&Arc<LogicalOpCosting>> {
-        self.models
-            .get(&ModelKeyRef { system, op } as &dyn ModelKeyQuery)
     }
 
     /// Copy-on-write update of one staged model: the entry is cloned
     /// out of the shared snapshot (if still shared) — flow, training
     /// data, log and the model's fused-inference arenas — mutated in place, and
     /// re-staged. Returns `None` when the model is not registered.
-    pub fn update_model<R>(
+    pub(crate) fn update_model<R>(
         &mut self,
         system: &SystemId,
         op: OperatorKind,
@@ -284,25 +261,9 @@ impl SnapshotBuilder {
         Some(f(Arc::make_mut(entry)))
     }
 
-    /// Attaches (or replaces) a hybrid costing profile.
-    pub fn insert_profile(&mut self, profile: CostingProfile) {
-        self.profiles
-            .insert(profile.system.clone(), Arc::new(profile));
-    }
-
-    /// Copy-on-write update of one staged profile.
-    pub fn update_profile<R>(
-        &mut self,
-        system: &SystemId,
-        f: impl FnOnce(&mut CostingProfile) -> R,
-    ) -> Option<R> {
-        let entry = self.profiles.get_mut(system)?;
-        Some(f(Arc::make_mut(entry)))
-    }
-
     /// Replaces the staged content wholesale with `snapshot`'s,
     /// recording the restored epoch in the lineage (rollback).
-    pub fn restore_from(&mut self, snapshot: &ModelSnapshot) {
+    pub(crate) fn restore_from(&mut self, snapshot: &ModelSnapshot) {
         self.models = snapshot.models.clone();
         self.profiles = snapshot.profiles.clone();
         self.lineage.restores = Some(snapshot.epoch.get());
@@ -310,7 +271,7 @@ impl SnapshotBuilder {
 
     /// Accumulates tuning stats into the lineage of the snapshot being
     /// built (`rmse_pct_after` keeps the last reported value).
-    pub fn note_training(&mut self, entries_used: usize, rmse_pct_after: f64) {
+    pub(crate) fn note_training(&mut self, entries_used: usize, rmse_pct_after: f64) {
         self.lineage.entries_trained += entries_used;
         self.lineage.models_retrained += 1;
         if rmse_pct_after.is_finite() {
@@ -327,14 +288,14 @@ impl SnapshotBuilder {
 /// [`SnapshotBuilder`], and publish a new snapshot with the epoch
 /// bumped by one. Retraining inside a transaction blocks other
 /// *writers*, never readers.
-pub struct EpochStore {
+pub(crate) struct EpochStore {
     cell: ArcSwap<ModelSnapshot>,
     commit: Mutex<()>,
 }
 
 impl EpochStore {
     /// A store holding the empty genesis snapshot (epoch 0).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let store = EpochStore {
             cell: ArcSwap::new(Arc::new(ModelSnapshot::genesis())),
             commit: Mutex::new(()),
@@ -346,12 +307,12 @@ impl EpochStore {
 
     /// Pins the current snapshot. Lock-free; the returned `Arc` stays
     /// valid (and immutable) for as long as it is held.
-    pub fn load(&self) -> Arc<ModelSnapshot> {
+    pub(crate) fn load(&self) -> Arc<ModelSnapshot> {
         self.cell.load_full()
     }
 
     /// The current epoch.
-    pub fn epoch(&self) -> Epoch {
+    pub(crate) fn epoch(&self) -> Epoch {
         self.load().epoch
     }
 
@@ -359,7 +320,7 @@ impl EpochStore {
     /// builder seeded from the current snapshot, and the result is
     /// published as the next epoch. Returns `f`'s result and the
     /// published snapshot.
-    pub fn transaction<R>(
+    pub(crate) fn transaction<R>(
         &self,
         label: &str,
         f: impl FnOnce(&mut SnapshotBuilder) -> R,
@@ -373,7 +334,7 @@ impl EpochStore {
     /// [`EpochStore::transaction`] for fallible staging: when `f`
     /// returns `Err` the transaction aborts and **nothing is
     /// published** — the current snapshot and epoch are unchanged.
-    pub fn try_transaction<R, E>(
+    pub(crate) fn try_transaction<R, E>(
         &self,
         label: &str,
         f: impl FnOnce(&mut SnapshotBuilder) -> Result<R, E>,
@@ -390,14 +351,14 @@ impl EpochStore {
     /// Publishes a content-identical snapshot under a new epoch (used
     /// by cache-invalidation tests and churn benchmarks; estimates must
     /// be bit-identical across a republish).
-    pub fn republish(&self, label: &str) -> Arc<ModelSnapshot> {
+    pub(crate) fn republish(&self, label: &str) -> Arc<ModelSnapshot> {
         self.transaction(label, |_| ()).1
     }
 
     /// Publishes a new epoch whose content is `snapshot`'s — rollback
     /// to (or restore of) a previously persisted model state. The
     /// lineage records both the current parent and the restored epoch.
-    pub fn rollback_to(&self, snapshot: &ModelSnapshot) -> Arc<ModelSnapshot> {
+    pub(crate) fn rollback_to(&self, snapshot: &ModelSnapshot) -> Arc<ModelSnapshot> {
         self.transaction("rollback", |tx| tx.restore_from(snapshot))
             .1
     }
@@ -436,29 +397,19 @@ pub struct PipelineReport {
 #[derive(Debug, Clone)]
 pub struct TuningPipeline {
     config: FitConfig,
-    min_entries: usize,
 }
 
 impl TuningPipeline {
-    /// A pipeline retraining with `config`; by default any model with
-    /// at least one pending log entry is due.
+    /// A pipeline retraining with `config`; any model with at least
+    /// one pending log entry is due.
     pub fn new(config: FitConfig) -> Self {
-        TuningPipeline {
-            config,
-            min_entries: 1,
-        }
-    }
-
-    /// Only retrain models with at least `n` pending log entries.
-    pub fn with_min_entries(mut self, n: usize) -> Self {
-        self.min_entries = n.max(1);
-        self
+        TuningPipeline { config }
     }
 
     /// Runs one pass over `store`: every due model is retrained inside
     /// a single transaction and the results are swapped in as one epoch
     /// bump. Readers keep serving the previous snapshot throughout.
-    pub fn run_once(&self, store: &EpochStore) -> PipelineReport {
+    pub(crate) fn run_once(&self, store: &EpochStore) -> PipelineReport {
         // An idle pass aborts its transaction: publishing a
         // content-identical epoch would orphan every epoch-keyed cache
         // entry for nothing.
@@ -466,7 +417,7 @@ impl TuningPipeline {
             let mut due: Vec<ModelKey> = tx
                 .models
                 .iter()
-                .filter(|(_, flow)| flow.log.len() >= self.min_entries)
+                .filter(|(_, flow)| !flow.log.is_empty())
                 .map(|(key, _)| key.clone())
                 .collect();
             if due.is_empty() {
@@ -535,7 +486,7 @@ mod tests {
         let store = EpochStore::new();
         let snap = store.load();
         assert_eq!(snap.epoch(), Epoch::ZERO);
-        assert!(snap.is_empty());
+        assert!(snap.models.is_empty());
         assert_eq!(snap.lineage().parent, None);
         assert_eq!(snap.lineage().label, "genesis");
     }
@@ -549,7 +500,7 @@ mod tests {
         assert_eq!(snap.epoch(), Epoch::new(1));
         assert_eq!(snap.lineage().parent, Some(0));
         assert_eq!(snap.lineage().label, "register");
-        assert_eq!(store.load().len(), 1);
+        assert_eq!(store.load().models.len(), 1);
     }
 
     #[test]
@@ -561,7 +512,7 @@ mod tests {
         });
         assert_eq!(result.unwrap_err(), "abort");
         assert_eq!(store.epoch(), Epoch::ZERO);
-        assert!(store.load().is_empty());
+        assert!(store.load().models.is_empty());
     }
 
     #[test]
@@ -572,12 +523,15 @@ mod tests {
         });
         let pinned = store.load();
         store.transaction("remove", |tx| {
-            assert!(tx.remove_model(&hive(), OperatorKind::Aggregation));
+            assert!(tx
+                .models
+                .remove(&(hive(), OperatorKind::Aggregation))
+                .is_some());
         });
         // The pinned snapshot still serves the removed model; the live
         // snapshot does not.
         assert!(pinned.model(&hive(), OperatorKind::Aggregation).is_some());
-        assert!(store.load().is_empty());
+        assert!(store.load().models.is_empty());
         assert!(pinned.epoch() < store.epoch());
     }
 
@@ -630,7 +584,7 @@ mod tests {
         );
         // Removed models lose their packed form with them.
         store.transaction("remove", |tx| {
-            tx.remove_model(&hive(), OperatorKind::Aggregation);
+            tx.models.remove(&(hive(), OperatorKind::Aggregation));
         });
         assert!(store
             .load()
@@ -684,13 +638,13 @@ mod tests {
         });
         let good = store.load();
         store.transaction("remove", |tx| {
-            tx.remove_model(&hive(), OperatorKind::Aggregation);
+            tx.models.remove(&(hive(), OperatorKind::Aggregation));
         });
-        assert!(store.load().is_empty());
+        assert!(store.load().models.is_empty());
         let restored = store.rollback_to(&good);
         // New epoch, old content, lineage remembers both.
         assert!(restored.epoch() > good.epoch());
-        assert_eq!(restored.len(), 1);
+        assert_eq!(restored.models.len(), 1);
         assert_eq!(restored.lineage().restores, Some(good.epoch().get()));
         assert_eq!(restored.lineage().label, "rollback");
     }
@@ -737,7 +691,7 @@ mod tests {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
         });
         let before = store.epoch();
-        let pipeline = TuningPipeline::new(FitConfig::fast()).with_min_entries(4);
+        let pipeline = TuningPipeline::new(FitConfig::fast());
         let report = pipeline.run_once(&store);
         assert_eq!(report.epoch, None);
         assert!(report.reports.is_empty());

@@ -81,11 +81,6 @@ impl CostEstimate {
             source,
         }
     }
-
-    /// The estimate in microseconds (simulator units).
-    pub fn micros(&self) -> f64 {
-        self.secs * 1e6
-    }
 }
 
 #[cfg(test)]
@@ -96,12 +91,6 @@ mod tests {
     fn negative_estimates_clamped() {
         let e = CostEstimate::new(-3.0, EstimateSource::NeuralNetwork);
         assert_eq!(e.secs, 0.0);
-    }
-
-    #[test]
-    fn unit_conversion() {
-        let e = CostEstimate::new(2.5, EstimateSource::SubOpAggregation);
-        assert_eq!(e.micros(), 2_500_000.0);
     }
 
     #[test]

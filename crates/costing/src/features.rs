@@ -73,7 +73,7 @@ pub fn agg_features(analysis: &QueryAnalysis) -> Option<[f64; AGG_DIMS]> {
 }
 
 /// Classifies a query and extracts its features in one step.
-pub fn extract(analysis: &QueryAnalysis) -> QueryFeatures {
+pub(crate) fn extract(analysis: &QueryAnalysis) -> QueryFeatures {
     if let Some(f) = agg_features(analysis) {
         // Aggregation above a join is still modelled by the aggregation
         // operator here; the join contributes its own operator estimate.

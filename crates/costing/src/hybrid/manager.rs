@@ -51,11 +51,6 @@ impl HybridCostManager {
         self.profiles.get_mut(system)
     }
 
-    /// Registered systems.
-    pub fn systems(&self) -> Vec<&SystemId> {
-        self.profiles.keys().collect()
-    }
-
     /// Estimates the cost of running an analysed query on a system.
     pub fn estimate(
         &mut self,
@@ -135,7 +130,6 @@ mod tests {
         );
         let cost = mgr.estimate(&SystemId::new("hive-a"), &analysis).unwrap();
         assert!(cost.total_secs > 0.0);
-        assert_eq!(mgr.systems().len(), 1);
     }
 
     #[test]

@@ -305,7 +305,7 @@ mod tests {
         assert_eq!(restored.epoch().get(), 1);
         assert_eq!(restored.lineage().label, "register");
         assert_eq!(restored.lineage().parent, Some(0));
-        assert_eq!(restored.len(), 1);
+        assert_eq!(restored.keys().len(), 1);
 
         // The reloaded snapshot is a valid rollback target.
         let published = svc.rollback_to(&restored);

@@ -117,12 +117,6 @@ impl CostingProfile {
         }
     }
 
-    /// Sets a per-operator override.
-    pub fn with_override(mut self, op: OperatorKind, approach: CostingApproach) -> Self {
-        self.overrides.insert(op, approach);
-        self
-    }
-
     /// Costs every costable operator in an analysed query.
     pub fn estimate_query(&mut self, analysis: &QueryAnalysis) -> Result<QueryCost, CostingError> {
         let mut operators = Vec::new();
@@ -178,7 +172,12 @@ impl CostingProfile {
     /// machinery (log + α tuning). Sub-op approaches ignore observations
     /// ("model continuous tuning … less critical because extrapolation is
     /// straightforward", Fig. 8).
-    pub fn observe_actual(&mut self, op: OperatorKind, analysis: &QueryAnalysis, actual_secs: f64) {
+    pub(crate) fn observe_actual(
+        &mut self,
+        op: OperatorKind,
+        analysis: &QueryAnalysis,
+        actual_secs: f64,
+    ) {
         let n = self.estimates_made;
         let approach = match self.overrides.get_mut(&op) {
             Some(a) => a,
@@ -443,8 +442,9 @@ mod tests {
             SystemId::new("hive"),
             SystemKind::Hive,
             subop_approach(&mut e),
-        )
-        .with_override(OperatorKind::Aggregation, logical_approach());
+        );
+        p.overrides
+            .insert(OperatorKind::Aggregation, logical_approach());
         let aj = analysis_of(
             &e,
             "SELECT r.a1, s.a1 FROM T1000000_250 r JOIN T100000_100 s ON r.a1 = s.a1",

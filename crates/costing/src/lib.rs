@@ -42,16 +42,14 @@ pub mod observability;
 pub mod service;
 pub mod sub_op;
 
-pub use epoch::{Epoch, EpochStore, ModelSnapshot, SnapshotLineage, TuningPipeline};
+pub use epoch::{Epoch, ModelSnapshot, SnapshotLineage, TuningPipeline};
 pub use estimator::{CostEstimate, EstimateSource, OperatorKind};
 pub use features::{agg_features, join_features, QueryFeatures, AGG_DIMS, JOIN_DIMS};
 pub use hybrid::{CostingApproach, CostingProfile, HybridCostManager};
 pub use logical_op::{
     flow::FlowScratch, flow::LogicalOpCosting, model::FitConfig, model::LogicalOpModel,
-    packed::PackedOpModel, packed::PackedOpScratch, remedy::RemedyConfig, remedy::RemedyScratch,
+    packed::PackedOpModel, packed::PackedOpScratch, remedy::RemedyConfig,
 };
-pub use observability::{
-    publish_drift, DriftRetuner, ModelKey, ModelKeyQuery, ModelKeyRef, RetuneOutcome, TraceCtx,
-};
+pub use observability::{publish_drift, DriftRetuner, ModelKey, RetuneOutcome, TraceCtx};
 pub use service::{CacheStats, EstimateScratch, EstimatorService, ServiceConfig, ServiceError};
 pub use sub_op::{choice::ChoicePolicy, SubOpCosting};

@@ -38,7 +38,7 @@ impl DimensionMeta {
     ///
     /// # Panics
     /// Panics on empty input.
-    pub fn from_values(name: &str, values: &[f64]) -> Self {
+    pub(crate) fn from_values(name: &str, values: &[f64]) -> Self {
         assert!(!values.is_empty(), "DimensionMeta: no training values");
         let mut sorted: Vec<f64> = values.to_vec();
         sorted.sort_by(f64::total_cmp);
@@ -63,14 +63,14 @@ impl DimensionMeta {
 
     /// True when `v` lies inside (or within `beta·step` of) the trained
     /// range — i.e. the NN can be trusted directly.
-    pub fn in_range(&self, v: f64, beta: f64) -> bool {
+    pub(crate) fn in_range(&self, v: f64, beta: f64) -> bool {
         let slack = beta * self.step_size;
         v >= self.min - slack && v <= self.max + slack
     }
 
     /// The paper's "way off" test: outside `[min, max]` by more than
     /// `β · stepSize`.
-    pub fn is_way_off(&self, v: f64, beta: f64) -> bool {
+    pub(crate) fn is_way_off(&self, v: f64, beta: f64) -> bool {
         !self.in_range(v, beta)
     }
 
@@ -81,7 +81,7 @@ impl DimensionMeta {
     /// value that breaks continuity — and everything beyond it — lands in
     /// [`DimensionMeta::detached`]. Returns `true` when the `[min,max]`
     /// range changed.
-    pub fn absorb(&mut self, observed: &[f64], beta: f64) -> bool {
+    pub(crate) fn absorb(&mut self, observed: &[f64], beta: f64) -> bool {
         let slack = beta * self.step_size;
         let mut changed = false;
 
@@ -133,7 +133,7 @@ impl TrainingMeta {
     ///
     /// # Panics
     /// Panics when `rows` is empty or `names` does not match the arity.
-    pub fn from_rows(names: &[&str], rows: &[Vec<f64>]) -> Self {
+    pub(crate) fn from_rows(names: &[&str], rows: &[Vec<f64>]) -> Self {
         assert!(!rows.is_empty(), "TrainingMeta: no rows");
         assert_eq!(
             names.len(),
@@ -153,7 +153,7 @@ impl TrainingMeta {
 
     /// Indices of the dimensions of `x` that are way off the trained
     /// range — the *pivot* dimensions of the online remedy.
-    pub fn pivots(&self, x: &[f64], beta: f64) -> Vec<usize> {
+    pub(crate) fn pivots(&self, x: &[f64], beta: f64) -> Vec<usize> {
         assert_eq!(
             x.len(),
             self.dims.len(),
@@ -173,7 +173,7 @@ impl TrainingMeta {
     ///
     /// Runs once per estimate on the zero-alloc path, so it short-
     /// circuits over the dimensions directly instead of materialising
-    /// the [`TrainingMeta::pivots`] vector just to test emptiness.
+    /// the `TrainingMeta::pivots` vector just to test emptiness.
     pub fn all_in_range(&self, x: &[f64], beta: f64) -> bool {
         assert_eq!(
             x.len(),
@@ -189,7 +189,7 @@ impl TrainingMeta {
 
     /// Absorbs out-of-range observations into each dimension (offline
     /// tuning). Returns the indices of dimensions whose range changed.
-    pub fn absorb_rows(&mut self, rows: &[Vec<f64>], beta: f64) -> Vec<usize> {
+    pub(crate) fn absorb_rows(&mut self, rows: &[Vec<f64>], beta: f64) -> Vec<usize> {
         let mut changed = Vec::new();
         for (j, dim) in self.dims.iter_mut().enumerate() {
             let col: Vec<f64> = rows.iter().map(|r| r[j]).collect();

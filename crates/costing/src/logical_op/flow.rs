@@ -109,7 +109,7 @@ impl LogicalOpCosting {
     }
 
     /// [`LogicalOpCosting::estimate_rows`] for the one row `x`.
-    pub fn estimate_scratch(
+    pub(crate) fn estimate_scratch(
         &self,
         x: &[f64],
         scratch: &mut FlowScratch,
@@ -130,7 +130,7 @@ impl LogicalOpCosting {
     /// that arrive filled (a cache answered them) are left alone.
     ///
     /// Given `trace`, each out-of-range row emits the remedy event pair as
-    /// it is computed (see [`remedy_estimate_scratch`]); in-range rows
+    /// it is computed (see `remedy_estimate_scratch`); in-range rows
     /// emit nothing. The kernel pass and each remedy run under their
     /// [`Stage`] timers.
     ///

@@ -30,6 +30,6 @@ pub use dims::{DimensionMeta, TrainingMeta};
 pub use flow::{FlowScratch, LogicalOpCosting};
 pub use model::{FitConfig, FitReport, LogicalOpModel, TopologyChoice};
 pub use packed::{PackedOpModel, PackedOpScratch};
-pub use remedy::{AlphaTuner, RemedyConfig, RemedyOutcome, RemedyScratch};
+pub use remedy::{AlphaTuner, RemedyConfig, RemedyOutcome};
 pub use training::{run_training, LabeledRun, TrainingOutput};
-pub use tuning::{ExecutionLog, LogEntry, TuneReport};
+pub use tuning::{ExecutionLog, TuneReport};

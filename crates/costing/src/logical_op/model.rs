@@ -10,7 +10,7 @@
 //! A [`LogicalOpModel`] owns its fused inference form
 //! ([`PackedOpModel`]): it is derived once, wherever a model value comes
 //! into being — [`LogicalOpModel::fit`] (hence
-//! [`LogicalOpModel::retrain`]), [`LogicalOpModel::with_network`] and
+//! `LogicalOpModel::retrain`), [`LogicalOpModel::with_network`] and
 //! deserialisation all go through one private constructor — never on a
 //! read, and never written to disk. [`LogicalOpModel::predict_nn`] *is*
 //! that packed kernel. The layer-by-layer chain the packed form was
@@ -416,7 +416,7 @@ impl LogicalOpModel {
     }
 
     /// The raw training data (used by the online remedy).
-    pub fn training_data(&self) -> &Dataset {
+    pub(crate) fn training_data(&self) -> &Dataset {
         &self.training
     }
 
@@ -431,7 +431,7 @@ impl LogicalOpModel {
     /// recomputed from the union — callers that enforce the continuity
     /// rule (offline tuning) preserve and restore their own metadata.
     /// Returns the new held-out RMSE%.
-    pub fn retrain(&mut self, extra: &Dataset, config: &FitConfig) -> f64 {
+    pub(crate) fn retrain(&mut self, extra: &Dataset, config: &FitConfig) -> f64 {
         let mut all = self.training.clone();
         all.extend(extra);
         let names: Vec<&str> = self.meta.dims.iter().map(|d| d.name.as_str()).collect();

@@ -88,7 +88,7 @@ impl PackedOpModel {
     }
 
     /// Number of input dimensions.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.mins.len()
     }
 

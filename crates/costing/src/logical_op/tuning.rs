@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// One logged remote execution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LogEntry {
+pub(crate) struct LogEntry {
     /// The operator's model features.
     pub features: Vec<f64>,
     /// Observed elapsed time, seconds.
@@ -21,14 +21,14 @@ pub struct LogEntry {
 }
 
 /// Default bound on pending log entries when none is configured.
-pub const DEFAULT_LOG_CAPACITY: usize = 8192;
+pub(crate) const DEFAULT_LOG_CAPACITY: usize = 8192;
 
 /// The execution log feeding offline tuning.
 ///
 /// The log is bounded: once `capacity()` entries are pending, each new
 /// observation evicts the oldest one, so a system that never runs a
 /// tuning pass cannot grow memory without limit. Evictions are counted
-/// in [`ExecutionLog::dropped`] for telemetry.
+/// in `ExecutionLog::dropped` for telemetry.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionLog {
     entries: Vec<LogEntry>,
@@ -48,23 +48,15 @@ impl ExecutionLog {
         ExecutionLog::default()
     }
 
-    /// An empty log bounded at `capacity` pending entries (zero is
-    /// treated as one).
-    pub fn with_capacity(capacity: usize) -> Self {
-        ExecutionLog {
-            capacity: Some(capacity.max(1)),
-            ..ExecutionLog::default()
-        }
-    }
-
     /// The bound on pending entries.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity.unwrap_or(DEFAULT_LOG_CAPACITY).max(1)
     }
 
     /// Reconfigures the bound (zero is treated as one), evicting
     /// oldest-first immediately if the log is over the new bound.
-    pub fn set_capacity(&mut self, capacity: usize) {
+    #[cfg(test)]
+    pub(crate) fn set_capacity(&mut self, capacity: usize) {
         self.capacity = Some(capacity.max(1));
         let cap = self.capacity();
         if self.entries.len() > cap {
@@ -76,7 +68,7 @@ impl ExecutionLog {
 
     /// Total observations evicted (oldest-first) because the log was at
     /// capacity when they would have been retained.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
@@ -107,12 +99,12 @@ impl ExecutionLog {
 
     /// The pending entries, oldest first (read-only view for drift
     /// monitoring and reports).
-    pub fn entries(&self) -> &[LogEntry] {
+    pub(crate) fn entries(&self) -> &[LogEntry] {
         &self.entries
     }
 
     /// The entries as a dataset.
-    pub fn dataset(&self) -> Dataset {
+    pub(crate) fn dataset(&self) -> Dataset {
         Dataset::new(
             self.entries.iter().map(|e| e.features.clone()).collect(),
             self.entries.iter().map(|e| e.actual_secs).collect(),
@@ -120,7 +112,7 @@ impl ExecutionLog {
     }
 
     /// Drains the log (after a tuning pass consumed it).
-    pub fn drain(&mut self) -> Vec<LogEntry> {
+    pub(crate) fn drain(&mut self) -> Vec<LogEntry> {
         std::mem::take(&mut self.entries)
     }
 }
@@ -210,7 +202,8 @@ mod tests {
 
     #[test]
     fn log_evicts_oldest_first_at_capacity() {
-        let mut log = ExecutionLog::with_capacity(3);
+        let mut log = ExecutionLog::new();
+        log.set_capacity(3);
         for i in 0..5 {
             log.push(vec![i as f64], i as f64);
         }

@@ -40,7 +40,7 @@ pub type ModelKey = (SystemId, OperatorKind);
 /// the derived tuple implementations field for field, and the
 /// `Borrow<dyn ModelKeyQuery> for ModelKey` impl lets `HashMap::get`
 /// accept `&ModelKeyRef` without constructing an owned key.
-pub trait ModelKeyQuery {
+pub(crate) trait ModelKeyQuery {
     /// The system component of the key.
     fn system(&self) -> &SystemId;
     /// The operator component of the key.
@@ -49,7 +49,7 @@ pub trait ModelKeyQuery {
 
 /// A borrowed `(system, operator)` key for allocation-free map lookups.
 #[derive(Debug, Clone, Copy)]
-pub struct ModelKeyRef<'a> {
+pub(crate) struct ModelKeyRef<'a> {
     /// The system component (borrowed).
     pub system: &'a SystemId,
     /// The operator component.
@@ -110,14 +110,14 @@ pub struct TraceCtx<'a> {
 
 impl<'a> TraceCtx<'a> {
     /// Bundles a tracer and a system id.
-    pub fn new(tracer: &'a Tracer, system: &'a SystemId) -> Self {
+    pub(crate) fn new(tracer: &'a Tracer, system: &'a SystemId) -> Self {
         TraceCtx { tracer, system }
     }
 }
 
 /// Renders a model key for metric labels and event payloads
 /// (`"hive-a/join"`).
-pub fn model_key_label(key: &ModelKey) -> String {
+pub(crate) fn model_key_label(key: &ModelKey) -> String {
     format!("{}/{}", key.0, key.1)
 }
 
@@ -234,11 +234,6 @@ impl DriftRetuner {
     /// Feeds one `(predicted, actual)` observation into the monitor.
     pub fn record(&mut self, key: ModelKey, predicted: f64, actual: f64, epoch: Option<u64>) {
         self.monitor.record_versioned(key, predicted, actual, epoch);
-    }
-
-    /// The underlying drift monitor (for health inspection).
-    pub fn monitor(&self) -> &DriftMonitor<ModelKey> {
-        &self.monitor
     }
 
     /// Total breach-triggered tuning passes so far.

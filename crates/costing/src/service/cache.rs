@@ -26,7 +26,13 @@ pub struct CacheKey {
 impl CacheKey {
     /// Builds a key, quantizing `features` to `sig_digits` significant
     /// decimal digits.
-    pub fn new(system: &SystemId, op: OperatorKind, features: &[f64], sig_digits: i32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(
+        system: &SystemId,
+        op: OperatorKind,
+        features: &[f64],
+        sig_digits: i32,
+    ) -> Self {
         CacheKey {
             system: system.clone(),
             op,
@@ -36,7 +42,7 @@ impl CacheKey {
 
     /// Builds a key from already-quantized features (the owned form of
     /// a [`CacheKeyRef`] probe, materialised only on the miss path).
-    pub fn from_quantized(system: &SystemId, op: OperatorKind, qfeatures: &[u64]) -> Self {
+    pub(crate) fn from_quantized(system: &SystemId, op: OperatorKind, qfeatures: &[u64]) -> Self {
         CacheKey {
             // analysis:allow(alloc-freedom): miss-path key materialisation — the documented allocating branch of the cache-enabled estimate
             system: system.clone(),
@@ -49,7 +55,7 @@ impl CacheKey {
 
 /// Borrowed-key lookup for the cache map.
 ///
-/// [`CacheKey::new`] clones the `SystemId` and collects a fresh
+/// An owned [`CacheKey`] clones the `SystemId` and collects a fresh
 /// `Vec<u64>` — two allocations per probe, paid even on a hit. Lookups
 /// instead quantize into a reusable scratch buffer and probe with a
 /// [`CacheKeyRef`]; the `Borrow<dyn CacheQuery>` bridge below lets
@@ -128,7 +134,7 @@ impl<'a> std::borrow::Borrow<dyn CacheQuery + 'a> for CacheKey {
 /// Canonical bit pattern of `v` rounded to `sig` significant decimal
 /// digits. All NaNs collapse to one pattern and `-0.0` to `+0.0`, so the
 /// key is a total function of the numeric value.
-pub fn quantize(v: f64, sig: i32) -> u64 {
+pub(crate) fn quantize(v: f64, sig: i32) -> u64 {
     if v.is_nan() {
         return f64::NAN.to_bits();
     }
@@ -178,7 +184,7 @@ impl LruCache {
     /// a *disabled* cache: every `get` misses and every `insert` is a
     /// no-op (used by latency-critical deployments that prefer the
     /// packed-kernel recompute over cache-lock traffic).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         LruCache {
             map: HashMap::with_capacity(capacity),
             slab: Vec::with_capacity(capacity),
@@ -189,20 +195,10 @@ impl LruCache {
         }
     }
 
-    /// Current number of live entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Looks up `key` (owned [`CacheKey`] or borrowed [`CacheKeyRef`],
     /// both coerce); a hit is promoted to most-recent. An entry whose
     /// epoch differs from `epoch` is removed and reported as a miss.
-    pub fn get(&mut self, key: &(dyn CacheQuery + '_), epoch: u64) -> Option<CostEstimate> {
+    pub(crate) fn get(&mut self, key: &(dyn CacheQuery + '_), epoch: u64) -> Option<CostEstimate> {
         let idx = *self.map.get(key)?;
         if self.slab[idx].epoch != epoch {
             self.remove_idx(idx);
@@ -215,7 +211,7 @@ impl LruCache {
 
     /// Inserts (or refreshes) an entry, evicting the least-recently-used
     /// one if the cache is full. No-op on a disabled (capacity-0) cache.
-    pub fn insert(&mut self, key: CacheKey, value: CostEstimate, epoch: u64) {
+    pub(crate) fn insert(&mut self, key: CacheKey, value: CostEstimate, epoch: u64) {
         if self.capacity == 0 {
             return;
         }
@@ -254,7 +250,7 @@ impl LruCache {
     }
 
     /// Drops every entry.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.slab.clear();
         self.free.clear();
@@ -348,7 +344,7 @@ mod tests {
         );
         assert!(c.get(&key(&[1.0]), 0).is_some());
         assert!(c.get(&key(&[3.0]), 0).is_some());
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.map.len(), 2);
     }
 
     #[test]
@@ -356,7 +352,7 @@ mod tests {
         let mut c = LruCache::new(4);
         c.insert(key(&[1.0]), est(1.0), 0);
         assert!(c.get(&key(&[1.0]), 1).is_none());
-        assert!(c.is_empty());
+        assert!(c.map.is_empty());
     }
 
     #[test]
@@ -377,13 +373,13 @@ mod tests {
             c.insert(key(&[i as f64]), est(i as f64), 0);
         }
         c.clear();
-        assert!(c.is_empty());
+        assert!(c.map.is_empty());
         for i in 0..4 {
             assert!(c.get(&key(&[i as f64]), 0).is_none());
         }
         // Still usable after clear.
         c.insert(key(&[9.0]), est(9.0), 0);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.map.len(), 1);
     }
 
     #[test]
@@ -408,7 +404,7 @@ mod tests {
     fn zero_capacity_cache_is_disabled() {
         let mut c = LruCache::new(0);
         c.insert(key(&[1.0]), est(1.0), 0);
-        assert!(c.is_empty());
+        assert!(c.map.is_empty());
         assert!(c.get(&key(&[1.0]), 0).is_none());
     }
 
@@ -417,7 +413,7 @@ mod tests {
         let mut c = LruCache::new(8);
         for i in 0..1000 {
             c.insert(key(&[i as f64, 0.5]), est(i as f64), 0);
-            assert!(c.len() <= 8);
+            assert!(c.map.len() <= 8);
         }
         // The most recent 8 survive.
         for i in 992..1000 {

@@ -8,7 +8,7 @@
 //! threads at once. [`EstimatorService`] packages the estimation read
 //! path for that workload:
 //!
-//! * an **epoch-versioned model store** ([`crate::epoch::EpochStore`]):
+//! * an **epoch-versioned model store** (`crate::epoch::EpochStore`):
 //!   the read path pins an immutable [`ModelSnapshot`] with a lock-free
 //!   atomic load — estimates never take a `RwLock` or `Mutex` on the
 //!   model registry, and concurrent retraining can never stall them;
@@ -47,7 +47,6 @@ use crate::{
     estimator::{CostEstimate, OperatorKind},
     logical_op::{
         flow::{FlowScratch, LogicalOpCosting},
-        model::FitConfig,
         tuning::TuneReport,
     },
     observability::{ModelKey, TraceCtx},
@@ -368,7 +367,7 @@ impl EstimatorService {
     }
 
     /// Every registered `(system, operator)` pair, sorted.
-    pub fn registered(&self) -> Vec<(SystemId, OperatorKind)> {
+    pub(crate) fn registered(&self) -> Vec<(SystemId, OperatorKind)> {
         self.inner.store.load().keys()
     }
 
@@ -768,32 +767,6 @@ impl EstimatorService {
         Ok(alpha)
     }
 
-    /// Runs the offline tuning phase over one model's accumulated
-    /// execution log. Retraining happens on a private clone inside the
-    /// transaction; the estimate path keeps serving the previous
-    /// snapshot until the tuned model is published.
-    pub fn offline_tune(
-        &self,
-        system: &SystemId,
-        op: OperatorKind,
-        config: &FitConfig,
-    ) -> Result<TuneReport, ServiceError> {
-        let (report, _) = self.inner.store.try_transaction("offline-tune", |tx| {
-            let report = tx
-                .update_model(system, op, |flow| flow.offline_tune(config))
-                .ok_or_else(|| ServiceError::UnknownModel {
-                    system: system.clone(),
-                    op,
-                })?;
-            if report.entries_used > 0 {
-                tx.note_training(report.entries_used, report.rmse_pct_after);
-            }
-            Ok(report)
-        })?;
-        self.emit_tuning_pass(system, op, &report);
-        Ok(report)
-    }
-
     /// One [`Event::TuningPass`] summarising what a retrain consumed and
     /// achieved.
     fn emit_tuning_pass(&self, system: &SystemId, op: OperatorKind, report: &TuneReport) {
@@ -827,18 +800,6 @@ impl EstimatorService {
             }
         }
         fed
-    }
-
-    /// Runs a closure against a registered flow in the current snapshot
-    /// — an escape hatch for inspection without exposing the map.
-    pub fn with_flow<T>(
-        &self,
-        system: &SystemId,
-        op: OperatorKind,
-        f: impl FnOnce(&LogicalOpCosting) -> T,
-    ) -> Result<T, ServiceError> {
-        let snapshot = self.inner.store.load();
-        Ok(f(model_or_unknown(&snapshot, system, op)?))
     }
 
     /// Current hit/miss counters (reads the registry-backed handles).
@@ -896,7 +857,7 @@ fn check_arity_width(flow: &LogicalOpCosting, width: usize) -> Result<(), Servic
 mod tests {
     use super::*;
     use crate::estimator::EstimateSource;
-    use crate::logical_op::model::LogicalOpModel;
+    use crate::logical_op::model::{FitConfig, LogicalOpModel};
     use neuro::Dataset;
 
     fn trained_flow(slope: f64) -> LogicalOpCosting {
@@ -917,6 +878,15 @@ mod tests {
             &FitConfig::fast(),
         );
         LogicalOpCosting::new(model)
+    }
+
+    /// The aggregation flow `sys` is served from in the current snapshot.
+    fn flow_of(svc: &EstimatorService, sys: &SystemId) -> Arc<LogicalOpCosting> {
+        Arc::clone(
+            svc.snapshot()
+                .model(sys, OperatorKind::Aggregation)
+                .expect("registered"),
+        )
     }
 
     fn service_with_model() -> (EstimatorService, SystemId) {
@@ -993,9 +963,7 @@ mod tests {
     fn cached_estimates_match_the_flow_exactly() {
         let (svc, sys) = service_with_model();
         let x = [7e5, 300.0];
-        let direct = svc
-            .with_flow(&sys, OperatorKind::Aggregation, |f| f.estimate(&x))
-            .unwrap();
+        let direct = flow_of(&svc, &sys).estimate(&x);
         let via_service = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         let via_cache = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         assert_eq!(direct, via_service);
@@ -1121,12 +1089,8 @@ mod tests {
         // Epoch bump: the cached value no longer counts as a hit.
         let _ = svc.estimate(&sys, OperatorKind::Aggregation, &oor).unwrap();
         assert_eq!(svc.stats(), CacheStats { hits: 0, misses: 2 });
-        let (obs, log_len) = svc
-            .with_flow(&sys, OperatorKind::Aggregation, |f| {
-                (f.tuner.observations(), f.log.len())
-            })
-            .unwrap();
-        assert_eq!((obs, log_len), (1, 1));
+        let flow = flow_of(&svc, &sys);
+        assert_eq!((flow.tuner.observations(), flow.log.len()), (1, 1));
         // α re-fit goes through the service too.
         let alpha = svc.adjust_alpha(&sys, OperatorKind::Aggregation).unwrap();
         assert!((0.0..=1.0).contains(&alpha));
@@ -1340,9 +1304,7 @@ mod tests {
         // fresh estimate is a miss that recomputes from the new model.
         let fresh = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         assert_ne!(fresh.secs, stale.secs, "stale value must not be served");
-        let direct = svc
-            .with_flow(&sys, OperatorKind::Aggregation, |f| f.estimate(&x))
-            .unwrap();
+        let direct = flow_of(&svc, &sys).estimate(&x);
         assert_eq!(fresh, direct, "fresh estimate reflects the new model");
         // The cache keeps one entry per key, tagged with the epoch that
         // computed it: replaying under the old epoch and reading under
@@ -1417,9 +1379,7 @@ mod tests {
         assert_eq!(report.reports.len(), 1);
         assert!(report.entries_drained > 0);
         assert_eq!(report.epoch, Some(svc.epoch()));
-        assert!(svc
-            .with_flow(&sys, OperatorKind::Aggregation, |f| f.log.is_empty())
-            .unwrap());
+        assert!(flow_of(&svc, &sys).log.is_empty());
         assert!(
             sub.snapshot()
                 .iter()
@@ -1458,14 +1418,8 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(
-            svc.with_flow(&sys, OperatorKind::Aggregation, |f| (
-                f.log.len(),
-                f.log.dropped()
-            ))
-            .unwrap(),
-            (2, 3)
-        );
+        let flow = flow_of(&svc, &sys);
+        assert_eq!((flow.log.len(), flow.log.dropped()), (2, 3));
         let snap = svc.telemetry().metrics.snapshot();
         assert_eq!(
             snap.gauge(

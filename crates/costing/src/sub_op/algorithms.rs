@@ -237,7 +237,7 @@ pub fn join_formula(algo: JoinAlgorithm) -> CostFormula {
 
 /// The join algorithms an engine family offers (§4's two lists plus the
 /// RDBMS menu).
-pub fn algorithms_for(kind: SystemKind) -> Vec<JoinAlgorithm> {
+pub(crate) fn algorithms_for(kind: SystemKind) -> Vec<JoinAlgorithm> {
     match kind {
         SystemKind::Hive => vec![
             JoinAlgorithm::HiveShuffleJoin,
@@ -268,7 +268,7 @@ fn partial_rows() -> Qty {
 
 /// Aggregation formula — hash variant (map-side partial aggregation,
 /// shuffle, reduce merge).
-pub fn agg_hash_formula(distributed: bool) -> CostFormula {
+pub(crate) fn agg_hash_formula(distributed: bool) -> CostFormula {
     if !distributed {
         return CostFormula {
             name: "Hash Aggregate (single-node)".into(),
@@ -313,7 +313,7 @@ pub fn agg_hash_formula(distributed: bool) -> CostFormula {
 
 /// Aggregation formula — sort variant (chosen when the hash table would
 /// spill badly).
-pub fn agg_sort_formula(distributed: bool) -> CostFormula {
+pub(crate) fn agg_sort_formula(distributed: bool) -> CostFormula {
     if !distributed {
         return CostFormula {
             name: "Sort Aggregate (single-node)".into(),
@@ -352,7 +352,7 @@ pub fn agg_sort_formula(distributed: bool) -> CostFormula {
 
 /// `ORDER BY` formula: re-read the intermediate result, sort it, write
 /// it back.
-pub fn sort_formula(distributed: bool) -> CostFormula {
+pub(crate) fn sort_formula(distributed: bool) -> CostFormula {
     let write = if distributed {
         SubOp::WriteDfs
     } else {
@@ -372,7 +372,7 @@ pub fn sort_formula(distributed: bool) -> CostFormula {
 }
 
 /// Scan/filter/project formula.
-pub fn scan_formula(distributed: bool) -> CostFormula {
+pub(crate) fn scan_formula(distributed: bool) -> CostFormula {
     let (read, write) = if distributed {
         (SubOp::ReadDfs, SubOp::WriteDfs)
     } else {

@@ -27,7 +27,7 @@ impl ChoicePolicy {
     ///
     /// # Panics
     /// Panics on an empty candidate list.
-    pub fn resolve(self, costs: &[f64]) -> f64 {
+    pub(crate) fn resolve(self, costs: &[f64]) -> f64 {
         assert!(!costs.is_empty(), "ChoicePolicy::resolve: no candidates");
         match self {
             ChoicePolicy::Worst => costs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
@@ -37,7 +37,7 @@ impl ChoicePolicy {
     }
 
     /// Short name for reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ChoicePolicy::Worst => "worst",
             ChoicePolicy::Average => "average",

@@ -84,52 +84,52 @@ pub enum DimRef {
 #[allow(clippy::should_implement_trait)] // add/sub/mul/div build AST nodes, not arithmetic
 impl Qty {
     /// Shorthand for a dimension reference.
-    pub fn dim(d: DimRef) -> Qty {
+    pub(crate) fn dim(d: DimRef) -> Qty {
         Qty::Dim(d)
     }
 
     /// Shorthand for a literal.
-    pub fn num(v: f64) -> Qty {
+    pub(crate) fn num(v: f64) -> Qty {
         Qty::Num(v)
     }
 
     /// `self + rhs`.
-    pub fn add(self, rhs: Qty) -> Qty {
+    pub(crate) fn add(self, rhs: Qty) -> Qty {
         Qty::Add(Box::new(self), Box::new(rhs))
     }
 
     /// `self - rhs`.
-    pub fn sub(self, rhs: Qty) -> Qty {
+    pub(crate) fn sub(self, rhs: Qty) -> Qty {
         Qty::Sub(Box::new(self), Box::new(rhs))
     }
 
     /// `self * rhs`.
-    pub fn mul(self, rhs: Qty) -> Qty {
+    pub(crate) fn mul(self, rhs: Qty) -> Qty {
         Qty::Mul(Box::new(self), Box::new(rhs))
     }
 
     /// `self / rhs`.
-    pub fn div(self, rhs: Qty) -> Qty {
+    pub(crate) fn div(self, rhs: Qty) -> Qty {
         Qty::Div(Box::new(self), Box::new(rhs))
     }
 
     /// `min(self, rhs)`.
-    pub fn min(self, rhs: Qty) -> Qty {
+    pub(crate) fn min(self, rhs: Qty) -> Qty {
         Qty::Min(Box::new(self), Box::new(rhs))
     }
 
     /// `max(self, rhs)`.
-    pub fn max(self, rhs: Qty) -> Qty {
+    pub(crate) fn max(self, rhs: Qty) -> Qty {
         Qty::Max(Box::new(self), Box::new(rhs))
     }
 
     /// `ceil(self)`.
-    pub fn ceil(self) -> Qty {
+    pub(crate) fn ceil(self) -> Qty {
         Qty::Ceil(Box::new(self))
     }
 
     /// `ceil(rows·bytes / blockBytes)` — the `blocks(X)` helper.
-    pub fn blocks(rows: DimRef, bytes: DimRef) -> Qty {
+    pub(crate) fn blocks(rows: DimRef, bytes: DimRef) -> Qty {
         Qty::dim(rows)
             .mul(Qty::dim(bytes))
             .div(Qty::dim(DimRef::BlockBytes))
@@ -138,7 +138,7 @@ impl Qty {
     }
 
     /// Evaluates against a context.
-    pub fn eval(&self, ctx: &FormulaContext) -> f64 {
+    pub(crate) fn eval(&self, ctx: &FormulaContext) -> f64 {
         match self {
             Qty::Num(v) => *v,
             Qty::Dim(d) => ctx.dim(*d),
@@ -162,7 +162,7 @@ impl Qty {
 
 /// The dimension values a formula evaluates against.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FormulaContext {
+pub(crate) struct FormulaContext {
     /// `|R|` (probe side).
     pub big_rows: f64,
     /// Probe-side row bytes.
@@ -248,7 +248,7 @@ pub enum Term {
 
 impl Term {
     /// Work in µs for this term.
-    pub fn eval_us(&self, models: &SubOpModels, ctx: &FormulaContext) -> f64 {
+    pub(crate) fn eval_us(&self, models: &SubOpModels, ctx: &FormulaContext) -> f64 {
         match self {
             Term::SubOpTotal { op, rows, bytes } => {
                 let r = rows.eval(ctx).max(0.0);
@@ -271,12 +271,12 @@ impl Term {
 }
 
 /// Convenience constructor: `subop(op, rows, bytes)`.
-pub fn subop(op: SubOp, rows: Qty, bytes: Qty) -> Term {
+pub(crate) fn subop(op: SubOp, rows: Qty, bytes: Qty) -> Term {
     Term::SubOpTotal { op, rows, bytes }
 }
 
 /// Convenience constructor for the regime-aware hash build.
-pub fn hash_build(rows: Qty, bytes: Qty, table_bytes: Qty) -> Term {
+pub(crate) fn hash_build(rows: Qty, bytes: Qty, table_bytes: Qty) -> Term {
     Term::HashBuildTotal {
         rows,
         bytes,
@@ -372,7 +372,7 @@ impl std::fmt::Display for CostFormula {
 
 impl CostFormula {
     /// Predicted elapsed time in **seconds**.
-    pub fn evaluate(&self, models: &SubOpModels, ctx: &FormulaContext) -> f64 {
+    pub(crate) fn evaluate(&self, models: &SubOpModels, ctx: &FormulaContext) -> f64 {
         let serial: f64 = self.serial.iter().map(|t| t.eval_us(models, ctx)).sum();
         let parallel: f64 = self.parallel.iter().map(|t| t.eval_us(models, ctx)).sum();
         let cores = ctx.cores.max(1.0);

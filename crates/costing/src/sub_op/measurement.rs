@@ -17,7 +17,6 @@ use mathkit::SimpleLinearModel;
 use remote_sim::probe::{ProbeKind, ProbeSpec};
 use remote_sim::{RemoteSystem, SimDuration};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One executed probe query and its observation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -53,7 +52,7 @@ pub struct SubOpMeasurement {
 }
 
 /// Which probe measures a sub-op (paired against the ReadDFS baseline).
-pub fn probe_for(subop: SubOp) -> ProbeKind {
+pub(crate) fn probe_for(subop: SubOp) -> ProbeKind {
     match subop {
         SubOp::ReadDfs => ProbeKind::ReadDfs,
         SubOp::WriteDfs => ProbeKind::ReadWriteDfs,
@@ -137,7 +136,7 @@ impl SubOpMeasurement {
     /// record size, averaged across the row counts — the paper's "group
     /// the measurements by the record size, and compute the average
     /// across the varying number of records".
-    pub fn work_per_record(&self, subop: SubOp, size: u64, spill: bool) -> Option<f64> {
+    pub(crate) fn work_per_record(&self, subop: SubOp, size: u64, spill: bool) -> Option<f64> {
         let series = self.per_record_series(subop, size, spill);
         if series.is_empty() {
             return None;
@@ -196,7 +195,7 @@ impl SubOpMeasurement {
     }
 
     /// Per-size derived points for a sub-op: `(record size, work µs/rec)`.
-    pub fn per_size_points(&self, subop: SubOp, spill: bool) -> Vec<(f64, f64)> {
+    pub(crate) fn per_size_points(&self, subop: SubOp, spill: bool) -> Vec<(f64, f64)> {
         self.sizes(probe_for(subop))
             .into_iter()
             .filter_map(|s| self.work_per_record(subop, s, spill).map(|w| (s as f64, w)))
@@ -206,7 +205,7 @@ impl SubOpMeasurement {
     /// Estimated fixed job overhead in µs (average intercept of the
     /// ReadDFS elapsed-vs-rows fits across record sizes). Used by the
     /// formulas as the per-stage constant.
-    pub fn job_overhead_us(&self) -> f64 {
+    pub(crate) fn job_overhead_us(&self) -> f64 {
         let mut intercepts = Vec::new();
         for size in self.sizes(ProbeKind::ReadDfs) {
             let pts = self.series(ProbeKind::ReadDfs, size, false);
@@ -223,17 +222,6 @@ impl SubOpMeasurement {
         } else {
             intercepts.iter().sum::<f64>() / intercepts.len() as f64
         }
-    }
-
-    /// Per-sub-op probe counts (for the Fig. 13a x-axis).
-    pub fn queries_per_subop(&self) -> BTreeMap<SubOp, usize> {
-        let mut out = BTreeMap::new();
-        for subop in SubOp::ALL {
-            let kind = probe_for(subop);
-            let n = self.observations.iter().filter(|o| o.kind == kind).count();
-            out.insert(subop, n);
-        }
-        out
     }
 }
 
@@ -319,13 +307,5 @@ mod tests {
         for w in pts.windows(2) {
             assert!(w[1].1 > w[0].1);
         }
-    }
-
-    #[test]
-    fn queries_per_subop_counts() {
-        let m = measured();
-        let counts = m.queries_per_subop();
-        assert_eq!(counts[&SubOp::ReadDfs], 20);
-        assert_eq!(counts[&SubOp::HashBuild], 40); // both regimes
     }
 }

@@ -13,10 +13,11 @@ pub mod rules;
 pub mod subop;
 
 pub use choice::ChoicePolicy;
-pub use formula::{CostFormula, FormulaContext};
+pub use formula::CostFormula;
+pub(crate) use formula::FormulaContext;
 pub use measurement::{ProbeObservation, SubOpMeasurement};
 pub use models::{SubOpModelError, SubOpModels};
-pub use rules::{applicable_algorithms, ApplicabilityRule, RuleInputs};
+pub use rules::{ApplicabilityRule, RuleInputs};
 pub use subop::{SubOp, SubOpCategory};
 
 use crate::estimator::{CostEstimate, EstimateSource};
@@ -102,7 +103,7 @@ impl SubOpCosting {
     /// surviving algorithm, resolve via the policy.
     pub fn estimate_join(&self, j: &JoinInfo, inputs: &RuleInputs) -> CostEstimate {
         let menu = algorithms::algorithms_for(self.kind);
-        let surviving = applicable_algorithms(&menu, &self.rules, inputs);
+        let surviving = rules::applicable_algorithms(&menu, &self.rules, inputs);
         let costs: Vec<f64> = surviving
             .iter()
             .map(|&a| self.estimate_join_with(a, j))
@@ -127,7 +128,7 @@ impl SubOpCosting {
 
     /// The algorithms that survive the rules (for reports).
     pub fn surviving_algorithms(&self, inputs: &RuleInputs) -> Vec<JoinAlgorithm> {
-        applicable_algorithms(&algorithms::algorithms_for(self.kind), &self.rules, inputs)
+        rules::applicable_algorithms(&algorithms::algorithms_for(self.kind), &self.rules, inputs)
     }
 
     /// Aggregation estimation: the expert predicts hash vs sort from the
@@ -159,7 +160,7 @@ impl SubOpCosting {
     }
 
     /// `ORDER BY` estimation over an intermediate result.
-    pub fn estimate_sort(&self, rows: f64, row_bytes: f64) -> CostEstimate {
+    pub(crate) fn estimate_sort(&self, rows: f64, row_bytes: f64) -> CostEstimate {
         let ctx = FormulaContext {
             in_rows: rows,
             in_row_bytes: row_bytes,
@@ -175,7 +176,7 @@ impl SubOpCosting {
     }
 
     /// Scan estimation.
-    pub fn estimate_scan(
+    pub(crate) fn estimate_scan(
         &self,
         in_rows: f64,
         in_bytes: f64,

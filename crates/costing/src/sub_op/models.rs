@@ -125,7 +125,7 @@ impl SubOpModels {
     /// Per-record work (µs) of a sub-op at a record size. `HashBuild`
     /// resolves to the in-memory regime; use
     /// [`SubOpModels::hash_build_us`] for regime-aware costing.
-    pub fn per_record_us(&self, subop: SubOp, record_bytes: f64) -> f64 {
+    pub(crate) fn per_record_us(&self, subop: SubOp, record_bytes: f64) -> f64 {
         self.linear[&subop].predict(record_bytes).max(0.0)
     }
 
@@ -133,7 +133,7 @@ impl SubOpModels {
     /// when the table exceeds the per-task budget ("if the broadcasted
     /// relation fits in memory … then the corresponding model is used.
     /// Otherwise … the other model").
-    pub fn hash_build_us(&self, record_bytes: f64, table_bytes: f64) -> f64 {
+    pub(crate) fn hash_build_us(&self, record_bytes: f64, table_bytes: f64) -> f64 {
         let mem = self.per_record_us(SubOp::HashBuild, record_bytes);
         if table_bytes <= self.task_hash_budget_bytes {
             mem

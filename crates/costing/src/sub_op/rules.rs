@@ -92,7 +92,7 @@ pub enum Condition {
 
 impl Condition {
     /// Evaluates the condition.
-    pub fn holds(&self, inputs: &RuleInputs) -> bool {
+    pub(crate) fn holds(&self, inputs: &RuleInputs) -> bool {
         match self {
             Condition::EquiJoin => inputs.has_equi_keys,
             Condition::NotEquiJoin => !inputs.has_equi_keys,
@@ -125,7 +125,7 @@ pub struct ApplicabilityRule {
 /// The expert rule set for an engine family, mirroring the §4 examples.
 /// `rdbms_hash_memory_bytes` is the RDBMS remote's hash-join memory
 /// ceiling (its optimizer hash-joins whenever the build side fits).
-pub fn default_rules(
+pub(crate) fn default_rules(
     kind: SystemKind,
     broadcast_threshold_bytes: f64,
     rdbms_hash_memory_bytes: f64,
@@ -219,7 +219,7 @@ pub fn default_rules(
 /// fires. Guarantees at least one survivor (if everything is eliminated,
 /// the full menu is returned — better to cost conservatively than to have
 /// no estimate).
-pub fn applicable_algorithms(
+pub(crate) fn applicable_algorithms(
     menu: &[JoinAlgorithm],
     rules: &[ApplicabilityRule],
     inputs: &RuleInputs,

@@ -5,7 +5,7 @@ use crate::{
     planner::{plan_query, PlanError, PlanReport},
     transfer::TransferCostModel,
 };
-use catalog::{Catalog, SystemId, SystemKind, TableDef};
+use catalog::{Catalog, SystemId, TableDef};
 use costing::{
     estimator::OperatorKind,
     features::{agg_dim_names, join_dim_names},
@@ -241,7 +241,7 @@ impl IntelliSphere {
     ///
     /// A facade `plan` is a degenerate single-node workload: candidate
     /// costing and ranking go through the same shared core
-    /// ([`crate::ir::cost_candidates`]) the workload-level optimizer
+    /// (`crate::ir::cost_candidates`) the workload-level optimizer
     /// uses, so a statement planned here and the same statement planned
     /// as a one-node [`crate::ir::WorkloadSpec`] rank identically.
     pub fn plan(&mut self, sql: &str) -> Result<PlanReport, SphereError> {
@@ -315,11 +315,6 @@ impl IntelliSphere {
             tables_moved: moved,
             output_rows: exec.output_rows,
         })
-    }
-
-    /// The kind of a registered system.
-    pub fn system_kind(&self, system: &SystemId) -> Option<SystemKind> {
-        self.engines.get(system).map(|e| e.profile().kind)
     }
 }
 

@@ -18,7 +18,7 @@
 //!   engine assignment, duplicate-merge state, and the shared-scan
 //!   flag. The plan is a *value*: rewrite rules in [`crate::rules`]
 //!   are pure functions from plan to plan.
-//! * [`WorkloadPlan::simulate`] — the deterministic capacity-slot list
+//! * `WorkloadPlan::simulate` — the deterministic capacity-slot list
 //!   scheduler both the rule objective and the physical layer
 //!   ([`crate::schedule`]) share, so "does this rewrite help?" and
 //!   "what will dispatch do?" can never disagree.
@@ -146,7 +146,7 @@ pub struct WorkloadNode {
 
 impl WorkloadNode {
     /// The execution estimate on `system`, if that system was costed.
-    pub fn exec_secs_on(&self, system: &SystemId) -> Option<f64> {
+    pub(crate) fn exec_secs_on(&self, system: &SystemId) -> Option<f64> {
         self.candidates
             .iter()
             .find(|c| &c.option.system == system)
@@ -154,7 +154,7 @@ impl WorkloadNode {
     }
 
     /// Producers of this node's intermediate inputs.
-    pub fn producers(&self) -> impl Iterator<Item = QueryId> + '_ {
+    pub(crate) fn producers(&self) -> impl Iterator<Item = QueryId> + '_ {
         self.inputs.iter().filter_map(|i| match i {
             InputRef::Intermediate { producer, .. } => Some(*producer),
             InputRef::Base { .. } => None,
@@ -190,7 +190,7 @@ impl SlotMap {
     }
 
     /// Capacity of one engine.
-    pub fn slots_for(&self, system: &SystemId) -> usize {
+    pub(crate) fn slots_for(&self, system: &SystemId) -> usize {
         self.overrides
             .get(system)
             .copied()
@@ -214,7 +214,7 @@ pub struct WorkloadPlan {
     /// When set, identical `(table, engine)` inbound transfers across
     /// the workload are paid once (the shared-scan rewrite).
     pub share_scans: bool,
-    /// Per-engine capacity used by [`WorkloadPlan::simulate`].
+    /// Per-engine capacity used by `WorkloadPlan::simulate`.
     pub slots: SlotMap,
     /// The transfer cost model (hop costs for dynamic re-costing).
     pub transfer: TransferCostModel,
@@ -235,7 +235,7 @@ pub struct Objective {
 
 /// One scheduled task of the simulated dispatch.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SimTask {
+pub(crate) struct SimTask {
     /// The executing node.
     pub query: QueryId,
     /// The engine it runs on.
@@ -255,7 +255,7 @@ pub struct SimTask {
 
 /// The deterministic slot-scheduler outcome for one plan state.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SimSchedule {
+pub(crate) struct SimSchedule {
     /// Scheduled tasks in node-index order (merged nodes absent).
     pub tasks: Vec<SimTask>,
     /// Predicted makespan, seconds.
@@ -272,17 +272,17 @@ pub struct SimSchedule {
 
 impl WorkloadPlan {
     /// Resolves a node through the duplicate-merge map.
-    pub fn canonical(&self, q: QueryId) -> QueryId {
+    pub(crate) fn canonical(&self, q: QueryId) -> QueryId {
         self.merged_into.get(q.0).copied().flatten().unwrap_or(q)
     }
 
     /// Whether a node is actually dispatched (not merged away).
-    pub fn executes(&self, q: QueryId) -> bool {
+    pub(crate) fn executes(&self, q: QueryId) -> bool {
         matches!(self.merged_into.get(q.0), Some(None))
     }
 
     /// The engine serving a node's result (its canonical's assignment).
-    pub fn engine_of(&self, q: QueryId) -> Option<&SystemId> {
+    pub(crate) fn engine_of(&self, q: QueryId) -> Option<&SystemId> {
         self.assignment.get(self.canonical(q).0)
     }
 
@@ -307,7 +307,7 @@ impl WorkloadPlan {
 
     /// Executing nodes grouped by dependency depth — the dispatch waves
     /// the physical layer fans out over.
-    pub fn waves(&self) -> Vec<Vec<QueryId>> {
+    pub(crate) fn waves(&self) -> Vec<Vec<QueryId>> {
         let depths = self.depths();
         let mut waves: Vec<Vec<QueryId>> = Vec::new();
         for (i, d) in depths.iter().enumerate() {
@@ -335,7 +335,7 @@ impl WorkloadPlan {
     /// transfers are paid by the first reader only. Pure arithmetic on
     /// predicted costs — no wall clock — so identical plans always
     /// simulate identically.
-    pub fn simulate(&self) -> SimSchedule {
+    pub(crate) fn simulate(&self) -> SimSchedule {
         let depths = self.depths();
         let mut slots: BTreeMap<SystemId, Vec<f64>> = BTreeMap::new();
         let mut finish: Vec<f64> = vec![0.0; self.nodes.len()];
@@ -441,7 +441,7 @@ impl WorkloadPlan {
     }
 
     /// The scheduling objective of the current plan state.
-    pub fn objective(&self) -> Objective {
+    pub(crate) fn objective(&self) -> Objective {
         let sim = self.simulate();
         Objective {
             makespan_secs: sim.makespan_secs,
@@ -469,7 +469,7 @@ impl WorkloadPlan {
 /// Ordering is fully deterministic: candidates sort by total cost
 /// ([`mathkit::total_cmp_f64`]) with ties broken by [`SystemId`] — equal
 /// costs can no longer flap with registry enumeration order.
-pub fn cost_candidates<E>(
+pub(crate) fn cost_candidates<E>(
     options: Vec<PlacementOption>,
     transfer_model: &TransferCostModel,
     mut exec: impl FnMut(&PlacementOption) -> Result<f64, E>,
@@ -558,7 +558,7 @@ struct NodeDraft {
 ///    once, results bit-identical to the per-row path.
 /// 3. **Rank**: per node, enumerate placements against the augmented
 ///    catalog (intermediates located at their producer's greedy
-///    engine), rank candidates through [`cost_candidates`], pick the
+///    engine), rank candidates through `cost_candidates`, pick the
 ///    greedy winner, and emit the same planner telemetry (counters +
 ///    ranking events) the single-query path emits.
 ///

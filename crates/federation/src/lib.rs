@@ -64,9 +64,8 @@ pub use ir::{
 };
 pub use placement::{enumerate_placements, PlacementOption, Transfer};
 pub use planner::{PlacementCost, PlanReport};
-pub use rules::{default_rules, optimize, optimize_with, Rule, RulePass, RuleTrace};
+pub use rules::{optimize, Rule, RuleTrace};
 pub use schedule::{
-    dispatch, plan_workload, plan_workload_pinned, ScheduleConfig, ScheduledQuery, WorkloadOutcome,
-    WorkloadReport,
+    dispatch, plan_workload, ScheduleConfig, ScheduledQuery, WorkloadOutcome, WorkloadReport,
 };
 pub use transfer::TransferCostModel;

@@ -48,7 +48,7 @@ impl PlanReport {
 
     /// Emits this ranking as an [`Event::PlanRanked`] decision-trail
     /// event (cheapest candidate first, the winner's total cost).
-    pub fn emit_ranking(&self, tracer: &Tracer) {
+    pub(crate) fn emit_ranking(&self, tracer: &Tracer) {
         tracer.emit(|| Event::PlanRanked {
             ranking: self
                 .candidates
@@ -101,7 +101,7 @@ impl std::error::Error for PlanError {}
 /// do not depend on placement); execution estimates come from each
 /// candidate system's costing profile, transfers from the QueryGrid model.
 /// Candidate costing and ranking go through the federation's shared
-/// core ([`crate::ir::cost_candidates`]): the same transfer arithmetic,
+/// core (`crate::ir::cost_candidates`): the same transfer arithmetic,
 /// skip semantics, and deterministic `SystemId` tie-break the workload
 /// layer uses.
 pub fn plan_query(

@@ -8,7 +8,7 @@
 //! rule returns `None` (with an iteration cap as a belt-and-braces
 //! termination bound).
 //!
-//! The acceptance contract all rules share, enforced by [`improves`]:
+//! The acceptance contract all rules share, enforced by `improves`:
 //! a rewrite is kept only if it lowers predicted makespan, or keeps
 //! makespan (within epsilon) while lowering total predicted work. Since
 //! every accepted step is non-increasing in makespan, the optimized
@@ -18,12 +18,12 @@
 //!
 //! Shipped rules:
 //!
-//! * [`shared_scan_dedup`] — queries reading the same table on the same
+//! * `shared_scan_dedup` — queries reading the same table on the same
 //!   engine share one scan transfer.
-//! * [`reuse_intermediates`] — a result computed by ≥ 2 equivalent
+//! * `reuse_intermediates` — a result computed by ≥ 2 equivalent
 //!   nodes is computed once; the duplicates are served from the
 //!   canonical node (costed once plus transfers).
-//! * [`placement_pinning`] — co-locate a consumer with its producer (or
+//! * `placement_pinning` — co-locate a consumer with its producer (or
 //!   vice versa) when the transfer saved exceeds the execution delta of
 //!   moving, via the [`crate::transfer`] hop costs baked into the
 //!   simulator.
@@ -39,7 +39,7 @@ pub type Rule = fn(&WorkloadPlan) -> Option<WorkloadPlan>;
 
 /// A named rule, for trace output.
 #[derive(Debug, Clone, Copy)]
-pub struct RulePass {
+pub(crate) struct RulePass {
     /// The rule's name as reported in [`RuleTrace`].
     pub name: &'static str,
     /// The rewrite function.
@@ -47,7 +47,7 @@ pub struct RulePass {
 }
 
 /// The shipped pass list, in application order.
-pub fn default_rules() -> Vec<RulePass> {
+pub(crate) fn default_rules() -> Vec<RulePass> {
     vec![
         RulePass {
             name: "shared_scan_dedup",
@@ -86,7 +86,7 @@ pub struct RuleTrace {
 
 impl RuleTrace {
     /// How many times a named rule fired.
-    pub fn count_of(&self, rule: &str) -> usize {
+    pub(crate) fn count_of(&self, rule: &str) -> usize {
         self.applications.iter().filter(|a| a.rule == rule).count()
     }
 }
@@ -94,7 +94,7 @@ impl RuleTrace {
 /// The acceptance predicate: lexicographic strict improvement on
 /// (makespan, total work) with an epsilon guard, so fixpoint iteration
 /// terminates and makespan never regresses.
-pub fn improves(new: &Objective, old: &Objective) -> bool {
+pub(crate) fn improves(new: &Objective, old: &Objective) -> bool {
     if new.makespan_secs < old.makespan_secs - EPS_SECS {
         return true;
     }
@@ -111,7 +111,7 @@ pub fn optimize(plan: &WorkloadPlan) -> (WorkloadPlan, RuleTrace) {
 }
 
 /// [`optimize`] with an explicit pass list.
-pub fn optimize_with(plan: &WorkloadPlan, rules: &[RulePass]) -> (WorkloadPlan, RuleTrace) {
+pub(crate) fn optimize_with(plan: &WorkloadPlan, rules: &[RulePass]) -> (WorkloadPlan, RuleTrace) {
     let mut current = plan.clone();
     let mut trace = RuleTrace::default();
     // Every acceptance strictly shrinks the objective by ≥ EPS, so this
@@ -147,7 +147,7 @@ pub fn optimize_with(plan: &WorkloadPlan, rules: &[RulePass]) -> (WorkloadPlan, 
 /// [`WorkloadPlan::share_scans`] mode, which the simulator implements by
 /// charging each `(table, engine)` inbound transfer to its first reader
 /// only.
-pub fn shared_scan_dedup(plan: &WorkloadPlan) -> Option<WorkloadPlan> {
+pub(crate) fn shared_scan_dedup(plan: &WorkloadPlan) -> Option<WorkloadPlan> {
     if plan.share_scans {
         return None;
     }
@@ -166,7 +166,7 @@ pub fn shared_scan_dedup(plan: &WorkloadPlan) -> Option<WorkloadPlan> {
 ///
 /// One equivalence group is merged per invocation (the driver re-runs
 /// to fixpoint), and only if the objective strictly improves.
-pub fn reuse_intermediates(plan: &WorkloadPlan) -> Option<WorkloadPlan> {
+pub(crate) fn reuse_intermediates(plan: &WorkloadPlan) -> Option<WorkloadPlan> {
     let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
     for (i, node) in plan.nodes.iter().enumerate() {
         if plan.executes(QueryId(i)) {
@@ -199,7 +199,7 @@ pub fn reuse_intermediates(plan: &WorkloadPlan) -> Option<WorkloadPlan> {
 /// costed candidate for, and kept only when the transfer saved exceeds
 /// the execution-cost delta — which is exactly what the objective
 /// check computes from the hop costs.
-pub fn placement_pinning(plan: &WorkloadPlan) -> Option<WorkloadPlan> {
+pub(crate) fn placement_pinning(plan: &WorkloadPlan) -> Option<WorkloadPlan> {
     let before = plan.objective();
     for (i, node) in plan.nodes.iter().enumerate() {
         let consumer = QueryId(i);

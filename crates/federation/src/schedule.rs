@@ -8,7 +8,7 @@
 //! summarized as a [`WorkloadReport`] (per-query placement, predicted
 //! makespan, reuse savings, and the pinned model epoch).
 //!
-//! The full pipeline is [`plan_workload_pinned`]:
+//! The full pipeline is `plan_workload_pinned`:
 //!
 //! ```text
 //! WorkloadSpec ──build──▶ WorkloadPlan (greedy) ──rules──▶ WorkloadPlan (optimized)
@@ -18,7 +18,7 @@
 //! ```
 //!
 //! Both reports come from the same deterministic slot simulator
-//! ([`WorkloadPlan::simulate`]) the rules optimized against, so the
+//! (`WorkloadPlan::simulate`) the rules optimized against, so the
 //! reported improvement is exactly what the rule driver accepted —
 //! the optimized makespan is never worse than greedy by construction.
 
@@ -241,7 +241,7 @@ pub fn dispatch(plan: &WorkloadPlan, config: &ScheduleConfig) -> WorkloadReport 
 /// dispatch both the greedy baseline and the optimized plan through the
 /// slot scheduler. Exactly one model epoch backs every number in the
 /// outcome.
-pub fn plan_workload_pinned(
+pub(crate) fn plan_workload_pinned(
     catalog: &Catalog,
     service: &EstimatorService,
     snapshot: &ModelSnapshot,
@@ -282,7 +282,7 @@ pub fn plan_workload_pinned(
     })
 }
 
-/// [`plan_workload_pinned`] with the snapshot pinned here: the whole
+/// `plan_workload_pinned` with the snapshot pinned here: the whole
 /// workload — analysis, rules, both dispatches — sees one epoch even if
 /// a tuning pass publishes mid-flight.
 pub fn plan_workload(

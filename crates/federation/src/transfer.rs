@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// side is the Teradata master, 2 for remote→Teradata→remote (there are
 /// no direct remote-to-remote links). The single source of this rule —
 /// placement enumeration and workload re-costing both call it.
-pub fn hops_between(from: &SystemId, to: &SystemId) -> u32 {
+pub(crate) fn hops_between(from: &SystemId, to: &SystemId) -> u32 {
     if from == to {
         0
     } else if *from == SystemId::master() || *to == SystemId::master() {
@@ -45,7 +45,7 @@ impl Default for TransferCostModel {
 
 impl TransferCostModel {
     /// Time to move `bytes` over one hop.
-    pub fn hop_secs(&self, bytes: f64) -> f64 {
+    pub(crate) fn hop_secs(&self, bytes: f64) -> f64 {
         if bytes <= 0.0 {
             return 0.0;
         }

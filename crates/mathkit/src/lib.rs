@@ -2,34 +2,27 @@
 
 //! Numerical substrate for the IntelliSphere cost-estimation reproduction.
 //!
-//! The paper's cost models are built from three mathematical ingredients:
+//! The paper's cost models are built from two mathematical ingredients:
 //!
 //! * **ordinary least squares** regression — used for the sub-operator
-//!   models (Figs. 7 and 13) and for the on-the-fly pivot regressions of the
-//!   online remedy phase (Fig. 4),
-//! * **piecewise (two-regime) regression** — used for the HashBuild
-//!   sub-operator whose cost jumps when the hash table no longer fits in
-//!   memory (Fig. 13f),
+//!   models (Figs. 7 and 13, the two-regime HashBuild of Fig. 13f being two
+//!   such lines chosen by `costing::sub_op::models`) and for the on-the-fly
+//!   pivot regressions of the online remedy phase (Fig. 4),
 //! * **model-quality metrics** (RMSE, RMSE%, R²) — the paper reports every
 //!   model with these.
 //!
-//! This crate implements all of them from scratch on a small dense-matrix
-//! kernel, with no external numerical dependencies, so the rest of the
-//! workspace has a single well-tested numerical foundation.
+//! This crate implements them from scratch on a small crate-private
+//! dense-matrix kernel, with no external numerical dependencies, so the
+//! rest of the workspace has a single well-tested numerical foundation.
 
 pub mod linreg;
-pub mod matrix;
+mod matrix;
 pub mod metrics;
-pub mod piecewise;
-pub mod poly;
 pub mod quantiles;
 pub mod scale;
 
 pub use linreg::{LinearModel, SimpleLinearModel};
-pub use matrix::Matrix;
-pub use metrics::{mae, pearson_r, r2_score, rmse, rmse_pct};
-pub use piecewise::TwoRegimeModel;
-pub use poly::PolynomialModel;
+pub use metrics::{pearson_r, r2_score, rmse, rmse_pct};
 pub use quantiles::{exact_quantiles, nearest_rank, QuantileSketch};
 pub use scale::MinMaxScaler;
 

@@ -147,16 +147,6 @@ impl LinearModel {
         );
         self.weights.iter().zip(x).map(|(w, v)| w * v).sum::<f64>() + self.intercept
     }
-
-    /// Predicts for a batch of feature vectors.
-    pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        rows.iter().map(|r| self.predict(r)).collect()
-    }
-
-    /// Number of input features.
-    pub fn arity(&self) -> usize {
-        self.weights.len()
-    }
 }
 
 #[cfg(test)]

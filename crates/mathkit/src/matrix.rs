@@ -6,7 +6,7 @@ use crate::{MathError, Result};
 
 /// Dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
@@ -14,7 +14,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// Creates a `rows × cols` matrix filled with zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
@@ -25,7 +25,8 @@ impl Matrix {
     /// Creates a matrix from a flat row-major buffer.
     ///
     /// Returns an error when `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
         if data.len() != rows * cols {
             return Err(MathError::DimensionMismatch {
                 context: "Matrix::from_vec",
@@ -37,7 +38,8 @@ impl Matrix {
     /// Creates a matrix from nested row slices.
     ///
     /// Returns an error for ragged input.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
         let nrows = rows.len();
         let ncols = rows.first().map_or(0, Vec::len);
         if rows.iter().any(|r| r.len() != ncols) {
@@ -56,39 +58,20 @@ impl Matrix {
         })
     }
 
-    /// The identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Borrow one row as a slice.
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         // analysis:allow(panic-freedom): callers index rows bounded by self.rows; data.len() == rows*cols by construction
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutably borrow one row as a slice.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f64] {
         // analysis:allow(panic-freedom): callers index rows bounded by self.rows; data.len() == rows*cols by construction
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// The transpose of this matrix.
-    pub fn transpose(&self) -> Matrix {
+    pub(crate) fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -99,7 +82,7 @@ impl Matrix {
     }
 
     /// Matrix product `self * rhs`.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
+    pub(crate) fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(MathError::DimensionMismatch {
                 context: "Matrix::matmul",
@@ -123,7 +106,7 @@ impl Matrix {
     }
 
     /// Matrix–vector product `self * v`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
         if self.cols != v.len() {
             return Err(MathError::DimensionMismatch {
                 context: "Matrix::matvec",
@@ -138,7 +121,7 @@ impl Matrix {
     /// elimination with partial pivoting.
     ///
     /// Returns [`MathError::Singular`] when a pivot is (numerically) zero.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         if self.rows != self.cols {
             return Err(MathError::DimensionMismatch {
                 context: "Matrix::solve (square)",
@@ -206,7 +189,7 @@ impl Matrix {
     }
 
     /// Adds `lambda` to every diagonal entry (ridge stabilisation).
-    pub fn add_ridge(&mut self, lambda: f64) {
+    pub(crate) fn add_ridge(&mut self, lambda: f64) {
         let n = self.rows.min(self.cols);
         for i in 0..n {
             self[(i, i)] += lambda;
@@ -238,8 +221,7 @@ mod tests {
     #[test]
     fn zeros_has_expected_shape_and_content() {
         let m = Matrix::zeros(2, 3);
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 3);
+        assert_eq!((m.rows, m.cols), (2, 3));
         assert!(m.row(0).iter().all(|&v| v == 0.0));
     }
 
@@ -257,7 +239,7 @@ mod tests {
     fn transpose_roundtrips() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
         let t = m.transpose();
-        assert_eq!(t.rows(), 3);
+        assert_eq!(t.rows, 3);
         assert_eq!(t[(0, 1)], 4.0);
         assert_eq!(t.transpose(), m);
     }
@@ -310,7 +292,8 @@ mod tests {
 
     #[test]
     fn identity_solve_is_identity() {
-        let i = Matrix::identity(4);
+        let mut i = Matrix::zeros(4, 4);
+        i.add_ridge(1.0);
         let b = vec![1.0, -2.0, 3.5, 0.0];
         assert_eq!(i.solve(&b).unwrap(), b);
     }

@@ -33,20 +33,6 @@ pub fn rmse_pct(predicted: &[f64], actual: &[f64]) -> f64 {
     rmse(predicted, actual) * 100.0 / mean
 }
 
-/// Mean absolute error.
-pub fn mae(predicted: &[f64], actual: &[f64]) -> f64 {
-    assert_eq!(predicted.len(), actual.len(), "mae: length mismatch");
-    if predicted.is_empty() {
-        return 0.0;
-    }
-    predicted
-        .iter()
-        .zip(actual)
-        .map(|(p, a)| (p - a).abs())
-        .sum::<f64>()
-        / predicted.len() as f64
-}
-
 /// Coefficient of determination R² = 1 - SS_res / SS_tot.
 ///
 /// Matches the R² values the paper annotates on its scatter plots
@@ -131,11 +117,6 @@ mod tests {
     #[test]
     fn rmse_pct_zero_mean_is_zero() {
         assert_eq!(rmse_pct(&[1.0, -1.0], &[1.0, -1.0]), 0.0);
-    }
-
-    #[test]
-    fn mae_known_value() {
-        assert!((mae(&[2.0, 0.0], &[1.0, 2.0]) - 1.5).abs() < 1e-12);
     }
 
     #[test]

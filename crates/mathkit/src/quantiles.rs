@@ -51,8 +51,7 @@ pub fn exact_quantiles(samples: &[f64], qs: &[f64]) -> Vec<f64> {
 /// bounded by the growth factor (≈ `(growth − 1) / 2` each way).
 /// Values below `floor` are clamped into the first bucket — pick
 /// `floor` below the smallest latency you care to resolve. Non-finite
-/// and negative observations are discarded and counted in
-/// [`QuantileSketch::discarded`].
+/// and negative observations are discarded.
 ///
 /// Memory is `O(log(max / floor) / log(growth))` — 460 buckets cover
 /// 1 µs … 100 s at 4 % growth — so a sweep can record tens of millions
@@ -76,7 +75,7 @@ impl QuantileSketch {
     /// arguments are clamped to a sane single-decade sketch rather than
     /// panicking (this type sits on the measurement path of benches that
     /// must not die mid-sweep).
-    pub fn new(floor: f64, cap: f64, growth: f64) -> Self {
+    pub(crate) fn new(floor: f64, cap: f64, growth: f64) -> Self {
         let floor = if floor.is_finite() && floor > 0.0 {
             floor
         } else {
@@ -121,7 +120,7 @@ impl QuantileSketch {
     }
 
     /// Records one observation. Non-finite or negative values are
-    /// discarded (see [`QuantileSketch::discarded`]).
+    /// discarded.
     pub fn observe(&mut self, v: f64) {
         if !v.is_finite() || v < 0.0 {
             self.discarded += 1;
@@ -136,16 +135,6 @@ impl QuantileSketch {
         if v > self.max_seen {
             self.max_seen = v;
         }
-    }
-
-    /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Observations rejected as non-finite or negative.
-    pub fn discarded(&self) -> u64 {
-        self.discarded
     }
 
     /// The estimated `q`-quantile (`q ∈ [0, 1]`, clamped): the geometric
@@ -229,8 +218,8 @@ mod tests {
         s.observe(f64::NAN);
         s.observe(-1.0);
         s.observe(f64::INFINITY);
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.discarded(), 3);
+        assert_eq!(s.total, 0);
+        assert_eq!(s.discarded, 3);
     }
 
     #[test]
@@ -270,8 +259,8 @@ mod tests {
                 "q={q}: sketch {approx} vs exact {e} (rel err {rel})"
             );
         }
-        assert_eq!(sketch.count(), samples.len() as u64);
-        assert_eq!(sketch.discarded(), 0);
+        assert_eq!(sketch.total, samples.len() as u64);
+        assert_eq!(sketch.discarded, 0);
     }
 
     #[test]
@@ -286,7 +275,7 @@ mod tests {
         let mut s = QuantileSketch::new(1.0, 1000.0, 1.1);
         s.observe(0.0001);
         s.observe(0.5);
-        assert_eq!(s.count(), 2);
+        assert_eq!(s.total, 2);
         let q = s.quantile(0.5);
         assert!(q <= 1.0, "clamped values report at/below the floor: {q}");
     }

@@ -49,7 +49,7 @@ impl MinMaxScaler {
     /// [`MinMaxScaler::transform`] writing into a caller-provided buffer
     /// (cleared first) — the zero-alloc form for hot paths that reuse a
     /// scratch row. Bit-identical to the allocating variant.
-    pub fn transform_into(&self, row: &[f64], out: &mut Vec<f64>) {
+    pub(crate) fn transform_into(&self, row: &[f64], out: &mut Vec<f64>) {
         assert_eq!(
             row.len(),
             self.mins.len(),
@@ -87,11 +87,6 @@ impl MinMaxScaler {
             .map(|(j, &v)| self.mins[j] + v * (self.maxs[j] - self.mins[j]))
             .collect()
     }
-
-    /// Number of columns this scaler was fitted on.
-    pub fn arity(&self) -> usize {
-        self.mins.len()
-    }
 }
 
 /// Scalar (single-value) min–max scaler, used for the network target.
@@ -128,13 +123,6 @@ impl ScalarScaler {
     /// Inverts the scaling.
     pub fn inverse(&self, y: f64) -> f64 {
         self.min + y * (self.max - self.min)
-    }
-
-    /// Widens the fitted range to include `y` (used by offline tuning when
-    /// new observations extend past the original training range).
-    pub fn absorb(&mut self, y: f64) {
-        self.min = self.min.min(y);
-        self.max = self.max.max(y);
     }
 }
 
@@ -187,13 +175,10 @@ mod tests {
     }
 
     #[test]
-    fn scalar_scaler_roundtrip_and_absorb() {
-        let mut s = ScalarScaler::fit(&[10.0, 20.0]);
+    fn scalar_scaler_roundtrip() {
+        let s = ScalarScaler::fit(&[10.0, 20.0]);
         assert_eq!(s.transform(15.0), 0.5);
         assert_eq!(s.inverse(0.5), 15.0);
-        s.absorb(40.0);
-        assert_eq!(s.max, 40.0);
-        assert_eq!(s.transform(40.0), 1.0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub enum Activation {
 
 impl Activation {
     /// Applies the activation to one pre-activation value.
-    pub fn apply(self, x: f64) -> f64 {
+    pub(crate) fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Tanh => x.tanh(),
             Activation::Relu => x.max(0.0),
@@ -29,7 +29,7 @@ impl Activation {
 
     /// The derivative of the activation expressed in terms of the
     /// *activated* value `y = apply(x)`, which is what backprop has at hand.
-    pub fn derivative_from_output(self, y: f64) -> f64 {
+    pub(crate) fn derivative_from_output(self, y: f64) -> f64 {
         match self {
             Activation::Tanh => 1.0 - y * y,
             Activation::Relu => {

@@ -102,7 +102,7 @@ impl Dataset {
     }
 
     /// Yields shuffled mini-batch index slices for one epoch.
-    pub fn batch_indices(&self, batch_size: usize, rng: &mut impl Rng) -> Vec<Vec<usize>> {
+    pub(crate) fn batch_indices(&self, batch_size: usize, rng: &mut impl Rng) -> Vec<Vec<usize>> {
         assert!(batch_size > 0, "batch_size must be positive");
         let mut idx: Vec<usize> = (0..self.len()).collect();
         idx.shuffle(rng);

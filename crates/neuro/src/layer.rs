@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// A dense layer `y = act(W·x + b)` with `W` stored row-major
 /// (`out_dim × in_dim`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DenseLayer {
+pub(crate) struct DenseLayer {
     /// Weight matrix, row-major `out_dim × in_dim`.
     pub weights: Vec<f64>,
     /// One bias per output unit.
@@ -31,25 +31,15 @@ pub struct LayerGrads {
 
 impl LayerGrads {
     /// Zeroed gradients matching `layer`.
-    pub fn zeros_like(layer: &DenseLayer) -> Self {
+    pub(crate) fn zeros_like(layer: &DenseLayer) -> Self {
         LayerGrads {
             weights: vec![0.0; layer.weights.len()],
             biases: vec![0.0; layer.biases.len()],
         }
     }
 
-    /// Accumulates another gradient into this one.
-    pub fn accumulate(&mut self, other: &LayerGrads) {
-        for (a, b) in self.weights.iter_mut().zip(&other.weights) {
-            *a += b;
-        }
-        for (a, b) in self.biases.iter_mut().zip(&other.biases) {
-            *a += b;
-        }
-    }
-
     /// Scales the gradient by a constant (e.g. 1/batch_size).
-    pub fn scale(&mut self, k: f64) {
+    pub(crate) fn scale(&mut self, k: f64) {
         for w in &mut self.weights {
             *w *= k;
         }
@@ -62,7 +52,12 @@ impl LayerGrads {
 impl DenseLayer {
     /// Creates a layer with Xavier/Glorot-uniform initialised weights and
     /// zero biases, drawing from the caller's RNG.
-    pub fn new(in_dim: usize, out_dim: usize, activation: Activation, rng: &mut StdRng) -> Self {
+    pub(crate) fn new(
+        in_dim: usize,
+        out_dim: usize,
+        activation: Activation,
+        rng: &mut StdRng,
+    ) -> Self {
         assert!(
             in_dim > 0 && out_dim > 0,
             "layer dimensions must be positive"
@@ -81,7 +76,7 @@ impl DenseLayer {
     }
 
     /// Forward pass: returns the activated output.
-    pub fn forward(&self, input: &[f64]) -> Vec<f64> {
+    pub(crate) fn forward(&self, input: &[f64]) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.out_dim);
         self.forward_into(input, &mut out);
         out
@@ -90,7 +85,7 @@ impl DenseLayer {
     /// Forward pass into a caller-owned buffer, so batched inference can
     /// reuse one allocation across rows. The buffer is cleared first;
     /// the arithmetic is identical to [`DenseLayer::forward`].
-    pub fn forward_into(&self, input: &[f64], out: &mut Vec<f64>) {
+    pub(crate) fn forward_into(&self, input: &[f64], out: &mut Vec<f64>) {
         debug_assert_eq!(input.len(), self.in_dim);
         out.clear();
         out.extend(
@@ -109,7 +104,7 @@ impl DenseLayer {
     /// `input` is the layer input, `output` the activated output from the
     /// forward pass, and `grad_out` is d(loss)/d(output). Returns
     /// d(loss)/d(input) and fills `grads`.
-    pub fn backward(
+    pub(crate) fn backward(
         &self,
         input: &[f64],
         output: &[f64],
@@ -133,11 +128,6 @@ impl DenseLayer {
             }
         }
         grad_in
-    }
-
-    /// Total number of trainable parameters.
-    pub fn param_count(&self) -> usize {
-        self.weights.len() + self.biases.len()
     }
 }
 
@@ -171,7 +161,6 @@ mod tests {
         let limit = (6.0f64 / 15.0).sqrt();
         assert!(l.weights.iter().all(|w| w.abs() <= limit));
         assert!(l.biases.iter().all(|&b| b == 0.0));
-        assert_eq!(l.param_count(), 55);
     }
 
     #[test]
@@ -221,8 +210,9 @@ mod tests {
         let mut g = LayerGrads::zeros_like(&l);
         let out = l.forward(&[1.0, 0.0]);
         l.backward(&[1.0, 0.0], &out, &[1.0, 1.0], &mut g);
+        // A second backward pass accumulates into the same buffers.
         let mut g2 = g.clone();
-        g2.accumulate(&g);
+        l.backward(&[1.0, 0.0], &out, &[1.0, 1.0], &mut g2);
         g2.scale(0.5);
         assert_eq!(g2.weights, g.weights);
         assert_eq!(g2.biases, g.biases);

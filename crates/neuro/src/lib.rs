@@ -10,7 +10,7 @@
 //!
 //! * dense layers with tanh/ReLU/sigmoid/identity activations,
 //! * mean-squared-error loss with hand-rolled backpropagation,
-//! * SGD and Adam optimisers,
+//! * the Adam optimiser,
 //! * a mini-batch training loop that records an RMSE-vs-iteration trace
 //!   (the convergence curves of Figs. 11b and 12b),
 //! * the paper's cross-validation topology search (§3: first layer between
@@ -33,7 +33,7 @@ pub mod train;
 pub use activation::Activation;
 pub use dataset::Dataset;
 pub use network::Network;
-pub use optimizer::{Adam, Optimizer, Sgd};
+pub use optimizer::{Adam, Optimizer};
 pub use packed::{PackedNetwork, PackedScratch};
 pub use topology::{search_topology, Topology, TopologySearchReport};
 pub use train::{train, TrainConfig, TrainTrace};

@@ -53,11 +53,6 @@ impl Network {
             .collect()
     }
 
-    /// Total trainable parameter count.
-    pub fn param_count(&self) -> usize {
-        self.layers.iter().map(DenseLayer::param_count).sum()
-    }
-
     /// Predicts the scalar output for one input row.
     pub fn predict(&self, input: &[f64]) -> f64 {
         assert_eq!(
@@ -158,7 +153,12 @@ impl Network {
 
     /// Accumulates MSE gradients for one example into `grads` and returns
     /// its squared error.
-    pub fn accumulate_grads(&self, input: &[f64], target: f64, grads: &mut [LayerGrads]) -> f64 {
+    pub(crate) fn accumulate_grads(
+        &self,
+        input: &[f64],
+        target: f64,
+        grads: &mut [LayerGrads],
+    ) -> f64 {
         debug_assert_eq!(grads.len(), self.layers.len());
         let acts = self.forward_trace(input);
         let pred = acts.last().expect("output present")[0];
@@ -172,17 +172,17 @@ impl Network {
     }
 
     /// Fresh zeroed gradient buffers matching this network.
-    pub fn zero_grads(&self) -> Vec<LayerGrads> {
+    pub(crate) fn zero_grads(&self) -> Vec<LayerGrads> {
         self.layers.iter().map(LayerGrads::zeros_like).collect()
     }
 
     /// Read access to the layer stack (for optimisers).
-    pub fn layers(&self) -> &[DenseLayer] {
+    pub(crate) fn layers(&self) -> &[DenseLayer] {
         &self.layers
     }
 
     /// Mutable access to the layer stack (for optimisers).
-    pub fn layers_mut(&mut self) -> &mut [DenseLayer] {
+    pub(crate) fn layers_mut(&mut self) -> &mut [DenseLayer] {
         &mut self.layers
     }
 }
@@ -196,8 +196,6 @@ mod tests {
         let n = Network::new(7, &[14, 7], 1);
         assert_eq!(n.input_dim(), 7);
         assert_eq!(n.hidden_widths(), vec![14, 7]);
-        // (7*14+14) + (14*7+7) + (7*1+1) = 112 + 105 + 8
-        assert_eq!(n.param_count(), 225);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! First-order optimisers: plain SGD and Adam.
+//! The first-order optimiser: Adam.
 
 use crate::{layer::LayerGrads, network::Network};
 
@@ -6,34 +6,6 @@ use crate::{layer::LayerGrads, network::Network};
 pub trait Optimizer {
     /// Applies one update step given averaged mini-batch gradients.
     fn step(&mut self, net: &mut Network, grads: &[LayerGrads]);
-}
-
-/// Stochastic gradient descent with a fixed learning rate.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f64,
-}
-
-impl Sgd {
-    /// Creates an SGD optimiser.
-    pub fn new(lr: f64) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Sgd { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, net: &mut Network, grads: &[LayerGrads]) {
-        for (layer, g) in net.layers_mut().iter_mut().zip(grads) {
-            for (w, gw) in layer.weights.iter_mut().zip(&g.weights) {
-                *w -= self.lr * gw;
-            }
-            for (b, gb) in layer.biases.iter_mut().zip(&g.biases) {
-                *b -= self.lr * gb;
-            }
-        }
-    }
 }
 
 /// Adam (Kingma & Ba) with bias-corrected first/second moments.
@@ -116,17 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_step_reduces_loss() {
-        let mut net = Network::new(2, &[4], 1);
-        let x = [0.5, -0.5];
-        let before = loss(&net, &x, 2.0);
-        let mut grads = net.zero_grads();
-        net.accumulate_grads(&x, 2.0, &mut grads);
-        Sgd::new(0.05).step(&mut net, &grads);
-        assert!(loss(&net, &x, 2.0) < before);
-    }
-
-    #[test]
     fn adam_step_reduces_loss_over_iterations() {
         let mut net = Network::new(2, &[4], 2);
         let x = [0.5, -0.5];
@@ -139,12 +100,6 @@ mod tests {
         }
         let after = loss(&net, &x, 2.0);
         assert!(after < before * 0.01, "before {before}, after {after}");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn sgd_rejects_zero_lr() {
-        Sgd::new(0.0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! Every prediction produced here is **bit-identical** to the legacy
 //! path ([`Network::predict`] / [`Network::predict_batch`]). The fused
-//! kernel replays exactly the [`crate::layer::DenseLayer::forward_into`]
+//! kernel replays exactly the `crate::layer::DenseLayer::forward_into`
 //! recurrence — a sequential, index-order `w·x` sum starting from 0.0,
 //! plus the bias, then the activation — so no floating-point operation
 //! is reordered, reassociated, or vectorised in a way that could change
@@ -115,16 +115,6 @@ impl PackedNetwork {
             input_dim,
             widest,
         }
-    }
-
-    /// Input dimensionality (arity) of the packed network.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
-    /// Total number of packed parameters (weights + biases).
-    pub fn param_count(&self) -> usize {
-        self.weights.len() + self.biases.len()
     }
 
     /// The fused forward kernel for one row. `cur`/`next` are the
@@ -353,16 +343,6 @@ mod tests {
         let mut scratch = PackedScratch::new();
         packed.predict_batch_into(&[], 3, &mut out, &mut scratch);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn param_count_matches_network() {
-        let net = Network::new(7, &[14, 7], 1);
-        assert_eq!(
-            PackedNetwork::from_network(&net).param_count(),
-            net.param_count()
-        );
-        assert_eq!(PackedNetwork::from_network(&net).input_dim(), 7);
     }
 
     #[test]

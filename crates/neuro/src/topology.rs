@@ -29,7 +29,7 @@ pub struct Topology {
 impl Topology {
     /// Enumerates the paper's candidate grid for `n_in` inputs, stepping the
     /// first layer by `step` (1 = exhaustive; larger steps cut search cost).
-    pub fn candidates(n_in: usize, step: usize) -> Vec<Topology> {
+    pub(crate) fn candidates(n_in: usize, step: usize) -> Vec<Topology> {
         assert!(n_in > 0 && step > 0);
         let mut out = Vec::new();
         let mut l1 = n_in;

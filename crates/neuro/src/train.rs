@@ -63,24 +63,6 @@ pub struct TrainTrace {
     pub early_stopped: bool,
 }
 
-impl TrainTrace {
-    /// First iteration at which the error is within `tolerance` (relative)
-    /// of the final error and stays there — a simple "converged by" marker
-    /// used to verify the paper's 7–9 k-iteration observation.
-    pub fn converged_at(&self, tolerance: f64) -> Option<usize> {
-        let target = self.final_rmse_pct * (1.0 + tolerance);
-        let mut candidate = None;
-        for p in &self.points {
-            if p.rmse_pct <= target {
-                candidate.get_or_insert(p.iteration);
-            } else {
-                candidate = None;
-            }
-        }
-        candidate
-    }
-}
-
 /// Trains `net` on `train_set`, tracing RMSE% on `eval_set`.
 ///
 /// Gradients are averaged over each mini-batch; batches are reshuffled each
@@ -231,38 +213,6 @@ mod tests {
         };
         let trace = train(&mut net, &tr, &te, &mut adam, &cfg);
         assert!(trace.points.is_empty());
-    }
-
-    #[test]
-    fn converged_at_finds_stable_prefix() {
-        let trace = TrainTrace {
-            points: vec![
-                TracePoint {
-                    iteration: 100,
-                    rmse_pct: 50.0,
-                },
-                TracePoint {
-                    iteration: 200,
-                    rmse_pct: 10.5,
-                },
-                TracePoint {
-                    iteration: 300,
-                    rmse_pct: 30.0,
-                }, // bounce
-                TracePoint {
-                    iteration: 400,
-                    rmse_pct: 10.2,
-                },
-                TracePoint {
-                    iteration: 500,
-                    rmse_pct: 10.1,
-                },
-            ],
-            final_rmse_pct: 10.0,
-            iterations: 500,
-            early_stopped: false,
-        };
-        assert_eq!(trace.converged_at(0.10), Some(400));
     }
 
     #[test]

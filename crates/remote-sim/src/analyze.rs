@@ -136,7 +136,7 @@ pub fn analyze(catalog: &Catalog, plan: &LogicalPlan) -> Result<QueryAnalysis, C
 }
 
 /// Derives the `JoinInfo`/`JoinContext` pair for a join node.
-pub fn join_inputs(
+pub(crate) fn join_inputs(
     model: &CardinalityModel<'_>,
     left: &LogicalOp,
     right: &LogicalOp,

@@ -60,21 +60,24 @@ impl std::fmt::Display for CardError {
 impl std::error::Error for CardError {}
 
 /// One side of an equi-join conjunct: `(binding, column)`.
-pub type ColRef = (String, String);
+pub(crate) type ColRef = (String, String);
 
 /// Evaluates cardinalities for plans over one catalog.
-pub struct CardinalityModel<'a> {
+pub(crate) struct CardinalityModel<'a> {
     catalog: &'a Catalog,
 }
 
 impl<'a> CardinalityModel<'a> {
     /// Creates a model over a catalog.
-    pub fn new(catalog: &'a Catalog) -> Self {
+    pub(crate) fn new(catalog: &'a Catalog) -> Self {
         CardinalityModel { catalog }
     }
 
     /// Builds the binding → table map for a plan subtree.
-    pub fn bindings(&self, op: &LogicalOp) -> Result<HashMap<String, &'a TableDef>, CardError> {
+    pub(crate) fn bindings(
+        &self,
+        op: &LogicalOp,
+    ) -> Result<HashMap<String, &'a TableDef>, CardError> {
         let mut map = HashMap::new();
         for (table, binding) in op.tables() {
             let def = self
@@ -87,7 +90,7 @@ impl<'a> CardinalityModel<'a> {
     }
 
     /// Estimates the output of an operator subtree.
-    pub fn estimate(&self, op: &LogicalOp) -> Result<NodeEstimate, CardError> {
+    pub(crate) fn estimate(&self, op: &LogicalOp) -> Result<NodeEstimate, CardError> {
         let bindings = self.bindings(op)?;
         self.estimate_with(op, &bindings)
     }
@@ -183,7 +186,7 @@ impl<'a> CardinalityModel<'a> {
 
     /// Selectivity of a boolean predicate under uniform/independence
     /// assumptions.
-    pub fn selectivity(&self, pred: &Expr, bindings: &HashMap<String, &'a TableDef>) -> f64 {
+    pub(crate) fn selectivity(&self, pred: &Expr, bindings: &HashMap<String, &'a TableDef>) -> f64 {
         match pred {
             Expr::Binary { op, left, right } if op.is_logical() => {
                 let a = self.selectivity(left, bindings);
@@ -293,7 +296,7 @@ impl<'a> CardinalityModel<'a> {
     }
 
     /// Stats for a `(binding, column)` reference.
-    pub fn column_stats(
+    pub(crate) fn column_stats(
         &self,
         col: &ColRef,
         bindings: &HashMap<String, &'a TableDef>,
@@ -338,7 +341,7 @@ fn default_comparison_selectivity(op: BinOp) -> f64 {
 /// Splits a join condition into equi-join column pairs and residual
 /// predicates. A conjunct `l.c1 = r.c2` with two distinct qualifiers is an
 /// equi-join key; everything else is residual.
-pub fn split_join_condition(on: &Expr) -> (Vec<(ColRef, ColRef)>, Vec<Expr>) {
+pub(crate) fn split_join_condition(on: &Expr) -> (Vec<(ColRef, ColRef)>, Vec<Expr>) {
     let mut equi = Vec::new();
     let mut residual = Vec::new();
     collect_conjuncts(on, &mut |conj| {

@@ -46,24 +46,24 @@ impl ClusterConfig {
     }
 
     /// Total parallel task slots.
-    pub fn total_cores(&self) -> u32 {
+    pub(crate) fn total_cores(&self) -> u32 {
         self.nodes * self.cores_per_node
     }
 
     /// Number of DFS blocks (and hence map tasks) for a dataset.
-    pub fn blocks_for(&self, total_bytes: u64) -> u64 {
+    pub(crate) fn blocks_for(&self, total_bytes: u64) -> u64 {
         total_bytes.div_ceil(self.dfs_block_bytes).max(1)
     }
 
     /// Per-task hash-table memory budget in bytes.
-    pub fn task_hash_budget_bytes(&self) -> u64 {
+    pub(crate) fn task_hash_budget_bytes(&self) -> u64 {
         ((self.memory_per_node_bytes as f64 * self.task_memory_fraction)
             / self.cores_per_node as f64) as u64
     }
 
     /// The paper's `NumTaskWaves`: "total number of tasks … divided by the
     /// total number of parallelism in the system" (§4), rounded up.
-    pub fn task_waves(&self, tasks: u64) -> u64 {
+    pub(crate) fn task_waves(&self, tasks: u64) -> u64 {
         tasks.div_ceil(self.total_cores() as u64).max(1)
     }
 }

@@ -19,44 +19,6 @@ use crate::{
 };
 use catalog::{Capability, Catalog, RemoteSystemProfile, SystemId, SystemKind, TableDef};
 use sqlkit::logical::{LogicalOp, LogicalPlan};
-use telemetry::{Counter, Event, Gauge, Histogram, Telemetry, Tracer};
-
-/// Histogram bounds (seconds) for simulated remote executions.
-const EXECUTION_SECS_BOUNDS: [f64; 7] = [0.01, 0.1, 1.0, 10.0, 60.0, 600.0, 3600.0];
-
-/// Pre-created telemetry handles for one engine, labelled by system id.
-struct EngineTelemetry {
-    tracer: Tracer,
-    queries: Counter,
-    execution_secs: Histogram,
-    busy_secs: Gauge,
-}
-
-impl EngineTelemetry {
-    fn new(id: &SystemId, telemetry: &Telemetry) -> Self {
-        let reg = &telemetry.metrics;
-        reg.set_help(
-            "remote_queries_total",
-            "Queries and probes executed on a simulated remote system.",
-        );
-        reg.set_help(
-            "remote_execution_secs",
-            "Distribution of simulated remote execution times, seconds.",
-        );
-        reg.set_help(
-            "remote_busy_secs",
-            "Cumulative busy time of a simulated remote system, seconds.",
-        );
-        let system = id.to_string();
-        let labels = [("system", system.as_str())];
-        EngineTelemetry {
-            tracer: telemetry.tracer.clone(),
-            queries: reg.counter("remote_queries_total", &labels),
-            execution_secs: reg.histogram("remote_execution_secs", &labels, &EXECUTION_SECS_BOUNDS),
-            busy_secs: reg.gauge("remote_busy_secs", &labels),
-        }
-    }
-}
 
 /// The observable result of one remote execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,7 +108,6 @@ pub struct ClusterEngine {
     noise: NoiseSource,
     busy: SimDuration,
     queries: u64,
-    telemetry: Option<EngineTelemetry>,
 }
 
 impl ClusterEngine {
@@ -180,19 +141,7 @@ impl ClusterEngine {
             noise,
             busy: SimDuration::ZERO,
             queries: 0,
-            telemetry: None,
         }
-    }
-
-    /// Publishes this engine's activity into a telemetry handle:
-    /// per-system `remote_queries_total`, `remote_execution_secs`, and
-    /// `remote_busy_secs` metrics, plus one
-    /// [`Event::RemoteExecution`] per finished query when a tracing
-    /// subscriber is attached. Handles are created once, so the
-    /// per-execution cost is a few atomic updates.
-    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.telemetry = Some(EngineTelemetry::new(&self.id, telemetry));
-        self
     }
 
     /// The paper's evaluation target: a Hive persona on the §7 cluster.
@@ -228,12 +177,6 @@ impl ClusterEngine {
             .map_err(|e| EngineError::Sql(e.to_string()))
     }
 
-    /// Restricts the advertised capabilities (to model remotes that e.g.
-    /// cannot join).
-    pub fn restrict_capabilities(&mut self, caps: Vec<Capability>) {
-        self.profile.capabilities = caps;
-    }
-
     fn exec_model(&self) -> ExecModel<'_> {
         ExecModel {
             micro: &self.persona.micro,
@@ -262,17 +205,6 @@ impl ClusterEngine {
         // seconds, not wall time, so the span layer keeps it out of the
         // wall-clock stage identities.
         telemetry::span::attribute(telemetry::span::Stage::RemoteExec, elapsed.as_secs() * 1e6);
-        if let Some(t) = &self.telemetry {
-            t.queries.inc();
-            t.execution_secs.observe(elapsed.as_secs());
-            t.busy_secs.set(self.busy.as_secs());
-            let queries = self.queries;
-            t.tracer.emit(|| Event::RemoteExecution {
-                system: self.id.to_string(),
-                secs: elapsed.as_secs(),
-                queries_done: queries,
-            });
-        }
         Execution {
             elapsed,
             output_rows: out.rows.round().max(0.0) as u64,
@@ -681,7 +613,7 @@ mod tests {
     #[test]
     fn capability_restriction_is_enforced() {
         let mut e = hive_engine();
-        e.restrict_capabilities(vec![Capability::Filter, Capability::Project]);
+        e.profile.capabilities = vec![Capability::Filter, Capability::Project];
         let err = e
             .submit_sql("SELECT r.a1, s.a1 FROM t_big r JOIN t_small s ON r.a1 = s.a1")
             .unwrap_err();
@@ -800,63 +732,6 @@ mod tests {
         assert!((exec.elapsed.as_secs() - ex.estimated_secs).abs() < 1e-9);
         let rendered = ex.to_string();
         assert!(rendered.contains("Broadcast Join"), "{rendered}");
-    }
-
-    #[test]
-    fn telemetry_tracks_queries_busy_time_and_emits_executions() {
-        use std::sync::Arc;
-        use telemetry::VecSubscriber;
-
-        let sub = Arc::new(VecSubscriber::new());
-        let telemetry = Telemetry::with_subscriber(sub.clone());
-        let mut e = hive_engine().with_telemetry(&telemetry);
-        let x1 = e
-            .submit_sql("SELECT a1 FROM t_small WHERE a1 < 50000")
-            .unwrap();
-        let x2 = e
-            .submit_sql("SELECT a5, SUM(a1) AS s FROM t_big GROUP BY a5")
-            .unwrap();
-        let snap = telemetry.metrics.snapshot();
-        let labels = [("system", "hive-a")];
-        assert_eq!(snap.counter("remote_queries_total", &labels), Some(2));
-        let hist = snap.histogram("remote_execution_secs", &labels).unwrap();
-        assert_eq!(hist.count, 2);
-        assert!((hist.sum - e.total_busy().as_secs()).abs() < 1e-9);
-        assert_eq!(
-            snap.gauge("remote_busy_secs", &labels),
-            Some(e.total_busy().as_secs())
-        );
-        let events = sub.snapshot();
-        assert_eq!(events.len(), 2);
-        match (&events[0], &events[1]) {
-            (
-                Event::RemoteExecution {
-                    system: s1,
-                    secs: e1,
-                    queries_done: q1,
-                },
-                Event::RemoteExecution {
-                    secs: e2,
-                    queries_done: q2,
-                    ..
-                },
-            ) => {
-                assert_eq!(s1, "hive-a");
-                assert_eq!(*e1, x1.elapsed.as_secs());
-                assert_eq!(*e2, x2.elapsed.as_secs());
-                assert_eq!((*q1, *q2), (1, 2));
-            }
-            other => panic!("unexpected events {other:?}"),
-        }
-        // Explain stays invisible to telemetry (no execution happened).
-        let _ = e.explain("SELECT a1 FROM t_small").unwrap();
-        assert_eq!(
-            telemetry
-                .metrics
-                .snapshot()
-                .counter("remote_queries_total", &labels),
-            Some(2)
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The execution model: jobs, stages, task waves, and elapsed time.
 //!
-//! A query compiles to a [`Job`] — an ordered list of [`Stage`]s, each with
+//! A query compiles to a `Job` — an ordered list of [`Stage`]s, each with
 //! a task count and aggregate single-core work split into I/O and CPU
 //! components. Elapsed time for a stage is
 //!
@@ -45,7 +45,7 @@ pub struct Stage {
 
 impl Stage {
     /// A stage with no serial prelude.
-    pub fn parallel(tasks: u64, io_us: f64, cpu_us: f64) -> Self {
+    pub(crate) fn parallel(tasks: u64, io_us: f64, cpu_us: f64) -> Self {
         Stage {
             tasks: tasks.max(1),
             io_us,
@@ -55,7 +55,7 @@ impl Stage {
     }
 
     /// Adds driver-side serial work.
-    pub fn with_prelude(mut self, us: f64) -> Self {
+    pub(crate) fn with_prelude(mut self, us: f64) -> Self {
         self.serial_prelude_us = us;
         self
     }
@@ -63,7 +63,7 @@ impl Stage {
 
 /// A compiled query: one or more stages executed back to back.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Job {
+pub(crate) struct Job {
     /// The stages, in execution order.
     pub stages: Vec<Stage>,
 }
@@ -90,7 +90,7 @@ impl Job {
     /// tiny jobs run faster here than a real scheduler would allow, which
     /// widens the sub-op formulas' overestimation at the small end
     /// (their `NumTaskWaves` semantics charge whole task quanta).
-    pub fn elapsed(&self, cluster: &ClusterConfig, ov: &Overheads) -> SimDuration {
+    pub(crate) fn elapsed(&self, cluster: &ClusterConfig, ov: &Overheads) -> SimDuration {
         let cores = cluster.total_cores() as f64;
         let mut total = 0.0;
         for s in &self.stages {
@@ -105,7 +105,8 @@ impl Job {
     }
 
     /// Total single-core work across all stages (io + cpu + preludes).
-    pub fn total_work_us(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_work_us(&self) -> f64 {
         self.stages
             .iter()
             .map(|s| s.io_us + s.cpu_us + s.serial_prelude_us)
@@ -132,7 +133,7 @@ impl SideInfo {
     }
 
     /// Total projected bytes.
-    pub fn total_proj_bytes(&self) -> f64 {
+    pub(crate) fn total_proj_bytes(&self) -> f64 {
         self.rows * self.proj_bytes
     }
 }
@@ -168,7 +169,7 @@ pub struct AggInfo {
 }
 
 /// Builds jobs for an engine persona's algorithms.
-pub struct ExecModel<'a> {
+pub(crate) struct ExecModel<'a> {
     /// Micro-cost table (hidden ground truth).
     pub micro: &'a MicroCosts,
     /// Cluster layout.
@@ -209,7 +210,7 @@ impl ExecModel<'_> {
     /// Pure scan-filter-project job (map-only). `distributed` selects DFS
     /// I/O rates (Hive/Spark) vs local-disk rates (single-node RDBMS) —
     /// the same distinction the join and aggregation builders make.
-    pub fn scan_job(
+    pub(crate) fn scan_job(
         &self,
         in_rows: f64,
         in_bytes: f64,
@@ -232,7 +233,7 @@ impl ExecModel<'_> {
 
     /// A final ORDER BY pass: read the intermediate result locally, sort
     /// it, and write it back.
-    pub fn sort_job(&self, rows: f64, row_bytes: f64, distributed: bool) -> Job {
+    pub(crate) fn sort_job(&self, rows: f64, row_bytes: f64, distributed: bool) -> Job {
         let m = self.micro;
         let tasks = self.blocks(rows * row_bytes);
         let write = if distributed {
@@ -248,7 +249,7 @@ impl ExecModel<'_> {
     }
 
     /// Builds the job for one join algorithm.
-    pub fn join_job(&self, algo: JoinAlgorithm, j: &JoinInfo) -> Job {
+    pub(crate) fn join_job(&self, algo: JoinAlgorithm, j: &JoinInfo) -> Job {
         match algo {
             JoinAlgorithm::HiveShuffleJoin => self.shuffle_sort_merge_join(j, 1.0),
             JoinAlgorithm::HiveSkewJoin => self.skew_join(j),
@@ -504,7 +505,7 @@ impl ExecModel<'_> {
 
     /// Builds the job for an aggregation algorithm. `distributed` selects
     /// the two-stage map/reduce shape (Hive/Spark) vs single-node RDBMS.
-    pub fn agg_job(&self, algo: AggAlgorithm, a: &AggInfo, distributed: bool) -> Job {
+    pub(crate) fn agg_job(&self, algo: AggAlgorithm, a: &AggInfo, distributed: bool) -> Job {
         let m = self.micro;
         if !distributed {
             let tasks = self.cluster.total_cores() as u64;
@@ -558,7 +559,7 @@ impl ExecModel<'_> {
     }
 
     /// Builds the job for one Fig. 5 probe query.
-    pub fn probe_job(&self, spec: &crate::probe::ProbeSpec) -> Job {
+    pub(crate) fn probe_job(&self, spec: &crate::probe::ProbeSpec) -> Job {
         use crate::probe::ProbeKind as K;
         let m = self.micro;
         let rows = spec.rows as f64;

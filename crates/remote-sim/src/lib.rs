@@ -19,7 +19,7 @@
 //!   from hidden per-record micro-costs ([`subop_cost`]), a task-wave
 //!   scheduling model with per-stage and per-task startup latencies, I/O ↔
 //!   CPU overlap within a task, memory-pressure regime switches for hash
-//!   builds, and multiplicative noise ([`exec`], [`noise`]).
+//!   builds, and multiplicative noise ([`exec`], `noise`).
 //!
 //! The costing crate must treat engines as the paper treats remote
 //! systems: the only interface is [`engine::RemoteSystem`] — submit a
@@ -31,7 +31,7 @@ pub mod cardinality;
 pub mod cluster;
 pub mod engine;
 pub mod exec;
-pub mod noise;
+mod noise;
 pub mod personas;
 pub mod physical;
 pub mod probe;
@@ -40,7 +40,7 @@ pub mod subop_cost;
 pub mod time;
 
 pub use analyze::{analyze, QueryAnalysis};
-pub use cardinality::{CardinalityModel, NodeEstimate};
+pub use cardinality::NodeEstimate;
 pub use cluster::ClusterConfig;
 pub use engine::{ClusterEngine, EngineError, Execution, Explain, RemoteSystem};
 pub use personas::{hive_persona, presto_persona, rdbms_persona, spark_persona, Persona};

@@ -10,7 +10,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// A seeded multiplicative-noise source.
 #[derive(Debug, Clone)]
-pub struct NoiseSource {
+pub(crate) struct NoiseSource {
     rng: StdRng,
     /// Relative standard deviation (e.g. 0.04 = 4 %).
     sigma: f64,
@@ -18,7 +18,7 @@ pub struct NoiseSource {
 
 impl NoiseSource {
     /// Creates a source with the given relative sigma.
-    pub fn new(seed: u64, sigma: f64) -> Self {
+    pub(crate) fn new(seed: u64, sigma: f64) -> Self {
         assert!((0.0..1.0).contains(&sigma), "sigma must be in [0, 1)");
         NoiseSource {
             rng: StdRng::seed_from_u64(seed),
@@ -27,20 +27,8 @@ impl NoiseSource {
     }
 
     /// A noiseless source (useful for tests that need exact values).
-    pub fn disabled(seed: u64) -> Self {
+    pub(crate) fn disabled(seed: u64) -> Self {
         NoiseSource::new(seed, 0.0)
-    }
-
-    /// Restarts the stream from an explicit seed, keeping sigma. Two
-    /// sources reseeded identically produce identical factor sequences
-    /// regardless of how many draws either has already made.
-    pub fn reseed(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
-    }
-
-    /// The relative standard deviation this source applies.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
     }
 
     /// Returns a multiplicative factor `max(0.5, 1 + sigma·N(0,1))`.
@@ -48,7 +36,7 @@ impl NoiseSource {
     /// The floor prevents pathological near-zero elapsed times for large
     /// sigma; with the sigmas used here (≤ 8 %) it never triggers in
     /// practice.
-    pub fn factor(&mut self) -> f64 {
+    pub(crate) fn factor(&mut self) -> f64 {
         if self.sigma == 0.0 {
             return 1.0;
         }
@@ -79,22 +67,6 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(a.factor(), b.factor());
         }
-    }
-
-    #[test]
-    fn reseeding_restarts_the_stream() {
-        let mut a = NoiseSource::new(1, 0.05);
-        let mut b = NoiseSource::new(2, 0.05);
-        // Desynchronise b, then reseed both to the same point.
-        for _ in 0..13 {
-            b.factor();
-        }
-        a.reseed(99);
-        b.reseed(99);
-        for _ in 0..20 {
-            assert_eq!(a.factor(), b.factor());
-        }
-        assert_eq!(a.sigma(), 0.05);
     }
 
     #[test]

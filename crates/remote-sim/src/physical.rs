@@ -44,37 +44,6 @@ pub enum JoinAlgorithm {
     RdbmsNestedLoopJoin,
 }
 
-impl JoinAlgorithm {
-    /// Whether the algorithm requires an equi-join condition.
-    pub fn requires_equi_keys(self) -> bool {
-        !matches!(
-            self,
-            JoinAlgorithm::SparkBroadcastNestedLoopJoin
-                | JoinAlgorithm::SparkCartesianProductJoin
-                | JoinAlgorithm::RdbmsNestedLoopJoin
-        )
-    }
-
-    /// Whether the algorithm broadcasts its build side to every node.
-    pub fn broadcasts(self) -> bool {
-        matches!(
-            self,
-            JoinAlgorithm::HiveBroadcastJoin
-                | JoinAlgorithm::SparkBroadcastHashJoin
-                | JoinAlgorithm::SparkBroadcastNestedLoopJoin
-        )
-    }
-
-    /// Whether the algorithm depends on both inputs being bucketed or
-    /// partitioned by the join key.
-    pub fn requires_bucketing(self) -> bool {
-        matches!(
-            self,
-            JoinAlgorithm::HiveBucketMapJoin | JoinAlgorithm::HiveSortMergeBucketJoin
-        )
-    }
-}
-
 impl fmt::Display for JoinAlgorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -128,14 +97,5 @@ mod tests {
             JoinAlgorithm::SparkBroadcastNestedLoopJoin.to_string(),
             "Broadcast NestedLoop Join"
         );
-    }
-
-    #[test]
-    fn classification_flags() {
-        assert!(JoinAlgorithm::HiveBroadcastJoin.broadcasts());
-        assert!(!JoinAlgorithm::HiveShuffleJoin.broadcasts());
-        assert!(JoinAlgorithm::HiveSortMergeBucketJoin.requires_bucketing());
-        assert!(!JoinAlgorithm::SparkCartesianProductJoin.requires_equi_keys());
-        assert!(JoinAlgorithm::RdbmsHashJoin.requires_equi_keys());
     }
 }

@@ -111,11 +111,6 @@ impl ProbeSpec {
         self.force_spill = true;
         self
     }
-
-    /// Total data volume of the probe.
-    pub fn total_bytes(&self) -> u64 {
-        self.rows * self.record_bytes
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +120,7 @@ mod tests {
     #[test]
     fn builder_and_volume() {
         let p = ProbeSpec::new(ProbeKind::ReadDfs, 1_000_000, 1_000);
-        assert_eq!(p.total_bytes(), 1_000_000_000);
+        assert_eq!((p.rows, p.record_bytes), (1_000_000, 1_000));
         assert!(!p.force_spill);
         assert!(
             ProbeSpec::new(ProbeKind::ReadDfsHashBuild, 1, 1)

@@ -42,7 +42,7 @@ pub struct OptimizerRules {
 impl OptimizerRules {
     /// Hive defaults (32 MB broadcast threshold, mirroring
     /// `hive.mapjoin.smalltable.filesize`-style settings).
-    pub fn hive() -> Self {
+    pub(crate) fn hive() -> Self {
         OptimizerRules {
             broadcast_threshold_bytes: 32.0 * 1024.0 * 1024.0,
             skew_fraction: 0.20,
@@ -51,7 +51,7 @@ impl OptimizerRules {
     }
 
     /// Spark defaults (10 MB `autoBroadcastJoinThreshold`).
-    pub fn spark() -> Self {
+    pub(crate) fn spark() -> Self {
         OptimizerRules {
             broadcast_threshold_bytes: 10.0 * 1024.0 * 1024.0,
             skew_fraction: 0.20,
@@ -60,7 +60,7 @@ impl OptimizerRules {
     }
 
     /// RDBMS defaults.
-    pub fn rdbms() -> Self {
+    pub(crate) fn rdbms() -> Self {
         OptimizerRules {
             broadcast_threshold_bytes: f64::INFINITY,
             skew_fraction: 1.0,
@@ -70,7 +70,7 @@ impl OptimizerRules {
 }
 
 /// Picks the join algorithm the remote system would use.
-pub fn choose_join(
+pub(crate) fn choose_join(
     kind: SystemKind,
     rules: &OptimizerRules,
     cluster: &ClusterConfig,
@@ -138,7 +138,7 @@ pub fn choose_join(
 }
 
 /// Picks the aggregation algorithm.
-pub fn choose_agg(cluster: &ClusterConfig, a: &AggInfo) -> AggAlgorithm {
+pub(crate) fn choose_agg(cluster: &ClusterConfig, a: &AggInfo) -> AggAlgorithm {
     // Spill the hash table badly (> 4× budget) and sorting wins.
     let hash_bytes = a.groups * a.out_bytes;
     if hash_bytes > 4.0 * cluster.task_hash_budget_bytes() as f64 {

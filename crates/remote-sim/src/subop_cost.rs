@@ -25,18 +25,18 @@ pub struct LinearCost {
 
 impl LinearCost {
     /// Cost in µs for one record of `bytes` size.
-    pub fn per_record(&self, bytes: f64) -> f64 {
+    pub(crate) fn per_record(&self, bytes: f64) -> f64 {
         (self.per_byte * bytes + self.base).max(0.0)
     }
 
     /// Total µs for `rows` records of `bytes` size.
-    pub fn total(&self, rows: f64, bytes: f64) -> f64 {
+    pub(crate) fn total(&self, rows: f64, bytes: f64) -> f64 {
         self.per_record(bytes) * rows
     }
 
     /// Scales both coefficients (used to derive engine personas from the
     /// Hive baseline).
-    pub fn scaled(&self, k: f64) -> LinearCost {
+    pub(crate) fn scaled(&self, k: f64) -> LinearCost {
         LinearCost {
             per_byte: self.per_byte * k,
             base: self.base * k,
@@ -144,7 +144,7 @@ impl MicroCosts {
     /// below the in-memory line for small records (the paper's fitted
     /// intercept is negative), so the spill cost is floored at the
     /// in-memory cost.
-    pub fn hash_insert(&self, bytes: f64, fits_in_memory: bool) -> f64 {
+    pub(crate) fn hash_insert(&self, bytes: f64, fits_in_memory: bool) -> f64 {
         let mem = self.hash_insert_mem.per_record(bytes);
         if fits_in_memory {
             mem
@@ -154,12 +154,12 @@ impl MicroCosts {
     }
 
     /// Broadcast cost per record to `nodes` machines.
-    pub fn broadcast(&self, bytes: f64, nodes: u32) -> f64 {
+    pub(crate) fn broadcast(&self, bytes: f64, nodes: u32) -> f64 {
         self.broadcast_per_node.per_record(bytes) * nodes as f64
     }
 
     /// Uniformly scales every cost (used to derive faster personas).
-    pub fn scaled(&self, k: f64) -> MicroCosts {
+    pub(crate) fn scaled(&self, k: f64) -> MicroCosts {
         MicroCosts {
             read_dfs: self.read_dfs.scaled(k),
             write_dfs: self.write_dfs.scaled(k),

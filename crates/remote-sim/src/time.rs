@@ -18,18 +18,8 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0.0);
 
     /// From microseconds.
-    pub fn from_micros(us: f64) -> Self {
+    pub(crate) fn from_micros(us: f64) -> Self {
         SimDuration(us)
-    }
-
-    /// From milliseconds.
-    pub fn from_millis(ms: f64) -> Self {
-        SimDuration(ms * 1_000.0)
-    }
-
-    /// From seconds.
-    pub fn from_secs(s: f64) -> Self {
-        SimDuration(s * 1_000_000.0)
     }
 
     /// As microseconds.
@@ -38,7 +28,7 @@ impl SimDuration {
     }
 
     /// As milliseconds.
-    pub fn as_millis(self) -> f64 {
+    pub(crate) fn as_millis(self) -> f64 {
         self.0 / 1_000.0
     }
 
@@ -59,7 +49,7 @@ impl SimDuration {
 
     /// Clamps negative durations (which can arise from noise or model
     /// arithmetic) to zero.
-    pub fn max_zero(self) -> Self {
+    pub(crate) fn max_zero(self) -> Self {
         SimDuration(self.0.max(0.0))
     }
 }
@@ -125,11 +115,10 @@ mod tests {
 
     #[test]
     fn conversions_roundtrip() {
-        let d = SimDuration::from_secs(2.5);
+        let d = SimDuration::from_micros(2.5e6);
         assert_eq!(d.as_micros(), 2_500_000.0);
         assert_eq!(d.as_millis(), 2_500.0);
         assert_eq!(d.as_secs(), 2.5);
-        assert_eq!(SimDuration::from_millis(1.0).as_micros(), 1_000.0);
     }
 
     #[test]
@@ -158,8 +147,8 @@ mod tests {
     #[test]
     fn display_picks_unit() {
         assert_eq!(SimDuration::from_micros(12.0).to_string(), "12.00us");
-        assert_eq!(SimDuration::from_millis(12.0).to_string(), "12.00ms");
-        assert_eq!(SimDuration::from_secs(12.0).to_string(), "12.00s");
-        assert_eq!(SimDuration::from_secs(120.0).to_string(), "2.00min");
+        assert_eq!(SimDuration::from_micros(12e3).to_string(), "12.00ms");
+        assert_eq!(SimDuration::from_micros(12e6).to_string(), "12.00s");
+        assert_eq!(SimDuration::from_micros(120e6).to_string(), "2.00min");
     }
 }

@@ -5,7 +5,7 @@
 //! the rate-limit path would make admission decisions non-replayable
 //! (the workspace's nondeterminism lint R5 bans `Instant::now()` on
 //! estimation paths for that reason), so time is *injected*: production
-//! builds a [`Clock::monotonic`] once at startup, tests build a
+//! builds a `Clock::monotonic` once at startup, tests build a
 //! [`Clock::manual`] they advance explicitly, and everything downstream
 //! of the constructor is a pure function of `now_micros()`. This module
 //! is the single approved home of `Instant::now()` in the crate (it is
@@ -31,7 +31,7 @@ enum ClockKind {
 
 impl Clock {
     /// Real monotonic time, starting at 0 when constructed.
-    pub fn monotonic() -> Clock {
+    pub(crate) fn monotonic() -> Clock {
         Clock(ClockKind::Monotonic(Instant::now()))
     }
 
@@ -42,7 +42,7 @@ impl Clock {
     }
 
     /// Microseconds elapsed on this clock.
-    pub fn now_micros(&self) -> u64 {
+    pub(crate) fn now_micros(&self) -> u64 {
         match &self.0 {
             ClockKind::Monotonic(origin) => origin.elapsed().as_micros() as u64,
             ClockKind::Manual(t) => t.load(Ordering::Acquire),

@@ -37,8 +37,8 @@
 //! `recv_timeout`, and the rate limiter reads an injected
 //! [`Clock`] — so admission decisions replay deterministically under a
 //! manual clock, and the analysis pass holds this module to the
-//! panic-free + lock-order + snapshot-read rules that govern the rest
-//! of the estimation hot path.
+//! panic-freedom, alloc-freedom and blocking-freedom rules (R1, R7, R8)
+//! that govern the rest of the estimation hot path.
 
 use crate::clock::Clock;
 use crate::limiter::{RateLimitConfig, TenantRateLimiter};
@@ -164,21 +164,15 @@ impl std::fmt::Display for Rejection {
 impl std::error::Error for Rejection {}
 
 /// What every submitted request eventually resolves to.
-pub type FrontendResult = Result<EstimateReply, Rejection>;
+pub(crate) type FrontendResult = Result<EstimateReply, Rejection>;
 
 /// A pending response: the one-shot future half of [`Frontend::submit`].
 #[derive(Debug)]
 pub struct Ticket {
-    id: u64,
     rx: Receiver<FrontendResult>,
 }
 
 impl Ticket {
-    /// The request id the reply will carry.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Blocks until the response arrives. If the front-end is torn down
     /// without answering (its half of the channel dropped), this
     /// resolves to [`Rejection::ShuttingDown`] rather than hanging.
@@ -433,7 +427,7 @@ impl Frontend {
                     return Err(Rejection::ShuttingDown);
                 }
                 inner.queue_depth.set(depth as f64);
-                Ok(Ticket { id, rx: reply_rx })
+                Ok(Ticket { rx: reply_rx })
             }
             Err(TrySendError::Full(_)) => {
                 inner.depth.fetch_sub(1, Ordering::AcqRel);
@@ -448,11 +442,6 @@ impl Frontend {
                 Err(Rejection::ShuttingDown)
             }
         }
-    }
-
-    /// Submit-and-wait convenience: the closed-loop client's inner call.
-    pub fn estimate_blocking(&self, request: EstimateRequest) -> FrontendResult {
-        self.submit(request)?.wait()
     }
 
     /// Runs one batch-leader pass on the calling thread without
@@ -890,7 +879,8 @@ mod tests {
         );
         let replies: Vec<EstimateReply> = (0..32)
             .map(|i| {
-                fe.estimate_blocking(request(&a, 0, 1e5 + i as f64 * 1e4))
+                fe.submit(request(&a, 0, 1e5 + i as f64 * 1e4))
+                    .and_then(Ticket::wait)
                     .unwrap()
             })
             .collect();
@@ -983,7 +973,9 @@ mod tests {
                         features: features.clone(),
                     });
                     let ticket = ticket.expect("queue sized for the plan");
-                    expected.push((ticket.id(), system, features, known));
+                    // Every submit is admitted, so request ids run in
+                    // submission order from zero.
+                    expected.push((tickets.len() as u64, system, features, known));
                     tickets.push(ticket);
                     // Interleave drains (sealing partial batches) and
                     // republishes (bumping the epoch mid-stream).

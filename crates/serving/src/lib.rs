@@ -29,7 +29,5 @@ pub mod frontend;
 pub mod limiter;
 
 pub use clock::Clock;
-pub use frontend::{
-    EstimateReply, EstimateRequest, Frontend, FrontendConfig, FrontendResult, Rejection, Ticket,
-};
+pub use frontend::{EstimateReply, EstimateRequest, Frontend, FrontendConfig, Rejection, Ticket};
 pub use limiter::{RateLimitConfig, TenantRateLimiter};

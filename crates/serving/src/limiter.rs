@@ -98,16 +98,6 @@ impl TenantRateLimiter {
             false
         }
     }
-
-    /// Number of tenants with a materialised bucket.
-    pub fn tenants(&self) -> usize {
-        self.buckets.lock().len()
-    }
-
-    /// The policy this limiter applies.
-    pub fn config(&self) -> RateLimitConfig {
-        self.config
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +130,7 @@ mod tests {
         assert!(lim.try_acquire(1, 0));
         assert!(!lim.try_acquire(1, 0));
         assert!(lim.try_acquire(2, 0), "tenant 2 has its own bucket");
-        assert_eq!(lim.tenants(), 2);
+        assert_eq!(lim.buckets.lock().len(), 2);
     }
 
     #[test]

@@ -132,7 +132,8 @@ pub enum Expr {
 
 impl Expr {
     /// Convenience: an unqualified column reference.
-    pub fn col(name: &str) -> Expr {
+    #[cfg(test)]
+    pub(crate) fn col(name: &str) -> Expr {
         Expr::Column {
             qualifier: None,
             name: name.to_string(),
@@ -140,7 +141,8 @@ impl Expr {
     }
 
     /// Convenience: a qualified column reference.
-    pub fn qcol(qualifier: &str, name: &str) -> Expr {
+    #[cfg(test)]
+    pub(crate) fn qcol(qualifier: &str, name: &str) -> Expr {
         Expr::Column {
             qualifier: Some(qualifier.to_string()),
             name: name.to_string(),
@@ -148,7 +150,7 @@ impl Expr {
     }
 
     /// Convenience: a binary expression.
-    pub fn binary(op: BinOp, left: Expr, right: Expr) -> Expr {
+    pub(crate) fn binary(op: BinOp, left: Expr, right: Expr) -> Expr {
         Expr::Binary {
             op,
             left: Box::new(left),
@@ -157,7 +159,7 @@ impl Expr {
     }
 
     /// True when the expression contains an aggregate call.
-    pub fn contains_aggregate(&self) -> bool {
+    pub(crate) fn contains_aggregate(&self) -> bool {
         match self {
             Expr::Agg { .. } => true,
             Expr::Binary { left, right, .. } => {
@@ -248,7 +250,7 @@ pub struct TableRef {
 
 impl TableRef {
     /// The name this table is referred to by in expressions.
-    pub fn binding(&self) -> &str {
+    pub(crate) fn binding(&self) -> &str {
         self.alias.as_deref().unwrap_or(&self.name)
     }
 }

@@ -20,7 +20,7 @@ impl std::fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenises `src`, appending a trailing [`Token::Eof`].
-pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;

@@ -141,19 +141,6 @@ impl LogicalOp {
         }
     }
 
-    /// True when the subtree contains a sort node.
-    pub fn has_sort(&self) -> bool {
-        match self {
-            LogicalOp::Sort { .. } => true,
-            LogicalOp::Scan { .. } => false,
-            LogicalOp::Filter { input, .. }
-            | LogicalOp::Project { input, .. }
-            | LogicalOp::Limit { input, .. }
-            | LogicalOp::Aggregate { input, .. } => input.has_sort(),
-            LogicalOp::Join { left, right, .. } => left.has_sort() || right.has_sort(),
-        }
-    }
-
     /// A compact single-line rendering, useful in logs and test assertions.
     pub fn describe(&self) -> String {
         match self {
@@ -357,8 +344,6 @@ mod tests {
     fn order_by_and_limit_stack_above_project() {
         let p = plan("SELECT a1 FROM t ORDER BY a1 DESC LIMIT 5");
         assert_eq!(p.root.describe(), "Limit[5](Sort[1](Project[1](Scan(t))))");
-        assert!(p.root.has_sort());
-        assert!(!plan("SELECT a1 FROM t").root.has_sort());
     }
 
     #[test]

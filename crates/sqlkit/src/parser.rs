@@ -50,6 +50,13 @@ pub enum ParseError {
         /// Byte offset of the first trailing token.
         offset: usize,
     },
+    /// An expression nests or chains deeper than the parser builds trees
+    /// (likewise a `JOIN` chain, which plans into a left-deep tree).
+    TooDeep {
+        /// Byte offset of the token that would have grown the tree past
+        /// the bound.
+        offset: usize,
+    },
 }
 
 impl std::fmt::Display for ParseError {
@@ -69,6 +76,12 @@ impl std::fmt::Display for ParseError {
             ParseError::TrailingInput { offset } => {
                 write!(f, "parse error: trailing input at byte {offset}")
             }
+            ParseError::TooDeep { offset } => {
+                write!(
+                    f,
+                    "parse error at byte {offset}: nested deeper than {MAX_TREE_HEIGHT} levels"
+                )
+            }
         }
     }
 }
@@ -81,10 +94,20 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Tallest tree the parser builds, in nodes from root to leaf.
+///
+/// The descent recurses per `(`, `NOT` and unary `-`, and the `Expr` it
+/// returns — like the `LogicalOp` tree planned from it — is walked,
+/// printed and dropped recursively, all on stacks as small as the 2 MiB
+/// of a spawned thread. Height is counted where it grows (each recursive
+/// descent, each loop iteration that wraps `left`, each `JOIN`), so
+/// nothing downstream meets a deeper tree than this.
+const MAX_TREE_HEIGHT: usize = 64;
+
 /// Parses one SQL query.
 pub fn parse_query(src: &str) -> Result<Query, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let q = p.query()?;
     if p.peek().token != Token::Eof {
         return Err(ParseError::TrailingInput {
@@ -94,10 +117,11 @@ pub fn parse_query(src: &str) -> Result<Query, ParseError> {
     Ok(q)
 }
 
-/// Parses a standalone expression (used in tests and by the costing DSL).
-pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
+/// Parses a standalone expression.
+#[cfg(test)]
+pub(crate) fn parse_expr(src: &str) -> Result<Expr, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let e = p.expr()?;
     if p.peek().token != Token::Eof {
         return Err(ParseError::TrailingInput {
@@ -110,9 +134,59 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Recursive descents currently on the stack.
+    depth: usize,
 }
 
+/// An expression with its height (a leaf is 1).
+type Tall = (Expr, usize);
+
 impl Parser {
+    fn new(tokens: Vec<Spanned>) -> Self {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    fn too_deep(&self) -> ParseError {
+        ParseError::TooDeep {
+            offset: self.peek().offset,
+        }
+    }
+
+    /// `height`, unless it is past [`MAX_TREE_HEIGHT`].
+    fn bounded(&self, height: usize) -> Result<usize, ParseError> {
+        if height > MAX_TREE_HEIGHT {
+            return Err(self.too_deep());
+        }
+        Ok(height)
+    }
+
+    /// Runs one recursive descent, counted while it is on the stack.
+    /// The allowance is two descents a level: `Display` wraps a node in
+    /// at most one parenthesis, so whatever it prints of a tree of legal
+    /// height parses again.
+    fn descend(
+        &mut self,
+        production: fn(&mut Self) -> Result<Tall, ParseError>,
+    ) -> Result<Tall, ParseError> {
+        if self.depth == 2 * MAX_TREE_HEIGHT {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let parsed = production(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// `left op right`, one level taller than its taller operand.
+    fn wrap(&self, op: BinOp, left: Tall, right: Tall) -> Result<Tall, ParseError> {
+        let height = self.bounded(left.1.max(right.1) + 1)?;
+        Ok((Expr::binary(op, left.0, right.0), height))
+    }
+
     fn peek(&self) -> &Spanned {
         &self.tokens[self.pos]
     }
@@ -184,6 +258,8 @@ impl Parser {
             } else if !self.eat(&Token::Join) {
                 break;
             }
+            // Each JOIN wraps the plan built so far as its left input.
+            self.bounded(joins.len() + 2)?;
             let table = self.table_ref()?;
             self.expect(Token::On, "ON")?;
             let on = self.expr()?;
@@ -274,36 +350,37 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        Ok(self.or_expr()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
+    fn or_expr(&mut self) -> Result<Tall, ParseError> {
         let mut left = self.and_expr()?;
         while self.eat(&Token::Or) {
             let right = self.and_expr()?;
-            left = Expr::binary(BinOp::Or, left, right);
+            left = self.wrap(BinOp::Or, left, right)?;
         }
         Ok(left)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
+    fn and_expr(&mut self) -> Result<Tall, ParseError> {
         let mut left = self.not_expr()?;
         while self.eat(&Token::And) {
             let right = self.not_expr()?;
-            left = Expr::binary(BinOp::And, left, right);
+            left = self.wrap(BinOp::And, left, right)?;
         }
         Ok(left)
     }
 
-    fn not_expr(&mut self) -> Result<Expr, ParseError> {
+    fn not_expr(&mut self) -> Result<Tall, ParseError> {
         if self.eat(&Token::Not) {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
+            let (inner, height) = self.descend(Self::not_expr)?;
+            Ok((Expr::Not(Box::new(inner)), self.bounded(height + 1)?))
         } else {
             self.cmp_expr()
         }
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
+    fn cmp_expr(&mut self) -> Result<Tall, ParseError> {
         let left = self.add_expr()?;
         let op = match self.peek().token {
             Token::Eq => BinOp::Eq,
@@ -316,10 +393,10 @@ impl Parser {
         };
         self.advance();
         let right = self.add_expr()?;
-        Ok(Expr::binary(op, left, right))
+        self.wrap(op, left, right)
     }
 
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
+    fn add_expr(&mut self) -> Result<Tall, ParseError> {
         let mut left = self.mul_expr()?;
         loop {
             let op = match self.peek().token {
@@ -329,12 +406,12 @@ impl Parser {
             };
             self.advance();
             let right = self.mul_expr()?;
-            left = Expr::binary(op, left, right);
+            left = self.wrap(op, left, right)?;
         }
         Ok(left)
     }
 
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
+    fn mul_expr(&mut self) -> Result<Tall, ParseError> {
         let mut left = self.unary()?;
         loop {
             let op = match self.peek().token {
@@ -344,24 +421,24 @@ impl Parser {
             };
             self.advance();
             let right = self.unary()?;
-            left = Expr::binary(op, left, right);
+            left = self.wrap(op, left, right)?;
         }
         Ok(left)
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
+    fn unary(&mut self) -> Result<Tall, ParseError> {
         if self.eat(&Token::Minus) {
-            let inner = self.unary()?;
+            let inner = self.descend(Self::unary)?;
             // Fold negation into numeric literals; otherwise 0 - expr.
-            return Ok(match inner {
-                Expr::Number(n) => Expr::Number(-n),
-                other => Expr::binary(BinOp::Sub, Expr::Number(0.0), other),
-            });
+            return match inner {
+                (Expr::Number(n), height) => Ok((Expr::Number(-n), height)),
+                other => self.wrap(BinOp::Sub, (Expr::Number(0.0), 1), other),
+            };
         }
         self.primary()
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn primary(&mut self) -> Result<Tall, ParseError> {
         let agg = match self.peek().token {
             Token::Sum => Some(AggFunc::Sum),
             Token::Count => Some(AggFunc::Count),
@@ -375,51 +452,47 @@ impl Parser {
             self.expect(Token::LParen, "( after aggregate function")?;
             if self.eat(&Token::Star) {
                 self.expect(Token::RParen, ") after *")?;
-                return Ok(Expr::Agg {
+                let star = Expr::Agg {
                     func,
                     expr: None,
                     distinct: false,
-                });
+                };
+                return Ok((star, 1));
             }
             let distinct = self.eat(&Token::Distinct);
-            let inner = self.expr()?;
+            let (inner, height) = self.descend(Self::or_expr)?;
             self.expect(Token::RParen, ") after aggregate argument")?;
-            return Ok(Expr::Agg {
+            let agg = Expr::Agg {
                 func,
                 expr: Some(Box::new(inner)),
                 distinct,
-            });
+            };
+            return Ok((agg, self.bounded(height + 1)?));
         }
 
         match self.peek().token.clone() {
             Token::Number(n) => {
                 self.advance();
-                Ok(Expr::Number(n))
+                Ok((Expr::Number(n), 1))
             }
             Token::StringLit(s) => {
                 self.advance();
-                Ok(Expr::StringLit(s))
+                Ok((Expr::StringLit(s), 1))
             }
             Token::LParen => {
                 self.advance();
-                let e = self.expr()?;
+                let e = self.descend(Self::or_expr)?;
                 self.expect(Token::RParen, "closing )")?;
                 Ok(e)
             }
             Token::Ident(first) => {
                 self.advance();
-                if self.eat(&Token::Dot) {
-                    let name = self.ident("column after .")?;
-                    Ok(Expr::Column {
-                        qualifier: Some(first),
-                        name,
-                    })
+                let (qualifier, name) = if self.eat(&Token::Dot) {
+                    (Some(first), self.ident("column after .")?)
                 } else {
-                    Ok(Expr::Column {
-                        qualifier: None,
-                        name: first,
-                    })
-                }
+                    (None, first)
+                };
+                Ok((Expr::Column { qualifier, name }, 1))
             }
             _ => Err(self.unexpected("expression")),
         }
@@ -614,6 +687,97 @@ mod tests {
             let q1 = parse_query(src).unwrap();
             let q2 = parse_query(&q1.to_string()).unwrap();
             assert_eq!(q1, q2, "roundtrip failed for {src}");
+        }
+    }
+
+    /// Runs `f` on a 2 MiB stack: Rust's default for spawned threads,
+    /// hence every `serving` worker's and every test thread's.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .expect("thread spawns")
+            .join()
+            .expect("neither a stack overflow nor a panic")
+    }
+
+    /// `n` parentheses around one leaf: `n` descents, a tree of height 1.
+    fn nested(n: usize) -> String {
+        format!("SELECT {}a{} FROM t", "(".repeat(n), ")".repeat(n))
+    }
+
+    /// `n` prefix operators (`"NOT "`, `"- "`) on one column: height `n + 1`.
+    fn prefixed(op: &str, n: usize) -> String {
+        format!("SELECT a FROM t WHERE {}a", op.repeat(n))
+    }
+
+    /// `a = 1` (two levels) with `n` more links (`" AND a = 1"`, `" + 1"`),
+    /// each wrapping one level around the chain so far: height `n + 2`.
+    fn chained(link: &str, n: usize) -> String {
+        format!("SELECT a FROM t WHERE a = 1{}", link.repeat(n))
+    }
+
+    /// `n` joins: a left-deep plan of height `n + 1`.
+    fn joined(n: usize) -> String {
+        format!("SELECT * FROM t{}", " JOIN t ON 1 = 1".repeat(n))
+    }
+
+    #[test]
+    fn deep_and_long_statements_are_a_typed_error_not_a_stack_overflow() {
+        const N: usize = 100_000;
+        let statements = [
+            nested(N),
+            prefixed("NOT ", N),
+            prefixed("- ", N),
+            chained(" AND a = 1", N),
+            chained(" OR a = 1", N),
+            chained(" + 1", N),
+            joined(N),
+        ];
+        for sql in statements {
+            let head: String = sql.chars().take(40).collect();
+            let err = on_small_stack(move || {
+                let err = crate::sql_to_plan(&sql).expect_err("past the bound");
+                *err.downcast::<ParseError>().expect("a parse error")
+            });
+            assert!(matches!(err, ParseError::TooDeep { .. }), "{head}…: {err}");
+        }
+    }
+
+    #[test]
+    fn the_bound_is_exact_and_reports_where_it_was_crossed() {
+        const H: usize = MAX_TREE_HEIGHT;
+        assert!(parse_query(&nested(2 * H)).is_ok());
+        assert_eq!(
+            parse_query(&nested(2 * H + 1)),
+            Err(ParseError::TooDeep {
+                // The token after the parenthesis that went too deep.
+                offset: "SELECT ".len() + 2 * H + 1
+            })
+        );
+        let too_deep = |sql: String| matches!(parse_query(&sql), Err(ParseError::TooDeep { .. }));
+        assert!(!too_deep(prefixed("NOT ", H - 1)) && too_deep(prefixed("NOT ", H)));
+        assert!(!too_deep(chained(" AND a = 1", H - 2)) && too_deep(chained(" AND a = 1", H - 1)));
+        assert!(!too_deep(joined(H - 1)) && too_deep(joined(H)));
+    }
+
+    #[test]
+    fn statements_at_the_bound_plan_print_and_drop_on_a_small_stack() {
+        const H: usize = MAX_TREE_HEIGHT;
+        let at_bound = [
+            nested(2 * H),
+            prefixed("NOT ", H - 1),
+            chained(" AND a = 1", H - 2),
+            chained(" + 1", H - 2),
+            joined(H - 1),
+        ];
+        for sql in at_bound {
+            on_small_stack(move || {
+                let plan = crate::sql_to_plan(&sql).expect("at the bound");
+                assert!(!plan.root.describe().is_empty());
+                let query = parse_query(&sql).expect("at the bound");
+                assert_eq!(parse_query(&query.to_string()), Ok(query));
+            });
         }
     }
 }

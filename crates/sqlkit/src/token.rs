@@ -2,7 +2,7 @@
 
 /// A lexical token with its source offset (byte index of its first char).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+pub(crate) struct Spanned {
     /// The token itself.
     pub token: Token,
     /// Byte offset in the source where the token starts.
@@ -99,7 +99,7 @@ pub enum Token {
 
 impl Token {
     /// Tries to interpret an identifier as a keyword.
-    pub fn keyword(word: &str) -> Option<Token> {
+    pub(crate) fn keyword(word: &str) -> Option<Token> {
         Some(match word.to_ascii_uppercase().as_str() {
             "SELECT" => Token::Select,
             "FROM" => Token::From,

@@ -7,8 +7,8 @@
 //! model key — typically `(system, operator)` — and computes the
 //! paper's RMSE% plus the Q-error literature's multiplicative error
 //! over the window. A model whose rolling error crosses the configured
-//! thresholds is *flagged*, and [`ModelHealth::retrain_recommended`]
-//! surfaces that to whoever schedules tuning passes.
+//! thresholds is *flagged* ([`ModelHealth::drifted`]) for whoever
+//! schedules tuning passes.
 
 use mathkit::metrics::rmse_pct;
 use std::collections::{BTreeMap, VecDeque};
@@ -62,16 +62,6 @@ pub struct ModelHealth {
     pub epoch_span: Option<(u64, u64)>,
 }
 
-impl ModelHealth {
-    /// Whether the offline-tuning path should retrain this model.
-    /// Currently synonymous with [`ModelHealth::drifted`]; kept as its
-    /// own method so the recommendation policy can grow (e.g. require
-    /// consecutive drifted windows) without touching call sites.
-    pub fn retrain_recommended(&self) -> bool {
-        self.drifted
-    }
-}
-
 fn q_error(predicted: f64, actual: f64) -> f64 {
     let (p, a) = (predicted.abs(), actual.abs());
     (p.max(a) + Q_ERROR_EPS) / (p.min(a) + Q_ERROR_EPS)
@@ -111,11 +101,6 @@ impl<K: Ord + Clone> DriftMonitor<K> {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &DriftConfig {
-        &self.config
-    }
-
     /// Records one `(predicted, actual)` pair for `key`, evicting the
     /// oldest pair once the window is full.
     pub fn record(&mut self, key: K, predicted: f64, actual: f64) {
@@ -134,11 +119,6 @@ impl<K: Ord + Clone> DriftMonitor<K> {
         window.pairs.push_back((predicted, actual, epoch));
     }
 
-    /// Number of models the monitor has seen.
-    pub fn models(&self) -> usize {
-        self.windows.len()
-    }
-
     /// The current health of `key`, if any observations were recorded.
     pub fn status(&self, key: &K) -> Option<ModelHealth> {
         self.windows.get(key).map(|w| self.health_of(w))
@@ -149,15 +129,6 @@ impl<K: Ord + Clone> DriftMonitor<K> {
         self.windows
             .iter()
             .map(|(k, w)| (k.clone(), self.health_of(w)))
-            .collect()
-    }
-
-    /// The keys of all currently drifted models.
-    pub fn flagged(&self) -> Vec<K> {
-        self.windows
-            .iter()
-            .filter(|(_, w)| self.health_of(w).drifted)
-            .map(|(k, _)| k.clone())
             .collect()
     }
 
@@ -225,10 +196,8 @@ mod tests {
         }
         let h = m.status(&"a").unwrap();
         assert!(!h.drifted);
-        assert!(!h.retrain_recommended());
         assert!(h.rmse_pct < 5.0);
         assert!(h.mean_q_error < 1.1);
-        assert!(m.flagged().is_empty());
     }
 
     #[test]
@@ -239,9 +208,7 @@ mod tests {
         }
         let h = m.status(&"bad").unwrap();
         assert!(h.drifted);
-        assert!(h.retrain_recommended());
         assert!(h.mean_q_error > 2.5);
-        assert_eq!(m.flagged(), vec!["bad"]);
     }
 
     #[test]
@@ -307,12 +274,12 @@ mod tests {
         m.record(("hive", "join"), 1.0, 1.0);
         m.record(("hive", "agg"), 2.0, 2.0);
         m.record(("presto", "join"), 3.0, 3.0);
-        assert_eq!(m.models(), 3);
+        assert_eq!(m.windows.len(), 3);
         let report = m.report();
         assert_eq!(report.len(), 3);
         assert!(report.values().all(|h| h.samples == 1 && !h.drifted));
         m.clear();
-        assert_eq!(m.models(), 0);
+        assert!(m.windows.is_empty());
         assert!(m.status(&("hive", "join")).is_none());
     }
 }

@@ -17,7 +17,7 @@
 //!   [`MetricsSnapshot`] for programmatic assertions.
 //! * [`trace`] — structured event tracing: typed [`Event`]s describing
 //!   each estimate's full decision trail, routed through a pluggable
-//!   [`Subscriber`]. With no subscriber attached ([`Tracer::disabled`]),
+//!   [`Subscriber`]. With no subscriber attached (the default [`Tracer`]),
 //!   [`Tracer::emit`] never runs its closure, so instrumented code
 //!   allocates nothing.
 //! * [`drift`] — a [`DriftMonitor`] computing rolling RMSE% and Q-error
@@ -35,12 +35,10 @@ pub mod span;
 pub mod trace;
 
 pub use drift::{DriftConfig, DriftMonitor, ModelHealth};
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricId, MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use slo::{BurnAlert, SloConfig, SloEngine};
 pub use span::{Exemplar, SpanConfig, SpanGuard, SpanId, SpanLayer, SpanSnapshot, Stage};
-pub use trace::{AlertEvent, Event, RingSubscriber, Span, Subscriber, Tracer, VecSubscriber};
+pub use trace::{AlertEvent, Event, RingSubscriber, Subscriber, Tracer, VecSubscriber};
 
 use std::sync::Arc;
 

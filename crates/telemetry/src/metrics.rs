@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A metric's identity: name plus canonical (sorted) label pairs.
-pub type MetricId = (String, Vec<(String, String)>);
+pub(crate) type MetricId = (String, Vec<(String, String)>);
 
 fn metric_id(name: &str, labels: &[(&str, &str)]) -> MetricId {
     assert!(valid_metric_name(name), "invalid metric name `{name}`");
@@ -76,23 +76,8 @@ impl Gauge {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Adds `v` (compare-and-swap loop).
-    pub fn add(&self, v: f64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
@@ -160,7 +145,7 @@ impl Histogram {
     }
 
     /// A point-in-time copy of the histogram's state.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let core = &*self.0;
         HistogramSnapshot {
             bounds: core.bounds.clone(),
@@ -190,7 +175,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Cumulative counts in Prometheus `le` form, ending with `+Inf`.
-    pub fn cumulative(&self) -> Vec<u64> {
+    pub(crate) fn cumulative(&self) -> Vec<u64> {
         let mut total = 0;
         self.counts
             .iter()
@@ -246,11 +231,6 @@ impl std::fmt::Debug for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// A fresh, empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
     /// Gets or creates the counter `name{labels}`.
     ///
     /// # Panics
@@ -527,7 +507,7 @@ mod tests {
 
     #[test]
     fn counters_increment_and_reset() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         let c = reg.counter("requests_total", &[("system", "hive")]);
         c.inc();
         c.add(4);
@@ -542,7 +522,7 @@ mod tests {
 
     #[test]
     fn label_order_is_canonicalised() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         let a = reg.counter("m_total", &[("a", "1"), ("b", "2")]);
         let b = reg.counter("m_total", &[("b", "2"), ("a", "1")]);
         a.inc();
@@ -550,18 +530,19 @@ mod tests {
     }
 
     #[test]
-    fn gauges_set_and_add() {
-        let reg = MetricsRegistry::new();
+    fn gauges_set_and_get() {
+        let reg = MetricsRegistry::default();
         let g = reg.gauge("alpha", &[]);
         g.set(0.5);
-        g.add(0.25);
-        assert!((g.get() - 0.75).abs() < 1e-12);
+        assert_eq!(g.get(), 0.5);
+        g.set(0.75);
+        assert_eq!(reg.gauge("alpha", &[]).get(), 0.75);
     }
 
     #[test]
     #[should_panic(expected = "different type")]
     fn type_mismatch_panics() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         let _ = reg.counter("x_total", &[]);
         let _ = reg.gauge("x_total", &[]);
     }
@@ -569,13 +550,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid metric name")]
     fn invalid_names_rejected() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         let _ = reg.counter("9starts_with_digit", &[]);
     }
 
     #[test]
     fn histogram_bucketing_underflow_overflow_and_exact_boundaries() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         let h = reg.histogram("lat_secs", &[], &[1.0, 5.0, 10.0]);
         // Underflow: below the first bound still lands in bucket 0.
         h.observe(0.001);
@@ -600,13 +581,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn histogram_bounds_must_increase() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         let _ = reg.histogram("bad", &[], &[1.0, 1.0]);
     }
 
     #[test]
     fn concurrent_counter_increments_match_serial_total_exactly() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         let c = reg.counter("contended_total", &[]);
         let h = reg.histogram("contended_secs", &[], &[0.5, 1.0]);
         const THREADS: usize = 8;
@@ -631,7 +612,7 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_registry_contents() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         reg.counter("c_total", &[("k", "v")]).add(7);
         reg.gauge("g", &[]).set(1.5);
         reg.histogram("h_secs", &[], &[1.0]).observe(0.4);
@@ -684,7 +665,7 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_is_well_formed() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         reg.set_help("requests_total", "Requests served.");
         reg.counter("requests_total", &[("system", "hive-a"), ("op", "join")])
             .add(3);
@@ -708,7 +689,7 @@ mod tests {
 
     #[test]
     fn label_values_escape_backslashes_quotes_and_newlines() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         reg.counter("weird_total", &[("path", "a\\b")]).inc();
         reg.counter("weird_total", &[("path", "say \"hi\"")]).inc();
         reg.counter("weird_total", &[("path", "line1\nline2")])
@@ -731,7 +712,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_renders_complete_zeroed_buckets() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         reg.histogram("idle_secs", &[("system", "hive")], &[0.5, 2.0]);
         let text = reg.render_prometheus();
         assert_valid_prometheus(&text);
@@ -745,7 +726,7 @@ mod tests {
     #[test]
     fn rendering_order_is_stable_across_snapshots_and_interleaved_writes() {
         let build = |interleaved: bool| {
-            let reg = MetricsRegistry::new();
+            let reg = MetricsRegistry::default();
             if interleaved {
                 reg.gauge("z_gauge", &[]).set(1.0);
                 reg.counter("a_total", &[("op", "join")]).inc();

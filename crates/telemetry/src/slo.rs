@@ -207,11 +207,6 @@ impl SloEngine {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &SloConfig {
-        &self.config
-    }
-
     /// Records one response: `ok` is whether it succeeded, `latency_us`
     /// its end-to-end latency, `now_us` the serving clock's timestamp.
     /// Returns the alert if this record fired one.
@@ -263,16 +258,6 @@ impl SloEngine {
             at_us: now_us,
         })
     }
-
-    /// Current `(short, long)` burn rates as last published.
-    pub fn burn_rates(&self) -> (f64, f64) {
-        (self.short_gauge.get(), self.long_gauge.get())
-    }
-
-    /// Alerts fired since construction.
-    pub fn alerts_total(&self) -> u64 {
-        self.alerts.get()
-    }
 }
 
 #[cfg(test)]
@@ -296,6 +281,10 @@ mod tests {
         )
     }
 
+    fn burn_rates(e: &SloEngine) -> (f64, f64) {
+        (e.short_gauge.get(), e.long_gauge.get())
+    }
+
     #[test]
     fn healthy_traffic_never_alerts() {
         let t = Telemetry::new();
@@ -303,9 +292,9 @@ mod tests {
         for i in 0..200u64 {
             assert!(e.record(i * 10_000, 500.0, true).is_none());
         }
-        let (short, long) = e.burn_rates();
+        let (short, long) = burn_rates(&e);
         assert_eq!((short, long), (0.0, 0.0));
-        assert_eq!(e.alerts_total(), 0);
+        assert_eq!(e.alerts.get(), 0);
         let snap = t.metrics.snapshot();
         assert_eq!(
             snap.gauge("slo_burn_rate", &[("window", "short")]),
@@ -331,7 +320,7 @@ mod tests {
         assert_eq!(alerts.len(), 2, "cooldown must suppress repeats");
         assert!(alerts[0].short_burn >= 5.0 && alerts[0].long_burn >= 5.0);
         assert!(alerts[1].at_us - alerts[0].at_us >= 2_000_000);
-        assert_eq!(e.alerts_total(), 2);
+        assert_eq!(e.alerts.get(), 2);
         let events = sub.snapshot();
         assert_eq!(events.len(), 2);
         assert!(matches!(
@@ -367,7 +356,7 @@ mod tests {
         for i in 0..30u64 {
             fired |= e.record(4_000_000 + i * 10_000, 9_000.0, true).is_some();
         }
-        let (short, long) = e.burn_rates();
+        let (short, long) = burn_rates(&e);
         assert!(short > 2.0, "short window must see the blip ({short})");
         assert!(long < 5.0, "long window must absorb it ({long})");
         assert!(!fired, "multi-window rule must suppress the blip");
@@ -380,7 +369,7 @@ mod tests {
         for i in 0..20u64 {
             e.record(i * 1_000, 10.0, false);
         }
-        let (short, _) = e.burn_rates();
+        let (short, _) = burn_rates(&e);
         assert!(short >= 5.0);
     }
 
@@ -391,11 +380,11 @@ mod tests {
         for i in 0..50u64 {
             e.record(i * 1_000, 9_000.0, true);
         }
-        let (short_hot, _) = e.burn_rates();
+        let (short_hot, _) = burn_rates(&e);
         assert!(short_hot > 0.0);
         // 10 simulated seconds later every window has rolled over.
         e.record(10_050_000, 100.0, true);
-        let (short, long) = e.burn_rates();
+        let (short, long) = burn_rates(&e);
         assert_eq!((short, long), (0.0, 0.0));
     }
 }

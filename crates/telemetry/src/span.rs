@@ -79,19 +79,6 @@ impl Stage {
         Stage::RemoteExec,
     ];
 
-    /// Snake-case stage name for reports and labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::QueueWait => "queue_wait",
-            Stage::Coalesce => "coalesce",
-            Stage::CacheProbe => "cache_probe",
-            Stage::Kernel => "kernel",
-            Stage::Remedy => "remedy",
-            Stage::FederationPlacement => "federation_placement",
-            Stage::RemoteExec => "remote_exec",
-        }
-    }
-
     fn index(self) -> usize {
         self as usize
     }
@@ -360,17 +347,12 @@ impl SpanLayer {
     }
 
     /// The current sampling period (`0` = off).
-    pub fn sampling(&self) -> u64 {
+    pub(crate) fn sampling(&self) -> u64 {
         self.inner.sample_every.load(Ordering::Relaxed)
     }
 
-    /// Whether any sampling is configured.
-    pub fn is_enabled(&self) -> bool {
-        self.sampling() != 0
-    }
-
     /// Total spans sampled since construction.
-    pub fn sampled_total(&self) -> u64 {
+    pub(crate) fn sampled_total(&self) -> u64 {
         self.inner.sampled_total.load(Ordering::Relaxed)
     }
 
@@ -453,11 +435,6 @@ impl SpanGuard<'_> {
     /// Whether this request was sampled.
     pub fn is_sampled(&self) -> bool {
         self.start.is_some()
-    }
-
-    /// The span id (`SpanId(0)` for inert guards).
-    pub fn id(&self) -> SpanId {
-        self.span
     }
 
     /// Records the model-state epoch that served the request.
@@ -610,26 +587,8 @@ mod tests {
     #[test]
     fn default_layer_is_off() {
         let l = SpanLayer::default();
-        assert!(!l.is_enabled());
+        assert_eq!(l.sampling(), 0);
         l.set_sampling(2);
-        assert!(l.is_enabled());
         assert_eq!(l.sampling(), 2);
-    }
-
-    #[test]
-    fn stage_names_are_stable() {
-        let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "queue_wait",
-                "coalesce",
-                "cache_probe",
-                "kernel",
-                "remedy",
-                "federation_placement",
-                "remote_exec"
-            ]
-        );
     }
 }

@@ -20,8 +20,8 @@ use std::sync::Arc;
 ///
 /// Variants mirror the stations of the paper's estimation pipeline:
 /// service-level cache handling, the logical-operator remedy path
-/// (§4.2), observation/tuning feedback (§4.3), remote execution, and
-/// federation planning.
+/// (§4.2), observation/tuning feedback (§4.3), and federation
+/// planning.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// The service answered an estimate request.
@@ -103,15 +103,6 @@ pub enum Event {
         /// RMSE% against the log after retraining.
         rmse_pct_after: f64,
     },
-    /// A simulated remote system finished executing a query.
-    RemoteExecution {
-        /// Executing system.
-        system: String,
-        /// Wall-clock the execution took, simulated seconds.
-        secs: f64,
-        /// Queries the engine has executed so far.
-        queries_done: u64,
-    },
     /// The federation planner ranked candidate systems for a query.
     PlanRanked {
         /// Systems in ranked order, cheapest first.
@@ -179,7 +170,6 @@ impl Event {
             Event::ActualObserved { .. } => "actual_observed",
             Event::AlphaAdjusted { .. } => "alpha_adjusted",
             Event::TuningPass { .. } => "tuning_pass",
-            Event::RemoteExecution { .. } => "remote_execution",
             Event::PlanRanked { .. } => "plan_ranked",
             Event::DriftFlagged { .. } => "drift_flagged",
             Event::Span { .. } => "span",
@@ -218,11 +208,6 @@ impl Tracer {
         }
     }
 
-    /// A tracer that drops everything without building it.
-    pub fn disabled() -> Self {
-        Tracer::default()
-    }
-
     /// Whether a subscriber is attached.
     pub fn is_enabled(&self) -> bool {
         self.subscriber.is_some()
@@ -235,71 +220,6 @@ impl Tracer {
     pub fn emit<F: FnOnce() -> Event>(&self, f: F) {
         if let Some(sub) = &self.subscriber {
             sub.on_event(f());
-        }
-    }
-
-    /// Runs `f`, timing it, and emits an [`Event::Span`] with the given
-    /// name. On a disabled tracer `f` runs untimed.
-    pub fn span<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
-        match &self.subscriber {
-            None => f(),
-            Some(sub) => {
-                let start = std::time::Instant::now();
-                let out = f();
-                sub.on_event(Event::Span {
-                    name: name.to_string(),
-                    micros: start.elapsed().as_secs_f64() * 1e6,
-                });
-                out
-            }
-        }
-    }
-
-    /// Opens a named [`Span`] guard that emits an [`Event::Span`] with
-    /// its elapsed time when dropped. On a disabled tracer the guard is
-    /// inert (no allocation, no timing). Use [`Tracer::span`] when the
-    /// work fits in a closure; the guard form suits spans crossing
-    /// `?`/early-return control flow.
-    pub fn start_span(&self, name: &str) -> Span {
-        Span {
-            inner: self.subscriber.as_ref().map(|sub| SpanInner {
-                name: name.to_string(),
-                start: std::time::Instant::now(),
-                subscriber: Arc::clone(sub),
-            }),
-        }
-    }
-}
-
-struct SpanInner {
-    name: String,
-    start: std::time::Instant,
-    subscriber: Arc<dyn Subscriber>,
-}
-
-/// An RAII guard for a timed region: created by [`Tracer::start_span`],
-/// it emits an [`Event::Span`] carrying its elapsed time when dropped.
-/// Inert (and allocation-free) when the tracer is disabled.
-#[must_use = "a span measures until it is dropped"]
-pub struct Span {
-    inner: Option<SpanInner>,
-}
-
-impl std::fmt::Debug for Span {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Span")
-            .field("enabled", &self.inner.is_some())
-            .finish()
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
-            inner.subscriber.on_event(Event::Span {
-                name: inner.name,
-                micros: inner.start.elapsed().as_secs_f64() * 1e6,
-            });
         }
     }
 }
@@ -327,7 +247,7 @@ impl VecSubscriber {
     }
 
     /// Number of events collected so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.lock().len()
     }
 
@@ -344,11 +264,6 @@ impl VecSubscriber {
     /// Removes and returns all collected events.
     pub fn take(&self) -> Vec<Event> {
         std::mem::take(&mut *self.events.lock())
-    }
-
-    /// Discards all collected events.
-    pub fn clear(&self) {
-        self.events.lock().clear();
     }
 }
 
@@ -381,7 +296,7 @@ impl RingSubscriber {
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring capacity must be positive");
         let events = Mutex::new(VecDeque::with_capacity(capacity));
         events.set_rank(parking_lot::rank::TRACE_SUBSCRIBER);
@@ -411,26 +326,6 @@ impl RingSubscriber {
     /// Events evicted (lost) since construction.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Maximum events retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A copy of the retained events, oldest first.
-    pub fn snapshot(&self) -> Vec<Event> {
-        self.events.lock().iter().cloned().collect()
     }
 }
 
@@ -462,10 +357,9 @@ mod tests {
 
     #[test]
     fn disabled_tracer_never_builds_events() {
-        let t = Tracer::disabled();
+        let t = Tracer::default();
         assert!(!t.is_enabled());
         t.emit(|| unreachable!("closure must not run"));
-        assert_eq!(t.span("untimed", || 42), 42);
     }
 
     #[test]
@@ -489,46 +383,9 @@ mod tests {
         for i in 0..5 {
             t.emit(|| span("e", i as f64));
         }
-        assert_eq!(sub.len(), 2);
-        let kept = sub.snapshot();
+        let kept: Vec<Event> = sub.events.lock().iter().cloned().collect();
         assert_eq!(kept, vec![span("e", 3.0), span("e", 4.0)]);
-        assert_eq!(sub.capacity(), 2);
-    }
-
-    #[test]
-    fn span_times_the_closure() {
-        let sub = Arc::new(VecSubscriber::new());
-        let t = Tracer::new(sub.clone());
-        let out = t.span("work", || 7);
-        assert_eq!(out, 7);
-        match &sub.snapshot()[0] {
-            Event::Span { name, micros } => {
-                assert_eq!(name, "work");
-                assert!(*micros >= 0.0);
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
-    }
-
-    #[test]
-    fn span_guard_emits_on_drop() {
-        let sub = Arc::new(VecSubscriber::new());
-        let t = Tracer::new(sub.clone());
-        {
-            let _guard = t.start_span("guarded");
-            assert!(sub.is_empty(), "span must emit on drop, not on open");
-        }
-        match &sub.snapshot()[0] {
-            Event::Span { name, micros } => {
-                assert_eq!(name, "guarded");
-                assert!(*micros >= 0.0);
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
-        // Disabled tracers hand out inert guards.
-        let disabled = Tracer::disabled();
-        drop(disabled.start_span("nothing"));
-        assert_eq!(sub.len(), 1);
+        assert_eq!(sub.dropped(), 3);
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl JoinQuery {
     }
 
     /// The literal threshold implementing the requested selectivity.
-    pub fn threshold(&self) -> u64 {
+    pub(crate) fn threshold(&self) -> u64 {
         (self.small.rows as f64 * self.selectivity_pct as f64 / 100.0).round() as u64
     }
 

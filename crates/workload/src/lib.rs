@@ -40,12 +40,10 @@ pub mod traffic;
 pub use aggq::{agg_training_queries, agg_training_queries_with, AggQuery};
 pub use dag::{dag_base_tables, dag_workload, DagConfig, DagStatement};
 pub use joinq::{join_training_queries, join_training_queries_with, JoinQuery};
-pub use oor::{oor_all_table_specs, oor_join_queries, oor_table_specs, OOR_ROWS};
+pub use oor::{oor_all_table_specs, oor_join_queries, oor_table_specs};
 pub use probes::{probe_suite, probe_suite_for};
 pub use skew::{build_skewed_table, skew_join_sql, SkewedTableSpec};
-pub use tables::{
-    build_table, fig10_table_specs, register_tables, specs_up_to, table_name, TableSpec,
-};
+pub use tables::{build_table, fig10_table_specs, register_tables, specs_up_to, TableSpec};
 pub use traffic::{
     Arrival, ClientStream, ClosedLoopModel, OpenLoopModel, RequestSampler, TenantMix,
 };

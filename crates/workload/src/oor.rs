@@ -12,7 +12,7 @@
 use crate::{joinq::JoinQuery, tables::TableSpec};
 
 /// The out-of-range row count (20 million).
-pub const OOR_ROWS: u64 = 20_000_000;
+pub(crate) const OOR_ROWS: u64 = 20_000_000;
 
 /// In-range partner row counts for the "one side out of range" cases.
 const IN_RANGE_PARTNERS: [u64; 3] = [1_000_000, 4_000_000, 8_000_000];

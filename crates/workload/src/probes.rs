@@ -9,10 +9,10 @@
 use remote_sim::probe::{ProbeKind, ProbeSpec};
 
 /// Row counts used per record size (Fig. 7a: 1, 2, 4, 8 million).
-pub const PROBE_ROW_COUNTS: [u64; 4] = [1_000_000, 2_000_000, 4_000_000, 8_000_000];
+pub(crate) const PROBE_ROW_COUNTS: [u64; 4] = [1_000_000, 2_000_000, 4_000_000, 8_000_000];
 
 /// Record sizes swept by the probe suite.
-pub const PROBE_RECORD_SIZES: [u64; 5] = [40, 100, 250, 500, 1000];
+pub(crate) const PROBE_RECORD_SIZES: [u64; 5] = [40, 100, 250, 500, 1000];
 
 /// The probe suite for one sub-op kind: every (rows × record size) combo.
 /// For `ReadDfsHashBuild` the suite is doubled — one run per memory

@@ -37,7 +37,7 @@ impl SkewedTableSpec {
 
     /// The generated table name: `K{rows}_{size}_{pct}` (K for skewed so
     /// the name never collides with the uniform `Tx_y` tables).
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         format!(
             "K{}_{}_{}",
             self.base.rows,
@@ -47,7 +47,7 @@ impl SkewedTableSpec {
     }
 
     /// Rows carried by the heavy `a1` value.
-    pub fn heavy_rows(&self) -> u64 {
+    pub(crate) fn heavy_rows(&self) -> u64 {
         (self.base.rows as f64 * self.heavy_fraction).round() as u64
     }
 }

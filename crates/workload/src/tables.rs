@@ -5,16 +5,16 @@ use remote_sim::ClusterEngine;
 use serde::{Deserialize, Serialize};
 
 /// Duplication factors of the `aᵢ` columns in the Fig. 10 schema.
-pub const DUPLICATION_FACTORS: [u64; 7] = [1, 2, 5, 10, 20, 50, 100];
+pub(crate) const DUPLICATION_FACTORS: [u64; 7] = [1, 2, 5, 10, 20, 50, 100];
 
 /// Record-size configurations (`y`) in bytes.
-pub const RECORD_SIZES: [u64; 6] = [40, 70, 100, 250, 500, 1000];
+pub(crate) const RECORD_SIZES: [u64; 6] = [40, 70, 100, 250, 500, 1000];
 
 /// Row-count multipliers (`k`).
-pub const ROW_MULTIPLIERS: [u64; 5] = [1, 2, 4, 6, 8];
+pub(crate) const ROW_MULTIPLIERS: [u64; 5] = [1, 2, 4, 6, 8];
 
 /// Row-count magnitudes (the `10^n` factors).
-pub const ROW_MAGNITUDES: [u64; 4] = [10_000, 100_000, 1_000_000, 10_000_000];
+pub(crate) const ROW_MAGNITUDES: [u64; 4] = [10_000, 100_000, 1_000_000, 10_000_000];
 
 /// One `Tx_y` table configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -43,7 +43,7 @@ impl TableSpec {
 }
 
 /// The Fig. 10 naming convention `Tx_y`.
-pub fn table_name(rows: u64, record_bytes: u64) -> String {
+pub(crate) fn table_name(rows: u64, record_bytes: u64) -> String {
     format!("T{rows}_{record_bytes}")
 }
 

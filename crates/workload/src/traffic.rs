@@ -27,8 +27,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// SplitMix64 finalizer: decorrelates derived seeds so that
 /// `(seed, client 1)` and `(seed, client 2)` yield independent streams.
@@ -98,24 +96,15 @@ impl TenantMix {
         TenantMix { cumulative }
     }
 
-    /// A uniform mix over `tenants` tenants.
-    pub fn uniform(tenants: usize) -> TenantMix {
-        TenantMix::zipf(tenants, 0.0)
-    }
-
-    /// Number of tenants in the mix.
-    pub fn tenants(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Draw a tenant id in `0..tenants()`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    /// Draw a tenant id in `0..n` for a mix over `n` tenants.
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen_range(0.0..1.0);
         self.cumulative.partition_point(|&c| c < u) as u64
     }
 
     /// The traffic fraction assigned to `tenant`, or 0 out of range.
-    pub fn share(&self, tenant: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn share(&self, tenant: usize) -> f64 {
         match tenant {
             0 => self.cumulative.first().copied().unwrap_or(0.0),
             t if t < self.cumulative.len() => self.cumulative[t] - self.cumulative[t - 1],
@@ -202,7 +191,6 @@ impl ClosedLoopModel {
         let mut rng = StdRng::seed_from_u64(mix_seed(self.seed, client.wrapping_add(1)));
         let tenant = self.mix.sample(&mut rng);
         ClientStream {
-            client,
             tenant,
             rng,
             mean_think_us: if self.mean_think_us.is_finite() && self.mean_think_us >= 0.0 {
@@ -212,59 +200,17 @@ impl ClosedLoopModel {
             },
         }
     }
-
-    /// Simulate the closed loop against a fixed virtual service time
-    /// and return the resulting arrival schedule, time-ordered, up to
-    /// `horizon_us`. This is the reference schedule the deterministic
-    /// tests compare across seeds; the bench drives real clients
-    /// against the live front-end instead.
-    pub fn schedule(&self, service_time_us: u64, horizon_us: u64) -> Vec<Arrival> {
-        let clients = self.clients.max(1);
-        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut streams: Vec<ClientStream> = Vec::with_capacity(clients as usize);
-        for c in 0..clients {
-            let mut s = self.client(c);
-            // First request: a think-time offset staggers the start so
-            // the population does not arrive as one synchronized spike.
-            let first = s.next_think_us();
-            heap.push(Reverse((first, c)));
-            streams.push(s);
-        }
-        let mut out = Vec::new();
-        while let Some(Reverse((at, c))) = heap.pop() {
-            if at >= horizon_us {
-                break;
-            }
-            let stream = &mut streams[c as usize];
-            out.push(Arrival {
-                at_micros: at,
-                tenant: stream.tenant,
-                client: c,
-            });
-            let next = at
-                .saturating_add(service_time_us)
-                .saturating_add(stream.next_think_us());
-            heap.push(Reverse((next, c)));
-        }
-        out
-    }
 }
 
 /// One simulated user's deterministic request stream.
 #[derive(Debug, Clone)]
 pub struct ClientStream {
-    client: u64,
     tenant: u64,
     rng: StdRng,
     mean_think_us: f64,
 }
 
 impl ClientStream {
-    /// The client id this stream belongs to.
-    pub fn client(&self) -> u64 {
-        self.client
-    }
-
     /// The tenant this client is pinned to.
     pub fn tenant(&self) -> u64 {
         self.tenant
@@ -332,6 +278,43 @@ impl RequestSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The closed loop simulated against a fixed virtual service time:
+    /// the time-ordered arrival schedule up to `horizon_us`. The bench
+    /// drives real clients against the live front-end instead; this is
+    /// the reference the determinism tests compare across seeds.
+    fn schedule(model: &ClosedLoopModel, service_time_us: u64, horizon_us: u64) -> Vec<Arrival> {
+        let clients = model.clients.max(1);
+        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut streams: Vec<ClientStream> = Vec::with_capacity(clients as usize);
+        for c in 0..clients {
+            let mut s = model.client(c);
+            // First request: a think-time offset staggers the start so
+            // the population does not arrive as one synchronized spike.
+            let first = s.next_think_us();
+            heap.push(Reverse((first, c)));
+            streams.push(s);
+        }
+        let mut out = Vec::new();
+        while let Some(Reverse((at, c))) = heap.pop() {
+            if at >= horizon_us {
+                break;
+            }
+            let stream = &mut streams[c as usize];
+            out.push(Arrival {
+                at_micros: at,
+                tenant: stream.tenant,
+                client: c,
+            });
+            let next = at
+                .saturating_add(service_time_us)
+                .saturating_add(stream.next_think_us());
+            heap.push(Reverse((next, c)));
+        }
+        out
+    }
 
     #[test]
     fn open_loop_same_seed_same_schedule() {
@@ -358,7 +341,7 @@ mod tests {
         let model = OpenLoopModel {
             seed: 7,
             rate_per_sec: 50_000.0,
-            mix: TenantMix::uniform(4),
+            mix: TenantMix::zipf(4, 0.0),
         };
         let n = 20_000;
         let last = model.arrivals().nth(n - 1).expect("infinite iterator");
@@ -375,7 +358,7 @@ mod tests {
         let model = OpenLoopModel {
             seed: 3,
             rate_per_sec: 1_000_000.0,
-            mix: TenantMix::uniform(2),
+            mix: TenantMix::zipf(2, 0.0),
         };
         let mut prev = 0;
         for a in model.arrivals().take(2_000) {
@@ -392,8 +375,8 @@ mod tests {
             mean_think_us: 500.0,
             mix: TenantMix::zipf(8, 1.2),
         };
-        let a = model.schedule(200, 100_000);
-        let b = model.schedule(200, 100_000);
+        let a = schedule(&model, 200, 100_000);
+        let b = schedule(&model, 200, 100_000);
         assert_eq!(a, b, "identical seeds reproduce identical schedules");
         assert!(!a.is_empty());
 
@@ -401,7 +384,7 @@ mod tests {
             seed: 12,
             ..model.clone()
         };
-        assert_ne!(a, other.schedule(200, 100_000), "different seeds diverge");
+        assert_ne!(a, schedule(&other, 200, 100_000), "different seeds diverge");
     }
 
     #[test]
@@ -412,7 +395,7 @@ mod tests {
             mean_think_us: 100.0,
             mix: TenantMix::zipf(4, 1.0),
         };
-        let schedule = model.schedule(50, 50_000);
+        let schedule = schedule(&model, 50, 50_000);
         let mut tenant_of = std::collections::HashMap::new();
         for a in &schedule {
             let entry = tenant_of.entry(a.client).or_insert(a.tenant);
@@ -432,10 +415,10 @@ mod tests {
             seed: 9,
             clients: 4,
             mean_think_us: 1_000.0,
-            mix: TenantMix::uniform(1),
+            mix: TenantMix::zipf(1, 0.0),
         };
         let horizon = 1_000_000; // 1 virtual second
-        let schedule = model.schedule(1_000, horizon);
+        let schedule = schedule(&model, 1_000, horizon);
         // Upper bound: each client completes at most one cycle per
         // service_time (think could draw ~0 occasionally, but the mean
         // keeps the total well under the open-loop equivalent).
@@ -480,7 +463,7 @@ mod tests {
     #[test]
     fn zipf_mix_is_skewed_and_normalised() {
         let mix = TenantMix::zipf(16, 1.0);
-        assert_eq!(mix.tenants(), 16);
+        assert_eq!(mix.cumulative.len(), 16);
         let total: f64 = (0..16).map(|t| mix.share(t)).sum();
         assert!((total - 1.0).abs() < 1e-9);
         assert!(
@@ -503,7 +486,7 @@ mod tests {
 
     #[test]
     fn uniform_mix_covers_all_tenants() {
-        let mix = TenantMix::uniform(5);
+        let mix = TenantMix::zipf(5, 0.0);
         let mut rng = StdRng::seed_from_u64(1);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..1_000 {
@@ -551,7 +534,7 @@ mod tests {
         let model = OpenLoopModel {
             seed: 99,
             rate_per_sec: 100_000.0,
-            mix: TenantMix::uniform(1),
+            mix: TenantMix::zipf(1, 0.0),
         };
         let mut sketch = mathkit::QuantileSketch::for_latency_us();
         let mut gaps = Vec::new();

@@ -11,6 +11,8 @@
 use catalog::SystemId;
 use costing::estimator::OperatorKind;
 use costing::features::agg_dim_names;
+use costing::hybrid::persist::{load_snapshot, save_snapshot};
+use costing::hybrid::PersistError;
 use costing::logical_op::{
     flow::LogicalOpCosting,
     model::{FitConfig, LogicalOpModel},
@@ -334,4 +336,82 @@ fn pinned_batches_survive_concurrent_tuning_pipeline_passes() {
         let passes = tuner.join().expect("tuner thread");
         assert!(passes > 0);
     });
+}
+
+/// The recovery path end to end: a snapshot saved to disk, reloaded
+/// after the service has moved on, and published again by
+/// `rollback_to` serves exactly what it served when it was saved.
+#[test]
+fn a_reloaded_snapshot_rolls_the_service_back_under_a_new_epoch() {
+    let service = EstimatorService::new(ServiceConfig::default());
+    let systems = [SystemId::new("churn-a"), SystemId::new("churn-b")];
+    service.register(systems[0].clone(), variant(1.0));
+    service.register(systems[1].clone(), variant(2.5));
+    let rows = probe_rows();
+    // Out-of-range actuals feed the log and the α tuner, so the saved
+    // state is more than two freshly trained models.
+    for i in 0..6 {
+        let r = 6.0e7 + i as f64 * 5e6;
+        service
+            .observe_actual(
+                &systems[0],
+                OperatorKind::Aggregation,
+                &[r, 250.0, r / 10.0, 12.0],
+                2.0 + r * 4e-7,
+            )
+            .unwrap();
+    }
+    service
+        .adjust_alpha(&systems[0], OperatorKind::Aggregation)
+        .unwrap();
+    let bits = |service: &EstimatorService| -> Vec<u64> {
+        systems
+            .iter()
+            .flat_map(|sys| rows.iter().map(move |row| (sys, row)))
+            .map(|(sys, row)| {
+                let estimate = service.estimate(sys, OperatorKind::Aggregation, row);
+                estimate.unwrap().secs.to_bits()
+            })
+            .collect()
+    };
+    let saved = service.snapshot();
+    let saved_bits = bits(&service);
+
+    let path = std::env::temp_dir().join(format!("it-epoch-churn-{}.json", std::process::id()));
+    save_snapshot(&saved, &path).unwrap();
+    let loaded = load_snapshot(&path).unwrap();
+    assert_eq!(loaded.epoch(), saved.epoch());
+    assert_eq!(loaded.lineage(), saved.lineage());
+
+    // Two more epochs, each changing what the service answers.
+    service.register(systems[0].clone(), variant(4.0));
+    service.register(systems[1].clone(), variant(0.5));
+    assert_ne!(bits(&service), saved_bits);
+    let before = service.epoch();
+
+    let published = service.rollback_to(&loaded);
+    assert_eq!(bits(&service), saved_bits, "estimates of the saved epoch");
+    assert_eq!(service.epoch(), published.epoch());
+    assert_eq!(
+        published.epoch().get(),
+        before.get() + 1,
+        "a rollback advances the epoch, it does not rewind it"
+    );
+    let lineage = published.lineage();
+    assert_eq!(lineage.parent, Some(before.get()));
+    assert_eq!(lineage.restores, Some(saved.epoch().get()));
+    // Log and tuner came back with the models.
+    let restored = published
+        .model(&systems[0], OperatorKind::Aggregation)
+        .unwrap();
+    let original = saved.model(&systems[0], OperatorKind::Aggregation).unwrap();
+    assert_eq!(restored.log.len(), 6);
+    assert_eq!(restored.tuner.alpha(), original.tuner.alpha());
+
+    // A file cut short is refused, not half-loaded and not a panic.
+    let json = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &json[..json.len() / 2]).unwrap();
+    assert!(matches!(load_snapshot(&path), Err(PersistError::Serde(_))));
+    std::fs::remove_file(&path).unwrap();
+    assert!(matches!(load_snapshot(&path), Err(PersistError::Io(_))));
 }
