@@ -45,6 +45,14 @@ use workload::{ClosedLoopModel, OpenLoopModel, RequestSampler, TenantMix};
 /// coalescing included, stays under 5 ms.
 pub const SLO_US: f64 = 5_000.0;
 
+/// The coalescing bound the validator holds every windowed open-loop
+/// row to: `p50_us ≤ 2 × coalesce_window_us + COALESCE_SLACK_US`. The
+/// window is a deadline from a batch's first dequeue, so a median
+/// request waits at most about one window for its batch to seal and
+/// another for the batch ahead of it; the slack covers the kernel,
+/// wake-ups and the reply.
+const COALESCE_SLACK_US: f64 = 250.0;
+
 /// One measured sweep point, as written to `BENCH_frontend.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FrontendRow {
@@ -119,7 +127,8 @@ impl BenchDoc for FrontendDoc {
         }
     }
 
-    /// Per-row quantile ordering and the submitted-vs-resolved ledger.
+    /// Per-row quantile ordering, the submitted-vs-resolved ledger, and
+    /// the coalescing bound on windowed open-loop rows.
     fn check(&self) -> Result<(), String> {
         if !(self.slo_us.is_finite() && self.slo_us > 0.0) {
             return Err(format!("bad slo_us {}", self.slo_us));
@@ -146,6 +155,14 @@ impl BenchDoc for FrontendDoc {
             }
             if !(0.0..=1.0).contains(&r.slo_attainment) {
                 return Err(format!("row {i}: slo_attainment {}", r.slo_attainment));
+            }
+            let bound_us = 2.0 * r.coalesce_window_us as f64 + COALESCE_SLACK_US;
+            if r.loop_kind == "open" && r.coalesce_window_us > 0 && r.p50_us > bound_us {
+                return Err(format!(
+                    "row {i} (open, {:.0} rps, window {} us): p50 {:.0} us over the \
+                     coalescing bound {bound_us:.0} us",
+                    r.offered_rps, r.coalesce_window_us, r.p50_us
+                ));
             }
         }
         Ok(())
@@ -738,6 +755,33 @@ mod tests {
         doc.rows[0].p50_us = 5_000.0; // above p99
         let text = serde_json::to_string_pretty(&doc).unwrap();
         assert!(validate_doc(&text).unwrap_err().contains("quantiles"));
+    }
+
+    #[test]
+    fn validation_rejects_a_windowed_row_over_the_coalescing_bound() {
+        let mut doc = sample_doc();
+        let mut slow = sample_row();
+        slow.coalesce_window_us = 100;
+        slow.p50_us = 1_709.0; // the idle-timer reading at 20k rps
+        slow.p99_us = 2_300.0;
+        doc.rows.push(slow);
+        let text = serde_json::to_string_pretty(&doc).unwrap();
+        let err = validate_doc(&text).unwrap_err();
+        assert!(
+            err.contains("row 1") && err.contains("coalescing bound"),
+            "{err}"
+        );
+
+        // A greedy (window 0) row and a closed-loop row are not held to it.
+        let mut doc = sample_doc();
+        doc.rows[0].coalesce_window_us = 0;
+        doc.rows[0].p50_us = 800.0;
+        let mut closed = sample_row();
+        closed.loop_kind = "closed".to_string();
+        closed.p50_us = 800.0;
+        doc.rows.push(closed);
+        let text = serde_json::to_string_pretty(&doc).unwrap();
+        assert!(validate_doc(&text).is_ok());
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   with [`Rejection::RateLimited`] before they can crowd the queue.
 //! * **Cross-request batch coalescing** — worker threads play *batch
 //!   leader*: one worker holds the queue receiver, takes the first
-//!   request, then keeps draining until the queue goes quiet for the
-//!   coalesce window (or the batch hits `max_batch`). The collected
+//!   request, then keeps draining until the coalesce window — a
+//!   deadline counted from that first dequeue, not an idle timeout —
+//!   runs out (or the batch hits `max_batch`). The collected
 //!   batch pins **exactly one snapshot epoch** and runs as grouped
 //!   [`EstimatorService::estimate_batch_flat_pinned_scratch`] calls —
 //!   many tiny requests amortise into one fused NN forward pass per
@@ -33,12 +34,13 @@
 //! offline shims: plain threads, a bounded `std::sync::mpsc` channel as
 //! the run queue, and capacity-1 reply channels as one-shot futures
 //! ([`Ticket::wait`] is the `await`). Wall-clock time never enters this
-//! module — the coalesce window is a *relative* timeout handled by
-//! `recv_timeout`, and the rate limiter reads an injected
-//! [`Clock`] — so admission decisions replay deterministically under a
-//! manual clock, and the analysis pass holds this module to the
-//! panic-freedom, alloc-freedom and blocking-freedom rules (R1, R7, R8)
-//! that govern the rest of the estimation hot path.
+//! module — the coalesce deadline and the rate limiter both read an
+//! injected [`Clock`], and `recv_timeout` only sleeps out what is left
+//! of the window — so admission decisions replay deterministically and
+//! a test can move the coalesce deadline under a manual clock. The
+//! analysis pass holds this module to the panic-freedom, alloc-freedom
+//! and blocking-freedom rules (R1, R7, R8) that govern the rest of the
+//! estimation hot path.
 
 use crate::clock::Clock;
 use crate::limiter::{RateLimitConfig, TenantRateLimiter};
@@ -47,7 +49,7 @@ use costing::{CostEstimate, EstimateScratch, EstimatorService, OperatorKind, Ser
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
 use telemetry::span::Stage;
@@ -63,9 +65,10 @@ pub struct FrontendConfig {
     /// Admission-queue bound; requests beyond it are shed. Clamped to
     /// at least 1.
     pub queue_capacity: usize,
-    /// How long a batch leader waits for the *next* request before
-    /// sealing the batch, in microseconds. `0` = greedy: take whatever
-    /// is queued right now and go.
+    /// How long a batch stays open after its first request is dequeued,
+    /// in microseconds: a deadline, not an idle timeout, so a steady
+    /// trickle of arrivals cannot keep a batch open past it. `0` =
+    /// greedy: take whatever is queued right now and go.
     pub coalesce_window_us: u64,
     /// Largest coalesced batch. Clamped to at least 1.
     pub max_batch: usize,
@@ -187,8 +190,8 @@ impl Ticket {
     pub fn try_wait(&self) -> Option<FrontendResult> {
         match self.rx.try_recv() {
             Ok(result) => Some(result),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(Rejection::ShuttingDown)),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(Err(Rejection::ShuttingDown)),
         }
     }
 }
@@ -447,7 +450,8 @@ impl Frontend {
     /// Runs one batch-leader pass on the calling thread without
     /// blocking for new arrivals: drains whatever is queued right now
     /// (up to `max_batch`), serves it against one pinned snapshot, and
-    /// returns the batch size. The manual-drive path for `workers: 0`
+    /// returns the batch size. It never waits for followers, whatever
+    /// the coalesce window. The manual-drive path for `workers: 0`
     /// deterministic tests.
     pub fn drain_now(&self) -> usize {
         let (batch, _stop, coalesce_us) = collect_batch(&self.inner, false);
@@ -514,11 +518,15 @@ fn worker_loop(inner: &Inner) {
 }
 
 /// One leader pass: pops the first message (blocking or not), then
-/// keeps the baton while the queue stays warm — every further request
-/// that arrives within the coalesce window joins the batch, up to
-/// `max_batch`. Returns the batch, whether this worker must stop, and
-/// how long (on the injected clock) the leader held the baton waiting
-/// for followers — the batch's coalesce span stage.
+/// keeps the baton until the coalesce window, a *deadline* counted on
+/// the injected clock from that first dequeue, runs out or the batch
+/// hits `max_batch`. Whatever is already queued is taken without
+/// waiting; only an empty queue waits, and only for what is left of the
+/// window, so a steady trickle cannot hold the batch open. The
+/// non-blocking pass ([`Frontend::drain_now`]) has a zero budget and
+/// never waits for followers. Returns the batch, whether this worker
+/// must stop, and how long (on the injected clock) the leader held the
+/// baton waiting for followers — the batch's coalesce span stage.
 fn collect_batch(inner: &Inner, block_for_first: bool) -> (Vec<Pending>, bool, u64) {
     let mut batch = Vec::new();
     let mut stop = false;
@@ -540,21 +548,34 @@ fn collect_batch(inner: &Inner, block_for_first: bool) -> (Vec<Pending>, bool, u
             Msg::Request(p) => batch.push(p),
             Msg::Stop => return (batch, true, 0),
         }
-        let window = Duration::from_micros(inner.config.coalesce_window_us);
         let coalesce_start = inner.clock.now_micros();
+        let window_us = if block_for_first {
+            inner.config.coalesce_window_us
+        } else {
+            0
+        };
+        let deadline = coalesce_start.saturating_add(window_us);
         while batch.len() < inner.config.max_batch && !stop {
-            let next = if inner.config.coalesce_window_us == 0 {
-                queue_rx.try_recv().map_err(|_| RecvTimeoutError::Timeout)
-            } else {
-                queue_rx.recv_timeout(window)
+            let next = match queue_rx.try_recv() {
+                Ok(msg) => Some(msg),
+                Err(TryRecvError::Disconnected) => None,
+                Err(TryRecvError::Empty) => {
+                    let budget_us = deadline.saturating_sub(inner.clock.now_micros());
+                    if budget_us == 0 {
+                        break;
+                    }
+                    match queue_rx.recv_timeout(Duration::from_micros(budget_us)) {
+                        Ok(msg) => Some(msg),
+                        // The rest of the window slept out with nothing
+                        // queued (under a manual clock, in real time).
+                        Err(RecvTimeoutError::Timeout) => break,
+                        Err(RecvTimeoutError::Disconnected) => None,
+                    }
+                }
             };
             match next {
-                Ok(Msg::Request(p)) => batch.push(p),
-                Ok(Msg::Stop) => stop = true,
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    stop = true;
-                }
+                Some(Msg::Request(p)) => batch.push(p),
+                Some(Msg::Stop) | None => stop = true,
             }
         }
         coalesce_us = inner.clock.now_micros().saturating_sub(coalesce_start);
@@ -773,6 +794,59 @@ mod tests {
         assert_eq!(r1.estimate, serial_a);
         assert_eq!(r2.estimate, serial_b);
         assert_ne!(r1.estimate.secs, r2.estimate.secs);
+    }
+
+    #[test]
+    fn drain_now_never_waits_for_followers() {
+        let (fe, a, _) = manual_frontend(FrontendConfig {
+            coalesce_window_us: 1_000_000,
+            ..FrontendConfig::default()
+        });
+        let tickets: Vec<Ticket> = (0..3)
+            .map(|i| fe.submit(request(&a, 0, 1e5 + i as f64)).unwrap())
+            .collect();
+        let started = std::time::Instant::now();
+        assert_eq!(fe.drain_now(), 3);
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(100),
+            "a 1 s window must not make a manual drain sleep: took {took:?}"
+        );
+        for t in tickets {
+            assert!(t.wait().is_ok());
+        }
+    }
+
+    #[test]
+    fn coalesce_window_is_a_deadline_from_the_first_dequeue() {
+        let (svc, a, _) = service_with_two_systems();
+        let clock = Clock::manual(0);
+        let fe = Frontend::with_clock(
+            svc,
+            FrontendConfig {
+                workers: 1,
+                coalesce_window_us: 1_000_000,
+                ..FrontendConfig::default()
+            },
+            clock.clone(),
+        );
+        let ta = fe.submit(request(&a, 0, 1e5)).unwrap();
+        // Let the leader dequeue A and start waiting out A's window.
+        std::thread::sleep(Duration::from_millis(50));
+        // Virtual time passes A's deadline: B still joins (it ends the
+        // wait), but nothing keeps the batch open after it.
+        clock.advance_micros(2_000_000);
+        let submitted = std::time::Instant::now();
+        let tb = fe.submit(request(&a, 0, 2e5)).unwrap();
+        let (ra, rb) = (ta.wait().unwrap(), tb.wait().unwrap());
+        let took = submitted.elapsed();
+        assert_eq!(ra.batch_id, rb.batch_id, "A and B share one batch");
+        assert_eq!(ra.batch_size, 2);
+        assert!(
+            took < Duration::from_millis(500),
+            "the batch sealed at the deadline, not one idle window after B: {took:?}"
+        );
+        fe.shutdown();
     }
 
     #[test]

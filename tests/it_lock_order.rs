@@ -128,5 +128,5 @@ fn estimation_hot_path_holds_ranked_order_under_contention() {
     // Registry exposition holds REGISTRY_METRICS → REGISTRY_HELP.
     let text = service.telemetry().metrics.render_prometheus();
     assert!(text.contains("estimator_cache_hits_total"));
-    assert!(subscriber.len() > 0, "tracing was live during the run");
+    assert!(!subscriber.is_empty(), "tracing was live during the run");
 }

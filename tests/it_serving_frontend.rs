@@ -13,6 +13,7 @@ use costing::estimator::OperatorKind;
 use costing::service::EstimatorService;
 use integration_tests::flows;
 use serving::{Clock, EstimateRequest, Frontend, FrontendConfig, RateLimitConfig, Rejection};
+use std::time::{Duration, Instant};
 
 fn service_with_two_systems() -> (EstimatorService, SystemId, SystemId) {
     let service = EstimatorService::default();
@@ -124,6 +125,52 @@ fn coalesced_replies_are_bit_identical_to_serial() {
     assert!(
         saw_coalescing,
         "6 submitter threads against a 100us window should coalesce"
+    );
+    fe.shutdown();
+}
+
+/// Coalescing contract: the window is a deadline from a batch's first
+/// dequeue, not an idle timeout. A trickle with 50 µs gaps never goes
+/// quiet for a 200 µs window, so an idle timer would hold one batch open
+/// for the whole 40 ms stream (~800 requests); a deadline seals a batch
+/// every window — about five requests, even in a debug build, whose
+/// leader spends ~15 µs a row — and 200 in one batch would take a 10 ms
+/// stall of the leader.
+#[test]
+fn a_steady_trickle_cannot_hold_a_batch_open_past_its_window() {
+    let (service, hive, spark) = service_with_two_systems();
+    let fe = Frontend::new(
+        service,
+        FrontendConfig {
+            workers: 1,
+            queue_capacity: 4_096,
+            coalesce_window_us: 200,
+            max_batch: 1_024,
+            ..FrontendConfig::default()
+        },
+    );
+    let mix = request_mix(&hive, &spark, 64);
+    let stream_end = Instant::now() + Duration::from_millis(40);
+    let mut tickets = Vec::new();
+    while Instant::now() < stream_end {
+        let ticket = fe.submit(mix[tickets.len() % mix.len()].clone());
+        tickets.push(ticket.expect("the queue holds the whole stream"));
+        // Paced from the last submit, so a late one never bursts, and
+        // yielding, so the pacing loop does not starve the leader.
+        let next = Instant::now() + Duration::from_micros(50);
+        while Instant::now() < next {
+            std::thread::yield_now();
+        }
+    }
+    let sizes: Vec<usize> = tickets
+        .into_iter()
+        .map(|t| t.wait().expect("estimated").batch_size)
+        .collect();
+    let largest = sizes.iter().copied().max().unwrap_or(0);
+    assert!(
+        largest <= 200,
+        "{} requests, largest batch {largest}: the window did not seal batches",
+        sizes.len()
     );
     fe.shutdown();
 }
