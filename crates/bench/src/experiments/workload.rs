@@ -11,7 +11,10 @@
 //!
 //! The matrix sweeps DAG width (statements per workload) × engine count
 //! × reuse factor (the fraction of statements repeating an earlier
-//! template, via [`workload::dag`]'s Zipf-skewed generator).
+//! template, via [`workload::dag`]'s Zipf-skewed generator). The full
+//! matrix reaches 256 and 1,024 statements, and every cell records the
+//! wall time of its rule pass per statement, so a search that stops
+//! scaling shows as a row.
 //! Validation (`--validate`, run by the CI smoke job) enforces the
 //! acceptance bars:
 //!
@@ -21,7 +24,10 @@
 //! * on *every* cell the optimized plan is never worse than greedy
 //!   beyond noise (`NOISE_FLOOR_PCT`) — which the rule driver
 //!   guarantees by construction, so a violation means the acceptance
-//!   predicate itself regressed.
+//!   predicate itself regressed;
+//! * every cell's rule time per statement is a positive duration, and
+//!   on cells of at least `SCALING_GATE_MIN_QUERIES` statements it is
+//!   at most `MAX_RULES_US_PER_STMT`.
 
 use crate::harness::{self, BenchDoc, Envelope, Host};
 use crate::report::{heading, kv, write_text_table, ExpConfig};
@@ -32,11 +38,12 @@ use costing::logical_op::model::{FitConfig, LogicalOpModel};
 use costing::service::EstimatorService;
 use costing::{OperatorKind, AGG_DIMS, JOIN_DIMS};
 use federation::ir::SlotMap;
-use federation::schedule::{plan_workload, ScheduleConfig};
+use federation::schedule::{dispatch, ScheduleConfig};
 use federation::transfer::TransferCostModel;
-use federation::WorkloadSpec;
+use federation::{build_workload_pinned, optimize, WorkloadOutcome, WorkloadSpec};
 use neuro::Dataset;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 use workload::{build_table, dag_base_tables, dag_workload, DagConfig};
 
 /// Reuse-heavy cells (reuse ≥ 0.5) must cut predicted makespan by at
@@ -46,6 +53,16 @@ pub(crate) const REUSE_HEAVY_MIN_REDUCTION_PCT: f64 = 15.0;
 /// No cell may regress beyond this (negative) reduction — "never worse
 /// than greedy beyond noise".
 pub(crate) const NOISE_FLOOR_PCT: f64 = -0.5;
+
+/// Cells with at least this many statements are held to
+/// `MAX_RULES_US_PER_STMT`.
+pub(crate) const SCALING_GATE_MIN_QUERIES: u64 = 1024;
+
+/// The most rule-pass wall time per statement, µs, a cell of
+/// `SCALING_GATE_MIN_QUERIES` or more statements may take: a rule pass
+/// that re-copies the plan per candidate grows super-linearly and
+/// crosses it.
+pub(crate) const MAX_RULES_US_PER_STMT: f64 = 200.0;
 
 /// One measured matrix cell, as written to `BENCH_workload.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -74,6 +91,8 @@ pub struct WorkloadRow {
     pub waves: u64,
     /// The pinned model-snapshot epoch behind every estimate.
     pub epoch: u64,
+    /// Wall time of the rule pass (`optimize`) per statement, µs.
+    pub rules_us_per_stmt: f64,
 }
 
 /// The full document written to `BENCH_workload.json`.
@@ -158,6 +177,20 @@ impl BenchDoc for WorkloadDoc {
             }
             if r.waves == 0 {
                 return Err(format!("row {i}: a planned workload has waves"));
+            }
+            if !r.rules_us_per_stmt.is_finite() || r.rules_us_per_stmt <= 0.0 {
+                return Err(format!(
+                    "row {i}: rules_us_per_stmt = {} is not a duration",
+                    r.rules_us_per_stmt
+                ));
+            }
+            if r.queries >= SCALING_GATE_MIN_QUERIES && r.rules_us_per_stmt > MAX_RULES_US_PER_STMT
+            {
+                return Err(format!(
+                    "row {i}: rules_us_per_stmt = {:.1} at {} queries (bound: {MAX_RULES_US_PER_STMT} \
+                     from {SCALING_GATE_MIN_QUERIES} queries)",
+                    r.rules_us_per_stmt, r.queries
+                ));
             }
             if r.reduction_pct < NOISE_FLOOR_PCT {
                 return Err(format!(
@@ -306,14 +339,27 @@ fn run_cell(queries: usize, engines: usize, reuse: f64, seed: u64) -> WorkloadRo
         slots: SlotMap::uniform(1),
         threads: 4,
     };
-    let outcome = plan_workload(
+    // `plan_workload`'s pipeline, call for call, with the rule pass timed.
+    let greedy_plan = build_workload_pinned(
         &catalog,
         &service,
+        &service.snapshot(),
         &TransferCostModel::default(),
         &spec,
-        &schedule,
+        &schedule.slots,
     )
     .expect("generated workload plans");
+    let greedy = dispatch(&greedy_plan, &schedule);
+    let started = Instant::now();
+    let (plan, trace) = optimize(&greedy_plan);
+    let rules_us = started.elapsed().as_secs_f64() * 1e6;
+    let optimized = dispatch(&plan, &schedule);
+    let outcome = WorkloadOutcome {
+        greedy,
+        optimized,
+        plan,
+        trace,
+    };
     WorkloadRow {
         queries: queries as u64,
         engines: engines as u64,
@@ -327,6 +373,7 @@ fn run_cell(queries: usize, engines: usize, reuse: f64, seed: u64) -> WorkloadRo
         shared_scan_hits: outcome.optimized.shared_scan_hits,
         waves: outcome.optimized.waves as u64,
         epoch: outcome.optimized.epoch,
+        rules_us_per_stmt: rules_us / queries as f64,
     }
 }
 
@@ -339,7 +386,11 @@ pub fn run(cfg: &ExpConfig) -> WorkloadDoc {
     let (widths, engine_counts, reuses): (Vec<usize>, Vec<usize>, Vec<f64>) = if cfg.quick {
         (vec![6, 16], vec![2, 3], vec![0.0, 0.75])
     } else {
-        (vec![8, 24, 48], vec![2, 3, 5], vec![0.0, 0.5, 0.75])
+        (
+            vec![8, 24, 48, 256, 1024],
+            vec![2, 3, 5],
+            vec![0.0, 0.5, 0.75],
+        )
     };
 
     let mut rows = Vec::new();
@@ -370,6 +421,7 @@ pub fn run(cfg: &ExpConfig) -> WorkloadDoc {
                 r.merged.to_string(),
                 r.shared_scan_hits.to_string(),
                 r.waves.to_string(),
+                format!("{:.2}", r.rules_us_per_stmt),
             ]
         })
         .collect();
@@ -388,6 +440,7 @@ pub fn run(cfg: &ExpConfig) -> WorkloadDoc {
             "merged",
             "shared scans",
             "waves",
+            "rules µs/stmt",
         ],
         &table,
     );
@@ -460,5 +513,54 @@ mod tests {
         assert!(validate_doc(&text).unwrap_err().contains("reuse-heavy"));
 
         assert!(validate_doc(&good).is_ok());
+    }
+
+    /// A two-row document that validates: one reuse-heavy row at
+    /// `queries` statements, one reuse-free row at 8.
+    fn timed_doc(queries: u64, rules_us_per_stmt: f64) -> WorkloadDoc {
+        let row = |queries: u64, reuse: f64, reduction_pct: f64, merged: u64| WorkloadRow {
+            queries,
+            engines: 5,
+            reuse,
+            distinct_shapes: 4,
+            greedy_makespan_secs: 10.0,
+            optimized_makespan_secs: 10.0 * (1.0 - reduction_pct / 100.0),
+            reduction_pct,
+            reuse_savings_secs: 1.0,
+            merged,
+            shared_scan_hits: 0,
+            waves: 2,
+            epoch: 1,
+            rules_us_per_stmt: 5.0,
+        };
+        let mut wide = row(queries, 0.75, 60.0, 3);
+        wide.rules_us_per_stmt = rules_us_per_stmt;
+        WorkloadDoc {
+            experiment: WorkloadDoc::NAME.to_string(),
+            quick: false,
+            seed: 1,
+            host: None,
+            min_reuse_heavy_reduction_pct: REUSE_HEAVY_MIN_REDUCTION_PCT,
+            rows: vec![wide, row(8, 0.0, 0.0, 0)],
+        }
+    }
+
+    #[test]
+    fn validation_rejects_a_rule_pass_over_the_scaling_bound() {
+        let check = |doc: &WorkloadDoc| validate_doc(&serde_json::to_string(doc).unwrap());
+        assert!(check(&timed_doc(SCALING_GATE_MIN_QUERIES, MAX_RULES_US_PER_STMT)).is_ok());
+        let err = check(&timed_doc(SCALING_GATE_MIN_QUERIES, 1_150.0)).unwrap_err();
+        assert!(
+            err.contains("row 0: rules_us_per_stmt = 1150.0 at 1024 queries"),
+            "{err}"
+        );
+        // Below the width threshold the bound does not apply.
+        assert!(check(&timed_doc(256, 1_150.0)).is_ok());
+        // Every row needs a positive duration.
+        let err = check(&timed_doc(256, 0.0)).unwrap_err();
+        assert!(
+            err.contains("rules_us_per_stmt = 0 is not a duration"),
+            "{err}"
+        );
     }
 }

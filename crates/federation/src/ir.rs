@@ -16,12 +16,19 @@
 //! * [`WorkloadPlan`] — the costed DAG: every node carries its ranked
 //!   placement candidates (the per-query greedy view), the current
 //!   engine assignment, duplicate-merge state, and the shared-scan
-//!   flag. The plan is a *value*: rewrite rules in [`crate::rules`]
-//!   are pure functions from plan to plan.
-//! * `WorkloadPlan::simulate` — the deterministic capacity-slot list
-//!   scheduler both the rule objective and the physical layer
-//!   ([`crate::schedule`]) share, so "does this rewrite help?" and
-//!   "what will dispatch do?" can never disagree.
+//!   flag.
+//! * `PlanModel` / `PlanState` — the plan split in two for the search.
+//!   The model is the half no rewrite touches, interned once per plan:
+//!   engines as dense indices, a hop table over every engine pair, each
+//!   node's execution seconds per engine, its inputs as base-table keys
+//!   or producer indices, its output bytes and fingerprint. The state is
+//!   the half the rules in [`crate::rules`] edit in place: an engine
+//!   index per node, the merge map and the shared-scan flag.
+//! * `PlanModel::simulate` — the deterministic capacity-slot list
+//!   scheduler, run over a `PlanState` on reusable scratch. The rule
+//!   objective and the physical layer ([`crate::schedule`], through
+//!   `WorkloadPlan::simulate`) share this one body, so "does this
+//!   rewrite help?" and "what will dispatch do?" can never disagree.
 //!
 //! Costing pins ONE [`ModelSnapshot`] epoch for the whole workload and
 //! routes every execution estimate through the service's deduplicating
@@ -39,7 +46,7 @@ use costing::service::EstimatorService;
 use costing::{agg_features, join_features, ModelSnapshot, OperatorKind};
 use remote_sim::analyze::analyze;
 use sqlkit::logical::LogicalPlan;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Index of a query node inside its workload (dense, 0-based).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -144,24 +151,6 @@ pub struct WorkloadNode {
     pub fingerprint: u64,
 }
 
-impl WorkloadNode {
-    /// The execution estimate on `system`, if that system was costed.
-    pub(crate) fn exec_secs_on(&self, system: &SystemId) -> Option<f64> {
-        self.candidates
-            .iter()
-            .find(|c| &c.option.system == system)
-            .map(|c| c.execution_secs)
-    }
-
-    /// Producers of this node's intermediate inputs.
-    pub(crate) fn producers(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.inputs.iter().filter_map(|i| match i {
-            InputRef::Intermediate { producer, .. } => Some(*producer),
-            InputRef::Base { .. } => None,
-        })
-    }
-}
-
 /// Per-engine concurrency capacity for the slot scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotMap {
@@ -233,13 +222,12 @@ pub struct Objective {
     pub total_secs: f64,
 }
 
-/// One scheduled task of the simulated dispatch.
-#[derive(Debug, Clone, PartialEq)]
+/// One scheduled task of the simulated dispatch. It runs on the
+/// executing node's assigned engine.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SimTask {
     /// The executing node.
     pub query: QueryId,
-    /// The engine it runs on.
-    pub system: SystemId,
     /// Execution component, seconds.
     pub exec_secs: f64,
     /// Inbound transfer component (after any shared-scan dedup), seconds.
@@ -253,11 +241,9 @@ pub(crate) struct SimTask {
     pub wave: usize,
 }
 
-/// The deterministic slot-scheduler outcome for one plan state.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SimSchedule {
-    /// Scheduled tasks in node-index order (merged nodes absent).
-    pub tasks: Vec<SimTask>,
+/// The totals of one simulated plan state.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SimTotals {
     /// Predicted makespan, seconds.
     pub makespan_secs: f64,
     /// Sum of task durations, seconds.
@@ -270,15 +256,35 @@ pub(crate) struct SimSchedule {
     pub waves: usize,
 }
 
+/// The deterministic slot-scheduler outcome for one plan state.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SimSchedule {
+    /// Scheduled tasks in node-index order (merged nodes absent).
+    pub tasks: Vec<SimTask>,
+    /// What the whole schedule adds up to.
+    pub totals: SimTotals,
+}
+
+/// Resolves a node through a duplicate-merge map.
+fn canonical_in(merged_into: &[Option<QueryId>], q: QueryId) -> QueryId {
+    merged_into.get(q.0).copied().flatten().unwrap_or(q)
+}
+
+/// Whether a node is dispatched under a duplicate-merge map (not merged
+/// away).
+fn executes_in(merged_into: &[Option<QueryId>], q: QueryId) -> bool {
+    matches!(merged_into.get(q.0), Some(None))
+}
+
 impl WorkloadPlan {
     /// Resolves a node through the duplicate-merge map.
     pub(crate) fn canonical(&self, q: QueryId) -> QueryId {
-        self.merged_into.get(q.0).copied().flatten().unwrap_or(q)
+        canonical_in(&self.merged_into, q)
     }
 
     /// Whether a node is actually dispatched (not merged away).
     pub(crate) fn executes(&self, q: QueryId) -> bool {
-        matches!(self.merged_into.get(q.0), Some(None))
+        executes_in(&self.merged_into, q)
     }
 
     /// The engine serving a node's result (its canonical's assignment).
@@ -286,167 +292,13 @@ impl WorkloadPlan {
         self.assignment.get(self.canonical(q).0)
     }
 
-    /// Dependency depth of every node: 0 for nodes with no intermediate
-    /// inputs, else 1 + the max depth of the canonical producers.
-    fn depths(&self) -> Vec<usize> {
-        let mut depths = vec![0usize; self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            let mut d = 0usize;
-            for p in node.producers() {
-                let cp = self.canonical(p);
-                if let Some(pd) = depths.get(cp.0) {
-                    d = d.max(pd + 1);
-                }
-            }
-            if let Some(slot) = depths.get_mut(i) {
-                *slot = d;
-            }
-        }
-        depths
-    }
-
-    /// Executing nodes grouped by dependency depth — the dispatch waves
-    /// the physical layer fans out over.
-    pub(crate) fn waves(&self) -> Vec<Vec<QueryId>> {
-        let depths = self.depths();
-        let mut waves: Vec<Vec<QueryId>> = Vec::new();
-        for (i, d) in depths.iter().enumerate() {
-            if !self.executes(QueryId(i)) {
-                continue;
-            }
-            while waves.len() <= *d {
-                waves.push(Vec::new());
-            }
-            if let Some(wave) = waves.get_mut(*d) {
-                wave.push(QueryId(i));
-            }
-        }
-        waves
-    }
-
-    /// Runs the deterministic capacity-slot list scheduler over the
-    /// current plan state.
-    ///
-    /// Tasks are placed in node-index order (a topological order by
-    /// construction): each executing node starts when its producers have
-    /// finished *and* a slot on its engine frees up, and runs for its
-    /// execution estimate plus its inbound transfer costs. With
-    /// [`WorkloadPlan::share_scans`] set, repeated `(table, engine)`
-    /// transfers are paid by the first reader only. Pure arithmetic on
-    /// predicted costs — no wall clock — so identical plans always
-    /// simulate identically.
+    /// Runs the slot scheduler ([`PlanModel::simulate`]) over the
+    /// current plan state and collects every task.
     pub(crate) fn simulate(&self) -> SimSchedule {
-        let depths = self.depths();
-        let mut slots: BTreeMap<SystemId, Vec<f64>> = BTreeMap::new();
-        let mut finish: Vec<f64> = vec![0.0; self.nodes.len()];
-        let mut seen: BTreeSet<(String, SystemId)> = BTreeSet::new();
+        let (model, state) = PlanModel::intern(self);
         let mut tasks = Vec::new();
-        let mut makespan: f64 = 0.0;
-        let mut total: f64 = 0.0;
-        let mut saved: f64 = 0.0;
-        let mut hits: u64 = 0;
-        let mut waves: usize = 0;
-
-        for (i, node) in self.nodes.iter().enumerate() {
-            let q = QueryId(i);
-            if !self.executes(q) {
-                // Merged: the result is the canonical's; it finishes when
-                // the canonical does.
-                let f = finish.get(self.canonical(q).0).copied().unwrap_or(0.0);
-                if let Some(slot) = finish.get_mut(i) {
-                    *slot = f;
-                }
-                continue;
-            }
-            let system = match self.assignment.get(i) {
-                Some(s) => s.clone(),
-                None => continue,
-            };
-            let exec_secs = node.exec_secs_on(&system).unwrap_or(0.0);
-            let mut transfer_secs = 0.0;
-            let mut ready = 0.0f64;
-            for input in &node.inputs {
-                let (key, from, bytes) = match input {
-                    InputRef::Base {
-                        table,
-                        location,
-                        bytes,
-                    } => (format!("b:{table}"), location.clone(), *bytes),
-                    InputRef::Intermediate { producer, .. } => {
-                        let cp = self.canonical(*producer);
-                        ready = ready.max(finish.get(cp.0).copied().unwrap_or(0.0));
-                        let from = match self.assignment.get(cp.0) {
-                            Some(s) => s.clone(),
-                            None => continue,
-                        };
-                        let bytes = self.nodes.get(cp.0).map(|n| n.out_bytes).unwrap_or(0.0);
-                        (format!("q:{}", cp.0), from, bytes)
-                    }
-                };
-                if from == system {
-                    continue;
-                }
-                let cost = self
-                    .transfer
-                    .transfer_secs(bytes, hops_between(&from, &system));
-                if self.share_scans && !seen.insert((key, system.clone())) {
-                    saved += cost;
-                    hits += 1;
-                    continue;
-                }
-                transfer_secs += cost;
-            }
-            let transfer_secs = transfer_secs + 0.0; // normalise -0.0
-            let duration = exec_secs + transfer_secs;
-            let engine_slots = slots
-                .entry(system.clone())
-                .or_insert_with(|| vec![0.0; self.slots.slots_for(&system)]);
-            let slot = engine_slots
-                .iter_mut()
-                .min_by(|a, b| mathkit::total_cmp_f64(a, b));
-            let start = match slot {
-                Some(slot) => {
-                    let start = ready.max(*slot);
-                    *slot = start + duration;
-                    start
-                }
-                None => ready,
-            };
-            let end = start + duration;
-            if let Some(slot) = finish.get_mut(i) {
-                *slot = end;
-            }
-            makespan = makespan.max(end);
-            total += duration;
-            let wave = depths.get(i).copied().unwrap_or(0);
-            waves = waves.max(wave + 1);
-            tasks.push(SimTask {
-                query: q,
-                system,
-                exec_secs,
-                transfer_secs,
-                start_secs: start,
-                finish_secs: end,
-                wave,
-            });
-        }
-        SimSchedule {
-            tasks,
-            makespan_secs: makespan,
-            total_secs: total,
-            shared_scan_secs_saved: saved,
-            shared_scan_hits: hits,
-            waves,
-        }
-    }
-
-    /// The scheduling objective of the current plan state.
-    pub(crate) fn objective(&self) -> Objective {
-        let sim = self.simulate();
-        Objective {
-            makespan_secs: sim.makespan_secs,
-            total_secs: sim.total_secs,
-        }
+        let totals = model.simulate(&state, &mut SimScratch::default(), |task| tasks.push(task));
+        SimSchedule { tasks, totals }
     }
 
     /// The per-query greedy [`PlanReport`] of one node — what the
@@ -457,6 +309,406 @@ impl WorkloadPlan {
             candidates: n.candidates.clone(),
             epoch: Some(self.epoch),
         })
+    }
+}
+
+/// One input of an interned node.
+#[derive(Debug, Clone, Copy)]
+enum Input {
+    /// A catalog base table.
+    Base {
+        /// The table's scan key (dense over the plan's base tables).
+        key: usize,
+        /// The owning engine.
+        engine: usize,
+        /// Stored bytes.
+        bytes: f64,
+    },
+    /// The output of an earlier node, resolved through the merge map
+    /// when simulated.
+    Produced(QueryId),
+}
+
+/// The half of a [`WorkloadPlan`] no rewrite touches, interned once per
+/// plan so the simulator reads indices and flat tables instead of
+/// strings and maps.
+#[derive(Debug)]
+pub(crate) struct PlanModel {
+    /// Engine index → id: every engine a node was costed on, a base
+    /// table lives on, or the plan assigns.
+    engines: Vec<SystemId>,
+    /// QueryGrid hops from engine `a` to engine `b`, at `a * E + b`.
+    hops: Vec<u32>,
+    /// Engine `e`'s capacity slots are `slots[slot_offsets[e]..]` up to
+    /// the next offset; `E + 1` entries.
+    slot_offsets: Vec<usize>,
+    /// Node `q`'s execution seconds on engine `e`, at `q * E + e`: the
+    /// first candidate on that engine, `None` where none was costed.
+    exec: Vec<Option<f64>>,
+    /// Every node's inputs, back to back.
+    inputs: Vec<Input>,
+    /// Node `q`'s inputs are `inputs[start..end]`.
+    input_spans: Vec<(usize, usize)>,
+    /// Estimated output bytes per node.
+    out_bytes: Vec<f64>,
+    /// Nodes sharing a fingerprint, groups of two or more only, in
+    /// fingerprint order with members in index order.
+    fingerprint_groups: Vec<Vec<usize>>,
+    /// Distinct base tables: scan keys below this are tables, a node
+    /// `q`'s output scans under key `base_tables + q`.
+    base_tables: usize,
+    /// Hop costs.
+    transfer: TransferCostModel,
+}
+
+/// The half of a [`WorkloadPlan`] the rules rewrite, in place.
+#[derive(Debug)]
+pub(crate) struct PlanState {
+    /// Engine index (into the model's engines) per node.
+    pub assignment: Vec<usize>,
+    /// As [`WorkloadPlan::merged_into`].
+    pub merged_into: Vec<Option<QueryId>>,
+    /// As [`WorkloadPlan::share_scans`].
+    pub share_scans: bool,
+}
+
+impl PlanState {
+    /// Resolves a node through the duplicate-merge map.
+    pub(crate) fn canonical(&self, q: QueryId) -> QueryId {
+        canonical_in(&self.merged_into, q)
+    }
+
+    /// Whether a node is dispatched (not merged away).
+    pub(crate) fn executes(&self, q: QueryId) -> bool {
+        executes_in(&self.merged_into, q)
+    }
+}
+
+/// Reusable simulator scratch, sized and cleared by every run.
+#[derive(Debug, Default)]
+pub(crate) struct SimScratch {
+    /// Finish time per node (a merged node's is its canonical's).
+    finish: Vec<f64>,
+    /// Dependency depth per node.
+    depths: Vec<usize>,
+    /// Every engine's slot free-times, back to back.
+    slots: Vec<f64>,
+    /// Bitset of `(scan key, engine)` transfers already paid.
+    seen: Vec<u64>,
+}
+
+impl SimScratch {
+    fn reset(&mut self, nodes: usize, slots: usize, scan_bits: usize) {
+        refill(&mut self.finish, nodes, 0.0);
+        refill(&mut self.depths, nodes, 0);
+        refill(&mut self.slots, slots, 0.0);
+        refill(&mut self.seen, scan_bits.div_ceil(64), 0);
+    }
+
+    /// Marks a `(scan key, engine)` bit; `true` if it was clear.
+    fn first_scan(&mut self, bit: usize) -> bool {
+        match self.seen.get_mut(bit / 64) {
+            Some(word) => {
+                let mask = 1u64 << (bit % 64);
+                let first = *word & mask == 0;
+                *word |= mask;
+                first
+            }
+            None => true,
+        }
+    }
+}
+
+fn refill<T: Copy>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
+
+/// The dense index of `id` in `engines`, appending it when new.
+fn intern_engine(engines: &mut Vec<SystemId>, id: &SystemId) -> usize {
+    match engines.iter().position(|e| e == id) {
+        Some(i) => i,
+        None => {
+            engines.push(id.clone());
+            engines.len() - 1
+        }
+    }
+}
+
+impl PlanModel {
+    /// Splits `plan` into its interned read-only model and its writable
+    /// state.
+    pub(crate) fn intern(plan: &WorkloadPlan) -> (PlanModel, PlanState) {
+        let mut engines = Vec::new();
+        for node in &plan.nodes {
+            for c in &node.candidates {
+                intern_engine(&mut engines, &c.option.system);
+            }
+            for input in &node.inputs {
+                if let InputRef::Base { location, .. } = input {
+                    intern_engine(&mut engines, location);
+                }
+            }
+        }
+        let assignment = plan
+            .assignment
+            .iter()
+            .map(|s| intern_engine(&mut engines, s))
+            .collect();
+        let e_count = engines.len();
+
+        let hops = engines
+            .iter()
+            .flat_map(|from| engines.iter().map(move |to| hops_between(from, to)))
+            .collect();
+        let mut slot_offsets = vec![0];
+        let mut slots = 0;
+        for e in &engines {
+            slots += plan.slots.slots_for(e);
+            slot_offsets.push(slots);
+        }
+
+        let mut exec = vec![None; plan.nodes.len() * e_count];
+        let mut tables: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut inputs = Vec::new();
+        let mut input_spans = Vec::with_capacity(plan.nodes.len());
+        let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (q, node) in plan.nodes.iter().enumerate() {
+            for c in &node.candidates {
+                let e = intern_engine(&mut engines, &c.option.system);
+                if let Some(slot) = exec.get_mut(q * e_count + e) {
+                    slot.get_or_insert(c.execution_secs);
+                }
+            }
+            let start = inputs.len();
+            for input in &node.inputs {
+                inputs.push(match input {
+                    InputRef::Base {
+                        table,
+                        location,
+                        bytes,
+                    } => {
+                        let next = tables.len();
+                        Input::Base {
+                            key: *tables.entry(table.as_str()).or_insert(next),
+                            engine: intern_engine(&mut engines, location),
+                            bytes: *bytes,
+                        }
+                    }
+                    InputRef::Intermediate { producer, .. } => Input::Produced(*producer),
+                });
+            }
+            input_spans.push((start, inputs.len()));
+            groups.entry(node.fingerprint).or_default().push(q);
+        }
+
+        let model = PlanModel {
+            engines,
+            hops,
+            slot_offsets,
+            exec,
+            inputs,
+            input_spans,
+            out_bytes: plan.nodes.iter().map(|n| n.out_bytes).collect(),
+            fingerprint_groups: groups.into_values().filter(|g| g.len() > 1).collect(),
+            base_tables: tables.len(),
+            transfer: plan.transfer,
+        };
+        let state = PlanState {
+            assignment,
+            merged_into: plan.merged_into.clone(),
+            share_scans: plan.share_scans,
+        };
+        (model, state)
+    }
+
+    /// Number of nodes.
+    pub(crate) fn nodes(&self) -> usize {
+        self.input_spans.len()
+    }
+
+    fn inputs_of(&self, q: usize) -> &[Input] {
+        self.input_spans
+            .get(q)
+            .and_then(|&(start, end)| self.inputs.get(start..end))
+            .unwrap_or_default()
+    }
+
+    /// Producers of node `q`'s intermediate inputs, in input order.
+    pub(crate) fn producers(&self, q: usize) -> impl Iterator<Item = QueryId> + '_ {
+        self.inputs_of(q).iter().filter_map(|input| match input {
+            Input::Produced(p) => Some(*p),
+            Input::Base { .. } => None,
+        })
+    }
+
+    /// Whether node `q` has a costed candidate on engine `e`.
+    pub(crate) fn costed(&self, q: usize, e: usize) -> bool {
+        self.exec
+            .get(q * self.engines.len() + e)
+            .is_some_and(Option::is_some)
+    }
+
+    /// Groups of two or more nodes computing the same result.
+    pub(crate) fn fingerprint_groups(&self) -> &[Vec<usize>] {
+        &self.fingerprint_groups
+    }
+
+    /// Writes `state` back into `plan` (the plan it was interned from).
+    pub(crate) fn write_back(&self, state: PlanState, plan: &mut WorkloadPlan) {
+        for (slot, e) in plan.assignment.iter_mut().zip(&state.assignment) {
+            if let Some(system) = self.engines.get(*e) {
+                if slot != system {
+                    *slot = system.clone();
+                }
+            }
+        }
+        plan.merged_into = state.merged_into;
+        plan.share_scans = state.share_scans;
+    }
+
+    /// The scheduling objective of `state`.
+    pub(crate) fn objective(&self, state: &PlanState, scratch: &mut SimScratch) -> Objective {
+        let totals = self.simulate(state, scratch, |_| {});
+        Objective {
+            makespan_secs: totals.makespan_secs,
+            total_secs: totals.total_secs,
+        }
+    }
+
+    /// Runs the deterministic capacity-slot list scheduler over `state`,
+    /// handing each task to `emit` as it is placed.
+    ///
+    /// Tasks are placed in node-index order (a topological order by
+    /// construction): each executing node starts when its producers have
+    /// finished *and* a slot on its engine frees up, and runs for its
+    /// execution estimate plus its inbound transfer costs. With
+    /// `share_scans` set, repeated `(table, engine)` transfers are paid
+    /// by the first reader only. Pure arithmetic on predicted costs — no
+    /// wall clock — so identical states always simulate identically.
+    pub(crate) fn simulate(
+        &self,
+        state: &PlanState,
+        scratch: &mut SimScratch,
+        mut emit: impl FnMut(SimTask),
+    ) -> SimTotals {
+        let e_count = self.engines.len();
+        scratch.reset(
+            self.nodes(),
+            self.slot_offsets.last().copied().unwrap_or(0),
+            (self.base_tables + self.nodes()) * e_count,
+        );
+        let mut makespan: f64 = 0.0;
+        let mut total: f64 = 0.0;
+        let mut saved: f64 = 0.0;
+        let mut hits: u64 = 0;
+        let mut waves: usize = 0;
+
+        for i in 0..self.nodes() {
+            let q = QueryId(i);
+            let inputs = self.inputs_of(i);
+            // Depth: 0 without intermediate inputs, else 1 + the deepest
+            // canonical producer.
+            let mut depth = 0usize;
+            for p in self.producers(i) {
+                if let Some(pd) = scratch.depths.get(state.canonical(p).0) {
+                    depth = depth.max(pd + 1);
+                }
+            }
+            if let Some(slot) = scratch.depths.get_mut(i) {
+                *slot = depth;
+            }
+            if !state.executes(q) {
+                // Merged: the result is the canonical's; it finishes when
+                // the canonical does.
+                let f = scratch
+                    .finish
+                    .get(state.canonical(q).0)
+                    .copied()
+                    .unwrap_or(0.0);
+                if let Some(slot) = scratch.finish.get_mut(i) {
+                    *slot = f;
+                }
+                continue;
+            }
+            let Some(&system) = state.assignment.get(i) else {
+                continue;
+            };
+            let exec_secs = self
+                .exec
+                .get(i * e_count + system)
+                .copied()
+                .flatten()
+                .unwrap_or(0.0);
+            let mut transfer_secs = 0.0;
+            let mut ready = 0.0f64;
+            for input in inputs {
+                let (key, from, bytes) = match *input {
+                    Input::Base { key, engine, bytes } => (key, engine, bytes),
+                    Input::Produced(producer) => {
+                        let cp = state.canonical(producer).0;
+                        ready = ready.max(scratch.finish.get(cp).copied().unwrap_or(0.0));
+                        let Some(&from) = state.assignment.get(cp) else {
+                            continue;
+                        };
+                        let bytes = self.out_bytes.get(cp).copied().unwrap_or(0.0);
+                        (self.base_tables + cp, from, bytes)
+                    }
+                };
+                if from == system {
+                    continue;
+                }
+                let hops = self.hops.get(from * e_count + system).copied().unwrap_or(0);
+                let cost = self.transfer.transfer_secs(bytes, hops);
+                if state.share_scans && !scratch.first_scan(key * e_count + system) {
+                    saved += cost;
+                    hits += 1;
+                    continue;
+                }
+                transfer_secs += cost;
+            }
+            let transfer_secs = transfer_secs + 0.0; // normalise -0.0
+            let duration = exec_secs + transfer_secs;
+            let engine_slots = match (
+                self.slot_offsets.get(system),
+                self.slot_offsets.get(system + 1),
+            ) {
+                (Some(&lo), Some(&hi)) => scratch.slots.get_mut(lo..hi),
+                _ => None,
+            };
+            let slot = engine_slots
+                .and_then(|slots| slots.iter_mut().min_by(|a, b| mathkit::total_cmp_f64(a, b)));
+            let start = match slot {
+                Some(slot) => {
+                    let start = ready.max(*slot);
+                    *slot = start + duration;
+                    start
+                }
+                None => ready,
+            };
+            let end = start + duration;
+            if let Some(slot) = scratch.finish.get_mut(i) {
+                *slot = end;
+            }
+            makespan = makespan.max(end);
+            total += duration;
+            waves = waves.max(depth + 1);
+            emit(SimTask {
+                query: q,
+                exec_secs,
+                transfer_secs,
+                start_secs: start,
+                finish_secs: end,
+                wave: depth,
+            });
+        }
+        SimTotals {
+            makespan_secs: makespan,
+            total_secs: total,
+            shared_scan_secs_saved: saved,
+            shared_scan_hits: hits,
+            waves,
+        }
     }
 }
 
@@ -944,5 +1196,313 @@ mod tests {
             plan_query_with_service(&catalog, &service, &transfer, &plan),
             Err(PlanError::NoViablePlacement)
         );
+    }
+
+    /// One task of the reference schedule.
+    struct RefTask {
+        query: QueryId,
+        system: SystemId,
+        exec_secs: f64,
+        transfer_secs: f64,
+        start_secs: f64,
+        finish_secs: f64,
+        wave: usize,
+    }
+
+    /// The reference schedule: tasks and `[makespan, total, saved]`,
+    /// hits and waves.
+    struct RefSchedule {
+        tasks: Vec<RefTask>,
+        secs: [f64; 3],
+        hits: u64,
+        waves: usize,
+    }
+
+    /// The `String`-keyed slot scheduler the interned simulator replaced,
+    /// kept as its oracle: `format!` scan keys, `SystemId` engines,
+    /// `BTreeMap` slots and a `BTreeSet` of paid transfers, and each
+    /// node's execution seconds looked up by candidate search.
+    fn reference_simulate(plan: &WorkloadPlan) -> RefSchedule {
+        use std::collections::BTreeSet;
+        let mut depths = vec![0usize; plan.nodes.len()];
+        for (i, node) in plan.nodes.iter().enumerate() {
+            let mut d = 0usize;
+            for input in &node.inputs {
+                if let InputRef::Intermediate { producer, .. } = input {
+                    if let Some(pd) = depths.get(plan.canonical(*producer).0) {
+                        d = d.max(pd + 1);
+                    }
+                }
+            }
+            depths[i] = d;
+        }
+        let mut slots: BTreeMap<SystemId, Vec<f64>> = BTreeMap::new();
+        let mut finish: Vec<f64> = vec![0.0; plan.nodes.len()];
+        let mut seen: BTreeSet<(String, SystemId)> = BTreeSet::new();
+        let mut tasks = Vec::new();
+        let mut makespan: f64 = 0.0;
+        let mut total: f64 = 0.0;
+        let mut saved: f64 = 0.0;
+        let mut hits: u64 = 0;
+        let mut waves: usize = 0;
+
+        for (i, node) in plan.nodes.iter().enumerate() {
+            let q = QueryId(i);
+            if !plan.executes(q) {
+                finish[i] = finish.get(plan.canonical(q).0).copied().unwrap_or(0.0);
+                continue;
+            }
+            let system = match plan.assignment.get(i) {
+                Some(s) => s.clone(),
+                None => continue,
+            };
+            let exec_secs = node
+                .candidates
+                .iter()
+                .find(|c| c.option.system == system)
+                .map_or(0.0, |c| c.execution_secs);
+            let mut transfer_secs = 0.0;
+            let mut ready = 0.0f64;
+            for input in &node.inputs {
+                let (key, from, bytes) = match input {
+                    InputRef::Base {
+                        table,
+                        location,
+                        bytes,
+                    } => (format!("b:{table}"), location.clone(), *bytes),
+                    InputRef::Intermediate { producer, .. } => {
+                        let cp = plan.canonical(*producer);
+                        ready = ready.max(finish.get(cp.0).copied().unwrap_or(0.0));
+                        let from = match plan.assignment.get(cp.0) {
+                            Some(s) => s.clone(),
+                            None => continue,
+                        };
+                        let bytes = plan.nodes.get(cp.0).map(|n| n.out_bytes).unwrap_or(0.0);
+                        (format!("q:{}", cp.0), from, bytes)
+                    }
+                };
+                if from == system {
+                    continue;
+                }
+                let cost = plan
+                    .transfer
+                    .transfer_secs(bytes, hops_between(&from, &system));
+                if plan.share_scans && !seen.insert((key, system.clone())) {
+                    saved += cost;
+                    hits += 1;
+                    continue;
+                }
+                transfer_secs += cost;
+            }
+            let transfer_secs = transfer_secs + 0.0;
+            let duration = exec_secs + transfer_secs;
+            let engine_slots = slots
+                .entry(system.clone())
+                .or_insert_with(|| vec![0.0; plan.slots.slots_for(&system)]);
+            let slot = engine_slots
+                .iter_mut()
+                .min_by(|a, b| mathkit::total_cmp_f64(a, b));
+            let start = match slot {
+                Some(slot) => {
+                    let start = ready.max(*slot);
+                    *slot = start + duration;
+                    start
+                }
+                None => ready,
+            };
+            let end = start + duration;
+            finish[i] = end;
+            makespan = makespan.max(end);
+            total += duration;
+            let wave = depths[i];
+            waves = waves.max(wave + 1);
+            tasks.push(RefTask {
+                query: q,
+                system,
+                exec_secs,
+                transfer_secs,
+                start_secs: start,
+                finish_secs: end,
+                wave,
+            });
+        }
+        RefSchedule {
+            tasks,
+            secs: [makespan, total, saved],
+            hits,
+            waves,
+        }
+    }
+
+    /// splitmix64: a seeded generator with no dependency.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A greedy plan for a seeded `workload::dag_workload` DAG over the
+    /// master and `engines - 1` Hive remotes, base tables round-robin on
+    /// the remotes, each engine with its own cost scale.
+    fn dag_plan(queries: usize, engines: usize, seed: u64) -> WorkloadPlan {
+        use workload::{build_table, dag_base_tables, dag_workload, DagConfig};
+        let dag = DagConfig {
+            queries,
+            reuse: 0.5,
+            seed,
+            ..DagConfig::default()
+        };
+        let mut catalog = Catalog::new();
+        catalog
+            .register_system(RemoteSystemProfile::new(
+                SystemId::master(),
+                catalog::SystemKind::Teradata,
+                1,
+                32,
+                1 << 38,
+                vec![catalog::Capability::Join, catalog::Capability::Aggregate],
+            ))
+            .unwrap();
+        let remotes: Vec<SystemId> = (1..engines)
+            .map(|i| SystemId::new(&format!("hive-w{i}")))
+            .collect();
+        for id in &remotes {
+            catalog
+                .register_system(RemoteSystemProfile::paper_hive_cluster(id.as_str()))
+                .unwrap();
+        }
+        for (i, spec) in dag_base_tables(&dag).iter().enumerate() {
+            let mut def = build_table(spec);
+            def.location = remotes[i % remotes.len()].clone();
+            catalog.register_table(def).unwrap();
+        }
+        // Three cost scales, trained once for every plan.
+        static FLOWS: std::sync::OnceLock<Vec<(LogicalOpCosting, LogicalOpCosting)>> =
+            std::sync::OnceLock::new();
+        let trained = FLOWS.get_or_init(|| [0.8, 1.4, 2.0].map(flows).to_vec());
+        let service = EstimatorService::default();
+        for (i, id) in std::iter::once(SystemId::master())
+            .chain(remotes)
+            .enumerate()
+        {
+            let (j, a) = trained[i % trained.len()].clone();
+            service.register(id.clone(), j);
+            service.register(id, a);
+        }
+        let mut spec = WorkloadSpec::default();
+        for stmt in dag_workload(&dag) {
+            spec.push_sql(&stmt.label, &stmt.sql, stmt.output.as_deref())
+                .unwrap();
+        }
+        build_workload_pinned(
+            &catalog,
+            &service,
+            &service.snapshot(),
+            &TransferCostModel::default(),
+            &spec,
+            &SlotMap::uniform(1 + seed as usize % 2),
+        )
+        .unwrap()
+    }
+
+    /// A random state of `plan`: a random costed engine per node, random
+    /// merges of later members onto a random member of each fingerprint
+    /// group, and shared scans on or off.
+    fn randomize(plan: &mut WorkloadPlan, rng: &mut SplitMix) {
+        for (node, slot) in plan.nodes.iter().zip(plan.assignment.iter_mut()) {
+            let pick = rng.below(node.candidates.len());
+            *slot = node.candidates[pick].option.system.clone();
+        }
+        let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (q, node) in plan.nodes.iter().enumerate() {
+            groups.entry(node.fingerprint).or_default().push(q);
+        }
+        plan.merged_into = vec![None; plan.nodes.len()];
+        for members in groups.values() {
+            let canonical = members[rng.below(members.len())];
+            for &m in members.iter().filter(|&&m| m > canonical) {
+                if rng.below(2) == 0 {
+                    plan.merged_into[m] = Some(QueryId(canonical));
+                }
+            }
+        }
+        plan.share_scans = rng.below(2) == 0;
+    }
+
+    #[test]
+    fn interned_simulator_equals_the_string_keyed_reference_to_the_bit() {
+        let mut rng = SplitMix(0x5eed);
+        let mut scratch = SimScratch::default();
+        for (queries, engines, seed) in [
+            (8, 2, 1),
+            (8, 3, 2),
+            (8, 5, 3),
+            (48, 2, 4),
+            (48, 3, 5),
+            (48, 5, 6),
+        ] {
+            let mut plan = dag_plan(queries, engines, seed);
+            for round in 0..200 {
+                // Round 0 is the greedy plan as built.
+                if round > 0 {
+                    randomize(&mut plan, &mut rng);
+                }
+                let want = reference_simulate(&plan);
+                let got = plan.simulate();
+                let case = format!("{queries} statements, {engines} engines, round {round}");
+                let totals = &got.totals;
+                for (name, g, w) in [
+                    ("makespan", totals.makespan_secs, want.secs[0]),
+                    ("total", totals.total_secs, want.secs[1]),
+                    ("saved", totals.shared_scan_secs_saved, want.secs[2]),
+                ] {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{case}: {name} {g} vs {w}");
+                }
+                assert_eq!(totals.shared_scan_hits, want.hits, "{case}: hits");
+                assert_eq!(totals.waves, want.waves, "{case}: waves");
+                assert_eq!(got.tasks.len(), want.tasks.len(), "{case}: task count");
+                for (g, w) in got.tasks.iter().zip(&want.tasks) {
+                    assert_eq!(g.query, w.query, "{case}");
+                    assert_eq!(plan.assignment.get(g.query.0), Some(&w.system), "{case}");
+                    assert_eq!(g.wave, w.wave, "{case}: {:?} wave", g.query);
+                    for (name, gv, wv) in [
+                        ("exec", g.exec_secs, w.exec_secs),
+                        ("transfer", g.transfer_secs, w.transfer_secs),
+                        ("start", g.start_secs, w.start_secs),
+                        ("finish", g.finish_secs, w.finish_secs),
+                    ] {
+                        assert_eq!(gv.to_bits(), wv.to_bits(), "{case}: {:?} {name}", g.query);
+                    }
+                }
+                // The rules' path: one scratch reused across every state.
+                let (model, state) = PlanModel::intern(&plan);
+                let objective = model.objective(&state, &mut scratch);
+                assert_eq!(objective.makespan_secs.to_bits(), want.secs[0].to_bits());
+                assert_eq!(objective.total_secs.to_bits(), want.secs[1].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn write_back_restores_the_interned_plan() {
+        let mut plan = dag_plan(48, 5, 7);
+        randomize(&mut plan, &mut SplitMix(9));
+        let (model, state) = PlanModel::intern(&plan);
+        let mut copy = plan.clone();
+        copy.assignment.reverse();
+        copy.merged_into = vec![None; plan.nodes.len()];
+        copy.share_scans = !plan.share_scans;
+        model.write_back(state, &mut copy);
+        assert_eq!(copy, plan);
     }
 }

@@ -33,9 +33,11 @@
 //!   every node's placement candidates against **one pinned model
 //!   epoch** through the batched estimator API, and
 //!   [`ir::plan_query_with_service`] is the one-statement front over it.
-//! * [`rules`] — pure rewrite rules over [`ir::WorkloadPlan`] applied to
-//!   fixpoint: shared-scan dedup, materialized-intermediate reuse, and
-//!   placement pinning. Every accepted rewrite strictly improves the
+//! * [`rules`] — rewrite rules applied to fixpoint: shared-scan dedup,
+//!   materialized-intermediate reuse, and placement pinning. They edit
+//!   the writable half of an interned [`ir::WorkloadPlan`] in place,
+//!   scoring each candidate with the one slot simulator and reverting
+//!   what does not help. Every accepted rewrite strictly improves the
 //!   scheduling objective, so the optimized plan is never worse than the
 //!   greedy per-query baseline.
 //! * [`schedule`] — the **physical layer**: topological dispatch of the
@@ -64,7 +66,7 @@ pub use ir::{
 };
 pub use placement::{enumerate_placements, PlacementOption, Transfer};
 pub use planner::{PlacementCost, PlanReport};
-pub use rules::{optimize, Rule, RuleTrace};
+pub use rules::{optimize, RuleTrace};
 pub use schedule::{
     dispatch, plan_workload, ScheduleConfig, ScheduledQuery, WorkloadOutcome, WorkloadReport,
 };

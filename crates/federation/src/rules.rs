@@ -1,12 +1,13 @@
 //! The rule-pass framework of the logical layer.
 //!
-//! Each rewrite rule is a pure function from plan to plan —
-//! `fn(&WorkloadPlan) -> Option<WorkloadPlan>` — returning `Some` only
-//! when it found a *strictly improving* rewrite under the shared
-//! scheduling objective, and `None` at its local fixpoint. The driver
-//! ([`optimize`]) applies the default pass list round-robin until every
-//! rule returns `None` (with an iteration cap as a belt-and-braces
-//! termination bound).
+//! The driver ([`optimize`]) interns the plan once into a read-only
+//! `PlanModel` and a writable `PlanState`, then applies the default pass
+//! list round-robin over that state until no rule fires (with an
+//! iteration cap as a belt-and-braces termination bound). A rule edits
+//! the state in place: it applies a candidate rewrite, scores it with
+//! the shared simulator, and either keeps it — returning the new
+//! objective — or reverts it. No candidate copies the plan; the driver
+//! clones the input plan once, at the end, and writes the state back.
 //!
 //! The acceptance contract all rules share, enforced by `improves`:
 //! a rewrite is kept only if it lowers predicted makespan, or keeps
@@ -28,14 +29,16 @@
 //!   moving, via the [`crate::transfer`] hop costs baked into the
 //!   simulator.
 
-use crate::ir::{Objective, QueryId, WorkloadPlan};
-use std::collections::BTreeMap;
+use crate::ir::{Objective, PlanModel, PlanState, QueryId, SimScratch, WorkloadPlan};
 
 /// Absolute epsilon for objective comparisons (seconds).
 const EPS_SECS: f64 = 1e-9;
 
-/// One rewrite rule: pure, returns `Some(improved)` or `None`.
-pub type Rule = fn(&WorkloadPlan) -> Option<WorkloadPlan>;
+/// One rewrite rule. Given the state's current objective, it returns the
+/// improved objective with the rewrite applied to the state, or `None`
+/// with the state as it found it.
+pub(crate) type Rule =
+    fn(&PlanModel, &mut PlanState, &Objective, &mut SimScratch) -> Option<Objective>;
 
 /// A named rule, for trace output.
 #[derive(Debug, Clone, Copy)]
@@ -101,6 +104,18 @@ pub(crate) fn improves(new: &Objective, old: &Objective) -> bool {
     new.makespan_secs <= old.makespan_secs + EPS_SECS && new.total_secs < old.total_secs - EPS_SECS
 }
 
+/// Scores the candidate already applied to `state`: its objective when
+/// it improves on `current`, else `None` (the caller reverts).
+fn score(
+    model: &PlanModel,
+    state: &PlanState,
+    current: &Objective,
+    scratch: &mut SimScratch,
+) -> Option<Objective> {
+    let objective = model.objective(state, scratch);
+    improves(&objective, current).then_some(objective)
+}
+
 /// Applies the default pass list to fixpoint.
 ///
 /// Round-robin: after any rule fires, the sweep restarts from the first
@@ -112,7 +127,9 @@ pub fn optimize(plan: &WorkloadPlan) -> (WorkloadPlan, RuleTrace) {
 
 /// [`optimize`] with an explicit pass list.
 pub(crate) fn optimize_with(plan: &WorkloadPlan, rules: &[RulePass]) -> (WorkloadPlan, RuleTrace) {
-    let mut current = plan.clone();
+    let (model, mut state) = PlanModel::intern(plan);
+    let mut scratch = SimScratch::default();
+    let mut current = model.objective(&state, &mut scratch);
     let mut trace = RuleTrace::default();
     // Every acceptance strictly shrinks the objective by ≥ EPS, so this
     // cap is never the binding constraint on sane inputs.
@@ -124,11 +141,11 @@ pub(crate) fn optimize_with(plan: &WorkloadPlan, rules: &[RulePass]) -> (Workloa
         }
         let mut fired = false;
         for pass in rules {
-            if let Some(next) = (pass.rule)(&current) {
+            if let Some(next) = (pass.rule)(&model, &mut state, &current, &mut scratch) {
                 trace.applications.push(RuleApplication {
                     rule: pass.name.to_string(),
-                    before: current.objective(),
-                    after: next.objective(),
+                    before: current,
+                    after: next,
                 });
                 current = next;
                 fired = true;
@@ -139,21 +156,28 @@ pub(crate) fn optimize_with(plan: &WorkloadPlan, rules: &[RulePass]) -> (Workloa
             break;
         }
     }
-    (current, trace)
+    let mut optimized = plan.clone();
+    model.write_back(state, &mut optimized);
+    (optimized, trace)
 }
 
 /// Rule 1: queries reading the same table on the same engine share one
-/// scan transfer. A single global rewrite — it flips the plan's
-/// [`WorkloadPlan::share_scans`] mode, which the simulator implements by
-/// charging each `(table, engine)` inbound transfer to its first reader
-/// only.
-pub(crate) fn shared_scan_dedup(plan: &WorkloadPlan) -> Option<WorkloadPlan> {
-    if plan.share_scans {
+/// scan transfer. A single global rewrite — it sets the state's
+/// shared-scan mode, which the simulator implements by charging each
+/// `(table, engine)` inbound transfer to its first reader only.
+fn shared_scan_dedup(
+    model: &PlanModel,
+    state: &mut PlanState,
+    current: &Objective,
+    scratch: &mut SimScratch,
+) -> Option<Objective> {
+    if state.share_scans {
         return None;
     }
-    let mut candidate = plan.clone();
-    candidate.share_scans = true;
-    improves(&candidate.objective(), &plan.objective()).then_some(candidate)
+    state.share_scans = true;
+    let kept = score(model, state, current, scratch);
+    state.share_scans = kept.is_some();
+    kept
 }
 
 /// Rule 2: materialized-intermediate reuse. Nodes with identical
@@ -166,27 +190,40 @@ pub(crate) fn shared_scan_dedup(plan: &WorkloadPlan) -> Option<WorkloadPlan> {
 ///
 /// One equivalence group is merged per invocation (the driver re-runs
 /// to fixpoint), and only if the objective strictly improves.
-pub(crate) fn reuse_intermediates(plan: &WorkloadPlan) -> Option<WorkloadPlan> {
-    let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    for (i, node) in plan.nodes.iter().enumerate() {
-        if plan.executes(QueryId(i)) {
-            groups.entry(node.fingerprint).or_default().push(i);
-        }
-    }
-    let before = plan.objective();
-    for members in groups.values() {
-        let (canonical, duplicates) = match members.split_first() {
-            Some((c, rest)) if !rest.is_empty() => (*c, rest),
-            _ => continue,
+fn reuse_intermediates(
+    model: &PlanModel,
+    state: &mut PlanState,
+    current: &Objective,
+    scratch: &mut SimScratch,
+) -> Option<Objective> {
+    let mut members = Vec::new();
+    for group in model.fingerprint_groups() {
+        members.clear();
+        members.extend(
+            group
+                .iter()
+                .copied()
+                .filter(|&q| state.executes(QueryId(q))),
+        );
+        let Some((&canonical, duplicates)) = members.split_first() else {
+            continue;
         };
-        let mut candidate = plan.clone();
+        if duplicates.is_empty() {
+            continue;
+        }
         for dup in duplicates {
-            if let Some(slot) = candidate.merged_into.get_mut(*dup) {
+            if let Some(slot) = state.merged_into.get_mut(*dup) {
                 *slot = Some(QueryId(canonical));
             }
         }
-        if improves(&candidate.objective(), &before) {
-            return Some(candidate);
+        if let Some(kept) = score(model, state, current, scratch) {
+            return Some(kept);
+        }
+        // The duplicates executed before, so their entries were `None`.
+        for dup in duplicates {
+            if let Some(slot) = state.merged_into.get_mut(*dup) {
+                *slot = None;
+            }
         }
     }
     None
@@ -199,52 +236,62 @@ pub(crate) fn reuse_intermediates(plan: &WorkloadPlan) -> Option<WorkloadPlan> {
 /// costed candidate for, and kept only when the transfer saved exceeds
 /// the execution-cost delta — which is exactly what the objective
 /// check computes from the hop costs.
-pub(crate) fn placement_pinning(plan: &WorkloadPlan) -> Option<WorkloadPlan> {
-    let before = plan.objective();
-    for (i, node) in plan.nodes.iter().enumerate() {
-        let consumer = QueryId(i);
-        if !plan.executes(consumer) {
+fn placement_pinning(
+    model: &PlanModel,
+    state: &mut PlanState,
+    current: &Objective,
+    scratch: &mut SimScratch,
+) -> Option<Objective> {
+    for consumer in 0..model.nodes() {
+        if !state.executes(QueryId(consumer)) {
             continue;
         }
-        let consumer_engine = match plan.assignment.get(i) {
-            Some(e) => e.clone(),
-            None => continue,
+        let Some(&consumer_engine) = state.assignment.get(consumer) else {
+            continue;
         };
-        for producer in node.producers() {
-            let cp = plan.canonical(producer);
-            let producer_engine = match plan.assignment.get(cp.0) {
-                Some(e) => e.clone(),
-                None => continue,
+        for producer in model.producers(consumer) {
+            let cp = state.canonical(producer).0;
+            let Some(&producer_engine) = state.assignment.get(cp) else {
+                continue;
             };
             if producer_engine == consumer_engine {
                 continue;
             }
             // Move the consumer to the producer…
-            if node.exec_secs_on(&producer_engine).is_some() {
-                let mut candidate = plan.clone();
-                if let Some(slot) = candidate.assignment.get_mut(i) {
-                    *slot = producer_engine.clone();
-                }
-                if improves(&candidate.objective(), &before) {
-                    return Some(candidate);
+            if model.costed(consumer, producer_engine) {
+                if let Some(kept) =
+                    try_move(model, state, current, scratch, consumer, producer_engine)
+                {
+                    return Some(kept);
                 }
             }
             // …or the producer to the consumer.
-            let producer_costed = plan
-                .nodes
-                .get(cp.0)
-                .and_then(|n| n.exec_secs_on(&consumer_engine))
-                .is_some();
-            if producer_costed {
-                let mut candidate = plan.clone();
-                if let Some(slot) = candidate.assignment.get_mut(cp.0) {
-                    *slot = consumer_engine.clone();
-                }
-                if improves(&candidate.objective(), &before) {
-                    return Some(candidate);
+            if model.costed(cp, consumer_engine) {
+                if let Some(kept) = try_move(model, state, current, scratch, cp, consumer_engine) {
+                    return Some(kept);
                 }
             }
         }
     }
     None
+}
+
+/// Moves node `q` to engine `to` and keeps the move if it improves,
+/// else moves it back.
+fn try_move(
+    model: &PlanModel,
+    state: &mut PlanState,
+    current: &Objective,
+    scratch: &mut SimScratch,
+    q: usize,
+    to: usize,
+) -> Option<Objective> {
+    let from = std::mem::replace(state.assignment.get_mut(q)?, to);
+    let kept = score(model, state, current, scratch);
+    if kept.is_none() {
+        if let Some(slot) = state.assignment.get_mut(q) {
+            *slot = from;
+        }
+    }
+    kept
 }

@@ -29,7 +29,6 @@ use crate::transfer::TransferCostModel;
 use catalog::{Catalog, SystemId};
 use costing::service::EstimatorService;
 use costing::ModelSnapshot;
-use std::collections::BTreeMap;
 
 /// Physical dispatch configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,21 +169,24 @@ where
 /// per-query report wave by wave on `run_strips` threads.
 pub fn dispatch(plan: &WorkloadPlan, config: &ScheduleConfig) -> WorkloadReport {
     let sim = plan.simulate();
-    let by_node: BTreeMap<usize, &SimTask> = sim.tasks.iter().map(|t| (t.query.0, t)).collect();
-    let waves = plan.waves();
+    let mut waves: Vec<Vec<&SimTask>> = vec![Vec::new(); sim.totals.waves];
+    for task in &sim.tasks {
+        if let Some(wave) = waves.get_mut(task.wave) {
+            wave.push(task);
+        }
+    }
     let mut queries: Vec<ScheduledQuery> = Vec::new();
     for wave in &waves {
         // One strip fan-out per topological wave: every query in a wave
         // is independent of the others, so report assembly (and, in a
         // live deployment, submission) parallelizes freely.
         let entries = run_strips(wave.len(), config.threads, |i| {
-            let q = wave.get(i)?;
-            let task = by_node.get(&q.0)?;
-            let label = plan.nodes.get(q.0).map(|n| n.label.clone())?;
+            let task = wave.get(i)?;
+            let q = task.query;
             Some(ScheduledQuery {
-                query: *q,
-                label,
-                system: task.system.clone(),
+                query: q,
+                label: plan.nodes.get(q.0)?.label.clone(),
+                system: plan.assignment.get(q.0)?.clone(),
                 start_secs: task.start_secs,
                 finish_secs: task.finish_secs,
                 exec_secs: task.exec_secs,
@@ -206,11 +208,14 @@ pub fn dispatch(plan: &WorkloadPlan, config: &ScheduleConfig) -> WorkloadReport 
         merged_queries += 1;
         let canonical = plan.canonical(q);
         let system = plan.engine_of(q).cloned().unwrap_or_else(SystemId::master);
-        let finish = by_node
-            .get(&canonical.0)
-            .map(|t| t.finish_secs)
-            .unwrap_or(0.0);
-        let wave = by_node.get(&canonical.0).map(|t| t.wave).unwrap_or(0);
+        // Tasks are in node-index order.
+        let task = sim
+            .tasks
+            .binary_search_by_key(&canonical, |t| t.query)
+            .ok()
+            .and_then(|at| sim.tasks.get(at));
+        let finish = task.map_or(0.0, |t| t.finish_secs);
+        let wave = task.map_or(0, |t| t.wave);
         queries.push(ScheduledQuery {
             query: q,
             label: node.label.clone(),
@@ -226,12 +231,12 @@ pub fn dispatch(plan: &WorkloadPlan, config: &ScheduleConfig) -> WorkloadReport 
     queries.sort_by_key(|s| s.query.0);
     WorkloadReport {
         queries,
-        makespan_secs: sim.makespan_secs,
-        total_secs: sim.total_secs,
-        shared_scan_secs_saved: sim.shared_scan_secs_saved,
-        shared_scan_hits: sim.shared_scan_hits,
+        makespan_secs: sim.totals.makespan_secs,
+        total_secs: sim.totals.total_secs,
+        shared_scan_secs_saved: sim.totals.shared_scan_secs_saved,
+        shared_scan_hits: sim.totals.shared_scan_hits,
         merged_queries,
-        waves: sim.waves,
+        waves: sim.totals.waves,
         epoch: plan.epoch,
     }
 }

@@ -401,6 +401,167 @@ fn dag_setup(engines: usize, dag: &DagConfig) -> (Catalog, EstimatorService) {
     (catalog, service)
 }
 
+/// FNV-1a over a byte slice, folded into `h`.
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for b in bytes {
+        *h ^= u64::from(*b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// What the optimizer decided for one workload, reduced to constants:
+/// fires per rule, the trace (rule names and `before`/`after` bits) and
+/// the final plan state as FNV-1a digests, and both reports' makespan
+/// and total bits.
+#[derive(Debug, PartialEq)]
+struct Pinned {
+    /// Fires of `shared_scan_dedup`, `reuse_intermediates`,
+    /// `placement_pinning`.
+    fires: [usize; 3],
+    iterations: usize,
+    trace: u64,
+    assignment: u64,
+    merged_into: u64,
+    share_scans: bool,
+    /// Greedy report `[makespan, total]` bits.
+    greedy: [u64; 2],
+    /// Optimized report `[makespan, total]` bits.
+    optimized: [u64; 2],
+}
+
+fn pin(queries: usize, engines: usize, seed: u64) -> Pinned {
+    let dag_cfg = DagConfig {
+        queries,
+        reuse: 0.5,
+        seed,
+        ..DagConfig::default()
+    };
+    let (catalog, service) = dag_setup(engines, &dag_cfg);
+    let mut spec = WorkloadSpec::default();
+    for stmt in dag_workload(&dag_cfg) {
+        spec.push_sql(&stmt.label, &stmt.sql, stmt.output.as_deref())
+            .expect("generated SQL parses");
+    }
+    let outcome = plan_workload(
+        &catalog,
+        &service,
+        &TransferCostModel::default(),
+        &spec,
+        &ScheduleConfig {
+            slots: SlotMap::uniform(1),
+            threads: 2,
+        },
+    )
+    .expect("workload plans");
+    let fires = [
+        "shared_scan_dedup",
+        "reuse_intermediates",
+        "placement_pinning",
+    ]
+    .map(|rule| {
+        outcome
+            .trace
+            .applications
+            .iter()
+            .filter(|a| a.rule == rule)
+            .count()
+    });
+    let mut trace = 0xcbf2_9ce4_8422_2325;
+    for a in &outcome.trace.applications {
+        fnv1a(&mut trace, a.rule.as_bytes());
+        for v in [
+            a.before.makespan_secs,
+            a.before.total_secs,
+            a.after.makespan_secs,
+            a.after.total_secs,
+        ] {
+            fnv1a(&mut trace, &v.to_bits().to_le_bytes());
+        }
+    }
+    let mut assignment = 0xcbf2_9ce4_8422_2325;
+    for system in &outcome.plan.assignment {
+        fnv1a(&mut assignment, system.as_str().as_bytes());
+        fnv1a(&mut assignment, b";");
+    }
+    let mut merged_into = 0xcbf2_9ce4_8422_2325;
+    for m in &outcome.plan.merged_into {
+        let v = m.map_or(u64::MAX, |c| c.0 as u64);
+        fnv1a(&mut merged_into, &v.to_le_bytes());
+    }
+    Pinned {
+        fires,
+        iterations: outcome.trace.iterations,
+        trace,
+        assignment,
+        merged_into,
+        share_scans: outcome.plan.share_scans,
+        greedy: [
+            outcome.greedy.makespan_secs.to_bits(),
+            outcome.greedy.total_secs.to_bits(),
+        ],
+        optimized: [
+            outcome.optimized.makespan_secs.to_bits(),
+            outcome.optimized.total_secs.to_bits(),
+        ],
+    }
+}
+
+/// The optimizer's decisions on seeded DAGs of 8, 48 and 256 statements,
+/// pinned to constants recorded before the rule pass moved from plan
+/// copies to an interned plan state: any change to candidate order, the
+/// acceptance predicate or the simulator's float arithmetic shows here.
+#[test]
+fn optimizer_decisions_match_pinned_goldens() {
+    let cases = [
+        (
+            (8, 3, 3),
+            Pinned {
+                fires: [0, 3, 0],
+                iterations: 4,
+                trace: 0x7bd4_160e_2992_d309,
+                assignment: 0x756d_cbc3_48c8_73cc,
+                merged_into: 0xf100_47e7_5257_9ac7,
+                share_scans: false,
+                greedy: [0x401c_90f4_31ff_4952, 0x4029_92b4_406a_cddf],
+                optimized: [0x4012_7e7b_15a6_52cc, 0x401d_eba9_900c_7020],
+            },
+        ),
+        (
+            (48, 5, 1),
+            Pinned {
+                fires: [1, 12, 3],
+                iterations: 17,
+                trace: 0x7a56_d8bd_85bc_96eb,
+                assignment: 0x98ff_82f6_0fc0_21ec,
+                merged_into: 0x40d1_0d71_29e5_b83d,
+                share_scans: true,
+                greedy: [0x4053_55b9_d40b_c648, 0x4062_e389_459a_8556],
+                optimized: [0x4033_a189_68fd_7ab4, 0x404d_75e2_3599_7a7f],
+            },
+        ),
+        (
+            (256, 5, 2),
+            Pinned {
+                fires: [1, 53, 3],
+                iterations: 58,
+                trace: 0x54a1_a450_e205_dd77,
+                assignment: 0x8dea_b1b1_82a4_3f92,
+                merged_into: 0xddf5_1073_8975_fe5a,
+                share_scans: true,
+                greedy: [0x4079_5f9c_424b_58c7, 0x4086_54a2_0cea_9120],
+                optimized: [0x4056_246c_9f36_b1da, 0x406a_05b6_9114_be25],
+            },
+        ),
+    ];
+    for ((queries, engines, seed), want) in cases {
+        let got = pin(queries, engines, seed);
+        assert_eq!(
+            got, want,
+            "{queries} statements, {engines} engines, seed {seed}"
+        );
+    }
+}
+
 /// Two systems with identical models and symmetric table placement tie
 /// exactly on total cost; the ranking must pick the lexicographically
 /// smaller `SystemId` regardless of registration order.
