@@ -5,8 +5,22 @@ use std::fmt;
 
 /// Identifier of a system participating in the IntelliSphere ecosystem
 /// (the master engine or a remote system).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SystemId(String);
+
+// Written out: a derived `PartialOrd` calls the disallowed
+// `partial_cmp`. The order is the one `derive` would give.
+impl Ord for SystemId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for SystemId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl SystemId {
     /// Creates an id from a name.
@@ -58,7 +72,7 @@ impl fmt::Display for SystemKind {
 
 /// SQL operations a remote system may (not) support — §2: "a remote system
 /// may not have the capability to perform a join operation".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Capability {
     /// Row filtering (selection).
     Filter,
@@ -68,6 +82,20 @@ pub enum Capability {
     Join,
     /// Grouped aggregation.
     Aggregate,
+}
+
+// Written out: a derived `PartialOrd` calls the disallowed
+// `partial_cmp`. The order is the one `derive` would give.
+impl Ord for Capability {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (*self as u8).cmp(&(*other as u8))
+    }
+}
+
+impl PartialOrd for Capability {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// The registration profile of a remote system (§2 "Remote System

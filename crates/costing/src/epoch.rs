@@ -45,8 +45,22 @@ use std::sync::Arc;
 ///
 /// Epoch 0 is the empty genesis snapshot; every published transaction
 /// bumps the epoch by one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Epoch(u64);
+
+// Written out: a derived `PartialOrd` calls the disallowed
+// `partial_cmp`. The order is the one `derive` would give.
+impl Ord for Epoch {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Epoch {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl Epoch {
     /// The genesis epoch (empty snapshot).

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The logical operator being costed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum OperatorKind {
     /// Binary join.
     Join,
@@ -15,6 +15,20 @@ pub enum OperatorKind {
     Scan,
     /// `ORDER BY` sorting of a result.
     Sort,
+}
+
+// Written out: a derived `PartialOrd` calls the disallowed
+// `partial_cmp`. The order is the one `derive` would give.
+impl Ord for OperatorKind {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (*self as u8).cmp(&(*other as u8))
+    }
+}
+
+impl PartialOrd for OperatorKind {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl fmt::Display for OperatorKind {

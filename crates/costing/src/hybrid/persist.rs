@@ -184,6 +184,7 @@ pub fn load_snapshot(path: &Path) -> Result<ModelSnapshot, PersistError> {
 }
 
 #[cfg(test)]
+#[expect(clippy::unreachable, reason = "test: a wrong variant fails the test")]
 mod tests {
     use super::*;
     use crate::estimator::OperatorKind;

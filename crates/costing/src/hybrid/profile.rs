@@ -37,7 +37,10 @@ pub struct LogicalOpSuite {
 
 /// One costing approach, as stored in a profile.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "a profile holds one approach for its lifetime; boxing the large variant buys nothing"
+)]
 pub enum CostingApproach {
     /// Sub-operator costing (open box).
     SubOp(SubOpCosting),
@@ -221,6 +224,10 @@ fn active(approach: &mut CostingApproach, estimates_made: u64) -> &mut CostingAp
     }
 }
 
+#[expect(
+    clippy::unreachable,
+    reason = "active_ref() recursively unwraps Timed, so the Timed arm is unreachable by construction"
+)]
 fn estimate_with(
     approach: &CostingApproach,
     op: OperatorKind,
@@ -268,7 +275,6 @@ fn estimate_with(
             }
             OperatorKind::Scan | OperatorKind::Sort => Err(CostingError::ModelMissing(op)),
         },
-        // analysis:allow(panic-freedom): active_ref() recursively unwraps Timed, so this arm is unreachable by construction
         CostingApproach::Timed { .. } => unreachable!("active_ref() resolves Timed"),
     }
 }
@@ -299,6 +305,7 @@ fn observe_with(
 }
 
 #[cfg(test)]
+#[expect(clippy::unreachable, reason = "test: a wrong variant fails the test")]
 mod tests {
     use super::*;
     use crate::estimator::EstimateSource;

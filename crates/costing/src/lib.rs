@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 //! The IntelliSphere remote-system cost estimation module.
 //!

@@ -38,6 +38,11 @@ impl DimensionMeta {
     ///
     /// # Panics
     /// Panics on empty input.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "values is asserted non-empty, so sorted holds at least one value"
+    )]
     pub(crate) fn from_values(name: &str, values: &[f64]) -> Self {
         assert!(!values.is_empty(), "DimensionMeta: no training values");
         let mut sorted: Vec<f64> = values.to_vec();
@@ -133,6 +138,10 @@ impl TrainingMeta {
     ///
     /// # Panics
     /// Panics when `rows` is empty or `names` does not match the arity.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "rows is asserted non-empty and every row is a feature row of the names' arity"
+    )]
     pub(crate) fn from_rows(names: &[&str], rows: &[Vec<f64>]) -> Self {
         assert!(!rows.is_empty(), "TrainingMeta: no rows");
         assert_eq!(
@@ -189,6 +198,10 @@ impl TrainingMeta {
 
     /// Absorbs out-of-range observations into each dimension (offline
     /// tuning). Returns the indices of dimensions whose range changed.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every row is a feature row of the model's arity, one value per dimension"
+    )]
     pub(crate) fn absorb_rows(&mut self, rows: &[Vec<f64>], beta: f64) -> Vec<usize> {
         let mut changed = Vec::new();
         for (j, dim) in self.dims.iter_mut().enumerate() {

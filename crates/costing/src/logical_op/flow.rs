@@ -109,6 +109,10 @@ impl LogicalOpCosting {
     }
 
     /// [`LogicalOpCosting::estimate_rows`] for the one row `x`.
+    #[expect(
+        clippy::expect_used,
+        reason = "estimate_rows fills every slot that arrives empty, and this one did"
+    )]
     pub(crate) fn estimate_scratch(
         &self,
         x: &[f64],
@@ -118,7 +122,6 @@ impl LogicalOpCosting {
         let mut slot = [None];
         self.estimate_rows(x, x.len(), &mut slot, scratch, trace);
         let [est] = slot;
-        // analysis:allow(panic-freedom): estimate_rows fills every slot that arrives empty, and this one did
         est.expect("estimate_rows fills every empty slot")
     }
 
@@ -198,7 +201,9 @@ impl LogicalOpCosting {
             .packed()
             .predict_batch_into(nn_rows, width, nn_out, kernel);
         for (&i, &secs) in in_range.iter().zip(nn_out.iter()) {
-            slots[i] = Some(CostEstimate::new(secs, EstimateSource::NeuralNetwork));
+            if let Some(slot) = slots.get_mut(i) {
+                *slot = Some(CostEstimate::new(secs, EstimateSource::NeuralNetwork));
+            }
         }
     }
 

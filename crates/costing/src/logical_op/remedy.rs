@@ -169,6 +169,10 @@ pub(crate) fn remedy_estimate_scratch(
 /// closest training points and extrapolates to the query's pivot values.
 /// All O(n) working buffers live in `scratch` and are reused across
 /// calls.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i < n == data.len(); j and every pivot index a feature column, and x, spans and every row share the model's arity"
+)]
 fn pivot_regression(
     model: &LogicalOpModel,
     x: &[f64],
@@ -255,6 +259,10 @@ fn pivot_regression(
     }
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every pivot indexes a feature column, and row, x and spans share the model's arity"
+)]
 fn pivot_distance(row: &[f64], x: &[f64], pivots: &[usize], spans: &[f64]) -> f64 {
     pivots
         .iter()
@@ -341,7 +349,11 @@ impl AlphaTuner {
     /// RMSE% that a fixed α would achieve over a slice of the history
     /// (used by the Table 1 experiment to report per-batch error).
     pub fn rmse_pct_for(&self, alpha: f64, from: usize, to: usize) -> f64 {
-        let slice = &self.history[from.min(self.history.len())..to.min(self.history.len())];
+        let len = self.history.len();
+        let slice = self
+            .history
+            .get(from.min(len)..to.min(len))
+            .unwrap_or_default();
         let preds: Vec<f64> = slice
             .iter()
             .map(|&(nn, reg, _)| alpha * nn + (1.0 - alpha) * reg)

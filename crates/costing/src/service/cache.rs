@@ -44,10 +44,10 @@ impl CacheKey {
     /// a [`CacheKeyRef`] probe, materialised only on the miss path).
     pub(crate) fn from_quantized(system: &SystemId, op: OperatorKind, qfeatures: &[u64]) -> Self {
         CacheKey {
-            // analysis:allow(alloc-freedom): miss-path key materialisation — the documented allocating branch of the cache-enabled estimate
+            // Miss-path key materialisation: the documented allocating
+            // branch of the cache-enabled estimate.
             system: system.clone(),
             op,
-            // analysis:allow(alloc-freedom): miss-path key materialisation — the documented allocating branch of the cache-enabled estimate
             qfeatures: qfeatures.to_vec(),
         }
     }
@@ -198,6 +198,10 @@ impl LruCache {
     /// Looks up `key` (owned [`CacheKey`] or borrowed [`CacheKeyRef`],
     /// both coerce); a hit is promoted to most-recent. An entry whose
     /// epoch differs from `epoch` is removed and reported as a miss.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the map, head, tail and every prev/next link hold only live slab indices"
+    )]
     pub(crate) fn get(&mut self, key: &(dyn CacheQuery + '_), epoch: u64) -> Option<CostEstimate> {
         let idx = *self.map.get(key)?;
         if self.slab[idx].epoch != epoch {
@@ -211,6 +215,10 @@ impl LruCache {
 
     /// Inserts (or refreshes) an entry, evicting the least-recently-used
     /// one if the cache is full. No-op on a disabled (capacity-0) cache.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the map, head, tail and every prev/next link hold only live slab indices"
+    )]
     pub(crate) fn insert(&mut self, key: CacheKey, value: CostEstimate, epoch: u64) {
         if self.capacity == 0 {
             return;
@@ -228,7 +236,8 @@ impl LruCache {
             self.remove_idx(lru);
         }
         let entry = Entry {
-            // analysis:allow(alloc-freedom): the map and the LRU list each need the key — insert only runs on the documented miss path
+            // The map and the LRU list each need the key; insert only
+            // runs on the documented miss path.
             key: key.clone(),
             value,
             epoch,
@@ -258,12 +267,20 @@ impl LruCache {
         self.tail = NIL;
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the map, head, tail and every prev/next link hold only live slab indices"
+    )]
     fn remove_idx(&mut self, idx: usize) {
         self.unlink(idx);
         self.map.remove(&self.slab[idx].key);
         self.free.push(idx);
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the map, head, tail and every prev/next link hold only live slab indices"
+    )]
     fn unlink(&mut self, idx: usize) {
         let (prev, next) = (self.slab[idx].prev, self.slab[idx].next);
         if prev != NIL {
@@ -280,6 +297,10 @@ impl LruCache {
         self.slab[idx].next = NIL;
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the map, head, tail and every prev/next link hold only live slab indices"
+    )]
     fn push_front(&mut self, idx: usize) {
         self.slab[idx].prev = NIL;
         self.slab[idx].next = self.head;

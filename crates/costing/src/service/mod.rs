@@ -311,6 +311,10 @@ impl EstimatorService {
         &self.inner.telemetry
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "idx is reduced modulo shards.len(), which the constructor makes non-zero"
+    )]
     fn shard(&self, system: &SystemId, op: OperatorKind) -> &Shard {
         let mut h = DefaultHasher::new();
         system.hash(&mut h);
@@ -441,10 +445,10 @@ impl EstimatorService {
         op: OperatorKind,
         rows: &[Vec<f64>],
     ) -> Result<Vec<CostEstimate>, ServiceError> {
-        if rows.is_empty() {
+        let Some(first) = rows.first() else {
             return Ok(Vec::new());
-        }
-        let width = rows[0].len();
+        };
+        let width = first.len();
         if rows.iter().any(|r| r.len() != width) {
             // A mixed-width batch cannot be flattened; surface the
             // per-row arity error the flat path would have raised.
@@ -541,7 +545,10 @@ impl EstimatorService {
     /// [`EstimatorService::estimate`] per row at the same epoch.
     /// With the cache disabled and tracing off, a warm scratch and warm
     /// `out` make the whole call allocation-free for in-range batches.
-    #[allow(clippy::too_many_arguments)] // the hot-path entry point: every input is load-bearing
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the hot-path entry point: every input is load-bearing"
+    )]
     pub fn estimate_batch_flat_pinned_scratch(
         &self,
         snapshot: &ModelSnapshot,
@@ -604,7 +611,7 @@ impl EstimatorService {
         if self.inner.cache_enabled {
             let _probe = stage_time(Stage::CacheProbe);
             let mut cache = shard.cache.lock();
-            for (i, row) in rows.chunks_exact(width).enumerate() {
+            for (i, (row, slot)) in rows.chunks_exact(width).zip(results.iter_mut()).enumerate() {
                 qbuf.clear();
                 qbuf.extend(row.iter().map(|&v| quantize(v, SIG_DIGITS)));
                 let probe = CacheKeyRef {
@@ -613,7 +620,7 @@ impl EstimatorService {
                     qfeatures: qbuf,
                 };
                 match cache.get(&probe, epoch) {
-                    Some(hit) => results[i] = Some(hit),
+                    Some(hit) => *slot = Some(hit),
                     None => miss_idx.push(i),
                 }
             }
@@ -629,8 +636,9 @@ impl EstimatorService {
             flow.estimate_rows(rows, width, results, flow_scratch, Some(&trace));
             self.inner.misses.add(miss_idx.len() as u64);
             for &i in miss_idx.iter() {
-                let est = results[i]
-                    .as_ref()
+                let est = results
+                    .get(i)
+                    .and_then(Option::as_ref)
                     .ok_or(ServiceError::Internal("miss slot not computed"))?;
                 self.inner.estimate_secs.observe(est.secs);
             }
@@ -649,7 +657,7 @@ impl EstimatorService {
                     continue;
                 }
                 misses.next();
-                let Some(est) = results[i].as_ref() else {
+                let Some(est) = results.get(i).and_then(Option::as_ref) else {
                     continue;
                 };
                 qbuf.clear();
@@ -664,7 +672,10 @@ impl EstimatorService {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the flat batch's inputs, forwarded from the hot-path entry point"
+    )]
     fn emit_batch_events_flat(
         &self,
         system: &SystemId,
@@ -854,6 +865,10 @@ fn check_arity_width(flow: &LogicalOpCosting, width: usize) -> Result<(), Servic
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test: concurrency tests spawn and join scoped threads"
+)]
 mod tests {
     use super::*;
     use crate::estimator::EstimateSource;

@@ -81,7 +81,6 @@ pub enum DimRef {
     BlockBytes,
 }
 
-#[allow(clippy::should_implement_trait)] // add/sub/mul/div build AST nodes, not arithmetic
 impl Qty {
     /// Shorthand for a dimension reference.
     pub(crate) fn dim(d: DimRef) -> Qty {

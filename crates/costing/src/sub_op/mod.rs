@@ -108,11 +108,11 @@ impl SubOpCosting {
             .iter()
             .map(|&a| self.estimate_join_with(a, j))
             .collect();
-        if surviving.len() == 1 {
+        if let ([cost], [algorithm]) = (costs.as_slice(), surviving.as_slice()) {
             CostEstimate::new(
-                costs[0],
+                *cost,
                 EstimateSource::SubOpFormula {
-                    algorithm: surviving[0],
+                    algorithm: *algorithm,
                 },
             )
         } else {

@@ -39,6 +39,10 @@ impl std::error::Error for SubOpModelError {}
 /// IntelliSphere's rough defaults for *Specific* sub-ops when a remote
 /// system's probes don't cover them (§4: "IntelliSphere can provide rough
 /// default values for them").
+#[expect(
+    clippy::unreachable,
+    reason = "private fn; callers guard on SubOp::is_specific before reaching here"
+)]
 fn default_model(subop: SubOp) -> SimpleLinearModel {
     let (slope, intercept) = match subop {
         SubOp::Sort => (0.005, 1.5),
@@ -47,7 +51,6 @@ fn default_model(subop: SubOp) -> SimpleLinearModel {
         SubOp::HashProbe => (0.012, 2.5),
         SubOp::RecMerge => (0.04, 40.0),
         // Basic sub-ops have no defaults — they are mandatory.
-        // analysis:allow(panic-freedom): private fn, callers guard on SubOp::is_specific before reaching here
         _ => unreachable!("default_model called for basic sub-op"),
     };
     SimpleLinearModel {
@@ -78,6 +81,10 @@ pub struct SubOpModels {
 
 impl SubOpModels {
     /// Fits all models from a measurement campaign.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "linear holds a line for every sub-op once the loop above has run"
+    )]
     pub fn fit(m: &SubOpMeasurement, task_hash_budget_bytes: f64) -> Result<Self, SubOpModelError> {
         let mut linear = BTreeMap::new();
         for subop in SubOp::ALL {
@@ -125,6 +132,10 @@ impl SubOpModels {
     /// Per-record work (µs) of a sub-op at a record size. `HashBuild`
     /// resolves to the in-memory regime; use
     /// [`SubOpModels::hash_build_us`] for regime-aware costing.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fit stores a line for every sub-op"
+    )]
     pub(crate) fn per_record_us(&self, subop: SubOp, record_bytes: f64) -> f64 {
         self.linear[&subop].predict(record_bytes).max(0.0)
     }
@@ -143,6 +154,10 @@ impl SubOpModels {
     }
 
     /// The fitted line for one sub-op (for reports/figures).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fit stores a line for every sub-op"
+    )]
     pub fn line(&self, subop: SubOp) -> &SimpleLinearModel {
         &self.linear[&subop]
     }

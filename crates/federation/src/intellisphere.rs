@@ -124,6 +124,10 @@ impl IntelliSphere {
     /// The global foreign-table catalog: the union of every system's
     /// tables, each carrying its true location (§2: "any remote table is
     /// registered inside Teradata as a foreign table").
+    #[expect(
+        clippy::expect_used,
+        reason = "engines is keyed by system id, so no two registrations collide"
+    )]
     pub fn global_catalog(&self) -> Catalog {
         let mut global = Catalog::new();
         for engine in self.engines.values() {

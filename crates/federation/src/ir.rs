@@ -49,8 +49,22 @@ use sqlkit::logical::LogicalPlan;
 use std::collections::BTreeMap;
 
 /// Index of a query node inside its workload (dense, 0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryId(pub usize);
+
+// Written out: a derived `PartialOrd` calls the disallowed
+// `partial_cmp`. The order is the one `derive` would give.
+impl Ord for QueryId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for QueryId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 /// One statement of a workload: a logical plan plus an optional output
 /// name under which later statements can consume its result.

@@ -130,6 +130,10 @@ impl WorkloadOutcome {
 ///
 /// A `None` in the output means a worker died before filling its slot;
 /// [`dispatch`] drops such entries rather than panicking.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "blocks: spawns and joins scoped threads under plan_workload_pinned when threads > 1; deleted by ROADMAP 13(a)"
+)]
 fn run_strips<T, F>(n: usize, threads: usize, f: F) -> Vec<Option<T>>
 where
     T: Send,

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 //! Numerical substrate for the IntelliSphere cost-estimation reproduction.
 //!

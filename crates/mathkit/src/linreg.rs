@@ -111,8 +111,10 @@ impl LinearModel {
         // Augmented design matrix: features + bias column.
         let mut x = Matrix::zeros(n, d + 1);
         for (i, r) in rows.iter().enumerate() {
-            x.row_mut(i)[..d].copy_from_slice(r);
-            x.row_mut(i)[d] = 1.0;
+            if let Some((bias, features)) = x.row_mut(i).split_last_mut() {
+                features.copy_from_slice(r);
+                *bias = 1.0;
+            }
         }
         let xt = x.transpose();
         let mut xtx = xt.matmul(&x)?;
@@ -130,9 +132,15 @@ impl LinearModel {
             }
             Err(e) => return Err(e),
         };
-        let intercept = theta[d];
-        let weights = theta[..d].to_vec();
-        Ok(LinearModel { weights, intercept })
+        let Some((&intercept, weights)) = theta.split_last() else {
+            return Err(MathError::DimensionMismatch {
+                context: "LinearModel::fit (solution)",
+            });
+        };
+        Ok(LinearModel {
+            weights: weights.to_vec(),
+            intercept,
+        })
     }
 
     /// Predicts `y` for one feature vector.

@@ -59,14 +59,20 @@ impl Matrix {
     }
 
     /// Borrow one row as a slice.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers index rows bounded by self.rows; data.len() == rows*cols by construction"
+    )]
     pub(crate) fn row(&self, r: usize) -> &[f64] {
-        // analysis:allow(panic-freedom): callers index rows bounded by self.rows; data.len() == rows*cols by construction
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutably borrow one row as a slice.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers index rows bounded by self.rows; data.len() == rows*cols by construction"
+    )]
     pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        // analysis:allow(panic-freedom): callers index rows bounded by self.rows; data.len() == rows*cols by construction
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
@@ -121,6 +127,10 @@ impl Matrix {
     /// elimination with partial pivoting.
     ///
     /// Returns [`MathError::Singular`] when a pivot is (numerically) zero.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "row, col and k range over 0..n and index the n*n working copy and the n-vector"
+    )]
     pub(crate) fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         if self.rows != self.cols {
             return Err(MathError::DimensionMismatch {
@@ -140,17 +150,9 @@ impl Matrix {
         for col in 0..n {
             // Partial pivot: pick the row with the largest |value| in `col`.
             let pivot_row = (col..n)
-                .max_by(|&i, &j| {
-                    // analysis:allow(panic-freedom): i, j range over col..n and a.len() == n*n
-                    a[i * n + col]
-                        .abs()
-                        // analysis:allow(panic-freedom): j < n, so j*n+col < n*n == a.len()
-                        .partial_cmp(&a[j * n + col].abs())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                // analysis:allow(panic-freedom): col..n is non-empty because col < n
-                .expect("non-empty pivot range");
-            // analysis:allow(panic-freedom): pivot_row came from col..n, in bounds
+                .max_by(|&i, &j| a[i * n + col].abs().total_cmp(&a[j * n + col].abs()))
+                // col..n is non-empty because col < n.
+                .unwrap_or(col);
             let pivot = a[pivot_row * n + col];
             if pivot.abs() < 1e-12 {
                 return Err(MathError::Singular);
@@ -163,13 +165,11 @@ impl Matrix {
             }
             // Eliminate below.
             for r in (col + 1)..n {
-                // analysis:allow(panic-freedom): r, col < n index the n*n working copy
                 let factor = a[r * n + col] / a[col * n + col];
                 if factor == 0.0 {
                     continue;
                 }
                 for k in col..n {
-                    // analysis:allow(panic-freedom): r, col, k < n index the n*n working copy
                     a[r * n + k] -= factor * a[col * n + k];
                 }
                 x[r] -= factor * x[col];
@@ -179,10 +179,8 @@ impl Matrix {
         for col in (0..n).rev() {
             let mut sum = x[col];
             for k in (col + 1)..n {
-                // analysis:allow(panic-freedom): col, k < n index the n*n working copy
                 sum -= a[col * n + k] * x[k];
             }
-            // analysis:allow(panic-freedom): col < n indexes the n*n working copy's diagonal
             x[col] = sum / a[col * n + col];
         }
         Ok(x)
@@ -200,6 +198,10 @@ impl Matrix {
 impl std::ops::Index<(usize, usize)> for Matrix {
     type Output = f64;
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the Index contract: an out-of-shape (r, c) panics, as a slice index does"
+    )]
     fn index(&self, (r, c): (usize, usize)) -> &f64 {
         debug_assert!(r < self.rows && c < self.cols);
         &self.data[r * self.cols + c]
@@ -207,6 +209,10 @@ impl std::ops::Index<(usize, usize)> for Matrix {
 }
 
 impl std::ops::IndexMut<(usize, usize)> for Matrix {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the IndexMut contract: an out-of-shape (r, c) panics, as a slice index does"
+    )]
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
         debug_assert!(r < self.rows && c < self.cols);
         &mut self.data[r * self.cols + c]

@@ -27,12 +27,12 @@ use crate::total_cmp_f64;
 /// experiments this replaces — absent data reads as "no latency", and
 /// callers that care assert non-emptiness themselves).
 pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
+    let Some(&last) = sorted.last() else {
         return 0.0;
-    }
+    };
     let q = q.clamp(0.0, 1.0);
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+    sorted.get(idx).copied().unwrap_or(last)
 }
 
 /// Sorts `samples` (dropping non-finite values) and returns the exact
@@ -127,7 +127,9 @@ impl QuantileSketch {
             return;
         }
         let b = self.bucket_of(v);
-        self.counts[b] += 1;
+        if let Some(count) = self.counts.get_mut(b) {
+            *count += 1;
+        }
         self.total += 1;
         if v < self.min_seen {
             self.min_seen = v;

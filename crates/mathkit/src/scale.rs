@@ -25,14 +25,14 @@ impl MinMaxScaler {
     /// Panics when `rows` is empty or ragged.
     pub fn fit(rows: &[Vec<f64>]) -> Self {
         assert!(!rows.is_empty(), "MinMaxScaler::fit: empty input");
-        let d = rows[0].len();
+        let d = rows.first().map_or(0, Vec::len);
         let mut mins = vec![f64::INFINITY; d];
         let mut maxs = vec![f64::NEG_INFINITY; d];
         for r in rows {
             assert_eq!(r.len(), d, "MinMaxScaler::fit: ragged input");
-            for (j, &v) in r.iter().enumerate() {
-                mins[j] = mins[j].min(v);
-                maxs[j] = maxs[j].max(v);
+            for ((min, max), &v) in mins.iter_mut().zip(maxs.iter_mut()).zip(r) {
+                *min = min.min(v);
+                *max = max.max(v);
             }
         }
         MinMaxScaler { mins, maxs }
@@ -83,8 +83,8 @@ impl MinMaxScaler {
             "MinMaxScaler::inverse: arity mismatch"
         );
         row.iter()
-            .enumerate()
-            .map(|(j, &v)| self.mins[j] + v * (self.maxs[j] - self.mins[j]))
+            .zip(self.mins.iter().zip(&self.maxs))
+            .map(|(&v, (&min, &max))| min + v * (max - min))
             .collect()
     }
 }

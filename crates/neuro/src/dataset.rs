@@ -80,6 +80,10 @@ impl Dataset {
     /// Deterministically splits into `(train, test)` with `train_fraction`
     /// of the examples (rounded down, at least one on each side when
     /// possible) going to the training side, after a seeded shuffle.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "idx is a permutation of 0..len and cut is at most len"
+    )]
     pub fn split(&self, train_fraction: f64, seed: u64) -> (Dataset, Dataset) {
         assert!(
             (0.0..=1.0).contains(&train_fraction),

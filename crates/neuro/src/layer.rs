@@ -104,6 +104,10 @@ impl DenseLayer {
     /// `input` is the layer input, `output` the activated output from the
     /// forward pass, and `grad_out` is d(loss)/d(output). Returns
     /// d(loss)/d(input) and fills `grads`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "o < out_dim and i < in_dim index buffers of out_dim, in_dim and out_dim*in_dim entries"
+    )]
     pub(crate) fn backward(
         &self,
         input: &[f64],

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 //! A small, dependency-free feed-forward neural-network library.
 //!

@@ -42,18 +42,19 @@ impl Network {
 
     /// Input dimensionality.
     pub fn input_dim(&self) -> usize {
-        self.layers[0].in_dim
+        self.layers.first().map_or(0, |l| l.in_dim)
     }
 
     /// Hidden layer widths (excluding the output head).
     pub fn hidden_widths(&self) -> Vec<usize> {
-        self.layers[..self.layers.len() - 1]
-            .iter()
-            .map(|l| l.out_dim)
-            .collect()
+        self.layers
+            .split_last()
+            .map(|(_, hidden)| hidden.iter().map(|l| l.out_dim).collect())
+            .unwrap_or_default()
     }
 
     /// Predicts the scalar output for one input row.
+    #[expect(clippy::indexing_slicing, reason = "the output head is one unit wide")]
     pub fn predict(&self, input: &[f64]) -> f64 {
         assert_eq!(
             input.len(),
@@ -72,6 +73,7 @@ impl Network {
     /// ponged through the layer stack instead of allocating one vector per
     /// layer per row. The arithmetic (and therefore every bit of every
     /// prediction) is identical to calling [`Network::predict`] per row.
+    #[expect(clippy::indexing_slicing, reason = "the output head is one unit wide")]
     pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
         let widest = self
             .layers
@@ -106,6 +108,7 @@ impl Network {
     /// (batch staging buffers, benchmark matrices) should prefer this
     /// over cloning rows into a `Vec<Vec<f64>>`. Bit-identical to the
     /// nested-slice path.
+    #[expect(clippy::indexing_slicing, reason = "the output head is one unit wide")]
     pub fn predict_batch_flat(&self, rows: &[f64], width: usize) -> Vec<f64> {
         assert_eq!(
             width,
@@ -143,16 +146,21 @@ impl Network {
     /// input itself); used by backprop.
     fn forward_trace(&self, input: &[f64]) -> Vec<Vec<f64>> {
         let mut acts = Vec::with_capacity(self.layers.len() + 1);
-        acts.push(input.to_vec());
+        let mut x = input.to_vec();
         for layer in &self.layers {
-            let next = layer.forward(acts.last().expect("non-empty trace"));
-            acts.push(next);
+            let next = layer.forward(&x);
+            acts.push(std::mem::replace(&mut x, next));
         }
+        acts.push(x);
         acts
     }
 
     /// Accumulates MSE gradients for one example into `grads` and returns
     /// its squared error.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "forward_trace returns layers+1 activations, grads has one entry per layer, and the output head is one unit wide"
+    )]
     pub(crate) fn accumulate_grads(
         &self,
         input: &[f64],
@@ -161,7 +169,7 @@ impl Network {
     ) -> f64 {
         debug_assert_eq!(grads.len(), self.layers.len());
         let acts = self.forward_trace(input);
-        let pred = acts.last().expect("output present")[0];
+        let pred = acts[self.layers.len()][0];
         let err = pred - target;
         // d(0.5·err²)/d(pred) = err
         let mut grad = vec![err];
@@ -221,7 +229,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // indices walk layers and grads in lockstep
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "indices walk layers and grads in lockstep"
+    )]
     fn network_gradients_match_finite_differences() {
         let mut net = Network::new(2, &[4, 3], 5);
         let input = [0.4, -0.6];

@@ -49,7 +49,10 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    #[allow(clippy::needless_range_loop)] // indices address three parallel buffers
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "k indexes three parallel buffers of one layer's length; ensure_state sized m and v to net"
+    )]
     fn step(&mut self, net: &mut Network, grads: &[LayerGrads]) {
         self.ensure_state(net);
         self.t += 1;

@@ -191,7 +191,9 @@ impl PackedNetwork {
         // per input dimension.
         for (i, dst) in cur.chunks_exact_mut(LANES).take(width).enumerate() {
             for (d, src_row) in dst.iter_mut().zip(block.chunks_exact(width)) {
-                *d = src_row[i];
+                if let Some(&v) = src_row.get(i) {
+                    *d = v;
+                }
             }
         }
         let mut w_rest: &[f64] = &self.weights;

@@ -96,7 +96,9 @@ pub fn train(
         for batch in train_set.batch_indices(config.batch_size, &mut rng) {
             let mut grads = net.zero_grads();
             for &i in &batch {
-                net.accumulate_grads(&train_set.inputs[i], train_set.targets[i], &mut grads);
+                if let (Some(x), Some(&y)) = (train_set.inputs.get(i), train_set.targets.get(i)) {
+                    net.accumulate_grads(x, y, &mut grads);
+                }
             }
             let scale = 1.0 / batch.len() as f64;
             for g in &mut grads {

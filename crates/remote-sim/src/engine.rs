@@ -112,6 +112,10 @@ pub struct ClusterEngine {
 
 impl ClusterEngine {
     /// Creates an engine. `seed` drives the execution-time noise.
+    #[expect(
+        clippy::expect_used,
+        reason = "a fresh catalog holds no system, so registering the first cannot collide"
+    )]
     pub fn new(id: &str, persona: Persona, cluster: ClusterConfig, seed: u64) -> Self {
         let sys_id = SystemId::new(id);
         let profile = RemoteSystemProfile::new(
@@ -382,14 +386,18 @@ fn compile(
                     jobs.extend(inner.jobs);
                 }
             }
-            let (info, ctx) = analysis.join.expect("join analysis present");
+            let (info, ctx) = analysis.join.ok_or_else(|| {
+                EngineError::Unsupported("a join core without a join analysis".into())
+            })?;
             let algo = choose_join(persona.kind, &persona.rules, cluster, &info, &ctx);
             join_algorithm = Some(algo);
             jobs.push(em.join_job(algo, &info));
         }
         crate::analyze::CoreKind::Scan => {
             if analysis.agg.is_none() {
-                let scan_in = analysis.scan_in.expect("scan analysis present");
+                let scan_in = analysis.scan_in.ok_or_else(|| {
+                    EngineError::Unsupported("a scan core without a scan analysis".into())
+                })?;
                 jobs.push(em.scan_job(
                     scan_in.rows,
                     scan_in.row_bytes,

@@ -10,8 +10,18 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// A simulated duration in microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct SimDuration(f64);
+
+impl PartialOrd for SimDuration {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the IEEE 754 partial order a derive would give: simulated durations are finite, and a NaN compares unordered"
+    )]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        self.0.partial_cmp(&other.0)
+    }
+}
 
 impl SimDuration {
     /// Zero duration.

@@ -3,13 +3,13 @@
 //! The front-end needs a monotonic microsecond counter for exactly one
 //! thing: refilling per-tenant token buckets. Reading ambient time from
 //! the rate-limit path would make admission decisions non-replayable
-//! (the workspace's nondeterminism lint R5 bans `Instant::now()` on
-//! estimation paths for that reason), so time is *injected*: production
+//! (`clippy.toml` disallows `Instant::now()` in the production crates
+//! for that reason), so time is *injected*: production
 //! builds a `Clock::monotonic` once at startup, tests build a
 //! [`Clock::manual`] they advance explicitly, and everything downstream
 //! of the constructor is a pure function of `now_micros()`. This module
-//! is the single approved home of `Instant::now()` in the crate (it is
-//! listed in the analysis pass's entropy-exempt modules).
+//! is the single approved home of `Instant::now()` in the crate: its
+//! one call carries the crate's one `#[expect]` for it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,6 +31,10 @@ enum ClockKind {
 
 impl Clock {
     /// Real monotonic time, starting at 0 when constructed.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the clock module is the serving layer's one home of the wall clock; tests use Clock::manual"
+    )]
     pub(crate) fn monotonic() -> Clock {
         Clock(ClockKind::Monotonic(Instant::now()))
     }

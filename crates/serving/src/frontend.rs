@@ -38,9 +38,10 @@
 //! injected [`Clock`], and `recv_timeout` only sleeps out what is left
 //! of the window — so admission decisions replay deterministically and
 //! a test can move the coalesce deadline under a manual clock. The
-//! analysis pass holds this module to the panic-freedom, alloc-freedom
-//! and blocking-freedom rules (R1, R7, R8) that govern the rest of the
-//! estimation hot path.
+//! workspace lints hold this module to the same panic-freedom as the
+//! rest of the estimation path; its blocking calls — the queue wait,
+//! the reply wait, spawning and joining the pool — each carry an
+//! `#[expect(clippy::disallowed_methods)]` on their fn.
 
 use crate::clock::Clock;
 use crate::limiter::{RateLimitConfig, TenantRateLimiter};
@@ -179,6 +180,10 @@ impl Ticket {
     /// Blocks until the response arrives. If the front-end is torn down
     /// without answering (its half of the channel dropped), this
     /// resolves to [`Rejection::ShuttingDown`] rather than hanging.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the caller's side of the queue: waiting for the reply is the contract"
+    )]
     pub fn wait(self) -> FrontendResult {
         match self.rx.recv() {
             Ok(result) => result,
@@ -302,6 +307,10 @@ impl Frontend {
     /// `frontend_queue_depth`, `frontend_coalesce_batch_size`,
     /// `frontend_shed_total{reason}`, `frontend_requests_total`,
     /// `frontend_responses_total`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "starts the worker pool at construction, off the read path"
+    )]
     pub fn with_clock(service: EstimatorService, config: FrontendConfig, clock: Clock) -> Frontend {
         let config = FrontendConfig {
             queue_capacity: config.queue_capacity.max(1),
@@ -467,6 +476,10 @@ impl Frontend {
     /// admitted, and answers anything still queued with
     /// [`Rejection::ShuttingDown`]. Idempotent; also run on drop. After
     /// it returns, every ticket ever issued has been resolved.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "joins the worker pool at teardown, off the read path"
+    )]
     pub fn shutdown(&self) {
         let inner = &*self.inner;
         if inner.shutting_down.swap(true, Ordering::AcqRel) {
@@ -527,6 +540,10 @@ fn worker_loop(inner: &Inner) {
 /// never waits for followers. Returns the batch, whether this worker
 /// must stop, and how long (on the injected clock) the leader held the
 /// baton waiting for followers — the batch's coalesce span stage.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the worker blocks on its request queue between batches, off the read path"
+)]
 fn collect_batch(inner: &Inner, block_for_first: bool) -> (Vec<Pending>, bool, u64) {
     let mut batch = Vec::new();
     let mut stop = false;
@@ -711,6 +728,10 @@ fn respond(inner: &Inner, pending: &Pending, result: FrontendResult) {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test: the wall-clock tests sleep and time themselves"
+)]
 mod tests {
     use super::*;
     use costing::logical_op::flow::LogicalOpCosting;

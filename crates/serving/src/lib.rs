@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 //! The serving layer: an asynchronous estimate front-end over the
 //! [`costing::EstimatorService`].
@@ -16,7 +17,7 @@
 //!   amortised batched path. Results are bit-identical to serial calls.
 //! * [`limiter`] — deterministic per-tenant token buckets.
 //! * [`clock`] — injected time (monotonic or manual), keeping the
-//!   admission path replayable and the nondeterminism lint clean.
+//!   admission path replayable and free of the disallowed wall clock.
 //!
 //! The executor is dependency-free by design, matching the workspace's
 //! offline-shim philosophy: plain worker threads acting as rotating

@@ -20,6 +20,10 @@ impl std::fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenises `src`, appending a trailing [`Token::Eof`].
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every bytes[i]/bytes[j] is guarded by i < len or j < len, and src is sliced only at ASCII byte offsets the scan stopped on"
+)]
 pub(crate) fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 //! SQL front-end for the select-project-join-aggregate (SPJA) subset that
 //! IntelliSphere ships to remote systems.

@@ -187,10 +187,18 @@ impl Parser {
         Ok((Expr::binary(op, left.0, right.0), height))
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the lexer ends every stream with Eof and advance never moves pos past it"
+    )]
     fn peek(&self) -> &Spanned {
         &self.tokens[self.pos]
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the lexer ends every stream with Eof and advance never moves pos past it"
+    )]
     fn advance(&mut self) -> Spanned {
         let t = self.tokens[self.pos].clone();
         if self.pos + 1 < self.tokens.len() {
@@ -500,6 +508,10 @@ impl Parser {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test: the deep-nesting test runs on a thread with a small stack"
+)]
 mod tests {
     use super::*;
     use crate::ast::{BinOp, Expr};

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 //! Observability foundation for the IntelliSphere costing workspace.
 //!
@@ -101,6 +102,7 @@ impl std::fmt::Debug for Telemetry {
 }
 
 #[cfg(test)]
+#[expect(clippy::unreachable, reason = "test: the closure must never run")]
 mod tests {
     use super::*;
 

@@ -107,7 +107,7 @@ impl Histogram {
     fn new(bounds: &[f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
         assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
+            bounds.windows(2).all(|w| matches!(w, [a, b] if a < b)),
             "histogram bounds must be strictly increasing"
         );
         let counts = (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
@@ -127,7 +127,9 @@ impl Histogram {
             .iter()
             .position(|&b| v <= b)
             .unwrap_or(core.bounds.len());
-        core.counts[idx].fetch_add(1, Ordering::Relaxed);
+        if let Some(bucket) = core.counts.get(idx) {
+            bucket.fetch_add(1, Ordering::Relaxed);
+        }
         core.count.fetch_add(1, Ordering::Relaxed);
         let mut cur = core.sum_bits.load(Ordering::Relaxed);
         loop {
@@ -236,6 +238,10 @@ impl MetricsRegistry {
     /// # Panics
     /// Panics if the id already names a different metric type, or on an
     /// invalid metric name.
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics: one id registered as two metric types is a programming error"
+    )]
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let id = metric_id(name, labels);
         let mut metrics = self.inner.metrics.lock();
@@ -253,6 +259,10 @@ impl MetricsRegistry {
     /// # Panics
     /// Panics if the id already names a different metric type, or on an
     /// invalid metric name.
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics: one id registered as two metric types is a programming error"
+    )]
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let id = metric_id(name, labels);
         let mut metrics = self.inner.metrics.lock();
@@ -271,6 +281,10 @@ impl MetricsRegistry {
     /// # Panics
     /// Panics on an invalid name, non-increasing bounds, or if the id
     /// already names a different metric type.
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics: one id registered as two metric types is a programming error"
+    )]
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)], bounds: &[f64]) -> Histogram {
         let id = metric_id(name, labels);
         let mut metrics = self.inner.metrics.lock();
@@ -349,10 +363,9 @@ impl MetricsRegistry {
                     let snap = h.snapshot();
                     let cumulative = snap.cumulative();
                     for (i, cum) in cumulative.iter().enumerate() {
-                        let le = if i < snap.bounds.len() {
-                            render_f64(snap.bounds[i])
-                        } else {
-                            "+Inf".to_string()
+                        let le = match snap.bounds.get(i) {
+                            Some(&b) => render_f64(b),
+                            None => "+Inf".to_string(),
                         };
                         let mut ls = labels.clone();
                         ls.push(("le".to_string(), le));
@@ -502,6 +515,10 @@ impl SchedulerCounters {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test: concurrency tests spawn scoped threads"
+)]
 mod tests {
     use super::*;
 

@@ -107,13 +107,17 @@ impl SloState {
         let len = self.buckets.len();
         for _ in 0..steps.min(len) {
             self.head = (self.head + 1) % len;
-            self.buckets[self.head] = Bucket::default();
+            if let Some(b) = self.buckets.get_mut(self.head) {
+                *b = Bucket::default();
+            }
         }
         self.head_start_us += steps as u64 * self.bucket_us;
     }
 
     fn observe(&mut self, bad: bool) {
-        let b = &mut self.buckets[self.head];
+        let Some(b) = self.buckets.get_mut(self.head) else {
+            return;
+        };
         if bad {
             b.bad += 1;
         } else {
@@ -126,8 +130,9 @@ impl SloState {
         let len = self.buckets.len();
         let (mut bad, mut total) = (0u64, 0u64);
         for i in 0..n.min(len) {
-            // analysis:allow(panic-freedom): the index is reduced modulo len, always in bounds
-            let b = self.buckets[(self.head + len - i) % len];
+            let Some(b) = self.buckets.get((self.head + len - i) % len) else {
+                continue;
+            };
             bad += b.bad;
             total += b.good + b.bad;
         }

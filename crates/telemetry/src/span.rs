@@ -26,8 +26,8 @@
 //!   records are `Copy`, so recording a finished span allocates
 //!   nothing either.
 //!
-//! Wall-clock reads happen only here — the module is listed in the
-//! analysis crate's entropy exemptions, exactly like the trace clock.
+//! Wall-clock reads happen only here: the two fns that read
+//! `Instant::now()` each carry an `#[expect(clippy::disallowed_methods)]`.
 
 use mathkit::total_cmp_f64;
 use parking_lot::Mutex;
@@ -85,8 +85,22 @@ impl Stage {
 }
 
 /// Identifies one sampled request span (unique per [`SpanLayer`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanId(pub u64);
+
+// Written out: a derived `PartialOrd` calls the disallowed
+// `partial_cmp`. The order is the one `derive` would give.
+impl Ord for SpanId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for SpanId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 // The per-thread slab: one armed flag plus fixed stage accumulators.
 // `try_with` everywhere — no lazy init, no allocation, no panic during
@@ -132,6 +146,10 @@ impl Drop for StageTimer {
 
 /// Starts timing `stage` on the current thread's active span; inert
 /// when no span is armed.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "span timings are reported, never fed back into an estimate"
+)]
 pub fn time(stage: Stage) -> StageTimer {
     StageTimer {
         stage,
@@ -363,6 +381,10 @@ impl SpanLayer {
     /// A thread with a span already armed never starts a second one
     /// (the slab has a single owner) — the nested request rides along
     /// unsampled.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "span timings are reported, never fed back into an estimate"
+    )]
     pub fn start_request(&self, tenant: u64) -> SpanGuard<'_> {
         let every = self.inner.sample_every.load(Ordering::Relaxed);
         if every == 0 {

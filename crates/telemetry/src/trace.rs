@@ -345,6 +345,11 @@ impl Subscriber for RingSubscriber {
 }
 
 #[cfg(test)]
+#[expect(clippy::unreachable, reason = "test: the closure must never run")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test: concurrency tests spawn scoped threads"
+)]
 mod tests {
     use super::*;
 

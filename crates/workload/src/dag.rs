@@ -162,6 +162,10 @@ const SHRINKS: [u64; 5] = [1, 2, 5, 10, 20];
 
 /// Generates the workload: `config.queries` statements, topologically
 /// ordered (every `out_<j>` reference points at an earlier statement).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every table index is drawn by gen_range over the slice's length, and k < distinct == templates.len()"
+)]
 pub fn dag_workload(config: &DagConfig) -> Vec<DagStatement> {
     let queries = config.queries.max(1);
     let reuse = config.reuse.clamp(0.0, 0.99);

@@ -101,15 +101,15 @@ pub fn join_training_queries_with(tables: &[TableSpec], selectivities: &[u32]) -
             .collect();
         same_size.sort_by_key(|t| t.rows);
         same_size.dedup();
-        for i in 0..same_size.len() {
-            for j in (i + 1)..same_size.len() {
+        for (i, &small) in same_size.iter().enumerate() {
+            for (j, &big) in same_size.iter().enumerate().skip(i + 1) {
                 for (si, &sel) in selectivities.iter().enumerate() {
                     // Cycle the projection level deterministically so all
                     // seven Fig. 2 dimensions vary across the grid.
                     let projection = ((i + j + si) % PROJECTION_LEVELS as usize) as u8;
                     out.push(JoinQuery {
-                        big: same_size[j],
-                        small: same_size[i],
+                        big,
+                        small,
                         selectivity_pct: sel,
                         projection,
                     });

@@ -35,6 +35,10 @@ pub fn oor_table_specs() -> Vec<TableSpec> {
 /// sizes, three "one side out of range" queries (20 M joined with an
 /// in-range table) and — sharing the same size — cycling selectivities;
 /// plus "both sides out of range" self-pairings across sizes.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "each selectivity index is reduced modulo the constant's length"
+)]
 pub fn oor_join_queries() -> Vec<JoinQuery> {
     let mut out = Vec::new();
     // One side out of range: 5 sizes × 3 partners = 15 queries.

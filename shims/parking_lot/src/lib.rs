@@ -24,6 +24,10 @@
 //! * `try_lock` only *records* — a non-blocking attempt cannot
 //!   deadlock, so it never panics.
 //!
+//! The same feature logs the rank of every acquisition while
+//! `ranks_acquired_during` runs, so a test can assert which locks a
+//! path takes at all, not only their order.
+//!
 //! Without the feature every check compiles away: the guard is the
 //! plain `std::sync` guard type and [`Mutex::set_rank`] is a no-op, so
 //! instrumented crates call it unconditionally.
@@ -81,6 +85,9 @@ mod order {
 
     thread_local! {
         static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
+        /// Ranks acquired on this thread while a
+        /// [`super::ranks_acquired_during`] runs; `None` otherwise.
+        pub(crate) static LOG: RefCell<Option<Vec<u32>>> = const { RefCell::new(None) };
     }
 
     /// Releases its stack entry when the owning guard drops.
@@ -127,6 +134,11 @@ mod order {
                 }
             }
             held.push(Held { addr, rank });
+        });
+        LOG.with(|log| {
+            if let Some(log) = log.borrow_mut().as_mut() {
+                log.push(rank);
+            }
         });
         Token { addr }
     }
@@ -185,6 +197,25 @@ mod guards {
 
 #[cfg(feature = "lock-order-check")]
 pub use guards::MutexGuard;
+
+/// Runs `f` and returns the rank of every lock the current thread
+/// acquired meanwhile, in order (unranked locks log
+/// [`rank::UNRANKED`]). Locks taken on other threads are not seen.
+/// A nested call's ranks also reach the enclosing call's log.
+#[cfg(feature = "lock-order-check")]
+pub fn ranks_acquired_during(f: impl FnOnce()) -> Vec<u32> {
+    let outer = order::LOG.with(|log| log.replace(Some(Vec::new())));
+    f();
+    let ranks = order::LOG
+        .with(|log| log.replace(outer))
+        .unwrap_or_default();
+    order::LOG.with(|log| {
+        if let Some(outer) = log.borrow_mut().as_mut() {
+            outer.extend_from_slice(&ranks);
+        }
+    });
+    ranks
+}
 
 #[cfg(feature = "lock-order-check")]
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -298,6 +329,26 @@ mod tests {
     #[cfg(feature = "lock-order-check")]
     mod ordering {
         use super::super::*;
+
+        #[test]
+        fn ranks_acquired_during_logs_every_acquisition_in_order() {
+            let low = Mutex::new(());
+            let high = Mutex::new(());
+            low.set_rank(10);
+            high.set_rank(20);
+            let mut inner = Vec::new();
+            let outer = ranks_acquired_during(|| {
+                drop(low.lock());
+                inner = ranks_acquired_during(|| drop(high.try_lock()));
+                let _a = low.lock();
+                let _b = high.lock();
+            });
+            assert_eq!(inner, vec![20]);
+            assert_eq!(outer, vec![10, 20, 10, 20]);
+            // Outside a recording nothing is logged.
+            drop(low.lock());
+            assert!(ranks_acquired_during(|| {}).is_empty());
+        }
 
         #[test]
         fn increasing_ranks_are_legal() {

@@ -15,8 +15,10 @@
 //! during thread teardown — safe to call from inside the allocator.
 
 use catalog::SystemId;
+use costing::logical_op::{LogicalOpCosting, PackedOpScratch};
 use costing::{EstimateScratch, EstimatorService, OperatorKind, ServiceConfig};
-use integration_tests::trained_flow;
+use integration_tests::{flows, trained_flow};
+use neuro::PackedScratch;
 use serving::{EstimateRequest, Frontend, FrontendConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -330,4 +332,172 @@ fn frontend_drain_allocations_stay_bounded_per_batch() {
         "drained batch of {batch} allocated {n} times (bound {bound})"
     );
     fe.shutdown();
+}
+
+/// Every flow the shared fixtures train, so every operator kind they
+/// cover: the 2-dim aggregation of `trained_flow` and the 7-dim join and
+/// 4-dim aggregation of `flows`.
+fn fixture_flows() -> Vec<LogicalOpCosting> {
+    let (join, agg) = flows(1.0);
+    vec![trained_flow(), join, agg]
+}
+
+/// `n` row-major feature rows for `flow`, each dimension drawn from a
+/// seeded splitmix64 stream uniformly inside its trained `[min, max]`:
+/// always in range, never one repeated point.
+fn seeded_in_range_rows(flow: &LogicalOpCosting, n: usize, seed: u64) -> Vec<f64> {
+    let mut state = seed;
+    let mut unit = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as f64 / u64::MAX as f64
+    };
+    let dims = &flow.model.meta.dims;
+    let mut rows = Vec::with_capacity(n * dims.len());
+    for _ in 0..n {
+        rows.extend(dims.iter().map(|d| d.min + unit() * (d.max - d.min)));
+    }
+    rows
+}
+
+/// One fixture flow's probe: `(system, op, width, seeded rows)`.
+type ProbeCell = (SystemId, OperatorKind, usize, Vec<f64>);
+
+/// Every fixture flow registered on its own system, with its seeded
+/// rows.
+fn seeded_service(config: ServiceConfig, n: usize) -> (EstimatorService, Vec<ProbeCell>) {
+    let service = EstimatorService::new(config);
+    let cells = fixture_flows()
+        .into_iter()
+        .enumerate()
+        .map(|(i, flow)| {
+            let system = SystemId::new(&format!("alloc-probe-{i}"));
+            let op = flow.model.op;
+            let width = flow.model.meta.dims.len();
+            let rows = seeded_in_range_rows(&flow, n, 0xA110C + i as u64);
+            service.register(system.clone(), flow);
+            (system, op, width, rows)
+        })
+        .collect();
+    (service, cells)
+}
+
+/// `estimate_pinned` over seeded in-range rows of every fixture
+/// operator: the default cache answering every probe once warm, and
+/// the cache off so every call runs the kernel and the range check.
+#[test]
+fn estimate_pinned_is_allocation_free_over_seeded_rows_of_every_op() {
+    for (label, config) in [
+        ("default cache, hit path", ServiceConfig::default()),
+        (
+            "cache off",
+            ServiceConfig {
+                cache_capacity_per_shard: 0,
+            },
+        ),
+    ] {
+        let (service, cells) = seeded_service(config, 64);
+        let snapshot = service.snapshot();
+        let run = || {
+            for (system, op, width, rows) in &cells {
+                for row in rows.chunks_exact(*width) {
+                    service
+                        .estimate_pinned(&snapshot, system, *op, row)
+                        .expect("estimate");
+                }
+            }
+        };
+        // Warmup: the first pass fills the cache, the next two warm the
+        // thread's scratch on the hit path.
+        for _ in 0..3 {
+            run();
+        }
+        let n = allocs_during(|| {
+            for _ in 0..10 {
+                run();
+            }
+        });
+        assert_eq!(
+            n, 0,
+            "{label}: seeded estimates over every fixture op allocated {n} times"
+        );
+    }
+}
+
+/// The flat batch over seeded in-range rows of every fixture operator,
+/// 67 rows so the packed kernel runs full lane blocks and a remainder.
+#[test]
+fn flat_batch_is_allocation_free_over_seeded_rows_of_every_op() {
+    let (service, cells) = seeded_service(
+        ServiceConfig {
+            cache_capacity_per_shard: 0,
+        },
+        67,
+    );
+    let snapshot = service.snapshot();
+    let mut out = Vec::new();
+    let mut scratch = EstimateScratch::new();
+    let mut run = || {
+        for (system, op, width, rows) in &cells {
+            service
+                .estimate_batch_flat_pinned_scratch(
+                    &snapshot,
+                    system,
+                    *op,
+                    rows,
+                    *width,
+                    &mut out,
+                    &mut scratch,
+                )
+                .expect("batch");
+            assert_eq!(out.len(), 67);
+        }
+    };
+    for _ in 0..3 {
+        run();
+    }
+    let n = allocs_during(|| {
+        for _ in 0..20 {
+            run();
+        }
+    });
+    assert_eq!(n, 0, "seeded flat batches allocated {n} times");
+}
+
+/// Both packed kernels, called directly as the benches do:
+/// `PackedOpModel::predict_batch_into` (scaling fused in) and the bare
+/// `PackedNetwork::predict_batch_into` beneath it.
+#[test]
+fn packed_kernels_are_allocation_free_for_every_op() {
+    for (i, flow) in fixture_flows().iter().enumerate() {
+        let packed = flow.model.packed();
+        let width = flow.model.meta.dims.len();
+        let rows = seeded_in_range_rows(flow, 67, 0xB10C + i as u64);
+        let mut out = Vec::new();
+        let mut op_scratch = PackedOpScratch::new();
+        let mut nn_scratch = PackedScratch::new();
+        let mut run = || {
+            packed.predict_batch_into(&rows, width, &mut out, &mut op_scratch);
+            packed
+                .network()
+                .predict_batch_into(&rows, width, &mut out, &mut nn_scratch);
+        };
+        // Warmup, three calls as above: the kernels' scratch rows reach
+        // their steady capacity on the second.
+        for _ in 0..3 {
+            run();
+        }
+        let n = allocs_during(|| {
+            for _ in 0..20 {
+                run();
+            }
+        });
+        assert_eq!(
+            n, 0,
+            "packed kernels for {:?} allocated {n} times",
+            flow.model.op
+        );
+    }
 }

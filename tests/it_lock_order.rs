@@ -16,20 +16,35 @@
 //!   `adjust_alpha` emit their trail events inside the transaction;
 //! * `REGISTRY_METRICS` → `REGISTRY_HELP`: Prometheus exposition.
 //!
+//! The checker also logs every rank a thread acquires, and the last
+//! test uses that to pin the read path to the one lock it may take:
+//! the estimate cache.
+//!
 //! Run with: `cargo test -q --features lock-order-check -p tests`.
 #![cfg(feature = "lock-order-check")]
 
 use std::sync::Arc;
 
-use catalog::SystemId;
+use catalog::{
+    Capability, Catalog, ColumnDef, ColumnStats, RemoteSystemProfile, SystemId, SystemKind,
+    TableDef, TableStats,
+};
 use costing::estimator::OperatorKind;
 use costing::features::agg_dim_names;
 use costing::logical_op::{
     flow::LogicalOpCosting,
     model::{FitConfig, LogicalOpModel},
+    PackedOpScratch,
 };
 use costing::service::{EstimatorService, ServiceConfig};
-use neuro::Dataset;
+use costing::EstimateScratch;
+use federation::{
+    build_workload_pinned, plan_query_with_service_pinned, plan_workload, ScheduleConfig, SlotMap,
+    TransferCostModel, WorkloadSpec,
+};
+use integration_tests::federation_flows;
+use neuro::{Dataset, PackedScratch};
+use parking_lot::{rank, ranks_acquired_during};
 use telemetry::{Telemetry, VecSubscriber};
 
 fn agg_flow() -> LogicalOpCosting {
@@ -129,4 +144,190 @@ fn estimation_hot_path_holds_ranked_order_under_contention() {
     let text = service.telemetry().metrics.render_prometheus();
     assert!(text.contains("estimator_cache_hits_total"));
     assert!(!subscriber.is_empty(), "tracing was live during the run");
+}
+
+/// The master and one Hive remote, both with join and aggregation
+/// models, and two tables on the remote.
+fn federation_setup() -> (Catalog, EstimatorService) {
+    let mut catalog = Catalog::new();
+    catalog
+        .register_system(RemoteSystemProfile::new(
+            SystemId::master(),
+            SystemKind::Teradata,
+            1,
+            32,
+            1 << 38,
+            vec![
+                Capability::Filter,
+                Capability::Project,
+                Capability::Join,
+                Capability::Aggregate,
+            ],
+        ))
+        .expect("fresh catalog");
+    catalog
+        .register_system(RemoteSystemProfile::paper_hive_cluster("hive-a"))
+        .expect("unique system ids");
+    for (name, rows) in [("t_r", 2_000_000u64), ("t_s", 300_000)] {
+        let stats = TableStats::new(rows, 250)
+            .with_column("a1", ColumnStats::duplicated_range(rows, 1))
+            .with_column("a5", ColumnStats::duplicated_range(rows / 10, 10));
+        catalog
+            .register_table(TableDef::new(
+                name,
+                vec![
+                    ColumnDef::int("a1"),
+                    ColumnDef::int("a5"),
+                    ColumnDef::chars("d", 242),
+                ],
+                stats,
+                SystemId::new("hive-a"),
+            ))
+            .expect("unique table names");
+    }
+    let service = EstimatorService::new(ServiceConfig::default());
+    for (id, scale) in [(SystemId::master(), 2.0), (SystemId::new("hive-a"), 1.0)] {
+        let (join, agg) = federation_flows(scale);
+        service.register(id.clone(), join);
+        service.register(id, agg);
+    }
+    (catalog, service)
+}
+
+/// The read path takes no lock but the estimate cache. With tracing
+/// off, every lock the calling thread takes through the pinned estimate
+/// entries, both packed kernels, single-query placement, the workload
+/// build and `plan_workload` must be a `SERVICE_CACHE` shard: a
+/// registry lookup (`REGISTRY_METRICS`), a commit, a subscriber buffer
+/// or any unranked lock fails here. `plan_workload`'s dispatch threads
+/// are not the calling thread, so their locks are not seen.
+#[test]
+fn read_path_takes_no_lock_but_the_cache() {
+    let (catalog, service) = federation_setup();
+    let snapshot = service.snapshot();
+    let transfer = TransferCostModel::default();
+    let master = SystemId::master();
+    let agg = OperatorKind::Aggregation;
+    let rows: Vec<f64> = (1..=32)
+        .flat_map(|i| {
+            let r = 1e5 + i as f64 * 2.5e5;
+            [r, 250.0, r / 10.0, 12.0]
+        })
+        .collect();
+    let (_, flow) = federation_flows(1.0);
+    let packed = flow.model.packed();
+    let plan = sqlkit::sql_to_plan("SELECT r.a1, s.a1 FROM t_r r JOIN t_s s ON r.a1 = s.a1")
+        .expect("fixture SQL parses");
+    let mut spec = WorkloadSpec::default();
+    for (label, sql, out) in [
+        (
+            "q0",
+            "SELECT a5, SUM(a1) AS s1 FROM t_r GROUP BY a5",
+            Some("out_0"),
+        ),
+        (
+            "q1",
+            "SELECT r.a1, s.a1 FROM out_0 r JOIN t_s s ON r.a1 = s.a1",
+            None,
+        ),
+        (
+            "q2",
+            "SELECT r.a1, s.a1 FROM t_r r JOIN t_s s ON r.a1 = s.a1",
+            None,
+        ),
+    ] {
+        spec.push_sql(label, sql, out).expect("fixture SQL parses");
+    }
+
+    let mut scratch = EstimateScratch::new();
+    let mut out = Vec::new();
+    let mut raw = Vec::new();
+    let paths = [
+        (
+            "estimate_pinned",
+            ranks_acquired_during(|| {
+                for row in rows.chunks_exact(4) {
+                    service
+                        .estimate_pinned(&snapshot, &master, agg, row)
+                        .expect("estimate");
+                }
+            }),
+        ),
+        (
+            "estimate_batch_flat_pinned_scratch",
+            ranks_acquired_during(|| {
+                service
+                    .estimate_batch_flat_pinned_scratch(
+                        &snapshot,
+                        &master,
+                        agg,
+                        &rows,
+                        4,
+                        &mut out,
+                        &mut scratch,
+                    )
+                    .expect("batch");
+            }),
+        ),
+        (
+            "PackedOpModel::predict_batch_into",
+            ranks_acquired_during(|| {
+                packed.predict_batch_into(&rows, 4, &mut raw, &mut PackedOpScratch::new());
+            }),
+        ),
+        (
+            "PackedNetwork::predict_batch_into",
+            ranks_acquired_during(|| {
+                packed
+                    .network()
+                    .predict_batch_into(&rows, 4, &mut raw, &mut PackedScratch::new());
+            }),
+        ),
+        (
+            "plan_query_with_service_pinned",
+            ranks_acquired_during(|| {
+                plan_query_with_service_pinned(&catalog, &service, &snapshot, &transfer, &plan)
+                    .expect("query plans");
+            }),
+        ),
+        (
+            "build_workload_pinned",
+            ranks_acquired_during(|| {
+                build_workload_pinned(
+                    &catalog,
+                    &service,
+                    &snapshot,
+                    &transfer,
+                    &spec,
+                    &SlotMap::default(),
+                )
+                .expect("workload builds");
+            }),
+        ),
+        (
+            "plan_workload",
+            ranks_acquired_during(|| {
+                plan_workload(
+                    &catalog,
+                    &service,
+                    &transfer,
+                    &spec,
+                    &ScheduleConfig::default(),
+                )
+                .expect("workload plans");
+            }),
+        ),
+    ];
+    for (path, ranks) in &paths {
+        assert!(
+            ranks.iter().all(|&r| r == rank::SERVICE_CACHE),
+            "{path} acquired ranks {ranks:?}; the read path may take only SERVICE_CACHE ({})",
+            rank::SERVICE_CACHE
+        );
+    }
+    // The log is live: the cached estimates probed the cache.
+    assert!(
+        paths[0].1.contains(&rank::SERVICE_CACHE),
+        "no cache acquisition logged: the rank log is not recording"
+    );
 }
