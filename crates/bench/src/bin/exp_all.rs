@@ -12,7 +12,5 @@ fn main() {
     let _ = bench::experiments::heterogeneous::run(&cfg);
     let _ = bench::experiments::skew::run(&cfg);
     let _ = bench::experiments::ablations::run(&cfg);
-    let _ = bench::experiments::drift::run(&cfg);
-    let _ = bench::experiments::epoch_churn::run(&cfg);
     let _ = bench::experiments::workload::run(&cfg);
 }

@@ -1,11 +1,10 @@
-//! Runs the standing estimate-hot-path matrix (packed vs legacy
-//! kernels across batch size × concurrency × republisher churn) and
-//! writes `BENCH_hotpath.json`. `--quick` runs the reduced matrix;
-//! `--validate` re-checks the existing document — the kernel-scope
-//! speedup bar at batch ≥ 64 included — without running anything.
+//! Runs the packed-vs-legacy kernel matrix across shape × batch and
+//! writes `BENCH_hotpath.json`, then holds it to the speedup bar at
+//! batch ≥ 64 and the pairs' checksum bit-identity (exit 1 on a failed
+//! gate). `--quick` runs the reduced matrix.
 
 use bench::experiments::hotpath;
 
 fn main() {
-    bench::harness::main::<hotpath::HotpathDoc, _>(hotpath::run);
+    bench::harness::main(hotpath::run);
 }

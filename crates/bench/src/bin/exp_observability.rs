@@ -1,11 +1,10 @@
 //! Regenerates the observability-overhead matrix and
-//! `BENCH_observability.json`. `--quick` runs the reduced matrix;
-//! `--validate` re-checks the existing document — the sampled-off
-//! overhead bar and per-cell checksum bit-identity included — without
-//! running anything.
+//! `BENCH_observability.json`, then holds it to the sampled-off
+//! overhead bar and per-cell checksum bit-identity (exit 1 on a failed
+//! gate). `--quick` runs the reduced matrix.
 
 use bench::experiments::observability;
 
 fn main() {
-    bench::harness::main::<observability::ObservabilityDoc, _>(observability::run);
+    bench::harness::main(observability::run);
 }

@@ -24,8 +24,9 @@
 //! every row reconciles its ledger: submitted = completed + shed +
 //! rejected, because every admitted request must resolve.
 //!
-//! Results land in `results/frontend.txt` and — machine-readable, for
-//! the CI smoke job — in `BENCH_frontend.json` at the repo root.
+//! Results land in `results/frontend.txt` and — machine-readable, and
+//! checked against the coalescing bound before `exp_frontend` exits —
+//! in `BENCH_frontend.json` at the repo root.
 
 use crate::harness::{self, BenchDoc, Envelope, Host};
 use crate::report::{heading, kv, write_text_table, ExpConfig};
@@ -182,7 +183,7 @@ fn trained_slots() -> (LogicalOpCosting, Vec<SystemId>) {
         .iter()
         .map(|n| SystemId::new(n))
         .collect();
-    (harness::trained_flow(1.0), systems)
+    (harness::trained_flow(), systems)
 }
 
 fn fresh_frontend(

@@ -1,80 +1,57 @@
-//! The standing estimate-hot-path speed matrix (DESIGN.md §13).
+//! The standing packed-kernel speed gate (DESIGN.md §13).
 //!
 //! The raw-speed pass replaced the allocating per-row inference chain
 //! with struct-of-arrays fused kernels ([`neuro::PackedNetwork`],
-//! [`costing::PackedOpModel`]) and made the pinned estimate paths
-//! allocation-free steady-state. This experiment pins that claim as a
+//! [`costing::PackedOpModel`]). This experiment pins that claim as a
 //! trajectory: every run measures the same matrix and writes it to
-//! `BENCH_hotpath.json`, so a regression in the packed kernels (or a
-//! quiet re-introduction of per-row allocation) shows up as a ratio
-//! shift across PRs.
+//! `BENCH_hotpath.json`, so a regression in the packed kernels shows up
+//! as a ratio shift across PRs.
 //!
-//! Two scopes share the document:
+//! Each cell is a pair over the same rows: `legacy` is the per-row
+//! allocating reference chain the hot path used to run
+//! (`LogicalOpModel::predict_nn_reference` per row: a domain-conversion
+//! clone, a scaler-transform allocation, and one vector per layer
+//! inside `Network::predict`), kept in the tree as the bit-identity
+//! oracle and on no production path; `packed` is
+//! [`costing::PackedOpModel::predict_batch_into`] over the same rows
+//! staged flat, writing into warm caller scratch. Both kernels produce
+//! bit-identical outputs (the pair's checksums in the JSON must match
+//! exactly), so the ratio isolates allocation and layout.
 //!
-//! * **kernel** — the inference chain. `legacy` is the per-row
-//!   allocating reference chain the hot path used to run
-//!   (`LogicalOpModel::predict_nn_reference` per row: a
-//!   domain-conversion clone, a scaler-transform allocation, and one
-//!   vector per layer inside `Network::predict`), kept in the tree as
-//!   the bit-identity oracle and on no production path; `packed` is
-//!   [`costing::PackedOpModel::predict_batch_into`] over the same rows
-//!   staged flat, writing into warm caller scratch. Both kernels
-//!   produce bit-identical outputs (the pair's checksums in the JSON
-//!   must match exactly), so the ratio isolates allocation and layout.
-//! * **service** — the end-to-end pinned batch path under concurrency
-//!   and epoch churn. `legacy` replays what
-//!   [`costing::EstimatorService::estimate_batch_pinned`] used to do
-//!   before the raw-speed pass: clone the batch into a `Vec<Vec<f64>>`
-//!   and run the allocating `predict_nn_batch_reference` chain per
-//!   snapshot.
-//!   `packed` is today's flat scratch entry point
-//!   ([`costing::EstimatorService::estimate_batch_flat_pinned_scratch`]).
-//!   The cache is disabled (`cache_capacity_per_shard: 0`) so every
-//!   iteration measures the compute path, and `republishers`
-//!   background threads hammer [`costing::EstimatorService::republish`]
-//!   to exercise snapshot republication (models, and the packed forms
-//!   they own, are shared across epochs) while readers measure.
+//! The service path around the kernel (pinned snapshot, concurrency,
+//! republisher churn) is timed by `exp_observability`'s sampled-off
+//! cells and by the repository benchmark, not here (DESIGN.md §16).
 //!
-//! Validation (`--validate`, run by the CI smoke job) enforces the
-//! acceptance bar: on every `kernel`-scope pair with `batch >= 64`, the
-//! packed p50 must be at least `MIN_SPEEDUP_AT_64`× faster than the
-//! legacy p50, and every legacy/packed pair's checksum must agree bit
-//! for bit.
+//! The gate, checked by the run itself: on every pair with
+//! `batch >= 64`, the packed p50 must be at least `MIN_SPEEDUP_AT_64`×
+//! faster than the legacy p50, and every pair's checksums must agree
+//! bit for bit.
 
 use crate::harness::{self, BenchDoc, Envelope, Host};
 use crate::report::{heading, kv, write_text_table, ExpConfig};
-use catalog::SystemId;
-use costing::logical_op::flow::LogicalOpCosting;
 use costing::logical_op::model::{FitConfig, LogicalOpModel};
-use costing::service::{EstimatorService, ServiceConfig};
-use costing::{CostEstimate, EstimateScratch, EstimateSource, OperatorKind, PackedOpScratch};
+use costing::{OperatorKind, PackedOpScratch};
 use neuro::{Activation, Dataset, Network};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
-/// The acceptance bar the CI validation enforces on kernel-scope rows
-/// with `batch >= 64`: packed p50 at least this many times faster.
+/// The acceptance bar the run enforces on rows with `batch >= 64`:
+/// packed p50 at least this many times faster.
 pub(crate) const MIN_SPEEDUP_AT_64: f64 = 3.0;
 
 /// One measured matrix cell, as written to `BENCH_hotpath.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HotpathRow {
-    /// `"kernel"` (bare forward pass) or `"service"` (pinned batch path).
-    pub scope: String,
     /// `"legacy"` (per-row allocating chain) or `"packed"` (SoA fused).
     pub kernel: String,
-    /// Network shape, `"in->h1xh2"` (service rows: the trained model's).
+    /// Network shape, `"in->h1xh2"`.
     pub topology: String,
     /// Hidden activation of the measured network.
     pub activation: String,
     /// Rows per measured call.
     pub batch: u64,
-    /// Concurrent measuring threads (kernel scope is single-threaded).
-    pub concurrency: u64,
-    /// Background republisher threads churning epochs (service scope).
-    pub republishers: u64,
-    /// Timed calls across all measuring threads.
+    /// Timed calls.
     pub iters: u64,
     /// Median per-call latency, microseconds.
     pub p50_us: f64,
@@ -82,7 +59,7 @@ pub struct HotpathRow {
     pub p99_us: f64,
     /// Mean per-call latency, microseconds.
     pub mean_us: f64,
-    /// Throughput in estimated rows per second across all threads.
+    /// Throughput in estimated rows per second.
     pub rows_per_sec: f64,
     /// Sum of the batch's outputs for one untimed evaluation — must be
     /// bit-identical between a pair's legacy and packed rows.
@@ -119,7 +96,7 @@ pub struct HotpathDoc {
     /// The measuring host, stamped by the harness writer.
     #[serde(default)]
     pub host: Option<Host>,
-    /// The speedup bar validation enforces at `batch >= 64`.
+    /// The speedup bar the run enforces at `batch >= 64`.
     pub min_speedup_at_64: f64,
     /// One row per matrix cell.
     pub rows: Vec<HotpathRow>,
@@ -138,19 +115,16 @@ impl BenchDoc for HotpathDoc {
     }
 
     /// Quantile ordering, legacy/packed checksum bit-identity, and the
-    /// `batch >= 64` kernel speedup bar.
+    /// `batch >= 64` speedup bar.
     fn check(&self) -> Result<(), String> {
         if !(self.min_speedup_at_64.is_finite() && self.min_speedup_at_64 >= 1.0) {
             return Err(format!("bad min_speedup_at_64 {}", self.min_speedup_at_64));
         }
         for (i, r) in self.rows.iter().enumerate() {
-            if r.scope != "kernel" && r.scope != "service" {
-                return Err(format!("row {i}: unknown scope {:?}", r.scope));
-            }
             if r.kernel != "legacy" && r.kernel != "packed" {
                 return Err(format!("row {i}: unknown kernel {:?}", r.kernel));
             }
-            if r.batch == 0 || r.iters == 0 || r.concurrency == 0 {
+            if r.batch == 0 || r.iters == 0 {
                 return Err(format!("row {i}: empty measurement"));
             }
             harness::check_latencies(i, &[("p50_us", r.p50_us), ("p99_us", r.p99_us)], false)?;
@@ -160,16 +134,7 @@ impl BenchDoc for HotpathDoc {
             }
         }
         // Pair legacy and packed cells of the same matrix point.
-        let cell_key = |r: &HotpathRow| {
-            (
-                r.scope.clone(),
-                r.topology.clone(),
-                r.activation.clone(),
-                r.batch,
-                r.concurrency,
-                r.republishers,
-            )
-        };
+        let cell_key = |r: &HotpathRow| (r.topology.clone(), r.activation.clone(), r.batch);
         let mut pairs: std::collections::HashMap<_, (Option<f64>, Option<f64>, Vec<u64>)> =
             std::collections::HashMap::new();
         for r in &self.rows {
@@ -190,7 +155,7 @@ impl BenchDoc for HotpathDoc {
                     "cell {key:?}: legacy and packed checksums differ — kernels diverged"
                 ));
             }
-            if key.0 == "kernel" && key.3 >= 64 && *legacy < self.min_speedup_at_64 * *packed {
+            if key.2 >= 64 && *legacy < self.min_speedup_at_64 * *packed {
                 return Err(format!(
                     "cell {key:?}: packed p50 {packed:.3} us is only {:.2}x faster than \
                      legacy {legacy:.3} us (bar: {}x)",
@@ -222,7 +187,7 @@ fn random_flat(seed: u64, rows: usize, width: usize) -> Vec<f64> {
 
 /// Builds an op-model whose scalers come from a quick fit and whose
 /// network is replaced with the requested shape and activation — the
-/// kernel scope measures inference speed, not fit quality, and the
+/// matrix measures inference speed, not fit quality, and the
 /// bit-identity contract holds for any weights.
 fn kernel_model(width: usize, hidden: &[usize], act: Activation, seed: u64) -> LogicalOpModel {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -243,7 +208,7 @@ fn kernel_model(width: usize, hidden: &[usize], act: Activation, seed: u64) -> L
     model.with_network(Network::with_activation(width, hidden, act, seed))
 }
 
-/// Measures one kernel-scope legacy/packed pair over `flat` rows:
+/// Measures one legacy/packed pair over `flat` rows:
 /// `legacy` is the per-row reference chain
 /// (`LogicalOpModel::predict_nn_reference` — domain conversion, scaler
 /// transform, and `Network::predict`, each allocating per row); `packed`
@@ -271,13 +236,10 @@ fn bench_kernel_pair(
     let legacy_checksum: f64 = nested.iter().map(|r| model.predict_nn_reference(r)).sum();
 
     let template = HotpathRow {
-        scope: "kernel".to_string(),
         kernel: String::new(),
         topology: topology.to_string(),
         activation: activation.to_string(),
         batch: batch as u64,
-        concurrency: 1,
-        republishers: 0,
         iters: 0,
         p50_us: 0.0,
         p99_us: 0.0,
@@ -321,102 +283,9 @@ fn bench_kernel_pair(
     rows
 }
 
-/// Replays the pre-refactor batch compute against a pinned snapshot:
-/// nested staging clones plus the allocating
-/// `predict_nn_batch_reference` chain.
-fn legacy_batch_compute(model: &LogicalOpModel, flat: &[f64], width: usize) -> Vec<CostEstimate> {
-    let rows: Vec<Vec<f64>> = flat.chunks_exact(width).map(|r| r.to_vec()).collect();
-    model
-        .predict_nn_batch_reference(&rows)
-        .into_iter()
-        .map(|secs| CostEstimate::new(secs, EstimateSource::NeuralNetwork))
-        .collect()
-}
-
-/// Measures one service-scope legacy/packed pair: `concurrency` reader
-/// threads estimating the same flat batch against per-iteration pinned
-/// snapshots while `republishers` threads churn epochs.
-fn bench_service_pair(
-    flow: &LogicalOpCosting,
-    batch: usize,
-    concurrency: usize,
-    republishers: usize,
-    duration: Duration,
-) -> Vec<HotpathRow> {
-    let service = EstimatorService::new(ServiceConfig {
-        cache_capacity_per_shard: 0, // measure the compute path, not the cache
-    });
-    let system = SystemId::new("hotpath-svc");
-    let op = flow.model.op;
-    service.register(system.clone(), flow.clone());
-    let width = flow.model.arity();
-    let flat = harness::in_range_flat(0x407b47, batch);
-    let topology = {
-        let widths = flow.model.network().hidden_widths();
-        let dims: Vec<String> = widths.iter().map(|w| w.to_string()).collect();
-        format!("{}->{}", width, dims.join("x"))
-    };
-
-    // Every call sums its own batch (the service's packed path is
-    // bit-identical to the legacy chain by the differential suite;
-    // validation re-checks it by comparing the pair's checksums).
-    let checksum_for = |ests: &[CostEstimate]| ests.iter().map(|e| e.secs).sum::<f64>();
-
-    let template = HotpathRow {
-        scope: "service".to_string(),
-        kernel: String::new(),
-        topology,
-        activation: "tanh".to_string(),
-        batch: batch as u64,
-        concurrency: concurrency as u64,
-        republishers: republishers as u64,
-        iters: 0,
-        p50_us: 0.0,
-        p99_us: 0.0,
-        mean_us: 0.0,
-        rows_per_sec: 0.0,
-        checksum: 0.0,
-    };
-
-    let mut rows = Vec::new();
-    for kernel in ["legacy", "packed"] {
-        let (service, system, flat) = (&service, &system, &flat);
-        let slice =
-            harness::measure_under_churn(service, concurrency, republishers, duration, || {
-                let mut scratch = EstimateScratch::new();
-                let mut out = Vec::new();
-                move || {
-                    let snapshot = service.snapshot();
-                    match kernel {
-                        "legacy" => {
-                            let flow = snapshot.model(system, op).expect("model registered");
-                            checksum_for(&legacy_batch_compute(&flow.model, flat, width))
-                        }
-                        _ => {
-                            service
-                                .estimate_batch_flat_pinned_scratch(
-                                    &snapshot,
-                                    system,
-                                    op,
-                                    flat,
-                                    width,
-                                    &mut out,
-                                    &mut scratch,
-                                )
-                                .expect("batch estimates");
-                            checksum_for(&out)
-                        }
-                    }
-                }
-            });
-        rows.push(template.measured(kernel, slice.lat_us, slice.elapsed_s, slice.checksum));
-    }
-    rows
-}
-
 /// Runs the matrix and returns the measured document.
 pub fn run(cfg: &ExpConfig) -> HotpathDoc {
-    heading("Estimate hot path — packed vs legacy kernels, batch x concurrency x churn");
+    heading("Estimate hot path — packed vs legacy kernels across shape x batch");
 
     let cell_time = if cfg.quick {
         Duration::from_millis(80)
@@ -425,10 +294,9 @@ pub fn run(cfg: &ExpConfig) -> HotpathDoc {
     };
     let mut rows = Vec::new();
 
-    // Kernel scope: the paper's two operator shapes, ReLU hidden
-    // activations (the fused kernel's win is layout and allocation, not
-    // transcendental throughput — tanh reference rows are appended
-    // unjudged below).
+    // The paper's two operator shapes, ReLU hidden activations (the
+    // fused kernel's win is layout and allocation, not transcendental
+    // throughput — a tanh reference pair is appended unjudged below).
     let kernel_shapes: &[(&str, usize, &[usize])] =
         &[("4->10x5", 4, &[10, 5]), ("7->14x7", 7, &[14, 7])];
     let batches: &[usize] = if cfg.quick {
@@ -452,8 +320,8 @@ pub fn run(cfg: &ExpConfig) -> HotpathDoc {
     }
     // One tanh reference pair shows how much of the per-row cost is
     // transcendental (and therefore untouched by packing). The speedup
-    // bar applies to every kernel cell at batch >= 64, so this
-    // reference pair stays at batch 8 where the bar does not judge it.
+    // bar applies to every cell at batch >= 64, so this reference pair
+    // stays at batch 8 where the bar does not judge it.
     let tanh_model = kernel_model(4, &[10, 5], Activation::Tanh, cfg.seed);
     let tanh_flat = random_flat(cfg.seed ^ 0x7a, 8, 4);
     rows.extend(bench_kernel_pair(
@@ -465,31 +333,14 @@ pub fn run(cfg: &ExpConfig) -> HotpathDoc {
         cell_time,
     ));
 
-    // Service scope: concurrency and epoch churn around the pinned
-    // batch path.
-    let flow = harness::trained_flow(1.0);
-    let service_batches: &[usize] = if cfg.quick { &[64] } else { &[8, 64] };
-    let concurrencies: &[usize] = if cfg.quick { &[1, 2] } else { &[1, 4] };
-    let republisher_counts: &[usize] = if cfg.quick { &[0, 1] } else { &[0, 2] };
-    for &batch in service_batches {
-        for &conc in concurrencies {
-            for &repub in republisher_counts {
-                rows.extend(bench_service_pair(&flow, batch, conc, repub, cell_time));
-            }
-        }
-    }
-
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             vec![
-                r.scope.clone(),
                 r.kernel.clone(),
                 r.topology.clone(),
                 r.activation.clone(),
                 r.batch.to_string(),
-                r.concurrency.to_string(),
-                r.republishers.to_string(),
                 r.iters.to_string(),
                 format!("{:.2}", r.p50_us),
                 format!("{:.2}", r.p99_us),
@@ -501,8 +352,7 @@ pub fn run(cfg: &ExpConfig) -> HotpathDoc {
         cfg,
         "hotpath",
         &[
-            "scope", "kernel", "topology", "act", "batch", "conc", "repub", "iters", "p50 us",
-            "p99 us", "rows/s",
+            "kernel", "topology", "act", "batch", "iters", "p50 us", "p99 us", "rows/s",
         ],
         &table,
     );
@@ -528,17 +378,14 @@ mod tests {
         harness::parse(text)
     }
 
-    fn sample_pair(scope: &str, batch: u64, legacy_p50: f64, packed_p50: f64) -> Vec<HotpathRow> {
+    fn sample_pair(batch: u64, legacy_p50: f64, packed_p50: f64) -> Vec<HotpathRow> {
         ["legacy", "packed"]
             .iter()
             .map(|&kernel| HotpathRow {
-                scope: scope.to_string(),
                 kernel: kernel.to_string(),
                 topology: "4->10x5".to_string(),
                 activation: "relu".to_string(),
                 batch,
-                concurrency: 1,
-                republishers: 0,
                 iters: 1000,
                 p50_us: if kernel == "legacy" {
                     legacy_p50
@@ -560,7 +407,7 @@ mod tests {
             seed: 1,
             host: None,
             min_speedup_at_64: MIN_SPEEDUP_AT_64,
-            rows: sample_pair("kernel", 64, 40.0, 10.0),
+            rows: sample_pair(64, 40.0, 10.0),
         }
     }
 
@@ -574,17 +421,12 @@ mod tests {
     #[test]
     fn validation_enforces_the_speedup_bar_at_batch_64() {
         let mut doc = sample_doc();
-        doc.rows = sample_pair("kernel", 64, 20.0, 10.0); // only 2x
+        doc.rows = sample_pair(64, 20.0, 10.0); // only 2x
         let text = serde_json::to_string_pretty(&doc).unwrap();
         assert!(validate_doc(&text).unwrap_err().contains("faster"));
-        // The same ratio passes below the bar's batch threshold…
+        // The same ratio passes below the bar's batch threshold.
         let mut doc = sample_doc();
-        doc.rows = sample_pair("kernel", 8, 20.0, 10.0);
-        let text = serde_json::to_string_pretty(&doc).unwrap();
-        assert!(validate_doc(&text).is_ok());
-        // …and on service rows, which the bar does not judge.
-        let mut doc = sample_doc();
-        doc.rows = sample_pair("service", 256, 20.0, 10.0);
+        doc.rows = sample_pair(8, 20.0, 10.0);
         let text = serde_json::to_string_pretty(&doc).unwrap();
         assert!(validate_doc(&text).is_ok());
     }
@@ -628,22 +470,6 @@ mod tests {
         for r in &rows {
             assert!(r.iters > 0, "{r:?}");
             assert!(r.p50_us > 0.0 && r.p50_us <= r.p99_us, "{r:?}");
-        }
-    }
-
-    #[test]
-    fn service_pair_measures_under_churn_with_equal_checksums() {
-        let flow = harness::trained_flow(1.0);
-        let rows = bench_service_pair(&flow, 8, 2, 1, Duration::from_millis(30));
-        assert_eq!(rows.len(), 2);
-        assert_eq!(
-            rows[0].checksum.to_bits(),
-            rows[1].checksum.to_bits(),
-            "legacy and packed service paths must agree bit for bit"
-        );
-        for r in &rows {
-            assert!(r.iters > 0, "{r:?}");
-            assert_eq!(r.republishers, 1);
         }
     }
 }

@@ -1,8 +1,6 @@
 //! The experiment implementations, one module per paper artefact.
 
 pub mod ablations;
-pub mod drift;
-pub mod epoch_churn;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;

@@ -24,12 +24,12 @@
 //!
 //! Modes are measured in interleaved rounds (baseline, then each
 //! service variant, repeated) so thermal and scheduler drift cancels
-//! instead of biasing one side. Validation (`--validate`, run by the CI
-//! smoke job) enforces the acceptance bar: in every cell, the
-//! sampled-off service p50 must be within `MAX_OVERHEAD_PCT` percent
-//! (plus a one-microsecond absolute grace) of the baseline p50, and all
-//! of a cell's checksums must agree bit for bit — instrumentation must
-//! not change a single answer.
+//! instead of biasing one side. The run checks its own document against
+//! the acceptance bar (exit 1 from `exp_observability` when it fails):
+//! in every cell, the sampled-off service p50 must be within
+//! `MAX_OVERHEAD_PCT` percent (plus a one-microsecond absolute grace)
+//! of the baseline p50, and all of a cell's checksums must agree bit
+//! for bit — instrumentation must not change a single answer.
 //!
 //! The run also drives a short deterministic serving scenario (manual
 //! clock, sampling 1-in-1, a tight latency SLO, a small ring
@@ -464,7 +464,7 @@ fn ops_scenario(cfg: &ExpConfig) -> OpsSummary {
     };
     let service = EstimatorService::with_telemetry(ServiceConfig::default(), telemetry.clone());
     let system = SystemId::new("obs-ops");
-    service.register(system.clone(), harness::trained_flow(1.0));
+    service.register(system.clone(), harness::trained_flow());
 
     let clock = Clock::manual(0);
     let frontend = Frontend::with_clock(
@@ -571,7 +571,7 @@ pub fn run(cfg: &ExpConfig) -> ObservabilityDoc {
     } else {
         (4, Duration::from_millis(100))
     };
-    let flow = harness::trained_flow(1.0);
+    let flow = harness::trained_flow();
     let batches: &[usize] = if cfg.quick { &[64] } else { &[64, 256] };
     let concurrencies: &[usize] = if cfg.quick { &[1, 2] } else { &[1, 4] };
     let republisher_counts: &[usize] = if cfg.quick { &[0, 1] } else { &[0, 2] };
@@ -723,7 +723,7 @@ mod tests {
 
     #[test]
     fn cell_modes_measure_with_identical_checksums() {
-        let flow = harness::trained_flow(1.0);
+        let flow = harness::trained_flow();
         let rows = bench_cell(&flow, 7, 16, 1, 0, 1, Duration::from_millis(15));
         assert_eq!(rows.len(), 4);
         let bits: Vec<u64> = rows.iter().map(|r| r.checksum.to_bits()).collect();

@@ -15,8 +15,8 @@
 //! matrix reaches 256 and 1,024 statements, and every cell records the
 //! wall time of its rule pass per statement, so a search that stops
 //! scaling shows as a row.
-//! Validation (`--validate`, run by the CI smoke job) enforces the
-//! acceptance bars:
+//! The run checks its own document against the acceptance bars (exit 1
+//! from `exp_workload` when one fails):
 //!
 //! * on reuse-heavy cells (reuse ≥ 0.5) the optimized makespan is at
 //!   least `REUSE_HEAVY_MIN_REDUCTION_PCT` percent below greedy and

@@ -1,11 +1,10 @@
 //! The one measurement harness behind the gated `exp_*` experiments.
 //!
-//! `hotpath`, `observability`, `frontend`, `drift` and `workload` differ
-//! only in *what* they measure and which thresholds they hold the
-//! numbers to. Everything else lives here, once: where a document goes
+//! `hotpath`, `observability`, `frontend` and `workload` differ only in
+//! *what* they measure and which thresholds they hold the numbers to.
+//! Everything else lives here, once: where a document goes
 //! (`bench_path`), how it becomes a file (`write()`, `write_json`),
-//! how a file becomes a checked document again (`read`, `parse`),
-//! the `--validate` entry point every gated binary shares ([`main()`]),
+//! the run-then-gate entry point every gated binary shares ([`main()`]),
 //! the percentile summary (`summarize`), the latency sanity check
 //! (`check_latencies`), the readers × republishers measurement scope
 //! (`measure_under_churn`) and the aggregation model the serving-side
@@ -16,8 +15,7 @@
 //! `BENCH_<name>.json` at the repo root; a `--quick` run writes
 //! `<out_dir>/BENCH_<name>.json` (the gitignored `results/`), so a
 //! smoke run never clobbers the trajectory; `out_dir: None` writes
-//! nothing at all. `--validate` reads whichever of the two the presence
-//! of `--quick` / `EXP_QUICK` selects.
+//! nothing at all.
 
 use crate::report::ExpConfig;
 use costing::logical_op::flow::LogicalOpCosting;
@@ -82,7 +80,7 @@ pub trait BenchDoc: Serialize + Deserialize {
     /// The experiment's own thresholds and cross-row checks.
     fn check(&self) -> Result<(), String>;
 
-    /// One line describing a valid document (printed by `--validate`).
+    /// One line describing a document that passed its gates.
     fn summary(&self) -> String;
 }
 
@@ -124,11 +122,9 @@ pub(crate) fn write<D: BenchDoc>(cfg: &ExpConfig, doc: &mut D) {
     }
 }
 
-/// Parses a document and validates it: JSON shape, experiment name,
-/// non-empty rows, then the experiment's own [`BenchDoc::check`].
-pub(crate) fn parse<D: BenchDoc>(text: &str) -> Result<D, String> {
-    let mut doc: D =
-        serde_json::from_str(text).map_err(|e| format!("not valid {} JSON: {e}", D::NAME))?;
+/// The envelope checks every document passes (experiment name,
+/// non-empty rows), then the experiment's own [`BenchDoc::check`].
+fn validate<D: BenchDoc>(doc: &mut D) -> Result<(), String> {
     let envelope = doc.envelope();
     if envelope.experiment != D::NAME {
         return Err(format!("unexpected experiment {:?}", envelope.experiment));
@@ -136,37 +132,36 @@ pub(crate) fn parse<D: BenchDoc>(text: &str) -> Result<D, String> {
     if envelope.rows == 0 {
         return Err("no rows".to_string());
     }
-    doc.check()?;
+    doc.check()
+}
+
+/// Parses a document and validates it.
+#[cfg(test)]
+pub(crate) fn parse<D: BenchDoc>(text: &str) -> Result<D, String> {
+    let mut doc: D =
+        serde_json::from_str(text).map_err(|e| format!("not valid {} JSON: {e}", D::NAME))?;
+    validate(&mut doc)?;
     Ok(doc)
 }
 
 /// Reads and validates the document at `path`.
+#[cfg(test)]
 pub(crate) fn read<D: BenchDoc>(path: &Path) -> Result<D, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     parse(&text).map_err(|e| format!("{} failed validation: {e}", path.display()))
 }
 
-/// The whole `main` of a gated experiment binary: `--validate` checks
-/// the existing document without running anything (exit 1 on failure),
-/// otherwise `run` measures and writes a new one. `--quick` /
-/// `EXP_QUICK` select the reduced run and its file in both modes.
-pub fn main<D: BenchDoc, R>(run: impl FnOnce(&ExpConfig) -> R) {
-    let cfg = ExpConfig::from_env();
-    if !std::env::args().any(|a| a == "--validate") {
-        run(&cfg);
-        return;
-    }
-    let path = bench_path(D::NAME, &cfg).expect("from_env enables file output");
-    match read::<D>(&path) {
-        Ok(mut doc) => println!(
-            "{} is valid: {}, quick = {}",
-            path.display(),
-            doc.summary(),
-            doc.envelope().quick
-        ),
+/// The whole `main` of a gated experiment binary: `run` measures and
+/// writes the document (`--quick` / `EXP_QUICK` select the reduced run
+/// and its file), then the document is held to its gates — exit 1 when
+/// one fails, so a broken gate fails the run that broke it.
+pub fn main<D: BenchDoc>(run: impl FnOnce(&ExpConfig) -> D) {
+    let mut doc = run(&ExpConfig::from_env());
+    match validate(&mut doc) {
+        Ok(()) => println!("  [gate] {} passed: {}", D::NAME, doc.summary()),
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {} failed its gate: {e}", D::NAME);
             std::process::exit(1);
         }
     }
@@ -276,15 +271,14 @@ pub(crate) fn measure_under_churn<R: FnMut() -> f64>(
 }
 
 /// The ground truth [`trained_flow`] is trained against.
-pub(crate) fn agg_truth(rows: f64, size: f64) -> f64 {
+fn agg_truth(rows: f64, size: f64) -> f64 {
     1.0 + 2e-6 * rows + 0.01 * size
 }
 
 /// The aggregation model the serving-side experiments cost against:
 /// a two-feature `(rows, size)` flow fitted on a 15×4 grid of
-/// `scale * agg_truth`. `scale` 1.0 is the model as trained; the epoch
-/// churn writers flip between two scales.
-pub(crate) fn trained_flow(scale: f64) -> LogicalOpCosting {
+/// `agg_truth`.
+pub(crate) fn trained_flow() -> LogicalOpCosting {
     let mut inputs = vec![];
     let mut targets = vec![];
     for r in 1..=15 {
@@ -292,7 +286,7 @@ pub(crate) fn trained_flow(scale: f64) -> LogicalOpCosting {
             let rows = r as f64 * 1e5;
             let size = s as f64 * 100.0;
             inputs.push(vec![rows, size]);
-            targets.push(scale * agg_truth(rows, size));
+            targets.push(agg_truth(rows, size));
         }
     }
     let (model, _) = LogicalOpModel::fit(
@@ -319,7 +313,7 @@ pub(crate) fn in_range_flat(seed: u64, batch: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{drift, frontend, hotpath, observability, workload};
+    use crate::experiments::{frontend, hotpath, observability, workload};
 
     #[derive(Debug, Clone, Serialize, Deserialize)]
     struct ToyRow {
@@ -476,7 +470,6 @@ mod tests {
         tracked::<hotpath::HotpathDoc>();
         tracked::<observability::ObservabilityDoc>();
         tracked::<frontend::FrontendDoc>();
-        tracked::<drift::DriftDoc>();
         tracked::<workload::WorkloadDoc>();
     }
 }

@@ -13,10 +13,8 @@
 //! | Fig. 14 (out-of-range)   | [`experiments::fig14`]  | `exp_fig14_oor` |
 //! | Table 1 (α adjustment)   | [`experiments::table1`] | `exp_table1_alpha` |
 //! | Ablations (DESIGN.md §5) | [`experiments::ablations`] | `exp_ablations` |
-//! | Drift health (DESIGN.md §9) | [`experiments::drift`] | `exp_drift` † |
-//! | Epoch churn (DESIGN.md §11) | [`experiments::epoch_churn`] | `exp_epoch_churn` |
 //! | Serving front-end (DESIGN.md §12) | [`experiments::frontend`] | `exp_frontend` † |
-//! | Estimate hot path (DESIGN.md §13) | [`experiments::hotpath`] | `exp_hotpath` † |
+//! | Packed-kernel speedup (DESIGN.md §13) | [`experiments::hotpath`] | `exp_hotpath` † |
 //! | Observability overhead (DESIGN.md §14) | [`experiments::observability`] | `exp_observability` † |
 //! | Workload optimizer (DESIGN.md §17) | [`experiments::workload`] | `exp_workload` † |
 //!
@@ -27,9 +25,10 @@
 //! workloads.
 //!
 //! The binaries marked † are *gated*: each writes a `BENCH_<name>.json`
-//! document and re-checks it under `--validate`. Everything they share
-//! — file policy, serialisation, the validator prologue, percentile
-//! summary, the concurrent measurement scope, the model fixture and the
+//! document, then holds it to a gate nothing else in the tree holds
+//! (DESIGN.md §16) and exits 1 when it fails. Everything they share —
+//! file policy, serialisation, the envelope checks, percentile summary,
+//! the concurrent measurement scope, the model fixture and the
 //! binaries' `main` — is the one [`harness`]; the experiment modules
 //! keep only their cells and their thresholds. End-to-end and per-layer
 //! latency is measured by the repository benchmark under `benchmark/`,

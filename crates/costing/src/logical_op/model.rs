@@ -15,10 +15,9 @@
 //! read, and never written to disk. [`LogicalOpModel::predict_nn`] *is*
 //! that packed kernel. The layer-by-layer chain the packed form was
 //! derived from ([`neuro::Network::predict`] behind the scalers) stays
-//! as [`LogicalOpModel::predict_nn_reference`] /
-//! [`LogicalOpModel::predict_nn_batch_reference`]: the oracle of the
-//! bit-identity tests and the `legacy` cells of `exp_hotpath`, on no
-//! production path.
+//! as [`LogicalOpModel::predict_nn_reference`] (and its test-only batch
+//! form, `predict_nn_batch_reference`): the oracle of the bit-identity
+//! tests and the `legacy` cells of `exp_hotpath`, on no production path.
 
 use crate::estimator::OperatorKind;
 use crate::logical_op::dims::TrainingMeta;
@@ -403,7 +402,9 @@ impl LogicalOpModel {
     /// Batch form of [`LogicalOpModel::predict_nn_reference`] — one
     /// scaling pass and one [`Network::predict_batch`] call, producing
     /// exactly the values the single-row reference would, row by row.
-    pub fn predict_nn_batch_reference(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+    /// The oracle of this crate's batch bit-identity tests.
+    #[cfg(test)]
+    pub(crate) fn predict_nn_batch_reference(&self, rows: &[Vec<f64>]) -> Vec<f64> {
         let scaled: Vec<Vec<f64>> = rows
             .iter()
             .map(|x| self.scaler_x.transform(&to_domain(self.scaling, x)))

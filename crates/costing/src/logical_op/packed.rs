@@ -150,7 +150,7 @@ impl PackedOpModel {
     /// Fused raw-NN predictions for a row-major flat batch
     /// (`rows.len() / width` rows of `width` raw features), written into
     /// `out` (cleared first). Bit-identical, row for row, to
-    /// [`crate::logical_op::LogicalOpModel::predict_nn_batch_reference`];
+    /// [`crate::logical_op::LogicalOpModel::predict_nn_reference`];
     /// allocation-free once `out` and `scratch` are warm.
     ///
     /// # Panics

@@ -45,8 +45,10 @@ impl Network {
         self.layers.first().map_or(0, |l| l.in_dim)
     }
 
-    /// Hidden layer widths (excluding the output head).
-    pub fn hidden_widths(&self) -> Vec<usize> {
+    /// Hidden layer widths (excluding the output head); the shape probe
+    /// of this crate's construction and topology-search tests.
+    #[cfg(test)]
+    pub(crate) fn hidden_widths(&self) -> Vec<usize> {
         self.layers
             .split_last()
             .map(|(_, hidden)| hidden.iter().map(|l| l.out_dim).collect())
