@@ -12,5 +12,4 @@ fn main() {
     let _ = bench::experiments::heterogeneous::run(&cfg);
     let _ = bench::experiments::skew::run(&cfg);
     let _ = bench::experiments::ablations::run(&cfg);
-    let _ = bench::experiments::workload::run(&cfg);
 }

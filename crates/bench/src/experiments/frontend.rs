@@ -2,31 +2,25 @@
 //!
 //! The front-end's claim is that cross-request coalescing buys batched
 //! amortisation without giving up latency or correctness, and that
-//! admission control sheds overload instead of collapsing. This
-//! experiment measures both with the `workload::traffic` generators:
+//! admission control sheds overload instead of collapsing. Every row
+//! offers a fixed Poisson arrival rate ([`workload::OpenLoopModel`])
+//! regardless of how the server responds — the model that actually
+//! exposes overload. The sweep crosses offered load × coalesce window,
+//! plus one deliberately rate-limited row so the per-tenant token
+//! buckets show up in the shed accounting.
 //!
-//! * **Open-loop rows** offer a fixed Poisson arrival rate regardless
-//!   of how the server responds — the model that actually exposes
-//!   overload. The sweep crosses offered load × coalesce window ×
-//!   tenant count, plus one deliberately rate-limited row so the
-//!   per-tenant token buckets show up in the shed accounting.
-//! * **Closed-loop rows** run a fixed population of simulated clients
-//!   (request → response → think → repeat), multiplexed over a bounded
-//!   number of loader threads: each loader interleaves its share of
-//!   the population and compresses think time by the multiplex factor,
-//!   so the *aggregate* offered load matches the population's. The
-//!   full population semantics (per-client tenant pinning, per-client
-//!   think streams) come from [`workload::traffic::ClosedLoopModel`],
-//!   which scales to millions of derived clients.
-//!
-//! Latency is tracked with the streaming
-//! [`mathkit::QuantileSketch`] (p50/p99/p999) against the §12 SLO, and
-//! every row reconciles its ledger: submitted = completed + shed +
+//! One generator thread submits each arrival when it is due and polls
+//! every outstanding [`Ticket`] in between; the front-end gets the
+//! remaining `max(1, cores − 1)` cores as workers, so generator and
+//! workers never oversubscribe the host. Latency runs from submit to
+//! the poll that sees the reply, and the percentiles are exact
+//! nearest-rank reads of the row's latencies against the §12 SLO.
+//! Every row reconciles its ledger: submitted = completed + shed +
 //! rejected, because every admitted request must resolve.
 //!
 //! Results land in `results/frontend.txt` and — machine-readable, and
-//! checked against the coalescing bound before `exp_frontend` exits —
-//! in `BENCH_frontend.json` at the repo root.
+//! checked against the coalescing bound and the sizing rule before
+//! `exp_frontend` exits — in `BENCH_frontend.json` at the repo root.
 
 use crate::harness::{self, BenchDoc, Envelope, Host};
 use crate::report::{heading, kv, write_text_table, ExpConfig};
@@ -36,18 +30,16 @@ use costing::service::EstimatorService;
 use costing::OperatorKind;
 use serde::{Deserialize, Serialize};
 use serving::{EstimateRequest, Frontend, FrontendConfig, RateLimitConfig, Rejection, Ticket};
-use std::sync::mpsc;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use workload::{ClosedLoopModel, OpenLoopModel, RequestSampler, TenantMix};
+use workload::{OpenLoopModel, RequestSampler, TenantMix};
 
 /// Response-time SLO the sweep is judged against (DESIGN.md §12): an
 /// estimate is "on time" when its end-to-end latency, queueing and
 /// coalescing included, stays under 5 ms.
 pub const SLO_US: f64 = 5_000.0;
 
-/// The coalescing bound the validator holds every windowed open-loop
-/// row to: `p50_us ≤ 2 × coalesce_window_us + COALESCE_SLACK_US`. The
+/// The coalescing bound the validator holds every windowed row to:
+/// `p50_us ≤ 2 × coalesce_window_us + COALESCE_SLACK_US`. The
 /// window is a deadline from a batch's first dequeue, so a median
 /// request waits at most about one window for its batch to seal and
 /// another for the batch ahead of it; the slack covers the kernel,
@@ -57,10 +49,7 @@ const COALESCE_SLACK_US: f64 = 250.0;
 /// One measured sweep point, as written to `BENCH_frontend.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FrontendRow {
-    /// `"open"` (Poisson offered load) or `"closed"` (fixed population).
-    pub loop_kind: String,
-    /// Offered load in requests/second (open: configured; closed: the
-    /// population's nominal `clients / mean_cycle` ceiling).
+    /// Offered (Poisson) load in requests/second.
     pub offered_rps: f64,
     /// Coalesce window the front-end ran with, microseconds.
     pub coalesce_window_us: u64,
@@ -68,7 +57,8 @@ pub struct FrontendRow {
     pub max_batch: u64,
     /// Tenants in the traffic mix.
     pub tenants: u64,
-    /// Batch-leader worker threads.
+    /// Batch-leader worker threads: `max(1, cores − 1)`, one core
+    /// being the generator's.
     pub workers: u64,
     /// Whether a per-tenant token-bucket policy was active.
     pub rate_limited: bool,
@@ -128,15 +118,23 @@ impl BenchDoc for FrontendDoc {
         }
     }
 
-    /// Per-row quantile ordering, the submitted-vs-resolved ledger, and
-    /// the coalescing bound on windowed open-loop rows.
+    /// Per-row quantile ordering, the submitted-vs-resolved ledger, the
+    /// sizing rule on a stamped host, and the coalescing bound on
+    /// windowed rows.
     fn check(&self) -> Result<(), String> {
         if !(self.slo_us.is_finite() && self.slo_us > 0.0) {
             return Err(format!("bad slo_us {}", self.slo_us));
         }
         for (i, r) in self.rows.iter().enumerate() {
-            if r.loop_kind != "open" && r.loop_kind != "closed" {
-                return Err(format!("row {i}: unknown loop_kind {:?}", r.loop_kind));
+            if let Some(host) = &self.host {
+                let most = workers_for(host);
+                if r.workers > most {
+                    return Err(format!(
+                        "row {i}: {} workers oversubscribe a {}-core host \
+                         (at most {most}: one core is the generator's)",
+                        r.workers, host.logical_cores
+                    ));
+                }
             }
             let q = [
                 ("p50_us", r.p50_us),
@@ -158,9 +156,9 @@ impl BenchDoc for FrontendDoc {
                 return Err(format!("row {i}: slo_attainment {}", r.slo_attainment));
             }
             let bound_us = 2.0 * r.coalesce_window_us as f64 + COALESCE_SLACK_US;
-            if r.loop_kind == "open" && r.coalesce_window_us > 0 && r.p50_us > bound_us {
+            if r.coalesce_window_us > 0 && r.p50_us > bound_us {
                 return Err(format!(
-                    "row {i} (open, {:.0} rps, window {} us): p50 {:.0} us over the \
+                    "row {i} ({:.0} rps, window {} us): p50 {:.0} us over the \
                      coalescing bound {bound_us:.0} us",
                     r.offered_rps, r.coalesce_window_us, r.p50_us
                 ));
@@ -198,23 +196,25 @@ fn fresh_frontend(
     Frontend::new(service, config)
 }
 
-/// What one generated request resolved to, as tallied by the drivers.
-#[derive(Debug, Default, Clone, Copy)]
+/// Front-end workers on `host`: every core but the generator's.
+fn workers_for(host: &Host) -> u64 {
+    host.logical_cores.saturating_sub(1).max(1)
+}
+
+/// What the generated requests of one row resolved to.
+#[derive(Default)]
 struct Ledger {
     submitted: u64,
     shed_queue_full: u64,
     shed_rate_limited: u64,
     rejected_other: u64,
+    /// Submit-to-reply latency of each completed request, microseconds.
+    lat_us: Vec<f64>,
+    /// Sum of the coalesced batch sizes the completed requests rode in.
+    batch_rows: u64,
 }
 
 impl Ledger {
-    fn absorb(&mut self, other: Ledger) {
-        self.submitted += other.submitted;
-        self.shed_queue_full += other.shed_queue_full;
-        self.shed_rate_limited += other.shed_rate_limited;
-        self.rejected_other += other.rejected_other;
-    }
-
     fn tally_rejection(&mut self, r: &Rejection) {
         match r {
             Rejection::QueueFull { .. } => self.shed_queue_full += 1,
@@ -222,92 +222,27 @@ impl Ledger {
             Rejection::ShuttingDown | Rejection::Service(_) => self.rejected_other += 1,
         }
     }
-}
 
-/// Everything the collector accumulates from completed requests.
-struct Collected {
-    sketch: mathkit::QuantileSketch,
-    completed: u64,
-    within_slo: u64,
-    batch_sum: u64,
-}
-
-/// Drains `(latency_us, batch_size)` observations until every sender
-/// hangs up, feeding the streaming sketch.
-fn collect(obs_rx: mpsc::Receiver<(f64, usize)>) -> Collected {
-    let mut c = Collected {
-        sketch: mathkit::QuantileSketch::for_latency_us(),
-        completed: 0,
-        within_slo: 0,
-        batch_sum: 0,
-    };
-    while let Ok((latency_us, batch)) = obs_rx.recv() {
-        c.sketch.observe(latency_us);
-        c.completed += 1;
-        if latency_us <= SLO_US {
-            c.within_slo += 1;
-        }
-        c.batch_sum += batch as u64;
-    }
-    c
-}
-
-/// Waits on a resolved ticket and reports it to the ledger/collector.
-fn settle(
-    ticket: Ticket,
-    started: Instant,
-    ledger: &mut Ledger,
-    obs_tx: &mpsc::Sender<(f64, usize)>,
-) {
-    match ticket.wait() {
-        Ok(reply) => {
-            let latency_us = started.elapsed().as_secs_f64() * 1e6;
-            let _ = obs_tx.send((latency_us, reply.batch_size));
-        }
-        Err(r) => ledger.tally_rejection(&r),
+    /// Polls every outstanding ticket once and settles those resolved.
+    fn poll(&mut self, outstanding: &mut Vec<(Ticket, Instant)>) {
+        outstanding.retain(|(ticket, submitted_at)| match ticket.try_wait() {
+            None => true,
+            Some(Ok(reply)) => {
+                self.lat_us.push(submitted_at.elapsed().as_secs_f64() * 1e6);
+                self.batch_rows += reply.batch_size as u64;
+                false
+            }
+            Some(Err(r)) => {
+                self.tally_rejection(&r);
+                false
+            }
+        });
     }
 }
 
-fn finish_row(
-    mut ledger: Ledger,
-    collected: Collected,
-    duration: Duration,
-    template: FrontendRow,
-) -> FrontendRow {
-    let elapsed_s = duration.as_secs_f64().max(1e-9);
-    ledger.submitted = ledger.submitted.max(
-        collected.completed
-            + ledger.shed_queue_full
-            + ledger.shed_rate_limited
-            + ledger.rejected_other,
-    );
-    FrontendRow {
-        duration_ms: elapsed_s * 1e3,
-        submitted: ledger.submitted,
-        completed: collected.completed,
-        shed_queue_full: ledger.shed_queue_full,
-        shed_rate_limited: ledger.shed_rate_limited,
-        rejected_other: ledger.rejected_other,
-        throughput_rps: collected.completed as f64 / elapsed_s,
-        p50_us: collected.sketch.quantile(0.50),
-        p99_us: collected.sketch.quantile(0.99),
-        p999_us: collected.sketch.quantile(0.999),
-        mean_batch: if collected.completed > 0 {
-            collected.batch_sum as f64 / collected.completed as f64
-        } else {
-            0.0
-        },
-        slo_attainment: if collected.completed > 0 {
-            collected.within_slo as f64 / collected.completed as f64
-        } else {
-            0.0
-        },
-        ..template
-    }
-}
-
-/// One open-loop sweep point: a paced Poisson submitter, a waiter pool
-/// resolving tickets, and the streaming collector.
+/// One sweep point: a single generator thread submits each Poisson
+/// arrival when it is due and polls the outstanding tickets in between,
+/// then drains them once the generation window closes.
 #[allow(clippy::too_many_arguments)]
 fn drive_open(
     costing: &LogicalOpCosting,
@@ -321,31 +256,11 @@ fn drive_open(
 ) -> FrontendRow {
     let config = FrontendConfig {
         coalesce_window_us: window_us,
+        workers: workers_for(&Host::current()) as usize,
         rate_limit,
         ..FrontendConfig::default()
     };
-    let template = FrontendRow {
-        loop_kind: "open".to_string(),
-        offered_rps: rate_per_sec,
-        coalesce_window_us: window_us,
-        max_batch: config.max_batch as u64,
-        tenants: tenants as u64,
-        workers: config.workers as u64,
-        rate_limited: config.rate_limit.is_some(),
-        duration_ms: 0.0,
-        submitted: 0,
-        completed: 0,
-        shed_queue_full: 0,
-        shed_rate_limited: 0,
-        rejected_other: 0,
-        throughput_rps: 0.0,
-        p50_us: 0.0,
-        p99_us: 0.0,
-        p999_us: 0.0,
-        mean_batch: 0.0,
-        slo_attainment: 0.0,
-    };
-    let fe = fresh_frontend(costing, systems, config);
+    let fe = fresh_frontend(costing, systems, config.clone());
     let model = OpenLoopModel {
         seed,
         rate_per_sec,
@@ -354,212 +269,62 @@ fn drive_open(
     let mut sampler = RequestSampler::new(seed, systems.len(), &[(1e5, 1.4e6), (100.0, 400.0)]);
     let horizon_us = duration.as_micros() as u64;
 
-    let (obs_tx, obs_rx) = mpsc::channel::<(f64, usize)>();
-    let (ticket_tx, ticket_rx) = mpsc::channel::<(Ticket, Instant)>();
-    let ticket_rx = Mutex::new(ticket_rx);
-
-    let (ledger, collected, elapsed) = std::thread::scope(|scope| {
-        let collector = scope.spawn(move || collect(obs_rx));
-        let waiters: Vec<_> = (0..4)
-            .map(|_| {
-                let obs_tx = obs_tx.clone();
-                let ticket_rx = &ticket_rx;
-                scope.spawn(move || {
-                    let mut ledger = Ledger::default();
-                    loop {
-                        // std mpsc receivers are single-consumer; the
-                        // waiter pool shares one behind a mutex held
-                        // only for the recv itself.
-                        let next = match ticket_rx.lock() {
-                            Ok(rx) => rx.recv(),
-                            Err(_) => break,
-                        };
-                        match next {
-                            Ok((ticket, started)) => settle(ticket, started, &mut ledger, &obs_tx),
-                            Err(_) => break,
-                        }
-                    }
-                    ledger
-                })
-            })
-            .collect();
-
-        // The paced submitter runs on this thread.
-        let mut ledger = Ledger::default();
-        let started = Instant::now();
-        for arrival in model.arrivals() {
-            if arrival.at_micros >= horizon_us {
-                break;
-            }
-            loop {
-                let now_us = started.elapsed().as_micros() as u64;
-                if now_us >= arrival.at_micros {
-                    break;
-                }
-                let gap = arrival.at_micros - now_us;
-                if gap > 300 {
-                    std::thread::sleep(Duration::from_micros(gap - 200));
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-            let (slot, features) = sampler.sample();
-            ledger.submitted += 1;
-            let t0 = Instant::now();
-            match fe.submit(EstimateRequest {
-                tenant: arrival.tenant,
-                system: systems[slot].clone(),
-                op: OperatorKind::Aggregation,
-                features,
-            }) {
-                Ok(ticket) => {
-                    let _ = ticket_tx.send((ticket, t0));
-                }
-                Err(r) => ledger.tally_rejection(&r),
-            }
+    let mut ledger = Ledger::default();
+    let mut outstanding = Vec::new();
+    let started = Instant::now();
+    for arrival in model.arrivals().take_while(|a| a.at_micros < horizon_us) {
+        while (started.elapsed().as_micros() as u64) < arrival.at_micros {
+            ledger.poll(&mut outstanding);
         }
-        let elapsed = started.elapsed();
-        drop(ticket_tx); // waiters drain the backlog, then hang up
-        for w in waiters {
-            if let Ok(l) = w.join() {
-                ledger.absorb(l);
-            }
+        let (slot, features) = sampler.sample();
+        ledger.submitted += 1;
+        let submitted_at = Instant::now();
+        match fe.submit(EstimateRequest {
+            tenant: arrival.tenant,
+            system: systems[slot].clone(),
+            op: OperatorKind::Aggregation,
+            features,
+        }) {
+            Ok(ticket) => outstanding.push((ticket, submitted_at)),
+            Err(r) => ledger.tally_rejection(&r),
         }
-        drop(obs_tx);
-        let collected = collector.join().expect("collector never panics");
-        (ledger, collected, elapsed)
-    });
+    }
+    let elapsed_s = started.elapsed().as_secs_f64().max(1e-9);
+    while !outstanding.is_empty() {
+        ledger.poll(&mut outstanding);
+    }
     fe.shutdown();
-    finish_row(ledger, collected, elapsed, template)
-}
 
-/// One closed-loop sweep point: `clients` simulated users multiplexed
-/// over `loaders` threads. Each loader interleaves its share of the
-/// population sequentially — submit, wait, think — with think time
-/// compressed by the per-loader multiplex factor so the aggregate
-/// offered load matches the full population's.
-#[allow(clippy::too_many_arguments)]
-fn drive_closed(
-    costing: &LogicalOpCosting,
-    systems: &[SystemId],
-    seed: u64,
-    clients: u64,
-    loaders: usize,
-    mean_think_us: f64,
-    tenants: usize,
-    window_us: u64,
-    duration: Duration,
-) -> FrontendRow {
-    let config = FrontendConfig {
-        coalesce_window_us: window_us,
-        ..FrontendConfig::default()
-    };
-    // Nominal ceiling: the population completes at most one request
-    // per think time each (latency adds on top, lowering this).
-    let nominal_rps = if mean_think_us > 0.0 {
-        clients as f64 / (mean_think_us / 1e6)
-    } else {
-        f64::INFINITY
-    };
-    let template = FrontendRow {
-        loop_kind: "closed".to_string(),
-        offered_rps: nominal_rps,
+    let completed = ledger.lat_us.len() as u64;
+    let within_slo = ledger.lat_us.iter().filter(|&&l| l <= SLO_US).count() as u64;
+    let (p50_us, p99_us, _) = harness::summarize(&mut ledger.lat_us);
+    // Both sums are 0 when nothing completed, and so are the ratios.
+    let per_completed = |sum: u64| sum as f64 / completed.max(1) as f64;
+    FrontendRow {
+        offered_rps: rate_per_sec,
         coalesce_window_us: window_us,
         max_batch: config.max_batch as u64,
         tenants: tenants as u64,
         workers: config.workers as u64,
-        rate_limited: false,
-        duration_ms: 0.0,
-        submitted: 0,
-        completed: 0,
-        shed_queue_full: 0,
-        shed_rate_limited: 0,
-        rejected_other: 0,
-        throughput_rps: 0.0,
-        p50_us: 0.0,
-        p99_us: 0.0,
-        p999_us: 0.0,
-        mean_batch: 0.0,
-        slo_attainment: 0.0,
-    };
-    let fe = fresh_frontend(costing, systems, config);
-    let model = ClosedLoopModel {
-        seed,
-        clients,
-        mean_think_us,
-        mix: TenantMix::zipf(tenants, 1.1),
-    };
-    let (obs_tx, obs_rx) = mpsc::channel::<(f64, usize)>();
-    let loaders = loaders.max(1);
-    let per_loader = (clients / loaders as u64).max(1);
-
-    let (ledger, collected, elapsed) = std::thread::scope(|scope| {
-        let collector = scope.spawn(move || collect(obs_rx));
-        let started = Instant::now();
-        let handles: Vec<_> = (0..loaders)
-            .map(|w| {
-                let obs_tx = obs_tx.clone();
-                let fe = &fe;
-                let model = &model;
-                let mut sampler = RequestSampler::new(
-                    seed.wrapping_add(w as u64),
-                    systems.len(),
-                    &[(1e5, 1.4e6), (100.0, 400.0)],
-                );
-                scope.spawn(move || {
-                    let mut ledger = Ledger::default();
-                    // This loader's slice of the population, stepped
-                    // round-robin with one request in flight at a time.
-                    let mut streams: Vec<_> = (0..per_loader)
-                        .map(|i| model.client(w as u64 * per_loader + i))
-                        .collect();
-                    let mut idx = 0;
-                    while started.elapsed() < duration {
-                        let pick = idx % streams.len();
-                        let stream = &mut streams[pick];
-                        idx += 1;
-                        let (slot, features) = sampler.sample();
-                        ledger.submitted += 1;
-                        let t0 = Instant::now();
-                        match fe.submit(EstimateRequest {
-                            tenant: stream.tenant(),
-                            system: systems[slot].clone(),
-                            op: OperatorKind::Aggregation,
-                            features,
-                        }) {
-                            Ok(ticket) => settle(ticket, t0, &mut ledger, &obs_tx),
-                            Err(r) => ledger.tally_rejection(&r),
-                        }
-                        // Think time, compressed by the multiplex
-                        // factor: the other clients of this loader
-                        // would be thinking concurrently.
-                        let think = stream.next_think_us() / per_loader;
-                        if think > 0 {
-                            std::thread::sleep(Duration::from_micros(think));
-                        }
-                    }
-                    ledger
-                })
-            })
-            .collect();
-        let mut ledger = Ledger::default();
-        for h in handles {
-            if let Ok(l) = h.join() {
-                ledger.absorb(l);
-            }
-        }
-        let elapsed = started.elapsed();
-        drop(obs_tx);
-        let collected = collector.join().expect("collector never panics");
-        (ledger, collected, elapsed)
-    });
-    fe.shutdown();
-    finish_row(ledger, collected, elapsed, template)
+        rate_limited: config.rate_limit.is_some(),
+        duration_ms: elapsed_s * 1e3,
+        submitted: ledger.submitted,
+        completed,
+        shed_queue_full: ledger.shed_queue_full,
+        shed_rate_limited: ledger.shed_rate_limited,
+        rejected_other: ledger.rejected_other,
+        throughput_rps: completed as f64 / elapsed_s,
+        p50_us,
+        p99_us,
+        p999_us: mathkit::nearest_rank(&ledger.lat_us, 0.999),
+        mean_batch: per_completed(ledger.batch_rows),
+        slo_attainment: per_completed(within_slo),
+    }
 }
 
 /// Runs the sweep and returns the measured rows.
 pub fn run(cfg: &ExpConfig) -> FrontendDoc {
-    heading("Serving front-end — offered load × coalesce window × tenants");
+    heading("Serving front-end — offered load × coalesce window");
 
     let (costing, systems) = trained_slots();
     let duration = if cfg.quick {
@@ -573,38 +338,17 @@ pub fn run(cfg: &ExpConfig) -> FrontendDoc {
         &[5_000.0, 20_000.0, 60_000.0]
     };
     let windows: &[u64] = if cfg.quick { &[0, 200] } else { &[0, 100, 500] };
-    let tenant_sweep: &[usize] = if cfg.quick { &[1, 64] } else { &[1, 16, 256] };
-    let base_tenants = 16;
 
     let mut rows = Vec::new();
     for &load in loads {
         for &window in windows {
             rows.push(drive_open(
-                &costing,
-                &systems,
-                cfg.seed,
-                load,
-                base_tenants,
-                window,
-                None,
-                duration,
+                &costing, &systems, cfg.seed, load, 16, window, None, duration,
             ));
         }
     }
     let mid_load = loads[loads.len() / 2];
     let mid_window = windows[windows.len() / 2];
-    for &tenants in tenant_sweep {
-        rows.push(drive_open(
-            &costing,
-            &systems,
-            cfg.seed ^ 0xbeef,
-            mid_load,
-            tenants,
-            mid_window,
-            None,
-            duration,
-        ));
-    }
     // One deliberately throttled row: the zipf head tenant exceeds its
     // bucket, so rate-limit shedding appears in the ledger.
     rows.push(drive_open(
@@ -620,31 +364,10 @@ pub fn run(cfg: &ExpConfig) -> FrontendDoc {
         }),
         duration,
     ));
-    // Closed-loop rows: population self-limits to clients / cycle.
-    let closed: &[(u64, usize)] = if cfg.quick {
-        &[(256, 8)]
-    } else {
-        &[(64, 8), (2_048, 16)]
-    };
-    for &(clients, loaders) in closed {
-        rows.push(drive_closed(
-            &costing,
-            &systems,
-            cfg.seed ^ clients,
-            clients,
-            loaders,
-            2_000.0,
-            base_tenants,
-            mid_window,
-            duration,
-        ));
-    }
-
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             vec![
-                r.loop_kind.clone(),
                 format!("{:.0}", r.offered_rps),
                 r.coalesce_window_us.to_string(),
                 r.tenants.to_string(),
@@ -664,7 +387,6 @@ pub fn run(cfg: &ExpConfig) -> FrontendDoc {
         cfg,
         "frontend",
         &[
-            "loop",
             "offered",
             "window us",
             "tenants",
@@ -704,12 +426,11 @@ mod tests {
 
     fn sample_row() -> FrontendRow {
         FrontendRow {
-            loop_kind: "open".to_string(),
             offered_rps: 1000.0,
             coalesce_window_us: 100,
             max_batch: 64,
             tenants: 4,
-            workers: 4,
+            workers: 1,
             rate_limited: false,
             duration_ms: 250.0,
             submitted: 250,
@@ -773,14 +494,10 @@ mod tests {
             "{err}"
         );
 
-        // A greedy (window 0) row and a closed-loop row are not held to it.
+        // A greedy (window 0) row is not held to it.
         let mut doc = sample_doc();
         doc.rows[0].coalesce_window_us = 0;
         doc.rows[0].p50_us = 800.0;
-        let mut closed = sample_row();
-        closed.loop_kind = "closed".to_string();
-        closed.p50_us = 800.0;
-        doc.rows.push(closed);
         let text = serde_json::to_string_pretty(&doc).unwrap();
         assert!(validate_doc(&text).is_ok());
     }
@@ -810,27 +527,23 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_point_resolves_every_request() {
-        let (costing, systems) = trained_slots();
-        let row = drive_closed(
-            &costing,
-            &systems,
-            11,
-            64,
-            4,
-            1_000.0,
-            4,
-            100,
-            Duration::from_millis(120),
+    fn validation_holds_workers_to_the_cores_of_a_stamped_host() {
+        let mut doc = sample_doc();
+        doc.host = Some(Host {
+            logical_cores: 2,
+            profile: "release".to_string(),
+        });
+        doc.rows[0].workers = 4;
+        let text = serde_json::to_string_pretty(&doc).unwrap();
+        let err = validate_doc(&text).unwrap_err();
+        assert!(
+            err.contains("4 workers oversubscribe a 2-core host"),
+            "{err}"
         );
-        assert!(row.submitted > 0, "{row:?}");
-        assert_eq!(
-            row.submitted,
-            row.completed + row.shed_queue_full + row.shed_rate_limited + row.rejected_other,
-            "ledger reconciles: {row:?}"
-        );
-        assert!(row.completed > 0, "{row:?}");
-        assert_eq!(row.loop_kind, "closed");
+
+        doc.rows[0].workers = 1;
+        let text = serde_json::to_string_pretty(&doc).unwrap();
+        assert!(validate_doc(&text).is_ok());
     }
 
     #[test]

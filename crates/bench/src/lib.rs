@@ -13,7 +13,7 @@
 //! | Fig. 14 (out-of-range)   | [`experiments::fig14`]  | `exp_fig14_oor` |
 //! | Table 1 (α adjustment)   | [`experiments::table1`] | `exp_table1_alpha` |
 //! | Ablations (DESIGN.md §5) | [`experiments::ablations`] | `exp_ablations` |
-//! | Serving front-end (DESIGN.md §12) | [`experiments::frontend`] | `exp_frontend` † |
+//! | Front-end coalescing bound under open-loop load (DESIGN.md §12) | [`experiments::frontend`] | `exp_frontend` † |
 //! | Packed-kernel speedup (DESIGN.md §13) | [`experiments::hotpath`] | `exp_hotpath` † |
 //! | Observability overhead (DESIGN.md §14) | [`experiments::observability`] | `exp_observability` † |
 //! | Workload optimizer (DESIGN.md §17) | [`experiments::workload`] | `exp_workload` † |
@@ -26,7 +26,9 @@
 //!
 //! The binaries marked † are *gated*: each writes a `BENCH_<name>.json`
 //! document, then holds it to a gate nothing else in the tree holds
-//! (DESIGN.md §16) and exits 1 when it fails. Everything they share —
+//! (DESIGN.md §16) and exits 1 when it fails. Each is the one writer of
+//! its document: `exp_all` runs the figures, tables and ablations, none
+//! of the gated experiments. Everything they share —
 //! file policy, serialisation, the envelope checks, percentile summary,
 //! the concurrent measurement scope, the model fixture and the
 //! binaries' `main` — is the one [`harness`]; the experiment modules

@@ -24,7 +24,7 @@ pub mod scale;
 
 pub use linreg::{LinearModel, SimpleLinearModel};
 pub use metrics::{pearson_r, r2_score, rmse, rmse_pct};
-pub use quantiles::{exact_quantiles, nearest_rank, QuantileSketch};
+pub use quantiles::nearest_rank;
 pub use scale::MinMaxScaler;
 
 /// Errors produced by the numerical routines in this crate.

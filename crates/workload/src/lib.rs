@@ -24,10 +24,10 @@
 //! ([`probes`]), and the out-of-range query sets behind Fig. 14 and
 //! Table 1 ([`oor`]).
 //!
-//! Beyond the paper's training/evaluation grids, [`traffic`] adds
-//! seeded open- and closed-loop arrival models and a skewed tenant
-//! mix, so the serving-layer benches can drive the estimator with
-//! realistic concurrent traffic from large simulated populations.
+//! Beyond the paper's training/evaluation grids, [`traffic`] adds a
+//! seeded open-loop (Poisson) arrival model and a skewed tenant mix, so
+//! the serving-layer measurements can drive the estimator with
+//! realistic concurrent traffic.
 
 pub mod aggq;
 pub mod dag;
@@ -45,6 +45,4 @@ pub use oor::{oor_all_table_specs, oor_join_queries, oor_table_specs};
 pub use probes::{probe_suite, probe_suite_for};
 pub use skew::{build_skewed_table, skew_join_sql, SkewedTableSpec};
 pub use tables::{build_table, fig10_table_specs, register_tables, specs_up_to, TableSpec};
-pub use traffic::{
-    Arrival, ClientStream, ClosedLoopModel, OpenLoopModel, RequestSampler, TenantMix,
-};
+pub use traffic::{Arrival, OpenLoopModel, RequestSampler, TenantMix};

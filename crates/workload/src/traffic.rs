@@ -2,21 +2,13 @@
 //!
 //! The Fig. 10 workload modules describe *what* queries exist; this
 //! module describes *when* they arrive and *who* sends them, so the
-//! `exp_frontend` bench can drive the serving layer with realistic
-//! concurrent traffic. Two standard arrival models are provided:
-//!
-//! * **Open loop** ([`OpenLoopModel`]): arrivals are a Poisson process
-//!   at a configured offered rate — inter-arrival gaps are i.i.d.
-//!   exponential draws, independent of how fast the server responds.
-//!   This is the model that exposes overload: the generator keeps
-//!   offering work even when the queue is full.
-//! * **Closed loop** ([`ClosedLoopModel`]): a fixed population of
-//!   simulated clients, each cycling request → response → think-time →
-//!   request. Offered load self-limits to `clients / (latency + think)`,
-//!   which is how real planner sessions behave. The per-client state is
-//!   O(1) and derived from `(seed, client_id)`, so populations of
-//!   millions of simulated users cost nothing until a client is
-//!   actually stepped.
+//! `exp_frontend` experiment and the benchmark's `estimate_serving`
+//! workload can drive the serving layer with realistic traffic. Arrivals
+//! are open loop ([`OpenLoopModel`]): a Poisson process at a configured
+//! offered rate — inter-arrival gaps are i.i.d. exponential draws,
+//! independent of how fast the server responds. This is the model that
+//! exposes overload: the generator keeps offering work even when the
+//! queue is full.
 //!
 //! Tenancy is modelled by a [`TenantMix`] — by default Zipf-skewed,
 //! because production multi-tenant traffic is never uniform — and the
@@ -28,8 +20,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// SplitMix64 finalizer: decorrelates derived seeds so that
-/// `(seed, client 1)` and `(seed, client 2)` yield independent streams.
+/// SplitMix64 finalizer: decorrelates derived seeds so that the arrival
+/// and request-body streams of one seed are independent.
 fn mix_seed(seed: u64, stream: u64) -> u64 {
     let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -58,9 +50,6 @@ pub struct Arrival {
     pub at_micros: u64,
     /// Issuing tenant.
     pub tenant: u64,
-    /// Issuing simulated client (always 0 in the open-loop model,
-    /// which does not track client identity).
-    pub client: u64,
 }
 
 /// Relative traffic share per tenant.
@@ -162,67 +151,7 @@ impl Iterator for OpenArrivals {
         Some(Arrival {
             at_micros: self.clock_us,
             tenant: self.mix.sample(&mut self.rng),
-            client: 0,
         })
-    }
-}
-
-/// Closed-loop arrival model: `clients` simulated users, each cycling
-/// request → response → exponential think time → next request.
-#[derive(Debug, Clone)]
-pub struct ClosedLoopModel {
-    /// RNG seed; identical seeds reproduce identical client streams.
-    pub seed: u64,
-    /// Simulated user population. Clamped to at least 1. Client state
-    /// is derived lazily from `(seed, client_id)`, so multi-million
-    /// populations are cheap until stepped.
-    pub clients: u64,
-    /// Mean think time between response and next request.
-    pub mean_think_us: f64,
-    /// Tenant mix; each client is pinned to one tenant for life.
-    pub mix: TenantMix,
-}
-
-impl ClosedLoopModel {
-    /// The deterministic per-client stream for `client`. The same
-    /// `(seed, client)` pair always yields the same tenant and the
-    /// same think-time sequence.
-    pub fn client(&self, client: u64) -> ClientStream {
-        let mut rng = StdRng::seed_from_u64(mix_seed(self.seed, client.wrapping_add(1)));
-        let tenant = self.mix.sample(&mut rng);
-        ClientStream {
-            tenant,
-            rng,
-            mean_think_us: if self.mean_think_us.is_finite() && self.mean_think_us >= 0.0 {
-                self.mean_think_us
-            } else {
-                0.0
-            },
-        }
-    }
-}
-
-/// One simulated user's deterministic request stream.
-#[derive(Debug, Clone)]
-pub struct ClientStream {
-    tenant: u64,
-    rng: StdRng,
-    mean_think_us: f64,
-}
-
-impl ClientStream {
-    /// The tenant this client is pinned to.
-    pub fn tenant(&self) -> u64 {
-        self.tenant
-    }
-
-    /// The next exponential think-time draw, in microseconds.
-    pub fn next_think_us(&mut self) -> u64 {
-        if self.mean_think_us == 0.0 {
-            0
-        } else {
-            exp_draw_us(&mut self.rng, self.mean_think_us)
-        }
     }
 }
 
@@ -278,43 +207,6 @@ impl RequestSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    /// The closed loop simulated against a fixed virtual service time:
-    /// the time-ordered arrival schedule up to `horizon_us`. The bench
-    /// drives real clients against the live front-end instead; this is
-    /// the reference the determinism tests compare across seeds.
-    fn schedule(model: &ClosedLoopModel, service_time_us: u64, horizon_us: u64) -> Vec<Arrival> {
-        let clients = model.clients.max(1);
-        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut streams: Vec<ClientStream> = Vec::with_capacity(clients as usize);
-        for c in 0..clients {
-            let mut s = model.client(c);
-            // First request: a think-time offset staggers the start so
-            // the population does not arrive as one synchronized spike.
-            let first = s.next_think_us();
-            heap.push(Reverse((first, c)));
-            streams.push(s);
-        }
-        let mut out = Vec::new();
-        while let Some(Reverse((at, c))) = heap.pop() {
-            if at >= horizon_us {
-                break;
-            }
-            let stream = &mut streams[c as usize];
-            out.push(Arrival {
-                at_micros: at,
-                tenant: stream.tenant,
-                client: c,
-            });
-            let next = at
-                .saturating_add(service_time_us)
-                .saturating_add(stream.next_think_us());
-            heap.push(Reverse((next, c)));
-        }
-        out
-    }
 
     #[test]
     fn open_loop_same_seed_same_schedule() {
@@ -365,99 +257,6 @@ mod tests {
             assert!(a.at_micros > prev, "time always advances");
             prev = a.at_micros;
         }
-    }
-
-    #[test]
-    fn closed_loop_same_seed_same_schedule() {
-        let model = ClosedLoopModel {
-            seed: 11,
-            clients: 64,
-            mean_think_us: 500.0,
-            mix: TenantMix::zipf(8, 1.2),
-        };
-        let a = schedule(&model, 200, 100_000);
-        let b = schedule(&model, 200, 100_000);
-        assert_eq!(a, b, "identical seeds reproduce identical schedules");
-        assert!(!a.is_empty());
-
-        let other = ClosedLoopModel {
-            seed: 12,
-            ..model.clone()
-        };
-        assert_ne!(a, schedule(&other, 200, 100_000), "different seeds diverge");
-    }
-
-    #[test]
-    fn closed_loop_clients_are_pinned_to_one_tenant() {
-        let model = ClosedLoopModel {
-            seed: 5,
-            clients: 32,
-            mean_think_us: 100.0,
-            mix: TenantMix::zipf(4, 1.0),
-        };
-        let schedule = schedule(&model, 50, 50_000);
-        let mut tenant_of = std::collections::HashMap::new();
-        for a in &schedule {
-            let entry = tenant_of.entry(a.client).or_insert(a.tenant);
-            assert_eq!(*entry, a.tenant, "a client never switches tenant");
-        }
-        // The derived stream agrees with what the schedule observed.
-        for (&client, &tenant) in &tenant_of {
-            assert_eq!(model.client(client).tenant(), tenant);
-        }
-    }
-
-    #[test]
-    fn closed_loop_is_self_limiting() {
-        // 4 clients, 1ms service + ~1ms think: the loop cannot offer
-        // more than clients / cycle_time regardless of horizon.
-        let model = ClosedLoopModel {
-            seed: 9,
-            clients: 4,
-            mean_think_us: 1_000.0,
-            mix: TenantMix::zipf(1, 0.0),
-        };
-        let horizon = 1_000_000; // 1 virtual second
-        let schedule = schedule(&model, 1_000, horizon);
-        // Upper bound: each client completes at most one cycle per
-        // service_time (think could draw ~0 occasionally, but the mean
-        // keeps the total well under the open-loop equivalent).
-        assert!(
-            schedule.len() < 4 * 1_000 + 100,
-            "{} arrivals exceeds the closed-loop ceiling",
-            schedule.len()
-        );
-        assert!(
-            schedule.len() > 500,
-            "but the population does make progress"
-        );
-    }
-
-    #[test]
-    fn million_client_population_is_cheap_to_touch() {
-        let model = ClosedLoopModel {
-            seed: 21,
-            clients: 2_000_000,
-            mean_think_us: 1e6,
-            mix: TenantMix::zipf(1000, 1.1),
-        };
-        // Deriving scattered clients is O(1) each — no per-population
-        // allocation happens up front.
-        let mut s0 = model.client(0);
-        let mut s_mid = model.client(1_000_000);
-        let mut s_last = model.client(1_999_999);
-        assert!(s0.next_think_us() >= 1);
-        assert!(s_mid.next_think_us() >= 1);
-        assert!(s_last.next_think_us() >= 1);
-        // Re-deriving reproduces the identical stream.
-        let mut again = model.client(1_000_000);
-        let fresh = model.client(1_000_000).tenant();
-        assert_eq!(s_mid.tenant(), fresh);
-        assert_eq!(model.client(0).next_think_us(), {
-            let mut s = model.client(0);
-            s.next_think_us()
-        });
-        let _ = again.next_think_us();
     }
 
     #[test]
@@ -525,33 +324,5 @@ mod tests {
             feats[1] >= 0.0 && feats[1] <= 3.0,
             "NaN bound collapsed to 0"
         );
-    }
-
-    #[test]
-    fn latency_quantiles_from_sketch_match_exact_sort() {
-        // Satellite check: the streaming estimator the bench uses
-        // agrees with an exact sort on a generated latency population.
-        let model = OpenLoopModel {
-            seed: 99,
-            rate_per_sec: 100_000.0,
-            mix: TenantMix::zipf(1, 0.0),
-        };
-        let mut sketch = mathkit::QuantileSketch::for_latency_us();
-        let mut gaps = Vec::new();
-        let mut prev = 0;
-        for a in model.arrivals().take(30_000) {
-            let gap = (a.at_micros - prev) as f64;
-            prev = a.at_micros;
-            sketch.observe(gap);
-            gaps.push(gap);
-        }
-        let exact = mathkit::exact_quantiles(&gaps, &[0.5, 0.99]);
-        for (q, e) in [0.5, 0.99].iter().zip(exact) {
-            let s = sketch.quantile(*q);
-            assert!(
-                (s - e).abs() / e.max(1.0) < 0.05,
-                "sketch p{q} = {s:.2} vs exact {e:.2}"
-            );
-        }
     }
 }
