@@ -16,11 +16,14 @@
 //! [`costing::PackedOpModel::predict_batch_into`] over the same rows
 //! staged flat, writing into warm caller scratch. Both kernels produce
 //! bit-identical outputs (the pair's checksums in the JSON must match
-//! exactly), so the ratio isolates allocation and layout.
+//! exactly), so the ratio isolates allocation and layout. The pair is
+//! timed call by call on one thread (`harness::interleaved`), so a
+//! clock step or a busy neighbour lands on both kernels alike instead
+//! of on whichever one it happened to be timing.
 //!
-//! The service path around the kernel (pinned snapshot, concurrency,
-//! republisher churn) is timed by `exp_observability`'s sampled-off
-//! cells and by the repository benchmark, not here (DESIGN.md §16).
+//! The service path around the kernel (pinned snapshot, staging,
+//! metrics) is timed by `exp_observability`'s sampled-off cells and by
+//! the repository benchmark, not here (DESIGN.md §16).
 //!
 //! The gate, checked by the run itself: on every pair with
 //! `batch >= 64`, the packed p50 must be at least `MIN_SPEEDUP_AT_64`×
@@ -34,7 +37,7 @@ use costing::{OperatorKind, PackedOpScratch};
 use neuro::{Activation, Dataset, Network};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The acceptance bar the run enforces on rows with `batch >= 64`:
 /// packed p50 at least this many times faster.
@@ -59,7 +62,8 @@ pub struct HotpathRow {
     pub p99_us: f64,
     /// Mean per-call latency, microseconds.
     pub mean_us: f64,
-    /// Throughput in estimated rows per second.
+    /// Throughput of this kernel's own calls, estimated rows per second
+    /// (`batch / mean_us`).
     pub rows_per_sec: f64,
     /// Sum of the batch's outputs for one untimed evaluation — must be
     /// bit-identical between a pair's legacy and packed rows.
@@ -68,7 +72,7 @@ pub struct HotpathRow {
 
 impl HotpathRow {
     /// This cell template filled in with one kernel's measurement.
-    fn measured(&self, kernel: &str, mut lat_us: Vec<f64>, elapsed_s: f64, checksum: f64) -> Self {
+    fn measured(&self, kernel: &str, mut lat_us: Vec<f64>, checksum: f64) -> Self {
         let iters = lat_us.len() as u64;
         let (p50_us, p99_us, mean_us) = harness::summarize(&mut lat_us);
         HotpathRow {
@@ -77,7 +81,7 @@ impl HotpathRow {
             p50_us,
             p99_us,
             mean_us,
-            rows_per_sec: (iters * self.batch) as f64 / elapsed_s,
+            rows_per_sec: self.batch as f64 * 1e6 / mean_us.max(1e-9),
             checksum,
             ..self.clone()
         }
@@ -208,12 +212,12 @@ fn kernel_model(width: usize, hidden: &[usize], act: Activation, seed: u64) -> L
     model.with_network(Network::with_activation(width, hidden, act, seed))
 }
 
-/// Measures one legacy/packed pair over `flat` rows:
-/// `legacy` is the per-row reference chain
-/// (`LogicalOpModel::predict_nn_reference` — domain conversion, scaler
-/// transform, and `Network::predict`, each allocating per row); `packed`
-/// is the fused [`costing::PackedOpModel::predict_batch_into`] that
-/// replaced it on every estimate path.
+/// Measures one legacy/packed pair over `flat` rows, call by call
+/// through `harness::interleaved`: `legacy` is the per-row reference
+/// chain (`LogicalOpModel::predict_nn_reference` — domain conversion,
+/// scaler transform, and `Network::predict`, each allocating per row);
+/// `packed` is the fused [`costing::PackedOpModel::predict_batch_into`]
+/// that replaced it on every estimate path.
 fn bench_kernel_pair(
     model: &LogicalOpModel,
     label: (&str, &str),
@@ -248,39 +252,25 @@ fn bench_kernel_pair(
         checksum: 0.0,
     };
 
-    let mut rows = Vec::new();
-    for kernel in ["legacy", "packed"] {
-        let mut lat_us = Vec::new();
-        let started = Instant::now();
-        while started.elapsed() < duration {
-            let t0 = Instant::now();
-            match kernel {
-                "legacy" => {
-                    // The reference chain, per row: it allocates for the
-                    // domain conversion, the scaler transform, and every
-                    // layer of Network::predict.
-                    let mut sum = 0.0;
-                    for r in &nested {
-                        sum += model.predict_nn_reference(r);
-                    }
-                    std::hint::black_box(sum);
-                }
-                _ => {
-                    packed.predict_batch_into(flat, width, &mut out, &mut scratch);
-                    std::hint::black_box(out.last().copied());
-                }
-            }
-            lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
-        }
-        let elapsed_s = started.elapsed().as_secs_f64().max(1e-9);
-        let checksum = if kernel == "legacy" {
-            legacy_checksum
-        } else {
-            packed_checksum
-        };
-        rows.push(template.measured(kernel, lat_us, elapsed_s, checksum));
-    }
-    rows
+    // The reference chain, per row: it allocates for the domain
+    // conversion, the scaler transform, and every layer of
+    // Network::predict.
+    let mut legacy = || {
+        let sum: f64 = nested.iter().map(|r| model.predict_nn_reference(r)).sum();
+        std::hint::black_box(sum);
+    };
+    let mut packed_call = || {
+        packed.predict_batch_into(flat, width, &mut out, &mut scratch);
+        std::hint::black_box(out.last().copied());
+    };
+    let [legacy_us, packed_us]: [Vec<f64>; 2] =
+        harness::interleaved(duration, &mut [&mut legacy, &mut packed_call])
+            .try_into()
+            .expect("one latency series per call");
+    vec![
+        template.measured("legacy", legacy_us, legacy_checksum),
+        template.measured("packed", packed_us, packed_checksum),
+    ]
 }
 
 /// Runs the matrix and returns the measured document.
@@ -288,9 +278,9 @@ pub fn run(cfg: &ExpConfig) -> HotpathDoc {
     heading("Estimate hot path — packed vs legacy kernels across shape x batch");
 
     let cell_time = if cfg.quick {
-        Duration::from_millis(80)
+        Duration::from_millis(160)
     } else {
-        Duration::from_millis(400)
+        Duration::from_millis(800)
     };
     let mut rows = Vec::new();
 

@@ -6,10 +6,10 @@
 //! (`bench_path`), how it becomes a file (`write()`, `write_json`),
 //! the run-then-gate entry point every gated binary shares ([`main()`]),
 //! the percentile summary (`summarize`), the latency sanity check
-//! (`check_latencies`), the readers × republishers measurement scope
-//! (`measure_under_churn`) and the aggregation model the serving-side
-//! experiments cost against (`trained_flow`). An experiment is a cell
-//! definition plus a [`BenchDoc::check`].
+//! (`check_latencies`), the call-by-call timing loop the gated pairs are
+//! measured with (`interleaved`) and the aggregation model the
+//! serving-side experiments cost against (`trained_flow`). An experiment
+//! is a cell definition plus a [`BenchDoc::check`].
 //!
 //! File policy: a full run writes the tracked trajectory file
 //! `BENCH_<name>.json` at the repo root; a `--quick` run writes
@@ -20,13 +20,11 @@
 use crate::report::ExpConfig;
 use costing::logical_op::flow::LogicalOpCosting;
 use costing::logical_op::model::{FitConfig, LogicalOpModel};
-use costing::service::EstimatorService;
 use costing::OperatorKind;
 use neuro::Dataset;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// The machine a document was measured on. Stamped by `write()`;
@@ -199,75 +197,26 @@ pub(crate) fn check_latencies(
     Ok(())
 }
 
-/// What one [`measure_under_churn`] slice observed.
-pub(crate) struct Slice {
-    /// Per-call latencies pooled over every reader, microseconds.
-    pub lat_us: Vec<f64>,
-    /// The last call's checksum (every call of a slice computes the same
-    /// rows, so any one stands for all).
-    pub checksum: f64,
-    /// Wall time the readers ran for, seconds.
-    pub elapsed_s: f64,
-}
-
-/// The readers × republishers measurement scope: `concurrency` reader
-/// threads each build their own state with `new_reader` and then time
-/// calls of it (one call = one batch, returning that batch's checksum)
-/// for `duration`, while `republishers` background threads churn
-/// `service`'s epochs.
-pub(crate) fn measure_under_churn<R: FnMut() -> f64>(
-    service: &EstimatorService,
-    concurrency: usize,
-    republishers: usize,
-    duration: Duration,
-    new_reader: impl Fn() -> R + Sync,
-) -> Slice {
-    let stop = AtomicBool::new(false);
-    let (stop, new_reader) = (&stop, &new_reader);
-    std::thread::scope(|scope| {
-        let repub_handles: Vec<_> = (0..republishers)
-            .map(|_| {
-                scope.spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        let _ = service.republish();
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                })
-            })
-            .collect();
-        let started = Instant::now();
-        let readers: Vec<_> = (0..concurrency)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut call = new_reader();
-                    let mut lat_us = Vec::new();
-                    let mut checksum = 0.0;
-                    while started.elapsed() < duration {
-                        let t0 = Instant::now();
-                        checksum = std::hint::black_box(call());
-                        lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
-                    }
-                    (lat_us, checksum)
-                })
-            })
-            .collect();
-        let (mut lat_us, mut checksum) = (Vec::new(), 0.0);
-        for r in readers {
-            let (lat, sum) = r.join().expect("reader thread");
-            lat_us.extend(lat);
-            checksum = sum;
+/// Times `calls` call by call on this thread for `duration`. Each round
+/// runs every call once and starts one call further along than the
+/// round before, so a clock step or a cache state lands on every call
+/// alike. Returns each call's per-call latencies (microseconds), in
+/// `calls` order; every call is timed the same number of times.
+pub(crate) fn interleaved(duration: Duration, calls: &mut [&mut dyn FnMut()]) -> Vec<Vec<f64>> {
+    let n = calls.len();
+    let mut lat_us = vec![Vec::new(); n];
+    let started = Instant::now();
+    let mut round = 0;
+    while n > 0 && started.elapsed() < duration {
+        for k in 0..n {
+            let i = (round + k) % n;
+            let t0 = Instant::now();
+            calls[i]();
+            lat_us[i].push(t0.elapsed().as_secs_f64() * 1e6);
         }
-        let elapsed_s = started.elapsed().as_secs_f64().max(1e-9);
-        stop.store(true, Ordering::Release);
-        for h in repub_handles {
-            h.join().expect("republisher thread");
-        }
-        Slice {
-            lat_us,
-            checksum,
-            elapsed_s,
-        }
-    })
+        round += 1;
+    }
+    lat_us
 }
 
 /// The ground truth [`trained_flow`] is trained against.
@@ -456,6 +405,37 @@ mod tests {
         assert!(check_latencies(0, &[("p50_us", -1.0)], true).is_err());
         assert!(check_latencies(0, &[("p50_us", 0.0)], false).is_err());
         assert!(check_latencies(0, &[("p50_us", 0.0), ("p99_us", 0.0)], true).is_ok());
+    }
+
+    /// Counting closures record the call order; no assert reads a clock.
+    #[test]
+    fn interleaved_times_every_call_alike_and_rotates_the_round_start() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let lat_us = {
+            let mut calls: Vec<_> = (0..3)
+                .map(|i| {
+                    let order = &order;
+                    move || order.borrow_mut().push(i)
+                })
+                .collect();
+            let mut refs: Vec<&mut dyn FnMut()> =
+                calls.iter_mut().map(|c| c as &mut dyn FnMut()).collect();
+            interleaved(Duration::from_millis(2), &mut refs)
+        };
+        let order = order.into_inner();
+        let rounds = order.len() / 3;
+        assert!(
+            rounds >= 1 && order.len() == rounds * 3,
+            "whole rounds only"
+        );
+        assert!(
+            lat_us.iter().all(|l| l.len() == rounds),
+            "every call timed once per round"
+        );
+        for (r, round) in order.chunks(3).enumerate() {
+            assert_eq!(round, [r % 3, (r + 1) % 3, (r + 2) % 3], "round {r}");
+        }
+        assert!(interleaved(Duration::from_millis(1), &mut []).is_empty());
     }
 
     /// A schema or gate edit that orphans a tracked trajectory file

@@ -30,9 +30,9 @@
 //! its document: `exp_all` runs the figures, tables and ablations, none
 //! of the gated experiments. Everything they share —
 //! file policy, serialisation, the envelope checks, percentile summary,
-//! the concurrent measurement scope, the model fixture and the
-//! binaries' `main` — is the one [`harness`]; the experiment modules
-//! keep only their cells and their thresholds. End-to-end and per-layer
+//! the call-by-call timing loop the gated pairs run through, the model
+//! fixture and the binaries' `main` — is the one [`harness`]; the
+//! experiment modules keep only their cells and their thresholds. End-to-end and per-layer
 //! latency is measured by the repository benchmark under `benchmark/`,
 //! not here.
 

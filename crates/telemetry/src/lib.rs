@@ -39,7 +39,7 @@ pub use drift::{DriftConfig, DriftMonitor, ModelHealth};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use slo::{BurnAlert, SloConfig, SloEngine};
 pub use span::{Exemplar, SpanConfig, SpanGuard, SpanId, SpanLayer, SpanSnapshot, Stage};
-pub use trace::{AlertEvent, Event, RingSubscriber, Subscriber, Tracer, VecSubscriber};
+pub use trace::{AlertEvent, Event, Subscriber, Tracer, VecSubscriber};
 
 use std::sync::Arc;
 
@@ -119,9 +119,10 @@ mod tests {
         let sub = Arc::new(VecSubscriber::new());
         let t = Telemetry::with_subscriber(sub.clone());
         let t2 = t.clone();
-        t2.tracer.emit(|| Event::Span {
-            name: "x".into(),
-            micros: 1.0,
+        t2.tracer.emit(|| Event::DriftFlagged {
+            model: "x".into(),
+            rmse_pct: 1.0,
+            mean_q_error: 1.0,
         });
         assert_eq!(sub.len(), 1);
         assert!(format!("{t:?}").contains("tracing_enabled: true"));

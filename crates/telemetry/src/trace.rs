@@ -3,17 +3,14 @@
 //! Instead of log lines, instrumented code emits typed [`Event`]s — each
 //! estimate's full decision trail (features, pivots, blend weights,
 //! cache outcome) is inspectable data. Events flow through a pluggable
-//! [`Subscriber`]; the crate ships two collectors, [`VecSubscriber`]
-//! (unbounded, for tests) and [`RingSubscriber`] (bounded, keep-latest,
-//! for long-running services).
+//! [`Subscriber`]; the crate ships one collector, [`VecSubscriber`]
+//! (unbounded, for tests and short diagnostic sessions).
 //!
 //! The hot-path contract: [`Tracer::emit`] takes a *closure* that builds
 //! the event. With no subscriber attached the closure is never invoked,
 //! so a disabled tracer adds no heap allocation to the estimate path.
 
 use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// One entry in an estimate's decision trail.
@@ -121,13 +118,6 @@ pub enum Event {
         /// Mean Q-error over the window.
         mean_q_error: f64,
     },
-    /// A named span of work completed.
-    Span {
-        /// Span name.
-        name: String,
-        /// Duration in microseconds.
-        micros: f64,
-    },
     /// A typed alert raised by the runtime observability plane (SLO
     /// burn, drift breach). Alerts are *actionable* — downstream
     /// consumers route them to paging or automated remediation, so
@@ -172,7 +162,6 @@ impl Event {
             Event::TuningPass { .. } => "tuning_pass",
             Event::PlanRanked { .. } => "plan_ranked",
             Event::DriftFlagged { .. } => "drift_flagged",
-            Event::Span { .. } => "span",
             Event::Alert(..) => "alert",
         }
     }
@@ -273,77 +262,6 @@ impl Subscriber for VecSubscriber {
     }
 }
 
-/// A bounded collector that keeps only the most recent `capacity`
-/// events, evicting the oldest. Suits long-running services where the
-/// trail of recent decisions matters but memory must stay flat.
-///
-/// Eviction is **not silent**: every dropped event is counted, readable
-/// via [`RingSubscriber::dropped`] and — when built with
-/// [`RingSubscriber::with_registry`] — surfaced as the
-/// `trace_dropped_events` counter in exposition and snapshots. A trail
-/// that quietly lost its oldest entries looks identical to one that
-/// never had them; the counter is what tells an operator the ring was
-/// sized too small for the traffic.
-pub struct RingSubscriber {
-    capacity: usize,
-    events: Mutex<VecDeque<Event>>,
-    dropped: AtomicU64,
-    dropped_counter: Option<crate::metrics::Counter>,
-}
-
-impl RingSubscriber {
-    /// A ring keeping at most `capacity` events.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub(crate) fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        let events = Mutex::new(VecDeque::with_capacity(capacity));
-        events.set_rank(parking_lot::rank::TRACE_SUBSCRIBER);
-        RingSubscriber {
-            capacity,
-            events,
-            dropped: AtomicU64::new(0),
-            dropped_counter: None,
-        }
-    }
-
-    /// A ring that additionally publishes its eviction count as the
-    /// `trace_dropped_events` counter in `registry`.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn with_registry(capacity: usize, registry: &crate::metrics::MetricsRegistry) -> Self {
-        registry.set_help(
-            "trace_dropped_events",
-            "Trail events evicted from the ring subscriber before being read.",
-        );
-        let mut ring = RingSubscriber::new(capacity);
-        ring.dropped_counter = Some(registry.counter("trace_dropped_events", &[]));
-        ring
-    }
-
-    /// Events evicted (lost) since construction.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
-impl Subscriber for RingSubscriber {
-    fn on_event(&self, event: Event) {
-        let mut events = self.events.lock();
-        if events.len() == self.capacity {
-            events.pop_front();
-            self.dropped
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if let Some(counter) = &self.dropped_counter {
-                counter.inc();
-            }
-        }
-        events.push_back(event);
-    }
-}
-
 #[cfg(test)]
 #[expect(clippy::unreachable, reason = "test: the closure must never run")]
 #[expect(
@@ -353,10 +271,11 @@ impl Subscriber for RingSubscriber {
 mod tests {
     use super::*;
 
-    fn span(name: &str, micros: f64) -> Event {
-        Event::Span {
-            name: name.to_string(),
-            micros,
+    fn flagged(model: &str, rmse_pct: f64) -> Event {
+        Event::DriftFlagged {
+            model: model.to_string(),
+            rmse_pct,
+            mean_q_error: 1.0,
         }
     }
 
@@ -372,30 +291,17 @@ mod tests {
         let sub = Arc::new(VecSubscriber::new());
         let t = Tracer::new(sub.clone());
         assert!(t.is_enabled());
-        t.emit(|| span("a", 1.0));
-        t.emit(|| span("b", 2.0));
+        t.emit(|| flagged("a", 1.0));
+        t.emit(|| flagged("b", 2.0));
         assert_eq!(sub.len(), 2);
         let events = sub.take();
-        assert_eq!(events[0], span("a", 1.0));
-        assert_eq!(events[1], span("b", 2.0));
+        assert_eq!(events[0], flagged("a", 1.0));
+        assert_eq!(events[1], flagged("b", 2.0));
         assert!(sub.is_empty());
     }
 
     #[test]
-    fn ring_subscriber_keeps_latest() {
-        let sub = Arc::new(RingSubscriber::new(2));
-        let t = Tracer::new(sub.clone());
-        for i in 0..5 {
-            t.emit(|| span("e", i as f64));
-        }
-        let kept: Vec<Event> = sub.events.lock().iter().cloned().collect();
-        assert_eq!(kept, vec![span("e", 3.0), span("e", 4.0)]);
-        assert_eq!(sub.dropped(), 3);
-    }
-
-    #[test]
     fn event_kinds_are_stable() {
-        assert_eq!(span("x", 0.0).kind(), "span");
         let e = Event::RemedyBlend {
             system: "hive-a".into(),
             operator: "join".into(),
@@ -416,7 +322,7 @@ mod tests {
                 let t = t.clone();
                 scope.spawn(move || {
                     for i in 0..100 {
-                        t.emit(|| span("p", i as f64));
+                        t.emit(|| flagged("p", i as f64));
                     }
                 });
             }
