@@ -313,7 +313,7 @@ fn bench_cell(
     duration: Duration,
 ) -> Vec<ObservabilityRow> {
     let service = EstimatorService::new(ServiceConfig {
-        cache_capacity_per_shard: 0, // measure the compute path, not the cache
+        cache_capacity_per_model: 0, // measure the compute path, not the cache
     });
     let system = SystemId::new("obs-svc");
     let op = flow.model.op;

@@ -7,13 +7,13 @@
 //! transaction that clones, modifies, and atomically publishes a fresh
 //! immutable [`ModelSnapshot`]:
 //!
-//! * [`ModelSnapshot`] — an immutable, `Arc`-shared map of
-//!   `(SystemId, OperatorKind) → LogicalOpCosting` plus hybrid costing
-//!   profiles, stamped with the [`Epoch`] that produced it and a
+//! * [`ModelSnapshot`] — an immutable, `Arc`-shared, key-ordered list
+//!   of `(SystemId, OperatorKind)` slots plus hybrid costing profiles,
+//!   stamped with the [`Epoch`] that produced it and a
 //!   [`SnapshotLineage`] (parent epoch + tuning stats) for provenance
-//!   and rollback. The snapshot holds models and nothing derived from
-//!   them: each model owns its fused inference form, so there is no
-//!   second map to keep in step.
+//!   and rollback. A slot holds a `LogicalOpCosting` (which owns its
+//!   fused inference form) and, beside it, the memo of the estimates
+//!   that flow has served (`crate::service::cache`).
 //! * `EpochStore` — the publication point: readers call
 //!   `EpochStore::load` (an `arc-swap` pointer load, no locks) and
 //!   writers run `EpochStore::transaction`, which serialises
@@ -24,9 +24,11 @@
 //!   epoch bump.
 //!
 //! A pinned snapshot is a consistency domain: every estimate computed
-//! against it reflects exactly one model version, and the snapshot's
-//! epoch doubles as the service's cache key, so a cached value can
-//! never be served against a model state it was not computed from.
+//! against it reflects exactly one model version. A slot's memo is made
+//! fresh whenever its flow is created or replaced and is shared exactly
+//! where the flow's `Arc` is, so a memoized value can never be served
+//! against a model state it was not computed from, and a publication
+//! that leaves a model untouched leaves its memo warm.
 
 use crate::estimator::OperatorKind;
 use crate::hybrid::CostingProfile;
@@ -34,11 +36,12 @@ use crate::logical_op::flow::LogicalOpCosting;
 use crate::logical_op::model::FitConfig;
 use crate::logical_op::packed::PackedOpModel;
 use crate::logical_op::tuning::TuneReport;
-use crate::observability::{ModelKey, ModelKeyQuery, ModelKeyRef};
+use crate::observability::ModelKey;
+use crate::service::cache::LruCache;
 use arc_swap::ArcSwap;
 use catalog::SystemId;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A monotonically increasing model-state version number.
@@ -124,6 +127,52 @@ impl SnapshotLineage {
     }
 }
 
+/// One registered model: its flow and the memo of the estimates that
+/// flow has served.
+#[derive(Debug, Clone)]
+pub(crate) struct ModelSlot {
+    pub(crate) key: ModelKey,
+    pub(crate) flow: Arc<LogicalOpCosting>,
+    /// Rank [`parking_lot::rank::SERVICE_CACHE`]: the only lock on the
+    /// estimate read path.
+    pub(crate) memo: Arc<Mutex<LruCache>>,
+}
+
+impl ModelSlot {
+    fn new(key: ModelKey, flow: Arc<LogicalOpCosting>, memo_capacity: usize) -> Self {
+        ModelSlot {
+            key,
+            flow,
+            memo: fresh_memo(memo_capacity),
+        }
+    }
+}
+
+fn fresh_memo(capacity: usize) -> Arc<Mutex<LruCache>> {
+    let memo = Mutex::new(LruCache::new(capacity));
+    memo.set_rank(parking_lot::rank::SERVICE_CACHE);
+    Arc::new(memo)
+}
+
+/// Where `(system, op)` sits in key-ordered `slots`: `Ok` at its slot,
+/// `Err` where it would be inserted.
+fn position(slots: &[ModelSlot], system: &SystemId, op: OperatorKind) -> Result<usize, usize> {
+    slots.binary_search_by(|slot| (&slot.key.0, slot.key.1).cmp(&(system, op)))
+}
+
+/// Puts `slot` into key-ordered `slots`, replacing the slot of the same
+/// key.
+fn put(slots: &mut Vec<ModelSlot>, slot: ModelSlot) {
+    match position(slots, &slot.key.0, slot.key.1) {
+        Ok(i) => {
+            if let Some(old) = slots.get_mut(i) {
+                *old = slot;
+            }
+        }
+        Err(i) => slots.insert(i, slot),
+    }
+}
+
 /// An immutable, epoch-stamped view of every registered model.
 ///
 /// Snapshots are shared via `Arc` and never mutated after publication;
@@ -133,7 +182,8 @@ impl SnapshotLineage {
 pub struct ModelSnapshot {
     epoch: Epoch,
     lineage: SnapshotLineage,
-    models: HashMap<ModelKey, Arc<LogicalOpCosting>>,
+    /// Sorted by key.
+    models: Vec<ModelSlot>,
     profiles: BTreeMap<SystemId, Arc<CostingProfile>>,
 }
 
@@ -143,26 +193,29 @@ impl ModelSnapshot {
         ModelSnapshot {
             epoch: Epoch::ZERO,
             lineage: SnapshotLineage::genesis(),
-            models: HashMap::new(),
+            models: Vec::new(),
             profiles: BTreeMap::new(),
         }
     }
 
     /// Reassembles a snapshot from persisted parts (see
-    /// [`crate::hybrid::persist`]).
+    /// [`crate::hybrid::persist`]). Its memos have capacity 0: a loaded
+    /// snapshot memoizes nothing until a store publishes its content
+    /// (`EpochStore::rollback_to`), with memos of the store's capacity.
     pub(crate) fn from_parts(
         epoch: Epoch,
         lineage: SnapshotLineage,
         models: Vec<(ModelKey, LogicalOpCosting)>,
         profiles: Vec<CostingProfile>,
     ) -> Self {
+        let mut slots = Vec::with_capacity(models.len());
+        for (key, flow) in models {
+            put(&mut slots, ModelSlot::new(key, Arc::new(flow), 0));
+        }
         ModelSnapshot {
             epoch,
             lineage,
-            models: models
-                .into_iter()
-                .map(|(k, flow)| (k, Arc::new(flow)))
-                .collect(),
+            models: slots,
             profiles: profiles
                 .into_iter()
                 .map(|p| (p.system.clone(), Arc::new(p)))
@@ -180,12 +233,15 @@ impl ModelSnapshot {
         &self.lineage
     }
 
-    /// The costing flow for one `(system, operator)` pair. The lookup
-    /// borrows `system` (no `SystemId` clone — see
-    /// `crate::observability::ModelKeyQuery`).
+    /// The costing flow for one `(system, operator)` pair.
     pub fn model(&self, system: &SystemId, op: OperatorKind) -> Option<&Arc<LogicalOpCosting>> {
-        self.models
-            .get(&ModelKeyRef { system, op } as &dyn ModelKeyQuery)
+        self.slot(system, op).map(|slot| &slot.flow)
+    }
+
+    /// The slot of one `(system, operator)` pair: a binary search over
+    /// borrowed keys, no allocation.
+    pub(crate) fn slot(&self, system: &SystemId, op: OperatorKind) -> Option<&ModelSlot> {
+        self.models.get(position(&self.models, system, op).ok()?)
     }
 
     /// The fused packed-inference form the model for `(system, operator)`
@@ -194,8 +250,8 @@ impl ModelSnapshot {
         self.model(system, op).map(|flow| flow.model.packed())
     }
 
-    /// All registered models, in unspecified order.
-    pub(crate) fn models(&self) -> impl Iterator<Item = (&ModelKey, &Arc<LogicalOpCosting>)> {
+    /// All registered models, in key order.
+    pub(crate) fn models(&self) -> impl Iterator<Item = &ModelSlot> {
         self.models.iter()
     }
 
@@ -204,31 +260,32 @@ impl ModelSnapshot {
         self.profiles.iter()
     }
 
-    /// Sorted list of registered model keys.
+    /// Registered model keys, in order.
     pub(crate) fn keys(&self) -> Vec<ModelKey> {
-        let mut keys: Vec<ModelKey> = self.models.keys().cloned().collect();
-        keys.sort();
-        keys
+        self.models.iter().map(|slot| slot.key.clone()).collect()
     }
 }
 
 /// Mutable staging area of an in-flight transaction.
 ///
 /// The builder starts as a cheap clone of the current snapshot (the
-/// maps clone `Arc`s, not models); mutation helpers copy-on-write the
-/// individual entries they touch. Nothing is visible to readers until
-/// the transaction publishes.
+/// slots clone `Arc`s, not models); mutation helpers copy-on-write the
+/// individual slots they touch and give each a fresh memo of the
+/// store's capacity. Nothing is visible to readers until the
+/// transaction publishes.
 pub(crate) struct SnapshotBuilder {
-    models: HashMap<ModelKey, Arc<LogicalOpCosting>>,
+    models: Vec<ModelSlot>,
     profiles: BTreeMap<SystemId, Arc<CostingProfile>>,
     lineage: SnapshotLineage,
+    memo_capacity: usize,
 }
 
 impl SnapshotBuilder {
-    fn from_snapshot(base: &ModelSnapshot, label: &str) -> Self {
+    fn from_snapshot(base: &ModelSnapshot, label: &str, memo_capacity: usize) -> Self {
         SnapshotBuilder {
             models: base.models.clone(),
             profiles: base.profiles.clone(),
+            memo_capacity,
             lineage: SnapshotLineage {
                 parent: Some(base.epoch.get()),
                 label: label.to_string(),
@@ -249,36 +306,47 @@ impl SnapshotBuilder {
         }
     }
 
-    /// Inserts (or replaces) the model for `(system, op)`.
+    /// Inserts (or replaces) the model for `(system, op)`, with a fresh
+    /// memo.
     pub(crate) fn insert_model(
         &mut self,
         system: SystemId,
         op: OperatorKind,
         flow: LogicalOpCosting,
     ) {
-        self.models.insert((system, op), Arc::new(flow));
+        let slot = ModelSlot::new((system, op), Arc::new(flow), self.memo_capacity);
+        put(&mut self.models, slot);
     }
 
-    /// Copy-on-write update of one staged model: the entry is cloned
-    /// out of the shared snapshot (if still shared) — flow, training
-    /// data, log and the model's fused-inference arenas — mutated in place, and
-    /// re-staged. Returns `None` when the model is not registered.
+    /// Copy-on-write update of one staged model: the flow is cloned
+    /// out of the shared snapshot (if still shared) — training data,
+    /// log and the model's fused-inference arenas — mutated in place,
+    /// and re-staged with a fresh memo. Returns `None` when the model
+    /// is not registered.
     pub(crate) fn update_model<R>(
         &mut self,
         system: &SystemId,
         op: OperatorKind,
         f: impl FnOnce(&mut LogicalOpCosting) -> R,
     ) -> Option<R> {
-        let entry = self
-            .models
-            .get_mut(&ModelKeyRef { system, op } as &dyn ModelKeyQuery)?;
-        Some(f(Arc::make_mut(entry)))
+        let i = position(&self.models, system, op).ok()?;
+        let slot = self.models.get_mut(i)?;
+        let out = f(Arc::make_mut(&mut slot.flow));
+        slot.memo = fresh_memo(self.memo_capacity);
+        Some(out)
     }
 
-    /// Replaces the staged content wholesale with `snapshot`'s,
-    /// recording the restored epoch in the lineage (rollback).
+    /// Replaces the staged content wholesale with `snapshot`'s, each
+    /// slot with a fresh memo, recording the restored epoch in the
+    /// lineage (rollback).
     pub(crate) fn restore_from(&mut self, snapshot: &ModelSnapshot) {
-        self.models = snapshot.models.clone();
+        self.models = snapshot
+            .models
+            .iter()
+            .map(|slot| {
+                ModelSlot::new(slot.key.clone(), Arc::clone(&slot.flow), self.memo_capacity)
+            })
+            .collect();
         self.profiles = snapshot.profiles.clone();
         self.lineage.restores = Some(snapshot.epoch.get());
     }
@@ -305,14 +373,19 @@ impl SnapshotBuilder {
 pub(crate) struct EpochStore {
     cell: ArcSwap<ModelSnapshot>,
     commit: Mutex<()>,
+    /// Capacity of every memo this store's transactions make.
+    memo_capacity: usize,
 }
 
 impl EpochStore {
-    /// A store holding the empty genesis snapshot (epoch 0).
-    pub(crate) fn new() -> Self {
+    /// A store holding the empty genesis snapshot (epoch 0) whose
+    /// transactions give each new or replaced model a memo of
+    /// `memo_capacity` estimates.
+    pub(crate) fn new(memo_capacity: usize) -> Self {
         let store = EpochStore {
             cell: ArcSwap::new(Arc::new(ModelSnapshot::genesis())),
             commit: Mutex::new(()),
+            memo_capacity,
         };
         store.commit.set_rank(parking_lot::rank::EPOCH_COMMIT);
         store.cell.set_rank(parking_lot::rank::EPOCH_RETIRED);
@@ -355,7 +428,7 @@ impl EpochStore {
     ) -> Result<(R, Arc<ModelSnapshot>), E> {
         let _commit = self.commit.lock();
         let current = self.cell.load_full();
-        let mut tx = SnapshotBuilder::from_snapshot(&current, label);
+        let mut tx = SnapshotBuilder::from_snapshot(&current, label, self.memo_capacity);
         let out = f(&mut tx)?;
         let next = Arc::new(tx.build(current.epoch.next()));
         self.cell.store(Arc::clone(&next));
@@ -363,8 +436,8 @@ impl EpochStore {
     }
 
     /// Publishes a content-identical snapshot under a new epoch (used
-    /// by cache-invalidation tests and churn benchmarks; estimates must
-    /// be bit-identical across a republish).
+    /// by publication tests and churn benchmarks; estimates must be
+    /// bit-identical across a republish, and every memo stays warm).
     pub(crate) fn republish(&self, label: &str) -> Arc<ModelSnapshot> {
         self.transaction(label, |_| ()).1
     }
@@ -375,12 +448,6 @@ impl EpochStore {
     pub(crate) fn rollback_to(&self, snapshot: &ModelSnapshot) -> Arc<ModelSnapshot> {
         self.transaction("rollback", |tx| tx.restore_from(snapshot))
             .1
-    }
-}
-
-impl Default for EpochStore {
-    fn default() -> Self {
-        EpochStore::new()
     }
 }
 
@@ -425,19 +492,17 @@ impl TuningPipeline {
     /// bump. Readers keep serving the previous snapshot throughout.
     pub(crate) fn run_once(&self, store: &EpochStore) -> PipelineReport {
         // An idle pass aborts its transaction: publishing a
-        // content-identical epoch would orphan every epoch-keyed cache
-        // entry for nothing.
+        // content-identical epoch would bump the epoch for nothing.
         let published = store.try_transaction("tuning-pipeline", |tx| {
-            let mut due: Vec<ModelKey> = tx
+            let due: Vec<ModelKey> = tx
                 .models
                 .iter()
-                .filter(|(_, flow)| !flow.log.is_empty())
-                .map(|(key, _)| key.clone())
+                .filter(|slot| !slot.flow.log.is_empty())
+                .map(|slot| slot.key.clone())
                 .collect();
             if due.is_empty() {
                 return Err(());
             }
-            due.sort();
             let mut reports: Vec<(ModelKey, TuneReport)> = Vec::new();
             for key in due {
                 let Some(report) =
@@ -495,9 +560,16 @@ mod tests {
         SystemId::new("hive-a")
     }
 
+    fn memo(snapshot: &ModelSnapshot) -> &Arc<Mutex<LruCache>> {
+        &snapshot
+            .slot(&hive(), OperatorKind::Aggregation)
+            .expect("registered")
+            .memo
+    }
+
     #[test]
     fn genesis_store_is_empty_at_epoch_zero() {
-        let store = EpochStore::new();
+        let store = EpochStore::new(16);
         let snap = store.load();
         assert_eq!(snap.epoch(), Epoch::ZERO);
         assert!(snap.models.is_empty());
@@ -507,7 +579,7 @@ mod tests {
 
     #[test]
     fn transactions_bump_the_epoch_and_record_lineage() {
-        let store = EpochStore::new();
+        let store = EpochStore::new(16);
         let (_, snap) = store.transaction("register", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
         });
@@ -519,7 +591,7 @@ mod tests {
 
     #[test]
     fn aborted_transactions_publish_nothing() {
-        let store = EpochStore::new();
+        let store = EpochStore::new(16);
         let result: Result<((), _), &str> = store.try_transaction("doomed", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
             Err("abort")
@@ -531,16 +603,14 @@ mod tests {
 
     #[test]
     fn pinned_snapshots_survive_later_publications() {
-        let store = EpochStore::new();
+        let store = EpochStore::new(16);
         store.transaction("register", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
         });
         let pinned = store.load();
         store.transaction("remove", |tx| {
-            assert!(tx
-                .models
-                .remove(&(hive(), OperatorKind::Aggregation))
-                .is_some());
+            assert_eq!(tx.models.len(), 1);
+            tx.models.clear();
         });
         // The pinned snapshot still serves the removed model; the live
         // snapshot does not.
@@ -551,7 +621,7 @@ mod tests {
 
     #[test]
     fn update_model_is_copy_on_write() {
-        let store = EpochStore::new();
+        let store = EpochStore::new(16);
         store.transaction("register", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
         });
@@ -583,7 +653,7 @@ mod tests {
 
     #[test]
     fn snapshots_carry_packed_forms_for_every_model() {
-        let store = EpochStore::new();
+        let store = EpochStore::new(16);
         store.transaction("register", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
         });
@@ -598,7 +668,7 @@ mod tests {
         );
         // Removed models lose their packed form with them.
         store.transaction("remove", |tx| {
-            tx.models.remove(&(hive(), OperatorKind::Aggregation));
+            tx.models.clear();
         });
         assert!(store
             .load()
@@ -608,7 +678,7 @@ mod tests {
 
     #[test]
     fn republish_reuses_packed_forms_and_cow_update_rederives_them() {
-        let store = EpochStore::new();
+        let store = EpochStore::new(16);
         store.transaction("register", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
         });
@@ -622,8 +692,11 @@ mod tests {
                 .packed(&hive(), OperatorKind::Aggregation)
                 .unwrap()
         ));
+        // So is the memo beside it: a republish leaves it warm.
+        assert!(Arc::ptr_eq(memo(&before), memo(&republished)));
         // A COW update copies the model: the new snapshot's packed form
-        // is its own and stays bit-consistent with the reference chain.
+        // is its own and stays bit-consistent with the reference chain,
+        // and its memo is a fresh one.
         store.transaction("observe", |tx| {
             tx.update_model(&hive(), OperatorKind::Aggregation, |flow| {
                 flow.observe_actual(&[5e5, 200.0], 2.0);
@@ -636,6 +709,7 @@ mod tests {
             packed,
             before.packed(&hive(), OperatorKind::Aggregation).unwrap()
         ));
+        assert!(!Arc::ptr_eq(memo(&before), memo(&after)));
         let mut scratch = crate::logical_op::packed::PackedOpScratch::new();
         let x = [9e5, 150.0];
         assert_eq!(
@@ -646,13 +720,13 @@ mod tests {
 
     #[test]
     fn rollback_restores_content_under_a_new_epoch() {
-        let store = EpochStore::new();
+        let store = EpochStore::new(16);
         store.transaction("register", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
         });
         let good = store.load();
         store.transaction("remove", |tx| {
-            tx.models.remove(&(hive(), OperatorKind::Aggregation));
+            tx.models.clear();
         });
         assert!(store.load().models.is_empty());
         let restored = store.rollback_to(&good);
@@ -661,11 +735,17 @@ mod tests {
         assert_eq!(restored.models.len(), 1);
         assert_eq!(restored.lineage().restores, Some(good.epoch().get()));
         assert_eq!(restored.lineage().label, "rollback");
+        // The restored flow is the pinned one; its memo is fresh.
+        assert!(Arc::ptr_eq(
+            good.model(&hive(), OperatorKind::Aggregation).unwrap(),
+            restored.model(&hive(), OperatorKind::Aggregation).unwrap()
+        ));
+        assert!(!Arc::ptr_eq(memo(&good), memo(&restored)));
     }
 
     #[test]
     fn tuning_pipeline_retrains_due_models_in_one_epoch_bump() {
-        let store = EpochStore::new();
+        let store = EpochStore::new(16);
         store.transaction("register", |tx| {
             let mut flow = agg_flow();
             let mut rows = 1.6e6;
@@ -700,7 +780,7 @@ mod tests {
 
     #[test]
     fn idle_pipeline_pass_reports_nothing_retrained() {
-        let store = EpochStore::new();
+        let store = EpochStore::new(16);
         store.transaction("register", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
         });

@@ -114,15 +114,14 @@ struct SnapshotDto {
 impl SnapshotDto {
     fn from_snapshot(snapshot: &ModelSnapshot) -> Self {
         let lineage = snapshot.lineage();
-        let mut models: Vec<SnapshotModelDto> = snapshot
+        let models: Vec<SnapshotModelDto> = snapshot
             .models()
-            .map(|((system, op), flow)| SnapshotModelDto {
-                system: system.clone(),
-                op: *op,
-                flow: LogicalOpCosting::clone(flow),
+            .map(|slot| SnapshotModelDto {
+                system: slot.key.0.clone(),
+                op: slot.key.1,
+                flow: LogicalOpCosting::clone(&slot.flow),
             })
             .collect();
-        models.sort_by(|a, b| (&a.system, a.op).cmp(&(&b.system, b.op)));
         SnapshotDto {
             epoch: snapshot.epoch().get(),
             parent: lineage.parent,

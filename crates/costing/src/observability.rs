@@ -30,73 +30,6 @@ use telemetry::{
 /// which remote system.
 pub type ModelKey = (SystemId, OperatorKind);
 
-/// Borrowed-key lookup for `HashMap<ModelKey, _>` maps.
-///
-/// A [`ModelKey`] owns its [`SystemId`] (a heap `String`), so a naive
-/// `map.get(&(system.clone(), op))` allocates on every lookup — a real
-/// cost on the estimate hot path. This trait is the classic
-/// `Borrow<dyn Trait>` trick: both the owned key and the borrowed
-/// [`ModelKeyRef`] implement it, `Hash`/`Eq` on the trait object match
-/// the derived tuple implementations field for field, and the
-/// `Borrow<dyn ModelKeyQuery> for ModelKey` impl lets `HashMap::get`
-/// accept `&ModelKeyRef` without constructing an owned key.
-pub(crate) trait ModelKeyQuery {
-    /// The system component of the key.
-    fn system(&self) -> &SystemId;
-    /// The operator component of the key.
-    fn op(&self) -> OperatorKind;
-}
-
-/// A borrowed `(system, operator)` key for allocation-free map lookups.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ModelKeyRef<'a> {
-    /// The system component (borrowed).
-    pub system: &'a SystemId,
-    /// The operator component.
-    pub op: OperatorKind,
-}
-
-impl ModelKeyQuery for ModelKey {
-    fn system(&self) -> &SystemId {
-        &self.0
-    }
-    fn op(&self) -> OperatorKind {
-        self.1
-    }
-}
-
-impl ModelKeyQuery for ModelKeyRef<'_> {
-    fn system(&self) -> &SystemId {
-        self.system
-    }
-    fn op(&self) -> OperatorKind {
-        self.op
-    }
-}
-
-// Hash must agree with `ModelKey`'s derived tuple hash (fields in
-// order, no length prefix) for the Borrow contract to hold.
-impl std::hash::Hash for dyn ModelKeyQuery + '_ {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.system().hash(state);
-        self.op().hash(state);
-    }
-}
-
-impl PartialEq for dyn ModelKeyQuery + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.system() == other.system() && self.op() == other.op()
-    }
-}
-
-impl Eq for dyn ModelKeyQuery + '_ {}
-
-impl<'a> std::borrow::Borrow<dyn ModelKeyQuery + 'a> for ModelKey {
-    fn borrow(&self) -> &(dyn ModelKeyQuery + 'a) {
-        self
-    }
-}
-
 /// Tracing context threaded into the costing layers: who is being
 /// costed, and where decision-trail events go. Cheap to build per call;
 /// carries no state of its own.
@@ -342,20 +275,35 @@ mod tests {
 
     #[test]
     fn borrowed_key_lookup_finds_owned_entries() {
-        use std::collections::HashMap;
-        let mut map: HashMap<ModelKey, u32> = HashMap::new();
-        map.insert((SystemId::new("hive-a"), OperatorKind::Join), 7);
+        let (inputs, targets) = (1..=12).map(|r| (vec![r as f64], r as f64)).unzip();
+        let (model, _) = crate::logical_op::model::LogicalOpModel::fit(
+            OperatorKind::Join,
+            &["rows"],
+            &neuro::Dataset::new(inputs, targets),
+            &crate::logical_op::model::FitConfig::fast(),
+        );
+        let flow = crate::logical_op::flow::LogicalOpCosting::new(model);
+        let store = crate::epoch::EpochStore::new(0);
+        let (_, snapshot) = store.transaction("register", |tx| {
+            for name in ["presto-b", "hive-a"] {
+                tx.insert_model(SystemId::new(name), OperatorKind::Join, flow.clone());
+            }
+        });
+        // The snapshot owns its keys; a lookup borrows the system.
         let system = SystemId::new("hive-a");
-        let q = ModelKeyRef {
-            system: &system,
-            op: OperatorKind::Join,
-        };
-        assert_eq!(map.get(&q as &dyn ModelKeyQuery), Some(&7));
-        let miss = ModelKeyRef {
-            system: &system,
-            op: OperatorKind::Sort,
-        };
-        assert_eq!(map.get(&miss as &dyn ModelKeyQuery), None);
+        assert!(snapshot.model(&system, OperatorKind::Join).is_some());
+        assert!(snapshot.model(&system, OperatorKind::Sort).is_none());
+        assert!(snapshot
+            .model(&SystemId::new("spark-c"), OperatorKind::Join)
+            .is_none());
+        // Slots are kept in key order, whatever the insertion order.
+        assert_eq!(
+            snapshot.keys(),
+            vec![
+                (SystemId::new("hive-a"), OperatorKind::Join),
+                (SystemId::new("presto-b"), OperatorKind::Join),
+            ]
+        );
     }
 
     #[test]

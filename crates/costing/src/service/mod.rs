@@ -16,17 +16,18 @@
 //!   adjustment, and offline tuning are clone-modify-publish
 //!   transactions that swap in a new snapshot under the next epoch,
 //!   entirely off the hot path;
-//! * an **LRU estimate cache** per shard, keyed by quantized feature
-//!   vectors (see [`cache`]) and tagged with the *epoch of the snapshot
-//!   that computed the value* — the key and the model state come from
-//!   the same pinned `Arc`, so a cached estimate can never be served
-//!   against a model state it was not computed from (the old
-//!   generation-counter scheme allowed exactly that interleaving);
-//! * **one estimate body**: every entry is cache probe → the flow's
+//! * one **estimate memo per model version**: an LRU map from a row's
+//!   feature bits to its estimate (see `cache`), kept in the pinned
+//!   snapshot beside the flow it memoizes and made fresh whenever that
+//!   flow is created or replaced — the memo and the model state come
+//!   from the same pinned `Arc`, so a memoized estimate can never be
+//!   served against a model state it was not computed from, and a
+//!   publication that leaves a model untouched leaves its memo warm;
+//! * **one estimate body**: every entry is memo probe → the flow's
 //!   Fig. 3 body on the misses
 //!   ([`crate::logical_op::flow::LogicalOpCosting::estimate_rows`]: one
 //!   fused packed-kernel pass for the in-range rows, the remedy for the
-//!   rest) → cache insert, against a single pinned snapshot, and a single
+//!   rest) → memo insert, against a single pinned snapshot, and a single
 //!   estimate is a batch of one row — so results and decision trails
 //!   cannot differ by entry point, nor from the manager stack, which
 //!   calls the same body;
@@ -40,10 +41,10 @@
 //! consistent mid-retrain pin one snapshot ([`EstimatorService::snapshot`])
 //! and use the `*_pinned` variants.
 
-pub mod cache;
+pub(crate) mod cache;
 
 use crate::{
-    epoch::{Epoch, EpochStore, ModelSnapshot, PipelineReport, TuningPipeline},
+    epoch::{Epoch, EpochStore, ModelSlot, ModelSnapshot, PipelineReport, TuningPipeline},
     estimator::{CostEstimate, OperatorKind},
     logical_op::{
         flow::{FlowScratch, LogicalOpCosting},
@@ -51,13 +52,9 @@ use crate::{
     },
     observability::{ModelKey, TraceCtx},
 };
-use cache::{quantize, CacheKey, CacheKeyRef, LruCache};
 use catalog::SystemId;
-use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use telemetry::span::{time as stage_time, Stage};
 use telemetry::{Counter, DriftMonitor, Event, Histogram, Telemetry};
@@ -66,27 +63,21 @@ use telemetry::{Counter, DriftMonitor, Event, Histogram, Telemetry};
 /// sub-second scans up to the ~10-minute heavy joins.
 const ESTIMATE_SECS_BOUNDS: [f64; 7] = [0.001, 0.01, 0.1, 1.0, 10.0, 60.0, 600.0];
 
-/// Number of estimate-cache shards; a `(system, operator)` pair hashes
-/// to one of them.
-const SHARDS: usize = 8;
-
-/// Significant decimal digits kept when quantizing cache keys.
-const SIG_DIGITS: i32 = 9;
-
 /// Service tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
-    /// LRU capacity per shard. `0` disables the estimate cache entirely:
-    /// no shard lock is ever taken and every estimate recomputes through
-    /// the packed kernels — the right trade for latency-critical
-    /// deployments whose feature vectors rarely repeat.
-    pub cache_capacity_per_shard: usize,
+    /// Estimates each registered model version memoizes (an LRU).
+    /// `0` disables the memo entirely: no memo lock is ever taken and
+    /// every estimate recomputes through the packed kernels — the right
+    /// trade for latency-critical deployments whose feature vectors
+    /// rarely repeat.
+    pub cache_capacity_per_model: usize,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            cache_capacity_per_shard: 1024,
+            cache_capacity_per_model: 1024,
         }
     }
 }
@@ -142,10 +133,10 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Snapshot of the cache counters.
+/// Snapshot of the memo counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Requests answered from the cache.
+    /// Requests answered from a memo.
     pub hits: u64,
     /// Requests that had to run a model.
     pub misses: u64,
@@ -158,14 +149,10 @@ impl CacheStats {
     }
 }
 
-struct Shard {
-    cache: Mutex<LruCache>,
-}
-
 /// Reusable workspace for the estimate hot path.
 ///
-/// Every buffer the pinned estimate paths need — quantized cache
-/// probes, batch result staging, the flow body's [`FlowScratch`] — lives
+/// Every buffer the pinned estimate paths need — memo probes (a row's
+/// feature bits), batch result staging, the flow body's [`FlowScratch`] — lives
 /// here, so a warm scratch makes the pinned estimate paths
 /// allocation-free steady-state (cache hits, and cache-disabled
 /// in-range computes; the out-of-range remedy runs a per-row
@@ -176,11 +163,11 @@ struct Shard {
 /// [`EstimatorService::estimate_batch_flat_pinned_scratch`].
 #[derive(Debug, Default)]
 pub struct EstimateScratch {
-    /// Quantized features for one cache probe.
-    qbuf: Vec<u64>,
+    /// Feature bits of one memo probe.
+    bits: Vec<u64>,
     /// Per-row results staged during a batch.
     results: Vec<Option<CostEstimate>>,
-    /// Indices of rows the cache could not answer.
+    /// Indices of rows the memo could not answer.
     miss_idx: Vec<usize>,
     /// Kernel and remedy workspace of the flow's Fig. 3 body.
     flow: FlowScratch,
@@ -194,7 +181,7 @@ impl EstimateScratch {
     /// `thread_local`, which never lazily allocates).
     pub const fn new() -> Self {
         EstimateScratch {
-            qbuf: Vec::new(),
+            bits: Vec::new(),
             results: Vec::new(),
             miss_idx: Vec::new(),
             flow: FlowScratch::new(),
@@ -213,15 +200,14 @@ struct Inner {
     /// The epoch-versioned model store; reads are lock-free snapshot
     /// loads, writes are serialised clone-modify-publish transactions.
     store: EpochStore,
-    shards: Vec<Shard>,
     telemetry: Telemetry,
-    /// Registry-backed cache counters (handles into `telemetry.metrics`).
+    /// Registry-backed memo counters (handles into `telemetry.metrics`).
     hits: Counter,
     misses: Counter,
     /// Distribution of served estimates, seconds.
     estimate_secs: Histogram,
-    /// False when `cache_capacity_per_shard` was 0: the hot path skips
-    /// the shard lock and every probe entirely.
+    /// False when `cache_capacity_per_model` was 0: the hot path skips
+    /// the memo lock and every probe entirely.
     cache_enabled: bool,
 }
 
@@ -236,7 +222,6 @@ impl std::fmt::Debug for EstimatorService {
         let stats = self.stats();
         f.debug_struct("EstimatorService")
             .field("epoch", &self.epoch())
-            .field("shards", &self.inner.shards.len())
             .field("models", &self.registered().len())
             .field("hits", &stats.hits)
             .field("misses", &stats.misses)
@@ -260,23 +245,10 @@ impl EstimatorService {
     /// handle: cache counters and the estimate histogram live in its
     /// metrics registry, and decision-trail events go to its tracer.
     pub fn with_telemetry(config: ServiceConfig, telemetry: Telemetry) -> Self {
-        let shards = (0..SHARDS)
-            .map(|_| {
-                let shard = Shard {
-                    cache: Mutex::new(LruCache::new(config.cache_capacity_per_shard)),
-                };
-                // Rank for `lock-order-check` builds; the model store's
-                // commit/retired mutexes rank below the cache, so a
-                // transaction may never be started while a cache shard
-                // is held.
-                shard.cache.set_rank(parking_lot::rank::SERVICE_CACHE);
-                shard
-            })
-            .collect();
         let reg = &telemetry.metrics;
         reg.set_help(
             "estimator_cache_hits_total",
-            "Estimates answered from the service's LRU cache.",
+            "Estimates answered from a model's LRU estimate memo.",
         );
         reg.set_help(
             "estimator_cache_misses_total",
@@ -295,13 +267,12 @@ impl EstimatorService {
         let estimate_secs = reg.histogram("estimator_estimate_secs", &[], &ESTIMATE_SECS_BOUNDS);
         EstimatorService {
             inner: Arc::new(Inner {
-                store: EpochStore::new(),
-                shards,
+                store: EpochStore::new(config.cache_capacity_per_model),
                 telemetry,
                 hits,
                 misses,
                 estimate_secs,
-                cache_enabled: config.cache_capacity_per_shard > 0,
+                cache_enabled: config.cache_capacity_per_model > 0,
             }),
         }
     }
@@ -309,18 +280,6 @@ impl EstimatorService {
     /// The service's telemetry handle (registry + tracer).
     pub fn telemetry(&self) -> &Telemetry {
         &self.inner.telemetry
-    }
-
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "idx is reduced modulo shards.len(), which the constructor makes non-zero"
-    )]
-    fn shard(&self, system: &SystemId, op: OperatorKind) -> &Shard {
-        let mut h = DefaultHasher::new();
-        system.hash(&mut h);
-        op.hash(&mut h);
-        let idx = (h.finish() % self.inner.shards.len() as u64) as usize;
-        &self.inner.shards[idx]
     }
 
     /// Pins the current model snapshot (a lock-free atomic load). The
@@ -337,8 +296,8 @@ impl EstimatorService {
     }
 
     /// Publishes a content-identical snapshot under a new epoch.
-    /// Estimates are bit-identical across a republish; only the cache
-    /// tag changes.
+    /// Estimates are bit-identical across a republish, and every
+    /// model's memo stays warm.
     pub fn republish(&self) -> Arc<ModelSnapshot> {
         self.inner.store.republish("republish")
     }
@@ -361,7 +320,8 @@ impl EstimatorService {
     }
 
     /// Registers (or replaces) the costing flow for one operator on one
-    /// system; the operator kind comes from the trained model itself.
+    /// system, with a fresh memo; the operator kind comes from the
+    /// trained model itself.
     pub fn register(&self, system: SystemId, flow: LogicalOpCosting) {
         let op = flow.model.op;
         let _ = self
@@ -376,8 +336,8 @@ impl EstimatorService {
     }
 
     /// Estimates one operator's cost against the current snapshot,
-    /// consulting the cache first. Completely lock-free on the model
-    /// store: the only lock touched is the cache shard's mutex.
+    /// consulting the model's memo first. Completely lock-free on the
+    /// model store: the only lock touched is the memo's mutex.
     pub fn estimate(
         &self,
         system: &SystemId,
@@ -389,17 +349,17 @@ impl EstimatorService {
     }
 
     /// [`EstimatorService::estimate`] against a caller-pinned snapshot.
-    /// Cached values are tagged with the snapshot's epoch, so replaying
-    /// an estimate from an older pinned snapshot can never pollute the
-    /// cache for readers of a newer one.
+    /// The memo probed and filled is the pinned snapshot's own, beside
+    /// the flow that computes, so an estimate replayed from an older
+    /// pinned snapshot can never reach readers of a newer model.
     ///
     /// This is a one-row batch through the same core as
     /// [`EstimatorService::estimate_batch_flat_pinned_scratch`], over the
-    /// calling thread's [`EstimateScratch`]: same cache probe, same
-    /// Fig. 3 body, same decision trail. A cache hit and an in-range
-    /// compute with the cache disabled perform zero heap
+    /// calling thread's [`EstimateScratch`]: same memo probe, same
+    /// Fig. 3 body, same decision trail. A memo hit and an in-range
+    /// compute with the memo disabled perform zero heap
     /// allocations once the scratch is warm (tracing disabled; the
-    /// insert after a cache-enabled miss and the out-of-range remedy
+    /// insert after a memo miss and the out-of-range remedy
     /// still allocate).
     pub fn estimate_pinned(
         &self,
@@ -411,7 +371,7 @@ impl EstimatorService {
         if features.is_empty() {
             // A zero-width row has no flat layout; answer with the typed
             // error the model lookup and arity check give.
-            check_arity(model_or_unknown(snapshot, system, op)?, features)?;
+            check_arity(&slot_or_unknown(snapshot, system, op)?.flow, features)?;
             return Err(ServiceError::Internal("model of arity zero"));
         }
         TLS_SCRATCH.with(|s| {
@@ -429,7 +389,7 @@ impl EstimatorService {
     /// against one caller-pinned snapshot (see
     /// [`EstimatorService::estimate_pinned`]).
     ///
-    /// Cached rows are answered from the cache; the flow's Fig. 3 body
+    /// Memoized rows are answered from the memo; the flow's Fig. 3 body
     /// costs the rest (in-range rows share a single packed-kernel pass,
     /// out-of-range rows go through the remedy individually). Results
     /// are identical, bit for
@@ -452,7 +412,7 @@ impl EstimatorService {
         if rows.iter().any(|r| r.len() != width) {
             // A mixed-width batch cannot be flattened; surface the
             // per-row arity error the flat path would have raised.
-            let flow = model_or_unknown(snapshot, system, op)?;
+            let flow = &slot_or_unknown(snapshot, system, op)?.flow;
             for r in rows {
                 check_arity(flow, r)?;
             }
@@ -536,14 +496,14 @@ impl EstimatorService {
     /// path: `rows.len() / width` feature rows in one contiguous
     /// row-major buffer, results written into `out` (cleared first).
     ///
-    /// One cache pass under a single shard lock answers what it can
+    /// One memo pass under the model's memo lock answers what it can
     /// (borrowed probes — no per-row key allocation); the misses go to
     /// [`LogicalOpCosting::estimate_rows`], which stages the in-range
     /// ones into the scratch's flat buffer for one fused packed-kernel
     /// pass and sends the others through the remedy individually.
     /// Results are identical, bit for bit, to calling
     /// [`EstimatorService::estimate`] per row at the same epoch.
-    /// With the cache disabled and tracing off, a warm scratch and warm
+    /// With the memo disabled and tracing off, a warm scratch and warm
     /// `out` make the whole call allocation-free for in-range batches.
     #[expect(
         clippy::too_many_arguments,
@@ -576,7 +536,7 @@ impl EstimatorService {
         Ok(())
     }
 
-    /// The one cache-probe → Fig. 3 body → insert sequence behind every
+    /// The one memo probe → Fig. 3 body → insert sequence behind every
     /// estimate entry point. `rows` holds `rows.len() / width` rows
     /// (callers guarantee `width > 0` divides the length); on success
     /// `scratch.results` holds one filled slot per row, in row order.
@@ -596,9 +556,10 @@ impl EstimatorService {
         let n = rows.len() / width;
         let epoch = snapshot.epoch().get();
         let tracer = &self.inner.telemetry.tracer;
-        let shard = self.shard(system, op);
+        let slot = slot_or_unknown(snapshot, system, op)?;
+        check_arity_width(&slot.flow, width)?;
         let EstimateScratch {
-            qbuf,
+            bits,
             results,
             miss_idx,
             flow: flow_scratch,
@@ -610,17 +571,12 @@ impl EstimatorService {
 
         if self.inner.cache_enabled {
             let _probe = stage_time(Stage::CacheProbe);
-            let mut cache = shard.cache.lock();
-            for (i, (row, slot)) in rows.chunks_exact(width).zip(results.iter_mut()).enumerate() {
-                qbuf.clear();
-                qbuf.extend(row.iter().map(|&v| quantize(v, SIG_DIGITS)));
-                let probe = CacheKeyRef {
-                    system,
-                    op,
-                    qfeatures: qbuf,
-                };
-                match cache.get(&probe, epoch) {
-                    Some(hit) => *slot = Some(hit),
+            let mut memo = slot.memo.lock();
+            for (i, (row, result)) in rows.chunks_exact(width).zip(results.iter_mut()).enumerate() {
+                bits.clear();
+                bits.extend(row.iter().map(|v| v.to_bits()));
+                match memo.get(bits) {
+                    Some(hit) => *result = Some(hit),
                     None => miss_idx.push(i),
                 }
             }
@@ -630,10 +586,9 @@ impl EstimatorService {
         self.inner.hits.add((n - miss_idx.len()) as u64);
 
         if !miss_idx.is_empty() {
-            let flow = model_or_unknown(snapshot, system, op)?;
-            check_arity_width(flow, width)?;
             let trace = TraceCtx::new(tracer, system);
-            flow.estimate_rows(rows, width, results, flow_scratch, Some(&trace));
+            slot.flow
+                .estimate_rows(rows, width, results, flow_scratch, Some(&trace));
             self.inner.misses.add(miss_idx.len() as u64);
             for &i in miss_idx.iter() {
                 let est = results
@@ -650,23 +605,16 @@ impl EstimatorService {
 
         if self.inner.cache_enabled && !miss_idx.is_empty() {
             let _probe = stage_time(Stage::CacheProbe);
-            let mut misses = miss_idx.iter().copied().peekable();
-            let mut cache = shard.cache.lock();
-            for (i, row) in rows.chunks_exact(width).enumerate() {
-                if misses.peek() != Some(&i) {
-                    continue;
-                }
-                misses.next();
-                let Some(est) = results.get(i).and_then(Option::as_ref) else {
+            let mut memo = slot.memo.lock();
+            for &i in miss_idx.iter() {
+                let (Some(row), Some(Some(est))) =
+                    (rows.get(i * width..(i + 1) * width), results.get(i))
+                else {
                     continue;
                 };
-                qbuf.clear();
-                qbuf.extend(row.iter().map(|&v| quantize(v, SIG_DIGITS)));
-                cache.insert(
-                    CacheKey::from_quantized(system, op, qbuf),
-                    est.clone(),
-                    epoch,
-                );
+                bits.clear();
+                bits.extend(row.iter().map(|v| v.to_bits()));
+                memo.insert(bits, est.clone());
             }
         }
         Ok(())
@@ -705,8 +653,8 @@ impl EstimatorService {
     }
 
     /// Feeds an observed actual execution into the owning flow (log + α
-    /// tuner) through a clone-modify-publish transaction; the published
-    /// epoch implicitly invalidates cached estimates. The flow's
+    /// tuner) through a clone-modify-publish transaction; the new flow
+    /// gets a fresh memo, and every other model keeps its own. The flow's
     /// eviction counter is surfaced as the
     /// `execution_log_dropped_entries{system,operator}` gauge.
     pub fn observe_actual(
@@ -801,12 +749,18 @@ impl EstimatorService {
         let epoch = snapshot.epoch().get();
         let mut fed = 0;
         let mut scratch = FlowScratch::new();
-        for (key, flow) in snapshot.models() {
-            for entry in flow.log.entries() {
-                let predicted = flow
+        for slot in snapshot.models() {
+            for entry in slot.flow.log.entries() {
+                let predicted = slot
+                    .flow
                     .estimate_scratch(&entry.features, &mut scratch, None)
                     .secs;
-                monitor.record_versioned(key.clone(), predicted, entry.actual_secs, Some(epoch));
+                monitor.record_versioned(
+                    slot.key.clone(),
+                    predicted,
+                    entry.actual_secs,
+                    Some(epoch),
+                );
                 fed += 1;
             }
         }
@@ -827,22 +781,22 @@ impl EstimatorService {
         self.inner.misses.reset();
     }
 
-    /// Empties every shard's estimate cache (counters are untouched).
+    /// Empties the memo of every model in the current snapshot
+    /// (counters are untouched).
     pub fn clear_cache(&self) {
-        for shard in &self.inner.shards {
-            shard.cache.lock().clear();
+        for slot in self.inner.store.load().models() {
+            slot.memo.lock().clear();
         }
     }
 }
 
-fn model_or_unknown<'s>(
+fn slot_or_unknown<'s>(
     snapshot: &'s ModelSnapshot,
     system: &SystemId,
     op: OperatorKind,
-) -> Result<&'s LogicalOpCosting, ServiceError> {
+) -> Result<&'s ModelSlot, ServiceError> {
     snapshot
-        .model(system, op)
-        .map(Arc::as_ref)
+        .slot(system, op)
         .ok_or_else(|| ServiceError::UnknownModel {
             system: system.clone(),
             op,
@@ -1022,7 +976,7 @@ mod tests {
     fn disabled_cache_recomputes_and_matches_cached_service_bit_for_bit() {
         let cached = EstimatorService::default();
         let uncached = EstimatorService::new(ServiceConfig {
-            cache_capacity_per_shard: 0,
+            cache_capacity_per_model: 0,
         });
         let sys = SystemId::new("hive-a");
         let flow = trained_flow(2e-6);
@@ -1101,7 +1055,7 @@ mod tests {
         let _ = svc.estimate(&sys, OperatorKind::Aggregation, &oor).unwrap();
         svc.observe_actual(&sys, OperatorKind::Aggregation, &oor, 55.0)
             .unwrap();
-        // Epoch bump: the cached value no longer counts as a hit.
+        // The observed model's new flow has a fresh memo: no hit.
         let _ = svc.estimate(&sys, OperatorKind::Aggregation, &oor).unwrap();
         assert_eq!(svc.stats(), CacheStats { hits: 0, misses: 2 });
         let flow = flow_of(&svc, &sys);
@@ -1300,9 +1254,9 @@ mod tests {
         // estimate computed against pre-publication model state used to
         // be insertable into the cache with a generation value that a
         // later (or weakly-ordered concurrent) reader would still match,
-        // serving the old model's output after an update. With
-        // epoch-pinned keys the cache tag comes from the same snapshot
-        // Arc as the model state, so the two cannot disagree.
+        // serving the old model's output after an update. The memo
+        // sits beside the flow in the same snapshot Arc as the model
+        // state, so the two cannot disagree.
         let (svc, sys) = service_with_model();
         let x = [5e5, 200.0];
         // A reader pins the snapshot, then gets descheduled...
@@ -1315,16 +1269,16 @@ mod tests {
         let stale = svc
             .estimate_pinned(&pinned, &sys, OperatorKind::Aggregation, &x)
             .unwrap();
-        // Readers of the current epoch never see the stale insert: the
-        // fresh estimate is a miss that recomputes from the new model.
+        // Readers of the current epoch never see the stale insert: it
+        // went into the old flow's memo, and the fresh estimate is a
+        // miss that recomputes from the new model.
         let fresh = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         assert_ne!(fresh.secs, stale.secs, "stale value must not be served");
         let direct = flow_of(&svc, &sys).estimate(&x);
         assert_eq!(fresh, direct, "fresh estimate reflects the new model");
-        // The cache keeps one entry per key, tagged with the epoch that
-        // computed it: replaying under the old epoch and reading under
-        // the new one each recompute (mismatched tag = miss) instead of
-        // ever serving the other epoch's value.
+        // Each snapshot reads its own memo, beside its own flow:
+        // replaying under the old snapshot and reading under the new one
+        // each hit their own value, never the other model's.
         svc.reset_stats();
         let replay = svc
             .estimate_pinned(&pinned, &sys, OperatorKind::Aggregation, &x)
@@ -1332,7 +1286,7 @@ mod tests {
         let live = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         assert_eq!(replay, stale);
         assert_eq!(live, fresh);
-        assert_eq!(svc.stats(), CacheStats { hits: 0, misses: 2 });
+        assert_eq!(svc.stats(), CacheStats { hits: 2, misses: 0 });
     }
 
     #[test]
@@ -1347,8 +1301,61 @@ mod tests {
         assert_eq!(snap.lineage().label, "republish");
         let after = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         assert_eq!(before, after, "no-op republish must not change estimates");
-        // The republish did invalidate the cache tag (second request is
-        // a recompute, not a hit).
+        // The republish shares the flow, and with it the memo: the
+        // second request is a hit.
+        assert_eq!(svc.stats(), CacheStats { hits: 1, misses: 1 });
+    }
+
+    #[test]
+    fn a_publication_cools_only_the_memos_of_the_models_it_replaces() {
+        let svc = EstimatorService::default();
+        let (a, b) = (SystemId::new("hive-a"), SystemId::new("presto-b"));
+        svc.register(a.clone(), trained_flow(2e-6));
+        svc.register(b.clone(), trained_flow(8e-6));
+        let x = [5e5, 200.0];
+        let agg = OperatorKind::Aggregation;
+        let hit_of = |sys: &SystemId| {
+            let before = svc.stats();
+            let _ = svc.estimate(sys, agg, &x).unwrap();
+            svc.stats().hits > before.hits
+        };
+        // Warm both memos.
+        assert!(!hit_of(&a));
+        assert!(!hit_of(&b));
+        // An observe on A replaces A's flow alone.
+        svc.observe_actual(&a, agg, &x, 2.0).unwrap();
+        assert!(hit_of(&b), "B's memo survives A's observe");
+        assert!(!hit_of(&a), "A's new flow starts with a fresh memo");
+        // A content-identical republish keeps every memo warm.
+        let _ = svc.republish();
+        assert!(hit_of(&a));
+        assert!(hit_of(&b));
+        // Registering a replacement for A cools A's memo again.
+        svc.register(a.clone(), trained_flow(2e-6));
+        assert!(!hit_of(&a));
+        assert!(hit_of(&b));
+    }
+
+    #[test]
+    fn infinite_features_of_either_sign_are_memoized_apart() {
+        let agg = OperatorKind::Aggregation;
+        let (pos, neg) = ([5e5, f64::INFINITY], [5e5, f64::NEG_INFINITY]);
+        // With no memo the two rows cost differently, so the case is live.
+        let uncached = EstimatorService::new(ServiceConfig {
+            cache_capacity_per_model: 0,
+        });
+        let sys = SystemId::new("hive-a");
+        uncached.register(sys.clone(), trained_flow(2e-6));
+        let want_pos = uncached.estimate(&sys, agg, &pos).unwrap().secs;
+        let want_neg = uncached.estimate(&sys, agg, &neg).unwrap().secs;
+        assert_ne!(want_pos.to_bits(), want_neg.to_bits());
+        // The memo keys each row by its own bits: the second row is a
+        // miss and gets its own estimate, not the first row's.
+        let (svc, sys) = service_with_model();
+        let got_pos = svc.estimate(&sys, agg, &pos).unwrap().secs;
+        let got_neg = svc.estimate(&sys, agg, &neg).unwrap().secs;
+        assert_eq!(got_pos.to_bits(), want_pos.to_bits());
+        assert_eq!(got_neg.to_bits(), want_neg.to_bits());
         assert_eq!(svc.stats(), CacheStats { hits: 0, misses: 2 });
     }
 
@@ -1410,7 +1417,7 @@ mod tests {
         let _ = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         let epoch = svc.epoch();
         // No flow has a logged actual: nothing is due, nothing publishes,
-        // and the epoch-keyed cache entry is still the current one.
+        // and the memoized estimate is still the current one.
         let report = svc.run_tuning(&TuningPipeline::new(FitConfig::fast()));
         assert_eq!(report.epoch, None);
         assert_eq!(svc.epoch(), epoch);

@@ -54,7 +54,7 @@ pub enum Stage {
     /// Time the batch leader spent widening the batch inside the
     /// coalesce window (attributed from the serving clock).
     Coalesce,
-    /// Per-shard LRU cache probe (and insert) in the estimator service.
+    /// Estimate-memo probe (and insert) in the estimator service.
     CacheProbe,
     /// The fused packed inference kernel.
     Kernel,

@@ -223,7 +223,8 @@ impl Default for VecSubscriber {
     fn default() -> Self {
         let events = Mutex::new(Vec::new());
         // Subscriber buffers are the innermost locks the estimation
-        // path touches (emit under a shard guard), hence the top rank.
+        // path touches (an observe emits under the epoch commit lock),
+        // hence the top rank.
         events.set_rank(parking_lot::rank::TRACE_SUBSCRIBER);
         VecSubscriber { events }
     }

@@ -57,7 +57,7 @@ pub mod rank {
     pub const EPOCH_COMMIT: u32 = 10;
     /// `arc_swap` retired-snapshot reclamation list (`ArcSwap::retired`).
     pub const EPOCH_RETIRED: u32 = 20;
-    /// `costing::service` per-shard estimate cache (`Shard::cache`).
+    /// `costing::epoch` per-model estimate memo (`ModelSlot::memo`).
     pub const SERVICE_CACHE: u32 = 30;
     /// `telemetry::metrics` registry metric map.
     pub const REGISTRY_METRICS: u32 = 50;

@@ -178,7 +178,7 @@ fn packed_reads_under_republish_churn_stay_bit_consistent() {
     use costing::service::EstimateScratch;
 
     let service = EstimatorService::new(ServiceConfig {
-        cache_capacity_per_shard: 0, // force the packed compute path
+        cache_capacity_per_model: 0, // force the packed compute path
     });
     let sys = SystemId::new("churn-packed");
     let a = variant(1.0);

@@ -107,7 +107,7 @@ fn estimate_pinned_cache_hit_is_allocation_free() {
 #[test]
 fn estimate_pinned_compute_is_allocation_free_with_cache_disabled() {
     let (service, system) = service_with(ServiceConfig {
-        cache_capacity_per_shard: 0,
+        cache_capacity_per_model: 0,
     });
     let snapshot = service.snapshot();
     for _ in 0..3 {
@@ -133,7 +133,7 @@ fn estimate_pinned_compute_is_allocation_free_with_cache_disabled() {
 #[test]
 fn flat_batch_is_allocation_free_with_warm_scratch() {
     let (service, system) = service_with(ServiceConfig {
-        cache_capacity_per_shard: 0,
+        cache_capacity_per_model: 0,
     });
     let snapshot = service.snapshot();
     let width = 2;
@@ -186,7 +186,7 @@ fn flat_batch_is_allocation_free_with_warm_scratch() {
 #[test]
 fn estimate_pinned_is_allocation_free_with_spans_sampling_every_request() {
     let (service, system) = service_with(ServiceConfig {
-        cache_capacity_per_shard: 0,
+        cache_capacity_per_model: 0,
     });
     let spans = service.telemetry().spans.clone();
     spans.set_sampling(1);
@@ -226,7 +226,7 @@ fn estimate_pinned_is_allocation_free_with_spans_sampling_every_request() {
 #[test]
 fn flat_batch_is_allocation_free_with_spans_enabled() {
     let (service, system) = service_with(ServiceConfig {
-        cache_capacity_per_shard: 0,
+        cache_capacity_per_model: 0,
     });
     let spans = service.telemetry().spans.clone();
     spans.set_sampling(1);
@@ -283,7 +283,7 @@ fn flat_batch_is_allocation_free_with_spans_enabled() {
 #[test]
 fn frontend_drain_allocations_stay_bounded_per_batch() {
     let (service, system) = service_with(ServiceConfig {
-        cache_capacity_per_shard: 0,
+        cache_capacity_per_model: 0,
     });
     let fe = Frontend::new(
         service,
@@ -394,7 +394,7 @@ fn estimate_pinned_is_allocation_free_over_seeded_rows_of_every_op() {
         (
             "cache off",
             ServiceConfig {
-                cache_capacity_per_shard: 0,
+                cache_capacity_per_model: 0,
             },
         ),
     ] {
@@ -432,7 +432,7 @@ fn estimate_pinned_is_allocation_free_over_seeded_rows_of_every_op() {
 fn flat_batch_is_allocation_free_over_seeded_rows_of_every_op() {
     let (service, cells) = seeded_service(
         ServiceConfig {
-            cache_capacity_per_shard: 0,
+            cache_capacity_per_model: 0,
         },
         67,
     );

@@ -372,6 +372,17 @@ mod one_fig3_body {
                         flow.model.predict_nn_reference(x).to_bits()
                     );
                 }
+                // The shared service's memo is warm with `x` now; a
+                // neighbour one part in 1e12 away is its own row, not
+                // `x`'s, and costs what the flow says it costs.
+                let neighbour = x.map(|v| v * (1.0 + 1e-12));
+                let near = service.estimate_pinned(&snapshot, system, op, &neighbour).unwrap();
+                let want = flow.estimate(&neighbour);
+                prop_assert_eq!(
+                    want.secs.to_bits(), near.secs.to_bits(),
+                    "neighbour {:?} of row {:?}", neighbour, x
+                );
+                prop_assert_eq!(&want.source, &near.source);
             }
         }
     }

@@ -18,7 +18,7 @@
 //!
 //! The checker also logs every rank a thread acquires, and the last
 //! test uses that to pin the read path to the one lock it may take:
-//! the estimate cache.
+//! the costed model's estimate memo.
 //!
 //! Run with: `cargo test -q --features lock-order-check -p tests`.
 #![cfg(feature = "lock-order-check")]
@@ -197,7 +197,7 @@ fn federation_setup() -> (Catalog, EstimatorService) {
 /// The read path takes no lock but the estimate cache. With tracing
 /// off, every lock the calling thread takes through the pinned estimate
 /// entries, both packed kernels, single-query placement, the workload
-/// build and `plan_workload` must be a `SERVICE_CACHE` shard: a
+/// build and `plan_workload` must be a model's `SERVICE_CACHE` memo: a
 /// registry lookup (`REGISTRY_METRICS`), a commit, a subscriber buffer
 /// or any unranked lock fails here. `plan_workload`'s dispatch threads
 /// are not the calling thread, so their locks are not seen.
