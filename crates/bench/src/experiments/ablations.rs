@@ -19,8 +19,8 @@ use costing::sub_op::{
     ChoicePolicy, RuleInputs, SubOp, SubOpCosting, SubOpMeasurement, SubOpModels,
 };
 use mathkit::{rmse_pct, LinearModel};
-use remote_sim::analyze::analyze;
-use remote_sim::RemoteSystem;
+use sqlkit::analyze::analyze;
+use sqlkit::RemoteSystem;
 use workload::{
     agg_training_queries_with, join_training_queries_with, probe_suite, specs_up_to, TableSpec,
 };
@@ -250,8 +250,8 @@ fn subop_fit_ablation(cfg: &ExpConfig) -> Vec<(String, f64)> {
     let mut rows2d: Vec<Vec<f64>> = Vec::new();
     let mut ys: Vec<f64> = Vec::new();
     for o in &measurement.observations {
-        let is_write = o.kind == remote_sim::probe::ProbeKind::ReadWriteDfs && !o.spill;
-        let is_read = o.kind == remote_sim::probe::ProbeKind::ReadDfs && !o.spill;
+        let is_write = o.kind == catalog::remote::ProbeKind::ReadWriteDfs && !o.spill;
+        let is_read = o.kind == catalog::remote::ProbeKind::ReadDfs && !o.spill;
         if !(is_write || is_read) {
             continue;
         }

@@ -4,12 +4,12 @@
 //! merge (shuffle) join (g).
 
 use crate::report::{heading, kv, write_csv, ExpConfig, Series};
+use catalog::remote::{JoinAlgorithm, SimDuration};
 use catalog::SystemKind;
 use costing::sub_op::{SubOp, SubOpCosting, SubOpMeasurement, SubOpModels};
 use mathkit::{rmse_pct, SimpleLinearModel};
-use remote_sim::analyze::analyze;
-use remote_sim::physical::JoinAlgorithm;
-use remote_sim::{RemoteSystem, SimDuration};
+use sqlkit::analyze::analyze;
+use sqlkit::RemoteSystem;
 use workload::{join_training_queries_with, probe_suite, TableSpec};
 
 /// Result of the Fig. 13 experiment.

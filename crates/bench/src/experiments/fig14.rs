@@ -12,8 +12,8 @@ use costing::logical_op::{
 };
 use costing::sub_op::{RuleInputs, SubOpCosting, SubOpMeasurement, SubOpModels};
 use mathkit::{pearson_r, rmse_pct};
-use remote_sim::analyze::analyze;
-use remote_sim::RemoteSystem;
+use sqlkit::analyze::analyze;
+use sqlkit::RemoteSystem;
 use workload::{
     build_table, join_training_queries_with, oor_all_table_specs, oor_join_queries, probe_suite,
     JoinQuery, TableSpec,

@@ -14,9 +14,10 @@ use crate::report::{heading, kv, write_csv, ExpConfig, Series};
 use catalog::SystemKind;
 use costing::sub_op::{RuleInputs, SubOpCosting, SubOpMeasurement, SubOpModels};
 use mathkit::{pearson_r, rmse_pct, SimpleLinearModel};
-use remote_sim::analyze::analyze;
 use remote_sim::personas::{hive_persona, presto_persona, rdbms_persona, spark_persona, Persona};
-use remote_sim::{ClusterConfig, ClusterEngine, RemoteSystem};
+use remote_sim::{ClusterConfig, ClusterEngine};
+use sqlkit::analyze::analyze;
+use sqlkit::RemoteSystem;
 use workload::{join_training_queries_with, probe_suite, register_tables, TableSpec};
 
 /// Per-persona validation result.

@@ -3,11 +3,12 @@
 //! the linear-regression baseline on the same split.
 
 use crate::report::ExpConfig;
+use catalog::remote::SimDuration;
 use costing::estimator::OperatorKind;
 use costing::logical_op::{model::LogicalOpModel, run_training};
 use mathkit::{r2_score, rmse_pct, LinearModel};
 use neuro::Dataset;
-use remote_sim::{ClusterEngine, SimDuration};
+use remote_sim::ClusterEngine;
 
 /// Result of one logical-operator training experiment.
 #[derive(Debug, Clone)]

@@ -11,11 +11,11 @@
 //! 3. the skew-join formula tracks the rising cost of the skewed key.
 
 use crate::report::{heading, kv, write_csv, ExpConfig, Series};
+use catalog::remote::JoinAlgorithm;
 use catalog::SystemKind;
 use costing::sub_op::{RuleInputs, SubOpCosting, SubOpMeasurement, SubOpModels};
-use remote_sim::analyze::analyze;
-use remote_sim::physical::JoinAlgorithm;
-use remote_sim::RemoteSystem;
+use sqlkit::analyze::analyze;
+use sqlkit::RemoteSystem;
 use workload::{build_skewed_table, probe_suite, skew_join_sql, SkewedTableSpec, TableSpec};
 
 /// One point of the skew sweep.

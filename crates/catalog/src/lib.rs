@@ -21,10 +21,13 @@
 //! cost estimation module".
 
 pub mod column;
+mod physical;
+mod probe;
 pub mod registry;
 pub mod remote;
 pub mod stats;
 pub mod table;
+mod time;
 
 pub use column::{ColumnDef, ColumnStats, ColumnType};
 pub use registry::{Catalog, CatalogError};

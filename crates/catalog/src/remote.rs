@@ -1,5 +1,11 @@
-//! Remote-system identity, kind, capabilities, and registration profile.
+//! Remote-system identity, kind, capabilities, and registration profile,
+//! and the plain data the remote-system interface speaks: simulated
+//! durations, probe queries, physical algorithm names, and the operator
+//! size profiles a remote optimizer and the sub-op formulas consume.
 
+pub use crate::physical::{AggAlgorithm, JoinAlgorithm};
+pub use crate::probe::{ProbeKind, ProbeSpec};
+pub use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -167,6 +173,71 @@ impl RemoteSystemProfile {
     pub fn total_cores(&self) -> u32 {
         self.nodes * self.cores_per_node
     }
+}
+
+/// Size profile of one join input.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SideInfo {
+    /// Rows.
+    pub rows: f64,
+    /// Stored row width in bytes (what scans read).
+    pub row_bytes: f64,
+    /// Width shuffled/kept after projection (join key + projected
+    /// attributes), bytes.
+    pub proj_bytes: f64,
+}
+
+impl SideInfo {
+    /// Total stored bytes.
+    pub fn total_bytes(&self) -> f64 {
+        self.rows * self.row_bytes
+    }
+
+    /// Total projected bytes.
+    pub fn total_proj_bytes(&self) -> f64 {
+        self.rows * self.proj_bytes
+    }
+}
+
+/// Everything the execution model needs to cost a join.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct JoinInfo {
+    /// The probe (usually larger) side.
+    pub big: SideInfo,
+    /// The build (usually smaller) side — broadcast/hash-built.
+    pub small: SideInfo,
+    /// Output rows.
+    pub out_rows: f64,
+    /// Output row width in bytes.
+    pub out_bytes: f64,
+    /// Rows carried by the most frequent join-key value (drives skew).
+    pub heavy_key_rows: f64,
+}
+
+/// Everything needed to cost an aggregation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AggInfo {
+    /// Input rows.
+    pub in_rows: f64,
+    /// Input row width, bytes.
+    pub in_bytes: f64,
+    /// Output groups.
+    pub groups: f64,
+    /// Output row width, bytes.
+    pub out_bytes: f64,
+    /// Number of aggregate functions computed (Fig. 10 varies 1–5).
+    pub n_aggs: u32,
+}
+
+/// Inputs to the join-algorithm decision beyond raw sizes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct JoinContext {
+    /// The join has at least one equi-key conjunct.
+    pub has_equi_keys: bool,
+    /// Big (probe) side is bucketed/partitioned on the join key.
+    pub big_bucketed: bool,
+    /// Small (build) side is bucketed/partitioned on the join key.
+    pub small_bucketed: bool,
 }
 
 #[cfg(test)]

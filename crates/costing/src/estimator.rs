@@ -1,6 +1,6 @@
 //! Common estimate types shared by all three costing approaches.
 
-use remote_sim::physical::JoinAlgorithm;
+use catalog::remote::JoinAlgorithm;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 

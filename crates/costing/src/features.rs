@@ -7,9 +7,9 @@
 //! rows, input row size, number of output rows, and output row size".
 
 use crate::estimator::OperatorKind;
-use remote_sim::analyze::{analyze, CoreKind, QueryAnalysis};
-use remote_sim::cardinality::CardError;
 use serde::{Deserialize, Serialize};
+use sqlkit::analyze::{analyze, CoreKind, QueryAnalysis};
+use sqlkit::cardinality::CardError;
 
 /// Join model dimensionality (Fig. 2).
 pub const JOIN_DIMS: usize = 7;
@@ -148,7 +148,8 @@ impl From<CardError> for FeatureError {
 mod tests {
     use super::*;
     use catalog::Catalog;
-    use remote_sim::{ClusterEngine, RemoteSystem};
+    use remote_sim::ClusterEngine;
+    use sqlkit::RemoteSystem;
     use workload::{register_tables, TableSpec};
 
     fn catalog_with(specs: &[TableSpec]) -> Catalog {

@@ -6,8 +6,8 @@ use crate::{
     hybrid::profile::{CostingError, CostingProfile, QueryCost},
 };
 use catalog::SystemId;
-use remote_sim::analyze::QueryAnalysis;
 use serde::{Deserialize, Serialize};
+use sqlkit::analyze::QueryAnalysis;
 use std::collections::BTreeMap;
 
 /// Routes cost estimates to per-system costing profiles.
@@ -85,8 +85,9 @@ mod tests {
     use crate::hybrid::profile::CostingApproach;
     use crate::sub_op::{SubOpCosting, SubOpMeasurement, SubOpModels};
     use catalog::SystemKind;
-    use remote_sim::analyze::analyze;
-    use remote_sim::{ClusterEngine, RemoteSystem};
+    use remote_sim::ClusterEngine;
+    use sqlkit::analyze::analyze;
+    use sqlkit::RemoteSystem;
     use workload::{probe_suite, register_tables, TableSpec};
 
     fn hive_with_tables() -> ClusterEngine {

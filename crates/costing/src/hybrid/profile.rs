@@ -22,8 +22,8 @@ use crate::{
     sub_op::{RuleInputs, SubOpCosting},
 };
 use catalog::{SystemId, SystemKind};
-use remote_sim::analyze::QueryAnalysis;
 use serde::{Deserialize, Serialize};
+use sqlkit::analyze::QueryAnalysis;
 use std::collections::BTreeMap;
 
 /// Logical-op models per operator.
@@ -312,8 +312,9 @@ mod tests {
     use crate::logical_op::model::{FitConfig, LogicalOpModel};
     use crate::sub_op::{SubOpMeasurement, SubOpModels};
     use neuro::Dataset;
-    use remote_sim::analyze::analyze;
-    use remote_sim::{ClusterEngine, RemoteSystem};
+    use remote_sim::ClusterEngine;
+    use sqlkit::analyze::analyze;
+    use sqlkit::RemoteSystem;
     use workload::{probe_suite, register_tables, TableSpec};
 
     fn engine() -> ClusterEngine {

@@ -29,10 +29,14 @@
 //! keyed by [`ModelKey`].
 //!
 //! The crate interacts with remote systems *only* through the
-//! [`remote_sim::RemoteSystem`] trait — submit a query or probe, observe
-//! an elapsed time — which is exactly the paper's black-box contract. All
-//! expert (open-box) knowledge enters as data: formulas, rules, and
-//! thresholds stored in the Costing Profile.
+//! [`sqlkit::RemoteSystem`] trait — submit a query or probe, observe
+//! an elapsed time — which is exactly the paper's black-box contract.
+//! Operator sizes come from the master's analysis (`sqlkit::analyze`),
+//! and the data the interface speaks from `catalog::remote`. The
+//! simulator, `remote-sim`, is a dev-dependency only, so its personas and
+//! micro-costs cannot be reached from here outside tests. All expert
+//! (open-box) knowledge enters as data: formulas, rules, and thresholds
+//! stored in the Costing Profile.
 
 pub mod epoch;
 pub mod estimator;

@@ -6,9 +6,10 @@ use crate::{
     estimator::OperatorKind,
     features::{agg_features, join_features},
 };
+use catalog::remote::SimDuration;
 use neuro::Dataset;
-use remote_sim::{analyze::analyze, RemoteSystem, SimDuration};
 use serde::{Deserialize, Serialize};
+use sqlkit::{analyze::analyze, RemoteSystem};
 
 /// One executed training query.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

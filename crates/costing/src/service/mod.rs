@@ -99,6 +99,13 @@ pub enum ServiceError {
         /// The supplied feature count.
         got: usize,
     },
+    /// A feature is NaN or ±∞. No model is fitted on such a value, and
+    /// the Fig. 3 body would answer it with a clamped `0.0` or `inf`
+    /// instead of an error.
+    NonFiniteFeature {
+        /// The offending feature's dimension (its index within the row).
+        dim: usize,
+    },
     /// An internal bookkeeping invariant failed (a batch slot that every
     /// code path should have filled came back empty). Surfaced as an
     /// error instead of a panic so one corrupted batch cannot take down
@@ -120,6 +127,9 @@ impl std::fmt::Display for ServiceError {
                     f,
                     "feature arity mismatch: model expects {expected}, got {got}"
                 )
+            }
+            ServiceError::NonFiniteFeature { dim } => {
+                write!(f, "feature {dim} is NaN or infinite")
             }
             ServiceError::Internal(context) => {
                 write!(
@@ -521,6 +531,10 @@ impl EstimatorService {
     ) -> Result<(), ServiceError> {
         out.clear();
         if rows.is_empty() {
+            // No row to cost, but a zero-width batch of several rows
+            // flattens to nothing too: answer with the model lookup and
+            // arity check a non-empty batch would get.
+            check_arity_width(&slot_or_unknown(snapshot, system, op)?.flow, width)?;
             return Ok(());
         }
         if width == 0 || rows.len() % width != 0 {
@@ -558,6 +572,7 @@ impl EstimatorService {
         let tracer = &self.inner.telemetry.tracer;
         let slot = slot_or_unknown(snapshot, system, op)?;
         check_arity_width(&slot.flow, width)?;
+        check_finite(rows, width)?;
         let EstimateScratch {
             bits,
             results,
@@ -668,6 +683,7 @@ impl EstimatorService {
         let (dropped, _) = self.inner.store.try_transaction("observe", |tx| {
             tx.update_model(system, op, |flow| {
                 check_arity(flow, features)?;
+                check_finite(features, features.len())?;
                 // The model's *current* prediction next to the reported
                 // actual — the raw material of drift monitoring. Only
                 // computed when a subscriber is attached.
@@ -816,6 +832,17 @@ fn check_arity_width(flow: &LogicalOpCosting, width: usize) -> Result<(), Servic
         });
     }
     Ok(())
+}
+
+/// Refuses rows (`width` features each) holding a NaN or ±∞, naming the
+/// first offender's dimension.
+fn check_finite(rows: &[f64], width: usize) -> Result<(), ServiceError> {
+    match rows.iter().position(|v| !v.is_finite()) {
+        Some(i) => Err(ServiceError::NonFiniteFeature {
+            dim: i % width.max(1),
+        }),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -1338,25 +1365,89 @@ mod tests {
 
     #[test]
     fn infinite_features_of_either_sign_are_memoized_apart() {
+        // Neither sign reaches the memo: both rows are refused before the
+        // probe, so one can never be answered with the other's estimate.
+        // (Bit-keyed separation of rows is `cache::tests::
+        // borrowed_probe_matches_owned_key`.)
         let agg = OperatorKind::Aggregation;
-        let (pos, neg) = ([5e5, f64::INFINITY], [5e5, f64::NEG_INFINITY]);
-        // With no memo the two rows cost differently, so the case is live.
-        let uncached = EstimatorService::new(ServiceConfig {
-            cache_capacity_per_model: 0,
-        });
-        let sys = SystemId::new("hive-a");
-        uncached.register(sys.clone(), trained_flow(2e-6));
-        let want_pos = uncached.estimate(&sys, agg, &pos).unwrap().secs;
-        let want_neg = uncached.estimate(&sys, agg, &neg).unwrap().secs;
-        assert_ne!(want_pos.to_bits(), want_neg.to_bits());
-        // The memo keys each row by its own bits: the second row is a
-        // miss and gets its own estimate, not the first row's.
         let (svc, sys) = service_with_model();
-        let got_pos = svc.estimate(&sys, agg, &pos).unwrap().secs;
-        let got_neg = svc.estimate(&sys, agg, &neg).unwrap().secs;
-        assert_eq!(got_pos.to_bits(), want_pos.to_bits());
-        assert_eq!(got_neg.to_bits(), want_neg.to_bits());
-        assert_eq!(svc.stats(), CacheStats { hits: 0, misses: 2 });
+        for row in [[5e5, f64::INFINITY], [5e5, f64::NEG_INFINITY]] {
+            assert_eq!(
+                svc.estimate(&sys, agg, &row),
+                Err(ServiceError::NonFiniteFeature { dim: 1 })
+            );
+        }
+        assert_eq!(svc.stats(), CacheStats { hits: 0, misses: 0 });
+    }
+
+    #[test]
+    fn non_finite_features_are_refused_on_every_entry() {
+        let agg = OperatorKind::Aggregation;
+        let (svc, sys) = service_with_model();
+        let nan = f64::NAN;
+        for (row, dim) in [
+            ([nan, 200.0], 0),
+            ([5e5, nan], 1),
+            ([f64::NEG_INFINITY, 200.0], 0),
+            ([f64::INFINITY, 200.0], 0),
+        ] {
+            let want = ServiceError::NonFiniteFeature { dim };
+            assert_eq!(svc.estimate(&sys, agg, &row), Err(want.clone()), "{row:?}");
+            // A bad row anywhere in a batch refuses the batch.
+            let rows = vec![vec![5e5, 200.0], row.to_vec()];
+            let snap = svc.snapshot();
+            assert_eq!(
+                svc.estimate_batch_pinned(&snap, &sys, agg, &rows),
+                Err(want.clone())
+            );
+            assert_eq!(
+                svc.estimate_batch_dedup_pinned(&snap, &sys, agg, &rows),
+                Err(want)
+            );
+        }
+        assert_eq!(svc.stats().requests(), 0);
+        // An observation with a non-finite feature publishes nothing.
+        let epoch = svc.epoch();
+        assert_eq!(
+            svc.observe_actual(&sys, agg, &[5e5, nan], 3.0),
+            Err(ServiceError::NonFiniteFeature { dim: 1 })
+        );
+        assert_eq!(svc.epoch(), epoch);
+        assert_eq!(
+            ServiceError::NonFiniteFeature { dim: 1 }.to_string(),
+            "feature 1 is NaN or infinite"
+        );
+    }
+
+    #[test]
+    fn zero_width_batches_answer_like_single_rows() {
+        let agg = OperatorKind::Aggregation;
+        let (svc, sys) = service_with_model();
+        let snap = svc.snapshot();
+        let arity = ServiceError::ArityMismatch {
+            expected: 2,
+            got: 0,
+        };
+        assert_eq!(
+            svc.estimate_pinned(&snap, &sys, agg, &[]),
+            Err(arity.clone())
+        );
+        let empty_rows = [vec![], vec![]];
+        assert_eq!(
+            svc.estimate_batch_pinned(&snap, &sys, agg, &empty_rows),
+            Err(arity.clone())
+        );
+        assert_eq!(
+            svc.estimate_batch_dedup_pinned(&snap, &sys, agg, &[vec![]]),
+            Err(arity)
+        );
+        let ghost = SystemId::new("ghost");
+        assert!(matches!(
+            svc.estimate_batch_pinned(&snap, &ghost, agg, &empty_rows),
+            Err(ServiceError::UnknownModel { .. })
+        ));
+        // A batch of no rows at all is still an empty answer.
+        assert_eq!(svc.estimate_batch_pinned(&snap, &sys, agg, &[]), Ok(vec![]));
     }
 
     #[test]

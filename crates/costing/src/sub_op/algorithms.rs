@@ -13,8 +13,8 @@
 
 use crate::sub_op::formula::{hash_build, subop, CostFormula, DimRef, Qty, Term};
 use crate::sub_op::subop::SubOp;
+use catalog::remote::JoinAlgorithm;
 use catalog::SystemKind;
-use remote_sim::physical::JoinAlgorithm;
 
 use DimRef::*;
 

@@ -513,7 +513,7 @@ mod tests {
     #[test]
     fn formula_renders_in_fig6_style() {
         let f = crate::sub_op::algorithms::join_formula(
-            remote_sim::physical::JoinAlgorithm::HiveBroadcastJoin,
+            catalog::remote::JoinAlgorithm::HiveBroadcastJoin,
         );
         let rendered = f.to_string();
         // Fig. 6's structure: the once-off rD + b prefix and the

@@ -13,10 +13,10 @@
 //! the measured values").
 
 use crate::sub_op::subop::SubOp;
+use catalog::remote::{ProbeKind, ProbeSpec, SimDuration};
 use mathkit::SimpleLinearModel;
-use remote_sim::probe::{ProbeKind, ProbeSpec};
-use remote_sim::{RemoteSystem, SimDuration};
 use serde::{Deserialize, Serialize};
+use sqlkit::RemoteSystem;
 
 /// One executed probe query and its observation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -21,9 +21,8 @@ pub use rules::{ApplicabilityRule, RuleInputs};
 pub use subop::{SubOp, SubOpCategory};
 
 use crate::estimator::{CostEstimate, EstimateSource};
+use catalog::remote::{AggInfo, JoinAlgorithm, JoinInfo};
 use catalog::SystemKind;
-use remote_sim::exec::{AggInfo, JoinInfo};
-use remote_sim::physical::JoinAlgorithm;
 use serde::{Deserialize, Serialize};
 
 /// A complete sub-op costing unit for one remote system.
@@ -203,7 +202,7 @@ impl SubOpCosting {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use remote_sim::exec::SideInfo;
+    use catalog::remote::SideInfo;
     use remote_sim::ClusterEngine;
     use workload::probe_suite;
 

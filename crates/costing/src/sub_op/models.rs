@@ -249,7 +249,7 @@ mod tests {
     fn missing_basic_subop_is_fatal_missing_specific_defaults() {
         let mut e = ClusterEngine::paper_hive("hive", 3).without_noise();
         // Suite with only ReadDfs probes: all other basics missing.
-        let suite = workload::probe_suite_for(remote_sim::probe::ProbeKind::ReadDfs);
+        let suite = workload::probe_suite_for(catalog::remote::ProbeKind::ReadDfs);
         let m = SubOpMeasurement::run(&mut e, &suite);
         assert!(matches!(
             SubOpModels::fit(&m, 1e9),

@@ -6,10 +6,8 @@
 //! time to eliminate inapplicable choices based on the cardinalities and
 //! statistics at hand."
 
+use catalog::remote::{JoinAlgorithm, JoinContext, JoinInfo};
 use catalog::SystemKind;
-use remote_sim::exec::JoinInfo;
-use remote_sim::physical::JoinAlgorithm;
-use remote_sim::remote_opt::JoinContext;
 use serde::{Deserialize, Serialize};
 
 /// The statistics a rule can consult at query time.

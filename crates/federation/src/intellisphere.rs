@@ -5,6 +5,7 @@ use crate::{
     planner::{plan_query, PlanError, PlanReport},
     transfer::TransferCostModel,
 };
+use catalog::remote::SimDuration;
 use catalog::{Catalog, SystemId, TableDef};
 use costing::{
     estimator::OperatorKind,
@@ -13,10 +14,8 @@ use costing::{
     logical_op::{flow::LogicalOpCosting, model::FitConfig, model::LogicalOpModel, run_training},
     sub_op::{SubOpCosting, SubOpMeasurement, SubOpModels},
 };
-use remote_sim::{
-    analyze::analyze, personas::rdbms_persona, ClusterConfig, ClusterEngine, EngineError,
-    RemoteSystem, SimDuration,
-};
+use remote_sim::{personas::rdbms_persona, ClusterConfig, ClusterEngine};
+use sqlkit::{analyze::analyze, EngineError, RemoteSystem};
 use std::collections::BTreeMap;
 
 /// The result of a federated execution.
@@ -160,7 +159,7 @@ impl IntelliSphere {
     pub fn train_subop(
         &mut self,
         system: &SystemId,
-        suite: &[remote_sim::ProbeSpec],
+        suite: &[catalog::remote::ProbeSpec],
     ) -> Result<SimDuration, SphereError> {
         let engine = self
             .engines

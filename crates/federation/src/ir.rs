@@ -44,7 +44,7 @@ use crate::transfer::{hops_between, TransferCostModel};
 use catalog::{Catalog, ColumnDef, ColumnStats, SystemId, TableDef, TableStats};
 use costing::service::EstimatorService;
 use costing::{agg_features, join_features, ModelSnapshot, OperatorKind};
-use remote_sim::analyze::analyze;
+use sqlkit::analyze::analyze;
 use sqlkit::logical::LogicalPlan;
 use std::collections::BTreeMap;
 

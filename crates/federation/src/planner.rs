@@ -6,7 +6,7 @@ use crate::{
 };
 use catalog::Catalog;
 use costing::hybrid::{CostingError, HybridCostManager};
-use remote_sim::analyze::analyze;
+use sqlkit::analyze::analyze;
 use sqlkit::logical::LogicalPlan;
 use telemetry::{Event, Tracer};
 

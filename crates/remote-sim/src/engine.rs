@@ -1,102 +1,21 @@
-//! The remote-system boundary.
+//! The simulated engine behind the remote-system boundary.
 //!
-//! [`RemoteSystem`] is the only interface the costing crate may use — the
-//! same contract the paper has with a real remote system: register tables,
-//! submit a SQL query (or a Fig. 5 probe), observe an elapsed time.
-//! [`ClusterEngine`] implements it by compiling logical plans to jobs via
-//! the persona's hidden cost model.
+//! [`ClusterEngine`] implements [`RemoteSystem`] — the interface the
+//! costing crate programs against, defined in `sqlkit` — by compiling
+//! logical plans to jobs via the persona's hidden cost model.
 
 use crate::{
-    cardinality::{CardError, NodeEstimate},
     cluster::ClusterConfig,
     exec::{ExecModel, Job},
     noise::NoiseSource,
     personas::Persona,
-    physical::{AggAlgorithm, JoinAlgorithm},
-    probe::ProbeSpec,
     remote_opt::{choose_agg, choose_join},
-    time::SimDuration,
 };
+use catalog::remote::{AggAlgorithm, JoinAlgorithm, ProbeSpec, SimDuration};
 use catalog::{Capability, Catalog, RemoteSystemProfile, SystemId, SystemKind, TableDef};
+use sqlkit::cardinality::NodeEstimate;
 use sqlkit::logical::{LogicalOp, LogicalPlan};
-
-/// The observable result of one remote execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Execution {
-    /// Elapsed wall-clock time inside the remote system.
-    pub elapsed: SimDuration,
-    /// Rows produced.
-    pub output_rows: u64,
-    /// Average output row width in bytes.
-    pub output_row_bytes: u64,
-    /// The join algorithm the remote optimizer chose, if the query joined.
-    pub join_algorithm: Option<JoinAlgorithm>,
-    /// The aggregation algorithm chosen, if the query aggregated.
-    pub agg_algorithm: Option<AggAlgorithm>,
-}
-
-/// Errors surfaced by a remote engine.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EngineError {
-    /// SQL failed to parse or plan.
-    Sql(String),
-    /// The plan references tables this system does not store.
-    Cardinality(CardError),
-    /// The system does not support an operation in the plan (§2: "a remote
-    /// system may not have the capability to perform a join operation").
-    CapabilityMissing(Capability),
-    /// A plan shape the simulator does not model.
-    Unsupported(String),
-}
-
-impl std::fmt::Display for EngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineError::Sql(m) => write!(f, "sql error: {m}"),
-            EngineError::Cardinality(e) => write!(f, "{e}"),
-            EngineError::CapabilityMissing(c) => {
-                write!(f, "remote system does not support {c:?}")
-            }
-            EngineError::Unsupported(m) => write!(f, "unsupported plan shape: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
-
-impl From<CardError> for EngineError {
-    fn from(e: CardError) -> Self {
-        EngineError::Cardinality(e)
-    }
-}
-
-/// The interface a remote system exposes to IntelliSphere.
-pub trait RemoteSystem {
-    /// This system's id.
-    fn id(&self) -> &SystemId;
-
-    /// The registration profile (§2).
-    fn profile(&self) -> &RemoteSystemProfile;
-
-    /// The tables this system stores.
-    fn catalog(&self) -> &Catalog;
-
-    /// Executes a SQL query and reports the observed execution.
-    fn submit_sql(&mut self, sql: &str) -> Result<Execution, EngineError>;
-
-    /// Executes an already-planned query.
-    fn submit_plan(&mut self, plan: &LogicalPlan) -> Result<Execution, EngineError>;
-
-    /// Executes a Fig. 5 primitive probe query.
-    fn submit_probe(&mut self, probe: &ProbeSpec) -> Result<Execution, EngineError>;
-
-    /// Cumulative busy time across everything submitted so far — the
-    /// "total training time" axis of Figs. 11a/12a/13a.
-    fn total_busy(&self) -> SimDuration;
-
-    /// Number of queries/probes executed.
-    fn queries_executed(&self) -> u64;
-}
+use sqlkit::remote::{EngineError, Execution, RemoteSystem};
 
 /// A simulated cluster engine (Hive, Spark, or RDBMS persona).
 pub struct ClusterEngine {
@@ -359,7 +278,7 @@ struct Compiled {
 }
 
 /// Compiles a logical plan into jobs using the persona's optimizer and the
-/// shared query analysis of [`crate::analyze`].
+/// shared query analysis of [`sqlkit::analyze`].
 fn compile(
     catalog: &Catalog,
     profile: &RemoteSystemProfile,
@@ -368,14 +287,14 @@ fn compile(
     em: &ExecModel<'_>,
     plan: &LogicalPlan,
 ) -> Result<Compiled, EngineError> {
-    let analysis = crate::analyze::analyze(catalog, plan)?;
+    let analysis = sqlkit::analyze::analyze(catalog, plan)?;
     let mut jobs = Vec::new();
     let mut join_algorithm = None;
     let mut agg_algorithm = None;
     let distributed = !matches!(persona.kind, SystemKind::Rdbms | SystemKind::Teradata);
 
     match analysis.core {
-        crate::analyze::CoreKind::Join => {
+        sqlkit::analyze::CoreKind::Join => {
             if !profile.supports(Capability::Join) {
                 return Err(EngineError::CapabilityMissing(Capability::Join));
             }
@@ -393,7 +312,7 @@ fn compile(
             join_algorithm = Some(algo);
             jobs.push(em.join_job(algo, &info));
         }
-        crate::analyze::CoreKind::Scan => {
+        sqlkit::analyze::CoreKind::Scan => {
             if analysis.agg.is_none() {
                 let scan_in = analysis.scan_in.ok_or_else(|| {
                     EngineError::Unsupported("a scan core without a scan analysis".into())
@@ -607,7 +526,7 @@ mod tests {
     #[test]
     fn probes_run_and_accrue_busy_time() {
         let mut e = hive_engine();
-        use crate::probe::{ProbeKind, ProbeSpec};
+        use catalog::remote::{ProbeKind, ProbeSpec};
         let a = e
             .submit_probe(&ProbeSpec::new(ProbeKind::ReadDfs, 1_000_000, 1_000))
             .unwrap();

@@ -23,12 +23,8 @@
 //! The builder functions translate each physical algorithm of §4 into a
 //! job. All work quantities are in single-core microseconds.
 
-use crate::{
-    cluster::ClusterConfig,
-    physical::{AggAlgorithm, JoinAlgorithm},
-    subop_cost::MicroCosts,
-    time::SimDuration,
-};
+use crate::{cluster::ClusterConfig, subop_cost::MicroCosts};
+use catalog::remote::{AggAlgorithm, AggInfo, JoinAlgorithm, JoinInfo, SimDuration};
 
 /// One stage of a job.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,60 +108,6 @@ impl Job {
             .map(|s| s.io_us + s.cpu_us + s.serial_prelude_us)
             .sum()
     }
-}
-
-/// Size profile of one join input.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SideInfo {
-    /// Rows.
-    pub rows: f64,
-    /// Stored row width in bytes (what scans read).
-    pub row_bytes: f64,
-    /// Width shuffled/kept after projection (join key + projected
-    /// attributes), bytes.
-    pub proj_bytes: f64,
-}
-
-impl SideInfo {
-    /// Total stored bytes.
-    pub fn total_bytes(&self) -> f64 {
-        self.rows * self.row_bytes
-    }
-
-    /// Total projected bytes.
-    pub(crate) fn total_proj_bytes(&self) -> f64 {
-        self.rows * self.proj_bytes
-    }
-}
-
-/// Everything the execution model needs to cost a join.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JoinInfo {
-    /// The probe (usually larger) side.
-    pub big: SideInfo,
-    /// The build (usually smaller) side — broadcast/hash-built.
-    pub small: SideInfo,
-    /// Output rows.
-    pub out_rows: f64,
-    /// Output row width in bytes.
-    pub out_bytes: f64,
-    /// Rows carried by the most frequent join-key value (drives skew).
-    pub heavy_key_rows: f64,
-}
-
-/// Everything needed to cost an aggregation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AggInfo {
-    /// Input rows.
-    pub in_rows: f64,
-    /// Input row width, bytes.
-    pub in_bytes: f64,
-    /// Output groups.
-    pub groups: f64,
-    /// Output row width, bytes.
-    pub out_bytes: f64,
-    /// Number of aggregate functions computed (Fig. 10 varies 1–5).
-    pub n_aggs: u32,
 }
 
 /// Builds jobs for an engine persona's algorithms.
@@ -559,8 +501,8 @@ impl ExecModel<'_> {
     }
 
     /// Builds the job for one Fig. 5 probe query.
-    pub(crate) fn probe_job(&self, spec: &crate::probe::ProbeSpec) -> Job {
-        use crate::probe::ProbeKind as K;
+    pub(crate) fn probe_job(&self, spec: &catalog::remote::ProbeSpec) -> Job {
+        use catalog::remote::ProbeKind as K;
         let m = self.micro;
         let rows = spec.rows as f64;
         let bytes = spec.record_bytes as f64;
@@ -601,8 +543,8 @@ impl ExecModel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::{ProbeKind, ProbeSpec};
     use crate::subop_cost::MicroCosts;
+    use catalog::remote::{ProbeKind, ProbeSpec, SideInfo};
 
     fn model_parts() -> (MicroCosts, ClusterConfig) {
         (MicroCosts::hive_baseline(), ClusterConfig::paper_hive())

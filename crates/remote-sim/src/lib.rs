@@ -10,8 +10,9 @@
 //!
 //! * stores tables as catalog statistics (rows, row size, per-column
 //!   duplication) rather than physical data,
-//! * computes **true** operator cardinalities from those statistics
-//!   ([`cardinality`]),
+//! * takes operator sizes from the master's query analysis
+//!   (`sqlkit::analyze`, built on `sqlkit::cardinality`), which the
+//!   Fig. 10 workload makes exact,
 //! * runs an internal rule-based optimizer choosing among the physical
 //!   algorithms the paper lists for Hive and Spark (§4: Shuffle Join,
 //!   Broadcast Join, Bucket Map Join, Sort-Merge Bucket Join, Skew Join,
@@ -22,29 +23,31 @@
 //!   CPU overlap within a task, memory-pressure regime switches for hash
 //!   builds, and multiplicative noise ([`exec`], `noise`).
 //!
-//! The costing crate must treat engines as the paper treats remote
-//! systems: the only interface is [`engine::RemoteSystem`] — submit a
-//! query (or a Fig. 5 probe query), observe an elapsed time. All
-//! micro-cost parameters stay private to this crate.
+//! [`ClusterEngine`] implements `sqlkit::RemoteSystem`, the one interface
+//! the costing crate programs against: submit a query (or a Fig. 5 probe
+//! query), observe an elapsed time. The interface and the plain data it
+//! speaks (`catalog::remote`) live outside this crate, and `costing`
+//! depends on this crate only for its tests, so the personas, micro-costs
+//! and `Explain` are out of the costing code's reach.
 
-pub mod analyze;
-pub mod cardinality;
 pub mod cluster;
 pub mod engine;
 pub mod exec;
 mod noise;
 pub mod personas;
-pub mod physical;
-pub mod probe;
 pub mod remote_opt;
 pub mod subop_cost;
-pub mod time;
 
-pub use analyze::{analyze, QueryAnalysis};
-pub use cardinality::NodeEstimate;
 pub use cluster::ClusterConfig;
-pub use engine::{ClusterEngine, EngineError, Execution, Explain, RemoteSystem};
+pub use engine::{ClusterEngine, Explain};
 pub use personas::{hive_persona, presto_persona, rdbms_persona, spark_persona, Persona};
-pub use physical::{AggAlgorithm, JoinAlgorithm};
-pub use probe::ProbeSpec;
-pub use time::SimDuration;
+
+/// The master's query analysis, now [`sqlkit::analyze::analyze`]. Kept
+/// under its old path because `benchmark/` still imports it from here.
+pub mod analyze {
+    pub use sqlkit::analyze::analyze;
+}
+
+/// The remote-system interface, now [`sqlkit::RemoteSystem`]. Kept under
+/// its old path because `benchmark/` still imports it from here.
+pub use sqlkit::RemoteSystem;

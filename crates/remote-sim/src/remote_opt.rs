@@ -9,23 +9,9 @@
 //! crate's applicability rules try to reconstruct these decisions from the
 //! outside.
 
-use crate::{
-    cluster::ClusterConfig,
-    exec::{AggInfo, JoinInfo},
-    physical::{AggAlgorithm, JoinAlgorithm},
-};
+use crate::cluster::ClusterConfig;
+use catalog::remote::{AggAlgorithm, AggInfo, JoinAlgorithm, JoinContext, JoinInfo};
 use catalog::SystemKind;
-
-/// Inputs to the join-algorithm decision beyond raw sizes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JoinContext {
-    /// The join has at least one equi-key conjunct.
-    pub has_equi_keys: bool,
-    /// Big (probe) side is bucketed/partitioned on the join key.
-    pub big_bucketed: bool,
-    /// Small (build) side is bucketed/partitioned on the join key.
-    pub small_bucketed: bool,
-}
 
 /// Tunable thresholds of a persona's optimizer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -151,7 +137,7 @@ pub(crate) fn choose_agg(cluster: &ClusterConfig, a: &AggInfo) -> AggAlgorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::SideInfo;
+    use catalog::remote::SideInfo;
 
     fn ctx() -> JoinContext {
         JoinContext {

@@ -642,8 +642,9 @@ fn process_batch(inner: &Inner, batch: Vec<Pending>, coalesce_us: u64) -> usize 
         span.add_stage_us(Stage::Coalesce, coalesce_us as f64);
     }
 
-    // Pre-validate per request so one bad request degrades to its own
-    // typed error instead of poisoning its whole (system, op) group,
+    // Pre-validate per request (model, arity, finite features) so one bad
+    // request degrades to its own typed error instead of failing its
+    // whole (system, op) group,
     // then bucket the valid ones for the batched forward passes.
     let mut groups: Vec<((SystemId, OperatorKind), Vec<Pending>)> = Vec::new();
     for pending in batch {
@@ -658,7 +659,11 @@ fn process_batch(inner: &Inner, batch: Vec<Pending>, coalesce_us: u64) -> usize 
                     got: pending.features.len(),
                 })
             }
-            Some(_) => None,
+            Some(_) => pending
+                .features
+                .iter()
+                .position(|v| !v.is_finite())
+                .map(|dim| ServiceError::NonFiniteFeature { dim }),
         };
         if let Some(err) = verdict {
             respond(inner, &pending, Err(Rejection::Service(err)));
@@ -915,6 +920,28 @@ mod tests {
                 got: 1
             }))
         ));
+    }
+
+    #[test]
+    fn a_non_finite_request_is_refused_alone() {
+        let (fe, a, _) = manual_frontend(FrontendConfig::default());
+        let good = fe.submit(request(&a, 0, 5e5)).unwrap();
+        let nan = fe
+            .submit(EstimateRequest {
+                tenant: 0,
+                system: a.clone(),
+                op: OperatorKind::Aggregation,
+                features: vec![5e5, f64::NAN],
+            })
+            .unwrap();
+        assert_eq!(fe.drain_now(), 2);
+        assert!(good.wait().is_ok(), "its group still gets an estimate");
+        assert_eq!(
+            nan.wait(),
+            Err(Rejection::Service(ServiceError::NonFiniteFeature {
+                dim: 1
+            }))
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! 1/2/4/8 million records (the x-axis of Figs. 7a and 13b) at five
 //! record sizes (the x-axis of the fitted models in Figs. 7b and 13c–f).
 
-use remote_sim::probe::{ProbeKind, ProbeSpec};
+use catalog::remote::{ProbeKind, ProbeSpec};
 
 /// Row counts used per record size (Fig. 7a: 1, 2, 4, 8 million).
 pub(crate) const PROBE_ROW_COUNTS: [u64; 4] = [1_000_000, 2_000_000, 4_000_000, 8_000_000];

@@ -84,7 +84,7 @@ pub fn build_table(spec: &TableSpec) -> TableDef {
 pub fn register_tables(
     engine: &mut ClusterEngine,
     specs: &[TableSpec],
-) -> Result<usize, remote_sim::EngineError> {
+) -> Result<usize, sqlkit::EngineError> {
     for spec in specs {
         engine.register_table(build_table(spec))?;
     }
@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn registration_on_engine_works() {
-        use remote_sim::RemoteSystem as _;
+        use sqlkit::RemoteSystem as _;
         let mut e = ClusterEngine::paper_hive("hive", 1).without_noise();
         let n = register_tables(&mut e, &specs_up_to(100_000)).unwrap();
         assert!(n > 0);

@@ -17,7 +17,8 @@ use costing::logical_op::{
     model::{FitConfig, LogicalOpModel, TopologyChoice},
     run_training,
 };
-use remote_sim::{ClusterEngine, RemoteSystem};
+use remote_sim::ClusterEngine;
+use sqlkit::RemoteSystem;
 use workload::{agg_training_queries_with, register_tables, specs_up_to};
 
 fn main() {

@@ -11,8 +11,9 @@
 
 use catalog::SystemKind;
 use costing::sub_op::{RuleInputs, SubOp, SubOpCosting, SubOpMeasurement, SubOpModels};
-use remote_sim::analyze::analyze;
-use remote_sim::{ClusterEngine, RemoteSystem};
+use remote_sim::ClusterEngine;
+use sqlkit::analyze::analyze;
+use sqlkit::RemoteSystem;
 use workload::{probe_suite, register_tables, TableSpec};
 
 fn main() {
@@ -60,7 +61,7 @@ fn main() {
     println!(
         "\nbroadcast-join cost formula (Fig. 6):\n  {}",
         costing::sub_op::algorithms::join_formula(
-            remote_sim::physical::JoinAlgorithm::HiveBroadcastJoin
+            catalog::remote::JoinAlgorithm::HiveBroadcastJoin
         )
     );
 

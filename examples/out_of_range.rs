@@ -13,7 +13,8 @@ use costing::logical_op::{
     model::{FitConfig, LogicalOpModel, TopologyChoice},
     run_training,
 };
-use remote_sim::{ClusterEngine, RemoteSystem};
+use remote_sim::ClusterEngine;
+use sqlkit::RemoteSystem;
 use workload::{build_table, join_training_queries_with, register_tables, TableSpec};
 
 fn main() {

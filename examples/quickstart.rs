@@ -12,8 +12,9 @@
 
 use catalog::SystemKind;
 use costing::sub_op::{RuleInputs, SubOpCosting, SubOpMeasurement, SubOpModels};
-use remote_sim::analyze::analyze;
-use remote_sim::{ClusterEngine, RemoteSystem};
+use remote_sim::ClusterEngine;
+use sqlkit::analyze::analyze;
+use sqlkit::RemoteSystem;
 use workload::{probe_suite, register_tables, TableSpec};
 
 fn main() {

@@ -11,8 +11,8 @@ use costing::logical_op::{
     run_training,
 };
 use integration_tests::{hive_engine, rule_inputs, trained_subop};
-use remote_sim::analyze::analyze;
-use remote_sim::RemoteSystem;
+use sqlkit::analyze::analyze;
+use sqlkit::RemoteSystem;
 use workload::{join_training_queries_with, TableSpec};
 
 fn fast_fit() -> FitConfig {

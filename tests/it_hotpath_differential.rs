@@ -250,6 +250,7 @@ fn golden_fixture_bits_are_reproduced_exactly() {
 /// way a row reaches the flow, the seconds agree to the bit and so does
 /// the provenance — and in range they are the reference chain's bits.
 mod one_fig3_body {
+    use catalog::remote::AggInfo;
     use catalog::SystemId;
     use costing::logical_op::flow::{FlowScratch, LogicalOpCosting};
     use costing::{
@@ -257,9 +258,8 @@ mod one_fig3_body {
         EstimatorService, OperatorKind,
     };
     use proptest::prelude::*;
-    use remote_sim::analyze::{CoreKind, QueryAnalysis};
-    use remote_sim::cardinality::NodeEstimate;
-    use remote_sim::exec::AggInfo;
+    use sqlkit::analyze::{CoreKind, QueryAnalysis};
+    use sqlkit::cardinality::NodeEstimate;
     use std::path::Path;
     use std::sync::OnceLock;
 

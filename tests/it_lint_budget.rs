@@ -77,6 +77,32 @@ fn every_production_crate_opts_into_the_workspace_lints() {
     }
 }
 
+/// The black-box contract (the paper's §2 and §4): the costing module
+/// submits queries and observes times through `sqlkit::RemoteSystem`, so
+/// the simulator behind it may be a test dependency of `costing`, never
+/// a production one.
+#[test]
+fn costing_does_not_depend_on_the_simulator() {
+    let manifest =
+        fs::read_to_string(crates_dir().join("costing/Cargo.toml")).expect("crate manifest");
+    let dependencies: Vec<&str> = manifest
+        .lines()
+        .skip_while(|line| line.trim() != "[dependencies]")
+        .skip(1)
+        .take_while(|line| !line.trim_start().starts_with('['))
+        .collect();
+    assert!(
+        !dependencies.is_empty(),
+        "crates/costing/Cargo.toml has no [dependencies] table"
+    );
+    assert!(
+        !dependencies
+            .iter()
+            .any(|line| line.trim_start().starts_with("remote-sim")),
+        "crates/costing lists remote-sim under [dependencies]: {dependencies:#?}"
+    );
+}
+
 #[test]
 fn allow_budget_stays_small() {
     let mut per_file = Vec::new();

@@ -181,11 +181,11 @@ fn skew_sweep_predicts_the_engines_algorithm_switch() {
     let high = r.points.last().unwrap();
     assert_eq!(
         low.actual_algorithm,
-        remote_sim::physical::JoinAlgorithm::HiveShuffleJoin
+        catalog::remote::JoinAlgorithm::HiveShuffleJoin
     );
     assert_eq!(
         high.actual_algorithm,
-        remote_sim::physical::JoinAlgorithm::HiveSkewJoin
+        catalog::remote::JoinAlgorithm::HiveSkewJoin
     );
     assert!(high.actual_secs > low.actual_secs);
     assert!(high.estimated_secs > low.estimated_secs);

@@ -2,6 +2,7 @@
 //! the remote system's profile (Fig. 9), so a profile must survive a
 //! round trip to JSON and keep producing identical estimates.
 
+use catalog::remote::JoinAlgorithm;
 use catalog::{SystemId, SystemKind};
 use costing::estimator::OperatorKind;
 use costing::estimator::{CostEstimate, EstimateSource};
@@ -14,9 +15,8 @@ use costing::logical_op::{
     run_training,
 };
 use integration_tests::{hive_engine, trained_subop};
-use remote_sim::analyze::analyze;
-use remote_sim::physical::JoinAlgorithm;
-use remote_sim::RemoteSystem;
+use sqlkit::analyze::analyze;
+use sqlkit::RemoteSystem;
 use std::path::Path;
 use workload::{agg_training_queries_with, TableSpec};
 

@@ -3,7 +3,8 @@
 //! and heterogeneous-persona ordering.
 
 use integration_tests::hive_engine;
-use remote_sim::{ClusterConfig, ClusterEngine, RemoteSystem};
+use remote_sim::{ClusterConfig, ClusterEngine};
+use sqlkit::RemoteSystem;
 use workload::{
     agg_training_queries_with, join_training_queries_with, register_tables, AggQuery, TableSpec,
 };

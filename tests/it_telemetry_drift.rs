@@ -17,7 +17,8 @@ use costing::logical_op::{
 };
 use costing::service::{EstimatorService, ServiceConfig};
 use costing::{publish_drift, ModelKey};
-use remote_sim::{ClusterEngine, RemoteSystem};
+use remote_sim::ClusterEngine;
+use sqlkit::RemoteSystem;
 use telemetry::{DriftConfig, DriftMonitor, Event, Telemetry, VecSubscriber};
 use workload::{join_training_queries_with, register_tables, TableSpec};
 

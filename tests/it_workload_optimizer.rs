@@ -27,7 +27,7 @@ use federation::{
 };
 use integration_tests::federation_flows;
 use proptest::prelude::*;
-use remote_sim::analyze::{analyze, QueryAnalysis};
+use sqlkit::analyze::{analyze, QueryAnalysis};
 use sqlkit::logical::LogicalPlan;
 use std::sync::OnceLock;
 use workload::{build_table, dag_base_tables, dag_workload, DagConfig};

@@ -2,6 +2,7 @@
 
 //! Shared helpers for the cross-crate integration tests.
 
+use catalog::remote::{JoinContext, JoinInfo};
 use catalog::SystemKind;
 use costing::features::{agg_dim_names, join_dim_names};
 use costing::logical_op::flow::LogicalOpCosting;
@@ -9,9 +10,8 @@ use costing::logical_op::model::{FitConfig, LogicalOpModel};
 use costing::sub_op::{RuleInputs, SubOpCosting, SubOpMeasurement, SubOpModels};
 use costing::{OperatorKind, AGG_DIMS, JOIN_DIMS};
 use neuro::Dataset;
-use remote_sim::exec::JoinInfo;
-use remote_sim::remote_opt::JoinContext;
-use remote_sim::{ClusterEngine, RemoteSystem};
+use remote_sim::ClusterEngine;
+use sqlkit::RemoteSystem;
 use workload::{probe_suite, register_tables, TableSpec};
 
 /// A noiseless paper-cluster Hive engine with the given tables.
