@@ -29,13 +29,13 @@ use workload::{
 #[derive(Debug, Clone)]
 pub struct AblationResult {
     /// (label, held-out RMSE%) per topology strategy.
-    pub topology: Vec<(String, f64)>,
+    pub(crate) topology: Vec<(String, f64)>,
     /// (policy, RMSE% vs actual) on ambiguous joins.
-    pub choice: Vec<(String, f64)>,
+    pub(crate) choice: Vec<(String, f64)>,
     /// (method, WriteDFS slope absolute error vs hidden truth).
-    pub subop_fit: Vec<(String, f64)>,
+    pub(crate) subop_fit: Vec<(String, f64)>,
     /// (mode, in-range R², out-of-range raw-NN RMSE%) per scaling mode.
-    pub scaling: Vec<(String, f64, f64)>,
+    pub(crate) scaling: Vec<(String, f64, f64)>,
 }
 
 /// Runs all ablations.

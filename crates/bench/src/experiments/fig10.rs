@@ -21,7 +21,7 @@ pub struct Fig10Result {
     /// Out-of-range evaluation queries (paper: 45).
     pub oor_queries: usize,
     /// Total dataset bytes across all tables.
-    pub total_bytes: u64,
+    pub(crate) total_bytes: u64,
 }
 
 /// Runs the inventory.

@@ -16,7 +16,7 @@ use workload::{join_training_queries_with, probe_suite, TableSpec};
 #[derive(Debug, Clone)]
 pub struct Fig13Result {
     /// Probe queries executed (panel a; paper: 6–32 per sub-op).
-    pub probe_queries: usize,
+    pub(crate) probe_queries: usize,
     /// Total probe campaign time (paper: a few minutes).
     pub probe_time: SimDuration,
     /// WriteDFS per-record work across row counts (panel b flatness).
@@ -28,15 +28,13 @@ pub struct Fig13Result {
     /// HashBuild spill line (panel f).
     pub hash_spill: SimpleLinearModel,
     /// Merge-join `(actual, predicted)` scatter (panel g).
-    pub merge_scatter: Vec<(f64, f64)>,
+    pub(crate) merge_scatter: Vec<(f64, f64)>,
     /// Fitted slope of predicted-vs-actual (paper: 1.578 — overestimate).
     pub merge_slope: f64,
     /// R² of the panel-g fit (paper: 0.929).
     pub merge_r2: f64,
     /// RMSE% of the composed formula.
-    pub merge_rmse_pct: f64,
-    /// The fitted sub-op costing unit (reused downstream).
-    pub costing: SubOpCosting,
+    pub(crate) merge_rmse_pct: f64,
 }
 
 /// Runs the Fig. 13 experiment.
@@ -116,7 +114,6 @@ pub fn run(cfg: &ExpConfig) -> Fig13Result {
         merge_r2: fit.r2,
         merge_rmse_pct,
         merge_scatter,
-        costing,
     };
     print_result(cfg, &result);
     result

@@ -23,13 +23,13 @@ use workload::{
 #[derive(Debug, Clone)]
 pub struct OorPoint {
     /// Observed execution time, seconds.
-    pub actual: f64,
+    pub(crate) actual: f64,
     /// Sub-op composed estimate.
-    pub sub_op: f64,
+    pub(crate) sub_op: f64,
     /// Raw (extrapolating) NN estimate.
-    pub nn: f64,
+    pub(crate) nn: f64,
     /// NN + online remedy (α = 0.5).
-    pub remedy: f64,
+    pub(crate) remedy: f64,
 }
 
 /// Result of the Fig. 14 experiment.
@@ -38,7 +38,7 @@ pub struct Fig14Result {
     /// All 45 evaluated queries.
     pub points: Vec<OorPoint>,
     /// RMSE% per method over all 45 queries.
-    pub rmse_sub_op: f64,
+    pub(crate) rmse_sub_op: f64,
     /// Raw NN RMSE%.
     pub rmse_nn: f64,
     /// Remedy RMSE%.
@@ -52,12 +52,10 @@ pub struct Fig14Result {
     pub corr_sub_op: f64,
     /// Raw NN correlation.
     pub corr_nn: f64,
-    /// Remedy correlation.
-    pub corr_remedy: f64,
     /// The trained join model (reused by Table 1).
-    pub model: LogicalOpModel,
+    pub(crate) model: LogicalOpModel,
     /// The OOR query set and observed actuals (reused by Table 1).
-    pub observations: Vec<(Vec<f64>, f64)>,
+    pub(crate) observations: Vec<(Vec<f64>, f64)>,
 }
 
 /// The training tables: merge-join-sized relations up to 8 M rows.
@@ -174,7 +172,6 @@ pub fn run(cfg: &ExpConfig) -> Fig14Result {
         rmse_remedy: rmse_pct(&col(|p| p.remedy), &actuals),
         corr_sub_op: pearson_r(&col(|p| p.sub_op), &actuals),
         corr_nn: pearson_r(&col(|p| p.nn), &actuals),
-        corr_remedy: pearson_r(&col(|p| p.remedy), &actuals),
         rmse_tuned: rmse_pct(&tuned_preds, &heldout_actuals),
         rmse_nn_on_tuned_split: rmse_pct(&nn_preds_heldout, &heldout_actuals),
         points,

@@ -50,60 +50,60 @@ const COALESCE_SLACK_US: f64 = 250.0;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FrontendRow {
     /// Offered (Poisson) load in requests/second.
-    pub offered_rps: f64,
+    pub(crate) offered_rps: f64,
     /// Coalesce window the front-end ran with, microseconds.
-    pub coalesce_window_us: u64,
+    pub(crate) coalesce_window_us: u64,
     /// Batch-size cap the front-end ran with.
-    pub max_batch: u64,
+    pub(crate) max_batch: u64,
     /// Tenants in the traffic mix.
-    pub tenants: u64,
+    pub(crate) tenants: u64,
     /// Batch-leader worker threads: `max(1, cores − 1)`, one core
     /// being the generator's.
-    pub workers: u64,
+    pub(crate) workers: u64,
     /// Whether a per-tenant token-bucket policy was active.
-    pub rate_limited: bool,
+    pub(crate) rate_limited: bool,
     /// Wall-clock generation window, milliseconds.
-    pub duration_ms: f64,
+    pub(crate) duration_ms: f64,
     /// Requests the generator attempted to submit.
-    pub submitted: u64,
+    pub(crate) submitted: u64,
     /// Requests that resolved to an estimate.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Requests shed at admission: bounded queue full.
-    pub shed_queue_full: u64,
+    pub(crate) shed_queue_full: u64,
     /// Requests shed at admission: tenant over its rate limit.
-    pub shed_rate_limited: u64,
+    pub(crate) shed_rate_limited: u64,
     /// Requests rejected any other way (service error, shutdown).
-    pub rejected_other: u64,
+    pub(crate) rejected_other: u64,
     /// Completed requests per second of generation window.
-    pub throughput_rps: f64,
+    pub(crate) throughput_rps: f64,
     /// Median end-to-end latency, microseconds.
-    pub p50_us: f64,
+    pub(crate) p50_us: f64,
     /// 99th-percentile end-to-end latency, microseconds.
-    pub p99_us: f64,
+    pub(crate) p99_us: f64,
     /// 99.9th-percentile end-to-end latency, microseconds.
-    pub p999_us: f64,
+    pub(crate) p999_us: f64,
     /// Mean coalesced batch size over completed requests.
-    pub mean_batch: f64,
+    pub(crate) mean_batch: f64,
     /// Fraction of completed requests inside [`SLO_US`].
-    pub slo_attainment: f64,
+    pub(crate) slo_attainment: f64,
 }
 
 /// The full document written to `BENCH_frontend.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FrontendDoc {
     /// Always `"frontend"`.
-    pub experiment: String,
+    pub(crate) experiment: String,
     /// Whether this was a `--quick` run.
-    pub quick: bool,
+    pub(crate) quick: bool,
     /// Master seed the traffic generators ran with.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The measuring host, stamped by the harness writer.
     #[serde(default)]
-    pub host: Option<Host>,
+    pub(crate) host: Option<Host>,
     /// The SLO the rows are judged against, microseconds.
-    pub slo_us: f64,
+    pub(crate) slo_us: f64,
     /// One row per sweep point.
-    pub rows: Vec<FrontendRow>,
+    pub(crate) rows: Vec<FrontendRow>,
 }
 
 impl BenchDoc for FrontendDoc {
@@ -112,7 +112,6 @@ impl BenchDoc for FrontendDoc {
     fn envelope(&mut self) -> Envelope<'_> {
         Envelope {
             experiment: &self.experiment,
-            quick: self.quick,
             rows: self.rows.len(),
             host: &mut self.host,
         }

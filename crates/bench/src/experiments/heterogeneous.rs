@@ -24,21 +24,21 @@ use workload::{join_training_queries_with, probe_suite, register_tables, TableSp
 #[derive(Debug, Clone)]
 pub struct PersonaResult {
     /// Display label.
-    pub label: String,
+    pub(crate) label: String,
     /// Engine family.
     pub kind: SystemKind,
     /// Probe campaign time (simulated minutes).
     pub probe_minutes: f64,
     /// `(actual, predicted)` join scatter.
-    pub scatter: Vec<(f64, f64)>,
+    pub(crate) scatter: Vec<(f64, f64)>,
     /// Slope of the predicted-vs-actual line.
-    pub slope: f64,
+    pub(crate) slope: f64,
     /// Line R² (consistency).
-    pub line_r2: f64,
+    pub(crate) line_r2: f64,
     /// Correlation with actuals.
     pub correlation: f64,
     /// RMSE%.
-    pub rmse_pct: f64,
+    pub(crate) rmse_pct: f64,
     /// Distinct join algorithms the engine actually used.
     pub algorithms_seen: Vec<String>,
 }

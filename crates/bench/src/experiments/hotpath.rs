@@ -47,27 +47,27 @@ pub(crate) const MIN_SPEEDUP_AT_64: f64 = 3.0;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HotpathRow {
     /// `"legacy"` (per-row allocating chain) or `"packed"` (SoA fused).
-    pub kernel: String,
+    pub(crate) kernel: String,
     /// Network shape, `"in->h1xh2"`.
-    pub topology: String,
+    pub(crate) topology: String,
     /// Hidden activation of the measured network.
-    pub activation: String,
+    pub(crate) activation: String,
     /// Rows per measured call.
-    pub batch: u64,
+    pub(crate) batch: u64,
     /// Timed calls.
-    pub iters: u64,
+    pub(crate) iters: u64,
     /// Median per-call latency, microseconds.
-    pub p50_us: f64,
+    pub(crate) p50_us: f64,
     /// 99th-percentile per-call latency, microseconds.
-    pub p99_us: f64,
+    pub(crate) p99_us: f64,
     /// Mean per-call latency, microseconds.
-    pub mean_us: f64,
+    pub(crate) mean_us: f64,
     /// Throughput of this kernel's own calls, estimated rows per second
     /// (`batch / mean_us`).
-    pub rows_per_sec: f64,
+    pub(crate) rows_per_sec: f64,
     /// Sum of the batch's outputs for one untimed evaluation — must be
     /// bit-identical between a pair's legacy and packed rows.
-    pub checksum: f64,
+    pub(crate) checksum: f64,
 }
 
 impl HotpathRow {
@@ -92,18 +92,18 @@ impl HotpathRow {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HotpathDoc {
     /// Always `"hotpath"`.
-    pub experiment: String,
+    pub(crate) experiment: String,
     /// Whether this was a `--quick` run.
-    pub quick: bool,
+    pub(crate) quick: bool,
     /// Master seed inputs were generated from.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The measuring host, stamped by the harness writer.
     #[serde(default)]
-    pub host: Option<Host>,
+    pub(crate) host: Option<Host>,
     /// The speedup bar the run enforces at `batch >= 64`.
-    pub min_speedup_at_64: f64,
+    pub(crate) min_speedup_at_64: f64,
     /// One row per matrix cell.
-    pub rows: Vec<HotpathRow>,
+    pub(crate) rows: Vec<HotpathRow>,
 }
 
 impl BenchDoc for HotpathDoc {
@@ -112,7 +112,6 @@ impl BenchDoc for HotpathDoc {
     fn envelope(&mut self) -> Envelope<'_> {
         Envelope {
             experiment: &self.experiment,
-            quick: self.quick,
             rows: self.rows.len(),
             host: &mut self.host,
         }

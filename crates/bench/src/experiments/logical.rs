@@ -14,31 +14,29 @@ use remote_sim::ClusterEngine;
 #[derive(Debug, Clone)]
 pub struct LogicalExpResult {
     /// Queries executed.
-    pub n_queries: usize,
+    pub(crate) n_queries: usize,
     /// Cumulative remote busy time after each query (panel a).
-    pub cumulative: Vec<SimDuration>,
+    pub(crate) cumulative: Vec<SimDuration>,
     /// Total training time on the remote.
     pub total_training: SimDuration,
     /// Convergence trace `(iteration, RMSE%)` (panel b).
     pub trace: Vec<(f64, f64)>,
     /// Network-training wall time (the paper's "negligible ~70 s").
-    pub nn_fit_wall: std::time::Duration,
+    pub(crate) nn_fit_wall: std::time::Duration,
     /// Chosen topology (layer1, layer2).
-    pub topology: (usize, usize),
+    pub(crate) topology: (usize, usize),
     /// Held-out `(actual, predicted)` pairs for the NN (panel c).
-    pub nn_scatter: Vec<(f64, f64)>,
+    pub(crate) nn_scatter: Vec<(f64, f64)>,
     /// NN held-out R².
     pub nn_r2: f64,
     /// NN held-out RMSE%.
-    pub nn_rmse_pct: f64,
+    pub(crate) nn_rmse_pct: f64,
     /// Held-out `(actual, predicted)` pairs for linear regression (panel d).
-    pub lr_scatter: Vec<(f64, f64)>,
+    pub(crate) lr_scatter: Vec<(f64, f64)>,
     /// LR held-out R².
     pub lr_r2: f64,
     /// LR held-out RMSE%.
-    pub lr_rmse_pct: f64,
-    /// The trained model (reused by downstream experiments).
-    pub model: LogicalOpModel,
+    pub(crate) lr_rmse_pct: f64,
 }
 
 /// Executes `queries` on `engine`, fits NN + LR, and evaluates both on
@@ -60,7 +58,7 @@ pub(crate) fn run_logical_experiment(
 
     let fit_cfg = super::fit_config(cfg);
     let started = std::time::Instant::now();
-    let (model, report) = LogicalOpModel::fit(op, dim_names, &data, &fit_cfg);
+    let (_, report) = LogicalOpModel::fit(op, dim_names, &data, &fit_cfg);
     let nn_fit_wall = started.elapsed();
 
     // Linear-regression baseline on the identical 70/30 split.
@@ -85,7 +83,6 @@ pub(crate) fn run_logical_experiment(
         lr_scatter,
         lr_r2,
         lr_rmse_pct,
-        model,
     }
 }
 
@@ -167,13 +164,13 @@ pub(crate) fn print_logical_result(title: &str, r: &LogicalExpResult, paper: &Pa
 /// The paper's reported numbers, for side-by-side printing.
 pub(crate) struct PaperNumbers {
     /// Training time as reported.
-    pub training_time: &'static str,
+    pub(crate) training_time: &'static str,
     /// NN fit time as reported.
-    pub fit_time: &'static str,
+    pub(crate) fit_time: &'static str,
     /// NN R² annotation.
-    pub nn_r2: &'static str,
+    pub(crate) nn_r2: &'static str,
     /// LR R² annotation.
-    pub lr_r2: &'static str,
+    pub(crate) lr_r2: &'static str,
 }
 
 /// Writes the four panels as CSV files.

@@ -73,59 +73,59 @@ pub(crate) const ABS_GRACE_US: f64 = 1.0;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObservabilityRow {
     /// `"baseline"` (pre-span replay) or `"service"` (instrumented path).
-    pub mode: String,
+    pub(crate) mode: String,
     /// Span sampling period for service rows (`0` = off; baseline rows
     /// are always 0).
-    pub sample_every: u64,
+    pub(crate) sample_every: u64,
     /// Rows per measured call.
-    pub batch: u64,
+    pub(crate) batch: u64,
     /// Timed calls.
-    pub iters: u64,
+    pub(crate) iters: u64,
     /// Median per-call latency, microseconds.
-    pub p50_us: f64,
+    pub(crate) p50_us: f64,
     /// 99th-percentile per-call latency, microseconds.
-    pub p99_us: f64,
+    pub(crate) p99_us: f64,
     /// Mean per-call latency, microseconds.
-    pub mean_us: f64,
+    pub(crate) mean_us: f64,
     /// Throughput of this mode's own calls, estimated rows per second
     /// (`batch / mean_us`).
-    pub rows_per_sec: f64,
+    pub(crate) rows_per_sec: f64,
     /// Sum of the batch's outputs on the last timed call — must be
     /// bit-identical across every mode of the same cell.
-    pub checksum: f64,
+    pub(crate) checksum: f64,
 }
 
 /// End-to-end plane proof from the deterministic serving scenario.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OpsSummary {
     /// Requests the sampling gate saw.
-    pub requests_seen: u64,
+    pub(crate) requests_seen: u64,
     /// Spans actually sampled.
-    pub sampled_total: u64,
+    pub(crate) sampled_total: u64,
     /// Exemplars retained in the reservoir at the end of the scenario.
-    pub exemplars_retained: u64,
+    pub(crate) exemplars_retained: u64,
     /// SLO burn-rate alerts fired (`slo_alerts_total`).
-    pub slo_alerts: u64,
+    pub(crate) slo_alerts: u64,
 }
 
 /// The full document written to `BENCH_observability.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObservabilityDoc {
     /// Always `"observability"`.
-    pub experiment: String,
+    pub(crate) experiment: String,
     /// Whether this was a `--quick` run.
-    pub quick: bool,
+    pub(crate) quick: bool,
     /// Master seed inputs were generated from.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The measuring host, stamped by the harness writer.
     #[serde(default)]
-    pub host: Option<Host>,
+    pub(crate) host: Option<Host>,
     /// The overhead bar validation enforces on sampled-off cells.
-    pub max_overhead_pct: f64,
+    pub(crate) max_overhead_pct: f64,
     /// One row per matrix cell and mode.
-    pub rows: Vec<ObservabilityRow>,
+    pub(crate) rows: Vec<ObservabilityRow>,
     /// The end-to-end plane proof.
-    pub ops: OpsSummary,
+    pub(crate) ops: OpsSummary,
 }
 
 impl BenchDoc for ObservabilityDoc {
@@ -134,7 +134,6 @@ impl BenchDoc for ObservabilityDoc {
     fn envelope(&mut self) -> Envelope<'_> {
         Envelope {
             experiment: &self.experiment,
-            quick: self.quick,
             rows: self.rows.len(),
             host: &mut self.host,
         }

@@ -22,11 +22,11 @@ use workload::{build_skewed_table, probe_suite, skew_join_sql, SkewedTableSpec, 
 #[derive(Debug, Clone)]
 pub struct SkewPoint {
     /// Heavy-hitter fraction of the probe side.
-    pub fraction: f64,
+    pub(crate) fraction: f64,
     /// The algorithm the engine actually used.
     pub actual_algorithm: JoinAlgorithm,
     /// The single algorithm the rules predicted (when unambiguous).
-    pub predicted_algorithm: Option<JoinAlgorithm>,
+    pub(crate) predicted_algorithm: Option<JoinAlgorithm>,
     /// Observed execution, seconds.
     pub actual_secs: f64,
     /// Costing estimate, seconds.

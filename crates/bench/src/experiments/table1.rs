@@ -18,7 +18,7 @@ use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchRow {
     /// Batch index (1-based).
-    pub batch: usize,
+    pub(crate) batch: usize,
     /// The α in effect while estimating this batch.
     pub alpha: f64,
     /// RMSE% of this batch's estimates.

@@ -68,49 +68,49 @@ pub(crate) const MAX_RULES_US_PER_STMT: f64 = 200.0;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkloadRow {
     /// Statements in the workload DAG.
-    pub queries: u64,
+    pub(crate) queries: u64,
     /// Systems in the federation (master included).
-    pub engines: u64,
+    pub(crate) engines: u64,
     /// Requested reuse factor of the generator.
-    pub reuse: f64,
+    pub(crate) reuse: f64,
     /// Distinct SQL shapes the generator actually emitted.
-    pub distinct_shapes: u64,
+    pub(crate) distinct_shapes: u64,
     /// Greedy per-query baseline's predicted makespan, seconds.
-    pub greedy_makespan_secs: f64,
+    pub(crate) greedy_makespan_secs: f64,
     /// Rule-optimized plan's predicted makespan, seconds.
-    pub optimized_makespan_secs: f64,
+    pub(crate) optimized_makespan_secs: f64,
     /// Makespan reduction vs greedy, percent.
-    pub reduction_pct: f64,
+    pub(crate) reduction_pct: f64,
     /// Total predicted work saved by the rules, seconds.
-    pub reuse_savings_secs: f64,
+    pub(crate) reuse_savings_secs: f64,
     /// Queries merged away by the reuse rule.
-    pub merged: u64,
+    pub(crate) merged: u64,
     /// Scan transfers deduplicated by shared-scan mode.
-    pub shared_scan_hits: u64,
+    pub(crate) shared_scan_hits: u64,
     /// Dispatch waves of the optimized plan.
-    pub waves: u64,
+    pub(crate) waves: u64,
     /// The pinned model-snapshot epoch behind every estimate.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Wall time of the rule pass (`optimize`) per statement, µs.
-    pub rules_us_per_stmt: f64,
+    pub(crate) rules_us_per_stmt: f64,
 }
 
 /// The full document written to `BENCH_workload.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkloadDoc {
     /// Always `"workload"`.
-    pub experiment: String,
+    pub(crate) experiment: String,
     /// Whether this was a `--quick` run.
-    pub quick: bool,
+    pub(crate) quick: bool,
     /// Master seed the DAGs were generated from.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The measuring host, stamped by the harness writer.
     #[serde(default)]
-    pub host: Option<Host>,
+    pub(crate) host: Option<Host>,
     /// The reuse-heavy acceptance bar validation enforces.
-    pub min_reuse_heavy_reduction_pct: f64,
+    pub(crate) min_reuse_heavy_reduction_pct: f64,
     /// One row per matrix cell.
-    pub rows: Vec<WorkloadRow>,
+    pub(crate) rows: Vec<WorkloadRow>,
 }
 
 impl WorkloadDoc {
@@ -130,7 +130,6 @@ impl BenchDoc for WorkloadDoc {
     fn envelope(&mut self) -> Envelope<'_> {
         Envelope {
             experiment: &self.experiment,
-            quick: self.quick,
             rows: self.rows.len(),
             host: &mut self.host,
         }

@@ -8,12 +8,12 @@ use std::path::PathBuf;
 pub struct ExpConfig {
     /// Reduced workload sizes (CI/tests). Full mode reproduces the
     /// paper-scale grids.
-    pub quick: bool,
+    pub(crate) quick: bool,
     /// Where to write CSV outputs (`results/` by default; `None`
     /// disables file output).
-    pub out_dir: Option<PathBuf>,
+    pub(crate) out_dir: Option<PathBuf>,
     /// Master seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for ExpConfig {
@@ -53,9 +53,9 @@ impl ExpConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Series {
     /// Series name (legend label).
-    pub name: String,
+    pub(crate) name: String,
     /// The points.
-    pub points: Vec<(f64, f64)>,
+    pub(crate) points: Vec<(f64, f64)>,
 }
 
 impl Series {

@@ -55,11 +55,11 @@ impl ColumnDef {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
     /// Lower bound of the first bucket.
-    pub lo: f64,
+    pub(crate) lo: f64,
     /// Upper bound of the last bucket.
-    pub hi: f64,
+    pub(crate) hi: f64,
     /// Row counts per bucket (equal-width buckets across `[lo, hi]`).
-    pub counts: Vec<u64>,
+    pub(crate) counts: Vec<u64>,
 }
 
 /// Per-column statistics, as Teradata would collect them on a foreign
@@ -78,7 +78,7 @@ pub struct ColumnStats {
     pub heavy_hitter_rows: Option<u64>,
     /// Optional histogram for non-uniform range selectivity.
     #[serde(default)]
-    pub histogram: Option<Histogram>,
+    pub(crate) histogram: Option<Histogram>,
 }
 
 impl ColumnStats {

@@ -10,9 +10,9 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TableStats {
     /// Number of rows.
-    pub row_count: u64,
+    pub(crate) row_count: u64,
     /// Average row width in bytes.
-    pub avg_row_bytes: u64,
+    pub(crate) avg_row_bytes: u64,
     /// Per-column statistics keyed by column name (BTreeMap so that serde
     /// output and iteration order are deterministic).
     pub columns: BTreeMap<String, ColumnStats>,

@@ -8,10 +8,9 @@
 //! immutable [`ModelSnapshot`]:
 //!
 //! * [`ModelSnapshot`] — an immutable, `Arc`-shared, key-ordered list
-//!   of `(SystemId, OperatorKind)` slots plus hybrid costing profiles,
-//!   stamped with the [`Epoch`] that produced it and a
-//!   [`SnapshotLineage`] (parent epoch + tuning stats) for provenance
-//!   and rollback. A slot holds a `LogicalOpCosting` (which owns its
+//!   of `(SystemId, OperatorKind)` slots, stamped with the [`Epoch`]
+//!   that produced it and a [`SnapshotLineage`] (parent epoch + tuning
+//!   stats) for provenance and rollback. A slot holds a `LogicalOpCosting` (which owns its
 //!   fused inference form) and, beside it, the memo of the estimates
 //!   that flow has served (`crate::service::cache`).
 //! * `EpochStore` — the publication point: readers call
@@ -31,7 +30,6 @@
 //! that leaves a model untouched leaves its memo warm.
 
 use crate::estimator::OperatorKind;
-use crate::hybrid::CostingProfile;
 use crate::logical_op::flow::LogicalOpCosting;
 use crate::logical_op::model::FitConfig;
 use crate::logical_op::packed::PackedOpModel;
@@ -41,7 +39,6 @@ use crate::service::cache::LruCache;
 use arc_swap::ArcSwap;
 use catalog::SystemId;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A monotonically increasing model-state version number.
@@ -102,13 +99,13 @@ pub struct SnapshotLineage {
     pub parent: Option<u64>,
     /// Short label of the transaction that published it
     /// (`"register"`, `"observe"`, `"tuning-pipeline"`, …).
-    pub label: String,
+    pub(crate) label: String,
     /// Log entries consumed by retraining in this transaction.
-    pub entries_trained: usize,
+    pub(crate) entries_trained: usize,
     /// Models retrained in this transaction.
-    pub models_retrained: usize,
+    pub(crate) models_retrained: usize,
     /// Held-out RMSE% reported by the last retrain in this transaction.
-    pub rmse_pct_after: Option<f64>,
+    pub(crate) rmse_pct_after: Option<f64>,
     /// When this snapshot is a rollback, the epoch whose content it
     /// restored.
     pub restores: Option<u64>,
@@ -184,7 +181,6 @@ pub struct ModelSnapshot {
     lineage: SnapshotLineage,
     /// Sorted by key.
     models: Vec<ModelSlot>,
-    profiles: BTreeMap<SystemId, Arc<CostingProfile>>,
 }
 
 impl ModelSnapshot {
@@ -194,7 +190,6 @@ impl ModelSnapshot {
             epoch: Epoch::ZERO,
             lineage: SnapshotLineage::genesis(),
             models: Vec::new(),
-            profiles: BTreeMap::new(),
         }
     }
 
@@ -206,7 +201,6 @@ impl ModelSnapshot {
         epoch: Epoch,
         lineage: SnapshotLineage,
         models: Vec<(ModelKey, LogicalOpCosting)>,
-        profiles: Vec<CostingProfile>,
     ) -> Self {
         let mut slots = Vec::with_capacity(models.len());
         for (key, flow) in models {
@@ -216,10 +210,6 @@ impl ModelSnapshot {
             epoch,
             lineage,
             models: slots,
-            profiles: profiles
-                .into_iter()
-                .map(|p| (p.system.clone(), Arc::new(p)))
-                .collect(),
         }
     }
 
@@ -255,11 +245,6 @@ impl ModelSnapshot {
         self.models.iter()
     }
 
-    /// All attached costing profiles, ordered by system.
-    pub(crate) fn profiles(&self) -> impl Iterator<Item = (&SystemId, &Arc<CostingProfile>)> {
-        self.profiles.iter()
-    }
-
     /// Registered model keys, in order.
     pub(crate) fn keys(&self) -> Vec<ModelKey> {
         self.models.iter().map(|slot| slot.key.clone()).collect()
@@ -275,7 +260,6 @@ impl ModelSnapshot {
 /// transaction publishes.
 pub(crate) struct SnapshotBuilder {
     models: Vec<ModelSlot>,
-    profiles: BTreeMap<SystemId, Arc<CostingProfile>>,
     lineage: SnapshotLineage,
     memo_capacity: usize,
 }
@@ -284,7 +268,6 @@ impl SnapshotBuilder {
     fn from_snapshot(base: &ModelSnapshot, label: &str, memo_capacity: usize) -> Self {
         SnapshotBuilder {
             models: base.models.clone(),
-            profiles: base.profiles.clone(),
             memo_capacity,
             lineage: SnapshotLineage {
                 parent: Some(base.epoch.get()),
@@ -302,7 +285,6 @@ impl SnapshotBuilder {
             epoch,
             lineage: self.lineage,
             models: self.models,
-            profiles: self.profiles,
         }
     }
 
@@ -347,7 +329,6 @@ impl SnapshotBuilder {
                 ModelSlot::new(slot.key.clone(), Arc::clone(&slot.flow), self.memo_capacity)
             })
             .collect();
-        self.profiles = snapshot.profiles.clone();
         self.lineage.restores = Some(snapshot.epoch.get());
     }
 
@@ -466,7 +447,7 @@ pub struct PipelineReport {
     /// epoch bump happens for an empty pass).
     pub epoch: Option<Epoch>,
     /// Per-model tuning reports, sorted by model key.
-    pub reports: Vec<(ModelKey, TuneReport)>,
+    pub(crate) reports: Vec<(ModelKey, TuneReport)>,
     /// Total log entries drained across all retrained models.
     pub entries_drained: usize,
 }

@@ -44,7 +44,7 @@ pub fn agg_dim_names() -> [&'static str; AGG_DIMS] {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryFeatures {
     /// Which operator model these features feed.
-    pub op: OperatorKind,
+    pub(crate) op: OperatorKind,
     /// The feature vector (length [`JOIN_DIMS`] or [`AGG_DIMS`]).
     pub values: Vec<f64>,
 }

@@ -108,7 +108,6 @@ struct SnapshotDto {
     #[serde(default)]
     restores: Option<u64>,
     models: Vec<SnapshotModelDto>,
-    profiles: Vec<CostingProfile>,
 }
 
 impl SnapshotDto {
@@ -131,10 +130,6 @@ impl SnapshotDto {
             rmse_pct_after: lineage.rmse_pct_after,
             restores: lineage.restores,
             models,
-            profiles: snapshot
-                .profiles()
-                .map(|(_, p)| CostingProfile::clone(p))
-                .collect(),
         }
     }
 
@@ -153,7 +148,6 @@ impl SnapshotDto {
                 .into_iter()
                 .map(|m| ((m.system, m.op), m.flow))
                 .collect(),
-            self.profiles,
         )
     }
 }
@@ -190,6 +184,7 @@ mod tests {
     use crate::hybrid::profile::{CostingApproach, LogicalOpSuite};
     use crate::logical_op::flow::LogicalOpCosting;
     use crate::logical_op::model::{FitConfig, LogicalOpModel};
+    use crate::service::EstimatorService;
     use catalog::{SystemId, SystemKind};
     use neuro::Dataset;
 
@@ -266,27 +261,25 @@ mod tests {
         fs::remove_file(&path).ok();
     }
 
+    fn flow(slope: f64) -> LogicalOpCosting {
+        let mut inputs = vec![];
+        let mut targets = vec![];
+        for i in 0..40 {
+            let rows = (i + 1) as f64 * 1e5;
+            inputs.push(vec![rows, 100.0]);
+            targets.push(1.0 + rows * slope);
+        }
+        let (model, _) = LogicalOpModel::fit(
+            OperatorKind::Aggregation,
+            &["rows", "size"],
+            &Dataset::new(inputs, targets),
+            &FitConfig::fast(),
+        );
+        LogicalOpCosting::new(model)
+    }
+
     #[test]
     fn snapshot_roundtrip_preserves_epoch_lineage_and_enables_rollback() {
-        use crate::service::EstimatorService;
-
-        fn flow(slope: f64) -> LogicalOpCosting {
-            let mut inputs = vec![];
-            let mut targets = vec![];
-            for i in 0..40 {
-                let rows = (i + 1) as f64 * 1e5;
-                inputs.push(vec![rows, 100.0]);
-                targets.push(1.0 + rows * slope);
-            }
-            let (model, _) = LogicalOpModel::fit(
-                OperatorKind::Aggregation,
-                &["rows", "size"],
-                &Dataset::new(inputs, targets),
-                &FitConfig::fast(),
-            );
-            LogicalOpCosting::new(model)
-        }
-
         let svc = EstimatorService::default();
         let sys = SystemId::new("hive-a");
         svc.register(sys.clone(), flow(1e-6));
@@ -312,6 +305,40 @@ mod tests {
         assert_eq!(published.lineage().restores, Some(1));
         let back = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         assert_eq!(back, good_est);
+        fs::remove_file(&path).ok();
+    }
+
+    /// Snapshot documents once carried a `profiles` list; one written
+    /// with it still loads and, published again, serves the estimates it
+    /// was saved with.
+    #[test]
+    fn a_snapshot_with_a_profiles_list_still_loads_and_rolls_back() {
+        let svc = EstimatorService::default();
+        let sys = SystemId::new("hive-a");
+        svc.register(sys.clone(), flow(1e-6));
+        // In range, and out of range (the remedy path).
+        let rows = [[5e5, 100.0], [5e7, 100.0]];
+        let bits = |svc: &EstimatorService| -> Vec<u64> {
+            rows.iter()
+                .map(|x| {
+                    let estimate = svc.estimate(&sys, OperatorKind::Aggregation, x);
+                    estimate.unwrap().secs.to_bits()
+                })
+                .collect()
+        };
+        let saved_bits = bits(&svc);
+        let path = tmp_path("snapshot-profiles.json");
+        save_snapshot(&svc.snapshot(), &path).unwrap();
+        let json = fs::read_to_string(&path).unwrap();
+        let body = json.trim_end().strip_suffix('}').unwrap().trim_end();
+        fs::write(&path, format!("{body},\n  \"profiles\": []\n}}\n")).unwrap();
+
+        svc.register(sys.clone(), flow(6e-6));
+        assert_ne!(bits(&svc), saved_bits);
+        let loaded = load_snapshot(&path).unwrap();
+        assert_eq!(loaded.keys().len(), 1);
+        svc.rollback_to(&loaded);
+        assert_eq!(bits(&svc), saved_bits);
         fs::remove_file(&path).ok();
     }
 

@@ -88,7 +88,7 @@ impl std::error::Error for CostingError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryCost {
     /// Each costed operator with its estimate.
-    pub operators: Vec<(OperatorKind, CostEstimate)>,
+    pub(crate) operators: Vec<(OperatorKind, CostEstimate)>,
     /// Sum of operator estimates (seconds).
     pub total_secs: f64,
 }
@@ -99,11 +99,11 @@ pub struct CostingProfile {
     /// The system this profile costs.
     pub system: SystemId,
     /// Engine family.
-    pub kind: SystemKind,
+    pub(crate) kind: SystemKind,
     /// The default approach.
     pub approach: CostingApproach,
     /// Per-operator overrides (the §5 within-one-system extension).
-    pub overrides: BTreeMap<OperatorKind, CostingApproach>,
+    pub(crate) overrides: BTreeMap<OperatorKind, CostingApproach>,
     /// Estimates served so far (drives timed switching).
     pub estimates_made: u64,
 }

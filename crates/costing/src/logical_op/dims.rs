@@ -30,7 +30,7 @@ pub struct DimensionMeta {
     pub step_size: f64,
     /// Observed out-of-range values that could not be merged into the
     /// contiguous range (continuity broken).
-    pub detached: Vec<f64>,
+    pub(crate) detached: Vec<f64>,
 }
 
 impl DimensionMeta {

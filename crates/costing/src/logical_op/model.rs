@@ -23,7 +23,7 @@ use crate::estimator::OperatorKind;
 use crate::logical_op::dims::TrainingMeta;
 use crate::logical_op::packed::{PackedOpModel, PackedOpScratch};
 use mathkit::scale::{MinMaxScaler, ScalarScaler};
-use mathkit::{r2_score, rmse, rmse_pct};
+use mathkit::{r2_score, rmse_pct};
 use neuro::{search_topology, train, Adam, Dataset, Network, Topology, TrainConfig, TrainTrace};
 use serde::{Deserialize, Serialize, Value};
 
@@ -124,8 +124,6 @@ pub struct FitReport {
     pub trace: TrainTrace,
     /// The chosen hidden topology.
     pub topology: Topology,
-    /// RMSE on the held-out 30 % in target units (seconds).
-    pub test_rmse_secs: f64,
     /// RMSE% on the held-out set.
     pub test_rmse_pct: f64,
     /// R² on the held-out set — the number annotated on Figs. 11c/12c.
@@ -269,7 +267,6 @@ impl LogicalOpModel {
             batch_size: config.batch_size,
             trace_every: config.trace_every,
             seed: config.seed,
-            early_stop_patience: 0,
         };
 
         let (network, topology, trace) = match config.topology {
@@ -283,7 +280,7 @@ impl LogicalOpModel {
                 step,
                 search_iterations,
             } => {
-                let (net, report) =
+                let (net, best) =
                     search_topology(&scaled, step, search_iterations, &train_cfg, config.seed);
                 // Re-derive a trace for the winner (search_topology trains
                 // with trace disabled internally when trace_every == 0).
@@ -291,7 +288,7 @@ impl LogicalOpModel {
                 let trace = if config.trace_every > 0 {
                     let mut fresh = Network::new(
                         scaled.arity(),
-                        &[report.best.layer1, report.best.layer2],
+                        &[best.layer1, best.layer2],
                         config.seed ^ 0xA5A5,
                     );
                     let mut adam = Adam::new(1e-3);
@@ -304,10 +301,9 @@ impl LogicalOpModel {
                         points: vec![],
                         final_rmse_pct: rmse_pct(&preds, &test_set.targets),
                         iterations: train_cfg.iterations,
-                        early_stopped: false,
                     }
                 };
-                (net2, report.best, trace)
+                (net2, best, trace)
             }
         };
 
@@ -337,7 +333,6 @@ impl LogicalOpModel {
         let report = FitReport {
             trace,
             topology,
-            test_rmse_secs: rmse(&preds, &actuals),
             test_rmse_pct: rmse_pct(&preds, &actuals),
             test_r2: r2_score(&preds, &actuals),
             test_scatter: scatter,

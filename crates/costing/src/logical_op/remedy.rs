@@ -29,7 +29,7 @@ pub struct RemedyConfig {
     pub beta: f64,
     /// How many nearest training records feed the pivot regression (the
     /// paper's system parameter `k`).
-    pub k_neighbors: usize,
+    pub(crate) k_neighbors: usize,
 }
 
 impl Default for RemedyConfig {
@@ -98,13 +98,13 @@ pub struct RemedyOutcome {
     /// The blended estimate (seconds).
     pub estimate: f64,
     /// The NN's own (extrapolated) estimate.
-    pub nn_estimate: f64,
+    pub(crate) nn_estimate: f64,
     /// The pivot regression's estimate.
-    pub regression_estimate: f64,
+    pub(crate) regression_estimate: f64,
     /// Indices of the pivot dimensions.
-    pub pivots: Vec<usize>,
+    pub(crate) pivots: Vec<usize>,
     /// The α used for blending.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
 }
 
 /// Runs the `QueryTime-Remedy()` procedure for input `x` (which must have

@@ -15,18 +15,18 @@ use sqlkit::{analyze::analyze, RemoteSystem};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LabeledRun {
     /// The query that was executed.
-    pub sql: String,
+    pub(crate) sql: String,
     /// The model features of the query.
-    pub features: Vec<f64>,
+    pub(crate) features: Vec<f64>,
     /// Observed elapsed time, seconds.
-    pub elapsed_secs: f64,
+    pub(crate) elapsed_secs: f64,
 }
 
 /// The outcome of a training campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainingOutput {
     /// Which operator was trained.
-    pub op: OperatorKind,
+    pub(crate) op: OperatorKind,
     /// Every labelled run, in execution order.
     pub runs: Vec<LabeledRun>,
     /// Cumulative remote busy time after each query — the y-axis of

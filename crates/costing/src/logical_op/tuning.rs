@@ -15,9 +15,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct LogEntry {
     /// The operator's model features.
-    pub features: Vec<f64>,
+    pub(crate) features: Vec<f64>,
     /// Observed elapsed time, seconds.
-    pub actual_secs: f64,
+    pub(crate) actual_secs: f64,
 }
 
 /// Default bound on pending log entries when none is configured.

@@ -36,9 +36,9 @@ pub type ModelKey = (SystemId, OperatorKind);
 #[derive(Debug, Clone, Copy)]
 pub struct TraceCtx<'a> {
     /// The event sink (possibly disabled).
-    pub tracer: &'a Tracer,
+    pub(crate) tracer: &'a Tracer,
     /// The remote system the estimate targets.
-    pub system: &'a SystemId,
+    pub(crate) system: &'a SystemId,
 }
 
 impl<'a> TraceCtx<'a> {

@@ -163,37 +163,37 @@ impl Qty {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub(crate) struct FormulaContext {
     /// `|R|` (probe side).
-    pub big_rows: f64,
+    pub(crate) big_rows: f64,
     /// Probe-side row bytes.
-    pub big_row_bytes: f64,
+    pub(crate) big_row_bytes: f64,
     /// Probe-side projected bytes.
-    pub big_proj_bytes: f64,
+    pub(crate) big_proj_bytes: f64,
     /// `|S|` (build side).
-    pub small_rows: f64,
+    pub(crate) small_rows: f64,
     /// Build-side row bytes.
-    pub small_row_bytes: f64,
+    pub(crate) small_row_bytes: f64,
     /// Build-side projected bytes.
-    pub small_proj_bytes: f64,
+    pub(crate) small_proj_bytes: f64,
     /// Output rows.
-    pub out_rows: f64,
+    pub(crate) out_rows: f64,
     /// Output row bytes.
-    pub out_row_bytes: f64,
+    pub(crate) out_row_bytes: f64,
     /// Heaviest join-key cardinality.
-    pub heavy_key_rows: f64,
+    pub(crate) heavy_key_rows: f64,
     /// Aggregation input rows.
-    pub in_rows: f64,
+    pub(crate) in_rows: f64,
     /// Aggregation input row bytes.
-    pub in_row_bytes: f64,
+    pub(crate) in_row_bytes: f64,
     /// Aggregation groups.
-    pub groups: f64,
+    pub(crate) groups: f64,
     /// Aggregate-function count.
-    pub n_aggs: f64,
+    pub(crate) n_aggs: f64,
     /// Cluster parallelism.
-    pub cores: f64,
+    pub(crate) cores: f64,
     /// Node count.
-    pub nodes: f64,
+    pub(crate) nodes: f64,
     /// DFS block size, bytes.
-    pub block_bytes: f64,
+    pub(crate) block_bytes: f64,
 }
 
 impl FormulaContext {
@@ -287,20 +287,20 @@ pub(crate) fn hash_build(rows: Qty, bytes: Qty, table_bytes: Qty) -> Term {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostFormula {
     /// Human-readable name.
-    pub name: String,
+    pub(crate) name: String,
     /// Execution stages (each adds the learned job overhead).
-    pub stages: u32,
+    pub(crate) stages: u32,
     /// Driver-side (serial) terms — counted in full.
-    pub serial: Vec<Term>,
+    pub(crate) serial: Vec<Term>,
     /// Task-side terms — divided by the cluster parallelism.
-    pub parallel: Vec<Term>,
+    pub(crate) parallel: Vec<Term>,
     /// The task count of the parallel section, when the expert models it.
     /// With it, evaluation uses the paper's `NumTaskWaves` semantics
     /// (Fig. 6): the parallel section costs `ceil(tasks/cores)` *full*
     /// task quanta — charging partial waves as whole ones, one of the
     /// reasons the sub-op approach "slightly tends to overestimate" (§7).
     #[serde(default)]
-    pub tasks: Option<Qty>,
+    pub(crate) tasks: Option<Qty>,
 }
 
 impl std::fmt::Display for Qty {

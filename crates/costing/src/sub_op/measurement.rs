@@ -42,13 +42,13 @@ pub struct SubOpMeasurement {
     /// from the system profile).
     pub cores: f64,
     /// Node count (for broadcast interpretation).
-    pub nodes: f64,
+    pub(crate) nodes: f64,
     /// Total probe queries executed.
     pub queries_run: usize,
     /// Remote busy time consumed by the suite — Fig. 13a's y-axis.
     pub training_time: SimDuration,
     /// Cumulative busy time after each probe.
-    pub cumulative: Vec<SimDuration>,
+    pub(crate) cumulative: Vec<SimDuration>,
 }
 
 /// Which probe measures a sub-op (paired against the ReadDFS baseline).

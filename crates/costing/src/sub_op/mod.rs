@@ -29,20 +29,20 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SubOpCosting {
     /// Engine family (selects formulas and rules).
-    pub kind: SystemKind,
+    pub(crate) kind: SystemKind,
     /// Fitted per-sub-op models.
-    pub models: SubOpModels,
+    pub(crate) models: SubOpModels,
     /// The applicability rules.
-    pub rules: Vec<ApplicabilityRule>,
+    pub(crate) rules: Vec<ApplicabilityRule>,
     /// Resolution policy when several algorithms stay applicable.
     pub policy: ChoicePolicy,
     /// DFS block size (expert knowledge; drives the `blocks(X)` terms).
-    pub block_bytes: f64,
+    pub(crate) block_bytes: f64,
     /// Whether the engine is distributed (MR/Spark) or single-node.
-    pub distributed: bool,
+    pub(crate) distributed: bool,
     /// Hash-aggregation spill threshold multiplier (the engine switches
     /// to sort aggregation past `factor × task budget`).
-    pub agg_sort_switch_factor: f64,
+    pub(crate) agg_sort_switch_factor: f64,
 }
 
 impl SubOpCosting {

@@ -65,15 +65,15 @@ fn default_model(subop: SubOp) -> SimpleLinearModel {
 pub struct SubOpModels {
     /// Per-sub-op linear models: work µs/record as a function of record
     /// size. `HashBuild` here is the **in-memory** regime.
-    pub linear: BTreeMap<SubOp, SimpleLinearModel>,
+    pub(crate) linear: BTreeMap<SubOp, SimpleLinearModel>,
     /// The spill-regime HashBuild model (Fig. 13f's second line).
     pub hash_spilled: SimpleLinearModel,
     /// Learned fixed per-stage overhead, µs (from probe intercepts).
-    pub job_overhead_us: f64,
+    pub(crate) job_overhead_us: f64,
     /// Cluster parallelism (from the system profile).
-    pub cores: f64,
+    pub(crate) cores: f64,
     /// Node count.
-    pub nodes: f64,
+    pub(crate) nodes: f64,
     /// Per-task hash memory budget, bytes (expert input; decides the
     /// HashBuild regime).
     pub task_hash_budget_bytes: f64,

@@ -14,23 +14,23 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuleInputs {
     /// Rows carried by the heaviest join-key value.
-    pub heavy_key_rows: f64,
+    pub(crate) heavy_key_rows: f64,
     /// Rows of the big (probe) side.
-    pub big_rows: f64,
+    pub(crate) big_rows: f64,
     /// The join has at least one equi-key conjunct.
-    pub has_equi_keys: bool,
+    pub(crate) has_equi_keys: bool,
     /// The big (probe) side is known to be bucketed on the join key.
-    pub big_bucketed: bool,
+    pub(crate) big_bucketed: bool,
     /// The small (build) side is known to be bucketed on the join key —
     /// note the paper's point: data shipped from Teradata loses its
     /// partitioning, so this is `false` for transferred relations "even
     /// if S is partitioned on the join key, but there is no way to tell
     /// the remote system such property after the data transfer".
-    pub small_bucketed: bool,
+    pub(crate) small_bucketed: bool,
     /// Total stored bytes of the small side.
-    pub small_total_bytes: f64,
+    pub(crate) small_total_bytes: f64,
     /// Total stored bytes of the big side.
-    pub big_total_bytes: f64,
+    pub(crate) big_total_bytes: f64,
 }
 
 impl RuleInputs {
@@ -113,11 +113,11 @@ impl Condition {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ApplicabilityRule {
     /// Human-readable rationale (stored in the costing profile).
-    pub description: String,
+    pub(crate) description: String,
     /// The condition under which the rule fires.
-    pub when: Condition,
+    pub(crate) when: Condition,
     /// The algorithms eliminated when it fires.
-    pub eliminates: Vec<JoinAlgorithm>,
+    pub(crate) eliminates: Vec<JoinAlgorithm>,
 }
 
 /// The expert rule set for an engine family, mirroring the §4 examples.

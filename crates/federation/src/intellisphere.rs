@@ -24,7 +24,7 @@ pub struct ExecutionReport {
     /// The system the operator ran on.
     pub system: SystemId,
     /// The planner's estimate for that system (execution + transfer), s.
-    pub estimated_secs: f64,
+    pub(crate) estimated_secs: f64,
     /// The execution-only component of the estimate (comparable with
     /// `actual_secs`), s.
     pub estimated_exec_secs: f64,

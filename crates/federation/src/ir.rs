@@ -142,63 +142,49 @@ pub enum InputRef {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadNode {
     /// The node's index.
-    pub id: QueryId,
+    pub(crate) id: QueryId,
     /// The statement label.
-    pub label: String,
+    pub(crate) label: String,
     /// Published output name, if any.
-    pub output: Option<String>,
+    pub(crate) output: Option<String>,
     /// Resolved inputs, in the plan's table-reference order.
-    pub inputs: Vec<InputRef>,
+    pub(crate) inputs: Vec<InputRef>,
     /// Ranked placement candidates (cheapest first) — the per-query
     /// greedy view, identical to what [`crate::planner`] would report
     /// for the statement in isolation.
     pub candidates: Vec<PlacementCost>,
     /// Candidates skipped because no model could cost them.
-    pub skipped: u64,
+    pub(crate) skipped: u64,
     /// Estimated output cardinality.
-    pub out_rows: f64,
+    pub(crate) out_rows: f64,
     /// Estimated output bytes (what consuming the result remotely moves).
-    pub out_bytes: f64,
+    pub(crate) out_bytes: f64,
     /// Structural fingerprint: two nodes with equal fingerprints compute
     /// the same result from the same inputs (same resolved inputs, same
     /// operator features) and are mergeable by the reuse rule.
-    pub fingerprint: u64,
+    pub(crate) fingerprint: u64,
 }
 
-/// Per-engine concurrency capacity for the slot scheduler.
+/// Concurrency capacity for the slot scheduler: every engine runs up to
+/// the same number of nodes at once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotMap {
-    /// Slots for engines without an override (min 1).
-    pub default_slots: usize,
-    /// Per-engine overrides.
-    pub overrides: BTreeMap<SystemId, usize>,
+    /// Slots per engine (min 1).
+    pub(crate) per_engine: usize,
 }
 
 impl Default for SlotMap {
     fn default() -> Self {
-        SlotMap {
-            default_slots: 2,
-            overrides: BTreeMap::new(),
-        }
+        SlotMap { per_engine: 2 }
     }
 }
 
 impl SlotMap {
-    /// A uniform slot map.
+    /// `slots` per engine (at least one).
     pub fn uniform(slots: usize) -> Self {
         SlotMap {
-            default_slots: slots.max(1),
-            overrides: BTreeMap::new(),
+            per_engine: slots.max(1),
         }
-    }
-
-    /// Capacity of one engine.
-    pub(crate) fn slots_for(&self, system: &SystemId) -> usize {
-        self.overrides
-            .get(system)
-            .copied()
-            .unwrap_or(self.default_slots)
-            .max(1)
     }
 }
 
@@ -218,12 +204,12 @@ pub struct WorkloadPlan {
     /// the workload are paid once (the shared-scan rewrite).
     pub share_scans: bool,
     /// Per-engine capacity used by `WorkloadPlan::simulate`.
-    pub slots: SlotMap,
+    pub(crate) slots: SlotMap,
     /// The transfer cost model (hop costs for dynamic re-costing).
-    pub transfer: TransferCostModel,
+    pub(crate) transfer: TransferCostModel,
     /// The pinned model-snapshot epoch every execution estimate in this
     /// plan was computed from.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
 }
 
 /// The scheduling objective, compared lexicographically by the rule
@@ -241,42 +227,42 @@ pub struct Objective {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SimTask {
     /// The executing node.
-    pub query: QueryId,
+    pub(crate) query: QueryId,
     /// Execution component, seconds.
-    pub exec_secs: f64,
+    pub(crate) exec_secs: f64,
     /// Inbound transfer component (after any shared-scan dedup), seconds.
-    pub transfer_secs: f64,
+    pub(crate) transfer_secs: f64,
     /// Simulated start time, seconds from workload start.
-    pub start_secs: f64,
+    pub(crate) start_secs: f64,
     /// Simulated finish time.
-    pub finish_secs: f64,
+    pub(crate) finish_secs: f64,
     /// Dependency depth (0 = no intermediate inputs) — the wave the
     /// physical layer dispatches the task in.
-    pub wave: usize,
+    pub(crate) wave: usize,
 }
 
 /// The totals of one simulated plan state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SimTotals {
     /// Predicted makespan, seconds.
-    pub makespan_secs: f64,
+    pub(crate) makespan_secs: f64,
     /// Sum of task durations, seconds.
-    pub total_secs: f64,
+    pub(crate) total_secs: f64,
     /// Transfer seconds removed by shared-scan dedup.
-    pub shared_scan_secs_saved: f64,
+    pub(crate) shared_scan_secs_saved: f64,
     /// Count of deduplicated scan transfers.
-    pub shared_scan_hits: u64,
+    pub(crate) shared_scan_hits: u64,
     /// Number of dispatch waves (max depth + 1; 0 when nothing runs).
-    pub waves: usize,
+    pub(crate) waves: usize,
 }
 
 /// The deterministic slot-scheduler outcome for one plan state.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SimSchedule {
     /// Scheduled tasks in node-index order (merged nodes absent).
-    pub tasks: Vec<SimTask>,
+    pub(crate) tasks: Vec<SimTask>,
     /// What the whole schedule adds up to.
-    pub totals: SimTotals,
+    pub(crate) totals: SimTotals,
 }
 
 /// Resolves a node through a duplicate-merge map.
@@ -353,9 +339,8 @@ pub(crate) struct PlanModel {
     engines: Vec<SystemId>,
     /// QueryGrid hops from engine `a` to engine `b`, at `a * E + b`.
     hops: Vec<u32>,
-    /// Engine `e`'s capacity slots are `slots[slot_offsets[e]..]` up to
-    /// the next offset; `E + 1` entries.
-    slot_offsets: Vec<usize>,
+    /// Engine `e`'s capacity slots are `slots[e * S..(e + 1) * S]`.
+    slots_per_engine: usize,
     /// Node `q`'s execution seconds on engine `e`, at `q * E + e`: the
     /// first candidate on that engine, `None` where none was costed.
     exec: Vec<Option<f64>>,
@@ -379,11 +364,11 @@ pub(crate) struct PlanModel {
 #[derive(Debug)]
 pub(crate) struct PlanState {
     /// Engine index (into the model's engines) per node.
-    pub assignment: Vec<usize>,
+    pub(crate) assignment: Vec<usize>,
     /// As [`WorkloadPlan::merged_into`].
-    pub merged_into: Vec<Option<QueryId>>,
+    pub(crate) merged_into: Vec<Option<QueryId>>,
     /// As [`WorkloadPlan::share_scans`].
-    pub share_scans: bool,
+    pub(crate) share_scans: bool,
 }
 
 impl PlanState {
@@ -475,12 +460,6 @@ impl PlanModel {
             .iter()
             .flat_map(|from| engines.iter().map(move |to| hops_between(from, to)))
             .collect();
-        let mut slot_offsets = vec![0];
-        let mut slots = 0;
-        for e in &engines {
-            slots += plan.slots.slots_for(e);
-            slot_offsets.push(slots);
-        }
 
         let mut exec = vec![None; plan.nodes.len() * e_count];
         let mut tables: BTreeMap<&str, usize> = BTreeMap::new();
@@ -519,7 +498,7 @@ impl PlanModel {
         let model = PlanModel {
             engines,
             hops,
-            slot_offsets,
+            slots_per_engine: plan.slots.per_engine,
             exec,
             inputs,
             input_spans,
@@ -609,7 +588,7 @@ impl PlanModel {
         let e_count = self.engines.len();
         scratch.reset(
             self.nodes(),
-            self.slot_offsets.last().copied().unwrap_or(0),
+            e_count * self.slots_per_engine,
             (self.base_tables + self.nodes()) * e_count,
         );
         let mut makespan: f64 = 0.0;
@@ -683,14 +662,10 @@ impl PlanModel {
             }
             let transfer_secs = transfer_secs + 0.0; // normalise -0.0
             let duration = exec_secs + transfer_secs;
-            let engine_slots = match (
-                self.slot_offsets.get(system),
-                self.slot_offsets.get(system + 1),
-            ) {
-                (Some(&lo), Some(&hi)) => scratch.slots.get_mut(lo..hi),
-                _ => None,
-            };
-            let slot = engine_slots
+            let per = self.slots_per_engine;
+            let slot = scratch
+                .slots
+                .get_mut(system * per..(system + 1) * per)
                 .and_then(|slots| slots.iter_mut().min_by(|a, b| mathkit::total_cmp_f64(a, b)));
             let start = match slot {
                 Some(slot) => {
@@ -1312,7 +1287,7 @@ mod tests {
             let duration = exec_secs + transfer_secs;
             let engine_slots = slots
                 .entry(system.clone())
-                .or_insert_with(|| vec![0.0; plan.slots.slots_for(&system)]);
+                .or_insert_with(|| vec![0.0; plan.slots.per_engine]);
             let slot = engine_slots
                 .iter_mut()
                 .min_by(|a, b| mathkit::total_cmp_f64(a, b));

@@ -14,11 +14,11 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Transfer {
     /// Table being moved.
-    pub table: String,
+    pub(crate) table: String,
     /// Where it lives.
-    pub from: SystemId,
+    pub(crate) from: SystemId,
     /// Where the operator runs.
-    pub to: SystemId,
+    pub(crate) to: SystemId,
     /// Estimated bytes moved.
     pub bytes: f64,
     /// Hops through the QueryGrid (1 for x↔Teradata, 2 for

@@ -44,9 +44,9 @@ pub(crate) type Rule =
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RulePass {
     /// The rule's name as reported in [`RuleTrace`].
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// The rewrite function.
-    pub rule: Rule,
+    pub(crate) rule: Rule,
 }
 
 /// The shipped pass list, in application order.

@@ -52,21 +52,21 @@ impl Default for ScheduleConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledQuery {
     /// The workload node.
-    pub query: QueryId,
+    pub(crate) query: QueryId,
     /// The statement label from the spec.
-    pub label: String,
+    pub(crate) label: String,
     /// The engine serving this query's result.
-    pub system: SystemId,
+    pub(crate) system: SystemId,
     /// Predicted start, seconds from workload start (0 for merged).
-    pub start_secs: f64,
+    pub(crate) start_secs: f64,
     /// Predicted finish.
-    pub finish_secs: f64,
+    pub(crate) finish_secs: f64,
     /// Execution component, seconds (0 for merged).
-    pub exec_secs: f64,
+    pub(crate) exec_secs: f64,
     /// Inbound transfer component, seconds (0 for merged).
-    pub transfer_secs: f64,
+    pub(crate) transfer_secs: f64,
     /// Dispatch wave (dependency depth).
-    pub wave: usize,
+    pub(crate) wave: usize,
     /// `Some(canonical)` when this query was deduplicated onto an
     /// equivalent node by the reuse rule.
     pub merged_into: Option<QueryId>,
@@ -82,7 +82,7 @@ pub struct WorkloadReport {
     /// Total predicted work (sum of task durations), seconds.
     pub total_secs: f64,
     /// Transfer seconds removed by shared-scan dedup.
-    pub shared_scan_secs_saved: f64,
+    pub(crate) shared_scan_secs_saved: f64,
     /// Count of deduplicated scan transfers.
     pub shared_scan_hits: u64,
     /// Queries merged away by the reuse rule.

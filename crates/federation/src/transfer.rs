@@ -28,9 +28,9 @@ pub(crate) fn hops_between(from: &SystemId, to: &SystemId) -> u32 {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TransferCostModel {
     /// Fixed per-transfer latency (connection setup, handshake), seconds.
-    pub setup_secs: f64,
+    pub(crate) setup_secs: f64,
     /// Effective QueryGrid bandwidth, bytes per second.
-    pub bytes_per_sec: f64,
+    pub(crate) bytes_per_sec: f64,
 }
 
 impl Default for TransferCostModel {

@@ -76,7 +76,7 @@ pub struct LinearModel {
     /// Per-feature weights.
     pub weights: Vec<f64>,
     /// Intercept.
-    pub intercept: f64,
+    pub(crate) intercept: f64,
 }
 
 impl LinearModel {

@@ -9,24 +9,24 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct DenseLayer {
     /// Weight matrix, row-major `out_dim × in_dim`.
-    pub weights: Vec<f64>,
+    pub(crate) weights: Vec<f64>,
     /// One bias per output unit.
-    pub biases: Vec<f64>,
+    pub(crate) biases: Vec<f64>,
     /// Input dimensionality.
-    pub in_dim: usize,
+    pub(crate) in_dim: usize,
     /// Output dimensionality.
-    pub out_dim: usize,
+    pub(crate) out_dim: usize,
     /// Activation applied to the affine output.
-    pub activation: Activation,
+    pub(crate) activation: Activation,
 }
 
 /// Gradients for one layer, same shapes as the parameters.
 #[derive(Debug, Clone)]
 pub struct LayerGrads {
     /// d(loss)/d(weights), row-major `out_dim × in_dim`.
-    pub weights: Vec<f64>,
+    pub(crate) weights: Vec<f64>,
     /// d(loss)/d(biases).
-    pub biases: Vec<f64>,
+    pub(crate) biases: Vec<f64>,
 }
 
 impl LayerGrads {

@@ -36,5 +36,5 @@ pub use dataset::Dataset;
 pub use network::Network;
 pub use optimizer::{Adam, Optimizer};
 pub use packed::{PackedNetwork, PackedScratch};
-pub use topology::{search_topology, Topology, TopologySearchReport};
+pub use topology::{search_topology, Topology};
 pub use train::{train, TrainConfig, TrainTrace};

@@ -12,13 +12,13 @@ pub trait Optimizer {
 #[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate (default 1e-3 via [`Adam::new`]).
-    pub lr: f64,
+    pub(crate) lr: f64,
     /// First-moment decay (0.9).
-    pub beta1: f64,
+    pub(crate) beta1: f64,
     /// Second-moment decay (0.999).
-    pub beta2: f64,
+    pub(crate) beta2: f64,
     /// Numerical-stability epsilon.
-    pub eps: f64,
+    pub(crate) eps: f64,
     t: u64,
     m: Vec<LayerGrads>,
     v: Vec<LayerGrads>,

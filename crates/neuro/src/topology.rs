@@ -47,26 +47,9 @@ impl Topology {
     }
 }
 
-/// One evaluated candidate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TopologyScore {
-    /// The candidate.
-    pub topology: Topology,
-    /// RMSE on the held-out 30 %.
-    pub rmse: f64,
-}
-
-/// Result of the topology search.
-#[derive(Debug, Clone)]
-pub struct TopologySearchReport {
-    /// The winning topology (least validation RMSE).
-    pub best: Topology,
-    /// Every evaluated candidate, in evaluation order.
-    pub scores: Vec<TopologyScore>,
-}
-
-/// Runs the paper's topology search and returns the winner plus a trained
-/// network for it (retrained on the full training split).
+/// Runs the paper's topology search and returns a trained network for
+/// the winner (the candidate of least validation RMSE, retrained on the
+/// full training split) together with the winner itself.
 ///
 /// `search_iterations` bounds the per-candidate training budget; the final
 /// winner is retrained with `final_config`.
@@ -80,10 +63,9 @@ pub fn search_topology(
     search_iterations: usize,
     final_config: &TrainConfig,
     seed: u64,
-) -> (Network, TopologySearchReport) {
+) -> (Network, Topology) {
     let n_in = data.arity();
     let (tr, te) = data.split(0.7, seed);
-    let mut scores = Vec::new();
     let mut best: Option<(f64, Topology)> = None;
 
     for topo in Topology::candidates(n_in, step) {
@@ -96,10 +78,6 @@ pub fn search_topology(
         };
         train(&mut net, &tr, &te, &mut adam, &cfg);
         let e = rmse(&net.predict_batch(&te.inputs), &te.targets);
-        scores.push(TopologyScore {
-            topology: topo,
-            rmse: e,
-        });
         if best.map_or(true, |(b, _)| e < b) {
             best = Some((e, topo));
         }
@@ -109,13 +87,7 @@ pub fn search_topology(
     let mut net = Network::new(n_in, &[winner.layer1, winner.layer2], seed ^ 0xA5A5);
     let mut adam = Adam::new(1e-3);
     train(&mut net, &tr, &te, &mut adam, final_config);
-    (
-        net,
-        TopologySearchReport {
-            best: winner,
-            scores,
-        },
-    )
+    (net, winner)
 }
 
 #[cfg(test)]
@@ -181,23 +153,24 @@ mod tests {
             batch_size: 16,
             trace_every: 0,
             seed: 3,
-            early_stop_patience: 0,
         };
-        let (net, report) = search_topology(&data, 2, 150, &cfg, 11);
-        let best_score = report
-            .scores
-            .iter()
-            .map(|s| s.rmse)
+        let (net, best) = search_topology(&data, 2, 150, &cfg, 11);
+        // Each candidate's validation RMSE, trained as the search trains it.
+        let (tr, te) = data.split(0.7, 11);
+        let score = |t: Topology| {
+            let mut net = Network::new(4, &[t.layer1, t.layer2], 11 ^ 0xA5A5);
+            let search_cfg = TrainConfig {
+                iterations: 150,
+                ..cfg.clone()
+            };
+            train(&mut net, &tr, &te, &mut Adam::new(1e-3), &search_cfg);
+            rmse(&net.predict_batch(&te.inputs), &te.targets)
+        };
+        let best_score = Topology::candidates(4, 2)
+            .into_iter()
+            .map(score)
             .fold(f64::INFINITY, f64::min);
-        let winner = report
-            .scores
-            .iter()
-            .find(|s| s.topology == report.best)
-            .unwrap();
-        assert_eq!(winner.rmse, best_score);
-        assert_eq!(
-            net.hidden_widths(),
-            vec![report.best.layer1, report.best.layer2]
-        );
+        assert_eq!(score(best), best_score);
+        assert_eq!(net.hidden_widths(), vec![best.layer1, best.layer2]);
     }
 }

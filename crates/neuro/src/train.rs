@@ -23,10 +23,6 @@ pub struct TrainConfig {
     pub trace_every: usize,
     /// Seed for batch shuffling.
     pub seed: u64,
-    /// Early stopping: abort when the evaluation RMSE% has not improved
-    /// for this many consecutive trace points (0 disables; requires
-    /// `trace_every > 0`).
-    pub early_stop_patience: usize,
 }
 
 impl Default for TrainConfig {
@@ -36,7 +32,6 @@ impl Default for TrainConfig {
             batch_size: 32,
             trace_every: 250,
             seed: 0x5EED,
-            early_stop_patience: 0,
         }
     }
 }
@@ -59,8 +54,6 @@ pub struct TrainTrace {
     pub final_rmse_pct: f64,
     /// Iterations actually executed.
     pub iterations: usize,
-    /// True when early stopping cut the run short.
-    pub early_stopped: bool,
 }
 
 /// Trains `net` on `train_set`, tracing RMSE% on `eval_set`.
@@ -83,9 +76,6 @@ pub fn train(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut points: Vec<TracePoint> = Vec::new();
     let mut done = 0usize;
-    let mut best_rmse = f64::INFINITY;
-    let mut stale = 0usize;
-    let mut early_stopped = false;
 
     let eval = |net: &Network| -> f64 {
         let preds = net.predict_batch(&eval_set.inputs);
@@ -107,23 +97,10 @@ pub fn train(
             opt.step(net, &grads);
             done += 1;
             if config.trace_every > 0 && done % config.trace_every == 0 {
-                let rmse = eval(net);
                 points.push(TracePoint {
                     iteration: done,
-                    rmse_pct: rmse,
+                    rmse_pct: eval(net),
                 });
-                if config.early_stop_patience > 0 {
-                    if rmse < best_rmse - 1e-12 {
-                        best_rmse = rmse;
-                        stale = 0;
-                    } else {
-                        stale += 1;
-                        if stale >= config.early_stop_patience {
-                            early_stopped = true;
-                            break 'outer;
-                        }
-                    }
-                }
             }
             if done >= config.iterations {
                 break 'outer;
@@ -134,7 +111,6 @@ pub fn train(
         final_rmse_pct: eval(net),
         points,
         iterations: done,
-        early_stopped,
     }
 }
 
@@ -168,7 +144,6 @@ mod tests {
             batch_size: 16,
             trace_every: 100,
             seed: 7,
-            early_stop_patience: 0,
         };
         let trace = train(&mut net, &tr, &te, &mut adam, &cfg);
         assert!(
@@ -192,7 +167,6 @@ mod tests {
                 batch_size: 8,
                 trace_every: 0,
                 seed: 9,
-                early_stop_patience: 0,
             };
             train(&mut net, &tr, &te, &mut adam, &cfg);
             net
@@ -211,34 +185,9 @@ mod tests {
             batch_size: 8,
             trace_every: 0,
             seed: 9,
-            early_stop_patience: 0,
         };
         let trace = train(&mut net, &tr, &te, &mut adam, &cfg);
         assert!(trace.points.is_empty());
-    }
-
-    #[test]
-    fn early_stopping_halts_on_plateau() {
-        let data = toy_dataset(200);
-        let (tr, te) = data.split(0.7, 1);
-        let mut net = Network::new(2, &[6, 3], 42);
-        let mut adam = Adam::new(0.01);
-        let cfg = TrainConfig {
-            iterations: 100_000,
-            batch_size: 16,
-            trace_every: 100,
-            seed: 7,
-            early_stop_patience: 5,
-        };
-        let trace = train(&mut net, &tr, &te, &mut adam, &cfg);
-        assert!(trace.early_stopped, "a learnable toy problem must plateau");
-        assert!(
-            trace.iterations < 100_000,
-            "stopped at {} iterations",
-            trace.iterations
-        );
-        // Quality is still good at the stop point.
-        assert!(trace.final_rmse_pct < 10.0, "rmse {}", trace.final_rmse_pct);
     }
 
     #[test]

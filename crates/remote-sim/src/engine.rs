@@ -233,17 +233,17 @@ impl RemoteSystem for ClusterEngine {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Explain {
     /// The logical plan, one-line form.
-    pub logical: String,
+    pub(crate) logical: String,
     /// The chosen join algorithm, if any.
-    pub join_algorithm: Option<JoinAlgorithm>,
+    pub(crate) join_algorithm: Option<JoinAlgorithm>,
     /// The chosen aggregation algorithm, if any.
-    pub agg_algorithm: Option<AggAlgorithm>,
+    pub(crate) agg_algorithm: Option<AggAlgorithm>,
     /// Per-job stage summaries: (tasks, io work s, cpu work s).
-    pub stages: Vec<(u64, f64, f64)>,
+    pub(crate) stages: Vec<(u64, f64, f64)>,
     /// Estimated output rows.
-    pub estimated_rows: u64,
+    pub(crate) estimated_rows: u64,
     /// Estimated elapsed time (noise-free), seconds.
-    pub estimated_secs: f64,
+    pub(crate) estimated_secs: f64,
 }
 
 impl std::fmt::Display for Explain {

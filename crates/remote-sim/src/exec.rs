@@ -30,13 +30,13 @@ use catalog::remote::{AggAlgorithm, AggInfo, JoinAlgorithm, JoinInfo, SimDuratio
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stage {
     /// Parallel tasks in this stage.
-    pub tasks: u64,
+    pub(crate) tasks: u64,
     /// Aggregate I/O work across all tasks, in single-core µs.
-    pub io_us: f64,
+    pub(crate) io_us: f64,
     /// Aggregate CPU work across all tasks, in single-core µs.
-    pub cpu_us: f64,
+    pub(crate) cpu_us: f64,
     /// Driver-side serial work executed before the tasks launch, µs.
-    pub serial_prelude_us: f64,
+    pub(crate) serial_prelude_us: f64,
 }
 
 impl Stage {
@@ -61,19 +61,19 @@ impl Stage {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Job {
     /// The stages, in execution order.
-    pub stages: Vec<Stage>,
+    pub(crate) stages: Vec<Stage>,
 }
 
 /// Scheduling overheads of an engine persona.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Overheads {
     /// Fixed latency to launch one stage (job setup, scheduling), µs.
-    pub stage_startup_us: f64,
+    pub(crate) stage_startup_us: f64,
     /// Latency to launch one wave of tasks, µs.
-    pub task_startup_us: f64,
+    pub(crate) task_startup_us: f64,
     /// Fraction of the smaller of (io, cpu) that does *not* overlap with
     /// the larger; 0 = perfect pipelining, 1 = fully serial.
-    pub overlap_residual: f64,
+    pub(crate) overlap_residual: f64,
 }
 
 impl Job {
@@ -113,9 +113,9 @@ impl Job {
 /// Builds jobs for an engine persona's algorithms.
 pub(crate) struct ExecModel<'a> {
     /// Micro-cost table (hidden ground truth).
-    pub micro: &'a MicroCosts,
+    pub(crate) micro: &'a MicroCosts,
     /// Cluster layout.
-    pub cluster: &'a ClusterConfig,
+    pub(crate) cluster: &'a ClusterConfig,
 }
 
 /// Joins merge records sequentially out of sorted runs / hash buckets,

@@ -11,13 +11,13 @@ pub struct Persona {
     /// Engine family.
     pub kind: SystemKind,
     /// Hidden per-record costs.
-    pub micro: MicroCosts,
+    pub(crate) micro: MicroCosts,
     /// Scheduling overheads.
-    pub overheads: Overheads,
+    pub(crate) overheads: Overheads,
     /// Internal optimizer thresholds.
-    pub rules: OptimizerRules,
+    pub(crate) rules: OptimizerRules,
     /// Relative execution-time noise (std-dev).
-    pub noise_sigma: f64,
+    pub(crate) noise_sigma: f64,
 }
 
 /// The Hive/Hadoop persona matching the paper's evaluation cluster:

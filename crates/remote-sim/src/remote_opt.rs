@@ -17,12 +17,12 @@ use catalog::SystemKind;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizerRules {
     /// Broadcast the build side when it is at most this many bytes.
-    pub broadcast_threshold_bytes: f64,
+    pub(crate) broadcast_threshold_bytes: f64,
     /// Treat a key as skewed when its heaviest value carries more than
     /// this fraction of the big side's rows.
-    pub skew_fraction: f64,
+    pub(crate) skew_fraction: f64,
     /// Below this many result pairs a nested loop is acceptable (RDBMS).
-    pub nested_loop_pair_limit: f64,
+    pub(crate) nested_loop_pair_limit: f64,
 }
 
 impl OptimizerRules {

@@ -20,7 +20,7 @@ pub struct LinearCost {
     /// µs per byte of record size.
     pub per_byte: f64,
     /// Fixed µs per record.
-    pub base: f64,
+    pub(crate) base: f64,
 }
 
 impl LinearCost {
@@ -48,35 +48,35 @@ impl LinearCost {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MicroCosts {
     /// Reading a record from the distributed file system (`rD`).
-    pub read_dfs: LinearCost,
+    pub(crate) read_dfs: LinearCost,
     /// Writing a record to the distributed file system (`wD`).
     pub write_dfs: LinearCost,
     /// Reading a record from a local file system (`rL`).
-    pub read_local: LinearCost,
+    pub(crate) read_local: LinearCost,
     /// Writing a record to a local file system (`wL`).
-    pub write_local: LinearCost,
+    pub(crate) write_local: LinearCost,
     /// Shuffling a record between machines (`f`).
-    pub shuffle: LinearCost,
+    pub(crate) shuffle: LinearCost,
     /// Broadcasting a record to one machine (`b` is this times the node
     /// count).
-    pub broadcast_per_node: LinearCost,
+    pub(crate) broadcast_per_node: LinearCost,
     /// Main-memory sort cost per record (`o`).
-    pub sort: LinearCost,
+    pub(crate) sort: LinearCost,
     /// Main-memory scan cost per record (`c`).
-    pub scan: LinearCost,
+    pub(crate) scan: LinearCost,
     /// Hash-table insert per record, table fits in memory (`hI`, low
     /// regime of Fig. 13f).
-    pub hash_insert_mem: LinearCost,
+    pub(crate) hash_insert_mem: LinearCost,
     /// Hash-table insert per record when the table spills (`hI`, high
     /// regime of Fig. 13f).
-    pub hash_insert_spill: LinearCost,
+    pub(crate) hash_insert_spill: LinearCost,
     /// Hash-table probe per record (`hP`).
-    pub hash_probe: LinearCost,
+    pub(crate) hash_probe: LinearCost,
     /// Merging two records (`m`).
-    pub rec_merge: LinearCost,
+    pub(crate) rec_merge: LinearCost,
     /// Per-aggregate-function evaluation cost per record (drives the
     /// Fig. 10 "1 to 5 SUM()" dimension).
-    pub agg_eval: LinearCost,
+    pub(crate) agg_eval: LinearCost,
 }
 
 impl MicroCosts {

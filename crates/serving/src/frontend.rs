@@ -118,14 +118,14 @@ pub struct EstimateRequest {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimateReply {
     /// The id [`Frontend::submit`] returned for this request.
-    pub request_id: u64,
+    pub(crate) request_id: u64,
     /// The estimate, bit-identical to a serial
     /// [`EstimatorService::estimate`] at the same epoch.
     pub estimate: CostEstimate,
     /// Epoch of the one snapshot the whole batch was pinned to.
     pub epoch: u64,
     /// Which coalesced batch served this request.
-    pub batch_id: u64,
+    pub(crate) batch_id: u64,
     /// How many requests shared that batch.
     pub batch_size: usize,
 }

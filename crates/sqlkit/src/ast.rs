@@ -225,9 +225,9 @@ impl fmt::Display for Expr {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SelectItem {
     /// The projected expression.
-    pub expr: Expr,
+    pub(crate) expr: Expr,
     /// Optional `AS alias`.
-    pub alias: Option<String>,
+    pub(crate) alias: Option<String>,
 }
 
 impl fmt::Display for SelectItem {
@@ -243,9 +243,9 @@ impl fmt::Display for SelectItem {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TableRef {
     /// Table name as registered in the catalog.
-    pub name: String,
+    pub(crate) name: String,
     /// Optional alias.
-    pub alias: Option<String>,
+    pub(crate) alias: Option<String>,
 }
 
 impl TableRef {
@@ -268,18 +268,18 @@ impl fmt::Display for TableRef {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Join {
     /// The joined table.
-    pub table: TableRef,
+    pub(crate) table: TableRef,
     /// The `ON` condition.
-    pub on: Expr,
+    pub(crate) on: Expr,
 }
 
 /// One `ORDER BY` key.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OrderKey {
     /// The sort expression.
-    pub expr: Expr,
+    pub(crate) expr: Expr,
     /// True for ascending (the default), false for `DESC`.
-    pub ascending: bool,
+    pub(crate) ascending: bool,
 }
 
 impl fmt::Display for OrderKey {
@@ -297,21 +297,21 @@ impl fmt::Display for OrderKey {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Query {
     /// `SELECT` list; `None` items list means `SELECT *`.
-    pub select: Vec<SelectItem>,
+    pub(crate) select: Vec<SelectItem>,
     /// True when the select list was `*`.
-    pub select_star: bool,
+    pub(crate) select_star: bool,
     /// The leading `FROM` table.
-    pub from: TableRef,
+    pub(crate) from: TableRef,
     /// Zero or more join clauses, in order.
-    pub joins: Vec<Join>,
+    pub(crate) joins: Vec<Join>,
     /// Optional `WHERE` predicate.
-    pub where_clause: Option<Expr>,
+    pub(crate) where_clause: Option<Expr>,
     /// `GROUP BY` expressions (possibly empty).
-    pub group_by: Vec<Expr>,
+    pub(crate) group_by: Vec<Expr>,
     /// `ORDER BY` keys (possibly empty).
-    pub order_by: Vec<OrderKey>,
+    pub(crate) order_by: Vec<OrderKey>,
     /// Optional `LIMIT`.
-    pub limit: Option<u64>,
+    pub(crate) limit: Option<u64>,
 }
 
 impl fmt::Display for Query {

@@ -6,9 +6,9 @@ use crate::token::{Spanned, Token};
 #[derive(Debug, Clone, PartialEq)]
 pub struct LexError {
     /// Byte offset of the offending character.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// Human-readable description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for LexError {

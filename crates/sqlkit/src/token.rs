@@ -4,9 +4,9 @@
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Spanned {
     /// The token itself.
-    pub token: Token,
+    pub(crate) token: Token,
     /// Byte offset in the source where the token starts.
-    pub offset: usize,
+    pub(crate) offset: usize,
 }
 
 /// SQL tokens for the supported SPJA subset.

@@ -51,7 +51,7 @@ pub struct ModelHealth {
     /// Mean multiplicative error `max(p,a) / min(p,a)` over the window.
     pub mean_q_error: f64,
     /// Worst single multiplicative error in the window.
-    pub max_q_error: f64,
+    pub(crate) max_q_error: f64,
     /// Whether the window crossed a drift threshold (with enough
     /// samples to trust it).
     pub drifted: bool,

@@ -166,11 +166,11 @@ impl Histogram {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Finite bucket upper bounds.
-    pub bounds: Vec<f64>,
+    pub(crate) bounds: Vec<f64>,
     /// Per-bucket counts; the final entry is the `+Inf` overflow bucket.
-    pub counts: Vec<u64>,
+    pub(crate) counts: Vec<u64>,
     /// Sum of all observations.
-    pub sum: f64,
+    pub(crate) sum: f64,
     /// Total observations.
     pub count: u64,
 }
@@ -423,11 +423,11 @@ fn render_f64(v: f64) -> String {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter values.
-    pub counters: BTreeMap<MetricId, u64>,
+    pub(crate) counters: BTreeMap<MetricId, u64>,
     /// Gauge values.
-    pub gauges: BTreeMap<MetricId, f64>,
+    pub(crate) gauges: BTreeMap<MetricId, f64>,
     /// Histogram states.
-    pub histograms: BTreeMap<MetricId, HistogramSnapshot>,
+    pub(crate) histograms: BTreeMap<MetricId, HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {

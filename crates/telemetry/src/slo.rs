@@ -63,13 +63,13 @@ impl Default for SloConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurnAlert {
     /// Burn rate over the short window at firing time.
-    pub short_burn: f64,
+    pub(crate) short_burn: f64,
     /// Burn rate over the long window at firing time.
-    pub long_burn: f64,
+    pub(crate) long_burn: f64,
     /// The configured threshold both windows crossed.
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     /// Caller-supplied timestamp of the firing request (microseconds).
-    pub at_us: u64,
+    pub(crate) at_us: u64,
 }
 
 #[derive(Debug, Clone, Copy, Default)]

@@ -186,7 +186,7 @@ pub struct Exemplar {
     /// externally attributed wall segments (queue wait, coalesce).
     pub total_us: f64,
     /// Per-stage micros, indexed like [`Stage::ALL`].
-    pub stages_us: [f64; STAGE_COUNT],
+    pub(crate) stages_us: [f64; STAGE_COUNT],
 }
 
 impl Exemplar {
@@ -295,8 +295,6 @@ impl ExemplarStore {
 /// A point-in-time view of a [`SpanLayer`].
 #[derive(Debug, Clone, Default)]
 pub struct SpanSnapshot {
-    /// The configured sampling period (`0` = off).
-    pub sample_every: u64,
     /// Requests seen by the sampling decision since construction.
     pub requests_seen: u64,
     /// Spans actually sampled.
@@ -413,7 +411,6 @@ impl SpanLayer {
     /// request path.
     pub fn snapshot(&self) -> SpanSnapshot {
         SpanSnapshot {
-            sample_every: self.sampling(),
             requests_seen: self.inner.seq.load(Ordering::Relaxed),
             sampled_total: self.sampled_total(),
             exemplars: self.inner.exemplars.lock().snapshot(),

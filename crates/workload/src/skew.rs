@@ -16,10 +16,10 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SkewedTableSpec {
     /// The base table shape.
-    pub base: TableSpec,
+    pub(crate) base: TableSpec,
     /// Fraction of all rows carried by the heaviest `a1` value
     /// (0 < fraction < 1).
-    pub heavy_fraction: f64,
+    pub(crate) heavy_fraction: f64,
 }
 
 impl SkewedTableSpec {
