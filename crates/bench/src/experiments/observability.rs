@@ -39,10 +39,9 @@
 //! bit for bit — instrumentation must not change a single answer.
 //!
 //! The run also drives a short deterministic serving scenario (manual
-//! clock, sampling 1-in-1, a tight latency SLO, a collecting trace
-//! subscriber) to exercise the rest of the plane end to end: the
-//! document's `ops` section proves spans were sampled, exemplars
-//! retained and SLO burn alerts fired.
+//! clock, sampling 1-in-1, a tight latency SLO) to exercise the rest of
+//! the plane end to end: the document's `ops` section proves spans were
+//! sampled, exemplars retained and SLO burn alerts fired.
 
 use crate::harness::{self, BenchDoc, Envelope, Host};
 use crate::report::{heading, kv, write_text_table, ExpConfig};
@@ -54,12 +53,9 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use serving::{Clock, EstimateRequest, Frontend, FrontendConfig};
 use std::cell::Cell;
-use std::sync::Arc;
 use std::time::Duration;
 use telemetry::span::{SpanConfig, SpanLayer};
-use telemetry::{
-    Counter, Histogram, MetricsRegistry, SloConfig, Stage, Telemetry, Tracer, VecSubscriber,
-};
+use telemetry::{Counter, Histogram, SloConfig, Stage, Telemetry};
 
 /// The acceptance bar: the sampled-off service p50 may exceed the
 /// uninstrumented baseline p50 by at most this percentage (plus
@@ -411,21 +407,17 @@ fn bench_cell(
 }
 
 /// Drives the whole plane end to end on a deterministic manual clock:
-/// 1-in-1 sampling, a deliberately unmeetable latency SLO, and a
-/// subscriber collecting the trail, so events are built under load.
-/// Returns the ops proof and writes the exemplar table.
+/// 1-in-1 sampling and a deliberately unmeetable latency SLO, so spans
+/// are sampled and alerts fire under load. Returns the ops proof and
+/// writes the exemplar table.
 fn ops_scenario(cfg: &ExpConfig) -> OpsSummary {
-    let metrics = MetricsRegistry::default();
     let telemetry = Telemetry {
-        planner: telemetry::metrics::PlannerCounters::register(&metrics),
-        scheduler: telemetry::metrics::SchedulerCounters::register(&metrics),
-        metrics,
-        tracer: Tracer::new(Arc::new(VecSubscriber::new())),
         spans: SpanLayer::new(SpanConfig {
             sample_every: 1,
             exemplar_k: 8,
             exemplar_window: 64,
         }),
+        ..Telemetry::default()
     };
     let service = EstimatorService::with_telemetry(ServiceConfig::default(), telemetry.clone());
     let system = SystemId::new("obs-ops");

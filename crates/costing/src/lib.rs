@@ -23,10 +23,11 @@
 //!   time, Fig. 9).
 //!
 //! The served estimation path is observable: each costing decision has
-//! one body, which emits typed decision-trail events when handed a
-//! [`TraceCtx`] ([`observability`]); the [`service`] keeps
-//! registry-backed metrics, and the execution logs feed a drift monitor
-//! keyed by [`ModelKey`].
+//! one body, and what it decided comes back with its result (an
+//! estimate carries its [`EstimateSource`], the remedy's α and pivot
+//! dimensions included); the [`service`] keeps registry-backed metrics,
+//! and the execution logs feed a drift monitor keyed by [`ModelKey`]
+//! ([`observability`]).
 //!
 //! The crate interacts with remote systems *only* through the
 //! [`sqlkit::RemoteSystem`] trait — submit a query or probe, observe
@@ -55,6 +56,6 @@ pub use logical_op::{
     flow::FlowScratch, flow::LogicalOpCosting, model::FitConfig, model::LogicalOpModel,
     packed::PackedOpModel, packed::PackedOpScratch, remedy::RemedyConfig,
 };
-pub use observability::{publish_drift, DriftRetuner, ModelKey, RetuneOutcome, TraceCtx};
+pub use observability::{publish_drift, DriftRetuner, ModelKey, RetuneOutcome};
 pub use service::{CacheStats, EstimateScratch, EstimatorService, ServiceConfig, ServiceError};
 pub use sub_op::{choice::ChoicePolicy, SubOpCosting};

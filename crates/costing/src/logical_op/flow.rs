@@ -34,7 +34,6 @@ use crate::{
         },
         tuning::{offline_tune, ExecutionLog, TuneReport},
     },
-    observability::TraceCtx,
 };
 use serde::{Deserialize, Serialize};
 use telemetry::span::{time as stage_time, Stage};
@@ -103,9 +102,9 @@ impl LogicalOpCosting {
     }
 
     /// Estimates the cost of an operator with features `x` (the top half
-    /// of Fig. 3) with a throwaway workspace and no decision trail.
+    /// of Fig. 3) with a throwaway workspace.
     pub fn estimate(&self, x: &[f64]) -> CostEstimate {
-        self.estimate_scratch(x, &mut FlowScratch::new(), None)
+        self.estimate_scratch(x, &mut FlowScratch::new())
     }
 
     /// [`LogicalOpCosting::estimate_rows`] for the one row `x`.
@@ -113,14 +112,9 @@ impl LogicalOpCosting {
         clippy::expect_used,
         reason = "estimate_rows fills every slot that arrives empty, and this one did"
     )]
-    pub(crate) fn estimate_scratch(
-        &self,
-        x: &[f64],
-        scratch: &mut FlowScratch,
-        trace: Option<&TraceCtx<'_>>,
-    ) -> CostEstimate {
+    pub(crate) fn estimate_scratch(&self, x: &[f64], scratch: &mut FlowScratch) -> CostEstimate {
         let mut slot = [None];
-        self.estimate_rows(x, x.len(), &mut slot, scratch, trace);
+        self.estimate_rows(x, x.len(), &mut slot, scratch);
         let [est] = slot;
         est.expect("estimate_rows fills every empty slot")
     }
@@ -130,12 +124,8 @@ impl LogicalOpCosting {
     /// row whose slot is still `None` is range-checked; the in-range ones
     /// share one [`crate::logical_op::packed::PackedOpModel::predict_batch_into`]
     /// pass, the others go through the online remedy one by one. Slots
-    /// that arrive filled (a cache answered them) are left alone.
-    ///
-    /// Given `trace`, each out-of-range row emits the remedy event pair as
-    /// it is computed (see `remedy_estimate_scratch`); in-range rows
-    /// emit nothing. The kernel pass and each remedy run under their
-    /// [`Stage`] timers.
+    /// that arrive filled (a cache answered them) are left alone. The
+    /// kernel pass and each remedy run under their [`Stage`] timers.
     ///
     /// # Panics
     /// Panics when `width` differs from the model's arity or `rows` is not
@@ -146,7 +136,6 @@ impl LogicalOpCosting {
         width: usize,
         slots: &mut [Option<CostEstimate>],
         scratch: &mut FlowScratch,
-        trace: Option<&TraceCtx<'_>>,
     ) {
         assert_eq!(
             width,
@@ -177,14 +166,8 @@ impl LogicalOpCosting {
                 continue;
             }
             let _remedy = stage_time(Stage::Remedy);
-            let out = remedy_estimate_scratch(
-                &self.model,
-                row,
-                &self.remedy,
-                self.tuner.alpha(),
-                remedy,
-                trace,
-            );
+            let out =
+                remedy_estimate_scratch(&self.model, row, &self.remedy, self.tuner.alpha(), remedy);
             *slot = Some(CostEstimate::new(
                 out.estimate,
                 EstimateSource::OnlineRemedy {
@@ -353,55 +336,33 @@ mod tests {
     }
 
     #[test]
-    fn traced_estimate_trail_agrees_with_the_returned_source() {
-        use catalog::SystemId;
-        use std::sync::Arc;
-        use telemetry::{Event, Tracer, VecSubscriber};
-
+    fn estimate_source_agrees_with_the_remedy_outcome() {
         let c = costing();
-        let sub = Arc::new(VecSubscriber::new());
-        let tracer = Tracer::new(sub.clone());
-        let system = SystemId::new("hive-a");
-        let ctx = TraceCtx::new(&tracer, &system);
-        // In-range estimates leave no remedy trail.
+        // One workspace serves an in-range and then an out-of-range row.
         let mut scratch = FlowScratch::new();
-        let e = c.estimate_scratch(&[5e5, 200.0], &mut scratch, Some(&ctx));
+        let e = c.estimate_scratch(&[5e5, 200.0], &mut scratch);
         assert_eq!(e.source, EstimateSource::NeuralNetwork);
-        assert!(sub.is_empty());
-        // Out-of-range: the emitted pivots and α must agree with the
-        // source the estimate itself reports.
-        let e = c.estimate_scratch(&[2e7, 200.0], &mut scratch, Some(&ctx));
+        let x = [2e7, 200.0];
+        let e = c.estimate_scratch(&x, &mut scratch);
         assert_eq!(
             e,
-            c.estimate(&[2e7, 200.0]),
-            "the context never changes the estimate"
+            c.estimate(&x),
+            "the workspace never changes the estimate"
         );
-        let (src_alpha, src_pivots) = match &e.source {
-            EstimateSource::OnlineRemedy { alpha, pivots } => (*alpha, pivots.clone()),
-            other => panic!("expected remedy, got {other:?}"),
-        };
-        let events = sub.take();
-        assert_eq!(events.len(), 2);
-        match &events[0] {
-            Event::PivotsDetected { pivots, .. } => assert_eq!(pivots, &src_pivots),
-            other => panic!("unexpected {other:?}"),
-        }
-        match &events[1] {
-            Event::RemedyBlend {
-                alpha,
-                nn_estimate,
-                regression_estimate,
-                blended,
-                ..
-            } => {
-                assert_eq!(*alpha, src_alpha);
-                let expect =
-                    (src_alpha * nn_estimate + (1.0 - src_alpha) * regression_estimate).max(0.0);
-                assert!((blended - expect).abs() < 1e-12);
-                assert_eq!(*blended, e.secs);
+        // Out of range: the returned source and seconds are the remedy
+        // outcome's own fields for the same row, config and α.
+        let out = remedy_estimate(&c.model, &x, &c.remedy, c.tuner.alpha());
+        assert_eq!(
+            e.source,
+            EstimateSource::OnlineRemedy {
+                alpha: out.alpha,
+                pivots: out.pivots.clone(),
             }
-            other => panic!("unexpected {other:?}"),
-        }
+        );
+        assert_eq!(e.secs.to_bits(), out.estimate.to_bits());
+        let recombined =
+            (out.alpha * out.nn_estimate + (1.0 - out.alpha) * out.regression_estimate).max(0.0);
+        assert_eq!(recombined.to_bits(), e.secs.to_bits());
     }
 
     #[test]
@@ -417,10 +378,8 @@ mod tests {
 
     mod properties {
         use super::*;
-        use catalog::SystemId;
         use proptest::prelude::*;
-        use std::sync::{Arc, OnceLock};
-        use telemetry::{Event, Tracer, VecSubscriber};
+        use std::sync::OnceLock;
 
         /// One trained flow, cloned per case (training dominates).
         fn shared_flow() -> &'static LogicalOpCosting {
@@ -430,9 +389,10 @@ mod tests {
 
         proptest! {
             /// The `(nn, regression)` pair an out-of-range estimate
-            /// reports on its `RemedyBlend` event and the pair
-            /// `observe_actual` later feeds the tuner are the same bits:
-            /// nothing is lost by not remembering the estimate.
+            /// blended (the remedy outcome for the same row, config and
+            /// α) and the pair `observe_actual` later feeds the tuner
+            /// are the same bits: nothing is lost by not remembering the
+            /// estimate.
             #[test]
             fn prop_observe_feeds_the_pair_the_estimate_reported(
                 rows in 5.0e6f64..5.0e7,
@@ -442,17 +402,18 @@ mod tests {
                 let mut flow = shared_flow().clone();
                 let x = [rows, size];
                 prop_assume!(!flow.model.meta.all_in_range(&x, flow.remedy.beta));
-                let sub = Arc::new(VecSubscriber::new());
-                let tracer = Tracer::new(sub.clone());
-                let system = SystemId::new("hive-a");
-                let ctx = TraceCtx::new(&tracer, &system);
-                let _ = flow.estimate_scratch(&x, &mut FlowScratch::new(), Some(&ctx));
+                let mut scratch = FlowScratch::new();
+                let est = flow.estimate_scratch(&x, &mut scratch);
+                let out = remedy_estimate_scratch(
+                    &flow.model,
+                    &x,
+                    &flow.remedy,
+                    flow.tuner.alpha(),
+                    &mut scratch.remedy,
+                );
+                prop_assert_eq!(est.secs.to_bits(), out.estimate.to_bits());
                 let mut by_hand = flow.tuner.clone();
-                for event in sub.take() {
-                    if let Event::RemedyBlend { nn_estimate, regression_estimate, .. } = event {
-                        by_hand.record(nn_estimate, regression_estimate, actual);
-                    }
-                }
+                by_hand.record(out.nn_estimate, out.regression_estimate, actual);
                 flow.observe_actual(&x, actual);
                 prop_assert_eq!(by_hand.observations(), 1);
                 prop_assert_eq!(

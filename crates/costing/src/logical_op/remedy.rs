@@ -16,10 +16,8 @@
 
 use crate::logical_op::model::LogicalOpModel;
 use crate::logical_op::packed::PackedOpScratch;
-use crate::observability::TraceCtx;
 use mathkit::{LinearModel, SimpleLinearModel};
 use serde::{Deserialize, Serialize};
-use telemetry::Event;
 
 /// Online-remedy configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -109,29 +107,25 @@ pub struct RemedyOutcome {
 
 /// Runs the `QueryTime-Remedy()` procedure for input `x` (which must have
 /// at least one pivot dimension under `cfg.beta`) with a throwaway
-/// workspace and no decision trail.
+/// workspace.
 pub fn remedy_estimate(
     model: &LogicalOpModel,
     x: &[f64],
     cfg: &RemedyConfig,
     alpha: f64,
 ) -> RemedyOutcome {
-    remedy_estimate_scratch(model, x, cfg, alpha, &mut RemedyScratch::new(), None)
+    remedy_estimate_scratch(model, x, cfg, alpha, &mut RemedyScratch::new())
 }
 
 /// The one body of the remedy procedure: the pivot-regression buffers
-/// come from (and return to) `scratch`, and with a `trace` context the
-/// outcome is described by an [`Event::PivotsDetected`] /
-/// [`Event::RemedyBlend`] pair — the pivot set, the α weight, and both
-/// blend components. The context never changes the result, and on a
-/// disabled tracer the event closures never run.
+/// come from (and return to) `scratch`. The outcome carries the pivot
+/// set, the α weight and both blend components next to the blend.
 pub(crate) fn remedy_estimate_scratch(
     model: &LogicalOpModel,
     x: &[f64],
     cfg: &RemedyConfig,
     alpha: f64,
     scratch: &mut RemedyScratch,
-    trace: Option<&TraceCtx<'_>>,
 ) -> RemedyOutcome {
     let pivots = model.meta.pivots(x, cfg.beta);
     assert!(
@@ -141,21 +135,6 @@ pub(crate) fn remedy_estimate_scratch(
     let nn_estimate = model.packed().predict_one(x, &mut scratch.nn);
     let regression_estimate = pivot_regression(model, x, &pivots, cfg.k_neighbors, scratch);
     let estimate = (alpha * nn_estimate + (1.0 - alpha) * regression_estimate).max(0.0);
-    if let Some(ctx) = trace {
-        ctx.tracer.emit(|| Event::PivotsDetected {
-            system: ctx.system.to_string(),
-            operator: model.op.to_string(),
-            pivots: pivots.clone(),
-        });
-        ctx.tracer.emit(|| Event::RemedyBlend {
-            system: ctx.system.to_string(),
-            operator: model.op.to_string(),
-            alpha,
-            nn_estimate,
-            regression_estimate,
-            blended: estimate,
-        });
-    }
     RemedyOutcome {
         estimate,
         nn_estimate,
@@ -461,51 +440,17 @@ mod tests {
     }
 
     #[test]
-    fn traced_remedy_events_match_the_outcome() {
-        use catalog::SystemId;
-        use std::sync::Arc;
-        use telemetry::{Event, Tracer, VecSubscriber};
-
+    fn remedy_outcome_recombines_to_its_estimate() {
         let model = fitted_model();
         let cfg = RemedyConfig::default();
         let x = vec![1e7, 300.0];
-        let sub = Arc::new(VecSubscriber::new());
-        let tracer = Tracer::new(sub.clone());
-        let system = SystemId::new("hive-a");
-        let ctx = TraceCtx::new(&tracer, &system);
-        let out =
-            remedy_estimate_scratch(&model, &x, &cfg, 0.4, &mut RemedyScratch::new(), Some(&ctx));
-        // The trace context never changes the outcome.
-        assert_eq!(out, remedy_estimate(&model, &x, &cfg, 0.4));
-        let events = sub.snapshot();
-        assert_eq!(events.len(), 2);
-        match &events[0] {
-            Event::PivotsDetected {
-                system,
-                operator,
-                pivots,
-            } => {
-                assert_eq!(system, "hive-a");
-                assert_eq!(operator, "aggregation");
-                assert_eq!(pivots, &out.pivots);
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
-        match &events[1] {
-            Event::RemedyBlend {
-                alpha,
-                nn_estimate,
-                regression_estimate,
-                blended,
-                ..
-            } => {
-                assert_eq!(*alpha, out.alpha);
-                assert_eq!(*nn_estimate, out.nn_estimate);
-                assert_eq!(*regression_estimate, out.regression_estimate);
-                assert_eq!(*blended, out.estimate);
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
+        let out = remedy_estimate(&model, &x, &cfg, 0.4);
+        assert_eq!(out.alpha, 0.4);
+        assert_eq!(out.pivots, model.meta.pivots(&x, cfg.beta));
+        // The components the outcome reports are the ones it blended.
+        let recombined =
+            (out.alpha * out.nn_estimate + (1.0 - out.alpha) * out.regression_estimate).max(0.0);
+        assert_eq!(recombined.to_bits(), out.estimate.to_bits());
     }
 
     #[test]
@@ -523,7 +468,7 @@ mod tests {
         ];
         for x in &probes {
             let fresh = remedy_estimate(&model, x, &cfg, 0.3);
-            let reused = remedy_estimate_scratch(&model, x, &cfg, 0.3, &mut scratch, None);
+            let reused = remedy_estimate_scratch(&model, x, &cfg, 0.3, &mut scratch);
             assert_eq!(fresh, reused);
             assert_eq!(fresh.estimate.to_bits(), reused.estimate.to_bits());
             assert_eq!(

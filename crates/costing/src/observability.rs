@@ -1,64 +1,31 @@
-//! Telemetry plumbing for the costing crate.
+//! Drift-monitoring glue for the costing crate.
 //!
-//! The costing structs that persist ([`LogicalOpCosting`],
-//! [`crate::hybrid::CostingProfile`], …) are serializable models and
-//! cannot carry runtime handles, so instrumentation is threaded in as
-//! *context*: a costing decision with something to report has one body
-//! taking an optional [`TraceCtx`] — the system being costed and the
-//! [`Tracer`] to emit on — and there are no traced twins to keep in
-//! step. Components with runtime state of their own (the estimation
-//! service, the simulated engines) hold a [`telemetry::Telemetry`]
-//! directly, and the service emits the observe / α / tuning events
-//! itself from what those calls return.
+//! A costing decision reports itself through what it returns: an
+//! estimate carries its [`crate::EstimateSource`] (the remedy's α and
+//! pivots included), a tuning pass its [`crate::epoch::PipelineReport`],
+//! a drift check its [`RetuneOutcome`]. Components with runtime state
+//! of their own (the estimation service) hold a
+//! [`telemetry::Telemetry`] directly and count into its registry.
 //!
-//! This module also defines the drift-monitoring glue: the model key
-//! used across the workspace and [`publish_drift`], which turns a
-//! [`DriftMonitor`] report into registry gauges and
-//! [`Event::DriftFlagged`] trail events.
-//!
-//! [`LogicalOpCosting`]: crate::logical_op::flow::LogicalOpCosting
+//! This module defines the model key used across the workspace,
+//! [`publish_drift`], which turns a [`DriftMonitor`] report into
+//! registry gauges, and [`DriftRetuner`], which closes the observe →
+//! drift → retune loop.
 
 use crate::epoch::{Epoch, TuningPipeline};
 use crate::estimator::OperatorKind;
 use crate::service::EstimatorService;
 use catalog::SystemId;
-use telemetry::{
-    AlertEvent, Counter, DriftConfig, DriftMonitor, Event, ModelHealth, Telemetry, Tracer,
-};
+use telemetry::{Counter, DriftConfig, DriftMonitor, ModelHealth, Telemetry};
 
 /// Identifies one trained model for drift monitoring: which operator on
 /// which remote system.
 pub type ModelKey = (SystemId, OperatorKind);
 
-/// Tracing context threaded into the costing layers: who is being
-/// costed, and where decision-trail events go. Cheap to build per call;
-/// carries no state of its own.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceCtx<'a> {
-    /// The event sink (possibly disabled).
-    pub(crate) tracer: &'a Tracer,
-    /// The remote system the estimate targets.
-    pub(crate) system: &'a SystemId,
-}
-
-impl<'a> TraceCtx<'a> {
-    /// Bundles a tracer and a system id.
-    pub(crate) fn new(tracer: &'a Tracer, system: &'a SystemId) -> Self {
-        TraceCtx { tracer, system }
-    }
-}
-
-/// Renders a model key for metric labels and event payloads
-/// (`"hive-a/join"`).
-pub(crate) fn model_key_label(key: &ModelKey) -> String {
-    format!("{}/{}", key.0, key.1)
-}
-
 /// Publishes a drift monitor's current report into a telemetry handle:
 /// per-model gauges (`model_rolling_rmse_pct`, `model_mean_q_error`,
-/// `model_drifted`, labelled by system and operator) and one
-/// [`Event::DriftFlagged`] per drifted model. Returns the flagged keys
-/// so callers can schedule retraining.
+/// `model_drifted`, labelled by system and operator). Returns the
+/// flagged keys so callers can schedule retraining.
 pub fn publish_drift(monitor: &DriftMonitor<ModelKey>, telemetry: &Telemetry) -> Vec<ModelKey> {
     let reg = &telemetry.metrics;
     reg.set_help(
@@ -93,13 +60,6 @@ fn publish_health(key: &ModelKey, health: &ModelHealth, telemetry: &Telemetry) {
         .set(health.mean_q_error);
     reg.gauge("model_drifted", &labels)
         .set(if health.drifted { 1.0 } else { 0.0 });
-    if health.drifted {
-        telemetry.tracer.emit(|| Event::DriftFlagged {
-            model: model_key_label(key),
-            rmse_pct: health.rmse_pct,
-            mean_q_error: health.mean_q_error,
-        });
-    }
 }
 
 /// What one [`DriftRetuner::check`] pass did.
@@ -122,12 +82,12 @@ pub struct RetuneOutcome {
 /// force back-to-back retraining storms.
 ///
 /// Each [`DriftRetuner::check`] pass publishes the monitor's health
-/// gauges ([`publish_drift`]), emits one
-/// [`AlertEvent::DriftBreach`] per flagged model, and — when the
-/// cooldown allows — runs the service's tuning pipeline exactly once
-/// for the whole breach set, producing a single epoch bump. The
-/// cooldown counts `check` calls rather than wall time, keeping the
-/// loop fully deterministic under test.
+/// gauges ([`publish_drift`]), returns the flagged models in its
+/// [`RetuneOutcome`], and — when the cooldown allows — runs the
+/// service's tuning pipeline exactly once for the whole breach set,
+/// producing a single epoch bump. The cooldown counts `check` calls
+/// rather than wall time, keeping the loop fully deterministic under
+/// test.
 pub struct DriftRetuner {
     monitor: DriftMonitor<ModelKey>,
     pipeline: TuningPipeline,
@@ -174,31 +134,19 @@ impl DriftRetuner {
         self.retunes.get()
     }
 
-    /// One pass of the loop: publish drift health, alert on breaches,
+    /// One pass of the loop: publish drift health, report breaches,
     /// and retune (once, for the whole flagged set) if the cooldown
     /// allows. Clears the monitor's windows after a retune so the fresh
     /// model is judged only on post-retune traffic.
     pub fn check(&mut self, service: &EstimatorService) -> RetuneOutcome {
         self.checks += 1;
-        let telemetry = service.telemetry();
-        let flagged = publish_drift(&self.monitor, telemetry);
+        let flagged = publish_drift(&self.monitor, service.telemetry());
         if flagged.is_empty() {
             return RetuneOutcome {
                 flagged,
                 retuned: None,
                 suppressed_by_cooldown: false,
             };
-        }
-        for key in &flagged {
-            if let Some(health) = self.monitor.status(key) {
-                telemetry.tracer.emit(|| {
-                    Event::Alert(AlertEvent::DriftBreach {
-                        model: model_key_label(key),
-                        rmse_pct: health.rmse_pct,
-                        mean_q_error: health.mean_q_error,
-                    })
-                });
-            }
         }
         let cooled = self.last_retune_check.map_or(true, |at| {
             self.checks.saturating_sub(at) >= self.cooldown_checks
@@ -225,8 +173,6 @@ impl DriftRetuner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use telemetry::VecSubscriber;
 
     fn monitor() -> DriftMonitor<ModelKey> {
         let mut m = DriftMonitor::new(DriftConfig {
@@ -245,9 +191,8 @@ mod tests {
     }
 
     #[test]
-    fn publish_drift_sets_gauges_and_emits_flag_events() {
-        let sub = Arc::new(VecSubscriber::new());
-        let telemetry = Telemetry::with_subscriber(sub.clone());
+    fn publish_drift_sets_gauges_and_returns_the_flagged_keys() {
+        let telemetry = Telemetry::new();
         let flagged = publish_drift(&monitor(), &telemetry);
         assert_eq!(
             flagged,
@@ -263,14 +208,6 @@ mod tests {
                 .unwrap()
                 > 25.0
         );
-        let events = sub.snapshot();
-        assert_eq!(events.len(), 1);
-        match &events[0] {
-            Event::DriftFlagged { model, .. } => {
-                assert_eq!(model, "presto-b/aggregation");
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
     }
 
     #[test]
@@ -304,11 +241,5 @@ mod tests {
                 (SystemId::new("presto-b"), OperatorKind::Join),
             ]
         );
-    }
-
-    #[test]
-    fn model_key_label_is_system_slash_operator() {
-        let key = (SystemId::new("spark-c"), OperatorKind::Sort);
-        assert_eq!(model_key_label(&key), "spark-c/sort");
     }
 }

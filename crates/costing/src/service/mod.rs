@@ -28,9 +28,8 @@
 //!   ([`crate::logical_op::flow::LogicalOpCosting::estimate_rows`]: one
 //!   fused packed-kernel pass for the in-range rows, the remedy for the
 //!   rest) → memo insert, against a single pinned snapshot, and a single
-//!   estimate is a batch of one row — so results and decision trails
-//!   cannot differ by entry point, nor from the manager stack, which
-//!   calls the same body;
+//!   estimate is a batch of one row — so results cannot differ by entry
+//!   point, nor from the manager stack, which calls the same body;
 //! * cheap **cloneable handles**: the service is an `Arc` internally, so
 //!   `service.clone()` hands a planner thread its own handle.
 //!
@@ -46,18 +45,15 @@ pub(crate) mod cache;
 use crate::{
     epoch::{Epoch, EpochStore, ModelSlot, ModelSnapshot, PipelineReport, TuningPipeline},
     estimator::{CostEstimate, OperatorKind},
-    logical_op::{
-        flow::{FlowScratch, LogicalOpCosting},
-        tuning::TuneReport,
-    },
-    observability::{ModelKey, TraceCtx},
+    logical_op::flow::{FlowScratch, LogicalOpCosting},
+    observability::ModelKey,
 };
 use catalog::SystemId;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use telemetry::span::{time as stage_time, Stage};
-use telemetry::{Counter, DriftMonitor, Event, Histogram, Telemetry};
+use telemetry::{Counter, DriftMonitor, Histogram, Telemetry};
 
 /// Histogram bounds (seconds) for served estimates: spans the paper's
 /// sub-second scans up to the ~10-minute heavy joins.
@@ -246,14 +242,14 @@ impl Default for EstimatorService {
 }
 
 impl EstimatorService {
-    /// Builds an empty service with its own (unsubscribed) telemetry.
+    /// Builds an empty service with its own telemetry.
     pub fn new(config: ServiceConfig) -> Self {
         EstimatorService::with_telemetry(config, Telemetry::new())
     }
 
     /// Builds an empty service publishing into the given telemetry
     /// handle: cache counters and the estimate histogram live in its
-    /// metrics registry, and decision-trail events go to its tracer.
+    /// metrics registry.
     pub fn with_telemetry(config: ServiceConfig, telemetry: Telemetry) -> Self {
         let reg = &telemetry.metrics;
         reg.set_help(
@@ -287,7 +283,7 @@ impl EstimatorService {
         }
     }
 
-    /// The service's telemetry handle (registry + tracer).
+    /// The service's telemetry handle (registry + span layer).
     pub fn telemetry(&self) -> &Telemetry {
         &self.inner.telemetry
     }
@@ -320,13 +316,10 @@ impl EstimatorService {
 
     /// Runs one offline-tuning pipeline pass: drains every due model's
     /// execution log, retrains, and publishes all results as a single
-    /// epoch bump (with one [`Event::TuningPass`] per retrained model).
+    /// epoch bump; the report carries one tuning report per retrained
+    /// model.
     pub fn run_tuning(&self, pipeline: &TuningPipeline) -> PipelineReport {
-        let report = pipeline.run_once(&self.inner.store);
-        for ((system, op), tune) in &report.reports {
-            self.emit_tuning_pass(system, *op, tune);
-        }
-        report
+        pipeline.run_once(&self.inner.store)
     }
 
     /// Registers (or replaces) the costing flow for one operator on one
@@ -366,11 +359,10 @@ impl EstimatorService {
     /// This is a one-row batch through the same core as
     /// [`EstimatorService::estimate_batch_flat_pinned_scratch`], over the
     /// calling thread's [`EstimateScratch`]: same memo probe, same
-    /// Fig. 3 body, same decision trail. A memo hit and an in-range
-    /// compute with the memo disabled perform zero heap
-    /// allocations once the scratch is warm (tracing disabled; the
-    /// insert after a memo miss and the out-of-range remedy
-    /// still allocate).
+    /// Fig. 3 body. A memo hit and an in-range compute with the memo
+    /// disabled perform zero heap allocations once the scratch is warm
+    /// (the insert after a memo miss and the out-of-range remedy still
+    /// allocate).
     pub fn estimate_pinned(
         &self,
         snapshot: &ModelSnapshot,
@@ -513,8 +505,8 @@ impl EstimatorService {
     /// pass and sends the others through the remedy individually.
     /// Results are identical, bit for bit, to calling
     /// [`EstimatorService::estimate`] per row at the same epoch.
-    /// With the memo disabled and tracing off, a warm scratch and warm
-    /// `out` make the whole call allocation-free for in-range batches.
+    /// With the memo disabled, a warm scratch and warm `out` make the
+    /// whole call allocation-free for in-range batches.
     #[expect(
         clippy::too_many_arguments,
         reason = "the hot-path entry point: every input is load-bearing"
@@ -554,10 +546,6 @@ impl EstimatorService {
     /// estimate entry point. `rows` holds `rows.len() / width` rows
     /// (callers guarantee `width > 0` divides the length); on success
     /// `scratch.results` holds one filled slot per row, in row order.
-    ///
-    /// The flow's body emits, per out-of-range miss, the remedy's
-    /// `PivotsDetected`/`RemedyBlend` pair as it is computed; one
-    /// `EstimateServed` per row follows.
     fn estimate_rows(
         &self,
         snapshot: &ModelSnapshot,
@@ -568,8 +556,6 @@ impl EstimatorService {
         scratch: &mut EstimateScratch,
     ) -> Result<(), ServiceError> {
         let n = rows.len() / width;
-        let epoch = snapshot.epoch().get();
-        let tracer = &self.inner.telemetry.tracer;
         let slot = slot_or_unknown(snapshot, system, op)?;
         check_arity_width(&slot.flow, width)?;
         check_finite(rows, width)?;
@@ -601,9 +587,7 @@ impl EstimatorService {
         self.inner.hits.add((n - miss_idx.len()) as u64);
 
         if !miss_idx.is_empty() {
-            let trace = TraceCtx::new(tracer, system);
-            slot.flow
-                .estimate_rows(rows, width, results, flow_scratch, Some(&trace));
+            slot.flow.estimate_rows(rows, width, results, flow_scratch);
             self.inner.misses.add(miss_idx.len() as u64);
             for &i in miss_idx.iter() {
                 let est = results
@@ -612,10 +596,6 @@ impl EstimatorService {
                     .ok_or(ServiceError::Internal("miss slot not computed"))?;
                 self.inner.estimate_secs.observe(est.secs);
             }
-        }
-
-        if tracer.is_enabled() {
-            self.emit_batch_events_flat(system, op, rows, width, results, miss_idx, epoch);
         }
 
         if self.inner.cache_enabled && !miss_idx.is_empty() {
@@ -635,38 +615,6 @@ impl EstimatorService {
         Ok(())
     }
 
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the flat batch's inputs, forwarded from the hot-path entry point"
-    )]
-    fn emit_batch_events_flat(
-        &self,
-        system: &SystemId,
-        op: OperatorKind,
-        rows: &[f64],
-        width: usize,
-        results: &[Option<CostEstimate>],
-        miss_idx: &[usize],
-        epoch: u64,
-    ) {
-        for ((i, row), r) in rows.chunks_exact(width).enumerate().zip(results.iter()) {
-            // Unfilled slots are reported by the caller as
-            // `ServiceError::Internal`; skipping them here keeps event
-            // emission panic-free.
-            let Some(est) = r.as_ref() else { continue };
-            let cache_hit = !miss_idx.contains(&i);
-            self.inner.telemetry.tracer.emit(|| Event::EstimateServed {
-                system: system.to_string(),
-                operator: op.to_string(),
-                features: row.to_vec(),
-                secs: est.secs,
-                source: format!("{:?}", est.source),
-                cache_hit,
-                epoch: Some(epoch),
-            });
-        }
-    }
-
     /// Feeds an observed actual execution into the owning flow (log + α
     /// tuner) through a clone-modify-publish transaction; the new flow
     /// gets a fresh memo, and every other model keeps its own. The flow's
@@ -679,20 +627,10 @@ impl EstimatorService {
         features: &[f64],
         actual_secs: f64,
     ) -> Result<(), ServiceError> {
-        let tracer = &self.inner.telemetry.tracer;
         let (dropped, _) = self.inner.store.try_transaction("observe", |tx| {
             tx.update_model(system, op, |flow| {
                 check_arity(flow, features)?;
                 check_finite(features, features.len())?;
-                // The model's *current* prediction next to the reported
-                // actual — the raw material of drift monitoring. Only
-                // computed when a subscriber is attached.
-                tracer.emit(|| Event::ActualObserved {
-                    system: system.to_string(),
-                    operator: op.to_string(),
-                    predicted: flow.estimate(features).secs,
-                    actual: actual_secs,
-                });
                 flow.observe_actual(features, actual_secs);
                 Ok(flow.log.dropped())
             })
@@ -721,37 +659,14 @@ impl EstimatorService {
     /// (clone-modify-publish; readers keep the previous snapshot until
     /// the new epoch lands).
     pub fn adjust_alpha(&self, system: &SystemId, op: OperatorKind) -> Result<f64, ServiceError> {
-        let tracer = &self.inner.telemetry.tracer;
         let (alpha, _) = self.inner.store.try_transaction("adjust-alpha", |tx| {
-            tx.update_model(system, op, |flow| {
-                let old_alpha = flow.tuner.alpha();
-                let new_alpha = flow.adjust_alpha();
-                tracer.emit(|| Event::AlphaAdjusted {
-                    system: system.to_string(),
-                    operator: op.to_string(),
-                    old_alpha,
-                    new_alpha,
-                });
-                new_alpha
-            })
-            .ok_or_else(|| ServiceError::UnknownModel {
-                system: system.clone(),
-                op,
-            })
+            tx.update_model(system, op, |flow| flow.adjust_alpha())
+                .ok_or_else(|| ServiceError::UnknownModel {
+                    system: system.clone(),
+                    op,
+                })
         })?;
         Ok(alpha)
-    }
-
-    /// One [`Event::TuningPass`] summarising what a retrain consumed and
-    /// achieved.
-    fn emit_tuning_pass(&self, system: &SystemId, op: OperatorKind, report: &TuneReport) {
-        self.inner.telemetry.tracer.emit(|| Event::TuningPass {
-            system: system.to_string(),
-            operator: op.to_string(),
-            entries_used: report.entries_used,
-            dims_expanded: report.dims_expanded.len(),
-            rmse_pct_after: report.rmse_pct_after,
-        });
     }
 
     /// Replays every registered flow's pending execution-log entries into
@@ -769,7 +684,7 @@ impl EstimatorService {
             for entry in slot.flow.log.entries() {
                 let predicted = slot
                     .flow
-                    .estimate_scratch(&entry.features, &mut scratch, None)
+                    .estimate_scratch(&entry.features, &mut scratch)
                     .secs;
                 monitor.record_versioned(
                     slot.key.clone(),
@@ -1148,72 +1063,6 @@ mod tests {
     }
 
     #[test]
-    fn subscribed_service_emits_estimate_served_events() {
-        use std::sync::Arc;
-        use telemetry::{Event, VecSubscriber};
-
-        let sub = Arc::new(VecSubscriber::new());
-        let svc = EstimatorService::with_telemetry(
-            ServiceConfig::default(),
-            Telemetry::with_subscriber(sub.clone()),
-        );
-        let sys = SystemId::new("hive-a");
-        svc.register(sys.clone(), trained_flow(2e-6));
-        let x = [5e5, 200.0];
-        let est = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
-        let _ = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
-        let served: Vec<_> = sub
-            .snapshot()
-            .into_iter()
-            .filter(|e| matches!(e, Event::EstimateServed { .. }))
-            .collect();
-        assert_eq!(served.len(), 2);
-        match &served[0] {
-            Event::EstimateServed {
-                system,
-                operator,
-                features,
-                secs,
-                cache_hit,
-                epoch,
-                ..
-            } => {
-                assert_eq!(system, "hive-a");
-                assert_eq!(operator, "aggregation");
-                assert_eq!(features, &x.to_vec());
-                assert_eq!(*secs, est.secs);
-                assert!(!cache_hit);
-                // register() published epoch 1; the estimate pinned it.
-                assert_eq!(*epoch, Some(1));
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
-        assert!(matches!(
-            served[1],
-            Event::EstimateServed {
-                cache_hit: true,
-                epoch: Some(1),
-                ..
-            }
-        ));
-        // The batch path reports per-row hit/miss too.
-        let rows = vec![x.to_vec(), vec![6e5, 300.0]];
-        let _ = svc
-            .estimate_batch_pinned(&svc.snapshot(), &sys, OperatorKind::Aggregation, &rows)
-            .unwrap();
-        let batch_served: Vec<bool> = sub
-            .snapshot()
-            .into_iter()
-            .skip(2)
-            .filter_map(|e| match e {
-                Event::EstimateServed { cache_hit, .. } => Some(cache_hit),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(batch_served, vec![true, false]);
-    }
-
-    #[test]
     fn service_drift_feeding_reaches_the_monitor() {
         use telemetry::DriftConfig;
 
@@ -1467,17 +1316,8 @@ mod tests {
 
     #[test]
     fn tuning_pipeline_runs_through_the_service() {
-        use std::sync::Arc;
-        use telemetry::{Event, VecSubscriber};
-
-        let sub = Arc::new(VecSubscriber::new());
-        let svc = EstimatorService::with_telemetry(
-            ServiceConfig::default(),
-            Telemetry::with_subscriber(sub.clone()),
-        );
-        let sys = SystemId::new("hive-a");
-        svc.register(sys.clone(), trained_flow(2e-6));
-        let mut rows = 1.6e6;
+        let (svc, sys) = service_with_model();
+        let (mut rows, mut observed) = (1.6e6, 0);
         while rows <= 2.6e6 {
             svc.observe_actual(
                 &sys,
@@ -1487,18 +1327,20 @@ mod tests {
             )
             .unwrap();
             rows += 1e5;
+            observed += 1;
         }
         let report = svc.run_tuning(&TuningPipeline::new(FitConfig::fast()));
         assert_eq!(report.reports.len(), 1);
         assert!(report.entries_drained > 0);
         assert_eq!(report.epoch, Some(svc.epoch()));
         assert!(flow_of(&svc, &sys).log.is_empty());
-        assert!(
-            sub.snapshot()
-                .iter()
-                .any(|e| matches!(e, Event::TuningPass { .. })),
-            "the pipeline pass must leave a tuning_pass trail"
-        );
+        // The per-model report names what the retrain consumed and
+        // achieved: every observed row, the rows dimension widened.
+        let ((system, op), tune) = &report.reports[0];
+        assert_eq!((system, *op), (&sys, OperatorKind::Aggregation));
+        assert_eq!(tune.entries_used, observed);
+        assert_eq!(tune.dims_expanded, vec![0]);
+        assert!(tune.rmse_pct_after.is_finite());
     }
 
     #[test]

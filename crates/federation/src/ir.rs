@@ -956,7 +956,6 @@ pub fn build_workload_pinned(
             candidates,
             epoch: Some(snapshot.epoch().get()),
         };
-        report.emit_ranking(&service.telemetry().tracer);
         let greedy = report.best().option.system.clone();
         if let Some(name) = &query.output {
             let def = synthetic_table_def(name, draft.out_rows, draft.out_bytes, &greedy);
@@ -993,9 +992,8 @@ pub fn build_workload_pinned(
 ///
 /// Planning activity lands on the service's telemetry: the
 /// `federation_plans_total`, `federation_placements_costed_total`, and
-/// `federation_placements_skipped_total` counters, plus one
-/// [`telemetry::Event::PlanRanked`] per successful plan when a tracing
-/// subscriber is attached.
+/// `federation_placements_skipped_total` counters. The ranking itself is
+/// the returned [`PlanReport::candidates`], cheapest first.
 pub fn plan_query_with_service(
     catalog: &Catalog,
     service: &EstimatorService,

@@ -8,7 +8,6 @@ use catalog::Catalog;
 use costing::hybrid::{CostingError, HybridCostManager};
 use sqlkit::analyze::analyze;
 use sqlkit::logical::LogicalPlan;
-use telemetry::{Event, Tracer};
 
 /// The cost breakdown of one placement candidate.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,20 +47,6 @@ impl PlanReport {
     )]
     pub fn best(&self) -> &PlacementCost {
         &self.candidates[0]
-    }
-
-    /// Emits this ranking as an [`Event::PlanRanked`] decision-trail
-    /// event (cheapest candidate first, the winner's total cost).
-    pub(crate) fn emit_ranking(&self, tracer: &Tracer) {
-        tracer.emit(|| Event::PlanRanked {
-            ranking: self
-                .candidates
-                .iter()
-                .map(|c| c.option.system.to_string())
-                .collect(),
-            chosen: self.best().option.system.to_string(),
-            total_secs: self.best().total_secs(),
-        });
     }
 }
 
@@ -254,33 +239,6 @@ mod tests {
             // Joining two foreign tables requires moving exactly one of
             // them (the other is local to the host).
             assert_eq!(cand.option.transfers.len(), 1);
-        }
-    }
-
-    #[test]
-    fn emit_ranking_reports_the_full_order_and_the_winner() {
-        use std::sync::Arc;
-        use telemetry::VecSubscriber;
-
-        let (catalog, mut manager) = setup();
-        let transfer = TransferCostModel::default();
-        let plan =
-            sqlkit::sql_to_plan("SELECT r.a1, s.a1 FROM t_r r JOIN t_s s ON r.a1 = s.a1").unwrap();
-        let report = plan_query(&catalog, &mut manager, &transfer, &plan).unwrap();
-        let sub = Arc::new(VecSubscriber::new());
-        report.emit_ranking(&Tracer::new(sub.clone()));
-        match sub.snapshot().as_slice() {
-            [Event::PlanRanked {
-                ranking,
-                chosen,
-                total_secs,
-            }] => {
-                assert_eq!(ranking.len(), report.candidates.len());
-                assert_eq!(chosen, &report.best().option.system.to_string());
-                assert_eq!(&ranking[0], chosen);
-                assert_eq!(*total_secs, report.best().total_secs());
-            }
-            other => panic!("unexpected trail {other:?}"),
         }
     }
 

@@ -16,11 +16,10 @@
 //! good/bad buckets sized at construction; recording allocates nothing.
 //!
 //! Each record updates the `slo_burn_rate{window=…}` gauge family; a
-//! fired alert increments `slo_alerts_total` and emits a typed
-//! [`AlertEvent::SloBurn`] through the tracer.
+//! fired alert is returned to the caller as a [`BurnAlert`] and
+//! increments `slo_alerts_total`.
 
 use crate::metrics::{Counter, Gauge};
-use crate::trace::{AlertEvent, Event, Tracer};
 use crate::Telemetry;
 use parking_lot::Mutex;
 
@@ -155,19 +154,17 @@ pub struct SloEngine {
     config: SloConfig,
     short_buckets: usize,
     long_buckets: usize,
-    /// Rank `SLO_STATE`: taken with nothing held; alert emission
-    /// happens after release.
+    /// Rank `SLO_STATE`: taken with nothing held.
     slo_state: Mutex<SloState>,
     short_gauge: Gauge,
     long_gauge: Gauge,
     alerts: Counter,
-    tracer: Tracer,
 }
 
 impl SloEngine {
     /// Builds an engine publishing into `telemetry`: the
-    /// `slo_burn_rate{window=…}` gauge family, the `slo_alerts_total`
-    /// counter, and [`AlertEvent::SloBurn`] trail events.
+    /// `slo_burn_rate{window=…}` gauge family and the `slo_alerts_total`
+    /// counter.
     pub fn new(config: SloConfig, telemetry: &Telemetry) -> Self {
         assert!(
             config.error_budget > 0.0 && config.error_budget <= 1.0,
@@ -207,7 +204,6 @@ impl SloEngine {
             short_gauge: reg.gauge("slo_burn_rate", &[("window", "short")]),
             long_gauge: reg.gauge("slo_burn_rate", &[("window", "long")]),
             alerts: reg.counter("slo_alerts_total", &[]),
-            tracer: telemetry.tracer.clone(),
             config,
         }
     }
@@ -246,20 +242,10 @@ impl SloEngine {
             return None;
         }
         self.alerts.inc();
-        let threshold = self.config.burn_threshold;
-        let target_us = self.config.target_latency_us;
-        self.tracer.emit(|| {
-            Event::Alert(AlertEvent::SloBurn {
-                target_us,
-                short_burn,
-                long_burn,
-                threshold,
-            })
-        });
         Some(BurnAlert {
             short_burn,
             long_burn,
-            threshold,
+            threshold: self.config.burn_threshold,
             at_us: now_us,
         })
     }
@@ -268,8 +254,6 @@ impl SloEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::VecSubscriber;
-    use std::sync::Arc;
 
     fn engine(telemetry: &Telemetry) -> SloEngine {
         SloEngine::new(
@@ -310,8 +294,7 @@ mod tests {
 
     #[test]
     fn sustained_breach_alerts_once_per_cooldown() {
-        let sub = Arc::new(VecSubscriber::new());
-        let t = Telemetry::with_subscriber(sub.clone());
+        let t = Telemetry::new();
         let e = engine(&t);
         let mut alerts = Vec::new();
         // 100% bad traffic for 3 simulated seconds at 100 rps.
@@ -324,14 +307,10 @@ mod tests {
         // (2 s) allows the initial alert plus one follow-up.
         assert_eq!(alerts.len(), 2, "cooldown must suppress repeats");
         assert!(alerts[0].short_burn >= 5.0 && alerts[0].long_burn >= 5.0);
+        assert!(alerts.iter().all(|a| a.threshold == 5.0));
         assert!(alerts[1].at_us - alerts[0].at_us >= 2_000_000);
-        assert_eq!(e.alerts.get(), 2);
-        let events = sub.snapshot();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(
-            &events[0],
-            Event::Alert(AlertEvent::SloBurn { threshold, .. }) if *threshold == 5.0
-        ));
+        let snap = t.metrics.snapshot();
+        assert_eq!(snap.counter("slo_alerts_total", &[]), Some(2));
     }
 
     #[test]

@@ -64,14 +64,11 @@ pub mod rank {
     /// `telemetry::metrics` registry help-text map.
     pub const REGISTRY_HELP: u32 = 51;
     /// `telemetry::slo` burn-rate bucket ring (`SloEngine::slo_state`) —
-    /// a leaf taken with nothing held; alert events are emitted after
-    /// release, but rank 60 stays legal should that ever nest.
+    /// a leaf taken with nothing held.
     pub const SLO_STATE: u32 = 55;
     /// `telemetry::span` exemplar reservoir (`LayerInner::exemplars`) —
     /// a leaf taken when a finished span guard drops.
     pub const SPAN_EXEMPLARS: u32 = 56;
-    /// `telemetry::trace` subscriber event buffers.
-    pub const TRACE_SUBSCRIBER: u32 = 60;
 }
 
 #[cfg(feature = "lock-order-check")]

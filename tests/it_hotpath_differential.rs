@@ -340,7 +340,7 @@ mod one_fig3_body {
             let op = OperatorKind::Aggregation;
 
             let mut slots: Vec<Option<CostEstimate>> = vec![None; rows.len()];
-            flow.estimate_rows(&flat, 4, &mut slots, &mut FlowScratch::new(), None);
+            flow.estimate_rows(&flat, 4, &mut slots, &mut FlowScratch::new());
             let mut served = Vec::new();
             service
                 .estimate_batch_flat_pinned_scratch(

@@ -29,7 +29,7 @@ const PRODUCTION_CRATES: [&str; 10] = [
 /// `#[expect(clippy::…)]` attributes under the production crates'
 /// `src/` when this cap was set. Lower it when escapes go; raising it
 /// means a new escape whose reason a reviewer should read.
-const EXPECT_BUDGET: usize = 62;
+const EXPECT_BUDGET: usize = 58;
 
 fn crates_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../crates")

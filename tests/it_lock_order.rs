@@ -6,24 +6,21 @@
 //! order, on any thread and across any number of calls, panics on the
 //! spot. Estimates read an atomically loaded snapshot and take one lock
 //! at a time (`SERVICE_CACHE` to probe, released before the kernel
-//! runs; `TRACE_SUBSCRIBER` per emitted event; `SERVICE_CACHE` again to
-//! insert). The nestings that do occur are on the write and exposition
-//! sides, and this suite drives each of them:
+//! runs; `SERVICE_CACHE` again to insert). The nestings that do occur
+//! are on the write and exposition sides, and this suite drives each of
+//! them:
 //!
 //! * `EPOCH_COMMIT` → `EPOCH_RETIRED`: publishing a snapshot retires
 //!   the previous one inside the commit critical section;
-//! * `EPOCH_COMMIT` → `TRACE_SUBSCRIBER`: `observe_actual` and
-//!   `adjust_alpha` emit their trail events inside the transaction;
 //! * `REGISTRY_METRICS` → `REGISTRY_HELP`: Prometheus exposition.
 //!
-//! The checker also logs every rank a thread acquires, and the last
-//! test uses that to pin the read path to the one lock it may take:
-//! the costed model's estimate memo.
+//! The checker also logs every rank a thread acquires; the suite uses
+//! that to pin a feedback write to the commit and the retired list, and
+//! the read path to the one lock it may take: the costed model's
+//! estimate memo.
 //!
 //! Run with: `cargo test -q --features lock-order-check -p tests`.
 #![cfg(feature = "lock-order-check")]
-
-use std::sync::Arc;
 
 use catalog::{
     Capability, Catalog, ColumnDef, ColumnStats, RemoteSystemProfile, SystemId, SystemKind,
@@ -45,7 +42,6 @@ use federation::{
 use integration_tests::federation_flows;
 use neuro::{Dataset, PackedScratch};
 use parking_lot::{rank, ranks_acquired_during};
-use telemetry::{Telemetry, VecSubscriber};
 
 fn agg_flow() -> LogicalOpCosting {
     let mut inputs = vec![];
@@ -85,21 +81,18 @@ fn checker_is_armed() {
 }
 
 /// The full estimation hot path — cache hits, NN misses, remedy rows,
-/// observes, α adjustment, tracing enabled — under 8 threads with the
-/// checker armed. Any cache/commit/retired/subscriber acquisition that
-/// violates the ranked order panics the worker and fails the test.
+/// observes, α adjustment — under 8 threads with the checker armed.
+/// Any cache/commit/retired/registry acquisition that violates the
+/// ranked order panics the worker and fails the test.
 #[test]
 fn estimation_hot_path_holds_ranked_order_under_contention() {
-    let subscriber = Arc::new(VecSubscriber::new());
-    let telemetry = Telemetry::with_subscriber(subscriber.clone());
-    let service = EstimatorService::with_telemetry(ServiceConfig::default(), telemetry);
+    let service = EstimatorService::new(ServiceConfig::default());
     let sys = SystemId::new("lock-order-sys");
     service.register(sys.clone(), agg_flow());
 
     let rows: Vec<Vec<f64>> = (0..240)
         .map(|i| {
-            // Every 7th probe is far out of range: the remedy path emits
-            // more events (more subscriber acquisitions) per estimate.
+            // Every 7th probe is far out of range: the remedy path.
             let r = if i % 7 == 0 {
                 9.0e7
             } else {
@@ -143,7 +136,28 @@ fn estimation_hot_path_holds_ranked_order_under_contention() {
     // Registry exposition holds REGISTRY_METRICS → REGISTRY_HELP.
     let text = service.telemetry().metrics.render_prometheus();
     assert!(text.contains("estimator_cache_hits_total"));
-    assert!(!subscriber.is_empty(), "tracing was live during the run");
+
+    // A feedback write takes nothing under the commit lock but the
+    // retired-snapshot list; the log-eviction gauge `observe_actual`
+    // sets afterwards is a registry lookup, taken once the commit is
+    // released.
+    let op = OperatorKind::Aggregation;
+    let observe = ranks_acquired_during(|| {
+        service
+            .observe_actual(&sys, op, &rows[0], 40.0)
+            .expect("observe");
+    });
+    let expected = [
+        rank::EPOCH_COMMIT,
+        rank::EPOCH_RETIRED,
+        rank::REGISTRY_METRICS,
+    ];
+    assert_eq!(observe, expected, "observe_actual acquired {observe:?}");
+    let adjust = ranks_acquired_during(|| {
+        service.adjust_alpha(&sys, op).expect("adjust_alpha");
+    });
+    let expected = [rank::EPOCH_COMMIT, rank::EPOCH_RETIRED];
+    assert_eq!(adjust, expected, "adjust_alpha acquired {adjust:?}");
 }
 
 /// The master and one Hive remote, both with join and aggregation
@@ -194,12 +208,12 @@ fn federation_setup() -> (Catalog, EstimatorService) {
     (catalog, service)
 }
 
-/// The read path takes no lock but the estimate cache. With tracing
-/// off, every lock the calling thread takes through the pinned estimate
+/// The read path takes no lock but the estimate cache. Every lock the
+/// calling thread takes through the pinned estimate
 /// entries, both packed kernels, single-query placement, the workload
 /// build and `plan_workload` must be a model's `SERVICE_CACHE` memo: a
-/// registry lookup (`REGISTRY_METRICS`), a commit, a subscriber buffer
-/// or any unranked lock fails here. `plan_workload`'s dispatch threads
+/// registry lookup (`REGISTRY_METRICS`), a commit or any unranked lock
+/// fails here. `plan_workload`'s dispatch threads
 /// are not the calling thread, so their locks are not seen.
 #[test]
 fn read_path_takes_no_lock_but_the_cache() {

@@ -1,11 +1,10 @@
 //! Observability contract, end to end: train a logical-op model against
-//! the simulator, serve estimates through the [`EstimatorService`] with a
-//! subscriber attached, and check that (a) the decision-trail events
-//! agree exactly with the estimate the caller got back, and (b) after a
-//! simulated regime change on one system the drift monitor flags that
-//! model — and only that model — within a single window.
-
-use std::sync::Arc;
+//! the simulator, serve estimates through the [`EstimatorService`], and
+//! check that (a) an out-of-range estimate is the remedy outcome for its
+//! row, bit for bit, with its provenance returned beside it, and (b)
+//! after a simulated regime change on one system the drift monitor flags
+//! that model — and only that model — within a single window, and the
+//! metrics exposition says so.
 
 use catalog::SystemId;
 use costing::estimator::{EstimateSource, OperatorKind};
@@ -13,13 +12,14 @@ use costing::features::{features_from_sql, join_dim_names};
 use costing::logical_op::{
     flow::LogicalOpCosting,
     model::{FitConfig, LogicalOpModel, TopologyChoice},
+    remedy::{remedy_estimate, RemedyConfig},
     run_training,
 };
-use costing::service::{EstimatorService, ServiceConfig};
+use costing::service::{CacheStats, EstimatorService, ServiceConfig};
 use costing::{publish_drift, ModelKey};
 use remote_sim::ClusterEngine;
 use sqlkit::RemoteSystem;
-use telemetry::{DriftConfig, DriftMonitor, Event, Telemetry, VecSubscriber};
+use telemetry::{DriftConfig, DriftMonitor};
 use workload::{join_training_queries_with, register_tables, TableSpec};
 
 fn fast_fit() -> FitConfig {
@@ -46,10 +46,10 @@ fn join_specs() -> Vec<TableSpec> {
 /// One pass through the whole loop: train on the simulator (noise
 /// reseeded, not disabled), estimate out of range, replay actuals into
 /// two registered systems — one faithful, one with a 5× regime change —
-/// and read the story back out of the events, the drift report, and the
-/// metrics exposition.
+/// and read the story back out of the returned estimate, the drift
+/// report, and the metrics exposition.
 #[test]
-fn full_cycle_traces_decisions_and_flags_the_degraded_model() {
+fn full_cycle_estimates_and_flags_the_degraded_model() {
     let specs = join_specs();
     let mut engine = ClusterEngine::paper_hive("hive-obs", 11).with_noise_seed(777);
     register_tables(&mut engine, &specs).expect("tables register");
@@ -66,19 +66,15 @@ fn full_cycle_traces_decisions_and_flags_the_degraded_model() {
         &fast_fit(),
     );
 
-    let subscriber = Arc::new(VecSubscriber::new());
-    let service = EstimatorService::with_telemetry(
-        ServiceConfig::default(),
-        Telemetry::with_subscriber(subscriber.clone()),
-    );
+    let service = EstimatorService::new(ServiceConfig::default());
     let live = SystemId::new("hive-live");
     let drifty = SystemId::new("hive-drift");
     service.register(live.clone(), LogicalOpCosting::new(model.clone()));
-    service.register(drifty.clone(), LogicalOpCosting::new(model));
+    service.register(drifty.clone(), LogicalOpCosting::new(model.clone()));
 
     // --- Estimate far out of the trained range: the remedy path must
-    // fire, and the emitted decision trail must agree with the returned
-    // estimate, not merely resemble it.
+    // fire, and the returned seconds must be the remedy's own blend for
+    // this row at the reported α, not merely resemble it.
     engine
         .register_table(workload::build_table(&TableSpec::new(24_000_000, 250)))
         .unwrap();
@@ -92,58 +88,23 @@ fn full_cycle_traces_decisions_and_flags_the_degraded_model() {
         other => panic!("expected the remedy path out of range, got {other:?}"),
     };
 
-    let trail = subscriber.take();
-    let pivots_event = trail
-        .iter()
-        .find_map(|e| match e {
-            Event::PivotsDetected { system, pivots, .. } if system == "hive-live" => {
-                Some(pivots.clone())
-            }
-            _ => None,
-        })
-        .expect("a pivots_detected event");
-    assert_eq!(pivots_event, est_pivots, "trail pivots vs returned source");
-
-    let (blend_alpha, blend_nn, blend_reg, blended) = trail
-        .iter()
-        .find_map(|e| match e {
-            Event::RemedyBlend {
-                system,
-                alpha,
-                nn_estimate,
-                regression_estimate,
-                blended,
-                ..
-            } if system == "hive-live" => {
-                Some((*alpha, *nn_estimate, *regression_estimate, *blended))
-            }
-            _ => None,
-        })
-        .expect("a remedy_blend event");
-    assert_eq!(blend_alpha, est_alpha, "trail α vs returned source");
-    assert_eq!(blended, est.secs, "trail blend vs returned seconds");
-    let recombined = blend_alpha * blend_nn + (1.0 - blend_alpha) * blend_reg;
-    assert!(
-        (recombined - blended).abs() < 1e-9,
-        "blend components must recombine: {recombined} vs {blended}"
+    assert!(!est_pivots.is_empty(), "an out-of-range row has a pivot");
+    let outcome = remedy_estimate(
+        &model,
+        &features.values,
+        &RemedyConfig::default(),
+        est_alpha,
     );
-
-    let served = trail
-        .iter()
-        .find_map(|e| match e {
-            Event::EstimateServed {
-                system,
-                secs,
-                source,
-                cache_hit,
-                ..
-            } if system == "hive-live" => Some((*secs, source.clone(), *cache_hit)),
-            _ => None,
-        })
-        .expect("an estimate_served event");
-    assert_eq!(served.0, est.secs);
-    assert!(served.1.starts_with("OnlineRemedy"), "source {}", served.1);
-    assert!(!served.2, "first request cannot be a cache hit");
+    assert_eq!(
+        outcome.estimate.to_bits(),
+        est.secs.to_bits(),
+        "returned seconds vs the remedy outcome at the returned α"
+    );
+    assert_eq!(
+        service.stats(),
+        CacheStats { hits: 0, misses: 1 },
+        "first request cannot be a cache hit"
+    );
 
     // --- Observe one window of actuals from the simulator. The live
     // system reports faithfully; the drifty one reports a 5× slowdown
@@ -164,13 +125,6 @@ fn full_cycle_traces_decisions_and_flags_the_degraded_model() {
             .unwrap();
         observed += 2;
     }
-
-    let actual_events = subscriber
-        .take()
-        .iter()
-        .filter(|e| e.kind() == "actual_observed")
-        .count();
-    assert_eq!(actual_events, observed, "one event per observed actual");
 
     // --- Drift check: everything observed flows into the monitor, the
     // degraded model is flagged inside this first window, the faithful
@@ -204,12 +158,17 @@ fn full_cycle_traces_decisions_and_flags_the_degraded_model() {
         degraded.rmse_pct,
         healthy.rmse_pct
     );
-    let drift_events = subscriber.take();
-    assert!(
-        drift_events.iter().any(
-            |e| matches!(e, Event::DriftFlagged { model, .. } if model.contains("hive-drift"))
-        ),
-        "publish_drift must emit a drift_flagged event"
+    let snap = service.telemetry().metrics.snapshot();
+    let drifted = |system| snap.gauge("model_drifted", &[("system", system), ("operator", "join")]);
+    assert_eq!(
+        drifted("hive-drift"),
+        Some(1.0),
+        "the degraded model's gauge"
+    );
+    assert_eq!(
+        drifted("hive-live"),
+        Some(0.0),
+        "the faithful model's gauge"
     );
 
     // --- The exposition carries the whole story and parses as
@@ -237,87 +196,5 @@ fn full_cycle_traces_decisions_and_flags_the_degraded_model() {
                     .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
             "bad metric name in line: {line}"
         );
-    }
-}
-
-/// The single-row and the batch entry points are one body, so the same
-/// out-of-range row leaves the same decision trail through either, and
-/// every out-of-range row of a batch gets its remedy pair.
-#[test]
-fn batch_and_single_row_estimates_leave_the_same_remedy_trail() {
-    let mut inputs = vec![];
-    let mut targets = vec![];
-    for r in 1..=15 {
-        for s in 1..=4 {
-            let (rows, size) = (r as f64 * 1e5, s as f64 * 100.0);
-            inputs.push(vec![rows, size]);
-            targets.push(1.0 + 2e-6 * rows + 0.01 * size);
-        }
-    }
-    let (model, _) = LogicalOpModel::fit(
-        OperatorKind::Aggregation,
-        &["rows", "size"],
-        &neuro::Dataset::new(inputs, targets),
-        &FitConfig::fast(),
-    );
-    let subscriber = Arc::new(VecSubscriber::new());
-    let service = EstimatorService::with_telemetry(
-        ServiceConfig::default(),
-        Telemetry::with_subscriber(subscriber.clone()),
-    );
-    let sys = SystemId::new("hive-live");
-    service.register(sys.clone(), LogicalOpCosting::new(model));
-    let op = OperatorKind::Aggregation;
-    let kinds = |trail: &[Event]| trail.iter().map(Event::kind).collect::<Vec<_>>();
-
-    let oor = vec![2e7, 200.0];
-    let single_est = service.estimate(&sys, op, &oor).unwrap();
-    let single = subscriber.take();
-    assert_eq!(
-        kinds(&single),
-        ["pivots_detected", "remedy_blend", "estimate_served"]
-    );
-    service.clear_cache();
-    let snapshot = service.snapshot();
-    let batch_est = service
-        .estimate_batch_pinned(&snapshot, &sys, op, std::slice::from_ref(&oor))
-        .unwrap();
-    assert_eq!(batch_est, [single_est]);
-    // Same kinds, same order, equal pivots / α / blended payloads.
-    assert_eq!(subscriber.take(), single);
-
-    service.clear_cache();
-    let rows = vec![
-        vec![5e5, 200.0],
-        vec![3e7, 300.0],
-        vec![7e5, 100.0],
-        vec![2e7, 5_000.0],
-    ];
-    let ests = service
-        .estimate_batch_pinned(&snapshot, &sys, op, &rows)
-        .unwrap();
-    let trail = subscriber.take();
-    assert_eq!(
-        kinds(&trail),
-        [
-            "pivots_detected",
-            "remedy_blend",
-            "pivots_detected",
-            "remedy_blend",
-            "estimate_served",
-            "estimate_served",
-            "estimate_served",
-            "estimate_served",
-        ]
-    );
-    for (pair, est) in trail[..4].chunks(2).zip([&ests[1], &ests[3]]) {
-        let EstimateSource::OnlineRemedy { alpha, pivots } = &est.source else {
-            panic!("expected the remedy path, got {:?}", est.source);
-        };
-        assert!(matches!(&pair[0], Event::PivotsDetected { pivots: p, .. } if p == pivots));
-        assert!(matches!(
-            &pair[1],
-            Event::RemedyBlend { alpha: a, blended, .. } if a == alpha && *blended == est.secs
-        ));
     }
 }
