@@ -336,7 +336,7 @@ fn run_cell(queries: usize, engines: usize, reuse: f64, seed: u64) -> WorkloadRo
     }
     let schedule = ScheduleConfig {
         slots: SlotMap::uniform(1),
-        threads: 4,
+        ..ScheduleConfig::default()
     };
     // `plan_workload`'s pipeline, call for call, with the rule pass timed.
     let greedy_plan = build_workload_pinned(

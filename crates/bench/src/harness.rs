@@ -149,8 +149,8 @@ pub(crate) fn read<D: BenchDoc>(path: &Path) -> Result<D, String> {
 }
 
 /// The whole `main` of a gated experiment binary: `run` measures and
-/// writes the document (`--quick` / `EXP_QUICK` select the reduced run
-/// and its file), then the document is held to its gates — exit 1 when
+/// writes the document (`--quick` selects the reduced run and its
+/// file), then the document is held to its gates — exit 1 when
 /// one fails, so a broken gate fails the run that broke it.
 pub fn main<D: BenchDoc>(run: impl FnOnce(&ExpConfig) -> D) {
     let mut doc = run(&ExpConfig::from_env());

@@ -21,8 +21,8 @@
 //! Each experiment prints the same rows/series the paper reports and
 //! returns a structured result for the integration tests, which assert
 //! the paper's *shape* (who wins, by roughly what factor, where the
-//! crossovers fall). Run with `--quick` (or `EXP_QUICK=1`) for reduced
-//! workloads.
+//! crossovers fall). Run with `--quick` for reduced workloads; any other
+//! argument is refused with exit code 2.
 //!
 //! The binaries marked † are *gated*: each writes a `BENCH_<name>.json`
 //! document, then holds it to a gate nothing else in the tree holds

@@ -27,15 +27,21 @@ impl Default for ExpConfig {
 }
 
 impl ExpConfig {
-    /// Reads `--quick` from argv and `EXP_QUICK` from the environment.
+    /// Reads the one argument an experiment binary accepts, `--quick`.
+    /// Any other argument prints a usage line on stderr and exits with
+    /// code 2, so a mistyped flag never runs (and writes) full mode.
     pub fn from_env() -> Self {
-        let quick = std::env::args().any(|a| a == "--quick")
-            || std::env::var("EXP_QUICK")
-                .map(|v| v == "1")
-                .unwrap_or(false);
-        ExpConfig {
-            quick,
-            ..Default::default()
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_else(|| "exp".into());
+        match quick_from_args(args) {
+            Ok(quick) => ExpConfig {
+                quick,
+                ..Default::default()
+            },
+            Err(arg) => {
+                eprintln!("usage: {program} [--quick] (unknown argument `{arg}`)");
+                std::process::exit(2);
+            }
         }
     }
 
@@ -47,6 +53,19 @@ impl ExpConfig {
             ..Default::default()
         }
     }
+}
+
+/// Whether argv after the program name selects quick mode; the first
+/// argument other than `--quick` is the error.
+fn quick_from_args(args: impl IntoIterator<Item = String>) -> Result<bool, String> {
+    let mut quick = false;
+    for arg in args {
+        if arg != "--quick" {
+            return Err(arg);
+        }
+        quick = true;
+    }
+    Ok(quick)
 }
 
 /// A named (x, y) series destined for one figure panel.
@@ -168,6 +187,15 @@ mod tests {
         assert!((slope - 2.0).abs() < 1e-9);
         assert!((intercept - 1.0).abs() < 1e-9);
         assert!((r2 - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn quick_is_the_one_accepted_argument() {
+        let parse = |args: &[&str]| quick_from_args(args.iter().map(|a| a.to_string()));
+        assert_eq!(parse(&[]), Ok(false));
+        assert_eq!(parse(&["--quick"]), Ok(true));
+        assert_eq!(parse(&["--quik"]), Err("--quik".into()));
+        assert_eq!(parse(&["--quick", "full"]), Err("full".into()));
     }
 
     #[test]

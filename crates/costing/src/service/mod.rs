@@ -373,7 +373,7 @@ impl EstimatorService {
         if features.is_empty() {
             // A zero-width row has no flat layout; answer with the typed
             // error the model lookup and arity check give.
-            check_arity(&slot_or_unknown(snapshot, system, op)?.flow, features)?;
+            check_request(snapshot, system, op, features)?;
             return Err(ServiceError::Internal("model of arity zero"));
         }
         TLS_SCRATCH.with(|s| {
@@ -416,7 +416,7 @@ impl EstimatorService {
             // per-row arity error the flat path would have raised.
             let flow = &slot_or_unknown(snapshot, system, op)?.flow;
             for r in rows {
-                check_arity(flow, r)?;
+                check_arity(flow, r.len())?;
             }
             return Err(ServiceError::Internal("mixed-width batch"));
         }
@@ -526,7 +526,7 @@ impl EstimatorService {
             // No row to cost, but a zero-width batch of several rows
             // flattens to nothing too: answer with the model lookup and
             // arity check a non-empty batch would get.
-            check_arity_width(&slot_or_unknown(snapshot, system, op)?.flow, width)?;
+            checked_slot(snapshot, system, op, rows, width)?;
             return Ok(());
         }
         if width == 0 || rows.len() % width != 0 {
@@ -556,9 +556,7 @@ impl EstimatorService {
         scratch: &mut EstimateScratch,
     ) -> Result<(), ServiceError> {
         let n = rows.len() / width;
-        let slot = slot_or_unknown(snapshot, system, op)?;
-        check_arity_width(&slot.flow, width)?;
-        check_finite(rows, width)?;
+        let slot = checked_slot(snapshot, system, op, rows, width)?;
         let EstimateScratch {
             bits,
             results,
@@ -629,7 +627,7 @@ impl EstimatorService {
     ) -> Result<(), ServiceError> {
         let (dropped, _) = self.inner.store.try_transaction("observe", |tx| {
             tx.update_model(system, op, |flow| {
-                check_arity(flow, features)?;
+                check_arity(flow, features.len())?;
                 check_finite(features, features.len())?;
                 flow.observe_actual(features, actual_secs);
                 Ok(flow.log.dropped())
@@ -734,11 +732,35 @@ fn slot_or_unknown<'s>(
         })
 }
 
-fn check_arity(flow: &LogicalOpCosting, features: &[f64]) -> Result<(), ServiceError> {
-    check_arity_width(flow, features.len())
+/// Refuses one request as every estimate entry point does, checking in
+/// the same order: the model is registered, the row has its arity, and
+/// every feature is finite. The front end checks each request with it
+/// before batching, so a bad request is refused alone.
+pub fn check_request(
+    snapshot: &ModelSnapshot,
+    system: &SystemId,
+    op: OperatorKind,
+    features: &[f64],
+) -> Result<(), ServiceError> {
+    checked_slot(snapshot, system, op, features, features.len()).map(|_| ())
 }
 
-fn check_arity_width(flow: &LogicalOpCosting, width: usize) -> Result<(), ServiceError> {
+/// The model slot for `(system, op)` once `rows` (`width` features
+/// each) pass the lookup, arity and finiteness checks, in that order.
+fn checked_slot<'s>(
+    snapshot: &'s ModelSnapshot,
+    system: &SystemId,
+    op: OperatorKind,
+    rows: &[f64],
+    width: usize,
+) -> Result<&'s ModelSlot, ServiceError> {
+    let slot = slot_or_unknown(snapshot, system, op)?;
+    check_arity(&slot.flow, width)?;
+    check_finite(rows, width)?;
+    Ok(slot)
+}
+
+fn check_arity(flow: &LogicalOpCosting, width: usize) -> Result<(), ServiceError> {
     let expected = flow.model.arity();
     if width != expected {
         return Err(ServiceError::ArityMismatch {

@@ -44,7 +44,7 @@
 //! * [`schedule`] — the **physical layer**: topological dispatch of the
 //!   optimized plan across engines under per-engine capacity slots,
 //!   emitting a [`schedule::WorkloadReport`] (placements, predicted
-//!   makespan, reuse savings, pinned epoch).
+//!   makespan, reuse savings, pinned epoch) on the caller's thread.
 //!
 //! Single-query entry points ([`planner::plan_query`],
 //! [`ir::plan_query_with_service_pinned`], the facade's

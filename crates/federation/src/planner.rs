@@ -59,9 +59,9 @@ pub enum PlanError {
     NoViablePlacement,
     /// Costing failed on every candidate.
     Costing(CostingError),
-    /// An internal fan-out invariant failed (a result slot that a worker
-    /// thread should have filled came back empty). Reported as an error
-    /// rather than a panic so concurrent planning degrades per query.
+    /// An internal invariant failed (a singleton workload produced no
+    /// node). Reported as an error rather than a panic so planning
+    /// degrades per query.
     Internal(
         /// Which invariant was violated.
         &'static str,

@@ -2,11 +2,12 @@
 //!
 //! The logical layer ([`crate::ir`], [`crate::rules`]) decides *what*
 //! runs *where*; this module turns an optimized [`WorkloadPlan`] into a
-//! dispatch: executing nodes grouped into topological waves, each wave
-//! fanned out over scoped-thread strips, engine
-//! concurrency bounded by per-engine capacity slots, and the outcome
-//! summarized as a [`WorkloadReport`] (per-query placement, predicted
-//! makespan, reuse savings, and the pinned model epoch).
+//! dispatch: every executing node timed by the slot simulator, tagged
+//! with its topological wave, engine concurrency bounded by per-engine
+//! capacity slots, and the outcome summarized as a [`WorkloadReport`]
+//! (per-query placement, predicted makespan, reuse savings, and the
+//! pinned model epoch). The report is assembled on the caller's thread
+//! in one pass over the simulated tasks.
 //!
 //! The full pipeline is `plan_workload_pinned`:
 //!
@@ -22,7 +23,7 @@
 //! reported improvement is exactly what the rule driver accepted —
 //! the optimized makespan is never worse than greedy by construction.
 
-use crate::ir::{build_workload_pinned, QueryId, SimTask, SlotMap, WorkloadPlan, WorkloadSpec};
+use crate::ir::{build_workload_pinned, QueryId, SlotMap, WorkloadPlan, WorkloadSpec};
 use crate::planner::PlanError;
 use crate::rules::{optimize, RuleTrace};
 use crate::transfer::TransferCostModel;
@@ -31,21 +32,13 @@ use costing::service::EstimatorService;
 use costing::ModelSnapshot;
 
 /// Physical dispatch configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScheduleConfig {
     /// Per-engine concurrency capacity.
     pub slots: SlotMap,
-    /// OS threads for per-wave dispatch fan-out (min 1).
+    /// Ignored; kept only because `benchmark/` names it; ROADMAP 24
+    /// deletes it.
     pub threads: usize,
-}
-
-impl Default for ScheduleConfig {
-    fn default() -> Self {
-        ScheduleConfig {
-            slots: SlotMap::default(),
-            threads: 4,
-        }
-    }
 }
 
 /// One dispatched (or merged-away) query in the final report.
@@ -122,84 +115,30 @@ impl WorkloadOutcome {
     }
 }
 
-/// The wave fan-out's thread pool in function form: runs `f(0..n)`
-/// on up to `threads` scoped OS threads in round-robin strips (thread
-/// `t` takes items `t`, `t+threads`, `t+2·threads`, …), writing each
-/// result into its input-order slot without locks. With one thread (or
-/// one item) everything runs inline on the caller's thread.
-///
-/// A `None` in the output means a worker died before filling its slot;
-/// [`dispatch`] drops such entries rather than panicking.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "blocks: spawns and joins scoped threads under plan_workload_pinned when threads > 1; deleted by ROADMAP 13(a)"
-)]
-fn run_strips<T, F>(n: usize, threads: usize, f: F) -> Vec<Option<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.max(1).min(n.max(1));
-    let mut results: Vec<Option<T>> = Vec::new();
-    results.resize_with(n, || None);
-    if threads == 1 {
-        for (i, slot) in results.iter_mut().enumerate() {
-            *slot = Some(f(i));
-        }
-        return results;
-    }
-    let slots: Vec<_> = results.iter_mut().collect();
-    std::thread::scope(|scope| {
-        let mut strips: Vec<Vec<(usize, &mut Option<T>)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (i, slot) in slots.into_iter().enumerate() {
-            if let Some(strip) = strips.get_mut(i % threads) {
-                strip.push((i, slot));
-            }
-        }
-        for strip in strips {
-            let f = &f;
-            scope.spawn(move || {
-                for (i, slot) in strip {
-                    *slot = Some(f(i));
-                }
-            });
-        }
-    });
-    results
-}
-
-/// Dispatches one plan state: simulates it, then assembles the
-/// per-query report wave by wave on `run_strips` threads.
-pub fn dispatch(plan: &WorkloadPlan, config: &ScheduleConfig) -> WorkloadReport {
+/// Dispatches one plan state: simulates it, then reports every node in
+/// statement order. An executing node carries its simulated task; a
+/// merged node carries its canonical's engine, wave and finish at zero
+/// cost. `_config` is ignored; kept only because `benchmark/` names it;
+/// ROADMAP 24 deletes it.
+pub fn dispatch(plan: &WorkloadPlan, _config: &ScheduleConfig) -> WorkloadReport {
     let sim = plan.simulate();
-    let mut waves: Vec<Vec<&SimTask>> = vec![Vec::new(); sim.totals.waves];
+    let mut queries: Vec<ScheduledQuery> = Vec::with_capacity(plan.nodes.len());
     for task in &sim.tasks {
-        if let Some(wave) = waves.get_mut(task.wave) {
-            wave.push(task);
-        }
-    }
-    let mut queries: Vec<ScheduledQuery> = Vec::new();
-    for wave in &waves {
-        // One strip fan-out per topological wave: every query in a wave
-        // is independent of the others, so report assembly (and, in a
-        // live deployment, submission) parallelizes freely.
-        let entries = run_strips(wave.len(), config.threads, |i| {
-            let task = wave.get(i)?;
-            let q = task.query;
-            Some(ScheduledQuery {
-                query: q,
-                label: plan.nodes.get(q.0)?.label.clone(),
-                system: plan.assignment.get(q.0)?.clone(),
-                start_secs: task.start_secs,
-                finish_secs: task.finish_secs,
-                exec_secs: task.exec_secs,
-                transfer_secs: task.transfer_secs,
-                wave: task.wave,
-                merged_into: None,
-            })
+        let q = task.query;
+        let (Some(node), Some(system)) = (plan.nodes.get(q.0), plan.assignment.get(q.0)) else {
+            continue;
+        };
+        queries.push(ScheduledQuery {
+            query: q,
+            label: node.label.clone(),
+            system: system.clone(),
+            start_secs: task.start_secs,
+            finish_secs: task.finish_secs,
+            exec_secs: task.exec_secs,
+            transfer_secs: task.transfer_secs,
+            wave: task.wave,
+            merged_into: None,
         });
-        queries.extend(entries.into_iter().flatten().flatten());
     }
     // Merged nodes appear in the report with their canonical's placement
     // and zero cost — the statement is answered, just not recomputed.
@@ -303,4 +242,144 @@ pub fn plan_workload(
 ) -> Result<WorkloadOutcome, PlanError> {
     let snapshot = service.snapshot();
     plan_workload_pinned(catalog, service, &snapshot, transfer_model, spec, config)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ir::{InputRef, SimSchedule, SimTask, WorkloadNode};
+    use crate::placement::PlacementOption;
+    use crate::planner::PlacementCost;
+
+    /// Node `id` reading `input`, costed at `(engine, exec secs)` each.
+    fn node(id: usize, input: InputRef, costs: &[(&SystemId, f64)], fp: u64) -> WorkloadNode {
+        let candidates = costs.iter().map(|&(system, execution_secs)| PlacementCost {
+            option: PlacementOption {
+                system: system.clone(),
+                transfers: Vec::new(),
+            },
+            execution_secs,
+            transfer_secs: 0.0,
+        });
+        WorkloadNode {
+            id: QueryId(id),
+            label: format!("q{id}"),
+            output: Some(format!("out_{id}")),
+            inputs: vec![input],
+            candidates: candidates.collect(),
+            skipped: 0,
+            out_rows: 1e4,
+            out_bytes: 1e6,
+            fingerprint: fp,
+        }
+    }
+
+    /// Five statements on a Hive engine and the master, one slot each:
+    /// `q1` reads `q0`'s output (wave 1), `q2` repeats `q0` and is merged
+    /// onto it, and `q3` and `q4` ship the same table to the master,
+    /// where the shared scan pays for it once. Returns the plan, its
+    /// simulation and its report.
+    fn dispatched() -> (WorkloadPlan, SimSchedule, WorkloadReport) {
+        let (hive, master) = (SystemId::new("hive-a"), SystemId::master());
+        let scan = || InputRef::Base {
+            table: "t_r".into(),
+            location: hive.clone(),
+            bytes: 4e8,
+        };
+        let produced = InputRef::Intermediate {
+            producer: QueryId(0),
+            table: "out_0".into(),
+        };
+        let either = [(&hive, 2.0), (&master, 1.5)];
+        let plan = WorkloadPlan {
+            nodes: vec![
+                node(0, scan(), &either, 10),
+                node(1, produced, &[(&master, 3.0), (&hive, 4.0)], 11),
+                node(2, scan(), &either, 10),
+                node(3, scan(), &[(&master, 1.0)], 12),
+                node(4, scan(), &[(&master, 0.5)], 13),
+            ],
+            assignment: vec![hive.clone(), master.clone(), hive, master.clone(), master],
+            merged_into: vec![None, None, Some(QueryId(0)), None, None],
+            share_scans: true,
+            slots: SlotMap::uniform(1),
+            transfer: TransferCostModel::default(),
+            epoch: 7,
+        };
+        let (sim, report) = (plan.simulate(), dispatch(&plan, &ScheduleConfig::default()));
+        (plan, sim, report)
+    }
+
+    /// Start, finish, exec and transfer seconds, as bits.
+    fn secs(s: &ScheduledQuery) -> [u64; 4] {
+        [s.start_secs, s.finish_secs, s.exec_secs, s.transfer_secs].map(f64::to_bits)
+    }
+
+    fn task_secs(t: &SimTask) -> [u64; 4] {
+        [t.start_secs, t.finish_secs, t.exec_secs, t.transfer_secs].map(f64::to_bits)
+    }
+
+    #[test]
+    fn every_node_is_reported_once_in_statement_order() {
+        let (plan, _, report) = dispatched();
+        let ids: Vec<usize> = report.queries.iter().map(|s| s.query.0).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4]);
+        for (s, node) in report.queries.iter().zip(&plan.nodes) {
+            assert_eq!(s.label, node.label);
+        }
+    }
+
+    #[test]
+    fn an_executing_node_reports_its_assignment_and_its_simulated_task() {
+        let (plan, sim, report) = dispatched();
+        let executed: Vec<usize> = sim.tasks.iter().map(|t| t.query.0).collect();
+        assert_eq!(executed, [0, 1, 3, 4]);
+        for task in &sim.tasks {
+            let s = &report.queries[task.query.0];
+            assert_eq!(s.system, plan.assignment[task.query.0], "{:?}", s.query);
+            assert_eq!(secs(s), task_secs(task), "{:?}", s.query);
+            assert_eq!((s.wave, s.merged_into), (task.wave, None), "{:?}", s.query);
+        }
+        assert_eq!(report.queries[1].wave, 1, "q1 waits for q0");
+    }
+
+    #[test]
+    fn a_merged_node_reports_its_canonicals_engine_wave_and_finish_at_zero_cost() {
+        let (_, _, report) = dispatched();
+        let (canonical, merged) = (&report.queries[0], &report.queries[2]);
+        assert_eq!(merged.merged_into, Some(QueryId(0)));
+        assert_eq!(
+            (&merged.system, merged.wave),
+            (&canonical.system, canonical.wave)
+        );
+        let finish = canonical.finish_secs.to_bits();
+        assert_eq!(secs(merged), [finish, finish, 0, 0]);
+    }
+
+    #[test]
+    fn the_totals_are_the_simulations_and_the_epoch_the_plans() {
+        let (_, sim, report) = dispatched();
+        let totals = sim.totals;
+        let bits = |secs: [f64; 3]| secs.map(f64::to_bits);
+        assert_eq!(
+            bits([
+                report.makespan_secs,
+                report.total_secs,
+                report.shared_scan_secs_saved
+            ]),
+            bits([
+                totals.makespan_secs,
+                totals.total_secs,
+                totals.shared_scan_secs_saved
+            ])
+        );
+        assert_eq!(report.shared_scan_hits, totals.shared_scan_hits);
+        assert_eq!(
+            (report.waves, report.merged_queries, report.epoch),
+            (totals.waves, 1, 7)
+        );
+        // The fixture has what it claims: two waves and a shared scan.
+        assert_eq!((totals.waves, totals.shared_scan_hits), (2, 1));
+        assert!(totals.shared_scan_secs_saved > 0.0);
+    }
 }

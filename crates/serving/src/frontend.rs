@@ -46,6 +46,7 @@
 use crate::clock::Clock;
 use crate::limiter::{RateLimitConfig, TenantRateLimiter};
 use catalog::SystemId;
+use costing::service::check_request;
 use costing::{CostEstimate, EstimateScratch, EstimatorService, OperatorKind, ServiceError};
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -642,30 +643,13 @@ fn process_batch(inner: &Inner, batch: Vec<Pending>, coalesce_us: u64) -> usize 
         span.add_stage_us(Stage::Coalesce, coalesce_us as f64);
     }
 
-    // Pre-validate per request (model, arity, finite features) so one bad
-    // request degrades to its own typed error instead of failing its
-    // whole (system, op) group,
-    // then bucket the valid ones for the batched forward passes.
+    // Pre-validate per request with the service's own checks (model,
+    // arity, finite features) so one bad request degrades to its own
+    // typed error instead of failing its whole (system, op) group, then
+    // bucket the valid ones for the batched forward passes.
     let mut groups: Vec<((SystemId, OperatorKind), Vec<Pending>)> = Vec::new();
     for pending in batch {
-        let verdict = match snapshot.model(&pending.system, pending.op) {
-            None => Some(ServiceError::UnknownModel {
-                system: pending.system.clone(),
-                op: pending.op,
-            }),
-            Some(flow) if flow.model.arity() != pending.features.len() => {
-                Some(ServiceError::ArityMismatch {
-                    expected: flow.model.arity(),
-                    got: pending.features.len(),
-                })
-            }
-            Some(_) => pending
-                .features
-                .iter()
-                .position(|v| !v.is_finite())
-                .map(|dim| ServiceError::NonFiniteFeature { dim }),
-        };
-        if let Some(err) = verdict {
+        if let Err(err) = check_request(&snapshot, &pending.system, pending.op, &pending.features) {
             respond(inner, &pending, Err(Rejection::Service(err)));
             continue;
         }

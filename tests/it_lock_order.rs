@@ -213,8 +213,8 @@ fn federation_setup() -> (Catalog, EstimatorService) {
 /// entries, both packed kernels, single-query placement, the workload
 /// build and `plan_workload` must be a model's `SERVICE_CACHE` memo: a
 /// registry lookup (`REGISTRY_METRICS`), a commit or any unranked lock
-/// fails here. `plan_workload`'s dispatch threads
-/// are not the calling thread, so their locks are not seen.
+/// fails here. `plan_workload` starts no thread, so the calling thread's
+/// log is every lock it takes.
 #[test]
 fn read_path_takes_no_lock_but_the_cache() {
     let (catalog, service) = federation_setup();

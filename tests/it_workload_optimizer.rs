@@ -327,7 +327,7 @@ proptest! {
             &spec,
             &ScheduleConfig {
                 slots: SlotMap::uniform(1),
-                threads: 2,
+                ..ScheduleConfig::default()
             },
         )
         .expect("workload plans");
@@ -449,7 +449,7 @@ fn pin(queries: usize, engines: usize, seed: u64) -> Pinned {
         &spec,
         &ScheduleConfig {
             slots: SlotMap::uniform(1),
-            threads: 2,
+            ..ScheduleConfig::default()
         },
     )
     .expect("workload plans");
