@@ -47,7 +47,7 @@ use crate::harness::{self, BenchDoc, Envelope, Host};
 use crate::report::{heading, kv, write_text_table, ExpConfig};
 use catalog::SystemId;
 use costing::logical_op::flow::LogicalOpCosting;
-use costing::service::{EstimatorService, ServiceConfig};
+use costing::service::EstimatorService;
 use costing::{CostEstimate, EstimateScratch, EstimateSource, ModelSnapshot, OperatorKind};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -55,7 +55,7 @@ use serving::{Clock, EstimateRequest, Frontend, FrontendConfig};
 use std::cell::Cell;
 use std::time::Duration;
 use telemetry::span::{SpanConfig, SpanLayer};
-use telemetry::{Counter, Histogram, SloConfig, Stage, Telemetry};
+use telemetry::{Histogram, SloConfig, Stage, Telemetry};
 
 /// The acceptance bar: the sampled-off service p50 may exceed the
 /// uninstrumented baseline p50 by at most this percentage (plus
@@ -220,7 +220,6 @@ impl BenchDoc for ObservabilityDoc {
 /// [`EstimateScratch`] shape.
 struct BaselineScratch {
     results: Vec<Option<CostEstimate>>,
-    miss_idx: Vec<usize>,
     in_range: Vec<usize>,
     nn_rows: Vec<f64>,
     nn_out: Vec<f64>,
@@ -231,7 +230,6 @@ impl BaselineScratch {
     fn new() -> Self {
         BaselineScratch {
             results: Vec::new(),
-            miss_idx: Vec::new(),
             in_range: Vec::new(),
             nn_rows: Vec::new(),
             nn_out: Vec::new(),
@@ -241,8 +239,8 @@ impl BaselineScratch {
 }
 
 /// Replays the pre-span batch estimate path against a pinned snapshot:
-/// the same cache-disabled control flow, staging discipline, fused
-/// kernel, and per-row metric bookkeeping as
+/// the same control flow, staging discipline, fused kernel, and per-row
+/// metric bookkeeping as
 /// `estimate_batch_flat_pinned_scratch` before the span probes landed —
 /// with no span layer anywhere in sight.
 #[allow(clippy::too_many_arguments)]
@@ -254,17 +252,12 @@ fn baseline_batch(
     width: usize,
     out: &mut Vec<CostEstimate>,
     s: &mut BaselineScratch,
-    hits: &Counter,
-    misses: &Counter,
     estimate_secs: &Histogram,
 ) {
     out.clear();
     let n = flat.len() / width.max(1);
     s.results.clear();
     s.results.resize(n, None);
-    s.miss_idx.clear();
-    s.miss_idx.extend(0..n);
-    hits.add((n - s.miss_idx.len()) as u64);
     let flow = snapshot.model(system, op).expect("model registered");
     s.in_range.clear();
     s.nn_rows.clear();
@@ -284,11 +277,8 @@ fn baseline_batch(
     for (&i, &secs) in s.in_range.iter().zip(s.nn_out.iter()) {
         s.results[i] = Some(CostEstimate::new(secs, EstimateSource::NeuralNetwork));
     }
-    misses.add(s.miss_idx.len() as u64);
-    for &i in s.miss_idx.iter() {
-        if let Some(est) = s.results[i].as_ref() {
-            estimate_secs.observe(est.secs);
-        }
+    for est in s.results.iter().flatten() {
+        estimate_secs.observe(est.secs);
     }
     out.reserve(n);
     for r in s.results.drain(..) {
@@ -307,9 +297,7 @@ fn bench_cell(
     batch: usize,
     duration: Duration,
 ) -> Vec<ObservabilityRow> {
-    let service = EstimatorService::new(ServiceConfig {
-        cache_capacity_per_model: 0, // measure the compute path, not the cache
-    });
+    let service = EstimatorService::default();
     let system = SystemId::new("obs-svc");
     let op = flow.model.op;
     service.register(system.clone(), flow.clone());
@@ -318,8 +306,6 @@ fn bench_cell(
     let (service, system, flat) = (&service, &system, flat.as_slice());
 
     let reg = &service.telemetry().metrics;
-    let hits = reg.counter("baseline_hits_total", &[]);
-    let misses = reg.counter("baseline_misses_total", &[]);
     let secs_hist = reg.histogram(
         "baseline_estimate_secs",
         &[],
@@ -339,8 +325,6 @@ fn bench_cell(
             width,
             &mut baseline_out,
             &mut baseline_scratch,
-            &hits,
-            &misses,
             &secs_hist,
         );
         checksums[0].set(baseline_out.iter().map(|e| e.secs).sum());
@@ -419,7 +403,7 @@ fn ops_scenario(cfg: &ExpConfig) -> OpsSummary {
         }),
         ..Telemetry::default()
     };
-    let service = EstimatorService::with_telemetry(ServiceConfig::default(), telemetry.clone());
+    let service = EstimatorService::with_telemetry(telemetry.clone());
     let system = SystemId::new("obs-ops");
     service.register(system.clone(), harness::trained_flow());
 
@@ -503,7 +487,6 @@ fn ops_scenario(cfg: &ExpConfig) -> OpsSummary {
             "total us",
             "queue_wait",
             "coalesce",
-            "cache_probe",
             "kernel",
             "remedy",
             "fed_place",

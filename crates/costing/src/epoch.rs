@@ -10,9 +10,8 @@
 //! * [`ModelSnapshot`] — an immutable, `Arc`-shared, key-ordered list
 //!   of `(SystemId, OperatorKind)` slots, stamped with the [`Epoch`]
 //!   that produced it and a [`SnapshotLineage`] (parent epoch + tuning
-//!   stats) for provenance and rollback. A slot holds a `LogicalOpCosting` (which owns its
-//!   fused inference form) and, beside it, the memo of the estimates
-//!   that flow has served (`crate::service::cache`).
+//!   stats) for provenance and rollback. A slot holds a `LogicalOpCosting`,
+//!   which owns its fused inference form.
 //! * `EpochStore` — the publication point: readers call
 //!   `EpochStore::load` (an `arc-swap` pointer load, no locks) and
 //!   writers run `EpochStore::transaction`, which serialises
@@ -23,11 +22,8 @@
 //!   epoch bump.
 //!
 //! A pinned snapshot is a consistency domain: every estimate computed
-//! against it reflects exactly one model version. A slot's memo is made
-//! fresh whenever its flow is created or replaced and is shared exactly
-//! where the flow's `Arc` is, so a memoized value can never be served
-//! against a model state it was not computed from, and a publication
-//! that leaves a model untouched leaves its memo warm.
+//! against it reflects exactly one model version. It holds models and
+//! nothing mutable, so reading it takes no lock.
 
 use crate::estimator::OperatorKind;
 use crate::logical_op::flow::LogicalOpCosting;
@@ -35,7 +31,6 @@ use crate::logical_op::model::FitConfig;
 use crate::logical_op::packed::PackedOpModel;
 use crate::logical_op::tuning::TuneReport;
 use crate::observability::ModelKey;
-use crate::service::cache::LruCache;
 use arc_swap::ArcSwap;
 use catalog::SystemId;
 use parking_lot::Mutex;
@@ -124,31 +119,11 @@ impl SnapshotLineage {
     }
 }
 
-/// One registered model: its flow and the memo of the estimates that
-/// flow has served.
+/// One registered model: its key and its flow.
 #[derive(Debug, Clone)]
 pub(crate) struct ModelSlot {
     pub(crate) key: ModelKey,
     pub(crate) flow: Arc<LogicalOpCosting>,
-    /// Rank [`parking_lot::rank::SERVICE_CACHE`]: the only lock on the
-    /// estimate read path.
-    pub(crate) memo: Arc<Mutex<LruCache>>,
-}
-
-impl ModelSlot {
-    fn new(key: ModelKey, flow: Arc<LogicalOpCosting>, memo_capacity: usize) -> Self {
-        ModelSlot {
-            key,
-            flow,
-            memo: fresh_memo(memo_capacity),
-        }
-    }
-}
-
-fn fresh_memo(capacity: usize) -> Arc<Mutex<LruCache>> {
-    let memo = Mutex::new(LruCache::new(capacity));
-    memo.set_rank(parking_lot::rank::SERVICE_CACHE);
-    Arc::new(memo)
 }
 
 /// Where `(system, op)` sits in key-ordered `slots`: `Ok` at its slot,
@@ -194,9 +169,7 @@ impl ModelSnapshot {
     }
 
     /// Reassembles a snapshot from persisted parts (see
-    /// [`crate::hybrid::persist`]). Its memos have capacity 0: a loaded
-    /// snapshot memoizes nothing until a store publishes its content
-    /// (`EpochStore::rollback_to`), with memos of the store's capacity.
+    /// [`crate::hybrid::persist`]).
     pub(crate) fn from_parts(
         epoch: Epoch,
         lineage: SnapshotLineage,
@@ -204,7 +177,8 @@ impl ModelSnapshot {
     ) -> Self {
         let mut slots = Vec::with_capacity(models.len());
         for (key, flow) in models {
-            put(&mut slots, ModelSlot::new(key, Arc::new(flow), 0));
+            let flow = Arc::new(flow);
+            put(&mut slots, ModelSlot { key, flow });
         }
         ModelSnapshot {
             epoch,
@@ -255,20 +229,17 @@ impl ModelSnapshot {
 ///
 /// The builder starts as a cheap clone of the current snapshot (the
 /// slots clone `Arc`s, not models); mutation helpers copy-on-write the
-/// individual slots they touch and give each a fresh memo of the
-/// store's capacity. Nothing is visible to readers until the
+/// individual slots they touch. Nothing is visible to readers until the
 /// transaction publishes.
 pub(crate) struct SnapshotBuilder {
     models: Vec<ModelSlot>,
     lineage: SnapshotLineage,
-    memo_capacity: usize,
 }
 
 impl SnapshotBuilder {
-    fn from_snapshot(base: &ModelSnapshot, label: &str, memo_capacity: usize) -> Self {
+    fn from_snapshot(base: &ModelSnapshot, label: &str) -> Self {
         SnapshotBuilder {
             models: base.models.clone(),
-            memo_capacity,
             lineage: SnapshotLineage {
                 parent: Some(base.epoch.get()),
                 label: label.to_string(),
@@ -288,23 +259,24 @@ impl SnapshotBuilder {
         }
     }
 
-    /// Inserts (or replaces) the model for `(system, op)`, with a fresh
-    /// memo.
+    /// Inserts (or replaces) the model for `(system, op)`.
     pub(crate) fn insert_model(
         &mut self,
         system: SystemId,
         op: OperatorKind,
         flow: LogicalOpCosting,
     ) {
-        let slot = ModelSlot::new((system, op), Arc::new(flow), self.memo_capacity);
+        let slot = ModelSlot {
+            key: (system, op),
+            flow: Arc::new(flow),
+        };
         put(&mut self.models, slot);
     }
 
     /// Copy-on-write update of one staged model: the flow is cloned
     /// out of the shared snapshot (if still shared) — training data,
-    /// log and the model's fused-inference arenas — mutated in place,
-    /// and re-staged with a fresh memo. Returns `None` when the model
-    /// is not registered.
+    /// log and the model's fused-inference arenas — and mutated in
+    /// place. Returns `None` when the model is not registered.
     pub(crate) fn update_model<R>(
         &mut self,
         system: &SystemId,
@@ -313,22 +285,13 @@ impl SnapshotBuilder {
     ) -> Option<R> {
         let i = position(&self.models, system, op).ok()?;
         let slot = self.models.get_mut(i)?;
-        let out = f(Arc::make_mut(&mut slot.flow));
-        slot.memo = fresh_memo(self.memo_capacity);
-        Some(out)
+        Some(f(Arc::make_mut(&mut slot.flow)))
     }
 
-    /// Replaces the staged content wholesale with `snapshot`'s, each
-    /// slot with a fresh memo, recording the restored epoch in the
-    /// lineage (rollback).
+    /// Replaces the staged content wholesale with `snapshot`'s,
+    /// recording the restored epoch in the lineage (rollback).
     pub(crate) fn restore_from(&mut self, snapshot: &ModelSnapshot) {
-        self.models = snapshot
-            .models
-            .iter()
-            .map(|slot| {
-                ModelSlot::new(slot.key.clone(), Arc::clone(&slot.flow), self.memo_capacity)
-            })
-            .collect();
+        self.models = snapshot.models.clone();
         self.lineage.restores = Some(snapshot.epoch.get());
     }
 
@@ -354,19 +317,14 @@ impl SnapshotBuilder {
 pub(crate) struct EpochStore {
     cell: ArcSwap<ModelSnapshot>,
     commit: Mutex<()>,
-    /// Capacity of every memo this store's transactions make.
-    memo_capacity: usize,
 }
 
 impl EpochStore {
-    /// A store holding the empty genesis snapshot (epoch 0) whose
-    /// transactions give each new or replaced model a memo of
-    /// `memo_capacity` estimates.
-    pub(crate) fn new(memo_capacity: usize) -> Self {
+    /// A store holding the empty genesis snapshot (epoch 0).
+    pub(crate) fn new() -> Self {
         let store = EpochStore {
             cell: ArcSwap::new(Arc::new(ModelSnapshot::genesis())),
             commit: Mutex::new(()),
-            memo_capacity,
         };
         store.commit.set_rank(parking_lot::rank::EPOCH_COMMIT);
         store.cell.set_rank(parking_lot::rank::EPOCH_RETIRED);
@@ -409,7 +367,7 @@ impl EpochStore {
     ) -> Result<(R, Arc<ModelSnapshot>), E> {
         let _commit = self.commit.lock();
         let current = self.cell.load_full();
-        let mut tx = SnapshotBuilder::from_snapshot(&current, label, self.memo_capacity);
+        let mut tx = SnapshotBuilder::from_snapshot(&current, label);
         let out = f(&mut tx)?;
         let next = Arc::new(tx.build(current.epoch.next()));
         self.cell.store(Arc::clone(&next));
@@ -418,7 +376,7 @@ impl EpochStore {
 
     /// Publishes a content-identical snapshot under a new epoch (used
     /// by publication tests and churn benchmarks; estimates must be
-    /// bit-identical across a republish, and every memo stays warm).
+    /// bit-identical across a republish).
     pub(crate) fn republish(&self, label: &str) -> Arc<ModelSnapshot> {
         self.transaction(label, |_| ()).1
     }
@@ -541,16 +499,9 @@ mod tests {
         SystemId::new("hive-a")
     }
 
-    fn memo(snapshot: &ModelSnapshot) -> &Arc<Mutex<LruCache>> {
-        &snapshot
-            .slot(&hive(), OperatorKind::Aggregation)
-            .expect("registered")
-            .memo
-    }
-
     #[test]
     fn genesis_store_is_empty_at_epoch_zero() {
-        let store = EpochStore::new(16);
+        let store = EpochStore::new();
         let snap = store.load();
         assert_eq!(snap.epoch(), Epoch::ZERO);
         assert!(snap.models.is_empty());
@@ -560,7 +511,7 @@ mod tests {
 
     #[test]
     fn transactions_bump_the_epoch_and_record_lineage() {
-        let store = EpochStore::new(16);
+        let store = EpochStore::new();
         let (_, snap) = store.transaction("register", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
         });
@@ -572,7 +523,7 @@ mod tests {
 
     #[test]
     fn aborted_transactions_publish_nothing() {
-        let store = EpochStore::new(16);
+        let store = EpochStore::new();
         let result: Result<((), _), &str> = store.try_transaction("doomed", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
             Err("abort")
@@ -584,7 +535,7 @@ mod tests {
 
     #[test]
     fn pinned_snapshots_survive_later_publications() {
-        let store = EpochStore::new(16);
+        let store = EpochStore::new();
         store.transaction("register", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
         });
@@ -602,7 +553,7 @@ mod tests {
 
     #[test]
     fn update_model_is_copy_on_write() {
-        let store = EpochStore::new(16);
+        let store = EpochStore::new();
         store.transaction("register", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
         });
@@ -634,7 +585,7 @@ mod tests {
 
     #[test]
     fn snapshots_carry_packed_forms_for_every_model() {
-        let store = EpochStore::new(16);
+        let store = EpochStore::new();
         store.transaction("register", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
         });
@@ -659,7 +610,7 @@ mod tests {
 
     #[test]
     fn republish_reuses_packed_forms_and_cow_update_rederives_them() {
-        let store = EpochStore::new(16);
+        let store = EpochStore::new();
         store.transaction("register", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
         });
@@ -673,11 +624,8 @@ mod tests {
                 .packed(&hive(), OperatorKind::Aggregation)
                 .unwrap()
         ));
-        // So is the memo beside it: a republish leaves it warm.
-        assert!(Arc::ptr_eq(memo(&before), memo(&republished)));
         // A COW update copies the model: the new snapshot's packed form
-        // is its own and stays bit-consistent with the reference chain,
-        // and its memo is a fresh one.
+        // is its own and stays bit-consistent with the reference chain.
         store.transaction("observe", |tx| {
             tx.update_model(&hive(), OperatorKind::Aggregation, |flow| {
                 flow.observe_actual(&[5e5, 200.0], 2.0);
@@ -690,7 +638,6 @@ mod tests {
             packed,
             before.packed(&hive(), OperatorKind::Aggregation).unwrap()
         ));
-        assert!(!Arc::ptr_eq(memo(&before), memo(&after)));
         let mut scratch = crate::logical_op::packed::PackedOpScratch::new();
         let x = [9e5, 150.0];
         assert_eq!(
@@ -701,7 +648,7 @@ mod tests {
 
     #[test]
     fn rollback_restores_content_under_a_new_epoch() {
-        let store = EpochStore::new(16);
+        let store = EpochStore::new();
         store.transaction("register", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
         });
@@ -716,17 +663,16 @@ mod tests {
         assert_eq!(restored.models.len(), 1);
         assert_eq!(restored.lineage().restores, Some(good.epoch().get()));
         assert_eq!(restored.lineage().label, "rollback");
-        // The restored flow is the pinned one; its memo is fresh.
+        // The restored flow is the pinned one.
         assert!(Arc::ptr_eq(
             good.model(&hive(), OperatorKind::Aggregation).unwrap(),
             restored.model(&hive(), OperatorKind::Aggregation).unwrap()
         ));
-        assert!(!Arc::ptr_eq(memo(&good), memo(&restored)));
     }
 
     #[test]
     fn tuning_pipeline_retrains_due_models_in_one_epoch_bump() {
-        let store = EpochStore::new(16);
+        let store = EpochStore::new();
         store.transaction("register", |tx| {
             let mut flow = agg_flow();
             let mut rows = 1.6e6;
@@ -761,7 +707,7 @@ mod tests {
 
     #[test]
     fn idle_pipeline_pass_reports_nothing_retrained() {
-        let store = EpochStore::new(16);
+        let store = EpochStore::new();
         store.transaction("register", |tx| {
             tx.insert_model(hive(), OperatorKind::Aggregation, agg_flow());
         });

@@ -57,5 +57,5 @@ pub use logical_op::{
     packed::PackedOpModel, packed::PackedOpScratch, remedy::RemedyConfig,
 };
 pub use observability::{publish_drift, DriftRetuner, ModelKey, RetuneOutcome};
-pub use service::{CacheStats, EstimateScratch, EstimatorService, ServiceConfig, ServiceError};
+pub use service::{CacheStats, EstimateScratch, EstimatorService, ServiceError};
 pub use sub_op::{choice::ChoicePolicy, SubOpCosting};

@@ -22,7 +22,7 @@
 //! which kernel computes the NN are decided here and nowhere else. Both
 //! costing stacks bottom out in it — the manager stack through
 //! [`LogicalOpCosting::estimate`] (a batch of one), the estimation
-//! service by handing it the rows its cache could not answer.
+//! service by handing it every row of a request.
 
 use crate::{
     estimator::{CostEstimate, EstimateSource},
@@ -108,24 +108,21 @@ impl LogicalOpCosting {
     }
 
     /// [`LogicalOpCosting::estimate_rows`] for the one row `x`.
-    #[expect(
-        clippy::expect_used,
-        reason = "estimate_rows fills every slot that arrives empty, and this one did"
-    )]
+    #[expect(clippy::expect_used, reason = "estimate_rows fills every slot")]
     pub(crate) fn estimate_scratch(&self, x: &[f64], scratch: &mut FlowScratch) -> CostEstimate {
         let mut slot = [None];
         self.estimate_rows(x, x.len(), &mut slot, scratch);
         let [est] = slot;
-        est.expect("estimate_rows fills every empty slot")
+        est.expect("estimate_rows fills every slot")
     }
 
     /// The top half of the Fig. 3 flowchart, once, over the row-major
     /// flat batch `rows` (`slots.len()` rows of `width` features): every
-    /// row whose slot is still `None` is range-checked; the in-range ones
-    /// share one [`crate::logical_op::packed::PackedOpModel::predict_batch_into`]
-    /// pass, the others go through the online remedy one by one. Slots
-    /// that arrive filled (a cache answered them) are left alone. The
-    /// kernel pass and each remedy run under their [`Stage`] timers.
+    /// row is range-checked; the in-range ones share one
+    /// [`crate::logical_op::packed::PackedOpModel::predict_batch_into`]
+    /// pass, the others go through the online remedy one by one, and
+    /// each row's estimate is written into its slot. The kernel pass and
+    /// each remedy run under their [`Stage`] timers.
     ///
     /// # Panics
     /// Panics when `width` differs from the model's arity or `rows` is not
@@ -157,9 +154,6 @@ impl LogicalOpCosting {
         in_range.clear();
         nn_rows.clear();
         for (i, (row, slot)) in rows.chunks_exact(width).zip(slots.iter_mut()).enumerate() {
-            if slot.is_some() {
-                continue;
-            }
             if self.model.meta.all_in_range(row, self.remedy.beta) {
                 in_range.push(i);
                 nn_rows.extend_from_slice(row);

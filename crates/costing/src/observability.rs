@@ -220,7 +220,7 @@ mod tests {
             &crate::logical_op::model::FitConfig::fast(),
         );
         let flow = crate::logical_op::flow::LogicalOpCosting::new(model);
-        let store = crate::epoch::EpochStore::new(0);
+        let store = crate::epoch::EpochStore::new();
         let (_, snapshot) = store.transaction("register", |tx| {
             for name in ["presto-b", "hive-a"] {
                 tx.insert_model(SystemId::new(name), OperatorKind::Join, flow.clone());

@@ -16,20 +16,15 @@
 //!   adjustment, and offline tuning are clone-modify-publish
 //!   transactions that swap in a new snapshot under the next epoch,
 //!   entirely off the hot path;
-//! * one **estimate memo per model version**: an LRU map from a row's
-//!   feature bits to its estimate (see `cache`), kept in the pinned
-//!   snapshot beside the flow it memoizes and made fresh whenever that
-//!   flow is created or replaced — the memo and the model state come
-//!   from the same pinned `Arc`, so a memoized estimate can never be
-//!   served against a model state it was not computed from, and a
-//!   publication that leaves a model untouched leaves its memo warm;
-//! * **one estimate body**: every entry is memo probe → the flow's
-//!   Fig. 3 body on the misses
+//! * **one estimate body**: every entry checks the request and runs the
+//!   flow's Fig. 3 body over all its rows
 //!   ([`crate::logical_op::flow::LogicalOpCosting::estimate_rows`]: one
 //!   fused packed-kernel pass for the in-range rows, the remedy for the
-//!   rest) → memo insert, against a single pinned snapshot, and a single
-//!   estimate is a batch of one row — so results cannot differ by entry
-//!   point, nor from the manager stack, which calls the same body;
+//!   rest) against a single pinned snapshot, and a single estimate is a
+//!   batch of one row — so results cannot differ by entry point, nor
+//!   from the manager stack, which calls the same body. The pinned
+//!   snapshot holds models and nothing mutable, so an estimate takes no
+//!   lock at all;
 //! * cheap **cloneable handles**: the service is an `Arc` internally, so
 //!   `service.clone()` hands a planner thread its own handle.
 //!
@@ -39,8 +34,6 @@
 //! a serial loop would. Callers that need several estimates to be internally
 //! consistent mid-retrain pin one snapshot ([`EstimatorService::snapshot`])
 //! and use the `*_pinned` variants.
-
-pub(crate) mod cache;
 
 use crate::{
     epoch::{Epoch, EpochStore, ModelSlot, ModelSnapshot, PipelineReport, TuningPipeline},
@@ -52,31 +45,11 @@ use catalog::SystemId;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use telemetry::span::{time as stage_time, Stage};
-use telemetry::{Counter, DriftMonitor, Histogram, Telemetry};
+use telemetry::{DriftMonitor, Histogram, Telemetry};
 
 /// Histogram bounds (seconds) for served estimates: spans the paper's
 /// sub-second scans up to the ~10-minute heavy joins.
 const ESTIMATE_SECS_BOUNDS: [f64; 7] = [0.001, 0.01, 0.1, 1.0, 10.0, 60.0, 600.0];
-
-/// Service tuning knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceConfig {
-    /// Estimates each registered model version memoizes (an LRU).
-    /// `0` disables the memo entirely: no memo lock is ever taken and
-    /// every estimate recomputes through the packed kernels — the right
-    /// trade for latency-critical deployments whose feature vectors
-    /// rarely repeat.
-    pub cache_capacity_per_model: usize,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            cache_capacity_per_model: 1024,
-        }
-    }
-}
 
 /// Estimation-service failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,12 +112,14 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Snapshot of the memo counters.
+/// What [`EstimatorService::stats`] reports. Kept only because
+/// `benchmark/` names it; ROADMAP 24 deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Requests answered from a memo.
+    /// Always 0: no estimate is answered from memory.
     pub hits: u64,
-    /// Requests that had to run a model.
+    /// Rows costed: the count of the `estimator_estimate_secs`
+    /// histogram.
     pub misses: u64,
 }
 
@@ -157,24 +132,19 @@ impl CacheStats {
 
 /// Reusable workspace for the estimate hot path.
 ///
-/// Every buffer the pinned estimate paths need — memo probes (a row's
-/// feature bits), batch result staging, the flow body's [`FlowScratch`] — lives
-/// here, so a warm scratch makes the pinned estimate paths
-/// allocation-free steady-state (cache hits, and cache-disabled
-/// in-range computes; the out-of-range remedy runs a per-row
-/// regression and is excluded from the zero-alloc claim). The service
+/// Every buffer the pinned estimate paths need — batch result staging,
+/// the flow body's [`FlowScratch`] — lives here, so a warm scratch
+/// makes the pinned estimate paths allocation-free steady-state for
+/// in-range rows (the out-of-range remedy runs a per-row regression and
+/// is excluded from the zero-alloc claim). The service
 /// keeps one per thread for the plain `estimate*` entry points;
 /// callers that own their threading (the serving frontend's batch
 /// leader) hold their own and pass it to
 /// [`EstimatorService::estimate_batch_flat_pinned_scratch`].
 #[derive(Debug, Default)]
 pub struct EstimateScratch {
-    /// Feature bits of one memo probe.
-    bits: Vec<u64>,
     /// Per-row results staged during a batch.
     results: Vec<Option<CostEstimate>>,
-    /// Indices of rows the memo could not answer.
-    miss_idx: Vec<usize>,
     /// Kernel and remedy workspace of the flow's Fig. 3 body.
     flow: FlowScratch,
     /// Flat staging used when flattening a nested `&[Vec<f64>]` batch.
@@ -187,9 +157,7 @@ impl EstimateScratch {
     /// `thread_local`, which never lazily allocates).
     pub const fn new() -> Self {
         EstimateScratch {
-            bits: Vec::new(),
             results: Vec::new(),
-            miss_idx: Vec::new(),
             flow: FlowScratch::new(),
             staging: Vec::new(),
         }
@@ -207,14 +175,9 @@ struct Inner {
     /// loads, writes are serialised clone-modify-publish transactions.
     store: EpochStore,
     telemetry: Telemetry,
-    /// Registry-backed memo counters (handles into `telemetry.metrics`).
-    hits: Counter,
-    misses: Counter,
-    /// Distribution of served estimates, seconds.
+    /// Distribution of served estimates, seconds (a handle into
+    /// `telemetry.metrics`).
     estimate_secs: Histogram,
-    /// False when `cache_capacity_per_model` was 0: the hot path skips
-    /// the memo lock and every probe entirely.
-    cache_enabled: bool,
 }
 
 /// A thread-safe, cheaply-cloneable handle to the estimation service.
@@ -225,41 +188,29 @@ pub struct EstimatorService {
 
 impl std::fmt::Debug for EstimatorService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
         f.debug_struct("EstimatorService")
             .field("epoch", &self.epoch())
             .field("models", &self.registered().len())
-            .field("hits", &stats.hits)
-            .field("misses", &stats.misses)
             .finish()
     }
 }
 
 impl Default for EstimatorService {
     fn default() -> Self {
-        EstimatorService::new(ServiceConfig::default())
+        EstimatorService::new()
     }
 }
 
 impl EstimatorService {
     /// Builds an empty service with its own telemetry.
-    pub fn new(config: ServiceConfig) -> Self {
-        EstimatorService::with_telemetry(config, Telemetry::new())
+    pub fn new() -> Self {
+        EstimatorService::with_telemetry(Telemetry::new())
     }
 
     /// Builds an empty service publishing into the given telemetry
-    /// handle: cache counters and the estimate histogram live in its
-    /// metrics registry.
-    pub fn with_telemetry(config: ServiceConfig, telemetry: Telemetry) -> Self {
+    /// handle: the estimate histogram lives in its metrics registry.
+    pub fn with_telemetry(telemetry: Telemetry) -> Self {
         let reg = &telemetry.metrics;
-        reg.set_help(
-            "estimator_cache_hits_total",
-            "Estimates answered from a model's LRU estimate memo.",
-        );
-        reg.set_help(
-            "estimator_cache_misses_total",
-            "Estimates that had to run a costing model.",
-        );
         reg.set_help(
             "estimator_estimate_secs",
             "Distribution of served cost estimates, in estimated seconds.",
@@ -268,17 +219,12 @@ impl EstimatorService {
             "execution_log_dropped_entries",
             "Observations evicted oldest-first from a model's bounded execution log.",
         );
-        let hits = reg.counter("estimator_cache_hits_total", &[]);
-        let misses = reg.counter("estimator_cache_misses_total", &[]);
         let estimate_secs = reg.histogram("estimator_estimate_secs", &[], &ESTIMATE_SECS_BOUNDS);
         EstimatorService {
             inner: Arc::new(Inner {
-                store: EpochStore::new(config.cache_capacity_per_model),
+                store: EpochStore::new(),
                 telemetry,
-                hits,
-                misses,
                 estimate_secs,
-                cache_enabled: config.cache_capacity_per_model > 0,
             }),
         }
     }
@@ -302,8 +248,7 @@ impl EstimatorService {
     }
 
     /// Publishes a content-identical snapshot under a new epoch.
-    /// Estimates are bit-identical across a republish, and every
-    /// model's memo stays warm.
+    /// Estimates are bit-identical across a republish.
     pub fn republish(&self) -> Arc<ModelSnapshot> {
         self.inner.store.republish("republish")
     }
@@ -323,8 +268,7 @@ impl EstimatorService {
     }
 
     /// Registers (or replaces) the costing flow for one operator on one
-    /// system, with a fresh memo; the operator kind comes from the
-    /// trained model itself.
+    /// system; the operator kind comes from the trained model itself.
     pub fn register(&self, system: SystemId, flow: LogicalOpCosting) {
         let op = flow.model.op;
         let _ = self
@@ -338,9 +282,8 @@ impl EstimatorService {
         self.inner.store.load().keys()
     }
 
-    /// Estimates one operator's cost against the current snapshot,
-    /// consulting the model's memo first. Completely lock-free on the
-    /// model store: the only lock touched is the memo's mutex.
+    /// Estimates one operator's cost against the current snapshot. Takes
+    /// no lock.
     pub fn estimate(
         &self,
         system: &SystemId,
@@ -351,18 +294,15 @@ impl EstimatorService {
         self.estimate_pinned(&snapshot, system, op, features)
     }
 
-    /// [`EstimatorService::estimate`] against a caller-pinned snapshot.
-    /// The memo probed and filled is the pinned snapshot's own, beside
-    /// the flow that computes, so an estimate replayed from an older
-    /// pinned snapshot can never reach readers of a newer model.
+    /// [`EstimatorService::estimate`] against a caller-pinned snapshot:
+    /// the answer is the pinned model state's, whatever publishes
+    /// meanwhile.
     ///
     /// This is a one-row batch through the same core as
     /// [`EstimatorService::estimate_batch_flat_pinned_scratch`], over the
-    /// calling thread's [`EstimateScratch`]: same memo probe, same
-    /// Fig. 3 body. A memo hit and an in-range compute with the memo
-    /// disabled perform zero heap allocations once the scratch is warm
-    /// (the insert after a memo miss and the out-of-range remedy still
-    /// allocate).
+    /// calling thread's [`EstimateScratch`]: same checks, same Fig. 3
+    /// body. An in-range row performs zero heap allocations once the
+    /// scratch is warm (the out-of-range remedy still allocates).
     pub fn estimate_pinned(
         &self,
         snapshot: &ModelSnapshot,
@@ -391,11 +331,10 @@ impl EstimatorService {
     /// against one caller-pinned snapshot (see
     /// [`EstimatorService::estimate_pinned`]).
     ///
-    /// Memoized rows are answered from the memo; the flow's Fig. 3 body
-    /// costs the rest (in-range rows share a single packed-kernel pass,
-    /// out-of-range rows go through the remedy individually). Results
-    /// are identical, bit for
-    /// bit, to calling [`EstimatorService::estimate_pinned`] per row
+    /// The flow's Fig. 3 body costs every row (in-range rows share a
+    /// single packed-kernel pass, out-of-range rows go through the
+    /// remedy individually). Results are identical, bit for bit, to
+    /// calling [`EstimatorService::estimate_pinned`] per row
     /// against the same snapshot, and the whole batch is internally
     /// consistent even mid-retrain. Flattens the nested rows into the
     /// calling thread's scratch and delegates to
@@ -498,15 +437,13 @@ impl EstimatorService {
     /// path: `rows.len() / width` feature rows in one contiguous
     /// row-major buffer, results written into `out` (cleared first).
     ///
-    /// One memo pass under the model's memo lock answers what it can
-    /// (borrowed probes — no per-row key allocation); the misses go to
-    /// [`LogicalOpCosting::estimate_rows`], which stages the in-range
-    /// ones into the scratch's flat buffer for one fused packed-kernel
-    /// pass and sends the others through the remedy individually.
-    /// Results are identical, bit for bit, to calling
-    /// [`EstimatorService::estimate`] per row at the same epoch.
-    /// With the memo disabled, a warm scratch and warm `out` make the
-    /// whole call allocation-free for in-range batches.
+    /// The rows go to [`LogicalOpCosting::estimate_rows`], which stages
+    /// the in-range ones into the scratch's flat buffer for one fused
+    /// packed-kernel pass and sends the others through the remedy
+    /// individually. Results are identical, bit for bit, to calling
+    /// [`EstimatorService::estimate`] per row at the same epoch. A warm
+    /// scratch and warm `out` make the whole call allocation-free for
+    /// in-range batches.
     #[expect(
         clippy::too_many_arguments,
         reason = "the hot-path entry point: every input is load-bearing"
@@ -542,7 +479,7 @@ impl EstimatorService {
         Ok(())
     }
 
-    /// The one memo probe → Fig. 3 body → insert sequence behind every
+    /// The one check → Fig. 3 body → histogram sequence behind every
     /// estimate entry point. `rows` holds `rows.len() / width` rows
     /// (callers guarantee `width > 0` divides the length); on success
     /// `scratch.results` holds one filled slot per row, in row order.
@@ -555,67 +492,22 @@ impl EstimatorService {
         width: usize,
         scratch: &mut EstimateScratch,
     ) -> Result<(), ServiceError> {
-        let n = rows.len() / width;
         let slot = checked_slot(snapshot, system, op, rows, width)?;
-        let EstimateScratch {
-            bits,
-            results,
-            miss_idx,
-            flow: flow_scratch,
-            ..
-        } = scratch;
+        let EstimateScratch { results, flow, .. } = scratch;
         results.clear();
-        results.resize(n, None);
-        miss_idx.clear();
-
-        if self.inner.cache_enabled {
-            let _probe = stage_time(Stage::CacheProbe);
-            let mut memo = slot.memo.lock();
-            for (i, (row, result)) in rows.chunks_exact(width).zip(results.iter_mut()).enumerate() {
-                bits.clear();
-                bits.extend(row.iter().map(|v| v.to_bits()));
-                match memo.get(bits) {
-                    Some(hit) => *result = Some(hit),
-                    None => miss_idx.push(i),
-                }
-            }
-        } else {
-            miss_idx.extend(0..n);
-        }
-        self.inner.hits.add((n - miss_idx.len()) as u64);
-
-        if !miss_idx.is_empty() {
-            slot.flow.estimate_rows(rows, width, results, flow_scratch);
-            self.inner.misses.add(miss_idx.len() as u64);
-            for &i in miss_idx.iter() {
-                let est = results
-                    .get(i)
-                    .and_then(Option::as_ref)
-                    .ok_or(ServiceError::Internal("miss slot not computed"))?;
-                self.inner.estimate_secs.observe(est.secs);
-            }
-        }
-
-        if self.inner.cache_enabled && !miss_idx.is_empty() {
-            let _probe = stage_time(Stage::CacheProbe);
-            let mut memo = slot.memo.lock();
-            for &i in miss_idx.iter() {
-                let (Some(row), Some(Some(est))) =
-                    (rows.get(i * width..(i + 1) * width), results.get(i))
-                else {
-                    continue;
-                };
-                bits.clear();
-                bits.extend(row.iter().map(|v| v.to_bits()));
-                memo.insert(bits, est.clone());
-            }
+        results.resize(rows.len() / width, None);
+        slot.flow.estimate_rows(rows, width, results, flow);
+        for est in results.iter() {
+            let est = est
+                .as_ref()
+                .ok_or(ServiceError::Internal("batch slot left unfilled"))?;
+            self.inner.estimate_secs.observe(est.secs);
         }
         Ok(())
     }
 
     /// Feeds an observed actual execution into the owning flow (log + α
-    /// tuner) through a clone-modify-publish transaction; the new flow
-    /// gets a fresh memo, and every other model keeps its own. The flow's
+    /// tuner) through a clone-modify-publish transaction. The flow's
     /// eviction counter is surfaced as the
     /// `execution_log_dropped_entries{system,operator}` gauge.
     pub fn observe_actual(
@@ -696,27 +588,26 @@ impl EstimatorService {
         fed
     }
 
-    /// Current hit/miss counters (reads the registry-backed handles).
+    /// No hits, and every row costed so far as a miss (read from the
+    /// `estimator_estimate_secs` histogram). Kept only because
+    /// `benchmark/` names it; ROADMAP 24 deletes it.
     pub fn stats(&self) -> CacheStats {
+        let rows = self
+            .inner
+            .telemetry
+            .metrics
+            .snapshot()
+            .histogram("estimator_estimate_secs", &[])
+            .map_or(0, |h| h.count);
         CacheStats {
-            hits: self.inner.hits.get(),
-            misses: self.inner.misses.get(),
+            hits: 0,
+            misses: rows,
         }
     }
 
-    /// Zeroes the hit/miss counters.
-    pub fn reset_stats(&self) {
-        self.inner.hits.reset();
-        self.inner.misses.reset();
-    }
-
-    /// Empties the memo of every model in the current snapshot
-    /// (counters are untouched).
-    pub fn clear_cache(&self) {
-        for slot in self.inner.store.load().models() {
-            slot.memo.lock().clear();
-        }
-    }
+    /// Does nothing: there is no estimate memo to empty. Kept only
+    /// because `benchmark/` names it; ROADMAP 24 deletes it.
+    pub fn clear_cache(&self) {}
 }
 
 fn slot_or_unknown<'s>(
@@ -830,15 +721,17 @@ mod tests {
     }
 
     #[test]
-    fn routes_to_registered_model_and_counts_misses_then_hits() {
+    fn routes_to_registered_model_and_matches_the_flow_exactly() {
         let (svc, sys) = service_with_model();
         let x = [5e5, 200.0];
+        let direct = flow_of(&svc, &sys).estimate(&x);
         let first = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         assert_eq!(first.source, EstimateSource::NeuralNetwork);
         let second = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
-        assert_eq!(first, second);
+        assert_eq!(direct, first);
+        assert_eq!(direct, second);
         let stats = svc.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!((stats.hits, stats.misses), (0, 2));
         assert_eq!(stats.requests(), 2);
     }
 
@@ -893,17 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_estimates_match_the_flow_exactly() {
-        let (svc, sys) = service_with_model();
-        let x = [7e5, 300.0];
-        let direct = flow_of(&svc, &sys).estimate(&x);
-        let via_service = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
-        let via_cache = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
-        assert_eq!(direct, via_service);
-        assert_eq!(direct, via_cache);
-    }
-
-    #[test]
     fn batch_path_is_bit_identical_to_single_path_and_counts_once() {
         let (svc, sys) = service_with_model();
         // Mix of in-range and far out-of-range rows.
@@ -919,10 +801,7 @@ mod tests {
             let single = svc.estimate(&sys, OperatorKind::Aggregation, row).unwrap();
             assert_eq!(&single, b, "row {row:?}");
         }
-        // Those singles were all cache hits.
-        let stats = svc.stats();
-        assert_eq!((stats.hits, stats.misses), (20, 20));
-        // A second batch over the same rows is all hits.
+        // A second batch over the same rows costs them again, alike.
         let again = svc
             .estimate_batch_pinned(&svc.snapshot(), &sys, OperatorKind::Aggregation, &rows)
             .unwrap();
@@ -930,46 +809,10 @@ mod tests {
         assert_eq!(
             svc.stats(),
             CacheStats {
-                hits: 40,
-                misses: 20
+                hits: 0,
+                misses: 60
             }
         );
-    }
-
-    #[test]
-    fn disabled_cache_recomputes_and_matches_cached_service_bit_for_bit() {
-        let cached = EstimatorService::default();
-        let uncached = EstimatorService::new(ServiceConfig {
-            cache_capacity_per_model: 0,
-        });
-        let sys = SystemId::new("hive-a");
-        let flow = trained_flow(2e-6);
-        cached.register(sys.clone(), flow.clone());
-        uncached.register(sys.clone(), flow);
-        let rows: Vec<Vec<f64>> = (0..12)
-            .map(|i| vec![1e5 + i as f64 * 2.5e6, 100.0 + (i % 4) as f64 * 100.0])
-            .collect();
-        for row in &rows {
-            let a = cached
-                .estimate(&sys, OperatorKind::Aggregation, row)
-                .unwrap();
-            let b = uncached
-                .estimate(&sys, OperatorKind::Aggregation, row)
-                .unwrap();
-            assert_eq!(a, b, "row {row:?}");
-        }
-        let batch_a = cached
-            .estimate_batch_pinned(&cached.snapshot(), &sys, OperatorKind::Aggregation, &rows)
-            .unwrap();
-        let batch_b = uncached
-            .estimate_batch_pinned(&uncached.snapshot(), &sys, OperatorKind::Aggregation, &rows)
-            .unwrap();
-        assert_eq!(batch_a, batch_b);
-        // The uncached service never records a hit, even on repeats.
-        let _ = uncached
-            .estimate(&sys, OperatorKind::Aggregation, &rows[0])
-            .unwrap();
-        assert_eq!(uncached.stats().hits, 0);
     }
 
     #[test]
@@ -982,7 +825,6 @@ mod tests {
         let nested = svc
             .estimate_batch_pinned(&svc.snapshot(), &sys, OperatorKind::Aggregation, &rows)
             .unwrap();
-        svc.clear_cache();
         let snapshot = svc.snapshot();
         let mut out = Vec::new();
         let mut scratch = EstimateScratch::new();
@@ -1013,15 +855,11 @@ mod tests {
     }
 
     #[test]
-    fn observation_invalidates_cache_and_feeds_the_tuner() {
+    fn observation_feeds_the_tuner() {
         let (svc, sys) = service_with_model();
         let oor = [2e7, 200.0];
-        let _ = svc.estimate(&sys, OperatorKind::Aggregation, &oor).unwrap();
         svc.observe_actual(&sys, OperatorKind::Aggregation, &oor, 55.0)
             .unwrap();
-        // The observed model's new flow has a fresh memo: no hit.
-        let _ = svc.estimate(&sys, OperatorKind::Aggregation, &oor).unwrap();
-        assert_eq!(svc.stats(), CacheStats { hits: 0, misses: 2 });
         let flow = flow_of(&svc, &sys);
         assert_eq!((flow.tuner.observations(), flow.log.len()), (1, 1));
         // α re-fit goes through the service too.
@@ -1047,12 +885,11 @@ mod tests {
     fn clear_cache_forces_recomputation() {
         let (svc, sys) = service_with_model();
         let x = [5e5, 200.0];
-        let _ = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
+        let before = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         svc.clear_cache();
-        let _ = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
+        let after = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
+        assert_eq!(before, after);
         assert_eq!(svc.stats(), CacheStats { hits: 0, misses: 2 });
-        svc.reset_stats();
-        assert_eq!(svc.stats().requests(), 0);
     }
 
     #[test]
@@ -1064,7 +901,7 @@ mod tests {
             .estimate(&sys, OperatorKind::Aggregation, &x)
             .unwrap();
         let _ = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
-        assert_eq!(svc.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(svc.stats(), CacheStats { hits: 0, misses: 2 });
     }
 
     #[test]
@@ -1074,14 +911,12 @@ mod tests {
         let _ = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         let _ = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         let snap = svc.telemetry().metrics.snapshot();
-        assert_eq!(snap.counter("estimator_cache_hits_total", &[]), Some(1));
-        assert_eq!(snap.counter("estimator_cache_misses_total", &[]), Some(1));
         let h = snap.histogram("estimator_estimate_secs", &[]).unwrap();
-        assert_eq!(h.count, 1, "only the miss runs a model");
-        // The text exposition carries the same numbers.
+        assert_eq!(h.count, 2, "every request runs the model");
+        assert_eq!(svc.stats(), CacheStats { hits: 0, misses: 2 });
+        // The text exposition carries the same number.
         let text = svc.telemetry().metrics.render_prometheus();
-        assert!(text.contains("estimator_cache_hits_total 1"));
-        assert!(text.contains("estimator_cache_misses_total 1"));
+        assert!(text.contains("estimator_estimate_secs_count 2"));
     }
 
     #[test]
@@ -1123,7 +958,6 @@ mod tests {
             .iter()
             .map(|r| svc.estimate(&sys, OperatorKind::Aggregation, r).unwrap())
             .collect();
-        svc.clear_cache();
         let concurrent: Vec<CostEstimate> = std::thread::scope(|scope| {
             let handles: Vec<_> = rows
                 .chunks(16)
@@ -1148,13 +982,8 @@ mod tests {
 
     #[test]
     fn stale_pinned_snapshot_cannot_pollute_the_current_epoch_cache() {
-        // Regression for the generation-counter staleness window: an
-        // estimate computed against pre-publication model state used to
-        // be insertable into the cache with a generation value that a
-        // later (or weakly-ordered concurrent) reader would still match,
-        // serving the old model's output after an update. The memo
-        // sits beside the flow in the same snapshot Arc as the model
-        // state, so the two cannot disagree.
+        // An estimate computed against pre-publication model state must
+        // never reach readers of the model that replaced it.
         let (svc, sys) = service_with_model();
         let x = [5e5, 200.0];
         // A reader pins the snapshot, then gets descheduled...
@@ -1162,29 +991,23 @@ mod tests {
         // ...meanwhile the model is replaced and a new epoch publishes.
         svc.register(sys.clone(), trained_flow(8e-6));
         // The descheduled reader wakes up and completes its estimate
-        // from the *old* snapshot — computed before the publication,
-        // inserted after it (exactly the racy interleaving).
+        // from the *old* snapshot, after the publication.
         let stale = svc
             .estimate_pinned(&pinned, &sys, OperatorKind::Aggregation, &x)
             .unwrap();
-        // Readers of the current epoch never see the stale insert: it
-        // went into the old flow's memo, and the fresh estimate is a
-        // miss that recomputes from the new model.
+        // Readers of the current epoch compute from the new model.
         let fresh = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         assert_ne!(fresh.secs, stale.secs, "stale value must not be served");
         let direct = flow_of(&svc, &sys).estimate(&x);
         assert_eq!(fresh, direct, "fresh estimate reflects the new model");
-        // Each snapshot reads its own memo, beside its own flow:
-        // replaying under the old snapshot and reading under the new one
-        // each hit their own value, never the other model's.
-        svc.reset_stats();
+        // Replaying under the old snapshot and reading under the new one
+        // each give their own model's value, never the other's.
         let replay = svc
             .estimate_pinned(&pinned, &sys, OperatorKind::Aggregation, &x)
             .unwrap();
         let live = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         assert_eq!(replay, stale);
         assert_eq!(live, fresh);
-        assert_eq!(svc.stats(), CacheStats { hits: 2, misses: 0 });
     }
 
     #[test]
@@ -1199,56 +1022,6 @@ mod tests {
         assert_eq!(snap.lineage().label, "republish");
         let after = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
         assert_eq!(before, after, "no-op republish must not change estimates");
-        // The republish shares the flow, and with it the memo: the
-        // second request is a hit.
-        assert_eq!(svc.stats(), CacheStats { hits: 1, misses: 1 });
-    }
-
-    #[test]
-    fn a_publication_cools_only_the_memos_of_the_models_it_replaces() {
-        let svc = EstimatorService::default();
-        let (a, b) = (SystemId::new("hive-a"), SystemId::new("presto-b"));
-        svc.register(a.clone(), trained_flow(2e-6));
-        svc.register(b.clone(), trained_flow(8e-6));
-        let x = [5e5, 200.0];
-        let agg = OperatorKind::Aggregation;
-        let hit_of = |sys: &SystemId| {
-            let before = svc.stats();
-            let _ = svc.estimate(sys, agg, &x).unwrap();
-            svc.stats().hits > before.hits
-        };
-        // Warm both memos.
-        assert!(!hit_of(&a));
-        assert!(!hit_of(&b));
-        // An observe on A replaces A's flow alone.
-        svc.observe_actual(&a, agg, &x, 2.0).unwrap();
-        assert!(hit_of(&b), "B's memo survives A's observe");
-        assert!(!hit_of(&a), "A's new flow starts with a fresh memo");
-        // A content-identical republish keeps every memo warm.
-        let _ = svc.republish();
-        assert!(hit_of(&a));
-        assert!(hit_of(&b));
-        // Registering a replacement for A cools A's memo again.
-        svc.register(a.clone(), trained_flow(2e-6));
-        assert!(!hit_of(&a));
-        assert!(hit_of(&b));
-    }
-
-    #[test]
-    fn infinite_features_of_either_sign_are_memoized_apart() {
-        // Neither sign reaches the memo: both rows are refused before the
-        // probe, so one can never be answered with the other's estimate.
-        // (Bit-keyed separation of rows is `cache::tests::
-        // borrowed_probe_matches_owned_key`.)
-        let agg = OperatorKind::Aggregation;
-        let (svc, sys) = service_with_model();
-        for row in [[5e5, f64::INFINITY], [5e5, f64::NEG_INFINITY]] {
-            assert_eq!(
-                svc.estimate(&sys, agg, &row),
-                Err(ServiceError::NonFiniteFeature { dim: 1 })
-            );
-        }
-        assert_eq!(svc.stats(), CacheStats { hits: 0, misses: 0 });
     }
 
     #[test]
@@ -1363,21 +1136,6 @@ mod tests {
         assert_eq!(tune.entries_used, observed);
         assert_eq!(tune.dims_expanded, vec![0]);
         assert!(tune.rmse_pct_after.is_finite());
-    }
-
-    #[test]
-    fn idle_tuning_pass_keeps_the_cache_warm() {
-        let (svc, sys) = service_with_model();
-        let x = [5e5, 200.0];
-        let _ = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
-        let epoch = svc.epoch();
-        // No flow has a logged actual: nothing is due, nothing publishes,
-        // and the memoized estimate is still the current one.
-        let report = svc.run_tuning(&TuningPipeline::new(FitConfig::fast()));
-        assert_eq!(report.epoch, None);
-        assert_eq!(svc.epoch(), epoch);
-        let _ = svc.estimate(&sys, OperatorKind::Aggregation, &x).unwrap();
-        assert_eq!(svc.stats(), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]

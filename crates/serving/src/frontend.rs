@@ -614,8 +614,8 @@ fn collect_batch(inner: &Inner, block_for_first: bool) -> (Vec<Pending>, bool, u
 /// When the service's span layer samples this batch, the span follows
 /// the batch's *lead* request: queue wait is the lead's admission-to-
 /// collection time on the injected clock, the coalesce stage is the
-/// leader's baton-hold time, and the service-side stages (cache probe,
-/// kernel, remedy) fold in from the estimation calls below because the
+/// leader's baton-hold time, and the service-side stages (kernel,
+/// remedy) fold in from the estimation calls below because the
 /// guard keeps this thread's stage slab armed for the whole batch.
 fn process_batch(inner: &Inner, batch: Vec<Pending>, coalesce_us: u64) -> usize {
     if batch.is_empty() {

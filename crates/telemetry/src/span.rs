@@ -1,7 +1,7 @@
 //! Request-scoped spans with a fixed stage taxonomy.
 //!
 //! A served estimate crosses several layers — admission queue, batch
-//! coalescing, cache probe, packed kernel, remedy blend, federation
+//! coalescing, packed kernel, remedy blend, federation
 //! placement, remote execution — and a latency regression in any one of
 //! them is invisible to aggregate histograms. This module records *per
 //! request* where the time went, under a hard constraint inherited from
@@ -38,7 +38,7 @@ use std::time::Instant;
 
 /// Number of stages in the fixed taxonomy (the length of
 /// [`Stage::ALL`]).
-pub const STAGE_COUNT: usize = 7;
+pub const STAGE_COUNT: usize = 6;
 
 /// The fixed stage taxonomy of one request span.
 ///
@@ -54,8 +54,6 @@ pub enum Stage {
     /// Time the batch leader spent widening the batch inside the
     /// coalesce window (attributed from the serving clock).
     Coalesce,
-    /// Estimate-memo probe (and insert) in the estimator service.
-    CacheProbe,
     /// The fused packed inference kernel.
     Kernel,
     /// The out-of-range remedy blend path.
@@ -72,7 +70,6 @@ impl Stage {
     pub const ALL: [Stage; STAGE_COUNT] = [
         Stage::QueueWait,
         Stage::Coalesce,
-        Stage::CacheProbe,
         Stage::Kernel,
         Stage::Remedy,
         Stage::FederationPlacement,

@@ -17,7 +17,7 @@ use costing::logical_op::{
     flow::LogicalOpCosting,
     model::{FitConfig, LogicalOpModel},
 };
-use costing::service::{EstimatorService, ServiceConfig};
+use costing::service::EstimatorService;
 use neuro::Dataset;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -55,7 +55,7 @@ fn probe_rows() -> Vec<Vec<f64>> {
 
 #[test]
 fn reads_under_republish_churn_always_see_a_complete_model_state() {
-    let service = EstimatorService::new(ServiceConfig::default());
+    let service = EstimatorService::default();
     let sys = SystemId::new("churn");
     let a = variant(1.0);
     let b = variant(2.5);
@@ -166,8 +166,7 @@ fn reads_under_republish_churn_always_see_a_complete_model_state() {
     assert_eq!(final_bits, expect_bits);
 }
 
-/// The packed fast path under churn: with the cache disabled, every
-/// read runs the snapshot's fused [`costing::PackedOpModel`] kernel
+/// The packed fast path under churn: every read runs the snapshot's fused [`costing::PackedOpModel`] kernel
 /// through caller scratch. Readers using the flat batch entry point
 /// must still only ever observe complete model states, and each pinned
 /// snapshot's packed form must agree bit for bit with the reference
@@ -177,9 +176,7 @@ fn packed_reads_under_republish_churn_stay_bit_consistent() {
     use costing::logical_op::packed::PackedOpScratch;
     use costing::service::EstimateScratch;
 
-    let service = EstimatorService::new(ServiceConfig {
-        cache_capacity_per_model: 0, // force the packed compute path
-    });
+    let service = EstimatorService::default();
     let sys = SystemId::new("churn-packed");
     let a = variant(1.0);
     let b = variant(2.5);
@@ -266,7 +263,7 @@ fn packed_reads_under_republish_churn_stay_bit_consistent() {
 
 #[test]
 fn pinned_batches_survive_concurrent_tuning_pipeline_passes() {
-    let service = EstimatorService::new(ServiceConfig::default());
+    let service = EstimatorService::default();
     let sys = SystemId::new("churn-tune");
     let flow = variant(1.0);
     service.register(sys.clone(), flow);
@@ -343,7 +340,7 @@ fn pinned_batches_survive_concurrent_tuning_pipeline_passes() {
 /// `rollback_to` serves exactly what it served when it was saved.
 #[test]
 fn a_reloaded_snapshot_rolls_the_service_back_under_a_new_epoch() {
-    let service = EstimatorService::new(ServiceConfig::default());
+    let service = EstimatorService::default();
     let systems = [SystemId::new("churn-a"), SystemId::new("churn-b")];
     service.register(systems[0].clone(), variant(1.0));
     service.register(systems[1].clone(), variant(2.5));

@@ -2,9 +2,9 @@
 //! §13).
 //!
 //! The raw-speed pass claims the steady-state pinned paths are
-//! **allocation-free**: after warmup, a cache hit, a cache-disabled
-//! in-range compute, and a warm flat batch perform zero heap
-//! allocations on the calling thread. This binary installs a counting
+//! **allocation-free**: after warmup, an in-range `estimate_pinned` and
+//! a warm flat batch perform zero heap allocations on the calling
+//! thread. This binary installs a counting
 //! `#[global_allocator]` (per-thread counters, so concurrently running
 //! tests never pollute each other) and asserts those budgets exactly —
 //! a quiet re-introduction of per-call allocation fails here, not in a
@@ -16,7 +16,7 @@
 
 use catalog::SystemId;
 use costing::logical_op::{LogicalOpCosting, PackedOpScratch};
-use costing::{EstimateScratch, EstimatorService, OperatorKind, ServiceConfig};
+use costing::{EstimateScratch, EstimatorService, OperatorKind};
 use integration_tests::{flows, trained_flow};
 use neuro::PackedScratch;
 use serving::{EstimateRequest, Frontend, FrontendConfig};
@@ -66,8 +66,8 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
     ALLOC_COUNT.with(Cell::get) - before
 }
 
-fn service_with(config: ServiceConfig) -> (EstimatorService, SystemId) {
-    let service = EstimatorService::new(config);
+fn service_with_model() -> (EstimatorService, SystemId) {
+    let service = EstimatorService::default();
     let system = SystemId::new("alloc-probe");
     service.register(system.clone(), trained_flow());
     (service, system)
@@ -76,39 +76,11 @@ fn service_with(config: ServiceConfig) -> (EstimatorService, SystemId) {
 const OP: OperatorKind = OperatorKind::Aggregation;
 const IN_RANGE: [f64; 2] = [7e5, 250.0];
 
-/// A repeated cache hit through `estimate_pinned` allocates nothing:
-/// the probe uses a borrowed key against the thread's warm scratch.
+/// Every call runs the fused packed kernel — zero allocations once the
+/// thread scratch is warm.
 #[test]
-fn estimate_pinned_cache_hit_is_allocation_free() {
-    let (service, system) = service_with(ServiceConfig::default());
-    let snapshot = service.snapshot();
-    // Warmup: the first call misses (computes + inserts), the second
-    // warms the thread-local scratch on the hit path.
-    for _ in 0..3 {
-        service
-            .estimate_pinned(&snapshot, &system, OP, &IN_RANGE)
-            .expect("estimate");
-    }
-    let n = allocs_during(|| {
-        for _ in 0..1000 {
-            service
-                .estimate_pinned(&snapshot, &system, OP, &IN_RANGE)
-                .expect("estimate");
-        }
-    });
-    assert_eq!(
-        n, 0,
-        "cache-hit estimates allocated {n} times in 1000 calls"
-    );
-}
-
-/// With the cache disabled entirely, every call runs the fused packed
-/// kernel — still zero allocations once the thread scratch is warm.
-#[test]
-fn estimate_pinned_compute_is_allocation_free_with_cache_disabled() {
-    let (service, system) = service_with(ServiceConfig {
-        cache_capacity_per_model: 0,
-    });
+fn estimate_pinned_compute_is_allocation_free() {
+    let (service, system) = service_with_model();
     let snapshot = service.snapshot();
     for _ in 0..3 {
         service
@@ -122,19 +94,14 @@ fn estimate_pinned_compute_is_allocation_free_with_cache_disabled() {
                 .expect("estimate");
         }
     });
-    assert_eq!(
-        n, 0,
-        "cache-disabled in-range estimates allocated {n} times in 1000 calls"
-    );
+    assert_eq!(n, 0, "in-range estimates allocated {n} times in 1000 calls");
 }
 
 /// The flat batch entry point with caller-owned scratch and output
 /// buffers is allocation-free for warm in-range batches.
 #[test]
 fn flat_batch_is_allocation_free_with_warm_scratch() {
-    let (service, system) = service_with(ServiceConfig {
-        cache_capacity_per_model: 0,
-    });
+    let (service, system) = service_with_model();
     let snapshot = service.snapshot();
     let width = 2;
     let flat: Vec<f64> = (0..64)
@@ -185,9 +152,7 @@ fn flat_batch_is_allocation_free_with_warm_scratch() {
 /// this test.
 #[test]
 fn estimate_pinned_is_allocation_free_with_spans_sampling_every_request() {
-    let (service, system) = service_with(ServiceConfig {
-        cache_capacity_per_model: 0,
-    });
+    let (service, system) = service_with_model();
     let spans = service.telemetry().spans.clone();
     spans.set_sampling(1);
     let snapshot = service.snapshot();
@@ -225,9 +190,7 @@ fn estimate_pinned_is_allocation_free_with_spans_sampling_every_request() {
 /// around every call — stage probes must never grow the scratch.
 #[test]
 fn flat_batch_is_allocation_free_with_spans_enabled() {
-    let (service, system) = service_with(ServiceConfig {
-        cache_capacity_per_model: 0,
-    });
+    let (service, system) = service_with_model();
     let spans = service.telemetry().spans.clone();
     spans.set_sampling(1);
     let snapshot = service.snapshot();
@@ -282,9 +245,7 @@ fn flat_batch_is_allocation_free_with_spans_enabled() {
 /// while still far below what per-row staging clones would cost.
 #[test]
 fn frontend_drain_allocations_stay_bounded_per_batch() {
-    let (service, system) = service_with(ServiceConfig {
-        cache_capacity_per_model: 0,
-    });
+    let (service, system) = service_with_model();
     let fe = Frontend::new(
         service,
         FrontendConfig {
@@ -367,8 +328,8 @@ type ProbeCell = (SystemId, OperatorKind, usize, Vec<f64>);
 
 /// Every fixture flow registered on its own system, with its seeded
 /// rows.
-fn seeded_service(config: ServiceConfig, n: usize) -> (EstimatorService, Vec<ProbeCell>) {
-    let service = EstimatorService::new(config);
+fn seeded_service(n: usize) -> (EstimatorService, Vec<ProbeCell>) {
+    let service = EstimatorService::default();
     let cells = fixture_flows()
         .into_iter()
         .enumerate()
@@ -385,57 +346,40 @@ fn seeded_service(config: ServiceConfig, n: usize) -> (EstimatorService, Vec<Pro
 }
 
 /// `estimate_pinned` over seeded in-range rows of every fixture
-/// operator: the default cache answering every probe once warm, and
-/// the cache off so every call runs the kernel and the range check.
+/// operator: every call runs the kernel and the range check.
 #[test]
 fn estimate_pinned_is_allocation_free_over_seeded_rows_of_every_op() {
-    for (label, config) in [
-        ("default cache, hit path", ServiceConfig::default()),
-        (
-            "cache off",
-            ServiceConfig {
-                cache_capacity_per_model: 0,
-            },
-        ),
-    ] {
-        let (service, cells) = seeded_service(config, 64);
-        let snapshot = service.snapshot();
-        let run = || {
-            for (system, op, width, rows) in &cells {
-                for row in rows.chunks_exact(*width) {
-                    service
-                        .estimate_pinned(&snapshot, system, *op, row)
-                        .expect("estimate");
-                }
+    let (service, cells) = seeded_service(64);
+    let snapshot = service.snapshot();
+    let run = || {
+        for (system, op, width, rows) in &cells {
+            for row in rows.chunks_exact(*width) {
+                service
+                    .estimate_pinned(&snapshot, system, *op, row)
+                    .expect("estimate");
             }
-        };
-        // Warmup: the first pass fills the cache, the next two warm the
-        // thread's scratch on the hit path.
-        for _ in 0..3 {
+        }
+    };
+    // Warmup: warm the thread's scratch.
+    for _ in 0..3 {
+        run();
+    }
+    let n = allocs_during(|| {
+        for _ in 0..10 {
             run();
         }
-        let n = allocs_during(|| {
-            for _ in 0..10 {
-                run();
-            }
-        });
-        assert_eq!(
-            n, 0,
-            "{label}: seeded estimates over every fixture op allocated {n} times"
-        );
-    }
+    });
+    assert_eq!(
+        n, 0,
+        "seeded estimates over every fixture op allocated {n} times"
+    );
 }
 
 /// The flat batch over seeded in-range rows of every fixture operator,
 /// 67 rows so the packed kernel runs full lane blocks and a remainder.
 #[test]
 fn flat_batch_is_allocation_free_over_seeded_rows_of_every_op() {
-    let (service, cells) = seeded_service(
-        ServiceConfig {
-            cache_capacity_per_model: 0,
-        },
-        67,
-    );
+    let (service, cells) = seeded_service(67);
     let snapshot = service.snapshot();
     let mut out = Vec::new();
     let mut scratch = EstimateScratch::new();

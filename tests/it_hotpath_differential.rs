@@ -354,7 +354,7 @@ mod one_fig3_body {
                 let others = [
                     manager.estimate_operator(op, &analysis_with(x)).unwrap(),
                     service.estimate_pinned(&snapshot, system, op, x).unwrap(),
-                    slots[i].clone().expect("every empty slot is filled"),
+                    slots[i].clone().expect("every slot is filled"),
                     served[i].clone(),
                 ];
                 for (path, other) in others.iter().enumerate() {
@@ -372,9 +372,8 @@ mod one_fig3_body {
                         flow.model.predict_nn_reference(x).to_bits()
                     );
                 }
-                // The shared service's memo is warm with `x` now; a
-                // neighbour one part in 1e12 away is its own row, not
-                // `x`'s, and costs what the flow says it costs.
+                // A neighbour one part in 1e12 away from `x`, just served,
+                // is its own row and costs what the flow says it costs.
                 let neighbour = x.map(|v| v * (1.0 + 1e-12));
                 let near = service.estimate_pinned(&snapshot, system, op, &neighbour).unwrap();
                 let want = flow.estimate(&neighbour);

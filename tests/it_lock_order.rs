@@ -4,11 +4,9 @@
 //! arms the `parking_lot` shim's thread-local acquisition checker — the
 //! workspace's one lock-order enforcer: every ranked lock taken out of
 //! order, on any thread and across any number of calls, panics on the
-//! spot. Estimates read an atomically loaded snapshot and take one lock
-//! at a time (`SERVICE_CACHE` to probe, released before the kernel
-//! runs; `SERVICE_CACHE` again to insert). The nestings that do occur
-//! are on the write and exposition sides, and this suite drives each of
-//! them:
+//! spot. Estimates read an atomically loaded snapshot of immutable
+//! models and take no lock at all. The nestings that do occur are on
+//! the write and exposition sides, and this suite drives each of them:
 //!
 //! * `EPOCH_COMMIT` → `EPOCH_RETIRED`: publishing a snapshot retires
 //!   the previous one inside the commit critical section;
@@ -16,8 +14,7 @@
 //!
 //! The checker also logs every rank a thread acquires; the suite uses
 //! that to pin a feedback write to the commit and the retired list, and
-//! the read path to the one lock it may take: the costed model's
-//! estimate memo.
+//! the read path to no lock at all.
 //!
 //! Run with: `cargo test -q --features lock-order-check -p tests`.
 #![cfg(feature = "lock-order-check")]
@@ -33,7 +30,7 @@ use costing::logical_op::{
     model::{FitConfig, LogicalOpModel},
     PackedOpScratch,
 };
-use costing::service::{EstimatorService, ServiceConfig};
+use costing::service::EstimatorService;
 use costing::EstimateScratch;
 use federation::{
     build_workload_pinned, plan_query_with_service_pinned, plan_workload, ScheduleConfig, SlotMap,
@@ -80,13 +77,13 @@ fn checker_is_armed() {
     assert!(msg.contains("rank inversion"), "unexpected panic: {msg}");
 }
 
-/// The full estimation hot path — cache hits, NN misses, remedy rows,
-/// observes, α adjustment — under 8 threads with the checker armed.
-/// Any cache/commit/retired/registry acquisition that violates the
-/// ranked order panics the worker and fails the test.
+/// The full estimation hot path — NN rows, remedy rows, observes, α
+/// adjustment — under 8 threads with the checker armed. Any
+/// commit/retired/registry acquisition that violates the ranked order
+/// panics the worker and fails the test.
 #[test]
 fn estimation_hot_path_holds_ranked_order_under_contention() {
-    let service = EstimatorService::new(ServiceConfig::default());
+    let service = EstimatorService::default();
     let sys = SystemId::new("lock-order-sys");
     service.register(sys.clone(), agg_flow());
 
@@ -126,8 +123,7 @@ fn estimation_hot_path_holds_ranked_order_under_contention() {
         }
     });
 
-    // Batched path: one cache acquisition to probe, released, a second
-    // to insert the misses — re-acquisition, never re-entry.
+    // Batched path.
     let batch = service
         .estimate_batch_pinned(&service.snapshot(), &sys, OperatorKind::Aggregation, &rows)
         .expect("estimate_batch_pinned");
@@ -135,7 +131,7 @@ fn estimation_hot_path_holds_ranked_order_under_contention() {
 
     // Registry exposition holds REGISTRY_METRICS → REGISTRY_HELP.
     let text = service.telemetry().metrics.render_prometheus();
-    assert!(text.contains("estimator_cache_hits_total"));
+    assert!(text.contains("estimator_estimate_secs"));
 
     // A feedback write takes nothing under the commit lock but the
     // retired-snapshot list; the log-eviction gauge `observe_actual`
@@ -199,7 +195,7 @@ fn federation_setup() -> (Catalog, EstimatorService) {
             ))
             .expect("unique table names");
     }
-    let service = EstimatorService::new(ServiceConfig::default());
+    let service = EstimatorService::default();
     for (id, scale) in [(SystemId::master(), 2.0), (SystemId::new("hive-a"), 1.0)] {
         let (join, agg) = federation_flows(scale);
         service.register(id.clone(), join);
@@ -208,15 +204,14 @@ fn federation_setup() -> (Catalog, EstimatorService) {
     (catalog, service)
 }
 
-/// The read path takes no lock but the estimate cache. Every lock the
-/// calling thread takes through the pinned estimate
-/// entries, both packed kernels, single-query placement, the workload
-/// build and `plan_workload` must be a model's `SERVICE_CACHE` memo: a
+/// The read path takes no lock. The calling thread's log must stay
+/// empty through the pinned estimate entries, both packed kernels,
+/// single-query placement, the workload build and `plan_workload`: a
 /// registry lookup (`REGISTRY_METRICS`), a commit or any unranked lock
 /// fails here. `plan_workload` starts no thread, so the calling thread's
 /// log is every lock it takes.
 #[test]
-fn read_path_takes_no_lock_but_the_cache() {
+fn read_path_takes_no_lock() {
     let (catalog, service) = federation_setup();
     let snapshot = service.snapshot();
     let transfer = TransferCostModel::default();
@@ -334,14 +329,19 @@ fn read_path_takes_no_lock_but_the_cache() {
     ];
     for (path, ranks) in &paths {
         assert!(
-            ranks.iter().all(|&r| r == rank::SERVICE_CACHE),
-            "{path} acquired ranks {ranks:?}; the read path may take only SERVICE_CACHE ({})",
-            rank::SERVICE_CACHE
+            ranks.is_empty(),
+            "{path} acquired ranks {ranks:?}; the read path may take no lock"
         );
     }
-    // The log is live: the cached estimates probed the cache.
+    // The log is live: a feedback write on the same service records its
+    // commit and retired-list acquisitions.
+    let observe = ranks_acquired_during(|| {
+        service
+            .observe_actual(&master, agg, &rows[..4], 3.0)
+            .expect("observe");
+    });
     assert!(
-        paths[0].1.contains(&rank::SERVICE_CACHE),
-        "no cache acquisition logged: the rank log is not recording"
+        observe.starts_with(&[rank::EPOCH_COMMIT, rank::EPOCH_RETIRED]),
+        "observe_actual acquired {observe:?}: the rank log is not recording"
     );
 }

@@ -5,7 +5,7 @@
 //!
 //! The span assertions pin the layer's accounting contract: for a
 //! front-end request, the recorded stage segments (queue-wait and
-//! coalesce on the injected clock, cache-probe/kernel/remedy on the
+//! coalesce on the injected clock, kernel/remedy on the
 //! monotonic clock) must never sum past the span's total, and the
 //! unattributed remainder must stay small — stages are real
 //! measurements, not estimates.
@@ -15,7 +15,7 @@ use catalog::{
     TableDef, TableStats,
 };
 use costing::logical_op::model::FitConfig;
-use costing::{DriftRetuner, EstimatorService, OperatorKind, ServiceConfig, TuningPipeline};
+use costing::{DriftRetuner, EstimatorService, OperatorKind, TuningPipeline};
 use federation::{plan_query_with_service_pinned, TransferCostModel};
 use integration_tests::{federation_flows, trained_flow};
 use serving::{Clock, EstimateRequest, Frontend, FrontendConfig};
@@ -26,7 +26,7 @@ use telemetry::{DriftConfig, SloConfig, Stage};
 /// clock (service stages), and whose segments never sum past the total.
 #[test]
 fn frontend_span_tree_attributes_stages_and_bounds_the_gap() {
-    let service = EstimatorService::new(ServiceConfig::default());
+    let service = EstimatorService::default();
     let system = SystemId::new("obs-e2e");
     service.register(system.clone(), trained_flow());
     let spans = service.telemetry().spans.clone();
@@ -82,7 +82,6 @@ fn frontend_span_tree_attributes_stages_and_bounds_the_gap() {
     );
     assert!((0.0..=100.0).contains(&coalesce), "coalesce {coalesce} us");
     // The service stages ran under the leader's armed slab.
-    assert!(ex.stage_us(Stage::CacheProbe) >= 0.0);
     assert!(ex.stage_us(Stage::Kernel) + ex.stage_us(Stage::Remedy) >= 0.0);
     assert!(
         ex.stage_us(Stage::RemoteExec) == 0.0,
@@ -205,7 +204,7 @@ fn federation_planning_attributes_the_placement_stage() {
 /// re-trigger; post-retune traffic at restored accuracy recovers.
 #[test]
 fn drift_breach_fires_one_retune_then_cooldown_then_recovery() {
-    let service = EstimatorService::new(ServiceConfig::default());
+    let service = EstimatorService::default();
     let system = SystemId::new("hive-a");
     service.register(system.clone(), trained_flow());
     let key = (system.clone(), OperatorKind::Aggregation);

@@ -15,7 +15,7 @@ use costing::logical_op::{
     remedy::{remedy_estimate, RemedyConfig},
     run_training,
 };
-use costing::service::{CacheStats, EstimatorService, ServiceConfig};
+use costing::service::{CacheStats, EstimatorService};
 use costing::{publish_drift, ModelKey};
 use remote_sim::ClusterEngine;
 use sqlkit::RemoteSystem;
@@ -66,7 +66,7 @@ fn full_cycle_estimates_and_flags_the_degraded_model() {
         &fast_fit(),
     );
 
-    let service = EstimatorService::new(ServiceConfig::default());
+    let service = EstimatorService::default();
     let live = SystemId::new("hive-live");
     let drifty = SystemId::new("hive-drift");
     service.register(live.clone(), LogicalOpCosting::new(model.clone()));
@@ -103,7 +103,7 @@ fn full_cycle_estimates_and_flags_the_degraded_model() {
     assert_eq!(
         service.stats(),
         CacheStats { hits: 0, misses: 1 },
-        "first request cannot be a cache hit"
+        "the first request runs its model once"
     );
 
     // --- Observe one window of actuals from the simulator. The live
@@ -174,7 +174,7 @@ fn full_cycle_estimates_and_flags_the_degraded_model() {
     // --- The exposition carries the whole story and parses as
     // Prometheus text: comment lines, then `name[{labels}] value` rows.
     let text = service.telemetry().metrics.render_prometheus();
-    assert!(text.contains("estimator_cache_misses_total"));
+    assert!(text.contains("estimator_estimate_secs_count"));
     assert!(text.contains("model_drifted"));
     assert!(text.contains("hive-drift"));
     for line in text.lines().filter(|l| !l.is_empty()) {
